@@ -1,14 +1,19 @@
 package hbh_test
 
-// The benchmark harness regenerates every table/figure of the paper's
-// evaluation (§4) as a testing.B benchmark, plus the ablation and
-// extension studies from DESIGN.md, plus micro-benchmarks of the
-// substrates. Figure benches run a reduced number of runs per data
-// point per iteration (the CLI `hbhsim -figure all -runs 500` performs
-// the full 500-run evaluation) and report the headline comparison as
-// custom metrics, so `go test -bench` output directly shows who wins:
+// What is left here is what bench/ (the repository benchmark, see
+// bench/README.md) does not re-measure: the departure-stability,
+// ablation and extension studies of DESIGN.md regenerated as testing.B
+// benchmarks that report the headline comparison as custom metrics, so
+// `go test -bench` output directly shows who wins:
 //
-//	BenchmarkFigure7a  ...  HBH-cost 21.9  REUNITE-cost 31.2  ...
+//	BenchmarkAblationFusion  ...  HBH-cost 21.7  HBH-nofusion-cost 51.3
+//
+// plus the two substrate benchmarks no layer row covers and the
+// disabled-observer zero-alloc test. The Figure 7/8 grid, single runs,
+// Dijkstra, the lazy router, the forward hop, the codec and the event
+// loop are priced by bench/ and by nothing here. Figure benches run a
+// reduced number of runs per data point per iteration (`hbhsim -figure
+// all -runs 500` performs the full evaluation).
 //
 // Metric naming: <protocol>-cost is mean packet copies per data packet
 // (tree cost), <protocol>-delay is mean receiver delay in time units.
@@ -41,51 +46,6 @@ func reportSeries(b *testing.B, fig *experiment.Figure, suffix string) {
 	if fig.BadRuns > 0 {
 		b.ReportMetric(float64(fig.BadRuns), "bad-runs")
 	}
-}
-
-// BenchmarkFigure7a regenerates Figure 7(a): tree cost vs group size
-// on the ISP topology for PIM-SM, PIM-SS, REUNITE and HBH.
-func BenchmarkFigure7a(b *testing.B) {
-	b.ReportAllocs()
-	var fig *experiment.Figure
-	for i := 0; i < b.N; i++ {
-		fig = experiment.Figure7a(benchRuns, int64(i+1))
-	}
-	reportSeries(b, fig, "cost")
-}
-
-// BenchmarkFigure7b regenerates Figure 7(b): tree cost on the 50-node
-// random topology.
-func BenchmarkFigure7b(b *testing.B) {
-	b.ReportAllocs()
-	var fig *experiment.Figure
-	for i := 0; i < b.N; i++ {
-		fig = experiment.Figure7b(benchRuns, int64(i+1))
-	}
-	reportSeries(b, fig, "cost")
-}
-
-// BenchmarkFigure8a regenerates Figure 8(a): receiver average delay on
-// the ISP topology (the paper's "shared trees beat source reverse
-// SPTs here" observation).
-func BenchmarkFigure8a(b *testing.B) {
-	b.ReportAllocs()
-	var fig *experiment.Figure
-	for i := 0; i < b.N; i++ {
-		fig = experiment.Figure8a(benchRuns, int64(i+1))
-	}
-	reportSeries(b, fig, "delay")
-}
-
-// BenchmarkFigure8b regenerates Figure 8(b): receiver average delay on
-// the 50-node random topology.
-func BenchmarkFigure8b(b *testing.B) {
-	b.ReportAllocs()
-	var fig *experiment.Figure
-	for i := 0; i < b.N; i++ {
-		fig = experiment.Figure8b(benchRuns, int64(i+1))
-	}
-	reportSeries(b, fig, "delay")
 }
 
 // BenchmarkStability regenerates the §3/Figure 4 departure-stability
@@ -176,89 +136,12 @@ func BenchmarkQoSRouting(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
-// BenchmarkSingleRunHBH measures one full HBH simulation run (ISP
-// topology, 8 receivers: converge + probe).
-func BenchmarkSingleRunHBH(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiment.Run(experiment.RunConfig{
-			Topo: experiment.TopoISP, Protocol: experiment.HBH,
-			Receivers: 8, Seed: int64(i + 1),
-		})
-	}
-}
-
-// BenchmarkSingleRunREUNITE measures one full REUNITE run.
-func BenchmarkSingleRunREUNITE(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiment.Run(experiment.RunConfig{
-			Topo: experiment.TopoISP, Protocol: experiment.REUNITE,
-			Receivers: 8, Seed: int64(i + 1),
-		})
-	}
-}
-
-// BenchmarkSingleRunPIMSS measures one centralised PIM-SS run.
-func BenchmarkSingleRunPIMSS(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		experiment.Run(experiment.RunConfig{
-			Topo: experiment.TopoISP, Protocol: experiment.PIMSS,
-			Receivers: 8, Seed: int64(i + 1),
-		})
-	}
-}
-
-// BenchmarkManyChannels measures a network carrying ten concurrent HBH
-// channels (distinct sources and groups) to convergence — per-channel
-// state is independent, so this stresses the multiplexing overhead of
-// the shared routers.
-func BenchmarkManyChannels(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g := root.ISPTopology()
-		g.RandomizeCosts(rand.New(rand.NewSource(int64(i+1))), 1, 10)
-		nw := root.NewNetwork(g)
-		cfg := root.DefaultConfig()
-		nw.EnableHBH(cfg)
-		hosts := g.Hosts()
-		var members []root.Member
-		var sends []func(payload []byte) uint32
-		for c := 0; c < 10; c++ {
-			src := nw.NewHBHSource(hosts[c], root.Group(c), cfg)
-			sends = append(sends, src.SendData)
-			for k := 0; k < 5; k++ {
-				r := nw.NewHBHReceiver(hosts[(c+3*k+5)%len(hosts)], src.Channel(), cfg)
-				nw.At(root.Time(10+5*k), r.Join)
-				members = append(members, r)
-			}
-		}
-		nw.RunFor(4000)
-		for _, send := range sends {
-			send(nil)
-		}
-		nw.RunFor(200)
-	}
-}
-
-// BenchmarkDijkstra measures the all-pairs routing-table computation
-// on the 50-node topology (100 nodes with hosts).
-func BenchmarkDijkstra(b *testing.B) {
-	b.ReportAllocs()
-	g := topology.Random(topology.Paper50(), rand.New(rand.NewSource(1)))
-	g.RandomizeCosts(rand.New(rand.NewSource(2)), 1, 10)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		unicast.Compute(g)
-	}
-}
-
 // BenchmarkDijkstraRecompute measures the steady-state table refresh:
 // recomputing all-pairs routes into the tables' existing backing
-// arrays (the path fault rerouting takes). The contrast with
-// BenchmarkDijkstra is the point — Compute pays a one-time flat
-// allocation; Recompute must be allocation-free.
+// arrays (the path fault rerouting takes). The contrast with the
+// unicast.compute_ms layer row is the point — Compute pays a one-time
+// flat allocation; Recompute must be allocation-free, and this
+// benchmark's allocs/op is the only place that contract shows.
 func BenchmarkDijkstraRecompute(b *testing.B) {
 	b.ReportAllocs()
 	g := topology.Random(topology.Paper50(), rand.New(rand.NewSource(1)))
@@ -270,62 +153,8 @@ func BenchmarkDijkstraRecompute(b *testing.B) {
 	}
 }
 
-// lazyBenchGraph builds the 5000-router Barabási–Albert graph the lazy
-// substrate benchmarks share — big enough that the eager fast path
-// would never be selected, heavy-tailed like the A13 sweep.
-func lazyBenchGraph() *topology.Graph {
-	rng := rand.New(rand.NewSource(1))
-	g := topology.BarabasiAlbert(topology.BAConfig{Routers: 5000, M: 2}, rng)
-	g.RandomizeCosts(rand.New(rand.NewSource(2)), 1, 10)
-	return g
-}
-
-// BenchmarkLazyNextHop measures the on-demand substrate's query path
-// over a rotating set of sources sized to the LRU, so steady state is
-// all cache hits — the per-query price of the lazy indirection, to be
-// read against the first iteration's miss cost (amortized away here).
-func BenchmarkLazyNextHop(b *testing.B) {
-	b.ReportAllocs()
-	g := lazyBenchGraph()
-	l := unicast.NewLazy(g, unicast.LazyOptions{MaxSources: 64})
-	routers := g.Routers()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := routers[i%64]
-		d := routers[(i*7919)%len(routers)]
-		_ = l.NextHop(s, d)
-	}
-}
-
-// BenchmarkLazyRecomputeChurn measures the per-source invalidation
-// path under steady cost churn: each iteration bumps one link cost
-// through the graph and pushes the change through
-// RecomputeCostChanges, which drops only the cached sources the change
-// can affect; the next queries fault those rows back in. This is the
-// workload the adversarial engine's churner generates.
-func BenchmarkLazyRecomputeChurn(b *testing.B) {
-	b.ReportAllocs()
-	g := lazyBenchGraph()
-	l := unicast.NewLazy(g, unicast.LazyOptions{MaxSources: 64})
-	routers := g.Routers()
-	// Warm the LRU to capacity.
-	for i := 0; i < 64; i++ {
-		_ = l.NextHop(routers[i], routers[(i+1)%len(routers)])
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := routers[i%64]
-		nbs := g.Neighbors(u)
-		nb := nbs[i%len(nbs)]
-		oldAB, oldBA := nb.Cost, g.Cost(nb.To, u)
-		g.SetLinkCost(u, nb.To, 1+(oldAB+1)%10, oldBA)
-		l.RecomputeCostChanges(unicast.CostChange{A: u, B: nb.To, OldAB: oldAB, OldBA: oldBA})
-		_ = l.NextHop(u, nb.To)
-	}
-}
-
-// forwardOneHopSetup builds the one-link forwarding fixture shared by
-// the hot-path benchmarks: one data packet crossing one link
+// forwardOneHopSetup builds the one-link forwarding fixture: one data
+// packet crossing one link
 // (schedule, transmit, arrive, deliver) with no protocol handlers
 // attached.
 func forwardOneHopSetup() (*eventsim.Sim, *netsim.Network, *packet.Data, *int) {
@@ -344,55 +173,12 @@ func forwardOneHopSetup() (*eventsim.Sim, *netsim.Network, *packet.Data, *int) {
 	return sim, net, msg, delivered
 }
 
-// BenchmarkForwardOneHop measures the zero-copy per-hop forwarding
-// path in isolation with observability disabled. The acceptance bar
-// for the obs layer is that this stays at 0 allocs/op: the disabled
-// path must not box event arguments or touch the observer at all (see
-// TestForwardDisabledObsZeroAlloc for the hard assertion).
-func BenchmarkForwardOneHop(b *testing.B) {
-	b.ReportAllocs()
-	sim, net, msg, delivered := forwardOneHopSetup()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Node(0).SendUnicast(msg)
-		if err := sim.RunAll(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if *delivered != b.N {
-		b.Fatalf("delivered %d of %d", *delivered, b.N)
-	}
-}
-
-// BenchmarkForwardOneHopObs is the same hop with the observability
-// pipeline attached (counters + flight recorder, no sinks): the price
-// of turning observation on, to be read against BenchmarkForwardOneHop
-// for the enabled/disabled delta.
-func BenchmarkForwardOneHopObs(b *testing.B) {
-	b.ReportAllocs()
-	sim, net, msg, delivered := forwardOneHopSetup()
-	o := obs.New(sim.Now)
-	o.EnableCounters()
-	o.EnableRecorder(obs.DefaultRecorderDepth)
-	net.SetObserver(o)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Node(0).SendUnicast(msg)
-		if err := sim.RunAll(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if *delivered != b.N {
-		b.Fatalf("delivered %d of %d", *delivered, b.N)
-	}
-}
-
-// BenchmarkForwardOneHopTraced is the same hop with full causal
-// tracing on top of the obs pipeline: counters, convergence tracker
-// and episode builder attached, and every send rooted in a causal
-// episode so each hop is stamped, attributed and retained. The delta
-// against BenchmarkForwardOneHopObs is the price of causal attribution
-// specifically; the delta against BenchmarkForwardOneHop is the whole
+// BenchmarkForwardOneHopTraced is the hop with full causal tracing on
+// top of the obs pipeline: counters, convergence tracker and episode
+// builder attached, and every send rooted in a causal episode so each
+// hop is stamped, attributed and retained. The delta against the
+// netsim.forward_hop_counters_ns layer row is the price of causal
+// attribution specifically; against netsim.forward_hop_ns, the whole
 // observability bill.
 func BenchmarkForwardOneHopTraced(b *testing.B) {
 	b.ReportAllocs()
@@ -416,34 +202,6 @@ func BenchmarkForwardOneHopTraced(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardOneHopHist is the same hop with the wall/virtual
-// latency tracker attached on top of counters: every delivery lands in
-// the log-bucketed delivery-delay histogram and every hop in the
-// per-hop histogram. The delta against BenchmarkForwardOneHopObs is
-// the price of histogram observation; the disabled path is still
-// pinned at 0 allocs/op by TestForwardDisabledObsZeroAlloc.
-func BenchmarkForwardOneHopHist(b *testing.B) {
-	b.ReportAllocs()
-	sim, net, msg, delivered := forwardOneHopSetup()
-	o := obs.New(sim.Now)
-	o.EnableCounters()
-	lat := o.EnableLatency()
-	net.SetObserver(o)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Node(0).SendUnicast(msg)
-		if err := sim.RunAll(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if *delivered != b.N {
-		b.Fatalf("delivered %d of %d", *delivered, b.N)
-	}
-	if got := lat.Delivery.Count(); got != uint64(b.N) {
-		b.Fatalf("delivery histogram counted %d of %d", got, b.N)
-	}
-}
-
 // TestForwardDisabledObsZeroAlloc pins the acceptance criterion as a
 // test, not just a benchmark number: with no observer installed, the
 // per-hop forwarding path performs zero heap allocations.
@@ -462,52 +220,5 @@ func TestForwardDisabledObsZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled-obs forwarding path allocates %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// BenchmarkPacketRoundTrip measures marshal+unmarshal of a fusion
-// message (the largest control format).
-func BenchmarkPacketRoundTrip(b *testing.B) {
-	b.ReportAllocs()
-	f := &packet.Fusion{
-		Header: packet.Header{
-			Proto:   packet.ProtoHBH,
-			Type:    packet.TypeFusion,
-			Channel: root.Channel{S: 0x0A000001, G: 0xE0000001},
-			Src:     0x0A000002,
-			Dst:     0x0A000001,
-		},
-		Bp: 0x0A000002,
-		Rs: []root.Addr{0x0A010001, 0x0A010002, 0x0A010003, 0x0A010004},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf, err := packet.Marshal(f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := packet.Unmarshal(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEventLoop measures raw discrete-event throughput: schedule
-// and fire chained events.
-func BenchmarkEventLoop(b *testing.B) {
-	b.ReportAllocs()
-	sim := eventsim.New()
-	n := 0
-	var chain func()
-	chain = func() {
-		n++
-		if n < b.N {
-			sim.After(1, chain)
-		}
-	}
-	sim.After(1, chain)
-	b.ResetTimer()
-	if err := sim.RunAll(); err != nil {
-		b.Fatal(err)
 	}
 }

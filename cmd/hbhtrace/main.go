@@ -35,6 +35,7 @@ import (
 	"hbh/internal/netsim"
 	"hbh/internal/obs"
 	"hbh/internal/reunite"
+	"hbh/internal/softstate"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -93,8 +94,7 @@ type session struct {
 	net     *netsim.Network
 	routing *unicast.Routing
 	send    func() uint32
-	r1, r2  mtree.Member
-	leaveR1 func()
+	r1, r2  *softstate.Receiver
 	// routers gives the failure scenario access to protocol state loss
 	// on crash (HBH only).
 	routers map[topology.NodeID]*core.Router
@@ -106,17 +106,25 @@ func buildSession(proto string, sc topology.Scenario, verbose, causal bool) *ses
 	sim := eventsim.New()
 	routing := unicast.Compute(sc.Graph)
 	net := netsim.New(sim, sc.Graph, routing)
-	if verbose {
-		net.SetTrace(func(line string) { fmt.Println("   ", line) })
-	}
 	s := &session{sim: sim, net: net, routing: routing}
-	if causal {
+	if verbose || causal {
+		// One observer carries both sinks, so -verbose and -causal
+		// compose instead of the second install replacing the first.
 		o := obs.New(nil) // SetObserver binds the network's clock
-		s.episodes = obs.NewEpisodeBuilder(0)
-		o.AddSink(s.episodes)
+		if verbose {
+			o.AddSink(obs.NewTextSink(func(line string) { fmt.Println("   ", line) }))
+		}
+		if causal {
+			s.episodes = obs.NewEpisodeBuilder(0)
+			o.AddSink(s.episodes)
+		}
 		net.SetObserver(o)
 	}
 
+	// The protocol packages differ only in which engines they attach;
+	// the session body below runs on the types they share.
+	var src *softstate.Source
+	var receiver func(host topology.NodeID) *softstate.Receiver
 	switch proto {
 	case "HBH":
 		cfg := core.DefaultConfig()
@@ -124,30 +132,26 @@ func buildSession(proto string, sc topology.Scenario, verbose, causal bool) *ses
 		for _, r := range sc.Graph.Routers() {
 			s.routers[r] = core.AttachRouter(net.Node(r), cfg)
 		}
-		src := core.AttachSource(net.Node(sc.Source), addr.GroupAddr(0), cfg)
-		r1 := core.AttachReceiver(net.Node(sc.R1), src.Channel(), cfg)
-		r2 := core.AttachReceiver(net.Node(sc.R2), src.Channel(), cfg)
-		sim.At(10, r1.Join)
-		sim.At(130, r2.Join)
-		s.send = func() uint32 { return src.SendData([]byte("payload")) }
-		s.r1, s.r2 = r1, r2
-		s.leaveR1 = r1.Leave
+		src = core.AttachSource(net.Node(sc.Source), addr.GroupAddr(0), cfg).Source
+		receiver = func(h topology.NodeID) *softstate.Receiver {
+			return core.AttachReceiver(net.Node(h), src.Channel(), cfg)
+		}
 	case "REUNITE":
 		cfg := reunite.DefaultConfig()
 		for _, r := range sc.Graph.Routers() {
 			reunite.AttachRouter(net.Node(r), cfg)
 		}
-		src := reunite.AttachSource(net.Node(sc.Source), addr.GroupAddr(0), cfg)
-		r1 := reunite.AttachReceiver(net.Node(sc.R1), src.Channel(), cfg)
-		r2 := reunite.AttachReceiver(net.Node(sc.R2), src.Channel(), cfg)
-		sim.At(10, r1.Join)
-		sim.At(130, r2.Join)
-		s.send = func() uint32 { return src.SendData([]byte("payload")) }
-		s.r1, s.r2 = r1, r2
-		s.leaveR1 = r1.Leave
+		src = reunite.AttachSource(net.Node(sc.Source), addr.GroupAddr(0), cfg).Source
+		receiver = func(h topology.NodeID) *softstate.Receiver {
+			return reunite.AttachReceiver(net.Node(h), src.Channel(), cfg)
+		}
 	default:
 		panic("unknown protocol " + proto)
 	}
+	s.r1, s.r2 = receiver(sc.R1), receiver(sc.R2)
+	sim.At(10, s.r1.Join)
+	sim.At(130, s.r2.Join)
+	s.send = func() uint32 { return src.SendData([]byte("payload")) }
 	return s
 }
 
@@ -233,7 +237,7 @@ func runScenario(proto, scenario string, sc topology.Scenario, verbose, causal b
 
 	if scenario == "departure" {
 		fmt.Println("r1 leaves the channel ...")
-		s.leaveR1()
+		s.r1.Leave()
 		run(4000)
 		after := probe(s.r2)
 		fmt.Printf("tree after departure:\n%s", after.FormatTree(g))

@@ -61,9 +61,9 @@ func TestScenarios(t *testing.T) {
 	}
 }
 
-// TestVerboseTraceRidesObsPipeline: -verbose uses netsim.SetTrace,
-// which is now a TextSink on the observability pipeline — the packet
-// trace must still interleave with the scenario narration.
+// TestVerboseTraceRidesObsPipeline: -verbose is a TextSink on the
+// observability pipeline — the packet trace must still interleave with
+// the scenario narration.
 func TestVerboseTraceRidesObsPipeline(t *testing.T) {
 	stdout, _, code := runMain(t, "-scenario", "asymmetric-join", "-verbose")
 	if code != 0 {
@@ -74,6 +74,36 @@ func TestVerboseTraceRidesObsPipeline(t *testing.T) {
 			t.Errorf("verbose output missing %q", w)
 		}
 	}
+}
+
+// TestVerboseAndCausalCompose: the two flags hang their sinks off one
+// observer. When -causal installed a second observer over the one
+// -verbose had created, the packet trace was silently dropped.
+func TestVerboseAndCausalCompose(t *testing.T) {
+	stdout, stderr, code := runMain(t, "-scenario", "duplication", "-verbose", "-causal")
+	if code != 0 {
+		t.Fatalf("exit code %d, want 0 (stderr: %s)", code, stderr)
+	}
+	// Timelines render FORWARD steps too; the packet trace is what
+	// streams before the first timelines section.
+	live, _, _ := strings.Cut(stdout, "causal timelines:")
+	if !strings.Contains(live, "FORWARD") {
+		t.Error("-verbose -causal printed no packet trace (no FORWARD line ahead of the timelines)")
+	}
+	if !completeEpisode(stdout) {
+		t.Error("-verbose -causal reconstructed no complete episode")
+	}
+}
+
+// completeEpisode reports whether the output holds an
+// "episode ... complete" timeline header.
+func completeEpisode(stdout string) bool {
+	for _, ln := range strings.Split(stdout, "\n") {
+		if strings.HasPrefix(ln, "episode ") && strings.Contains(ln, "complete") {
+			return true
+		}
+	}
+	return false
 }
 
 // goldenCompare checks got against the committed golden file,
@@ -110,13 +140,7 @@ func TestCausalSmoke(t *testing.T) {
 	if !strings.Contains(stdout, "causal timelines:") {
 		t.Fatalf("no causal timelines section:\n%.300s", stdout)
 	}
-	complete := 0
-	for _, ln := range strings.Split(stdout, "\n") {
-		if strings.HasPrefix(ln, "episode ") && strings.Contains(ln, "complete") {
-			complete++
-		}
-	}
-	if complete == 0 {
+	if !completeEpisode(stdout) {
 		t.Fatal("causal output reconstructed no complete episode")
 	}
 }

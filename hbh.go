@@ -10,6 +10,7 @@ import (
 	"hbh/internal/igmp"
 	"hbh/internal/mtree"
 	"hbh/internal/netsim"
+	"hbh/internal/obs"
 	"hbh/internal/pim"
 	"hbh/internal/reunite"
 	"hbh/internal/topology"
@@ -131,12 +132,16 @@ func (nw *Network) RunFor(d Time) {
 func (nw *Network) At(t Time, fn func()) { nw.sim.At(t, fn) }
 
 // SetTrace installs a human-readable event tracer (nil removes it).
+// The tracer is a text sink on an observer this call owns: it replaces
+// whatever observer the network carried.
 func (nw *Network) SetTrace(fn func(line string)) {
 	if fn == nil {
-		nw.net.SetTrace(nil)
+		nw.net.SetObserver(nil)
 		return
 	}
-	nw.net.SetTrace(fn)
+	o := obs.New(nil) // SetObserver binds the network's clock
+	o.AddSink(obs.NewTextSink(fn))
+	nw.net.SetObserver(o)
 }
 
 // EnableHBH attaches an HBH protocol engine to every router and

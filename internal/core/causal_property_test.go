@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hbh/internal/addr"
+	"hbh/internal/netsim"
 	"hbh/internal/obs"
 	"hbh/internal/topology"
 )
@@ -147,7 +148,7 @@ func TestCausalIsolationUnderLoss(t *testing.T) {
 	o := obs.New(nil)
 	o.AddSink(log)
 	h.net.SetObserver(o)
-	h.net.SetControlLoss(0.3, rand.New(rand.NewSource(7)))
+	h.net.SetLossModel(netsim.LossModel{Control: 0.3, RNG: rand.New(rand.NewSource(7))})
 
 	src := AttachSource(h.net.Node(hostOf(g, 0)), srcGroup, h.cfg)
 	r2 := h.receiver(hostOf(g, 2), src.Channel())

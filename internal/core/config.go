@@ -1,63 +1,46 @@
 package core
 
 import (
-	"fmt"
-
-	"hbh/internal/eventsim"
+	"hbh/internal/addr"
+	"hbh/internal/netsim"
+	"hbh/internal/packet"
+	"hbh/internal/softstate"
 )
 
-// Config carries the protocol timing constants and feature switches.
-// All durations are in simulator time units; one unit equals one unit
-// of link cost, and link costs are drawn from [1,10], so end-to-end
-// delays are tens of units. The defaults keep every refresh interval
-// comfortably above the network diameter and every timeout above three
-// refresh intervals, the usual soft-state sizing.
+// Config carries HBH's protocol constants: the soft-state timing every
+// recursive-unicast protocol here runs under, plus HBH's one feature
+// switch.
 type Config struct {
-	// JoinInterval is the period of receiver (and branching-router)
-	// join refreshes.
-	JoinInterval eventsim.Time
-	// TreeInterval is the period of the source's tree emission.
-	TreeInterval eventsim.Time
-	// T1 is the staleness timeout of table entries: an entry not
-	// refreshed for T1 goes stale.
-	T1 eventsim.Time
-	// T2 is the destruction timeout: a stale entry not refreshed for a
-	// further T2 is deleted.
-	T2 eventsim.Time
+	// Config is the timing (JoinInterval, TreeInterval, T1, T2) shared
+	// with REUNITE, so comparisons see identical soft-state sizing.
+	softstate.Config
 	// EnableFusion enables the fusion repair mechanism. Disabling it is
 	// the A1 ablation: HBH degrades to per-receiver unicast delivery
 	// from the source table, exposing the duplicate copies fusion
 	// removes.
 	EnableFusion bool
-	// CollapseRelays lets a router whose MFT shrinks to a single fresh
-	// entry revert to non-branching (MCT) state, the "one more change"
-	// the paper accepts after departures that un-branch a node.
-	CollapseRelays bool
 }
 
-// DefaultConfig returns the timing used by all experiments:
-// join/tree period 100, T1 = 3.5 periods, T2 = 3.5 periods.
+// DefaultConfig returns the timing used by all experiments, with
+// fusion on.
 func DefaultConfig() Config {
-	return Config{
-		JoinInterval:   100,
-		TreeInterval:   100,
-		T1:             350,
-		T2:             350,
-		EnableFusion:   true,
-		CollapseRelays: true,
-	}
+	return Config{Config: softstate.DefaultConfig(), EnableFusion: true}
 }
 
-// Validate reports a descriptive error for nonsensical configurations.
-func (c Config) Validate() error {
-	if c.JoinInterval <= 0 || c.TreeInterval <= 0 {
-		return fmt.Errorf("core: non-positive refresh interval %v/%v", c.JoinInterval, c.TreeInterval)
-	}
-	if c.T1 <= c.JoinInterval || c.T1 <= c.TreeInterval {
-		return fmt.Errorf("core: T1 %v must exceed the refresh intervals", c.T1)
-	}
-	if c.T2 <= 0 {
-		return fmt.Errorf("core: non-positive T2 %v", c.T2)
-	}
-	return nil
+// The tables, the member-host agent and its delivery log are the
+// soft-state kit's; HBH adds rules, not machinery.
+type (
+	Entry    = softstate.Entry
+	MFT      = softstate.MFT
+	MCT      = softstate.MCT
+	Receiver = softstate.Receiver
+	Delivery = softstate.Delivery
+)
+
+// AttachReceiver creates a (not yet joined) HBH receiver agent on host
+// n for channel ch. Its first join is flagged so no branching router
+// intercepts it: it always reaches the source, which is what guarantees
+// the shortest-path join point.
+func AttachReceiver(n netsim.ProtoNode, ch addr.Channel, cfg Config) *Receiver {
+	return softstate.AttachReceiver(n, ch, cfg.Config, packet.ProtoHBH, true)
 }

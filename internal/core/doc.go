@@ -38,4 +38,12 @@
 // an entry stale (data still forwarded, no downstream tree message),
 // t2 expiry destroys it. A marked entry is the dual: tree messages are
 // forwarded, data is not.
+//
+// This package holds only those rules: the Router's and the Source's
+// Handle/onJoin/onTree/onFusion/onData, mark handling (applyFusion,
+// retractFusion, revalidateMark), relay collapse, the delivery-tree
+// audit walk and the IGMP LeafAgent. The machinery underneath — tables,
+// timers' wiring, the member-host Receiver, the source's refresh and
+// data scaffolding, the dedup window — is package softstate, shared
+// with REUNITE exactly as the paper shares it.
 package core

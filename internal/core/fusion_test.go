@@ -9,6 +9,7 @@ import (
 	"hbh/internal/mtree"
 	"hbh/internal/netsim"
 	"hbh/internal/packet"
+	"hbh/internal/softstate"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -142,7 +143,7 @@ func TestFusionOffPathRejected(t *testing.T) {
 // are unmarked so data flows directly again (the ServedBy repair).
 func TestRelayDeathUnmarks(t *testing.T) {
 	sim := eventsim.New()
-	mft := NewMFT()
+	mft := softstate.NewMFT()
 	eA := mft.Add(1, clock.NewSoftTimer(clock.Sim(sim), 100, 100, nil, nil))
 	eA.Marked = true
 	eA.ServedBy = 9
@@ -163,7 +164,7 @@ func TestRelayDeathUnmarks(t *testing.T) {
 // receiver previously served by the same relay lifts that mark.
 func TestFusionRelistUnmarksDropped(t *testing.T) {
 	sim := eventsim.New()
-	mft := NewMFT()
+	mft := softstate.NewMFT()
 	eA := mft.Add(1, clock.NewSoftTimer(clock.Sim(sim), 100, 100, nil, nil))
 	eA.Marked, eA.ServedBy = true, 9
 	eB := mft.Add(2, clock.NewSoftTimer(clock.Sim(sim), 100, 100, nil, nil))
@@ -196,7 +197,7 @@ func TestFusionRelistUnmarksDropped(t *testing.T) {
 // starved behind its stale mark forever (scenario-fuzzer catch).
 func TestFusionRetractsWithoutMatches(t *testing.T) {
 	sim := eventsim.New()
-	mft := NewMFT()
+	mft := softstate.NewMFT()
 	eA := mft.Add(1, clock.NewSoftTimer(clock.Sim(sim), 100, 100, nil, nil))
 	eA.Marked, eA.ServedBy = true, 9
 	eB := mft.Add(2, clock.NewSoftTimer(clock.Sim(sim), 100, 100, nil, nil))

@@ -8,6 +8,7 @@ import (
 	"hbh/internal/invariant"
 	"hbh/internal/mtree"
 	"hbh/internal/netsim"
+	"hbh/internal/softstate"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -77,7 +78,7 @@ func (h *harness) watch(s *Source) *invariant.Checker {
 	// Any channel's change marks every checker dirty: re-checking a
 	// clean channel is cheap, and one observer slot per agent keeps the
 	// wiring trivial for multichannel tests.
-	obs := func(addr.Addr, addr.Channel, ChangeKind, addr.Addr) {
+	obs := func(addr.Addr, addr.Channel, softstate.ChangeKind, addr.Addr) {
 		for _, c := range h.checkers {
 			c.MarkDirty()
 		}
@@ -309,4 +310,27 @@ func TestNoMembersNoTraffic(t *testing.T) {
 	if h.net.Stats().DataCopies != 0 {
 		t.Errorf("data copies on idle channel: %d", h.net.Stats().DataCopies)
 	}
+}
+
+// TestConfigValidate: HBH's Config validates its embedded timing, and
+// the attach constructors refuse a config that does not (the timing
+// rules themselves are pinned in package softstate).
+func TestConfigValidate(t *testing.T) {
+	good := DefaultConfig()
+	if err := good.Validate(); err != nil || !good.EnableFusion {
+		t.Errorf("default config: err=%v fusion=%v", err, good.EnableFusion)
+	}
+	bad := good
+	bad.T1 = bad.JoinInterval // T1 must exceed the refresh intervals
+	if err := bad.Validate(); err == nil {
+		t.Error("bad timing accepted through core.Config")
+	}
+	g := topology.Line(2, true)
+	net := netsim.New(eventsim.New(), g, unicast.Compute(g))
+	defer func() {
+		if recover() == nil {
+			t.Error("AttachRouter accepted an invalid config")
+		}
+	}()
+	AttachRouter(net.Node(0), bad)
 }

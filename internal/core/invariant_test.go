@@ -7,6 +7,7 @@ import (
 	"hbh/internal/clock"
 	"hbh/internal/mtree"
 	"hbh/internal/packet"
+	"hbh/internal/softstate"
 	"hbh/internal/topology"
 )
 
@@ -168,7 +169,7 @@ func TestApplyFusionSkipsExpiredEntry(t *testing.T) {
 	h := newHarness(t, g)
 	cfg := h.cfg
 
-	table := NewMFT()
+	table := softstate.NewMFT()
 	a := addr.RouterAddr(10)
 	b := addr.RouterAddr(11)
 	bp := addr.RouterAddr(12)
@@ -193,37 +194,5 @@ func TestApplyFusionSkipsExpiredEntry(t *testing.T) {
 	}
 	if table.Get(bp) == nil {
 		t.Errorf("relay entry not installed")
-	}
-}
-
-// TestMFTVersion pins the mutation counter the iteration guards rely
-// on: Add, Remove and Destroy each advance it, refreshes do not.
-func TestMFTVersion(t *testing.T) {
-	g := topology.Line(2, true)
-	h := newHarness(t, g)
-
-	table := NewMFT()
-	if v := table.Version(); v != 0 {
-		t.Fatalf("fresh table version = %d, want 0", v)
-	}
-	e := table.Add(addr.RouterAddr(1), clock.NewSoftTimer(clock.Sim(h.sim), h.cfg.T1, h.cfg.T2, nil, nil))
-	v1 := table.Version()
-	if v1 == 0 {
-		t.Errorf("Add did not advance version")
-	}
-	e.Timer.Refresh()
-	e.Marked = true
-	if table.Version() != v1 {
-		t.Errorf("non-membership mutation advanced version")
-	}
-	table.Remove(e.Node)
-	v2 := table.Version()
-	if v2 == v1 {
-		t.Errorf("Remove did not advance version")
-	}
-	table.Add(addr.RouterAddr(2), clock.NewSoftTimer(clock.Sim(h.sim), h.cfg.T1, h.cfg.T2, nil, nil))
-	table.Destroy()
-	if table.Version() <= v2 {
-		t.Errorf("Destroy did not advance version")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"hbh/internal/igmp"
 	"hbh/internal/netsim"
 	"hbh/internal/packet"
+	"hbh/internal/softstate"
 	"hbh/internal/topology"
 )
 
@@ -70,8 +71,10 @@ func (l *LeafAgent) FirstLocalMember(ch addr.Channel) {
 	}
 	sub := &leafSub{}
 	l.subs[ch] = sub
-	l.sendJoin(ch, true)
-	sub.ticker = clock.NewTicker(l.clk, l.cfg.JoinInterval, func() { l.sendJoin(ch, false) })
+	softstate.SendJoin(l.node, packet.ProtoHBH, ch, true)
+	sub.ticker = clock.NewTicker(l.clk, l.cfg.JoinInterval, func() {
+		softstate.SendJoin(l.node, packet.ProtoHBH, ch, false)
+	})
 }
 
 // LastLocalMemberGone implements igmp.MembershipListener: let the
@@ -83,25 +86,6 @@ func (l *LeafAgent) LastLocalMemberGone(ch addr.Channel) {
 	}
 	sub.ticker.Stop()
 	delete(l.subs, ch)
-}
-
-func (l *LeafAgent) sendJoin(ch addr.Channel, first bool) {
-	var flags uint8
-	if first {
-		flags = packet.FlagFirst
-	}
-	j := &packet.Join{
-		Header: packet.Header{
-			Proto:   packet.ProtoHBH,
-			Type:    packet.TypeJoin,
-			Flags:   flags,
-			Channel: ch,
-			Src:     l.node.Addr(),
-			Dst:     ch.S,
-		},
-		R: l.node.Addr(),
-	}
-	l.node.SendUnicast(j)
 }
 
 // deliverLocal fans a channel data packet out to the local member

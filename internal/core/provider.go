@@ -1,17 +1,17 @@
 package core
 
 import (
-	"fmt"
-
 	"hbh/internal/addr"
 	"hbh/internal/invariant"
+	"hbh/internal/softstate"
 )
 
 // Audit exposes one HBH channel's live protocol state to the
-// invariant checker: the source table plus every attached router. It
-// lives in package core so it reads the real tables directly — no
-// parallel bookkeeping that could itself drift from the truth.
+// invariant checker: the kit's table-reading half over the source and
+// every attached router, plus the delivery walk HBH's data-plane rules
+// define.
 type Audit struct {
+	softstate.Audit
 	src     *Source
 	routers []*Router
 }
@@ -19,52 +19,10 @@ type Audit struct {
 // NewAudit builds the provider for src's channel over the given
 // routers (normally every Router attached to the topology).
 func NewAudit(src *Source, routers []*Router) *Audit {
-	return &Audit{src: src, routers: routers}
+	return &Audit{Audit: softstate.NewAudit(src.Source, softstate.Routers(routers)), src: src, routers: routers}
 }
 
 var _ invariant.StateProvider = (*Audit)(nil)
-
-// Root implements invariant.StateProvider.
-func (a *Audit) Root() addr.Addr { return a.src.node.Addr() }
-
-// States implements invariant.StateProvider: a snapshot of the source
-// MFT and of each router's per-channel tables.
-func (a *Audit) States() []invariant.NodeState {
-	ch := a.src.ch
-	out := []invariant.NodeState{{
-		Node:    a.src.node.Addr(),
-		IsRoot:  true,
-		HasMFT:  true,
-		Entries: entryStates(a.src.mft),
-	}}
-	for _, r := range a.routers {
-		st := r.chans[ch]
-		if st == nil {
-			continue
-		}
-		ns := invariant.NodeState{Node: r.node.Addr()}
-		if st.mct != nil {
-			ns.HasMCT = true
-			ns.MCTNode = st.mct.Node
-		}
-		if st.mft != nil {
-			ns.HasMFT = true
-			ns.Entries = entryStates(st.mft)
-		}
-		out = append(out, ns)
-	}
-	return out
-}
-
-func entryStates(t *MFT) []invariant.EntryState {
-	out := make([]invariant.EntryState, 0, t.Len())
-	for _, e := range t.Entries() {
-		out = append(out, invariant.EntryState{
-			Node: e.Node, Marked: e.Marked, Stale: e.Stale(), ServedBy: e.ServedBy,
-		})
-	}
-	return out
-}
 
 // DeliveryTree implements invariant.StateProvider: it replays the
 // recursive-unicast data path over the live tables. The walk mirrors
@@ -75,14 +33,14 @@ func entryStates(t *MFT) []invariant.EntryState {
 // are still reported: a chain that re-enters its own ancestry is a
 // structural loop regardless of suppression.
 func (a *Audit) DeliveryTree() *invariant.Tree {
-	ch := a.src.ch
+	ch := a.src.Channel()
 	mfts := make(map[addr.Addr]*MFT, len(a.routers))
 	for _, r := range a.routers {
 		if t := r.MFTFor(ch); t != nil {
 			mfts[r.Addr()] = t
 		}
 	}
-	root := a.src.node.Addr()
+	root := ch.S
 	tree := invariant.NewTree(root)
 	visited := make(map[addr.Addr]bool)
 	ancestry := map[addr.Addr]bool{root: true}
@@ -115,43 +73,11 @@ func (a *Audit) DeliveryTree() *invariant.Tree {
 		}
 		delete(ancestry, at)
 	}
-	for _, e := range a.src.mft.Entries() {
+	for _, e := range a.src.MFT().Entries() {
 		if e.Marked {
 			continue
 		}
 		walk(root, e.Node, []addr.Addr{root})
 	}
 	return tree
-}
-
-// Residuals implements invariant.StateProvider: after every receiver
-// leaves (and the soft timers run out) or a router crash wiped its
-// tables, nothing channel-scoped may survive — no MCT/MFT state, no
-// rate-limit stamps (they live inside the per-channel record), and no
-// dedup window.
-func (a *Audit) Residuals() []invariant.Residual {
-	ch := a.src.ch
-	var out []invariant.Residual
-	if n := a.src.mft.Len(); n > 0 {
-		out = append(out, invariant.Residual{
-			Node:   a.src.node.Addr(),
-			Detail: fmt.Sprintf("source MFT still holds %d entries", n),
-		})
-	}
-	for _, r := range a.routers {
-		if st := r.chans[ch]; st != nil {
-			out = append(out, invariant.Residual{
-				Node: r.node.Addr(),
-				Detail: fmt.Sprintf("per-channel state survives teardown (mct=%v mft=%v)",
-					st.mct != nil, st.mft != nil),
-			})
-		}
-		if w := r.seen[ch]; w != nil {
-			out = append(out, invariant.Residual{
-				Node:   r.node.Addr(),
-				Detail: fmt.Sprintf("dedup window still holds %d sequence numbers", len(w)),
-			})
-		}
-	}
-	return out
 }

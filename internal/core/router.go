@@ -9,55 +9,9 @@ import (
 	"hbh/internal/netsim"
 	"hbh/internal/obs"
 	"hbh/internal/packet"
+	"hbh/internal/softstate"
 	"hbh/internal/topology"
 )
-
-// ChangeKind classifies forwarding-state changes for the stability
-// experiment (Fig. 4): the paper argues member departures perturb HBH
-// trees less than REUNITE trees, so we count every mutation.
-type ChangeKind uint8
-
-const (
-	// ChangeMCTCreate is the installation of control state at a
-	// non-branching router.
-	ChangeMCTCreate ChangeKind = iota
-	// ChangeMCTRemove is the destruction of control state.
-	ChangeMCTRemove
-	// ChangeMFTAdd is a new forwarding entry at a branching router.
-	ChangeMFTAdd
-	// ChangeMFTRemove is the expiry of a forwarding entry.
-	ChangeMFTRemove
-	// ChangeMFTMark is the marking of an entry by a fusion.
-	ChangeMFTMark
-	// ChangeBecomeBranching is a non-branching -> branching transition.
-	ChangeBecomeBranching
-	// ChangeCollapse is a branching -> non-branching transition.
-	ChangeCollapse
-)
-
-func (k ChangeKind) String() string {
-	switch k {
-	case ChangeMCTCreate:
-		return "mct-create"
-	case ChangeMCTRemove:
-		return "mct-remove"
-	case ChangeMFTAdd:
-		return "mft-add"
-	case ChangeMFTRemove:
-		return "mft-remove"
-	case ChangeMFTMark:
-		return "mft-mark"
-	case ChangeBecomeBranching:
-		return "become-branching"
-	case ChangeCollapse:
-		return "collapse"
-	default:
-		return "change(?)"
-	}
-}
-
-// ChangeObserver receives forwarding-state change notifications.
-type ChangeObserver func(where addr.Addr, ch addr.Channel, kind ChangeKind, node addr.Addr)
 
 // chanState is a router's per-channel state: exactly one of mct / mft
 // is non-nil once the router is on the tree (a router is either
@@ -84,8 +38,8 @@ type Router struct {
 	node     netsim.ProtoNode
 	clk      clock.Clock
 	chans    map[addr.Channel]*chanState
-	seen     map[addr.Channel]map[uint32]bool
-	observer ChangeObserver
+	seen     softstate.Dedup
+	observer softstate.ChangeObserver
 	leaf     *LeafAgent
 }
 
@@ -111,9 +65,9 @@ func AttachRouter(n netsim.ProtoNode, cfg Config) *Router {
 }
 
 // SetObserver installs the state-change observer (nil clears it).
-func (r *Router) SetObserver(o ChangeObserver) { r.observer = o }
+func (r *Router) SetObserver(o softstate.ChangeObserver) { r.observer = o }
 
-func (r *Router) observe(ch addr.Channel, kind ChangeKind, node addr.Addr) {
+func (r *Router) observe(ch addr.Channel, kind softstate.ChangeKind, node addr.Addr) {
 	if r.observer != nil {
 		r.observer(r.node.Addr(), ch, kind, node)
 	}
@@ -157,6 +111,17 @@ func (r *Router) MCTFor(ch addr.Channel) *MCT {
 	}
 	return nil
 }
+
+// State implements softstate.Router.
+func (r *Router) State(ch addr.Channel) (mct *MCT, mft *MFT, held bool) {
+	if st := r.chans[ch]; st != nil {
+		return st.mct, st.mft, true
+	}
+	return nil, nil, false
+}
+
+// Dedup implements softstate.Router.
+func (r *Router) Dedup() softstate.Dedup { return r.seen }
 
 // Handle implements netsim.Handler: hop-by-hop processing of every
 // packet that crosses this router.
@@ -222,7 +187,7 @@ func (r *Router) onJoin(j *packet.Join) netsim.Verdict {
 	// regular child once its joins arrive) and B joins the channel
 	// itself at the next upstream branching router.
 	e.Timer.Refresh()
-	r.revalidateMark(j.Channel, e)
+	revalidateMark(r.node, r.cfg.T1, j.Channel, e)
 	e.Cause = r.node.EmitProto(obs.KindJoinIntercept, j.Channel, j.R, 0, "rule 3: refresh entry, self-join upstream")
 	r.sendJoinSelf(j.Channel)
 	return netsim.Consumed
@@ -244,23 +209,24 @@ func (r *Router) onJoin(j *packet.Join) netsim.Verdict {
 //     flow while trees transit it) can never retract the mark.
 //
 // The refresh traffic that keeps the marked entry alive is the only
-// reliable trigger for both repairs.
-func (r *Router) revalidateMark(ch addr.Channel, e *Entry) {
+// reliable trigger for both repairs. Branching routers and the source
+// (n, holding e in its table for ch) run the same check.
+func revalidateMark(n netsim.ProtoNode, t1 eventsim.Time, ch addr.Channel, e *Entry) {
 	if !e.Marked {
 		return
 	}
-	if markLapsed(e, r.clk.Now(), r.cfg.T1) {
+	if markLapsed(e, n.Clock().Now(), t1) {
 		e.Marked = false
 		e.ServedBy = addr.Unspecified
-		r.node.EmitProto(obs.KindMarkLift, ch, e.Node, 0, "relay stopped confirming the handover")
+		n.EmitProto(obs.KindMarkLift, ch, e.Node, 0, "relay stopped confirming the handover")
 		return
 	}
-	if onForwardPath(r.node, r.node.ID(), e.ServedBy, e.Node) {
+	if onForwardPath(n, n.ID(), e.ServedBy, e.Node) {
 		return
 	}
 	e.Marked = false
 	e.ServedBy = addr.Unspecified
-	r.node.EmitProto(obs.KindMarkLift, ch, e.Node, 0, "relay off the forward path")
+	n.EmitProto(obs.KindMarkLift, ch, e.Node, 0, "relay off the forward path")
 }
 
 // markLapsed reports whether a mark has outlived its confirmation
@@ -276,17 +242,7 @@ func markLapsed(e *Entry, now, t1 eventsim.Time) bool {
 func (r *Router) sendJoinSelf(ch addr.Channel) {
 	prev := r.node.CausalContext()
 	r.node.SetCausalContext(r.node.EmitProto(obs.KindJoinSend, ch, ch.S, 0, "branching-node self join"))
-	j := &packet.Join{
-		Header: packet.Header{
-			Proto:   packet.ProtoHBH,
-			Type:    packet.TypeJoin,
-			Channel: ch,
-			Src:     r.node.Addr(),
-			Dst:     ch.S,
-		},
-		R: r.node.Addr(),
-	}
-	r.node.SendUnicast(j)
+	softstate.SendJoin(r.node, packet.ProtoHBH, ch, false)
 	r.node.SetCausalContext(prev)
 }
 
@@ -319,7 +275,7 @@ func (r *Router) onTree(t *packet.Tree) netsim.Verdict {
 				continue
 			}
 			r.node.SetCausalContext(e.Cause)
-			r.sendTree(ch, e.Node)
+			softstate.SendTree(r.node, packet.ProtoHBH, ch, e.Node, false, "branching-node regeneration")
 		}
 		r.node.SetCausalContext(prev)
 		return netsim.Consumed
@@ -340,7 +296,7 @@ func (r *Router) onTree(t *packet.Tree) netsim.Verdict {
 			// nodes further down must fuse to us, the nearest branching
 			// point, not to the original emitter.
 			e.Timer.Refresh()
-			r.revalidateMark(ch, e)
+			revalidateMark(r.node, r.cfg.T1, ch, e)
 			e.Cause = r.node.CausalContext()
 			r.sendFusion(ch, t.Src)
 			t.Src = r.node.Addr()
@@ -385,8 +341,8 @@ func (r *Router) onTree(t *packet.Tree) netsim.Verdict {
 	old := st.mct.Node
 	oldCause := st.mct.Cause
 	r.removeMCT(st, ch)
-	st.mft = NewMFT()
-	r.observe(ch, ChangeBecomeBranching, r.node.Addr())
+	st.mft = softstate.NewMFT()
+	r.observe(ch, softstate.ChangeBecomeBranching, r.node.Addr())
 	r.node.EmitProto(obs.KindBranch, ch, t.R, 0, "rule 8: second live target")
 	if e := r.addMFT(st, ch, old); oldCause.Episode != 0 {
 		// The first child keeps the provenance its MCT entry carried, so
@@ -429,28 +385,44 @@ func (r *Router) onFusion(f *packet.Fusion) netsim.Verdict {
 		// stale downstream state; let it time out.
 		return netsim.Consumed
 	}
+	acceptFusion(r.node, st.mft, f,
+		func(node addr.Addr) *Entry { return r.addMFT(st, f.Channel, node) },
+		func(node addr.Addr) { r.observe(f.Channel, softstate.ChangeMFTMark, node) })
+	return netsim.Consumed
+}
+
+// acceptFusion is what a fusion addressed to n does to n's table t —
+// a branching router's MFT or the source's, the rules are the same.
+// Targets Bp verifiably sits upstream of are handed over to it
+// (applyFusion); with none, the fusion can still retract: marks
+// pointing at Bp for members Bp no longer lists must lift even though
+// nothing new matched (see retractFusion). addEntry installs a fresh
+// entry in t; markObs reports a newly marked one.
+func acceptFusion(n netsim.ProtoNode, t *MFT, f *packet.Fusion,
+	addEntry func(node addr.Addr) *Entry, markObs func(node addr.Addr)) {
 	var matched []*Entry
 	for _, target := range f.Rs {
-		e := st.mft.Get(target)
+		e := t.Get(target)
 		if e == nil || e.Node == f.Bp {
 			continue
 		}
-		if !onForwardPath(r.node, r.node.ID(), f.Bp, target) {
+		if !onForwardPath(n, n.ID(), f.Bp, target) {
 			continue
 		}
 		matched = append(matched, e)
 	}
-	if len(matched) == 0 {
-		// Nothing handed over, but the fusion can still retract: marks
-		// pointing at Bp for members Bp no longer lists must lift here
-		// even though no new targets matched (see retractFusion).
-		retractFusion(st.mft, f.Bp, f.Rs, func(node addr.Addr) {
-			r.node.EmitProto(obs.KindMarkLift, f.Channel, node, 0, "fusion no longer lists member")
-		})
-		return netsim.Consumed
+	liftObs := func(node addr.Addr) {
+		n.EmitProto(obs.KindMarkLift, f.Channel, node, 0, "fusion no longer lists member")
 	}
-	r.applyFusion(st, f.Channel, f, matched)
-	return netsim.Consumed
+	if len(matched) == 0 {
+		retractFusion(t, f.Bp, f.Rs, liftObs)
+		return
+	}
+	if n.Observing() && fusionChanges(t, f.Bp, f.Rs, matched) {
+		n.EmitProto(obs.KindFusionAccept, f.Channel, f.Bp, 0,
+			fmt.Sprintf("%d of %d targets handed to relay", len(matched), len(f.Rs)))
+	}
+	applyFusion(t, f.Bp, f.Rs, matched, n.Clock().Now(), addEntry, markObs, liftObs)
 }
 
 // onForwardPath reports whether via lies strictly downstream of node
@@ -488,8 +460,8 @@ func onForwardPath(n netsim.ProtoNode, from topology.NodeID, via, dst addr.Addr)
 
 // applyFusion is shared by Router and Source: mark the matched
 // entries (rule 2) and install/refresh the branching candidate Bp with
-// an expired t1 (rules 3 and 4). addEntry must insert a fresh entry
-// already forced stale.
+// an expired t1 (rules 3 and 4). addEntry inserts a fresh entry, which
+// is then forced stale.
 //
 // Two repair rules keep the mark/relay association consistent: a
 // matched entry records Bp as its server, and any entry previously
@@ -534,7 +506,7 @@ func applyFusion(t *MFT, bp addr.Addr, listed []addr.Addr, matched []*Entry,
 		e.ServedBy = addr.Unspecified
 		return
 	}
-	addEntry(bp)
+	addEntry(bp).Timer.ForceStale()
 }
 
 // fusionChanges reports whether applyFusion would actually alter the
@@ -606,23 +578,6 @@ func unmarkServedBy(t *MFT, relay addr.Addr) {
 	}
 }
 
-func (r *Router) applyFusion(st *chanState, ch addr.Channel, f *packet.Fusion, matched []*Entry) {
-	if r.node.Observing() && fusionChanges(st.mft, f.Bp, f.Rs, matched) {
-		r.node.EmitProto(obs.KindFusionAccept, ch, f.Bp, 0,
-			fmt.Sprintf("%d of %d targets handed to relay", len(matched), len(f.Rs)))
-	}
-	applyFusion(st.mft, f.Bp, f.Rs, matched, r.clk.Now(),
-		func(node addr.Addr) *Entry {
-			e := r.addMFT(st, ch, node)
-			e.Timer.ForceStale()
-			return e
-		},
-		func(node addr.Addr) { r.observe(ch, ChangeMFTMark, node) },
-		func(node addr.Addr) {
-			r.node.EmitProto(obs.KindMarkLift, ch, node, 0, "fusion no longer lists member")
-		})
-}
-
 // onData forwards data packets addressed to this branching node: one
 // rewritten copy per unmarked entry (recursive unicast). Transit data
 // packets flow through on the normal unicast path. Two safety rails
@@ -644,7 +599,7 @@ func (r *Router) onData(d *packet.Data) netsim.Verdict {
 		// install no deliver sink).
 		return netsim.Continue
 	}
-	if r.seenData(d.Channel, d.Seq) {
+	if r.seen.Seen(d.Channel, d.Seq) {
 		return netsim.Consumed
 	}
 	if hasLeaf {
@@ -672,48 +627,6 @@ func (r *Router) onData(d *packet.Data) netsim.Verdict {
 		}
 	}
 	return netsim.Consumed
-}
-
-// seenDataCap bounds the per-channel duplicate-suppression window.
-const seenDataCap = 4096
-
-// seenData records (channel, seq) and reports whether it was already
-// replicated at this node.
-func (r *Router) seenData(ch addr.Channel, seq uint32) bool {
-	if r.seen == nil {
-		r.seen = make(map[addr.Channel]map[uint32]bool)
-	}
-	m := r.seen[ch]
-	if m == nil {
-		m = make(map[uint32]bool)
-		r.seen[ch] = m
-	}
-	if m[seq] {
-		return true
-	}
-	if len(m) >= seenDataCap {
-		// Reset the window rather than grow without bound; worst case
-		// a very old sequence number is replicated twice.
-		m = make(map[uint32]bool)
-		r.seen[ch] = m
-	}
-	m[seq] = true
-	return false
-}
-
-func (r *Router) sendTree(ch addr.Channel, target addr.Addr) {
-	r.node.SetCausalContext(r.node.EmitProto(obs.KindTreeSend, ch, target, 0, "branching-node regeneration"))
-	t := &packet.Tree{
-		Header: packet.Header{
-			Proto:   packet.ProtoHBH,
-			Type:    packet.TypeTree,
-			Channel: ch,
-			Src:     r.node.Addr(),
-			Dst:     target,
-		},
-		R: target,
-	}
-	r.node.SendUnicast(t)
 }
 
 // sendFusion announces this node as a branching candidate to the
@@ -762,7 +675,7 @@ func (r *Router) addMFT(st *chanState, ch addr.Channel, node addr.Addr) *Entry {
 		r.expireMFT(st, ch, node)
 	})
 	e := st.mft.Add(node, timer)
-	r.observe(ch, ChangeMFTAdd, node)
+	r.observe(ch, softstate.ChangeMFTAdd, node)
 	e.Cause = r.node.EmitProto(obs.KindTableAdd, ch, node, 0, "mft")
 	return e
 }
@@ -779,7 +692,7 @@ func (r *Router) expireMFT(st *chanState, ch addr.Channel, node addr.Addr) {
 	prev := r.node.RootEpisode()
 	defer r.node.SetCausalContext(prev)
 	st.mft.Remove(node)
-	r.observe(ch, ChangeMFTRemove, node)
+	r.observe(ch, softstate.ChangeMFTRemove, node)
 	r.node.EmitProto(obs.KindTableRemove, ch, node, 0, "mft")
 	// If the departed entry was a relay, the members it served must get
 	// data directly again.
@@ -787,13 +700,14 @@ func (r *Router) expireMFT(st *chanState, ch addr.Channel, node addr.Addr) {
 	switch {
 	case st.mft.Len() == 0:
 		st.mft = nil
-		r.observe(ch, ChangeCollapse, r.node.Addr())
+		r.observe(ch, softstate.ChangeCollapse, r.node.Addr())
 		r.node.EmitProto(obs.KindCollapse, ch, addr.Unspecified, 0, "mft empty")
 		r.maybeDrop(ch, st)
-	case st.mft.Len() == 1 && r.cfg.CollapseRelays:
+	case st.mft.Len() == 1:
 		// A single fresh entry means one live child chain: this node no
 		// longer branches. Revert to control-plane state so the
-		// upstream branching point re-adopts the child directly. A
+		// upstream branching point re-adopts the child directly — the
+		// "one more change" the paper accepts after a departure. A
 		// stale or marked survivor stays: fusion-installed relays are
 		// load-bearing for the data path.
 		last := st.mft.Entries()[0]
@@ -801,7 +715,7 @@ func (r *Router) expireMFT(st *chanState, ch addr.Channel, node addr.Addr) {
 			target := last.Node
 			st.mft.Destroy()
 			st.mft = nil
-			r.observe(ch, ChangeCollapse, r.node.Addr())
+			r.observe(ch, softstate.ChangeCollapse, r.node.Addr())
 			r.node.EmitProto(obs.KindCollapse, ch, target, 0, "single child chain")
 			r.createMCT(st, ch, target)
 		}
@@ -819,7 +733,7 @@ func (r *Router) createMCT(st *chanState, ch addr.Channel, node addr.Addr) {
 		}
 	})
 	st.mct = &MCT{Node: node, Timer: timer}
-	r.observe(ch, ChangeMCTCreate, node)
+	r.observe(ch, softstate.ChangeMCTCreate, node)
 	st.mct.Cause = r.node.EmitProto(obs.KindTableAdd, ch, node, 0, "mct")
 }
 
@@ -829,17 +743,15 @@ func (r *Router) removeMCT(st *chanState, ch addr.Channel) {
 	}
 	st.mct.Timer.Cancel()
 	st.mct = nil
-	r.observe(ch, ChangeMCTRemove, r.node.Addr())
+	r.observe(ch, softstate.ChangeMCTRemove, r.node.Addr())
 	r.node.EmitProto(obs.KindTableRemove, ch, addr.Unspecified, 0, "mct")
 }
 
 // maybeDrop garbage-collects empty channel state, including the
-// duplicate-suppression window: a window that outlives the channel
-// leaks per dead channel and, worse, makes a router that later
-// re-joins the channel silently swallow re-sent sequence numbers.
+// duplicate-suppression window (see softstate.Dedup.Drop).
 func (r *Router) maybeDrop(ch addr.Channel, st *chanState) {
 	if st.mct == nil && st.mft == nil {
 		delete(r.chans, ch)
-		delete(r.seen, ch)
+		r.seen.Drop(ch)
 	}
 }

@@ -1,82 +1,51 @@
 package core
 
 import (
-	"fmt"
-
 	"hbh/internal/addr"
-	"hbh/internal/clock"
 	"hbh/internal/netsim"
 	"hbh/internal/obs"
 	"hbh/internal/packet"
+	"hbh/internal/softstate"
 )
 
-// Source is the channel root: the host agent at S. It owns the
-// top-level MFT, emits the periodic tree refresh, accepts joins that
-// reached it, processes fusions, and originates data packets with one
-// rewritten copy per unmarked table entry.
+// Source is the HBH channel root: the soft-state kit's source
+// scaffolding (table, tree ticker, entry expiry, data origination)
+// plus HBH's rules — every join that reaches S installs or refreshes
+// its receiver, fusions hand members over to relays, marked entries
+// get tree messages but no data, and stale entries data but no tree.
 type Source struct {
-	cfg      Config
-	node     netsim.ProtoNode
-	clk      clock.Clock
-	ch       addr.Channel
-	mft      *MFT
-	ticker   *clock.Ticker
-	observer ChangeObserver
-	nextSeq  uint32
+	*softstate.Source
+	cfg  Config
+	node netsim.ProtoNode
 }
 
 // AttachSource creates the channel <n.Addr(), group> rooted at host n
 // and starts the tree-emission ticker.
 func AttachSource(n netsim.ProtoNode, group addr.Addr, cfg Config) *Source {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	ch, err := addr.NewChannel(n.Addr(), group)
-	if err != nil {
-		panic(err)
-	}
-	s := &Source{
-		cfg:  cfg,
-		node: n,
-		clk:  n.Clock(),
-		ch:   ch,
-		mft:  NewMFT(),
-	}
-	s.ticker = clock.NewTicker(s.clk, cfg.TreeInterval, s.emitTrees)
-	n.AddHandler(s)
+	s := &Source{cfg: cfg, node: n}
+	s.Source = softstate.AttachSource(n, group, cfg.Config, softstate.SourceRules{
+		Handler:   s,
+		EmitTrees: s.emitTrees,
+		Skip:      func(e *Entry) bool { return e.Marked },
+		// If the departed entry was a relay, the members it served must
+		// get data directly again.
+		Expired: func(node addr.Addr) { unmarkServedBy(s.MFT(), node) },
+	})
 	return s
 }
-
-// Channel returns the channel this source roots.
-func (s *Source) Channel() addr.Channel { return s.ch }
-
-// MFT exposes the source table for tests and audits.
-func (s *Source) MFT() *MFT { return s.mft }
-
-// SetObserver installs the state-change observer (nil clears it).
-func (s *Source) SetObserver(o ChangeObserver) { s.observer = o }
-
-func (s *Source) observe(kind ChangeKind, node addr.Addr) {
-	if s.observer != nil {
-		s.observer(s.node.Addr(), s.ch, kind, node)
-	}
-}
-
-// Stop halts the periodic tree emission (end of the session).
-func (s *Source) Stop() { s.ticker.Stop() }
 
 // Handle implements netsim.Handler for packets arriving at the source
 // host: joins and fusions addressed to S.
 func (s *Source) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
 	switch m := msg.(type) {
 	case *packet.Join:
-		if m.Proto != packet.ProtoHBH || m.Channel != s.ch {
+		if m.Proto != packet.ProtoHBH || m.Channel != s.Channel() {
 			return netsim.Continue
 		}
 		s.onJoin(m)
 		return netsim.Consumed
 	case *packet.Fusion:
-		if m.Proto != packet.ProtoHBH || m.Channel != s.ch {
+		if m.Proto != packet.ProtoHBH || m.Channel != s.Channel() {
 			return netsim.Continue
 		}
 		s.onFusion(m)
@@ -90,142 +59,44 @@ func (s *Source) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
 // way to S (first joins always do) installs the receiver here; the
 // fusion mechanism later migrates it to the right branching node.
 func (s *Source) onJoin(j *packet.Join) {
-	if e := s.mft.Get(j.R); e != nil {
+	ch := s.Channel()
+	if e := s.MFT().Get(j.R); e != nil {
 		e.Timer.Refresh()
-		// Same refresh-time mark re-validation as branching routers
-		// (Router.revalidateMark): a relay can stop confirming the
-		// handover (it un-branched or crashed), or a cost change can
-		// strand the member behind a relay off the forward path.
-		if markLapsed(e, s.clk.Now(), s.cfg.T1) {
-			e.Marked = false
-			e.ServedBy = addr.Unspecified
-			s.node.EmitProto(obs.KindMarkLift, s.ch, j.R, 0, "relay stopped confirming the handover")
-		} else if e.Marked && !onForwardPath(s.node, s.node.ID(), e.ServedBy, j.R) {
-			e.Marked = false
-			e.ServedBy = addr.Unspecified
-			s.node.EmitProto(obs.KindMarkLift, s.ch, j.R, 0, "relay off the forward path")
-		}
-		e.Cause = s.node.EmitProto(obs.KindJoinAdmit, s.ch, j.R, 0, "refresh")
+		// Same refresh-time mark re-validation as branching routers: a
+		// relay can stop confirming the handover (it un-branched or
+		// crashed), or a cost change can strand the member behind a
+		// relay off the forward path.
+		revalidateMark(s.node, s.cfg.T1, ch, e)
+		e.Cause = s.node.EmitProto(obs.KindJoinAdmit, ch, j.R, 0, "refresh")
 		return
 	}
-	s.node.EmitProto(obs.KindJoinAdmit, s.ch, j.R, 0, "install")
-	s.addEntry(j.R, false)
+	s.node.EmitProto(obs.KindJoinAdmit, ch, j.R, 0, "install")
+	s.AddEntry(j.R)
 }
 
+// onFusion applies a fusion that reached the root, with the same
+// routing-verified acceptance as branching routers: the candidate must
+// actually sit on our forward path to the member it offers to serve.
 func (s *Source) onFusion(f *packet.Fusion) {
 	if f.Bp == s.node.Addr() {
 		return
 	}
-	var matched []*Entry
-	for _, target := range f.Rs {
-		e := s.mft.Get(target)
-		if e == nil || e.Node == f.Bp {
-			continue
-		}
-		// Same routing-verified acceptance as branching routers: the
-		// candidate must actually sit on our forward path to the
-		// member it offers to serve.
-		if !onForwardPath(s.node, s.node.ID(), f.Bp, target) {
-			continue
-		}
-		matched = append(matched, e)
-	}
-	if len(matched) == 0 {
-		// The fusion reached the root without naming any member we can
-		// verifiably hand over — but it can still retract members the
-		// relay stopped listing (see retractFusion).
-		retractFusion(s.mft, f.Bp, f.Rs, func(node addr.Addr) {
-			s.node.EmitProto(obs.KindMarkLift, s.ch, node, 0, "fusion no longer lists member")
-		})
-		return
-	}
-	if s.node.Observing() && fusionChanges(s.mft, f.Bp, f.Rs, matched) {
-		s.node.EmitProto(obs.KindFusionAccept, s.ch, f.Bp, 0,
-			fmt.Sprintf("%d of %d targets handed to relay", len(matched), len(f.Rs)))
-	}
-	applyFusion(s.mft, f.Bp, f.Rs, matched, s.clk.Now(),
-		func(node addr.Addr) *Entry { return s.addEntry(node, true) },
-		func(node addr.Addr) { s.observe(ChangeMFTMark, node) },
-		func(node addr.Addr) {
-			s.node.EmitProto(obs.KindMarkLift, s.ch, node, 0, "fusion no longer lists member")
-		})
-}
-
-func (s *Source) addEntry(node addr.Addr, forceStale bool) *Entry {
-	timer := clock.NewSoftTimer(s.clk, s.cfg.T1, s.cfg.T2, nil, func() {
-		if s.mft.Get(node) != nil {
-			// Expiry is a spontaneous action (the member went silent):
-			// it roots its own causal episode.
-			prev := s.node.RootEpisode()
-			s.mft.Remove(node)
-			s.observe(ChangeMFTRemove, node)
-			s.node.EmitProto(obs.KindTableRemove, s.ch, node, 0, "mft")
-			unmarkServedBy(s.mft, node)
-			s.node.SetCausalContext(prev)
-		}
-	})
-	e := s.mft.Add(node, timer)
-	s.observe(ChangeMFTAdd, node)
-	e.Cause = s.node.EmitProto(obs.KindTableAdd, s.ch, node, 0, "mft")
-	if forceStale {
-		e.Timer.ForceStale()
-	}
-	return e
+	acceptFusion(s.node, s.MFT(), f, s.AddEntry,
+		func(node addr.Addr) { s.Observe(softstate.ChangeMFTMark, node) })
 }
 
 // emitTrees is the periodic downstream refresh: one tree(S, X) per
 // non-stale entry X.
 func (s *Source) emitTrees() {
-	for _, e := range s.mft.Entries() {
+	ch := s.Channel()
+	for _, e := range s.MFT().Entries() {
 		if e.Stale() {
 			continue
 		}
 		// Attribute the refresh (and the tree message it sends) to the
 		// join episode that installed or last refreshed this entry.
 		s.node.SetCausalContext(e.Cause)
-		s.node.SetCausalContext(s.node.EmitProto(obs.KindTreeSend, s.ch, e.Node, 0, "source refresh"))
-		t := &packet.Tree{
-			Header: packet.Header{
-				Proto:   packet.ProtoHBH,
-				Type:    packet.TypeTree,
-				Channel: s.ch,
-				Src:     s.node.Addr(),
-				Dst:     e.Node,
-			},
-			R: e.Node,
-		}
-		s.node.SendUnicast(t)
+		softstate.SendTree(s.node, packet.ProtoHBH, ch, e.Node, false, "source refresh")
 	}
 	s.node.SetCausalContext(obs.Causal{})
-}
-
-// SendData originates one multicast payload over the recursive unicast
-// tree: one copy per unmarked entry. It returns the sequence number
-// used, so measurement code can correlate deliveries.
-func (s *Source) SendData(payload []byte) uint32 {
-	seq := s.nextSeq
-	s.nextSeq++
-	// One causal episode per originated packet: every replica cascade
-	// downstream attributes to this origination.
-	prev := s.node.RootEpisode()
-	for _, e := range s.mft.Entries() {
-		if e.Marked {
-			continue
-		}
-		s.node.EmitProto(obs.KindReplicate, s.ch, e.Node, seq, "source copy")
-		d := &packet.Data{
-			Header: packet.Header{
-				Proto:   packet.ProtoNone,
-				Type:    packet.TypeData,
-				Channel: s.ch,
-				Src:     s.node.Addr(),
-				Dst:     e.Node,
-			},
-			Seq:     seq,
-			Payload: append([]byte(nil), payload...),
-		}
-		s.node.SendUnicast(d)
-	}
-	s.node.SetCausalContext(prev)
-	return seq
 }

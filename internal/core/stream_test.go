@@ -7,6 +7,7 @@ import (
 	"hbh/internal/eventsim"
 	"hbh/internal/mtree"
 	"hbh/internal/netsim"
+	"hbh/internal/softstate"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -112,13 +113,13 @@ func TestContinuousStreamDuringChurn(t *testing.T) {
 // the default timer ratios — faster and slower soft-state clocks both
 // converge to clean trees.
 func TestAlternateTimerConfigs(t *testing.T) {
-	configs := []Config{
-		{JoinInterval: 50, TreeInterval: 50, T1: 175, T2: 175, EnableFusion: true, CollapseRelays: true},
-		{JoinInterval: 200, TreeInterval: 200, T1: 700, T2: 700, EnableFusion: true, CollapseRelays: true},
-		{JoinInterval: 100, TreeInterval: 50, T1: 400, T2: 200, EnableFusion: true, CollapseRelays: true},
-		{JoinInterval: 100, TreeInterval: 100, T1: 350, T2: 350, EnableFusion: true, CollapseRelays: false},
+	timings := []softstate.Config{
+		{JoinInterval: 50, TreeInterval: 50, T1: 175, T2: 175},
+		{JoinInterval: 200, TreeInterval: 200, T1: 700, T2: 700},
+		{JoinInterval: 100, TreeInterval: 50, T1: 400, T2: 200},
 	}
-	for ci, cfg := range configs {
+	for ci, timing := range timings {
+		cfg := Config{Config: timing, EnableFusion: true}
 		sc := topology.Fig2Scenario()
 		g := sc.Graph
 		h := newQuietHarness(g)

@@ -5,15 +5,12 @@ import (
 	"math/rand"
 	"strings"
 
-	"hbh/internal/addr"
 	"hbh/internal/clock"
 	"hbh/internal/core"
 	"hbh/internal/eventsim"
 	"hbh/internal/faults"
-	"hbh/internal/invariant"
 	"hbh/internal/metrics"
 	"hbh/internal/mtree"
-	"hbh/internal/netsim"
 	"hbh/internal/obs"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
@@ -124,8 +121,6 @@ func failureRun(cfg FailureConfig, seed int64, res *FailureResult) {
 	sourceHost := sourceHostOf(g)
 	memberHosts := sampleReceivers(g, rng, sourceHost, cfg.Receivers)
 
-	sim := eventsim.New()
-	net := netsim.New(sim, g, routing)
 	// The convergence detector decides when the tree has settled; a run
 	// without a caller-supplied observer gets a private one carrying
 	// only the tracker. Observation consumes no randomness and schedules
@@ -136,42 +131,10 @@ func failureRun(cfg FailureConfig, seed int64, res *FailureResult) {
 	}
 	tr := o.EnableConvergence()
 	tr.Reset()
-	net.SetObserver(o)
-	pcfg := core.DefaultConfig()
-	routers := make(map[topology.NodeID]*core.Router)
-	for _, r := range g.Routers() {
-		routers[r] = core.AttachRouter(net.Node(r), pcfg)
-	}
-	src := core.AttachSource(net.Node(sourceHost), addr.GroupAddr(0), pcfg)
-	var chk *invariant.Checker
-	chkChanges := 0
-	if CheckInvariants {
-		routerList := make([]*core.Router, 0, len(routers))
-		for _, id := range g.Routers() {
-			routerList = append(routerList, routers[id])
-		}
-		chk = invariant.New(net, src.Channel(), invariant.ProfileHBH(),
-			core.NewAudit(src, routerList))
-		chk.SetMembers(memberAddrs(g, memberHosts))
-		invariant.InstallContinuous(sim, chk)
-		obs := func(addr.Addr, addr.Channel, core.ChangeKind, addr.Addr) {
-			chkChanges++
-			chk.MarkDirty()
-		}
-		src.SetObserver(obs)
-		for _, r := range routers {
-			r.SetObserver(obs)
-		}
-		wireEpisode(chk, net)
-	}
-	members := make([]mtree.Member, 0, len(memberHosts))
-	rcvs := make([]*core.Receiver, 0, len(memberHosts))
-	for _, m := range memberHosts {
-		rcv := core.AttachReceiver(net.Node(m), src.Channel(), pcfg)
-		sim.At(eventsim.Time(rng.Float64())*pcfg.JoinInterval, rcv.Join)
-		members = append(members, rcv)
-		rcvs = append(rcvs, rcv)
-	}
+	s := setupDyn(RunConfig{Topo: cfg.Topo, Protocol: HBH, Receivers: cfg.Receivers, Seed: seed, Obs: o},
+		g, routing, sourceHost, memberHosts, rng)
+	sim, net, src, members, chk := s.sim, s.net, s.src, s.members, s.checker
+	pcfg := s.cfg
 	// Detector-driven settling: the fixed 40-interval budget could
 	// under-wait the 50-node random topology (long fusion and expiry
 	// cascades) and always over-waited the ISP one. convergeMeasured
@@ -220,7 +183,13 @@ func failureRun(cfg FailureConfig, seed int64, res *FailureResult) {
 		plan.NodeDown(tCrash, crash).NodeUp(tUp, crash)
 	}
 	in := faults.NewInjector(net, plan)
-	in.OnNodeDown(func(v topology.NodeID) { routers[v].Reset() })
+	in.OnNodeDown(func(v topology.NodeID) {
+		for _, r := range s.routers {
+			if r.Addr() == g.Node(v).Addr {
+				r.(*core.Router).Reset() // the crash takes the engine's soft state with it
+			}
+		}
+	})
 	in.Schedule()
 
 	// Periodic data probes feed the delivery matrix; receivers log
@@ -238,7 +207,7 @@ func failureRun(cfg FailureConfig, seed int64, res *FailureResult) {
 	if err := sim.Run(tEnd); err != nil {
 		panic(fmt.Sprintf("experiment: failure run: %v", err))
 	}
-	for i, rcv := range rcvs {
+	for i, rcv := range s.rcvs {
 		for _, d := range rcv.Deliveries {
 			if p, ok := seqToProbe[d.Seq]; ok {
 				dm.Delivered(i, p)
@@ -265,7 +234,7 @@ func failureRun(cfg FailureConfig, seed int64, res *FailureResult) {
 		res.CrashBlackoutRatio.Add(dm.DeliveryRatio(float64(tCrash), float64(tUp)))
 	}
 	worst := 0.0
-	for i := range rcvs {
+	for i := range members {
 		if b := dm.MaxBlackout(i); b > worst {
 			worst = b
 		}
@@ -292,8 +261,8 @@ func failureRun(cfg FailureConfig, seed int64, res *FailureResult) {
 		// then is already measured by FinalComplete; only the node-local
 		// structural invariants must hold regardless.
 		last := -1
-		for i := 0; i < 64 && chkChanges != last; i++ {
-			last = chkChanges
+		for i := 0; i < 64 && *s.changes != last; i++ {
+			last = *s.changes
 			converge(sim, pcfg.TreeInterval, 4)
 		}
 		vpost := mtree.Probe(net, func() uint32 { return src.SendData(nil) }, members)

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"hbh/internal/metrics"
+	"hbh/internal/netsim"
 	"hbh/internal/unicast"
 )
 
@@ -41,9 +42,9 @@ func LossRobustness(runs int, seed int64) *Figure {
 			members := sampleReceivers(g, rng, sourceHost, 8)
 
 			prng := rand.New(rand.NewSource(s))
-			sess := setupHBH(RunConfig{Topo: TopoISP, Protocol: HBH,
+			sess := setupDyn(RunConfig{Topo: TopoISP, Protocol: HBH,
 				Receivers: 8, Seed: s}, g, routing, sourceHost, members, prng)
-			sess.net.SetControlLoss(float64(rate)/100, rand.New(rand.NewSource(s+1)))
+			sess.net.SetLossModel(netsim.LossModel{Control: float64(rate) / 100, RNG: rand.New(rand.NewSource(s + 1))})
 			converge(sess.sim, sess.interval, defaultConvergeIntervals)
 			res := sess.Probe()
 

@@ -17,7 +17,7 @@ import (
 	"hbh/internal/netsim"
 	"hbh/internal/obs"
 	"hbh/internal/pim"
-	"hbh/internal/reunite"
+	"hbh/internal/softstate"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 	"hbh/internal/workload"
@@ -221,7 +221,7 @@ func (x *mcSubstrate) startHBH(cfg ManyChannelConfig, ch workload.Channel,
 		net.SetObserver(o)
 	}
 	pcfg := core.DefaultConfig()
-	routers := make([]*core.Router, 0, cfg.Routers)
+	routers := make([]softstate.Router, 0, cfg.Routers)
 	routerOf := make(map[topology.NodeID]*core.Router, cfg.Routers)
 	for _, r := range x.g.Routers() {
 		cr := core.AttachRouter(net.Node(r), pcfg)
@@ -267,19 +267,7 @@ func (x *mcSubstrate) startHBH(cfg ManyChannelConfig, ch workload.Channel,
 			}
 			return out
 		},
-		footprint: func() stateFootprint {
-			fp := stateFootprint{MFTEntries: src.MFT().Len()}
-			for _, r := range routers {
-				if t := r.MFTFor(chn); t != nil {
-					fp.MFTRouters++
-					fp.MFTEntries += t.Len()
-				}
-				if c := r.MCTFor(chn); c != nil {
-					fp.MCTRouters++
-				}
-			}
-			return fp
-		},
+		footprint: func() stateFootprint { return footprint(src.Source, routers) },
 	}
 	x.installChannelSampler(cfg, s, "hbh", ch.Index, o)
 	return s
@@ -295,28 +283,26 @@ func (x *mcSubstrate) startREUNITE(cfg ManyChannelConfig, ch workload.Channel,
 	if o != nil {
 		net.SetObserver(o)
 	}
-	pcfg := reunite.DefaultConfig()
-	routers := make([]*reunite.Router, 0, cfg.Routers)
+	on := make([]netsim.ProtoNode, 0, cfg.Routers)
 	for _, r := range x.g.Routers() {
-		routers = append(routers, reunite.AttachRouter(net.Node(r), pcfg))
+		on = append(on, net.Node(r))
 	}
-	src := reunite.AttachSource(net.Node(srcHost), addr.GroupAddr(ch.Index), pcfg)
-	chn := src.Channel()
+	e := attachDyn(REUNITE, on, net.Node(srcHost), addr.GroupAddr(ch.Index))
 
-	rcvs := make([]*reunite.Receiver, len(memberHosts))
+	rcvs := make([]*softstate.Receiver, len(memberHosts))
 	joined := make([]bool, len(memberHosts))
 	for m, h := range memberHosts {
-		rcvs[m] = reunite.AttachReceiver(net.Node(h), chn, pcfg)
+		rcvs[m] = e.receiver(net.Node(h), e.cfg)
 	}
 	for m := 0; m < ch.Receivers; m++ {
 		m := m
-		sim.At(eventsim.Time(rng.Float64())*pcfg.JoinInterval, func() { rcvs[m].Join() })
+		sim.At(eventsim.Time(rng.Float64())*e.cfg.JoinInterval, func() { rcvs[m].Join() })
 		joined[m] = true
 	}
 
 	s := &mcSession{
-		sim: sim, net: net, interval: pcfg.TreeInterval,
-		send: func() uint32 { return src.SendData(nil) },
+		sim: sim, net: net, interval: e.cfg.TreeInterval,
+		send: func() uint32 { return e.src.SendData(nil) },
 		apply: func(ev workload.Event) {
 			if ev.Join {
 				rcvs[ev.Member].Join()
@@ -334,19 +320,7 @@ func (x *mcSubstrate) startREUNITE(cfg ManyChannelConfig, ch workload.Channel,
 			}
 			return out
 		},
-		footprint: func() stateFootprint {
-			fp := stateFootprint{MFTEntries: src.MFT().Len()}
-			for _, r := range routers {
-				if t := r.MFTFor(chn); t != nil {
-					fp.MFTRouters++
-					fp.MFTEntries += t.Len()
-				}
-				if c := r.MCTFor(chn); c != nil {
-					fp.MCTRouters++
-				}
-			}
-			return fp
-		},
+		footprint: func() stateFootprint { return footprint(e.src, e.routers) },
 	}
 	return s
 }

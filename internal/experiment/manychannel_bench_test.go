@@ -18,7 +18,8 @@ import (
 // procs through the one shared race-safe lazy router — the sharded
 // executor's hot path.
 //
-// Baseline numbers live in results/bench_baseline.txt; regenerate with
+// The recorded many-channel figure is the sim-manychannel-stream
+// workload (bench/README.md); these stay for measuring while you work:
 //
 //	go test -bench BenchmarkManyChannel -run '^$' ./internal/experiment/
 

@@ -84,7 +84,7 @@ func QoSRouting(runs int, seed int64) *Figure {
 func hbhBottleneck(g *topology.Graph, routing unicast.Router,
 	sourceHost topology.NodeID, members []topology.NodeID, seed int64) float64 {
 	prng := rand.New(rand.NewSource(seed))
-	sess := setupHBH(RunConfig{Protocol: HBH, Receivers: len(members), Seed: seed},
+	sess := setupDyn(RunConfig{Protocol: HBH, Receivers: len(members), Seed: seed},
 		g, routing, sourceHost, members, prng)
 	converge(sess.sim, sess.interval, defaultConvergeIntervals)
 	res := sess.ProbeSettled()

@@ -17,7 +17,6 @@ import (
 	"hbh/internal/netsim"
 	"hbh/internal/obs"
 	"hbh/internal/pim"
-	"hbh/internal/reunite"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -401,7 +400,7 @@ func buildAdvSession(spec AdvSpec, g *topology.Graph, routing unicast.Router,
 // derived from the spec seed, so turning the knob on never perturbs
 // the draws of the measured channel or of any other knob.
 func attachBackgroundChannels(spec AdvSpec, s *advSession, g *topology.Graph) {
-	if spec.ExtraChannels <= 0 {
+	if spec.ExtraChannels <= 0 || spec.Protocol == PIMSM || spec.Protocol == PIMSS {
 		return
 	}
 	bg := rand.New(rand.NewSource(spec.Seed ^ 0x626763686e)) // "bgchn"
@@ -416,28 +415,14 @@ func attachBackgroundChannels(spec AdvSpec, s *advSession, g *topology.Graph) {
 				break
 			}
 		}
-		group := addr.GroupAddr(1 + i)
-		switch spec.Protocol {
-		case HBH, HBHNoFusion:
-			pcfg := core.DefaultConfig()
-			if spec.Protocol == HBHNoFusion {
-				pcfg.EnableFusion = false
-			}
-			src := core.AttachSource(s.net.Node(srcHost), group, pcfg)
-			for _, m := range members {
-				rcv := core.AttachReceiver(s.net.Node(m), src.Channel(), pcfg)
-				s.sim.At(eventsim.Time(bg.Float64())*pcfg.JoinInterval, rcv.Join)
-			}
-			clock.NewTicker(clock.Sim(s.sim), s.interval, func() { src.SendData(nil) })
-		case REUNITE:
-			pcfg := reunite.DefaultConfig()
-			src := reunite.AttachSource(s.net.Node(srcHost), group, pcfg)
-			for _, m := range members {
-				rcv := reunite.AttachReceiver(s.net.Node(m), src.Channel(), pcfg)
-				s.sim.At(eventsim.Time(bg.Float64())*pcfg.JoinInterval, rcv.Join)
-			}
-			clock.NewTicker(clock.Sim(s.sim), s.interval, func() { src.SendData(nil) })
+		// The session's routers dispatch per channel; only the source
+		// and the members are new.
+		e := attachDyn(spec.Protocol, nil, s.net.Node(srcHost), addr.GroupAddr(1+i))
+		for _, m := range members {
+			rcv := e.receiver(s.net.Node(m), e.cfg)
+			s.sim.At(eventsim.Time(bg.Float64())*e.cfg.JoinInterval, rcv.Join)
 		}
+		clock.NewTicker(clock.Sim(s.sim), s.interval, func() { e.src.SendData(nil) })
 	}
 }
 

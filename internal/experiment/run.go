@@ -26,6 +26,7 @@ import (
 	"hbh/internal/obs"
 	"hbh/internal/pim"
 	"hbh/internal/reunite"
+	"hbh/internal/softstate"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -278,10 +279,8 @@ func Run(cfg RunConfig) RunResult {
 	switch cfg.Protocol {
 	case PIMSM, PIMSS:
 		return runPIM(cfg, g, routing, sourceHost, members)
-	case HBH, HBHNoFusion:
-		return runHBH(cfg, g, routing, sourceHost, members, rng)
-	case REUNITE:
-		return runREUNITE(cfg, g, routing, sourceHost, members, rng)
+	case HBH, HBHNoFusion, REUNITE:
+		return runDyn(cfg, g, routing, sourceHost, members, rng)
 	default:
 		panic(fmt.Sprintf("experiment: unknown protocol %q", cfg.Protocol))
 	}
@@ -370,18 +369,15 @@ func runPIM(cfg RunConfig, g *topology.Graph, routing unicast.Router,
 // recursive-unicast protocol, used by both the figure sweeps and the
 // departure-stability experiment.
 type dynSession struct {
+	dynEngines
 	sim       *eventsim.Sim
 	net       *netsim.Network
 	members   []mtree.Member
 	hosts     []topology.NodeID
-	leave     func(i int)
-	rejoin    func(i int)
+	rcvs      []*softstate.Receiver // the member agents, parallel to hosts
 	send      func() uint32
 	interval  eventsim.Time
 	settleOut eventsim.Time // time for soft state to dissolve after a leave
-	// state reports the current forwarding-state footprint across all
-	// routers, for the A4 state-size experiment.
-	state func() stateFootprint
 	// changes counts forwarding-state mutations (entries added/removed/
 	// marked, branching transitions) across all routers and the source
 	// — the Figure 4 stability metric.
@@ -389,11 +385,6 @@ type dynSession struct {
 	// checker, when non-nil, validates the protocol's invariant profile
 	// continuously and at converged checkpoints (see check.go).
 	checker *invariant.Checker
-	// audit exposes the protocol's table snapshots so callers can build
-	// their own checkpoint checkers (the A13 scale run checks converged
-	// state only — continuous checking at 50k routers would re-snapshot
-	// every table per dirty event).
-	audit invariant.StateProvider
 }
 
 // stateFootprint is a snapshot of a protocol's table usage.
@@ -440,48 +431,113 @@ func (s *dynSession) MembersWithout(i int) []mtree.Member {
 	return out
 }
 
-func setupHBH(cfg RunConfig, g *topology.Graph, routing unicast.Router,
+// dynEngines are one dynamic protocol's agents on a network, seen
+// through the types the two protocols share: what a session needs once
+// the engines are attached, whichever protocol's rules they run.
+type dynEngines struct {
+	cfg softstate.Config
+	src *softstate.Source
+	// routers follow the order they were attached in (setupDyn: the
+	// capable ones of g.Routers()).
+	routers []softstate.Router
+	// audit exposes the protocol's table snapshots so callers can build
+	// their own checkpoint checkers (the A13 scale run checks converged
+	// state only — continuous checking at 50k routers would re-snapshot
+	// every table per dirty event).
+	audit invariant.StateProvider
+	// receiver attaches a (not yet joined) member agent for the
+	// source's channel, timed by rcfg.
+	receiver func(n netsim.ProtoNode, rcfg softstate.Config) *softstate.Receiver
+}
+
+// attachDyn attaches protocol p's router engines to routers and its
+// source to sourceNode. This is the one place the harness names a
+// protocol package; everything downstream works on the shared types.
+func attachDyn(p Protocol, routers []netsim.ProtoNode, sourceNode netsim.ProtoNode, group addr.Addr) dynEngines {
+	switch p {
+	case HBH, HBHNoFusion:
+		pcfg := core.DefaultConfig()
+		pcfg.EnableFusion = p == HBH
+		rs := make([]*core.Router, len(routers))
+		for i, n := range routers {
+			rs[i] = core.AttachRouter(n, pcfg)
+		}
+		src := core.AttachSource(sourceNode, group, pcfg)
+		return dynEngines{
+			cfg: pcfg.Config, src: src.Source, routers: softstate.Routers(rs),
+			audit: core.NewAudit(src, rs),
+			receiver: func(n netsim.ProtoNode, rcfg softstate.Config) *softstate.Receiver {
+				return core.AttachReceiver(n, src.Channel(), core.Config{Config: rcfg})
+			},
+		}
+	case REUNITE:
+		pcfg := reunite.DefaultConfig()
+		rs := make([]*reunite.Router, len(routers))
+		for i, n := range routers {
+			rs[i] = reunite.AttachRouter(n, pcfg)
+		}
+		src := reunite.AttachSource(sourceNode, group, pcfg)
+		return dynEngines{
+			cfg: pcfg, src: src.Source, routers: softstate.Routers(rs),
+			audit: reunite.NewAudit(src, rs),
+			receiver: func(n netsim.ProtoNode, rcfg softstate.Config) *softstate.Receiver {
+				return reunite.AttachReceiver(n, src.Channel(), rcfg)
+			},
+		}
+	default:
+		panic(fmt.Sprintf("experiment: %q is not a dynamic protocol", p))
+	}
+}
+
+// state reports the current forwarding-state footprint across the
+// source and all routers, for the A4 state-size experiment.
+func (s *dynSession) state() stateFootprint { return footprint(s.src, s.routers) }
+
+// footprint snapshots a channel's table usage across its source and
+// routers.
+func footprint(src *softstate.Source, routers []softstate.Router) stateFootprint {
+	fp := stateFootprint{MFTEntries: src.MFT().Len()}
+	for _, r := range routers {
+		mct, mft, _ := r.State(src.Channel())
+		if mft != nil {
+			fp.MFTRouters++
+			fp.MFTEntries += mft.Len()
+		}
+		if mct != nil {
+			fp.MCTRouters++
+		}
+	}
+	return fp
+}
+
+// setupDyn builds the session for a dynamic protocol.
+func setupDyn(cfg RunConfig, g *topology.Graph, routing unicast.Router,
 	sourceHost topology.NodeID, members []topology.NodeID, rng *rand.Rand) *dynSession {
 	sim := eventsim.New()
 	net := netsim.New(sim, g, routing)
 	if cfg.Obs != nil {
 		net.SetObserver(cfg.Obs)
 	}
-	pcfg := core.DefaultConfig()
-	if cfg.Protocol == HBHNoFusion {
-		pcfg.EnableFusion = false
-	}
 	capable := capableSet(g, rng, cfg.MulticastFraction)
-	var routers []*core.Router
+	var on []netsim.ProtoNode
 	for _, r := range g.Routers() {
 		if capable[r] {
-			routers = append(routers, core.AttachRouter(net.Node(r), pcfg))
+			on = append(on, net.Node(r))
 		}
 	}
-	src := core.AttachSource(net.Node(sourceHost), addr.GroupAddr(0), pcfg)
+	e := attachDyn(cfg.Protocol, on, net.Node(sourceHost), addr.GroupAddr(0))
 	s := &dynSession{
-		sim: sim, net: net, hosts: members,
-		interval:  pcfg.TreeInterval,
-		settleOut: 3 * (pcfg.T1 + pcfg.T2),
-		send:      func() uint32 { return src.SendData(nil) },
-		state: func() stateFootprint {
-			fp := stateFootprint{MFTEntries: src.MFT().Len()}
-			for _, r := range routers {
-				if t := r.MFTFor(src.Channel()); t != nil {
-					fp.MFTRouters++
-					fp.MFTEntries += t.Len()
-				}
-				if c := r.MCTFor(src.Channel()); c != nil {
-					fp.MCTRouters++
-				}
-			}
-			return fp
-		},
+		dynEngines: e,
+		sim:        sim,
+		net:        net,
+		hosts:      members,
+		interval:   e.cfg.TreeInterval,
+		settleOut:  3 * (e.cfg.T1 + e.cfg.T2),
+		send:       func() uint32 { return e.src.SendData(nil) },
+		changes:    new(int),
 	}
-	s.changes = new(int)
-	s.audit = core.NewAudit(src, routers)
 	if checkingEnabled(cfg) {
-		s.checker = invariant.New(net, src.Channel(), profileFor(cfg.Protocol),
+		s.checker = invariant.New(net, e.src.Channel(), profileFor(cfg.Protocol),
 			s.audit)
 		s.checker.SetMembers(memberAddrs(g, members))
 		invariant.InstallContinuous(sim, s.checker)
@@ -489,30 +545,30 @@ func setupHBH(cfg RunConfig, g *topology.Graph, routing unicast.Router,
 		wireEpisode(s.checker, net)
 	}
 	installFootprintSampler(cfg, s, string(cfg.Protocol))
-	chg := func(addr.Addr, addr.Channel, core.ChangeKind, addr.Addr) {
+	chg := func(addr.Addr, addr.Channel, softstate.ChangeKind, addr.Addr) {
 		*s.changes++
 		if s.checker != nil {
 			s.checker.MarkDirty()
 		}
 	}
-	for _, r := range routers {
+	for _, r := range e.routers {
 		r.SetObserver(chg)
 	}
-	src.SetObserver(chg)
-	var rcvs []*core.Receiver
+	e.src.SetObserver(chg)
 	for i, m := range members {
-		rcfg := pcfg
-		rcfg.JoinInterval = skewedInterval(pcfg.JoinInterval, cfg.TimerSkew, i)
-		rcv := core.AttachReceiver(net.Node(m), src.Channel(), rcfg)
-		at := eventsim.Time(rng.Float64()) * pcfg.JoinInterval
+		rcfg := e.cfg
+		rcfg.JoinInterval = skewedInterval(e.cfg.JoinInterval, cfg.TimerSkew, i)
+		rcv := e.receiver(net.Node(m), rcfg)
+		at := eventsim.Time(rng.Float64()) * e.cfg.JoinInterval
 		sim.At(at, rcv.Join)
 		s.members = append(s.members, rcv)
-		rcvs = append(rcvs, rcv)
+		s.rcvs = append(s.rcvs, rcv)
 	}
-	s.leave = func(i int) { rcvs[i].Leave() }
-	s.rejoin = func(i int) { rcvs[i].Join() }
 	return s
 }
+
+func (s *dynSession) leave(i int)  { s.rcvs[i].Leave() }
+func (s *dynSession) rejoin(i int) { s.rcvs[i].Join() }
 
 // skewedInterval scales a refresh interval by receiver index i's
 // deterministic skew factor: the factors cycle through -1, -1/2, 0,
@@ -524,77 +580,6 @@ func skewedInterval(base eventsim.Time, skew float64, i int) eventsim.Time {
 	}
 	factor := float64((i%5)-2) / 2
 	return base * eventsim.Time(1+skew*factor)
-}
-
-func setupREUNITE(cfg RunConfig, g *topology.Graph, routing unicast.Router,
-	sourceHost topology.NodeID, members []topology.NodeID, rng *rand.Rand) *dynSession {
-	sim := eventsim.New()
-	net := netsim.New(sim, g, routing)
-	if cfg.Obs != nil {
-		net.SetObserver(cfg.Obs)
-	}
-	pcfg := reunite.DefaultConfig()
-	capable := capableSet(g, rng, cfg.MulticastFraction)
-	var routers []*reunite.Router
-	for _, r := range g.Routers() {
-		if capable[r] {
-			routers = append(routers, reunite.AttachRouter(net.Node(r), pcfg))
-		}
-	}
-	src := reunite.AttachSource(net.Node(sourceHost), addr.GroupAddr(0), pcfg)
-	s := &dynSession{
-		sim: sim, net: net, hosts: members,
-		interval:  pcfg.TreeInterval,
-		settleOut: 3 * (pcfg.T1 + pcfg.T2),
-		send:      func() uint32 { return src.SendData(nil) },
-		state: func() stateFootprint {
-			fp := stateFootprint{MFTEntries: src.MFT().Len()}
-			for _, r := range routers {
-				if t := r.MFTFor(src.Channel()); t != nil {
-					fp.MFTRouters++
-					fp.MFTEntries += t.Len()
-				}
-				if c := r.MCTFor(src.Channel()); c != nil {
-					fp.MCTRouters++
-				}
-			}
-			return fp
-		},
-	}
-	s.changes = new(int)
-	s.audit = reunite.NewAudit(src, routers)
-	if checkingEnabled(cfg) {
-		s.checker = invariant.New(net, src.Channel(), profileFor(cfg.Protocol),
-			s.audit)
-		s.checker.SetMembers(memberAddrs(g, members))
-		invariant.InstallContinuous(sim, s.checker)
-		wireRecent(s.checker, cfg.Obs)
-		wireEpisode(s.checker, net)
-	}
-	installFootprintSampler(cfg, s, string(cfg.Protocol))
-	chg := func(addr.Addr, addr.Channel, reunite.ChangeKind, addr.Addr) {
-		*s.changes++
-		if s.checker != nil {
-			s.checker.MarkDirty()
-		}
-	}
-	for _, r := range routers {
-		r.SetObserver(chg)
-	}
-	src.SetObserver(chg)
-	var rcvs []*reunite.Receiver
-	for i, m := range members {
-		rcfg := pcfg
-		rcfg.JoinInterval = skewedInterval(pcfg.JoinInterval, cfg.TimerSkew, i)
-		rcv := reunite.AttachReceiver(net.Node(m), src.Channel(), rcfg)
-		at := eventsim.Time(rng.Float64()) * pcfg.JoinInterval
-		sim.At(at, rcv.Join)
-		s.members = append(s.members, rcv)
-		rcvs = append(rcvs, rcv)
-	}
-	s.leave = func(i int) { rcvs[i].Leave() }
-	s.rejoin = func(i int) { rcvs[i].Join() }
-	return s
 }
 
 // wireRecent attaches the flight recorder's per-node dump to the
@@ -645,31 +630,10 @@ func installFootprintSampler(cfg RunConfig, s *dynSession, protocol string) {
 	})
 }
 
-// setupDyn builds the session for a dynamic protocol.
-func setupDyn(cfg RunConfig, g *topology.Graph, routing unicast.Router,
-	sourceHost topology.NodeID, members []topology.NodeID, rng *rand.Rand) *dynSession {
-	switch cfg.Protocol {
-	case HBH, HBHNoFusion:
-		return setupHBH(cfg, g, routing, sourceHost, members, rng)
-	case REUNITE:
-		return setupREUNITE(cfg, g, routing, sourceHost, members, rng)
-	default:
-		panic(fmt.Sprintf("experiment: %q is not a dynamic protocol", cfg.Protocol))
-	}
-}
-
-func runHBH(cfg RunConfig, g *topology.Graph, routing unicast.Router,
+// runDyn converges a dynamic protocol's session and probes its tree.
+func runDyn(cfg RunConfig, g *topology.Graph, routing unicast.Router,
 	sourceHost topology.NodeID, members []topology.NodeID, rng *rand.Rand) RunResult {
-	s := setupHBH(cfg, g, routing, sourceHost, members, rng)
-	converge(s.sim, s.interval, cfg.ConvergeIntervals)
-	res := s.ProbeSettled()
-	s.checkConverged(cfg, res)
-	return toRunResult(res)
-}
-
-func runREUNITE(cfg RunConfig, g *topology.Graph, routing unicast.Router,
-	sourceHost topology.NodeID, members []topology.NodeID, rng *rand.Rand) RunResult {
-	s := setupREUNITE(cfg, g, routing, sourceHost, members, rng)
+	s := setupDyn(cfg, g, routing, sourceHost, members, rng)
 	converge(s.sim, s.interval, cfg.ConvergeIntervals)
 	res := s.ProbeSettled()
 	s.checkConverged(cfg, res)

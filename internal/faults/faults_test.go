@@ -8,6 +8,7 @@ import (
 	"hbh/internal/addr"
 	"hbh/internal/eventsim"
 	"hbh/internal/netsim"
+	"hbh/internal/obs"
 	"hbh/internal/packet"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
@@ -94,7 +95,9 @@ func TestInjectorLinkDownUp(t *testing.T) {
 	net, sim := build(g)
 
 	var lines []string
-	net.SetTrace(func(l string) { lines = append(lines, l) })
+	o := obs.New(nil)
+	o.AddSink(obs.NewTextSink(func(l string) { lines = append(lines, l) }))
+	net.SetObserver(o)
 	var seen []Event
 	plan := NewPlan().LinkDown(10, 0, 1).LinkUp(20, 0, 1)
 	in := NewInjector(net, plan)

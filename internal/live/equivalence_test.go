@@ -12,6 +12,7 @@ import (
 	"hbh/internal/eventsim"
 	"hbh/internal/netsim"
 	"hbh/internal/reunite"
+	"hbh/internal/softstate"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -34,47 +35,112 @@ type equivScript struct {
 	horizon eventsim.Time
 }
 
-// dumpHBH renders the final protocol state of an HBH run.
-func dumpHBH(g *topology.Graph, routers map[topology.NodeID]*core.Router,
-	src *core.Source, receivers map[topology.NodeID]*core.Receiver, ch addr.Channel) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "channel %v\n", ch)
-	fmt.Fprintf(&b, "source mft=%s\n", src.MFT().String())
-	for _, id := range g.Routers() {
-		r := routers[id]
-		mft, mct := "-", "-"
-		if t := r.MFTFor(ch); t != nil && t.Len() > 0 {
-			var e []string
-			for _, en := range t.Entries() {
-				s := en.Node.String()
-				if en.Marked {
-					s += "(m)"
-				}
-				if en.ServedBy != addr.Unspecified {
-					s += "<-" + en.ServedBy.String()
-				}
-				e = append(e, s)
-			}
-			mft = "[" + strings.Join(e, " ") + "]"
-		}
-		if c := r.MCTFor(ch); c != nil {
-			mct = c.Node.String()
-		}
-		fmt.Fprintf(&b, "router %s mft=%s mct=%s\n", g.Node(id).Name, mft, mct)
-	}
-	for _, id := range hostOrder(g, receivers) {
-		r := receivers[id]
-		var ds []string
-		for _, d := range r.Deliveries {
-			ds = append(ds, fmt.Sprintf("%d@%g", d.Seq, float64(d.At)))
-		}
-		fmt.Fprintf(&b, "receiver %s dups=%d deliveries=[%s]\n",
-			g.Node(id).Name, r.DupCount, strings.Join(ds, " "))
-	}
-	return b.String()
+// equivWorld is one protocol's engines attached for an equivalence
+// run: the shared-type handles the harness drives, plus the renderer of
+// the protocol's final state (the goldens pin each protocol's own dump
+// format).
+type equivWorld struct {
+	src      *softstate.Source
+	receiver func(netsim.ProtoNode) *softstate.Receiver
+	dump     func(receivers map[topology.NodeID]*softstate.Receiver) string
 }
 
-func hostOrder(g *topology.Graph, m map[topology.NodeID]*core.Receiver) []topology.NodeID {
+// equivProto attaches one protocol's engines through node — either
+// execution path hands out netsim.ProtoNode.
+type equivProto func(g *topology.Graph, node func(topology.NodeID) netsim.ProtoNode,
+	srcHost topology.NodeID) equivWorld
+
+func equivHBH(g *topology.Graph, node func(topology.NodeID) netsim.ProtoNode,
+	srcHost topology.NodeID) equivWorld {
+	cfg := core.DefaultConfig()
+	routers := make(map[topology.NodeID]*core.Router)
+	for _, r := range g.Routers() {
+		routers[r] = core.AttachRouter(node(r), cfg)
+	}
+	src := core.AttachSource(node(srcHost), equivGroup, cfg)
+	ch := src.Channel()
+	dump := func(receivers map[topology.NodeID]*softstate.Receiver) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "channel %v\n", ch)
+		fmt.Fprintf(&b, "source mft=%s\n", src.MFT().String())
+		for _, id := range g.Routers() {
+			r := routers[id]
+			mft, mct := "-", "-"
+			if t := r.MFTFor(ch); t != nil && t.Len() > 0 {
+				var e []string
+				for _, en := range t.Entries() {
+					s := en.Node.String()
+					if en.Marked {
+						s += "(m)"
+					}
+					if en.ServedBy != addr.Unspecified {
+						s += "<-" + en.ServedBy.String()
+					}
+					e = append(e, s)
+				}
+				mft = "[" + strings.Join(e, " ") + "]"
+			}
+			if c := r.MCTFor(ch); c != nil {
+				mct = c.Node.String()
+			}
+			fmt.Fprintf(&b, "router %s mft=%s mct=%s\n", g.Node(id).Name, mft, mct)
+		}
+		for _, id := range hostOrder(g, receivers) {
+			r := receivers[id]
+			var ds []string
+			for _, d := range r.Deliveries {
+				ds = append(ds, fmt.Sprintf("%d@%g", d.Seq, float64(d.At)))
+			}
+			fmt.Fprintf(&b, "receiver %s dups=%d deliveries=[%s]\n",
+				g.Node(id).Name, r.DupCount, strings.Join(ds, " "))
+		}
+		return b.String()
+	}
+	return equivWorld{
+		src:      src.Source,
+		receiver: func(n netsim.ProtoNode) *softstate.Receiver { return core.AttachReceiver(n, ch, cfg) },
+		dump:     dump,
+	}
+}
+
+func equivREUNITE(g *topology.Graph, node func(topology.NodeID) netsim.ProtoNode,
+	srcHost topology.NodeID) equivWorld {
+	cfg := reunite.DefaultConfig()
+	routers := make(map[topology.NodeID]*reunite.Router)
+	for _, r := range g.Routers() {
+		routers[r] = reunite.AttachRouter(node(r), cfg)
+	}
+	src := reunite.AttachSource(node(srcHost), equivGroup, cfg)
+	ch := src.Channel()
+	dump := func(receivers map[topology.NodeID]*softstate.Receiver) string {
+		var b strings.Builder
+		for _, id := range g.Routers() {
+			mft := "-"
+			if tb := routers[id].MFTFor(ch); tb != nil {
+				mft = tb.String()
+			}
+			fmt.Fprintf(&b, "router %s mft=%s\n", g.Node(id).Name, mft)
+		}
+		for _, h := range hostOrder(g, receivers) {
+			rcv := receivers[h]
+			var ds []string
+			for seq := uint32(1); seq <= 3; seq++ {
+				if at, ok := rcv.DeliveryAt(seq); ok {
+					ds = append(ds, fmt.Sprintf("%d@%g(x%d)", seq, float64(at), rcv.DeliveryCount(seq)))
+				}
+			}
+			fmt.Fprintf(&b, "receiver %s deliveries=[%s]\n", g.Node(h).Name, strings.Join(ds, " "))
+		}
+		return b.String()
+	}
+	return equivWorld{
+		src:      src.Source,
+		receiver: func(n netsim.ProtoNode) *softstate.Receiver { return reunite.AttachReceiver(n, ch, cfg) },
+		dump:     dump,
+	}
+}
+
+func hostOrder(g *topology.Graph, m map[topology.NodeID]*softstate.Receiver) []topology.NodeID {
 	var ids []topology.NodeID
 	for _, h := range g.Hosts() {
 		if _, ok := m[h]; ok {
@@ -84,63 +150,55 @@ func hostOrder(g *topology.Graph, m map[topology.NodeID]*core.Receiver) []topolo
 	return ids
 }
 
-// runHBHNetsim executes the script on the reference netsim path.
-func runHBHNetsim(t *testing.T, build func() (*topology.Graph, topology.NodeID), script equivScript) string {
+// runEquiv executes the script with p's engines on one execution path:
+// the reference netsim network, or (liveMode) the live runtime under
+// the simulated clock + in-process synchronous transport.
+func runEquiv(t *testing.T, liveMode bool, p equivProto,
+	build func() (*topology.Graph, topology.NodeID), script equivScript) string {
 	t.Helper()
 	g, srcHost := build()
 	routing := unicast.Compute(g)
 	sim := eventsim.New()
-	net := netsim.New(sim, g, routing)
-	cfg := core.DefaultConfig()
-	routers := make(map[topology.NodeID]*core.Router)
-	for _, r := range g.Routers() {
-		routers[r] = core.AttachRouter(net.Node(r), cfg)
+	var rt *Runtime
+	var node func(topology.NodeID) netsim.ProtoNode
+	if liveMode {
+		rt = New(Config{Graph: g, Routing: routing, Sim: sim})
+		node = func(id topology.NodeID) netsim.ProtoNode { return rt.Node(id) }
+	} else {
+		net := netsim.New(sim, g, routing)
+		node = func(id topology.NodeID) netsim.ProtoNode { return net.Node(id) }
 	}
-	src := core.AttachSource(net.Node(srcHost), equivGroup, cfg)
-	receivers := make(map[topology.NodeID]*core.Receiver)
+	w := p(g, node, srcHost)
+	receivers := make(map[topology.NodeID]*softstate.Receiver)
 	for h, at := range script.joins {
-		rcv := core.AttachReceiver(net.Node(h), src.Channel(), cfg)
+		rcv := w.receiver(node(h))
 		receivers[h] = rcv
 		sim.At(at, rcv.Join)
 	}
 	for _, at := range script.sends {
-		sim.At(at, func() { src.SendData([]byte("equiv")) })
+		sim.At(at, func() { w.src.SendData([]byte("equiv")) })
+	}
+	if liveMode {
+		rt.Start()
+		defer rt.Stop()
 	}
 	if err := sim.Run(script.horizon); err != nil {
-		t.Fatalf("netsim path: %v", err)
+		t.Fatalf("run (live=%v): %v", liveMode, err)
 	}
-	return dumpHBH(g, routers, src, receivers, src.Channel())
+	return w.dump(receivers)
 }
 
-// runHBHLive executes the same script on the live runtime under the
-// simulated clock + in-process synchronous transport.
-func runHBHLive(t *testing.T, build func() (*topology.Graph, topology.NodeID), script equivScript) string {
+// checkEquiv runs the script on both paths, requires identical dumps
+// and pins the live one as a golden.
+func checkEquiv(t *testing.T, p equivProto, build func() (*topology.Graph, topology.NodeID),
+	script equivScript, golden string) {
 	t.Helper()
-	g, srcHost := build()
-	routing := unicast.Compute(g)
-	sim := eventsim.New()
-	rt := New(Config{Graph: g, Routing: routing, Sim: sim})
-	cfg := core.DefaultConfig()
-	routers := make(map[topology.NodeID]*core.Router)
-	for _, r := range g.Routers() {
-		routers[r] = core.AttachRouter(rt.Node(r), cfg)
+	ref := runEquiv(t, false, p, build, script)
+	live := runEquiv(t, true, p, build, script)
+	if ref != live {
+		t.Fatalf("live execution diverged from netsim:\n--- netsim ---\n%s--- live ---\n%s", ref, live)
 	}
-	src := core.AttachSource(rt.Node(srcHost), equivGroup, cfg)
-	receivers := make(map[topology.NodeID]*core.Receiver)
-	for h, at := range script.joins {
-		rcv := core.AttachReceiver(rt.Node(h), src.Channel(), cfg)
-		receivers[h] = rcv
-		sim.At(at, rcv.Join)
-	}
-	for _, at := range script.sends {
-		sim.At(at, func() { src.SendData([]byte("equiv")) })
-	}
-	rt.Start()
-	defer rt.Stop()
-	if err := sim.Run(script.horizon); err != nil {
-		t.Fatalf("live path: %v", err)
-	}
-	return dumpHBH(g, routers, src, receivers, src.Channel())
+	goldenCompare(t, golden, live)
 }
 
 // goldenCompare pins got against results/quick/<name>, regenerating
@@ -163,42 +221,31 @@ func goldenCompare(t *testing.T, name, got string) {
 	}
 }
 
-func fig3Build() (*topology.Graph, topology.NodeID, topology.NodeID, topology.NodeID) {
+// fig3Script is the Figure-3 scenario both protocols are pinned on.
+func fig3Script() (func() (*topology.Graph, topology.NodeID), equivScript) {
 	sc := topology.Fig3Scenario()
-	return sc.Graph, sc.Source, sc.R1, sc.R2
-}
-
-func TestEquivalenceHBHFig3(t *testing.T) {
-	var r1, r2 topology.NodeID
 	build := func() (*topology.Graph, topology.NodeID) {
-		g, s, a, b := fig3Build()
-		r1, r2 = a, b
-		return g, s
+		sc := topology.Fig3Scenario() // a fresh graph per execution path
+		return sc.Graph, sc.Source
 	}
-	// Resolve receiver IDs once for the script (same on both builds —
-	// the scenario constructor is deterministic).
-	build()
-	script := equivScript{
-		joins:   map[topology.NodeID]eventsim.Time{r1: 10, r2: 130},
+	return build, equivScript{
+		joins:   map[topology.NodeID]eventsim.Time{sc.R1: 10, sc.R2: 130},
 		sends:   []eventsim.Time{450, 460, 470},
 		horizon: 600,
 	}
-	ref := runHBHNetsim(t, build, script)
-	live := runHBHLive(t, build, script)
-	if ref != live {
-		t.Fatalf("live execution diverged from netsim:\n--- netsim ---\n%s--- live ---\n%s", ref, live)
-	}
-	goldenCompare(t, "live_equivalence_fig3_hbh.txt", live)
+}
+
+func TestEquivalenceHBHFig3(t *testing.T) {
+	build, script := fig3Script()
+	checkEquiv(t, equivHBH, build, script, "live_equivalence_fig3_hbh.txt")
 }
 
 func TestEquivalenceHBHISP(t *testing.T) {
 	build := func() (*topology.Graph, topology.NodeID) {
 		g := topology.ISP()
-		hosts := g.Hosts()
-		return g, hosts[0]
+		return g, g.Hosts()[0]
 	}
-	g := topology.ISP()
-	hosts := g.Hosts()
+	hosts := topology.ISP().Hosts()
 	script := equivScript{
 		joins: map[topology.NodeID]eventsim.Time{
 			hosts[3]:  10,
@@ -209,84 +256,13 @@ func TestEquivalenceHBHISP(t *testing.T) {
 		sends:   []eventsim.Time{500, 510, 520},
 		horizon: 700,
 	}
-	ref := runHBHNetsim(t, build, script)
-	live := runHBHLive(t, build, script)
-	if ref != live {
-		t.Fatalf("live execution diverged from netsim:\n--- netsim ---\n%s--- live ---\n%s", ref, live)
-	}
-	goldenCompare(t, "live_equivalence_isp_hbh.txt", live)
+	checkEquiv(t, equivHBH, build, script, "live_equivalence_isp_hbh.txt")
 }
 
 // TestEquivalenceREUNITEFig3 repeats the exercise for the second
 // protocol: the runtime is engine-agnostic, so equivalence must hold
 // for REUNITE's interception semantics too.
 func TestEquivalenceREUNITEFig3(t *testing.T) {
-	type world struct {
-		g         *topology.Graph
-		routers   map[topology.NodeID]*reunite.Router
-		src       *reunite.Source
-		receivers map[topology.NodeID]*reunite.Receiver
-	}
-	run := func(liveMode bool) string {
-		sc := topology.Fig3Scenario()
-		g := sc.Graph
-		routing := unicast.Compute(g)
-		sim := eventsim.New()
-		var node func(topology.NodeID) netsim.ProtoNode
-		var rt *Runtime
-		if liveMode {
-			rt = New(Config{Graph: g, Routing: routing, Sim: sim})
-			node = func(id topology.NodeID) netsim.ProtoNode { return rt.Node(id) }
-		} else {
-			net := netsim.New(sim, g, routing)
-			node = func(id topology.NodeID) netsim.ProtoNode { return net.Node(id) }
-		}
-		w := world{g: g, routers: make(map[topology.NodeID]*reunite.Router),
-			receivers: make(map[topology.NodeID]*reunite.Receiver)}
-		cfg := reunite.DefaultConfig()
-		for _, r := range g.Routers() {
-			w.routers[r] = reunite.AttachRouter(node(r), cfg)
-		}
-		w.src = reunite.AttachSource(node(sc.Source), equivGroup, cfg)
-		for h, at := range map[topology.NodeID]eventsim.Time{sc.R1: 10, sc.R2: 130} {
-			rcv := reunite.AttachReceiver(node(h), w.src.Channel(), cfg)
-			w.receivers[h] = rcv
-			sim.At(at, rcv.Join)
-		}
-		for _, at := range []eventsim.Time{450, 460, 470} {
-			sim.At(at, func() { w.src.SendData([]byte("equiv")) })
-		}
-		if liveMode {
-			rt.Start()
-			defer rt.Stop()
-		}
-		if err := sim.Run(600); err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		var b strings.Builder
-		for _, id := range g.Routers() {
-			mft := "-"
-			if tb := w.routers[id].MFTFor(w.src.Channel()); tb != nil {
-				mft = tb.String()
-			}
-			fmt.Fprintf(&b, "router %s mft=%s\n", g.Node(id).Name, mft)
-		}
-		for _, h := range []topology.NodeID{sc.R1, sc.R2} {
-			rcv := w.receivers[h]
-			var ds []string
-			for seq := uint32(1); seq <= 3; seq++ {
-				if at, ok := rcv.DeliveryAt(seq); ok {
-					ds = append(ds, fmt.Sprintf("%d@%g(x%d)", seq, float64(at), rcv.DeliveryCount(seq)))
-				}
-			}
-			fmt.Fprintf(&b, "receiver %s deliveries=[%s]\n", g.Node(h).Name, strings.Join(ds, " "))
-		}
-		return b.String()
-	}
-	ref := run(false)
-	live := run(true)
-	if ref != live {
-		t.Fatalf("live REUNITE diverged from netsim:\n--- netsim ---\n%s--- live ---\n%s", ref, live)
-	}
-	goldenCompare(t, "live_equivalence_fig3_reunite.txt", live)
+	build, script := fig3Script()
+	checkEquiv(t, equivREUNITE, build, script, "live_equivalence_fig3_reunite.txt")
 }

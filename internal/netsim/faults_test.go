@@ -183,16 +183,6 @@ func TestStatsDeltaAndRatioWindow(t *testing.T) {
 	}
 }
 
-func TestSetControlLossKeepsDataRate(t *testing.T) {
-	g := topology.Line(2, false)
-	net, _ := build(g)
-	net.SetLossModel(LossModel{Data: 0.5, RNG: rand.New(rand.NewSource(1))})
-	net.SetControlLoss(0.25, rand.New(rand.NewSource(2)))
-	if net.loss.Data != 0.5 || net.loss.Control != 0.25 {
-		t.Errorf("loss model = %+v after compatibility wrapper", net.loss)
-	}
-}
-
 func TestSetRoutingSwap(t *testing.T) {
 	g := topology.Line(3, false)
 	net, _ := build(g)

@@ -12,7 +12,7 @@ import (
 func TestControlLossDropsControlOnly(t *testing.T) {
 	g := topology.Line(2, false)
 	net, sim := build(g)
-	net.SetControlLoss(0.9999999, rand.New(rand.NewSource(1)))
+	net.SetLossModel(LossModel{Control: 0.9999999, RNG: rand.New(rand.NewSource(1))})
 
 	// Control packet: dropped (with overwhelming probability).
 	delivered := 0
@@ -42,7 +42,7 @@ func TestControlLossDropsControlOnly(t *testing.T) {
 func TestControlLossRate(t *testing.T) {
 	g := topology.Line(2, false)
 	net, sim := build(g)
-	net.SetControlLoss(0.25, rand.New(rand.NewSource(7)))
+	net.SetLossModel(LossModel{Control: 0.25, RNG: rand.New(rand.NewSource(7))})
 	const n = 4000
 	got := 0
 	net.Node(1).SetDeliver(func(ProtoNode, packet.Message) { got++ })
@@ -75,7 +75,7 @@ func TestControlLossValidation(t *testing.T) {
 					t.Errorf("loss rate %v accepted", p)
 				}
 			}()
-			net.SetControlLoss(p, rand.New(rand.NewSource(1)))
+			net.SetLossModel(LossModel{Control: p, RNG: rand.New(rand.NewSource(1))})
 		}()
 	}
 	func() {
@@ -84,7 +84,7 @@ func TestControlLossValidation(t *testing.T) {
 				t.Error("positive loss without RNG accepted")
 			}
 		}()
-		net.SetControlLoss(0.5, nil)
+		net.SetLossModel(LossModel{Control: 0.5})
 	}()
-	net.SetControlLoss(0, nil) // zero rate needs no RNG
+	net.SetLossModel(LossModel{}) // zero rate needs no RNG
 }

@@ -73,11 +73,6 @@ type Tap func(from, to topology.NodeID, msg packet.Message)
 // data arrivals through this hook.
 type DeliveryTap func(at topology.NodeID, msg packet.Message, consumed bool)
 
-// TraceFunc receives human-readable event lines when tracing is on.
-// It survives as the SetTrace compatibility surface; the structured
-// pipeline underneath is obs.Observer (SetObserver).
-type TraceFunc func(line string)
-
 // Stats aggregates transport-level counters for one Network.
 type Stats struct {
 	Transmissions int // individual link traversals, all packet types
@@ -149,15 +144,10 @@ type Network struct {
 	// obsv is the structured observability pipeline. nil means fully
 	// disabled: every emission site nil-checks it before building any
 	// event, which keeps the forwarding hot path allocation-free.
-	obsv *obs.Observer
-	// traceSink backs the SetTrace compatibility shim; traceOwned
-	// records that the observer itself was created by SetTrace (and may
-	// be torn down again by SetTrace(nil)).
-	traceSink  *obs.TextSink
-	traceOwned bool
-	hopLimit   int
-	wireCheck  bool
-	loss       LossModel
+	obsv      *obs.Observer
+	hopLimit  int
+	wireCheck bool
+	loss      LossModel
 	// adv is the installed control-plane adversary; nil (the default)
 	// keeps the forwarding path byte-for-byte identical to a network
 	// without one.
@@ -279,40 +269,11 @@ func (n *Network) SetObserver(o *obs.Observer) {
 		o.SetNow(func() eventsim.Time { return n.sim.Now() })
 	}
 	n.obsv = o
-	n.traceSink = nil
-	n.traceOwned = false
 }
 
 // Observer returns the installed pipeline (nil when observation is
 // off). Protocol code must nil-check before building events.
 func (n *Network) Observer() *obs.Observer { return n.obsv }
-
-// SetTrace installs (or, with nil, removes) the human-readable tracer.
-// It is a compatibility shim over the obs pipeline: the callback
-// becomes a text sink rendering the same lines the pre-obs tracer
-// printed (plus the protocol events the engines now emit).
-func (n *Network) SetTrace(t TraceFunc) {
-	if t == nil {
-		if n.traceSink != nil && n.obsv != nil {
-			n.obsv.RemoveSink(n.traceSink)
-			if n.traceOwned && n.obsv.Empty() {
-				n.obsv = nil
-				n.traceOwned = false
-			}
-		}
-		n.traceSink = nil
-		return
-	}
-	if n.obsv == nil {
-		n.obsv = obs.New(func() eventsim.Time { return n.sim.Now() })
-		n.traceOwned = true
-	}
-	if n.traceSink != nil {
-		n.obsv.RemoveSink(n.traceSink)
-	}
-	n.traceSink = obs.NewTextSink(t)
-	n.obsv.AddSink(n.traceSink)
-}
 
 // SetWireCheck turns on strict-wire mode: every link transmission
 // marshals the message to its binary wire format and decodes it again
@@ -328,7 +289,9 @@ func (n *Network) SetWireCheck(on bool) { n.wireCheck = on }
 // LossModel configures probabilistic per-link packet drops. Control
 // and Data are independent per-traversal drop probabilities in [0, 1)
 // for non-data and data packets respectively; RNG drives the draws and
-// must be non-nil when either rate is positive.
+// must be non-nil when either rate is positive. A control-only model
+// (Data zero, the A6 experiment) keeps tree measurements meaningful:
+// what degrades under loss is the protocol state that routes the data.
 type LossModel struct {
 	Control float64
 	Data    float64
@@ -353,25 +316,6 @@ func (m LossModel) validate() {
 func (n *Network) SetLossModel(m LossModel) {
 	m.validate()
 	n.loss = m
-}
-
-// SetControlLoss makes every link traversal drop non-data packets with
-// probability p, using rng. Soft-state protocols are designed to
-// tolerate control-message loss — refreshes repair it — and the A6
-// experiment quantifies how well. Data packets are never dropped under
-// this setting (use SetLossModel to drop data too), so tree
-// measurements keep their meaning: what degrades under loss is the
-// protocol state that routes them.
-//
-// It is a compatibility wrapper over SetLossModel that preserves any
-// data-loss rate already configured.
-func (n *Network) SetControlLoss(p float64, rng *rand.Rand) {
-	m := n.loss
-	m.Control = p
-	if rng != nil {
-		m.RNG = rng
-	}
-	n.SetLossModel(m)
 }
 
 // SetHopLimit overrides the per-packet hop budget.

@@ -6,6 +6,7 @@ import (
 
 	"hbh/internal/addr"
 	"hbh/internal/eventsim"
+	"hbh/internal/obs"
 	"hbh/internal/packet"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
@@ -212,7 +213,9 @@ func TestTrace(t *testing.T) {
 	g := topology.Line(2, false)
 	net, sim := build(g)
 	var lines []string
-	net.SetTrace(func(l string) { lines = append(lines, l) })
+	o := obs.New(nil)
+	o.AddSink(obs.NewTextSink(func(l string) { lines = append(lines, l) }))
+	net.SetObserver(o)
 	net.Node(1).SetDeliver(func(ProtoNode, packet.Message) {})
 	net.Node(0).SendUnicast(dataTo(g.Node(1).Addr, 1))
 	if err := sim.RunAll(); err != nil {

@@ -331,13 +331,6 @@ func (o *Observer) RemoveSink(s Sink) {
 	}
 }
 
-// Empty reports whether the observer has no sinks, counters or
-// recorder attached (nothing would observe an event).
-func (o *Observer) Empty() bool {
-	return len(o.sinks) == 0 && o.counters == nil && o.recorder == nil &&
-		o.converge == nil && o.latency == nil
-}
-
 // SetFilter installs a sink-side predicate: events failing it are not
 // handed to sinks (counters and the flight recorder still see
 // everything — dropping context there would defeat their purpose).

@@ -12,10 +12,9 @@ import (
 
 // TextSink renders events as the human-readable trace lines the
 // simulator has always printed: a fixed-width virtual timestamp,
-// the node, an uppercase verb, and the formatted packet. It is the
-// compatibility surface behind Network.SetTrace — transport events
-// render byte-identically to the pre-obs tracer, and the protocol
-// events the engines now emit interleave in the same style.
+// the node, an uppercase verb, and the formatted packet. Transport
+// events render byte-identically to the pre-obs tracer, and the
+// protocol events the engines emit interleave in the same style.
 type TextSink struct {
 	Out func(line string)
 }

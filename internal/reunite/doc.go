@@ -25,4 +25,11 @@
 // (t1, t2) timers. A stale dst makes the node emit marked tree
 // messages, which dissolve downstream state so that orphaned members
 // re-join at the source — the reconfiguration walk of Figure 2(b)-(d).
+//
+// This package holds only those rules: join interception and
+// becomeBranching, the MFT wrapper carrying Dst/TableStale/Liveness,
+// marked-tree teardown, the source's admit and refresh rules, and the
+// unicast-path delivery-tree audit walk. Tables, the member-host
+// Receiver, the source scaffolding and the dedup window are package
+// softstate, the machinery HBH was built on.
 package reunite

@@ -1,16 +1,18 @@
 package reunite
 
 import (
-	"fmt"
-
 	"hbh/internal/addr"
 	"hbh/internal/invariant"
+	"hbh/internal/softstate"
 	"hbh/internal/topology"
 )
 
 // Audit exposes one REUNITE channel's live state to the invariant
-// checker, mirroring core.Audit for HBH.
+// checker: the kit's table-reading half (REUNITE entries have no marked
+// bit, so of the table checks only the MCT/MFT exclusion and self-entry
+// ones bite) plus the delivery walk REUNITE's data path defines.
 type Audit struct {
+	softstate.Audit
 	src     *Source
 	routers []*Router
 }
@@ -18,50 +20,10 @@ type Audit struct {
 // NewAudit builds the provider for src's channel over the given
 // routers.
 func NewAudit(src *Source, routers []*Router) *Audit {
-	return &Audit{src: src, routers: routers}
+	return &Audit{Audit: softstate.NewAudit(src.Source, softstate.Routers(routers)), src: src, routers: routers}
 }
 
 var _ invariant.StateProvider = (*Audit)(nil)
-
-// Root implements invariant.StateProvider.
-func (a *Audit) Root() addr.Addr { return a.src.node.Addr() }
-
-// States implements invariant.StateProvider. REUNITE entries have no
-// marked bit, so only the MCT/MFT exclusion and self-entry checks bite.
-func (a *Audit) States() []invariant.NodeState {
-	ch := a.src.ch
-	out := []invariant.NodeState{{
-		Node:    a.src.node.Addr(),
-		IsRoot:  true,
-		HasMFT:  true,
-		Entries: entryStates(a.src.mft),
-	}}
-	for _, r := range a.routers {
-		st := r.chans[ch]
-		if st == nil {
-			continue
-		}
-		ns := invariant.NodeState{Node: r.node.Addr()}
-		if st.mct != nil {
-			ns.HasMCT = true
-			ns.MCTNode = st.mct.Node
-		}
-		if st.mft != nil {
-			ns.HasMFT = true
-			ns.Entries = entryStates(st.mft)
-		}
-		out = append(out, ns)
-	}
-	return out
-}
-
-func entryStates(t *MFT) []invariant.EntryState {
-	out := make([]invariant.EntryState, 0, t.Len())
-	for _, e := range t.Entries() {
-		out = append(out, invariant.EntryState{Node: e.Node, Stale: e.Stale()})
-	}
-	return out
-}
 
 // DeliveryTree implements invariant.StateProvider by replaying
 // REUNITE's data path over the live tables: the source addresses one
@@ -77,7 +39,7 @@ func entryStates(t *MFT) []invariant.EntryState {
 // no Loops; what remains checkable is that every copy terminates on a
 // finite unicast path, which the walk guarantees by construction.
 func (a *Audit) DeliveryTree() *invariant.Tree {
-	ch := a.src.ch
+	ch := a.src.Channel()
 	g, rt := a.src.node.Topology(), a.src.node.Routing()
 
 	branches := make(map[topology.NodeID]*MFT, len(a.routers))
@@ -87,7 +49,7 @@ func (a *Audit) DeliveryTree() *invariant.Tree {
 		}
 	}
 
-	root := a.src.node.Addr()
+	root := ch.S
 	tree := invariant.NewTree(root)
 	replicated := make(map[topology.NodeID]bool)
 
@@ -122,36 +84,8 @@ func (a *Audit) DeliveryTree() *invariant.Tree {
 	}
 
 	rootID := a.src.node.ID()
-	for _, e := range a.src.mft.Entries() {
+	for _, e := range a.src.MFT().Entries() {
 		deliver(rootID, e.Node, []addr.Addr{root})
 	}
 	return tree
-}
-
-// Residuals implements invariant.StateProvider.
-func (a *Audit) Residuals() []invariant.Residual {
-	ch := a.src.ch
-	var out []invariant.Residual
-	if n := a.src.mft.Len(); n > 0 {
-		out = append(out, invariant.Residual{
-			Node:   a.src.node.Addr(),
-			Detail: fmt.Sprintf("source MFT still holds %d entries", n),
-		})
-	}
-	for _, r := range a.routers {
-		if st := r.chans[ch]; st != nil {
-			out = append(out, invariant.Residual{
-				Node: r.node.Addr(),
-				Detail: fmt.Sprintf("per-channel state survives teardown (mct=%v mft=%v)",
-					st.mct != nil, st.mft != nil),
-			})
-		}
-		if w := r.seen[ch]; w != nil {
-			out = append(out, invariant.Residual{
-				Node:   r.node.Addr(),
-				Detail: fmt.Sprintf("dedup window still holds %d sequence numbers", len(w)),
-			})
-		}
-	}
-	return out
 }

@@ -4,10 +4,12 @@ import (
 	"testing"
 
 	"hbh/internal/addr"
+	"hbh/internal/clock"
 	"hbh/internal/eventsim"
 	"hbh/internal/invariant"
 	"hbh/internal/mtree"
 	"hbh/internal/netsim"
+	"hbh/internal/softstate"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -54,7 +56,7 @@ func (h *harness) watch(src *Source) *invariant.Checker {
 	}
 	chk := invariant.New(h.net, src.Channel(), invariant.ProfileREUNITE(), NewAudit(src, routers))
 	h.checkers = append(h.checkers, chk)
-	obs := func(addr.Addr, addr.Channel, ChangeKind, addr.Addr) {
+	obs := func(addr.Addr, addr.Channel, softstate.ChangeKind, addr.Addr) {
 		for _, c := range h.checkers {
 			c.MarkDirty()
 		}
@@ -240,4 +242,93 @@ func TestBasicLine(t *testing.T) {
 	if res.MaxLinkCopies() != 1 {
 		t.Errorf("unexpected duplication on symmetric chain:\n%s", res.FormatTree(g))
 	}
+}
+
+func newTimer(sim *eventsim.Sim) *clock.SoftTimer {
+	return clock.NewSoftTimer(clock.Sim(sim), 100, 100, nil, nil)
+}
+
+func TestMFTDstIsFirstEntry(t *testing.T) {
+	sim := eventsim.New()
+	mft := NewMFT()
+	if mft.Dst() != nil {
+		t.Error("empty table has a dst")
+	}
+	mft.Add(10, newTimer(sim))
+	mft.Add(20, newTimer(sim))
+	mft.Add(30, newTimer(sim))
+	if mft.Dst().Node != 10 {
+		t.Errorf("dst = %v, want 10 (first joiner)", mft.Dst().Node)
+	}
+	// Removing dst promotes the next-oldest entry.
+	mft.Remove(10)
+	if mft.Dst().Node != 20 {
+		t.Errorf("dst after removal = %v, want 20", mft.Dst().Node)
+	}
+	if mft.Len() != 2 {
+		t.Errorf("Len = %d", mft.Len())
+	}
+}
+
+// TestMFTDestroy: REUNITE's Destroy takes the whole-table Liveness
+// timer down with the entries.
+func TestMFTDestroy(t *testing.T) {
+	sim := eventsim.New()
+	mft := NewMFT()
+	expired := false
+	mft.Add(1, clock.NewSoftTimer(clock.Sim(sim), 10, 10, nil, func() { expired = true }))
+	mft.Liveness = clock.NewSoftTimer(clock.Sim(sim), 10, 10, nil, func() { expired = true })
+	mft.Destroy()
+	if err := sim.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if expired {
+		t.Error("timers fired after Destroy")
+	}
+	if mft.Len() != 0 {
+		t.Error("table not emptied")
+	}
+}
+
+func TestMFTString(t *testing.T) {
+	sim := eventsim.New()
+	mft := NewMFT()
+	if s := mft.String(); s != "[]" {
+		t.Errorf("empty String = %q", s)
+	}
+	mft.Add(addr.MustParse("10.1.0.1"), newTimer(sim))
+	mft.Add(addr.MustParse("10.1.0.2"), newTimer(sim))
+	mft.TableStale = true
+	if s := mft.String(); s != "![dst=10.1.0.1 10.1.0.2]" {
+		t.Errorf("String = %q", s)
+	}
+}
+
+// TestDefaultsMatchHBH: fairness requires REUNITE and HBH to run under
+// identical soft-state timing in the comparisons.
+func TestDefaultsMatchHBH(t *testing.T) {
+	c := DefaultConfig()
+	if c.JoinInterval != 100 || c.TreeInterval != 100 || c.T1 != 350 || c.T2 != 350 {
+		t.Errorf("defaults drifted: %+v", c)
+	}
+}
+
+// TestMFTIndex: the wrapper promotes the kit table's mechanics
+// unchanged — lookup, idempotent removal, loud duplicate insertion.
+func TestMFTIndex(t *testing.T) {
+	sim := eventsim.New()
+	mft := NewMFT()
+	mft.Add(1, newTimer(sim))
+	if mft.Get(1) == nil || mft.Get(2) != nil {
+		t.Error("Get broken")
+	}
+	if mft.Remove(2) {
+		t.Error("Remove absent returned true")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("duplicate Add did not panic")
+		}
+	}()
+	mft.Add(1, newTimer(sim))
 }

@@ -7,6 +7,7 @@ import (
 	"hbh/internal/netsim"
 	"hbh/internal/obs"
 	"hbh/internal/packet"
+	"hbh/internal/softstate"
 )
 
 // chanState is a REUNITE router's per-channel state: an MCT while
@@ -23,52 +24,6 @@ type chanState struct {
 	hasRegen  bool
 }
 
-// ChangeKind classifies forwarding-state changes for the stability
-// experiment (Fig. 4), mirroring core.ChangeKind.
-type ChangeKind uint8
-
-// The REUNITE state-change kinds.
-const (
-	// ChangeMCTCreate is the installation of control state.
-	ChangeMCTCreate ChangeKind = iota
-	// ChangeMCTRemove is the destruction of control state.
-	ChangeMCTRemove
-	// ChangeMFTAdd is a new forwarding entry.
-	ChangeMFTAdd
-	// ChangeMFTRemove is the expiry of a forwarding entry.
-	ChangeMFTRemove
-	// ChangeBecomeBranching is a non-branching -> branching transition.
-	ChangeBecomeBranching
-	// ChangeTableStale marks a table going stale on a marked tree.
-	ChangeTableStale
-	// ChangeTableDestroy is the destruction of a whole MFT.
-	ChangeTableDestroy
-)
-
-func (k ChangeKind) String() string {
-	switch k {
-	case ChangeMCTCreate:
-		return "mct-create"
-	case ChangeMCTRemove:
-		return "mct-remove"
-	case ChangeMFTAdd:
-		return "mft-add"
-	case ChangeMFTRemove:
-		return "mft-remove"
-	case ChangeBecomeBranching:
-		return "become-branching"
-	case ChangeTableStale:
-		return "table-stale"
-	case ChangeTableDestroy:
-		return "table-destroy"
-	default:
-		return "change(?)"
-	}
-}
-
-// ChangeObserver receives forwarding-state change notifications.
-type ChangeObserver func(where addr.Addr, ch addr.Channel, kind ChangeKind, node addr.Addr)
-
 // Router is the REUNITE protocol engine resident on a multicast-capable
 // router.
 type Router struct {
@@ -76,14 +31,14 @@ type Router struct {
 	node     netsim.ProtoNode
 	clk      clock.Clock
 	chans    map[addr.Channel]*chanState
-	seen     map[addr.Channel]map[uint32]bool
-	observer ChangeObserver
+	seen     softstate.Dedup
+	observer softstate.ChangeObserver
 }
 
 // SetObserver installs the state-change observer (nil clears it).
-func (r *Router) SetObserver(o ChangeObserver) { r.observer = o }
+func (r *Router) SetObserver(o softstate.ChangeObserver) { r.observer = o }
 
-func (r *Router) observe(ch addr.Channel, kind ChangeKind, node addr.Addr) {
+func (r *Router) observe(ch addr.Channel, kind softstate.ChangeKind, node addr.Addr) {
 	if r.observer != nil {
 		r.observer(r.node.Addr(), ch, kind, node)
 	}
@@ -122,6 +77,24 @@ func (r *Router) MCTFor(ch addr.Channel) *MCT {
 	}
 	return nil
 }
+
+// Addr returns the router's unicast address.
+func (r *Router) Addr() addr.Addr { return r.node.Addr() }
+
+// State implements softstate.Router.
+func (r *Router) State(ch addr.Channel) (mct *MCT, mft *softstate.MFT, held bool) {
+	st := r.chans[ch]
+	if st == nil {
+		return nil, nil, false
+	}
+	if st.mft != nil {
+		mft = st.mft.MFT
+	}
+	return st.mct, mft, true
+}
+
+// Dedup implements softstate.Router.
+func (r *Router) Dedup() softstate.Dedup { return r.seen }
 
 // Handle implements netsim.Handler.
 func (r *Router) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
@@ -198,14 +171,14 @@ func (r *Router) becomeBranching(st *chanState, ch addr.Channel, joiner addr.Add
 	dstCause := st.mct.Cause
 	st.mct.Timer.Cancel()
 	st.mct = nil
-	r.observe(ch, ChangeMCTRemove, dst)
-	r.observe(ch, ChangeBecomeBranching, r.node.Addr())
+	r.observe(ch, softstate.ChangeMCTRemove, dst)
+	r.observe(ch, softstate.ChangeBecomeBranching, r.node.Addr())
 	r.node.EmitProto(obs.KindBranch, ch, joiner, 0, "second receiver's join crossed live control state")
 	st.mft = NewMFT()
 	// dst keeps the provenance its MCT entry carried, so its refresh
 	// chain stays attributed to its own episode.
 	st.mft.Add(dst, r.newEntryTimer(ch, dst)).Cause = dstCause
-	r.observe(ch, ChangeMFTAdd, dst)
+	r.observe(ch, softstate.ChangeMFTAdd, dst)
 	st.mft.Liveness = clock.NewSoftTimer(r.clk, r.cfg.T1, r.cfg.T2, func() {
 		// No tree for dst within t1: this node has fallen off the
 		// channel's refresh path. A table in that state must stop
@@ -220,7 +193,7 @@ func (r *Router) becomeBranching(st *chanState, ch addr.Channel, joiner addr.Add
 			// Timer-driven: roots its own causal episode.
 			prev := r.node.RootEpisode()
 			st.mft.TableStale = true
-			r.observe(ch, ChangeTableStale, r.node.Addr())
+			r.observe(ch, softstate.ChangeTableStale, r.node.Addr())
 			r.node.EmitProto(obs.KindCollapse, ch, addr.Unspecified, 0, "table stale: off the refresh path")
 			r.node.SetCausalContext(prev)
 		}
@@ -266,7 +239,7 @@ func (r *Router) onTree(t *packet.Tree) netsim.Verdict {
 				// stale so joins escalate past us (Figure 2(b)).
 				if !st.mft.TableStale {
 					st.mft.TableStale = true
-					r.observe(ch, ChangeTableStale, dst.Node)
+					r.observe(ch, softstate.ChangeTableStale, dst.Node)
 					r.node.EmitProto(obs.KindCollapse, ch, dst.Node, 0, "table stale: marked tree for dst")
 				}
 			} else {
@@ -336,7 +309,7 @@ func (r *Router) createMCT(st *chanState, ch addr.Channel, node addr.Addr) {
 			r.node.SetCausalContext(prev)
 		}
 	})}
-	r.observe(ch, ChangeMCTCreate, node)
+	r.observe(ch, softstate.ChangeMCTCreate, node)
 	st.mct.Cause = r.node.EmitProto(obs.KindTableAdd, ch, node, 0, "mct")
 }
 
@@ -347,7 +320,7 @@ func (r *Router) removeMCT(ch addr.Channel, st *chanState) {
 	node := st.mct.Node
 	st.mct.Timer.Cancel()
 	st.mct = nil
-	r.observe(ch, ChangeMCTRemove, node)
+	r.observe(ch, softstate.ChangeMCTRemove, node)
 	r.node.EmitProto(obs.KindTableRemove, ch, node, 0, "mct")
 	r.maybeDrop(ch, st)
 }
@@ -366,9 +339,13 @@ func (r *Router) onData(d *packet.Data) netsim.Verdict {
 	if dst == nil || dst.Node != d.Dst {
 		return netsim.Continue
 	}
-	if r.seenData(d.Channel, d.Seq) {
+	if r.seen.Seen(d.Channel, d.Seq) {
 		return netsim.Continue
 	}
+	// The loop ranges over the table's live backing slice; sends are
+	// deferred events, so nothing may mutate the table under it. The
+	// version guard makes any future violation loud (see core's onData).
+	v := st.mft.Version()
 	for _, e := range st.mft.Entries()[1:] {
 		r.node.EmitProto(obs.KindReplicate, d.Channel, e.Node, d.Seq, "")
 		copyMsg := packet.Clone(d).(*packet.Data)
@@ -376,54 +353,18 @@ func (r *Router) onData(d *packet.Data) netsim.Verdict {
 		copyMsg.Dst = e.Node
 		r.node.SendUnicast(copyMsg)
 	}
+	if st.mft.Version() != v {
+		panic("reunite: MFT mutated during onData replication")
+	}
 	return netsim.Continue
 }
 
-// seenDataCap bounds the per-channel duplicate-suppression window.
-const seenDataCap = 4096
-
-// seenData records (channel, seq) and reports whether this node
-// already replicated that packet.
-func (r *Router) seenData(ch addr.Channel, seq uint32) bool {
-	if r.seen == nil {
-		r.seen = make(map[addr.Channel]map[uint32]bool)
-	}
-	m := r.seen[ch]
-	if m == nil {
-		m = make(map[uint32]bool)
-		r.seen[ch] = m
-	}
-	if m[seq] {
-		return true
-	}
-	if len(m) >= seenDataCap {
-		m = make(map[uint32]bool)
-		r.seen[ch] = m
-	}
-	m[seq] = true
-	return false
-}
-
 func (r *Router) sendTree(ch addr.Channel, target addr.Addr, marked bool) {
-	var flags uint8
+	detail := "regeneration"
 	if marked {
-		flags = packet.FlagMarked
-		r.node.SetCausalContext(r.node.EmitProto(obs.KindTreeSend, ch, target, 0, "regeneration [marked]"))
-	} else {
-		r.node.SetCausalContext(r.node.EmitProto(obs.KindTreeSend, ch, target, 0, "regeneration"))
+		detail = "regeneration [marked]"
 	}
-	t := &packet.Tree{
-		Header: packet.Header{
-			Proto:   packet.ProtoREUNITE,
-			Type:    packet.TypeTree,
-			Flags:   flags,
-			Channel: ch,
-			Src:     r.node.Addr(),
-			Dst:     target,
-		},
-		R: target,
-	}
-	r.node.SendUnicast(t)
+	softstate.SendTree(r.node, packet.ProtoREUNITE, ch, target, marked, detail)
 }
 
 func (r *Router) newEntryTimer(ch addr.Channel, node addr.Addr) *clock.SoftTimer {
@@ -435,7 +376,7 @@ func (r *Router) newEntryTimer(ch addr.Channel, node addr.Addr) *clock.SoftTimer
 		// Timer-driven expiry roots its own causal episode.
 		prev := r.node.RootEpisode()
 		st.mft.Remove(node)
-		r.observe(ch, ChangeMFTRemove, node)
+		r.observe(ch, softstate.ChangeMFTRemove, node)
 		r.node.EmitProto(obs.KindTableRemove, ch, node, 0, "mft")
 		if st.mft.Len() == 0 {
 			r.destroyMFT(ch)
@@ -446,7 +387,7 @@ func (r *Router) newEntryTimer(ch addr.Channel, node addr.Addr) *clock.SoftTimer
 
 func (r *Router) addMFTEntry(st *chanState, ch addr.Channel, node addr.Addr) {
 	e := st.mft.Add(node, r.newEntryTimer(ch, node))
-	r.observe(ch, ChangeMFTAdd, node)
+	r.observe(ch, softstate.ChangeMFTAdd, node)
 	e.Cause = r.node.EmitProto(obs.KindTableAdd, ch, node, 0, "mft")
 }
 
@@ -457,18 +398,16 @@ func (r *Router) destroyMFT(ch addr.Channel) {
 	}
 	st.mft.Destroy()
 	st.mft = nil
-	r.observe(ch, ChangeTableDestroy, r.node.Addr())
+	r.observe(ch, softstate.ChangeTableDestroy, r.node.Addr())
 	r.node.EmitProto(obs.KindCollapse, ch, addr.Unspecified, 0, "mft destroyed")
 	r.maybeDrop(ch, st)
 }
 
 // maybeDrop garbage-collects empty channel state, including the
-// duplicate-suppression window — leaving the window behind would leak
-// per dead channel and swallow re-sent sequence numbers if this node
-// later rejoins the channel's tree.
+// duplicate-suppression window (see softstate.Dedup.Drop).
 func (r *Router) maybeDrop(ch addr.Channel, st *chanState) {
 	if st.mct == nil && st.mft == nil {
 		delete(r.chans, ch)
-		delete(r.seen, ch)
+		r.seen.Drop(ch)
 	}
 }

@@ -2,92 +2,45 @@ package reunite
 
 import (
 	"hbh/internal/addr"
-	"hbh/internal/clock"
 	"hbh/internal/netsim"
 	"hbh/internal/obs"
 	"hbh/internal/packet"
+	"hbh/internal/softstate"
 )
 
-// Source is the REUNITE channel root: it owns the top-level MFT whose
-// dst is the first receiver that joined the group, emits periodic tree
-// refreshes (marked for a stale dst), and originates data addressed to
-// dst with one extra copy per additional entry.
+// Source is the REUNITE channel root: the soft-state kit's source
+// scaffolding plus REUNITE's rules — the table's dst is the first
+// receiver that joined the group, data goes to every entry (dst plus
+// one copy per additional entry), and the periodic tree refresh is
+// marked for a stale entry, announcing its upcoming teardown.
 type Source struct {
-	cfg      Config
-	node     netsim.ProtoNode
-	clk      clock.Clock
-	ch       addr.Channel
-	mft      *MFT
-	ticker   *clock.Ticker
-	observer ChangeObserver
-	nextSeq  uint32
-}
-
-// SetObserver installs the state-change observer (nil clears it).
-func (s *Source) SetObserver(o ChangeObserver) { s.observer = o }
-
-func (s *Source) observe(kind ChangeKind, node addr.Addr) {
-	if s.observer != nil {
-		s.observer(s.node.Addr(), s.ch, kind, node)
-	}
+	*softstate.Source
+	node netsim.ProtoNode
 }
 
 // AttachSource creates the channel <n.Addr(), group> rooted at host n.
 func AttachSource(n netsim.ProtoNode, group addr.Addr, cfg Config) *Source {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	ch, err := addr.NewChannel(n.Addr(), group)
-	if err != nil {
-		panic(err)
-	}
-	s := &Source{
-		cfg:  cfg,
-		node: n,
-		clk:  n.Clock(),
-		ch:   ch,
-		mft:  NewMFT(),
-	}
-	s.ticker = clock.NewTicker(s.clk, cfg.TreeInterval, s.emitTrees)
-	n.AddHandler(s)
+	s := &Source{node: n}
+	s.Source = softstate.AttachSource(n, group, cfg, softstate.SourceRules{
+		Handler:   s,
+		EmitTrees: s.emitTrees,
+	})
 	return s
 }
-
-// Channel returns the channel this source roots.
-func (s *Source) Channel() addr.Channel { return s.ch }
-
-// MFT exposes the source table for tests.
-func (s *Source) MFT() *MFT { return s.mft }
-
-// Stop halts the periodic tree emission.
-func (s *Source) Stop() { s.ticker.Stop() }
 
 // Handle implements netsim.Handler for joins that reached the source.
 func (s *Source) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
 	j, ok := msg.(*packet.Join)
-	if !ok || j.Proto != packet.ProtoREUNITE || j.Channel != s.ch {
+	if !ok || j.Proto != packet.ProtoREUNITE || j.Channel != s.Channel() {
 		return netsim.Continue
 	}
-	if e := s.mft.Get(j.R); e != nil {
+	if e := s.MFT().Get(j.R); e != nil {
 		e.Timer.Refresh()
-		e.Cause = s.node.EmitProto(obs.KindJoinAdmit, s.ch, j.R, 0, "refresh")
+		e.Cause = s.node.EmitProto(obs.KindJoinAdmit, j.Channel, j.R, 0, "refresh")
 		return netsim.Consumed
 	}
-	node := j.R
-	e := s.mft.Add(node, clock.NewSoftTimer(s.clk, s.cfg.T1, s.cfg.T2, nil, func() {
-		if s.mft.Get(node) != nil {
-			// Expiry is spontaneous (the member went silent): it roots
-			// its own causal episode.
-			prev := s.node.RootEpisode()
-			s.mft.Remove(node)
-			s.observe(ChangeMFTRemove, node)
-			s.node.EmitProto(obs.KindTableRemove, s.ch, node, 0, "mft")
-			s.node.SetCausalContext(prev)
-		}
-	}))
-	s.observe(ChangeMFTAdd, node)
-	s.node.EmitProto(obs.KindJoinAdmit, s.ch, node, 0, "install")
-	e.Cause = s.node.EmitProto(obs.KindTableAdd, s.ch, node, 0, "mft")
+	s.node.EmitProto(obs.KindJoinAdmit, j.Channel, j.R, 0, "install")
+	s.AddEntry(j.R)
 	return netsim.Consumed
 }
 
@@ -95,61 +48,17 @@ func (s *Source) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
 // is stale, announcing the upcoming teardown — plus one tree per
 // additional entry.
 func (s *Source) emitTrees() {
-	for _, e := range s.mft.Entries() {
+	ch := s.Channel()
+	for _, e := range s.MFT().Entries() {
 		marked := e.Stale()
-		var flags uint8
+		detail := "source refresh"
 		if marked {
-			flags = packet.FlagMarked
+			detail = "source refresh [marked]"
 		}
 		// Attribute the refresh to the join episode that installed or
 		// last refreshed this entry (see Entry.Cause).
 		s.node.SetCausalContext(e.Cause)
-		if s.node.Observing() {
-			detail := "source refresh"
-			if marked {
-				detail = "source refresh [marked]"
-			}
-			s.node.SetCausalContext(s.node.EmitProto(obs.KindTreeSend, s.ch, e.Node, 0, detail))
-		}
-		t := &packet.Tree{
-			Header: packet.Header{
-				Proto:   packet.ProtoREUNITE,
-				Type:    packet.TypeTree,
-				Flags:   flags,
-				Channel: s.ch,
-				Src:     s.node.Addr(),
-				Dst:     e.Node,
-			},
-			R: e.Node,
-		}
-		s.node.SendUnicast(t)
+		softstate.SendTree(s.node, packet.ProtoREUNITE, ch, e.Node, marked, detail)
 	}
 	s.node.SetCausalContext(obs.Causal{})
-}
-
-// SendData originates one multicast payload: the packet addressed to
-// dst plus one rewritten copy per additional live entry. Returns the
-// sequence number used.
-func (s *Source) SendData(payload []byte) uint32 {
-	seq := s.nextSeq
-	s.nextSeq++
-	// One causal episode per originated packet (see core.Source).
-	prev := s.node.RootEpisode()
-	for _, e := range s.mft.Entries() {
-		s.node.EmitProto(obs.KindReplicate, s.ch, e.Node, seq, "source copy")
-		d := &packet.Data{
-			Header: packet.Header{
-				Proto:   packet.ProtoNone,
-				Type:    packet.TypeData,
-				Channel: s.ch,
-				Src:     s.node.Addr(),
-				Dst:     e.Node,
-			},
-			Seq:     seq,
-			Payload: append([]byte(nil), payload...),
-		}
-		s.node.SendUnicast(d)
-	}
-	s.node.SetCausalContext(prev)
-	return seq
 }

@@ -1,71 +1,18 @@
 package reunite
 
 import (
-	"fmt"
-	"strings"
-
-	"hbh/internal/addr"
 	"hbh/internal/clock"
-	"hbh/internal/eventsim"
-	"hbh/internal/obs"
+	"hbh/internal/softstate"
 )
 
-// Config carries REUNITE's timing constants; the semantics mirror
-// core.Config so the two protocols run under identical soft-state
-// sizing in every experiment.
-type Config struct {
-	// JoinInterval is the receiver join refresh period.
-	JoinInterval eventsim.Time
-	// TreeInterval is the source tree emission period.
-	TreeInterval eventsim.Time
-	// T1 is the entry staleness timeout, T2 the destruction timeout
-	// counted from staleness.
-	T1, T2 eventsim.Time
-}
-
-// DefaultConfig matches core.DefaultConfig so comparisons are fair.
-func DefaultConfig() Config {
-	return Config{JoinInterval: 100, TreeInterval: 100, T1: 350, T2: 350}
-}
-
-// Validate reports a descriptive error for nonsensical configurations.
-func (c Config) Validate() error {
-	if c.JoinInterval <= 0 || c.TreeInterval <= 0 {
-		return fmt.Errorf("reunite: non-positive refresh interval %v/%v", c.JoinInterval, c.TreeInterval)
-	}
-	if c.T1 <= c.JoinInterval || c.T1 <= c.TreeInterval {
-		return fmt.Errorf("reunite: T1 %v must exceed the refresh intervals", c.T1)
-	}
-	if c.T2 <= 0 {
-		return fmt.Errorf("reunite: non-positive T2 %v", c.T2)
-	}
-	return nil
-}
-
-// Entry is one receiver row in an MFT or MCT.
-type Entry struct {
-	// Node is the receiver's unicast address.
-	Node addr.Addr
-	// Timer is the (t1, t2) soft-state pair.
-	Timer *clock.SoftTimer
-	// Cause is the causal provenance of this entry: the episode and
-	// step of the join that installed or last refreshed it. Timer-driven
-	// work on the entry (the periodic tree refresh) re-enters this
-	// context so downstream events attribute to the member's episode.
-	Cause obs.Causal
-}
-
-// Stale reports whether the t1 phase has expired.
-func (e *Entry) Stale() bool { return e.Timer.Stale() }
-
-// MFT is a REUNITE Multicast Forwarding Table. Entry zero is the dst
-// receiver: the first member that joined in this node's subtree, the
-// address upstream data and tree messages carry. Iteration follows
-// insertion order (join order), which both matches the protocol's
-// "first receiver" semantics and keeps simulations deterministic.
+// MFT is a REUNITE Multicast Forwarding Table: the kit's ordered table
+// plus the two pieces of whole-table state REUNITE's teardown rules
+// need. Entry zero is the dst receiver: the first member that joined in
+// this node's subtree, the address upstream data and tree messages
+// carry. Removing dst promotes the next oldest entry implicitly (entry
+// order is join order).
 type MFT struct {
-	entries []*Entry
-	index   map[addr.Addr]*Entry
+	*softstate.MFT
 	// TableStale is set when a marked tree for dst passes: the node
 	// stops intercepting joins so orphaned members can re-join at the
 	// source, but keeps forwarding data until the entries die.
@@ -77,105 +24,33 @@ type MFT struct {
 }
 
 // NewMFT returns an empty table.
-func NewMFT() *MFT { return &MFT{index: make(map[addr.Addr]*Entry)} }
-
-// Len returns the number of live entries.
-func (t *MFT) Len() int { return len(t.entries) }
+func NewMFT() *MFT { return &MFT{MFT: softstate.NewMFT()} }
 
 // Dst returns the dst entry (entry zero), or nil on an empty table.
 func (t *MFT) Dst() *Entry {
-	if len(t.entries) == 0 {
+	if t.Len() == 0 {
 		return nil
 	}
-	return t.entries[0]
+	return t.Entries()[0]
 }
 
-// Get returns the entry for node, or nil.
-func (t *MFT) Get(node addr.Addr) *Entry { return t.index[node] }
-
-// Add appends a new entry (becoming dst if the table was empty).
-func (t *MFT) Add(node addr.Addr, timer *clock.SoftTimer) *Entry {
-	if t.index[node] != nil {
-		panic(fmt.Sprintf("reunite: duplicate MFT entry %v", node))
-	}
-	e := &Entry{Node: node, Timer: timer}
-	t.entries = append(t.entries, e)
-	t.index[node] = e
-	return e
-}
-
-// Remove deletes the entry for node; if it was dst, the next oldest
-// entry is promoted implicitly (entry order is join order).
-func (t *MFT) Remove(node addr.Addr) bool {
-	e := t.index[node]
-	if e == nil {
-		return false
-	}
-	e.Timer.Cancel()
-	delete(t.index, node)
-	for i, x := range t.entries {
-		if x == e {
-			t.entries = append(t.entries[:i], t.entries[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// Entries returns the live entries in join order (dst first). The
-// slice is shared: iterate, do not mutate.
-func (t *MFT) Entries() []*Entry { return t.entries }
-
-// Destroy cancels all timers and empties the table.
+// Destroy cancels all timers, Liveness included, and empties the table.
 func (t *MFT) Destroy() {
-	for _, e := range t.entries {
-		e.Timer.Cancel()
-	}
 	if t.Liveness != nil {
 		t.Liveness.Cancel()
 	}
-	t.entries = nil
-	t.index = make(map[addr.Addr]*Entry)
+	t.MFT.Destroy()
 }
 
 // String renders the table for traces: "[dst=r1* r4]" with * marking
 // stale entries and a leading ! marking a stale table.
 func (t *MFT) String() string {
-	var b strings.Builder
+	s := t.MFT.String()
+	if t.Len() > 0 {
+		s = "[dst=" + s[1:]
+	}
 	if t.TableStale {
-		b.WriteByte('!')
+		s = "!" + s
 	}
-	b.WriteByte('[')
-	for i, e := range t.entries {
-		if i > 0 {
-			b.WriteByte(' ')
-		} else {
-			b.WriteString("dst=")
-		}
-		b.WriteString(e.Node.String())
-		if e.Stale() {
-			b.WriteByte('*')
-		}
-	}
-	b.WriteByte(']')
-	return b.String()
+	return s
 }
-
-// MCT is a REUNITE control entry: the single receiver whose tree
-// messages traverse this (non-branching) node — the first one seen.
-// Tree messages for OTHER receivers pass through without installing
-// state; because REUNITE only detects branching points when a join is
-// intercepted, a node like R6 in Figure 3 (crossed by two tree flows
-// but by no joins) never branches, and the duplication persists.
-type MCT struct {
-	// Node is the recorded receiver.
-	Node addr.Addr
-	// Timer is the (t1, t2) pair refreshed by that receiver's tree
-	// messages.
-	Timer *clock.SoftTimer
-	// Cause is the causal provenance of the entry (see Entry.Cause).
-	Cause obs.Causal
-}
-
-// Stale reports whether the t1 phase has expired.
-func (m *MCT) Stale() bool { return m.Timer.Stale() }

@@ -1,4 +1,4 @@
-package core
+package softstate
 
 import (
 	"hbh/internal/addr"
@@ -18,16 +18,20 @@ type Delivery struct {
 }
 
 // Receiver is the member-host agent: it subscribes to a channel by
-// emitting the first (never-intercepted) join and then periodic
-// refresh joins, consumes tree messages addressed to it, and records
-// data deliveries.
+// emitting a join at once and then periodic refresh joins, consumes
+// tree messages addressed to it, and records data deliveries.
 type Receiver struct {
-	cfg    Config
-	node   netsim.ProtoNode
-	clk    clock.Clock
-	ch     addr.Channel
-	ticker *clock.Ticker
-	joined bool
+	cfg   Config
+	node  netsim.ProtoNode
+	clk   clock.Clock
+	ch    addr.Channel
+	proto packet.Protocol
+	// flagFirst puts packet.FlagFirst on the initial join of each
+	// subscription (HBH: no branching router intercepts it). Without it
+	// "first" is an observability label only.
+	flagFirst bool
+	ticker    *clock.Ticker
+	joined    bool
 
 	// Deliveries lists data arrivals in order. DupCount counts
 	// duplicate sequence numbers, which a converged HBH tree must not
@@ -48,20 +52,22 @@ type Receiver struct {
 }
 
 // AttachReceiver creates a (not yet joined) receiver agent on host n
-// for channel ch.
-func AttachReceiver(n netsim.ProtoNode, ch addr.Channel, cfg Config) *Receiver {
+// for channel ch, speaking proto on the wire.
+func AttachReceiver(n netsim.ProtoNode, ch addr.Channel, cfg Config, proto packet.Protocol, flagFirst bool) *Receiver {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if !ch.Valid() {
-		panic("core: invalid channel")
+		panic("softstate: invalid channel")
 	}
 	r := &Receiver{
-		cfg:  cfg,
-		node: n,
-		clk:  n.Clock(),
-		ch:   ch,
-		seen: make(map[uint32]bool),
+		cfg:       cfg,
+		node:      n,
+		clk:       n.Clock(),
+		ch:        ch,
+		proto:     proto,
+		flagFirst: flagFirst,
+		seen:      make(map[uint32]bool),
 	}
 	n.AddHandler(r)
 	return r
@@ -73,8 +79,8 @@ func (r *Receiver) Addr() addr.Addr { return r.node.Addr() }
 // Joined reports whether the receiver is currently subscribed.
 func (r *Receiver) Joined() bool { return r.joined }
 
-// Join subscribes: the first join is flagged so no branching router
-// intercepts it, then refresh joins follow every JoinInterval.
+// Join subscribes: an immediate first join, then refresh joins every
+// JoinInterval.
 func (r *Receiver) Join() {
 	if r.joined {
 		return
@@ -106,10 +112,6 @@ func (r *Receiver) Leave() {
 }
 
 func (r *Receiver) sendJoin(first bool) {
-	var flags uint8
-	if first {
-		flags = packet.FlagFirst
-	}
 	// A join is a spontaneous protocol action: it roots a causal
 	// episode, and everything the join triggers downstream (admission,
 	// later tree refreshes of the installed entry, fusion rewrites)
@@ -128,18 +130,7 @@ func (r *Receiver) sendJoin(first bool) {
 		r.node.StampCausal(&ev)
 		o.Emit(ev)
 	}
-	j := &packet.Join{
-		Header: packet.Header{
-			Proto:   packet.ProtoHBH,
-			Type:    packet.TypeJoin,
-			Flags:   flags,
-			Channel: r.ch,
-			Src:     r.node.Addr(),
-			Dst:     r.ch.S,
-		},
-		R: r.node.Addr(),
-	}
-	r.node.SendUnicast(j)
+	SendJoin(r.node, r.proto, r.ch, first && r.flagFirst)
 	r.node.SetCausalContext(prev)
 }
 
@@ -152,7 +143,7 @@ func (r *Receiver) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict
 	}
 	switch m := msg.(type) {
 	case *packet.Tree:
-		if m.Proto != packet.ProtoHBH {
+		if m.Proto != r.proto {
 			return netsim.Continue
 		}
 		r.TreeMsgs++

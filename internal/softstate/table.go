@@ -1,4 +1,4 @@
-package core
+package softstate
 
 import (
 	"fmt"
@@ -12,7 +12,8 @@ import (
 
 // Entry is one row of a Multicast Forwarding Table: a downstream node
 // (a receiver or the next branching router) plus the two-phase soft
-// timer and the marked bit.
+// timer. The mark fields belong to HBH's fusion rules, which live in
+// package core; REUNITE never sets them.
 type Entry struct {
 	// Node is the unicast address this entry forwards to.
 	Node addr.Addr
@@ -30,11 +31,11 @@ type Entry struct {
 	// re-fuses every tree interval; a mark not re-confirmed within T1
 	// has lost its relay (it collapsed to non-branching, crashed, or
 	// silently dropped the member) and lapses at the member's next join
-	// refresh (see markLapsed). Without this, a mark is the one piece
-	// of hard state in the protocol — and a relay whose table entry is
-	// kept alive by other traffic (a border router with local IGMP
-	// members join-refreshes its own address forever) can starve its
-	// former children permanently.
+	// refresh. Without this, a mark is the one piece of hard state in
+	// the protocol — and a relay whose table entry is kept alive by
+	// other traffic (a border router with local IGMP members
+	// join-refreshes its own address forever) can starve its former
+	// children permanently.
 	MarkConfirmed eventsim.Time
 	// Timer is the (t1, t2) soft-state pair. Stale entries forward
 	// data but emit no downstream tree message.
@@ -51,7 +52,8 @@ type Entry struct {
 func (e *Entry) Stale() bool { return e.Timer.Stale() }
 
 // MFT is a Multicast Forwarding Table for one channel: the data-plane
-// state of a branching node. Iteration follows insertion order so
+// state of a branching node. Iteration follows insertion order — join
+// order, which REUNITE's "first receiver" semantics rely on — so
 // simulations are deterministic (Go map iteration is randomised).
 type MFT struct {
 	entries []*Entry
@@ -59,8 +61,8 @@ type MFT struct {
 	// version counts membership mutations (Add/Remove/Destroy). The
 	// shared slice Entries returns is only safe to hold across code
 	// that cannot mutate the table; holders that might interleave with
-	// mutations compare Version before and after (see onData) or
-	// revalidate entries against the live index (see applyFusion).
+	// mutations compare Version before and after (the onData
+	// replication loops) or revalidate entries against the live index.
 	version uint64
 }
 
@@ -75,11 +77,11 @@ func (t *MFT) Len() int { return len(t.entries) }
 // Get returns the entry for node, or nil.
 func (t *MFT) Get(node addr.Addr) *Entry { return t.index[node] }
 
-// Add inserts a new entry with the given timer. Panics on duplicates:
+// Add appends a new entry with the given timer. Panics on duplicates:
 // callers must Get first.
 func (t *MFT) Add(node addr.Addr, timer *clock.SoftTimer) *Entry {
 	if t.index[node] != nil {
-		panic(fmt.Sprintf("core: duplicate MFT entry %v", node))
+		panic(fmt.Sprintf("softstate: duplicate MFT entry %v", node))
 	}
 	e := &Entry{Node: node, Timer: timer}
 	t.entries = append(t.entries, e)
@@ -88,8 +90,8 @@ func (t *MFT) Add(node addr.Addr, timer *clock.SoftTimer) *Entry {
 	return e
 }
 
-// Remove deletes the entry for node, cancelling its timer. Reports
-// whether an entry existed.
+// Remove deletes the entry for node, cancelling its timer; survivors
+// keep their order. Reports whether an entry existed.
 func (t *MFT) Remove(node addr.Addr) bool {
 	e := t.index[node]
 	if e == nil {
@@ -172,3 +174,98 @@ type MCT struct {
 
 // Stale reports whether the t1 phase has expired.
 func (m *MCT) Stale() bool { return m.Timer.Stale() }
+
+// ChangeKind classifies forwarding-state changes for the stability
+// experiment (Fig. 4): the paper argues member departures perturb HBH
+// trees less than REUNITE trees, so both protocols count every
+// mutation in one vocabulary.
+type ChangeKind uint8
+
+const (
+	// ChangeMCTCreate is the installation of control state at a
+	// non-branching router.
+	ChangeMCTCreate ChangeKind = iota
+	// ChangeMCTRemove is the destruction of control state.
+	ChangeMCTRemove
+	// ChangeMFTAdd is a new forwarding entry.
+	ChangeMFTAdd
+	// ChangeMFTRemove is the expiry of a forwarding entry.
+	ChangeMFTRemove
+	// ChangeMFTMark is the marking of an entry by an HBH fusion.
+	ChangeMFTMark
+	// ChangeBecomeBranching is a non-branching -> branching transition.
+	ChangeBecomeBranching
+	// ChangeCollapse is HBH's branching -> non-branching transition.
+	ChangeCollapse
+	// ChangeTableStale is a REUNITE table going stale on a marked tree.
+	ChangeTableStale
+	// ChangeTableDestroy is the destruction of a whole REUNITE MFT.
+	ChangeTableDestroy
+)
+
+func (k ChangeKind) String() string {
+	switch k {
+	case ChangeMCTCreate:
+		return "mct-create"
+	case ChangeMCTRemove:
+		return "mct-remove"
+	case ChangeMFTAdd:
+		return "mft-add"
+	case ChangeMFTRemove:
+		return "mft-remove"
+	case ChangeMFTMark:
+		return "mft-mark"
+	case ChangeBecomeBranching:
+		return "become-branching"
+	case ChangeCollapse:
+		return "collapse"
+	case ChangeTableStale:
+		return "table-stale"
+	case ChangeTableDestroy:
+		return "table-destroy"
+	default:
+		return "change(?)"
+	}
+}
+
+// ChangeObserver receives forwarding-state change notifications.
+type ChangeObserver func(where addr.Addr, ch addr.Channel, kind ChangeKind, node addr.Addr)
+
+// seenDataCap bounds each channel's duplicate-suppression window.
+const seenDataCap = 4096
+
+// Dedup is a replicating node's duplicate-suppression state: per
+// channel, the sequence numbers already replicated here. Two branching
+// nodes on each other's delivery paths (possible while soft state is
+// transiently inconsistent, and under asymmetric routing) would
+// otherwise ping-pong fresh copies forever. The zero value is ready.
+type Dedup map[addr.Channel]map[uint32]bool
+
+// Seen records (ch, seq) and reports whether it was already recorded.
+func (d *Dedup) Seen(ch addr.Channel, seq uint32) bool {
+	if *d == nil {
+		*d = make(Dedup)
+	}
+	m := (*d)[ch]
+	if m == nil {
+		m = make(map[uint32]bool)
+		(*d)[ch] = m
+	}
+	if m[seq] {
+		return true
+	}
+	if len(m) >= seenDataCap {
+		// Reset the window rather than grow without bound; worst case
+		// a very old sequence number is replicated twice.
+		m = make(map[uint32]bool)
+		(*d)[ch] = m
+	}
+	m[seq] = true
+	return false
+}
+
+// Drop forgets ch's window. Routers call it when the channel's last
+// table goes: a window that outlives the channel leaks per dead channel
+// and, worse, makes a router that later re-joins the channel's tree
+// silently swallow re-sent sequence numbers.
+func (d *Dedup) Drop(ch addr.Channel) { delete(*d, ch) }
