@@ -19,9 +19,12 @@ package hbh_test
 // (tree cost), <protocol>-delay is mean receiver delay in time units.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"hbh/internal/addr"
+	"hbh/internal/core"
 	"hbh/internal/eventsim"
 	"hbh/internal/experiment"
 	"hbh/internal/netsim"
@@ -220,5 +223,73 @@ func TestForwardDisabledObsZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled-obs forwarding path allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestReplicateZeroAlloc is the same contract one layer up: a branching
+// router replicating eight ways in steady state, observer off, performs
+// zero heap allocations per packet — none for the copies (each is sent
+// from the engine's one scratch packet and lives in its pooled
+// envelope), the hops, the duplicate-suppression windows or the
+// receivers' logs. The refresh traffic is quiesced for the measurement
+// (receivers leave, the source stops its tree ticker; the tables stay
+// fresh for T1) because join, tree and fusion messages are allocated
+// per send and would drown the figure.
+func TestReplicateZeroAlloc(t *testing.T) {
+	const fanout = 8
+	g := topology.New()
+	r0 := g.AddNode(topology.Router, addr.RouterAddr(0), "R0")
+	var hosts []topology.NodeID
+	for i := 0; i <= fanout; i++ {
+		h := g.AddNode(topology.Host, addr.ReceiverAddr(i), fmt.Sprintf("h%d", i))
+		g.AddLink(h, r0, 1, 1)
+		hosts = append(hosts, h)
+	}
+	sim := eventsim.New()
+	net := netsim.New(sim, g, unicast.Compute(g))
+	cfg := core.DefaultConfig()
+	core.AttachRouter(net.Node(r0), cfg)
+	src := core.AttachSource(net.Node(hosts[0]), addr.GroupAddr(0), cfg)
+	var rcvs []*core.Receiver
+	for _, h := range hosts[1:] {
+		r := core.AttachReceiver(net.Node(h), src.Channel(), cfg)
+		r.Join()
+		rcvs = append(rcvs, r)
+	}
+	if err := sim.Run(15 * cfg.TreeInterval); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rcvs {
+		r.Leave()
+	}
+	src.Stop()
+	const runs = 50 // two time units each, warm-up included well inside T1
+	send := func() {
+		src.SendData(nil)
+		if err := sim.Run(sim.Now() + 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm the pools and grow every receiver's log to its working size.
+	for i := 0; i <= runs; i++ {
+		send()
+	}
+	for _, r := range rcvs {
+		r.ResetDeliveries()
+	}
+	before := net.Stats()
+	allocs := testing.AllocsPerRun(runs, send)
+	d := net.Stats().Delta(before)
+	if want := (runs + 1) * (1 + fanout); d.DataCopies != want {
+		t.Fatalf("%d data transmissions, want %d: one to the router and %d copies from it per packet",
+			d.DataCopies, want, fanout)
+	}
+	for i, r := range rcvs {
+		if len(r.Deliveries) != runs+1 || r.DupCount != 0 {
+			t.Fatalf("receiver %d heard %d packets (%d duplicates), want %d", i, len(r.Deliveries), r.DupCount, runs+1)
+		}
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state replication allocates %.1f allocs per packet, want 0", allocs)
 	}
 }

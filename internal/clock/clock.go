@@ -19,8 +19,8 @@ import "hbh/internal/eventsim"
 // without conversion.
 type Time = eventsim.Time
 
-// Handle identifies a scheduled callback so it can be cancelled.
-// eventsim.Handle satisfies it directly.
+// Handle identifies a scheduled callback so it can be cancelled or
+// re-armed. eventsim.Handle satisfies it directly.
 type Handle interface {
 	// Cancel prevents the callback from firing. Cancelling an
 	// already-fired or already-cancelled callback is a no-op. It
@@ -28,6 +28,11 @@ type Handle interface {
 	Cancel() bool
 	// Pending reports whether the callback is still queued to fire.
 	Pending() bool
+	// Reset re-arms the callback to fire delay units from now, whatever
+	// its state: an arming still pending is replaced, not added to. It
+	// is Cancel followed by After with the same callback, without the
+	// allocations, which is how periodic and refreshed timers re-arm.
+	Reset(delay Time)
 }
 
 // Clock schedules one-shot callbacks. Implementations need not be
@@ -55,13 +60,4 @@ func (c simClock) Now() Time { return c.s.Now() }
 
 func (c simClock) After(delay Time, fn func()) Handle {
 	return c.s.After(delay, fn)
-}
-
-// cancel cancels a handle if one is set. Timer code keeps Handle
-// fields that start out nil (the interface's zero value), mirroring
-// the inert zero eventsim.Handle.
-func cancel(h Handle) {
-	if h != nil {
-		h.Cancel()
-	}
 }

@@ -17,10 +17,10 @@ import (
 // code stays single-threaded per router exactly as under eventsim.
 //
 // The fired/cancelled decision is taken inside the dispatched
-// closure, not when the OS timer pops: a Cancel that the owner
+// closure, not when the OS timer pops: a Cancel or Reset that the owner
 // goroutine executes before the dispatched callback drains wins, even
 // if the underlying time.Timer has already fired. This is what makes
-// Refresh (cancel + re-arm) race-free against a concurrent expiry.
+// Refresh (a Reset) race-free against a concurrent expiry.
 type Real struct {
 	start time.Time
 	unit  time.Duration
@@ -60,32 +60,57 @@ func (r *Real) Now() Time {
 
 // After schedules fn to run delay units from now via the dispatcher.
 func (r *Real) After(delay Time, fn func()) Handle {
-	if delay < 0 {
-		delay = 0
-	}
-	h := &realHandle{}
-	d := time.Duration(float64(delay) * float64(r.unit))
-	h.timer = time.AfterFunc(d, func() {
-		r.exec(func() {
-			h.mu.Lock()
-			if h.cancelled {
-				h.mu.Unlock()
-				return
-			}
-			h.fired = true
-			h.mu.Unlock()
-			fn()
-		})
-	})
+	h := &realHandle{clk: r, fn: fn}
+	h.Reset(delay)
 	return h
 }
 
-// realHandle tracks one scheduled wall-clock callback.
+// realHandle tracks one wall-clock callback through its armings.
 type realHandle struct {
-	mu        sync.Mutex
-	timer     *time.Timer
-	fired     bool
-	cancelled bool
+	clk *Real
+	fn  func()
+
+	mu    sync.Mutex
+	timer *time.Timer
+	// gen is the arming the current timer dispatches for. A dispatch
+	// carrying an older gen belongs to an arming Reset has replaced.
+	gen   uint64
+	armed bool
+}
+
+// Reset re-arms the callback delay units from now. A runtime timer
+// stopped before it fired is reused as it is. Otherwise a dispatch of
+// the old arming may be in flight between the timer goroutine and the
+// owner's mailbox: the new arming gets a fresh timer under the next
+// gen, and the stray dispatch finds its gen stale when it drains.
+func (h *realHandle) Reset(delay Time) {
+	if delay < 0 {
+		delay = 0
+	}
+	d := time.Duration(float64(delay) * float64(h.clk.unit))
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.armed = true
+	if h.timer != nil && h.timer.Stop() {
+		h.timer.Reset(d)
+		return
+	}
+	h.gen++
+	gen := h.gen
+	h.timer = time.AfterFunc(d, func() { h.clk.exec(func() { h.fire(gen) }) })
+}
+
+// fire runs on the dispatcher: the callback runs unless its arming was
+// cancelled or replaced in the meantime.
+func (h *realHandle) fire(gen uint64) {
+	h.mu.Lock()
+	if !h.armed || h.gen != gen {
+		h.mu.Unlock()
+		return
+	}
+	h.armed = false
+	h.mu.Unlock()
+	h.fn()
 }
 
 // Cancel prevents the callback from firing. Reports whether it was
@@ -94,10 +119,10 @@ type realHandle struct {
 func (h *realHandle) Cancel() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.fired || h.cancelled {
+	if !h.armed {
 		return false
 	}
-	h.cancelled = true
+	h.armed = false
 	h.timer.Stop()
 	return true
 }
@@ -106,5 +131,5 @@ func (h *realHandle) Cancel() bool {
 func (h *realHandle) Pending() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return !h.fired && !h.cancelled
+	return h.armed
 }

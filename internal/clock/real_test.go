@@ -102,6 +102,143 @@ func TestRealCancelAfterFire(t *testing.T) {
 	}
 }
 
+// TestRealResetBeatsDispatchedFire is the same window for Reset, which
+// is how SoftTimer.Refresh re-arms: the OS timer has popped and its
+// dispatch is queued when the owner re-arms. The queued dispatch
+// belongs to the old arming and must not run the callback; the new
+// arming must, once.
+func TestRealResetBeatsDispatchedFire(t *testing.T) {
+	g := &gateExec{}
+	r := NewReal(time.Millisecond, g.exec)
+	fired := 0
+	h := r.After(1, func() { fired++ })
+	waitFor(t, "timer dispatch", func() bool { return g.pending() > 0 })
+	h.Reset(1000)
+	g.drain() // the superseded dispatch
+	if fired != 0 {
+		t.Fatal("the replaced arming's dispatch ran the callback, a second early")
+	}
+	if !h.Pending() {
+		t.Error("handle not pending after Reset")
+	}
+	h.Reset(1)
+	waitFor(t, "the new arming's callback", func() bool { g.drain(); return fired > 0 })
+	time.Sleep(5 * time.Millisecond)
+	g.drain()
+	if fired != 1 {
+		t.Fatalf("callback ran %d times, want once", fired)
+	}
+	if h.Pending() {
+		t.Error("handle pending after its callback ran")
+	}
+}
+
+// TestRealResetRearms: Reset brings a fired and a cancelled handle back,
+// and replaces a pending arming instead of adding to it.
+func TestRealResetRearms(t *testing.T) {
+	g := &gateExec{}
+	r := NewReal(time.Millisecond, g.exec)
+	fired := 0
+	h := r.After(1, func() { fired++ })
+	waitFor(t, "first fire", func() bool { g.drain(); return fired == 1 })
+	h.Reset(1)
+	waitFor(t, "fire after re-arming a fired handle", func() bool { g.drain(); return fired == 2 })
+	h.Reset(1000)
+	if !h.Cancel() || h.Pending() {
+		t.Fatal("Cancel of a re-armed handle")
+	}
+	h.Reset(1)
+	waitFor(t, "fire after re-arming a cancelled handle", func() bool { g.drain(); return fired == 3 })
+	h.Reset(1000) // pending, far off
+	h.Reset(1)    // replaced, not added to
+	waitFor(t, "fire of the replacing arming", func() bool { g.drain(); return fired == 4 })
+	time.Sleep(5 * time.Millisecond)
+	g.drain()
+	if fired != 4 || h.Pending() {
+		t.Errorf("fired %d times (pending=%v), want 4 and spent", fired, h.Pending())
+	}
+}
+
+// TestRealResetVsFire hammers one handle from its owner goroutine with
+// Resets timed to land on the expiry, and the odd Cancel, while the
+// runtime's timer goroutines dispatch into the owner's mailbox: run
+// under -race this is the check that the handle's state is only touched
+// under its mutex. Whatever the interleaving, an arming fires at most
+// once, and never after a Cancel the owner has executed.
+func TestRealResetVsFire(t *testing.T) {
+	// The owner's mailbox. It is stopped, not closed: a timer goroutine
+	// may still be on its way to it when the test ends.
+	mbox := make(chan func(), 256) // deep enough that dispatches rarely wait on the owner
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case fn := <-mbox:
+				fn()
+			case <-stop:
+				return
+			}
+		}
+	}()
+	r := NewReal(50*time.Microsecond, func(fn func()) {
+		select {
+		case mbox <- fn:
+		case <-stop:
+		}
+	})
+	do := func(fn func()) {
+		ran := make(chan struct{})
+		mbox <- func() { fn(); close(ran) }
+		<-ran
+	}
+
+	// Owner-goroutine state.
+	var h Handle
+	armed, fires, doubles, ghosts := false, 0, 0, 0
+	do(func() {
+		h = r.After(1, func() {
+			fires++
+			if !armed {
+				ghosts++ // fired with no arming outstanding
+			}
+			armed = false
+		})
+		armed = true
+	})
+	rounds := 2000
+	if testing.Short() {
+		rounds = 300
+	}
+	for i := 0; i < rounds; i++ {
+		switch i % 8 {
+		case 7:
+			do(func() {
+				if h.Cancel() != armed {
+					doubles++
+				}
+				armed = false
+			})
+		default:
+			do(func() { h.Reset(1); armed = true })
+		}
+		if i%3 == 0 {
+			time.Sleep(50 * time.Microsecond) // let this arming reach its expiry
+		}
+	}
+	do(func() { h.Cancel(); armed = false })
+	time.Sleep(5 * time.Millisecond)
+	do(func() {}) // whatever was dispatched meanwhile has drained
+	close(stop)
+	<-done
+	if ghosts != 0 || doubles != 0 {
+		t.Errorf("%d callbacks with no arming outstanding, %d Cancels that disagreed with the owner's view", ghosts, doubles)
+	}
+	if fires == 0 {
+		t.Error("no arming ever fired: the hammer does not reach the race it is for")
+	}
+}
+
 // TestRealSoftTimerRefreshRace drives a SoftTimer on the real clock
 // through the race window: t1 pops, its dispatch is queued, and the
 // owner refreshes before draining. The stale callback must not fire —

@@ -5,7 +5,6 @@ package clock
 // messages every JoinInterval and the source re-multicasts tree
 // messages every TreeInterval.
 type Ticker struct {
-	clk     Clock
 	period  Time
 	fn      func()
 	handle  Handle
@@ -13,26 +12,30 @@ type Ticker struct {
 }
 
 // NewTicker schedules fn every period time units on clk, with the
-// first firing a full period from now. Period must be positive.
+// first firing a full period from now. Period must be positive. Like
+// every use of a Clock it belongs to the clock's owning goroutine (or
+// to the time before that goroutine starts): the callback re-arms
+// through the handle After returns, so it must not be able to run
+// before NewTicker has stored it.
 func NewTicker(clk Clock, period Time, fn func()) *Ticker {
 	if period <= 0 {
 		panic("clock: non-positive ticker period")
 	}
-	t := &Ticker{clk: clk, period: period, fn: fn}
-	t.arm()
+	t := &Ticker{period: period, fn: fn}
+	t.handle = clk.After(period, t.tick)
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.handle = t.clk.After(t.period, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped { // fn may have stopped the ticker
-			t.arm()
-		}
-	})
+// tick is the one callback the ticker's handle carries: every period
+// re-arms the same handle.
+func (t *Ticker) tick() {
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped { // fn may have stopped the ticker
+		t.handle.Reset(t.period)
+	}
 }
 
 // Stop halts the ticker. Stopping twice is a no-op.
@@ -41,7 +44,7 @@ func (t *Ticker) Stop() {
 		return
 	}
 	t.stopped = true
-	cancel(t.handle)
+	t.handle.Cancel()
 }
 
 // Stopped reports whether Stop has been called.
@@ -50,11 +53,12 @@ func (t *Ticker) Stopped() bool { return t.stopped }
 // SoftTimer models the two-phase soft-state timer pair (t1, t2) that
 // HBH and REUNITE attach to every table entry: when t1 expires the
 // entry becomes stale, and when t2 expires the entry is destroyed.
-// Refreshing re-arms both phases.
+// Refreshing re-arms both phases. Only one phase is ever pending, so
+// the pair is one handle re-armed in place: a refresh allocates
+// nothing.
 type SoftTimer struct {
-	clk      Clock
 	t1, t2   Time
-	h1, h2   Handle
+	handle   Handle
 	onStale  func()
 	onExpire func()
 	stale    bool
@@ -66,38 +70,43 @@ type SoftTimer struct {
 // when it has not been refreshed for t1+t2 units. Either callback may
 // be nil. t2 is counted from the moment the entry goes stale,
 // matching the paper ("a second timer, t2, is created and will
-// eventually destroy the entry").
+// eventually destroy the entry"). The same rule as NewTicker: call it
+// on the clock's owning goroutine, where no callback can run before the
+// handle is stored.
 func NewSoftTimer(clk Clock, t1, t2 Time, onStale, onExpire func()) *SoftTimer {
 	if t1 <= 0 || t2 <= 0 {
 		panic("clock: non-positive soft timer phase")
 	}
-	t := &SoftTimer{clk: clk, t1: t1, t2: t2, onStale: onStale, onExpire: onExpire}
-	t.arm()
+	t := &SoftTimer{t1: t1, t2: t2, onStale: onStale, onExpire: onExpire}
+	t.handle = clk.After(t1, t.fire)
 	return t
 }
 
-func (t *SoftTimer) arm() {
-	t.h1 = t.clk.After(t.t1, func() {
-		if t.dead {
-			return
+// fire is the one callback the timer's handle carries: the t1 expiry
+// of a fresh timer, the t2 expiry of a stale one.
+func (t *SoftTimer) fire() {
+	switch {
+	case t.dead:
+	case t.stale:
+		t.dead = true
+		if t.onExpire != nil {
+			t.onExpire()
 		}
-		t.stale = true
-		if t.onStale != nil {
-			t.onStale()
-		}
-		if t.dead { // onStale may have cancelled us
-			return
-		}
-		t.h2 = t.clk.After(t.t2, func() {
-			if t.dead {
-				return
-			}
-			t.dead = true
-			if t.onExpire != nil {
-				t.onExpire()
-			}
-		})
-	})
+	default:
+		t.goStale()
+	}
+}
+
+// goStale enters the stale phase and arms the destroy phase, unless
+// onStale cancelled the timer.
+func (t *SoftTimer) goStale() {
+	t.stale = true
+	if t.onStale != nil {
+		t.onStale()
+	}
+	if !t.dead {
+		t.handle.Reset(t.t2)
+	}
 }
 
 // Refresh restarts the timer pair and clears staleness. Refreshing a
@@ -106,10 +115,8 @@ func (t *SoftTimer) Refresh() bool {
 	if t.dead {
 		return false
 	}
-	cancel(t.h1)
-	cancel(t.h2)
 	t.stale = false
-	t.arm()
+	t.handle.Reset(t.t1)
 	return true
 }
 
@@ -121,23 +128,7 @@ func (t *SoftTimer) ForceStale() {
 	if t.dead || t.stale {
 		return
 	}
-	cancel(t.h1)
-	t.stale = true
-	if t.onStale != nil {
-		t.onStale()
-	}
-	if t.dead {
-		return
-	}
-	t.h2 = t.clk.After(t.t2, func() {
-		if t.dead {
-			return
-		}
-		t.dead = true
-		if t.onExpire != nil {
-			t.onExpire()
-		}
-	})
+	t.goStale()
 }
 
 // RefreshDestroyOnly re-arms only the destroy phase, leaving the entry
@@ -148,16 +139,7 @@ func (t *SoftTimer) RefreshDestroyOnly() bool {
 	if t.dead || !t.stale {
 		return false
 	}
-	cancel(t.h2)
-	t.h2 = t.clk.After(t.t2, func() {
-		if t.dead {
-			return
-		}
-		t.dead = true
-		if t.onExpire != nil {
-			t.onExpire()
-		}
-	})
+	t.handle.Reset(t.t2)
 	return true
 }
 
@@ -171,6 +153,5 @@ func (t *SoftTimer) Dead() bool { return t.dead }
 // Cancel kills the timer without firing onExpire.
 func (t *SoftTimer) Cancel() {
 	t.dead = true
-	cancel(t.h1)
-	cancel(t.h2)
+	t.handle.Cancel()
 }

@@ -207,3 +207,49 @@ func TestTickerTeardownReleasesEvent(t *testing.T) {
 		t.Errorf("sim drained at %v, want 25 (pending tick cancelled)", s.Now())
 	}
 }
+
+// TestSoftTimerRefreshZeroAlloc: under the simulated clock a refresh
+// re-arms the timer's one event in place. It used to cancel and
+// schedule anew, an event and a closure per refresh, and leave the
+// cancelled event queued until its time came.
+func TestSoftTimerRefreshZeroAlloc(t *testing.T) {
+	sim, clk := simTestClock()
+	st := NewSoftTimer(clk, 350, 350, nil, nil)
+	allocs := testing.AllocsPerRun(1000, func() {
+		st.Refresh()
+		st.ForceStale()
+		st.RefreshDestroyOnly()
+		st.Refresh()
+	})
+	if allocs != 0 {
+		t.Errorf("SoftTimer re-arming allocates %.1f allocs/op, want 0", allocs)
+	}
+	if got := sim.Pending(); got != 1 {
+		t.Errorf("%d events pending for one timer, want 1", got)
+	}
+}
+
+// TestTickerZeroAlloc: a tick re-arms the ticker's one event in place.
+func TestTickerZeroAlloc(t *testing.T) {
+	sim, clk := simTestClock()
+	ticks := 0
+	tk := NewTicker(clk, 10, func() { ticks++ })
+	if err := sim.Run(100); err != nil { // warm the simulator
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := sim.Run(sim.Now() + 100); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a ticking Ticker allocates %.1f allocs per ten ticks, want 0", allocs)
+	}
+	if ticks != 10*102 {
+		t.Errorf("ticked %d times, want %d", ticks, 10*102)
+	}
+	tk.Stop()
+	if got := sim.Pending(); got != 0 {
+		t.Errorf("%d events pending after Stop, want 0", got)
+	}
+}

@@ -28,6 +28,9 @@ type chanState struct {
 	hasRegen   bool
 	lastFusion eventsim.Time
 	hasFusion  bool
+	// seen is the channel's window in Router.seen, kept here once looked
+	// up so the data path finds it with the record (softstate.Dedup.Cached).
+	seen *softstate.Window
 }
 
 // Router is the HBH protocol engine resident on a multicast-capable
@@ -41,6 +44,11 @@ type Router struct {
 	seen     softstate.Dedup
 	observer softstate.ChangeObserver
 	leaf     *LeafAgent
+	// replica is the one packet every replicated data copy is sent from
+	// (the transport copies a data packet at send), and matched the
+	// scratch acceptFusion collects into.
+	replica packet.Data
+	matched []*Entry
 }
 
 // setLeaf wires the node's LeafAgent into the data path so channel
@@ -385,7 +393,7 @@ func (r *Router) onFusion(f *packet.Fusion) netsim.Verdict {
 		// stale downstream state; let it time out.
 		return netsim.Consumed
 	}
-	acceptFusion(r.node, st.mft, f,
+	r.matched = acceptFusion(r.node, st.mft, f, r.matched[:0],
 		func(node addr.Addr) *Entry { return r.addMFT(st, f.Channel, node) },
 		func(node addr.Addr) { r.observe(f.Channel, softstate.ChangeMFTMark, node) })
 	return netsim.Consumed
@@ -397,10 +405,11 @@ func (r *Router) onFusion(f *packet.Fusion) netsim.Verdict {
 // (applyFusion); with none, the fusion can still retract: marks
 // pointing at Bp for members Bp no longer lists must lift even though
 // nothing new matched (see retractFusion). addEntry installs a fresh
-// entry in t; markObs reports a newly marked one.
-func acceptFusion(n netsim.ProtoNode, t *MFT, f *packet.Fusion,
-	addEntry func(node addr.Addr) *Entry, markObs func(node addr.Addr)) {
-	var matched []*Entry
+// entry in t; markObs reports a newly marked one. The matched entries
+// are collected into the caller's scratch slice, returned for the next
+// fusion to reuse.
+func acceptFusion(n netsim.ProtoNode, t *MFT, f *packet.Fusion, matched []*Entry,
+	addEntry func(node addr.Addr) *Entry, markObs func(node addr.Addr)) []*Entry {
 	for _, target := range f.Rs {
 		e := t.Get(target)
 		if e == nil || e.Node == f.Bp {
@@ -416,13 +425,14 @@ func acceptFusion(n netsim.ProtoNode, t *MFT, f *packet.Fusion,
 	}
 	if len(matched) == 0 {
 		retractFusion(t, f.Bp, f.Rs, liftObs)
-		return
+		return matched
 	}
 	if n.Observing() && fusionChanges(t, f.Bp, f.Rs, matched) {
 		n.EmitProto(obs.KindFusionAccept, f.Channel, f.Bp, 0,
 			fmt.Sprintf("%d of %d targets handed to relay", len(matched), len(f.Rs)))
 	}
 	applyFusion(t, f.Bp, f.Rs, matched, n.Clock().Now(), addEntry, markObs, liftObs)
+	return matched
 }
 
 // onForwardPath reports whether via lies strictly downstream of node
@@ -521,12 +531,8 @@ func fusionChanges(t *MFT, bp addr.Addr, listed []addr.Addr, matched []*Entry) b
 			return true
 		}
 	}
-	inList := make(map[addr.Addr]bool, len(listed))
-	for _, n := range listed {
-		inList[n] = true
-	}
 	for _, e := range t.Entries() {
-		if e.Marked && e.ServedBy == bp && !inList[e.Node] {
+		if unlisted(e, bp, listed) {
 			return true
 		}
 	}
@@ -546,13 +552,9 @@ func fusionChanges(t *MFT, bp addr.Addr, listed []addr.Addr, matched []*Entry) b
 // fuzzer found exactly that steady state: a member starved forever
 // behind a mark while its joins kept the marked entry alive.)
 func retractFusion(t *MFT, bp addr.Addr, listed []addr.Addr, liftObs func(node addr.Addr)) int {
-	inList := make(map[addr.Addr]bool, len(listed))
-	for _, n := range listed {
-		inList[n] = true
-	}
 	lifted := 0
 	for _, e := range t.Entries() {
-		if e.Marked && e.ServedBy == bp && !inList[e.Node] {
+		if unlisted(e, bp, listed) {
 			e.Marked = false
 			e.ServedBy = addr.Unspecified
 			lifted++
@@ -562,6 +564,22 @@ func retractFusion(t *MFT, bp addr.Addr, listed []addr.Addr, liftObs func(node a
 		}
 	}
 	return lifted
+}
+
+// unlisted reports whether e is marked as served by bp although bp's
+// fusion no longer lists it. The list is scanned, and only for the
+// entries bp serves: a table-sized map per fusion cost more than the
+// few comparisons it saved.
+func unlisted(e *Entry, bp addr.Addr, listed []addr.Addr) bool {
+	if !e.Marked || e.ServedBy != bp {
+		return false
+	}
+	for _, n := range listed {
+		if n == e.Node {
+			return false
+		}
+	}
+	return true
 }
 
 // unmarkServedBy lifts the marks of entries served by a relay that is
@@ -599,7 +617,7 @@ func (r *Router) onData(d *packet.Data) netsim.Verdict {
 		// install no deliver sink).
 		return netsim.Continue
 	}
-	if r.seen.Seen(d.Channel, d.Seq) {
+	if r.window(st, d.Channel).Seen(d.Seq) {
 		return netsim.Consumed
 	}
 	if hasLeaf {
@@ -612,21 +630,32 @@ func (r *Router) onData(d *packet.Data) netsim.Verdict {
 		// future violation of that into a loud failure instead of a
 		// silently skipped or double-served entry.
 		v := st.mft.Version()
+		r.replica = *d
+		r.replica.Src = r.node.Addr()
 		for _, e := range st.mft.Entries() {
 			if e.Marked || e.Node == d.Src {
 				continue
 			}
 			r.node.EmitProto(obs.KindReplicate, d.Channel, e.Node, d.Seq, "")
-			copyMsg := packet.Clone(d).(*packet.Data)
-			copyMsg.Src = r.node.Addr()
-			copyMsg.Dst = e.Node
-			r.node.SendUnicast(copyMsg)
+			r.replica.Dst = e.Node
+			r.node.SendUnicast(&r.replica)
 		}
+		r.replica.Payload = nil
 		if st.mft.Version() != v {
 			panic("core: MFT mutated during onData replication")
 		}
 	}
 	return netsim.Consumed
+}
+
+// window returns ch's duplicate-suppression window: through the
+// channel record when the router holds one (every branching node does),
+// through the per-router map for a leaf-only subscription.
+func (r *Router) window(st *chanState, ch addr.Channel) *softstate.Window {
+	if st == nil {
+		return r.seen.Window(ch)
+	}
+	return r.seen.Cached(&st.seen, ch)
 }
 
 // sendFusion announces this node as a branching candidate to the

@@ -61,10 +61,15 @@ func TestSoakBoundedState(t *testing.T) {
 	if toggles < 300 {
 		t.Fatalf("churn ticker broke: %d toggles", toggles)
 	}
-	// The pending-event population must stay modest (hundreds, not
-	// hundreds of thousands): timers and tickers are bounded by the
-	// live state, and cancelled timers get popped as time advances.
-	if maxPending > 5000 {
+	// Pending counts live events only (a cancelled or re-armed timer
+	// leaves nothing behind in the queue), so the population is the live
+	// state: 19 tickers (17 receivers, the source, the churn), one soft
+	// timer per table entry — a tree over 17 members and 18 routers keeps
+	// each member and each relay in a handful of tables — and the
+	// control packets in flight when an epoch ends. That is tens of
+	// events (71 at most on this seed); 150 leaves room for another seed
+	// and none for a leak, which adds a timer per refresh interval.
+	if maxPending > 150 {
 		t.Errorf("event queue grew to %d pending events (leak?)", maxPending)
 	}
 

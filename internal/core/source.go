@@ -15,8 +15,9 @@ import (
 // get tree messages but no data, and stale entries data but no tree.
 type Source struct {
 	*softstate.Source
-	cfg  Config
-	node netsim.ProtoNode
+	cfg     Config
+	node    netsim.ProtoNode
+	matched []*Entry // acceptFusion's scratch
 }
 
 // AttachSource creates the channel <n.Addr(), group> rooted at host n
@@ -81,7 +82,7 @@ func (s *Source) onFusion(f *packet.Fusion) {
 	if f.Bp == s.node.Addr() {
 		return
 	}
-	acceptFusion(s.node, s.MFT(), f, s.AddEntry,
+	s.matched = acceptFusion(s.node, s.MFT(), f, s.matched[:0], s.AddEntry,
 		func(node addr.Addr) { s.Observe(softstate.ChangeMFTMark, node) })
 }
 

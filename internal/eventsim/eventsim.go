@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is a virtual timestamp in time units. Link costs are integers in
@@ -30,15 +31,13 @@ var ErrStopped = errors.New("eventsim: stopped")
 
 // Event is a scheduled callback. The zero Event is inert.
 type Event struct {
-	at     Time
-	seq    uint64
-	fn     func()
-	call   Caller
-	index  int // heap index, -1 when not queued
-	cancel bool
-	// pooled events (AfterCall) are recycled after firing; they never
-	// escape through a Handle, so recycling cannot confuse a canceller.
-	pooled bool
+	sim *Sim
+	// Exactly one of fn (At, After) and call (AfterCall) is set. An
+	// AfterCall event is recycled after firing: it never escapes through
+	// a Handle, so recycling cannot confuse a canceller.
+	fn    func()
+	call  Caller
+	index int // position in the queue, -1 when not queued
 }
 
 // Caller is a pre-bound event callback: scheduling one costs no closure
@@ -46,96 +45,155 @@ type Event struct {
 // of events fire per simulation sweep.
 type Caller interface{ Fire() }
 
-// Handle identifies a scheduled event so it can be cancelled. A zero
-// Handle is inert and safe to Cancel.
+// Handle identifies a scheduled event so it can be cancelled or
+// re-armed. A zero Handle is inert: safe to Cancel, never Pending.
 type Handle struct{ ev *Event }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op. It reports whether the event was
-// still pending.
+// Cancel removes the event from the queue so it never fires.
+// Cancelling an already-fired or already-cancelled event is a no-op.
+// It reports whether the event was still pending.
 func (h Handle) Cancel() bool {
-	if h.ev == nil || h.ev.cancel || h.ev.index < 0 {
+	if !h.Pending() {
 		return false
 	}
-	h.ev.cancel = true
+	h.ev.sim.queue.remove(h.ev.index)
 	return true
 }
 
 // Pending reports whether the event is still queued to fire.
 func (h Handle) Pending() bool {
-	return h.ev != nil && !h.ev.cancel && h.ev.index >= 0
+	return h.ev != nil && h.ev.index >= 0
 }
 
-// eventQueue is a binary min-heap over (at, seq). The sift routines are
-// hand-rolled rather than going through container/heap: the interface
-// dispatch of Less/Swap dominated whole-sweep CPU profiles (~40%), and
-// because (at, seq) is a unique total order, any correct heap pops
-// events in exactly the same sequence — determinism is unaffected.
-type eventQueue []*Event
-
-// before reports strict heap order between two events.
-func (q eventQueue) before(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// Reset re-arms the event to fire delay time units from now, whether it
+// is pending, fired, cancelled or firing right now. It is Cancel
+// followed by After with the same callback, minus the allocation: the
+// event draws the sequence number After would have drawn, so the firing
+// order of a simulation is the same either way. The zero Handle cannot
+// be Reset.
+func (h Handle) Reset(delay Time) {
+	ev := h.ev
+	s := ev.sim
+	if k := s.key(s.after(delay), ev); ev.index < 0 {
+		s.queue.push(k)
+	} else {
+		s.queue.fix(ev.index, k)
 	}
-	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// slot is one queue element: the event's firing key stored beside its
+// pointer, so ordering two elements never dereferences an Event. The
+// timestamp is held as its IEEE bit pattern, which for the non-negative
+// times a simulation runs through orders exactly as the floats do.
+type slot struct {
+	at  uint64 // timeBits of the firing time
+	seq uint64
+	ev  *Event
 }
 
-// push appends ev and restores the heap property.
-func (q *eventQueue) push(ev *Event) {
-	ev.index = len(*q)
-	*q = append(*q, ev)
-	q.siftUp(ev.index)
+// timeBits maps a timestamp to an integer of the same order. Adding
+// zero turns a negative zero, whose sign bit would sort last, into the
+// positive one it equals.
+func timeBits(t Time) uint64 { return math.Float64bits(float64(t) + 0) }
+
+// time returns the slot's firing time.
+func (a *slot) time() Time { return Time(math.Float64frombits(a.at)) }
+
+// before reports strict firing order.
+func (a *slot) before(b *slot) bool { return a.borrow(b) != 0 }
+
+// borrow is before as 1 or 0: whether (at, seq) of a is the lesser as
+// one 128-bit number, read off the borrow of a - b. Two subtractions
+// and no branch on the data.
+func (a *slot) borrow(b *slot) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(a.at, b.at, borrow)
+	return borrow
 }
 
-// pop removes and returns the minimum event.
-func (q *eventQueue) pop() *Event {
-	old := *q
-	n := len(old) - 1
-	old.swap(0, n)
-	ev := old[n]
-	old[n] = nil
-	ev.index = -1
-	*q = old[:n]
-	if n > 0 {
-		(*q).siftDown(0)
-	}
-	return ev
-}
+// eventQueue is a 4-ary min-heap of slots over (at, seq), holding
+// pending events only: Cancel removes an event through the index it
+// carries rather than leaving a flagged corpse to be popped later, so
+// a soft-state timer refreshed every interval costs the queue one
+// element, not one per refresh. The sift routines are hand-rolled
+// rather than going through container/heap (interface dispatch of
+// Less/Swap dominated whole-sweep CPU profiles) and move a hole instead
+// of swapping. Because (at, seq) is a unique total order, any correct
+// priority queue pops events in exactly the same sequence — the
+// layout is invisible to determinism.
+type eventQueue []slot
 
-func (q eventQueue) siftUp(i int) {
+const arity = 4
+
+// up places k at or above hole i.
+func (h eventQueue) up(i int, k slot) {
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.before(i, parent) {
-			return
+		p := (i - 1) / arity
+		if !k.before(&h[p]) {
+			break
 		}
-		q.swap(i, parent)
-		i = parent
+		h[i] = h[p]
+		h[i].ev.index = i
+		i = p
+	}
+	h[i] = k
+	k.ev.index = i
+}
+
+// down places k at or below hole i.
+func (h eventQueue) down(i int, k slot) {
+	n := len(h)
+	for {
+		c := arity*i + 1
+		if c >= n {
+			break
+		}
+		end := c + arity
+		if end > n {
+			end = n
+		}
+		least := c
+		for j := c + 1; j < end; j++ {
+			// least = j if h[j] is before h[least], by mask: which child
+			// is the least is a coin toss a branch predictor loses.
+			least += (j - least) & -int(h[j].borrow(&h[least]))
+		}
+		if !h[least].before(&k) {
+			break
+		}
+		h[i] = h[least]
+		h[i].ev.index = i
+		i = least
+	}
+	h[i] = k
+	k.ev.index = i
+}
+
+// fix places k at hole i, sifting whichever way restores heap order.
+func (h eventQueue) fix(i int, k slot) {
+	if i > 0 && k.before(&h[(i-1)/arity]) {
+		h.up(i, k)
+	} else {
+		h.down(i, k)
 	}
 }
 
-func (q eventQueue) siftDown(i int) {
-	n := len(q)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		least := l
-		if r := l + 1; r < n && q.before(r, l) {
-			least = r
-		}
-		if !q.before(least, i) {
-			return
-		}
-		q.swap(i, least)
-		i = least
+// push adds k.
+func (q *eventQueue) push(k slot) {
+	*q = append(*q, slot{})
+	q.up(len(*q)-1, k)
+}
+
+// remove deletes the element at i, refilling the hole with the last.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	n := len(h) - 1
+	last := h[n]
+	h[i].ev.index = -1
+	h[n] = slot{}
+	*q = h[:n]
+	if i < n {
+		h[:n].fix(i, last)
 	}
 }
 
@@ -169,30 +227,44 @@ func (s *Sim) Now() Time { return s.now }
 // convergence diagnostics and test assertions.
 func (s *Sim) Fired() uint64 { return s.fired }
 
-// Pending returns the number of events still queued.
+// Pending returns the number of events queued to fire. Cancelled
+// events are not among them: Cancel takes an event out of the queue.
 func (s *Sim) Pending() int { return len(s.queue) }
 
 // At schedules fn to run at absolute time at. Scheduling in the past
 // panics: that is always a protocol bug, never a recoverable condition.
 func (s *Sim) At(at Time, fn func()) Handle {
-	if at < s.now {
+	if !(at >= s.now) { // so written to refuse a NaN too: it has no place in the order
 		panic(fmt.Sprintf("eventsim: scheduling at %v before now %v", at, s.now))
 	}
 	if fn == nil {
 		panic("eventsim: nil event func")
 	}
-	ev := &Event{at: at, seq: s.seq, fn: fn, index: -1}
-	s.seq++
-	s.queue.push(ev)
+	ev := &Event{sim: s, fn: fn}
+	s.queue.push(s.key(at, ev))
 	return Handle{ev: ev}
+}
+
+// after returns the time delay units from now; a negative delay (or a
+// NaN) panics.
+func (s *Sim) after(delay Time) Time {
+	if !(delay >= 0) {
+		panic(fmt.Sprintf("eventsim: negative delay %v", delay))
+	}
+	return s.now + delay
+}
+
+// key draws the next sequence number for ev firing at at. This is the
+// only place one is drawn: once per At, After, AfterCall and Reset.
+func (s *Sim) key(at Time, ev *Event) slot {
+	k := slot{at: timeBits(at), seq: s.seq, ev: ev}
+	s.seq++
+	return k
 }
 
 // After schedules fn to run delay time units from now.
 func (s *Sim) After(delay Time, fn func()) Handle {
-	if delay < 0 {
-		panic(fmt.Sprintf("eventsim: negative delay %v", delay))
-	}
-	return s.At(s.now+delay, fn)
+	return s.At(s.after(delay), fn)
 }
 
 // AfterCall schedules c.Fire to run delay time units from now. Unlike
@@ -201,9 +273,7 @@ func (s *Sim) After(delay Time, fn func()) Handle {
 // scheduling — the packet-per-hop pattern — is allocation-free in
 // steady state.
 func (s *Sim) AfterCall(delay Time, c Caller) {
-	if delay < 0 {
-		panic(fmt.Sprintf("eventsim: negative delay %v", delay))
-	}
+	at := s.after(delay)
 	if c == nil {
 		panic("eventsim: nil Caller")
 	}
@@ -212,13 +282,11 @@ func (s *Sim) AfterCall(delay Time, c Caller) {
 		ev = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		*ev = Event{}
 	} else {
-		ev = &Event{}
+		ev = &Event{sim: s}
 	}
-	ev.at, ev.seq, ev.call, ev.index, ev.pooled = s.now+delay, s.seq, c, -1, true
-	s.seq++
-	s.queue.push(ev)
+	ev.call = c
+	s.queue.push(s.key(at, ev))
 }
 
 // Stop halts Run after the currently executing event returns.
@@ -243,26 +311,19 @@ func (s *Sim) Run(horizon Time) error {
 			return ErrStopped
 		}
 		next := s.queue[0]
-		if next.at > horizon {
+		if next.time() > horizon {
 			s.now = horizon
 			return nil
 		}
-		s.queue.pop()
-		if next.cancel {
-			if next.pooled {
-				s.recycle(next)
-			}
-			continue
-		}
-		s.now = next.at
+		s.queue.remove(0)
+		s.now = next.time()
 		s.fired++
-		if next.fn != nil {
-			next.fn()
+		if ev := next.ev; ev.fn != nil {
+			ev.fn()
 		} else {
-			next.call.Fire()
-		}
-		if next.pooled {
-			s.recycle(next)
+			ev.call.Fire()
+			ev.call = nil
+			s.free = append(s.free, ev)
 		}
 		if s.afterEvent != nil {
 			s.afterEvent()
@@ -275,14 +336,6 @@ func (s *Sim) Run(horizon Time) error {
 		s.now = horizon
 	}
 	return nil
-}
-
-// recycle returns a fired pooled event to the freelist. The caller
-// guarantees the event is no longer queued and no Handle was ever
-// issued for it.
-func (s *Sim) recycle(ev *Event) {
-	ev.call = nil
-	s.free = append(s.free, ev)
 }
 
 // RunAll executes events until the queue drains, with no horizon.

@@ -175,7 +175,10 @@ func (nd *Node) sendUnicast(msg packet.Message) {
 		return
 	}
 	if dst == nd.id {
-		// Local: re-process in a fresh dispatch for causal order.
+		// Local: re-process in a fresh dispatch for causal order. The
+		// dispatch outlives this call and the sender may reuse msg once
+		// it returns (every other path marshals before returning).
+		msg = packet.Clone(msg)
 		nd.clk.After(0, func() { rt.arrive(nd, fm, msg) })
 		return
 	}

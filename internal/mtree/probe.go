@@ -122,17 +122,20 @@ func Probe(net *netsim.Network, send func() uint32, members []Member) *Result {
 		seq  uint32
 	}
 	copies := make(map[rec]int)
-	net.AddTap(func(from, to topology.NodeID, msg packet.Message) {
+	start := sim.Now()
+	// The tap lives as long as the probe: a session probed again and
+	// again must not pay for every earlier probe's tap on every later
+	// transmission.
+	net.WithTap(func(from, to topology.NodeID, msg packet.Message) {
 		if d, ok := msg.(*packet.Data); ok {
 			copies[rec{link: Link{From: from, To: to}, seq: d.Seq}]++
 		}
+	}, func() {
+		res.Seq = send()
+		if err := sim.Run(start + settleTime); err != nil {
+			panic(fmt.Sprintf("mtree: probe run: %v", err))
+		}
 	})
-
-	start := sim.Now()
-	res.Seq = send()
-	if err := sim.Run(start + settleTime); err != nil {
-		panic(fmt.Sprintf("mtree: probe run: %v", err))
-	}
 
 	total := 0
 	for rc, c := range copies {

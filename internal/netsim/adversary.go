@@ -132,7 +132,7 @@ func (n *Network) duplicate(from, to topology.NodeID, env *envelope, delay event
 	if err != nil {
 		panic(fmt.Sprintf("netsim: adversary dup unmarshal on %d->%d: %v", from, to, err))
 	}
-	d := n.newEnvelope(msg)
+	d := n.newEnvelope(msg, env.dst)
 	d.hops = env.hops
 	d.cause = env.cause
 	d.to = to

@@ -47,6 +47,13 @@ const (
 // Handler is a protocol entity resident on a node. Handle is invoked
 // for every packet arriving at the node, whether addressed to it or
 // transiting through it.
+//
+// msg is valid only for the duration of the call: the network reuses
+// its storage once the packet's life ends, so whatever keeps a message
+// longer keeps a packet.Clone of it. The same holds for DeliverFunc,
+// Tap and DeliveryTap. A handler that lets a packet Continue may
+// rewrite it in place (a tree's Src changes at every regenerating hop)
+// but not its Dst: the route was resolved when the packet was sent.
 type Handler interface {
 	Handle(n ProtoNode, msg packet.Message) Verdict
 }
@@ -59,18 +66,21 @@ func (f HandlerFunc) Handle(n ProtoNode, msg packet.Message) Verdict { return f(
 
 // DeliverFunc receives packets locally delivered at a node (packets
 // whose unicast destination is this node and that no handler consumed).
+// msg is valid only for the duration of the call (see Handler).
 type DeliverFunc func(n ProtoNode, msg packet.Message)
 
 // Tap observes every link transmission. from and to are adjacent
-// nodes; msg is the packet as transmitted. Taps must not mutate msg.
+// nodes; msg is the packet as transmitted. Taps must not mutate msg,
+// which is valid only for the duration of the call (see Handler).
 type Tap func(from, to topology.NodeID, msg packet.Message)
 
 // DeliveryTap observes every packet that terminates at a node: either
 // consumed by a protocol handler (consumed=true — the receiver-agent
 // path both multicast protocols use) or locally delivered to the node's
 // destination-address sink (consumed=false). Drops are not reported.
-// Taps must not mutate msg. The invariant checker counts per-sequence
-// data arrivals through this hook.
+// Taps must not mutate msg, which is valid only for the duration of the
+// call (see Handler). The invariant checker counts per-sequence data
+// arrivals through this hook.
 type DeliveryTap func(at topology.NodeID, msg packet.Message, consumed bool)
 
 // Stats aggregates transport-level counters for one Network.
@@ -251,8 +261,18 @@ func (n *Network) Stats() Stats { return n.stats }
 // the convergence phase and the measurement probe.
 func (n *Network) ResetStats() { n.stats = Stats{} }
 
-// AddTap registers a link observer.
+// AddTap registers a link observer for the life of the network.
 func (n *Network) AddTap(t Tap) { n.taps = append(n.taps, t) }
+
+// WithTap runs fn with t registered as a link observer and removes it
+// again, so a measurement that is repeated (a probe) does not leave one
+// more tap behind every time for all later traffic to pay.
+func (n *Network) WithTap(t Tap, fn func()) {
+	i := len(n.taps)
+	n.taps = append(n.taps, t)
+	fn()
+	n.taps = append(n.taps[:i], n.taps[i+1:]...)
+}
 
 // AddDeliveryTap registers a packet-termination observer.
 func (n *Network) AddDeliveryTap(t DeliveryTap) { n.delTaps = append(n.delTaps, t) }
@@ -518,10 +538,19 @@ func (nd *Node) SetDeliver(d DeliverFunc) { nd.deliver = d }
 // envelopes themselves recycle through Network.freeEnv, so steady-state
 // forwarding allocates nothing at all.
 type envelope struct {
-	msg  packet.Message
+	msg packet.Message
+	// data is the storage of a data packet in flight: a sent
+	// *packet.Data is copied here and msg points at the copy, so the
+	// packet lives and dies with its envelope and a replicating engine
+	// sends every copy from one scratch value instead of allocating
+	// each. Control messages travel in the value the sender built.
+	data packet.Data
 	hops int
 	net  *Network
 	to   topology.NodeID // arrival node of the in-flight transmission
+	// dst is the node owning the packet's unicast destination address,
+	// resolved once at send; topology.None when no node owns it.
+	dst topology.NodeID
 	// cause is the packet's causal pair: the episode it belongs to and
 	// the step of its most recent transport event (send or last hop).
 	// In-band simulator metadata only — the wire format is untouched.
@@ -538,28 +567,36 @@ func (e *envelope) Fire() {
 	n.cur = obs.Causal{}
 }
 
-// newEnvelope takes an envelope from the freelist (or allocates one)
-// and arms it with a full hop budget.
-func (n *Network) newEnvelope(msg packet.Message) *envelope {
+// newEnvelope takes an envelope from the freelist (or allocates one),
+// loads msg bound for node dst and arms it with a full hop budget.
+func (n *Network) newEnvelope(msg packet.Message, dst topology.NodeID) *envelope {
+	var env *envelope
 	if k := len(n.freeEnv); k > 0 {
-		env := n.freeEnv[k-1]
+		env = n.freeEnv[k-1]
 		n.freeEnv = n.freeEnv[:k-1]
-		env.msg = msg
-		env.hops = n.hopLimit
 		env.to = 0
 		env.cause = obs.Causal{}
-		return env
+	} else {
+		env = &envelope{net: n}
 	}
-	return &envelope{msg: msg, hops: n.hopLimit, net: n}
+	if d, ok := msg.(*packet.Data); ok {
+		env.data = *d
+		msg = &env.data
+	}
+	env.msg = msg
+	env.dst = dst
+	env.hops = n.hopLimit
+	return env
 }
 
 // recycle returns an envelope whose packet's life ended (dropped,
-// consumed, delivered). The message reference is cleared so the
-// freelist never pins packets; each envelope is referenced from
+// consumed, delivered). The message and payload references are cleared
+// so the freelist never pins packets; each envelope is referenced from
 // exactly one place at a time, so every terminal branch recycles
 // exactly once.
 func (n *Network) recycle(env *envelope) {
 	env.msg = nil
+	env.data.Payload = nil
 	n.freeEnv = append(n.freeEnv, env)
 }
 
@@ -612,7 +649,7 @@ func (nd *Node) sendUnicast(msg packet.Message) {
 		}
 		return
 	}
-	env := nd.net.newEnvelope(msg)
+	env := nd.net.newEnvelope(msg, dst)
 	if sendStep != 0 {
 		env.cause = obs.Causal{Episode: nd.net.cur.Episode, Step: sendStep}
 	}
@@ -656,18 +693,26 @@ func (nd *Node) sendDirect(to topology.NodeID, msg packet.Message) {
 	if nd.net.obsv != nil {
 		sendStep = nd.net.emitMsg(obs.KindSendDirect, obs.CauseNone, nd, nd.net.nodes[to], msg)
 	}
-	env := nd.net.newEnvelope(msg)
+	dst, ok := nd.net.topo.ByAddr(msg.Hdr().Dst)
+	if !ok {
+		dst = topology.None // native multicast, or nobody's address
+	}
+	env := nd.net.newEnvelope(msg, dst)
 	if sendStep != 0 {
 		env.cause = obs.Causal{Episode: nd.net.cur.Episode, Step: sendStep}
 	}
 	nd.net.transmit(nd.id, to, env)
 }
 
-// forward routes env one hop closer to its destination address.
+// forward routes env one hop closer to its destination: one routing
+// query, whose topology.None answer (from is never the destination
+// here) means unreachable.
 func (n *Network) forward(from topology.NodeID, env *envelope) {
-	h := env.msg.Hdr()
-	dst, ok := n.topo.ByAddr(h.Dst)
-	if !ok || !n.routing.Reachable(from, dst) {
+	next := topology.None
+	if env.dst != topology.None {
+		next = n.routing.NextHop(from, env.dst)
+	}
+	if next == topology.None {
 		n.stats.NoRouteDrops++
 		n.dropData(env.msg)
 		if n.obsv != nil {
@@ -676,7 +721,6 @@ func (n *Network) forward(from topology.NodeID, env *envelope) {
 		n.recycle(env)
 		return
 	}
-	next := n.routing.NextHop(from, dst)
 	n.transmit(from, next, env)
 }
 

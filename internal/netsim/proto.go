@@ -41,10 +41,14 @@ type ProtoNode interface {
 	// SetDeliver installs the local delivery sink.
 	SetDeliver(d DeliverFunc)
 
-	// SendUnicast originates a packet from this node toward msg.Dst.
+	// SendUnicast originates a packet from this node toward msg.Dst. A
+	// *packet.Data is copied before the call returns, so a replicating
+	// engine sends every copy from one value it rewrites in between; any
+	// other message belongs to the transport from here on.
 	SendUnicast(msg packet.Message)
 	// SendDirect pushes a packet one hop to an adjacent node,
-	// bypassing unicast routing (the leaf LAN hop).
+	// bypassing unicast routing (the leaf LAN hop). msg is taken as by
+	// SendUnicast.
 	SendDirect(to topology.NodeID, msg packet.Message)
 
 	// Observer returns the observability pipeline sink, or nil.

@@ -22,6 +22,9 @@ type chanState struct {
 	// bound.
 	lastRegen eventsim.Time
 	hasRegen  bool
+	// seen is the channel's window in Router.seen, kept here once looked
+	// up so the data path finds it with the record (softstate.Dedup.Cached).
+	seen *softstate.Window
 }
 
 // Router is the REUNITE protocol engine resident on a multicast-capable
@@ -33,6 +36,9 @@ type Router struct {
 	chans    map[addr.Channel]*chanState
 	seen     softstate.Dedup
 	observer softstate.ChangeObserver
+	// replica is the one packet every replicated data copy is sent from
+	// (the transport copies a data packet at send).
+	replica packet.Data
 }
 
 // SetObserver installs the state-change observer (nil clears it).
@@ -339,20 +345,21 @@ func (r *Router) onData(d *packet.Data) netsim.Verdict {
 	if dst == nil || dst.Node != d.Dst {
 		return netsim.Continue
 	}
-	if r.seen.Seen(d.Channel, d.Seq) {
+	if r.seen.Cached(&st.seen, d.Channel).Seen(d.Seq) {
 		return netsim.Continue
 	}
 	// The loop ranges over the table's live backing slice; sends are
 	// deferred events, so nothing may mutate the table under it. The
 	// version guard makes any future violation loud (see core's onData).
 	v := st.mft.Version()
+	r.replica = *d
+	r.replica.Src = r.node.Addr()
 	for _, e := range st.mft.Entries()[1:] {
 		r.node.EmitProto(obs.KindReplicate, d.Channel, e.Node, d.Seq, "")
-		copyMsg := packet.Clone(d).(*packet.Data)
-		copyMsg.Src = r.node.Addr()
-		copyMsg.Dst = e.Node
-		r.node.SendUnicast(copyMsg)
+		r.replica.Dst = e.Node
+		r.node.SendUnicast(&r.replica)
 	}
+	r.replica.Payload = nil
 	if st.mft.Version() != v {
 		panic("reunite: MFT mutated during onData replication")
 	}

@@ -34,11 +34,11 @@ type Receiver struct {
 	joined    bool
 
 	// Deliveries lists data arrivals in order. DupCount counts
-	// duplicate sequence numbers, which a converged HBH tree must not
-	// produce.
+	// duplicate sequence numbers (within the last Window's span), which
+	// a converged HBH tree must not produce.
 	Deliveries []Delivery
 	DupCount   int
-	seen       map[uint32]bool
+	seen       Window
 	// TreeMsgs counts tree refreshes addressed to this receiver.
 	TreeMsgs int
 
@@ -67,7 +67,6 @@ func AttachReceiver(n netsim.ProtoNode, ch addr.Channel, cfg Config, proto packe
 		ch:        ch,
 		proto:     proto,
 		flagFirst: flagFirst,
-		seen:      make(map[uint32]bool),
 	}
 	n.AddHandler(r)
 	return r
@@ -150,10 +149,9 @@ func (r *Receiver) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict
 		return netsim.Consumed
 	case *packet.Data:
 		d := Delivery{Seq: m.Seq, At: r.clk.Now()}
-		if r.seen[m.Seq] {
+		if r.seen.Seen(m.Seq) {
 			r.DupCount++
 		}
-		r.seen[m.Seq] = true
 		r.Deliveries = append(r.Deliveries, d)
 		if r.joinSpan != 0 {
 			// First data delivery: the joining phase of the lifecycle
@@ -196,8 +194,10 @@ func (r *Receiver) DeliveryCount(seq uint32) int {
 }
 
 // ResetDeliveries clears the delivery log between measurement probes.
+// The log keeps its capacity: Deliveries read before the reset is
+// overwritten by the arrivals after it.
 func (r *Receiver) ResetDeliveries() {
-	r.Deliveries = nil
+	r.Deliveries = r.Deliveries[:0]
 	r.DupCount = 0
-	r.seen = make(map[uint32]bool)
+	r.seen = Window{}
 }

@@ -1,6 +1,7 @@
 package softstate
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -312,45 +313,80 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestDedupWindow: a sequence number is fresh once per channel, the
-// window resets at its cap instead of growing, and Drop forgets a
-// channel so a node re-joining its tree does not swallow replays.
+// TestDedupWindow: a sequence number is fresh once, a repeat is
+// detected for as long as it is within seenDataCap of the newest number
+// — however many distinct numbers came in between, the case a window
+// discarded whole at the cap forgot — one further behind reads as
+// fresh, the arithmetic survives the uint32 wrap, and windows are per
+// channel until dropped.
 func TestDedupWindow(t *testing.T) {
+	var w Window
+	if w.Seen(0) {
+		t.Fatal("fresh window reports seq 0 seen")
+	}
+	if !w.Seen(0) {
+		t.Fatal("repeat not detected")
+	}
+	// Far more than seenDataCap distinct later numbers, each fresh, each
+	// followed by a repeat of one a window's span behind it.
+	for seq := uint32(1); seq < 3*seenDataCap; seq++ {
+		if w.Seen(seq) {
+			t.Fatalf("seq %d reported seen on first arrival", seq)
+		}
+		if seq >= seenDataCap-1 && !w.Seen(seq-(seenDataCap-1)) {
+			t.Fatalf("at seq %d: seq %d, %d behind, forgotten", seq, seq-(seenDataCap-1), seenDataCap-1)
+		}
+	}
+	top := uint32(3*seenDataCap - 1)
+	if w.Seen(top-seenDataCap) || w.Seen(top-seenDataCap) {
+		t.Errorf("seq %d behind the newest remembered: beyond the window it must read as fresh every time", seenDataCap)
+	}
+	if !w.Seen(top) {
+		t.Error("an arrival behind the window disturbed it")
+	}
+	// A gap inside the span keeps what is still in range, a jump of a
+	// whole span keeps nothing.
+	if w.Seen(top+100) || !w.Seen(top) || w.Seen(top+50) {
+		t.Error("window slid over a gap wrongly")
+	}
+	if w.Seen(top+100+seenDataCap) || w.Seen(top+101) || !w.Seen(top+101) {
+		t.Error("window jumped a whole span wrongly")
+	}
+
+	// The wrap: numbers either side of math.MaxUint32 are neighbours.
+	w = Window{}
+	for seq := uint32(math.MaxUint32 - 5); seq != 6; seq++ {
+		if w.Seen(seq) {
+			t.Fatalf("seq %d reported seen on first arrival across the wrap", seq)
+		}
+	}
+	for seq := uint32(math.MaxUint32 - 5); seq != 6; seq++ {
+		if !w.Seen(seq) {
+			t.Fatalf("seq %d forgotten across the wrap", seq)
+		}
+	}
+	if w.Seen(6) || !w.Seen(math.MaxUint32) {
+		t.Error("window lost its place after the wrap")
+	}
+
 	chA := addr.Channel{S: addr.MustParse("10.9.0.1"), G: addr.GroupAddr(0)}
 	chB := addr.Channel{S: addr.MustParse("10.9.0.1"), G: addr.GroupAddr(1)}
 	var d Dedup
 	d.Drop(chA) // the zero value has nothing to drop
-	if d.Seen(chA, 0) {
-		t.Fatal("fresh window reports seq 0 seen")
+	if d.Window(chA).Seen(7) || !d.Window(chA).Seen(7) {
+		t.Fatal("a channel's window does not persist between lookups")
 	}
-	if !d.Seen(chA, 0) {
-		t.Fatal("repeat not detected")
-	}
-	if d.Seen(chB, 0) {
+	if d.Window(chB).Seen(7) {
 		t.Fatal("windows leak across channels")
-	}
-	for seq := uint32(1); seq < seenDataCap; seq++ {
-		if d.Seen(chA, seq) {
-			t.Fatalf("seq %d reported seen while filling", seq)
-		}
-	}
-	if len(d[chA]) != seenDataCap || !d.Seen(chA, 0) {
-		t.Fatalf("window holds %d of %d before the cap, seq 0 forgotten early", len(d[chA]), seenDataCap)
-	}
-	if d.Seen(chA, seenDataCap) {
-		t.Fatal("first seq past the cap reported seen")
-	}
-	if len(d[chA]) != 1 || d.Seen(chA, 0) {
-		t.Errorf("window not reset at the cap: %d entries", len(d[chA]))
 	}
 	d.Drop(chA)
 	if _, held := d[chA]; held {
 		t.Error("Drop left the channel's window behind")
 	}
-	if d.Seen(chA, seenDataCap) {
+	if d.Window(chA).Seen(7) {
 		t.Error("dropped window still suppresses a replay")
 	}
-	if !d.Seen(chB, 0) {
+	if !d.Window(chB).Seen(7) {
 		t.Error("Drop touched another channel's window")
 	}
 }

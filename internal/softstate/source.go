@@ -41,6 +41,9 @@ type Source struct {
 	observer ChangeObserver
 	nextSeq  uint32
 	rules    SourceRules
+	// data is the one packet every copy of a SendData is sent from (the
+	// transport copies a data packet at send).
+	data packet.Data
 }
 
 // AttachSource creates the channel <n.Addr(), group> rooted at host n,
@@ -118,24 +121,27 @@ func (s *Source) SendData(payload []byte) uint32 {
 	// One causal episode per originated packet: every replica cascade
 	// downstream attributes to this origination.
 	prev := s.node.RootEpisode()
+	s.data = packet.Data{
+		Header: packet.Header{
+			Proto:   packet.ProtoNone,
+			Type:    packet.TypeData,
+			Channel: s.ch,
+			Src:     s.node.Addr(),
+		},
+		Seq: seq,
+		// The copies in flight share one private copy of the caller's
+		// buffer; nothing downstream writes to a payload.
+		Payload: append([]byte(nil), payload...),
+	}
 	for _, e := range s.mft.Entries() {
 		if s.rules.Skip != nil && s.rules.Skip(e) {
 			continue
 		}
 		s.node.EmitProto(obs.KindReplicate, s.ch, e.Node, seq, "source copy")
-		d := &packet.Data{
-			Header: packet.Header{
-				Proto:   packet.ProtoNone,
-				Type:    packet.TypeData,
-				Channel: s.ch,
-				Src:     s.node.Addr(),
-				Dst:     e.Node,
-			},
-			Seq:     seq,
-			Payload: append([]byte(nil), payload...),
-		}
-		s.node.SendUnicast(d)
+		s.data.Dst = e.Node
+		s.node.SendUnicast(&s.data)
 	}
+	s.data.Payload = nil
 	s.node.SetCausalContext(prev)
 	return seq
 }

@@ -231,37 +231,76 @@ func (k ChangeKind) String() string {
 // ChangeObserver receives forwarding-state change notifications.
 type ChangeObserver func(where addr.Addr, ch addr.Channel, kind ChangeKind, node addr.Addr)
 
-// seenDataCap bounds each channel's duplicate-suppression window.
+// seenDataCap is the span of a duplicate-suppression window in
+// sequence numbers.
 const seenDataCap = 4096
 
-// Dedup is a replicating node's duplicate-suppression state: per
-// channel, the sequence numbers already replicated here. Two branching
-// nodes on each other's delivery paths (possible while soft state is
-// transiently inconsistent, and under asymmetric routing) would
-// otherwise ping-pong fresh copies forever. The zero value is ready.
-type Dedup map[addr.Channel]map[uint32]bool
+// Window is a sliding duplicate-suppression window over one stream of
+// sequence numbers: a bitmap of the seenDataCap numbers ending at the
+// highest recorded so far. It never grows, and it slides rather than
+// being discarded when full, so a number within seenDataCap of the
+// newest is never forgotten; one further behind than that is too old to
+// remember: it reads as fresh and is not recorded. Distances are
+// serial-number arithmetic, so the stream may wrap uint32. The zero
+// value is an empty window.
+type Window struct {
+	bits  [seenDataCap / 64]uint64 // bit seq%seenDataCap, for seq in (top-seenDataCap, top]
+	top   uint32
+	begun bool
+}
 
-// Seen records (ch, seq) and reports whether it was already recorded.
-func (d *Dedup) Seen(ch addr.Channel, seq uint32) bool {
+// Seen records seq and reports whether it was already recorded.
+func (w *Window) Seen(seq uint32) bool {
+	word, bit := &w.bits[seq%seenDataCap/64], uint64(1)<<(seq%64)
+	switch ahead := int32(seq - w.top); {
+	case !w.begun || ahead >= seenDataCap:
+		*w = Window{top: seq, begun: true}
+	case ahead > 0:
+		// Slide: the numbers entering the window take over the bits of
+		// the ones leaving it.
+		for s := w.top + 1; s != seq+1; s++ {
+			w.bits[s%seenDataCap/64] &^= 1 << (s % 64)
+		}
+		w.top = seq
+	case w.top-seq >= seenDataCap:
+		return false
+	}
+	seen := *word&bit != 0
+	*word |= bit
+	return seen
+}
+
+// Dedup is a replicating node's duplicate-suppression state: one
+// Window per channel it replicates. Two branching nodes on each other's
+// delivery paths (possible while soft state is transiently
+// inconsistent, and under asymmetric routing) would otherwise ping-pong
+// fresh copies forever. The zero value is ready.
+type Dedup map[addr.Channel]*Window
+
+// Window returns ch's window, creating it on first use.
+func (d *Dedup) Window(ch addr.Channel) *Window {
 	if *d == nil {
 		*d = make(Dedup)
 	}
-	m := (*d)[ch]
-	if m == nil {
-		m = make(map[uint32]bool)
-		(*d)[ch] = m
+	w := (*d)[ch]
+	if w == nil {
+		w = &Window{}
+		(*d)[ch] = w
 	}
-	if m[seq] {
-		return true
+	return w
+}
+
+// Cached is Window through slot, the pointer a router keeps in the
+// channel record it looks up for every data packet anyway: filled from
+// the map on first use, it answers from then on, so a data arrival
+// costs one map lookup, not one more here. The map stays the owner
+// (Drop, the teardown audit): whoever drops the channel must discard
+// the record holding slot with it.
+func (d *Dedup) Cached(slot **Window, ch addr.Channel) *Window {
+	if *slot == nil {
+		*slot = d.Window(ch)
 	}
-	if len(m) >= seenDataCap {
-		// Reset the window rather than grow without bound; worst case
-		// a very old sequence number is replicated twice.
-		m = make(map[uint32]bool)
-		(*d)[ch] = m
-	}
-	m[seq] = true
-	return false
+	return *slot
 }
 
 // Drop forgets ch's window. Routers call it when the channel's last

@@ -68,13 +68,16 @@ type Lazy struct {
 	g          *topology.Graph
 	maxSources int
 
-	// mu guards rows, free and scratch. A row's next/dist slices are
-	// only dereferenced while holding mu (either mode): dropped rows
+	// mu guards rows, cached, free and scratch. A row's next/dist slices
+	// are only dereferenced while holding mu (either mode): dropped rows
 	// are recycled through free, and recycling happens under the write
 	// lock, so a reader inside the lock can never observe a row being
 	// recomputed in place.
-	mu      sync.RWMutex
-	rows    map[topology.NodeID]*lazyRow
+	mu sync.RWMutex
+	// rows holds the cached row of every source, indexed by NodeID (nil
+	// when not resident): a hit is a slice load, not a map lookup.
+	rows   []*lazyRow
+	cached int // non-nil rows
 	// free recycles evicted/invalidated row storage so steady-state
 	// cache churn allocates nothing.
 	free    []*lazyRow
@@ -112,50 +115,40 @@ func NewLazy(g *topology.Graph, opts LazyOptions) *Lazy {
 	return &Lazy{
 		g:          g,
 		maxSources: max,
-		rows:       make(map[topology.NodeID]*lazyRow, max),
+		rows:       make([]*lazyRow, n),
 		scratch:    newSPTScratch(n),
 	}
 }
 
-// query answers one element read from s's row: the fast path touches
-// the cached row under the read lock; a miss escalates to the write
-// lock, re-checks (another goroutine may have filled the row in the
-// window between the locks), and computes. The element is read inside
-// whichever lock is held, so the row cannot be recycled under it.
-func (l *Lazy) query(s topology.NodeID, read func(*lazyRow) int) int {
-	l.mu.RLock()
-	if rw, ok := l.rows[s]; ok {
-		rw.used.Store(l.clock.Add(1))
-		v := read(rw)
-		l.mu.RUnlock()
-		l.hits.Add(1)
-		return v
-	}
-	l.mu.RUnlock()
-
+// fill answers a query whose source had no cached row: under the write
+// lock it re-checks (another goroutine may have filled the row in the
+// window between the locks), computes, and reads both of to's elements
+// inside the lock, so the row cannot be recycled under the read.
+func (l *Lazy) fill(s, to topology.NodeID) (topology.NodeID, int) {
 	l.mu.Lock()
-	v := read(l.rowLocked(s))
-	l.mu.Unlock()
-	return v
+	defer l.mu.Unlock()
+	rw := l.rowLocked(s)
+	return rw.next[to], rw.dist[to]
 }
 
 // rowLocked returns s's routing row, computing it (and evicting the
 // least recently used row if at capacity) on a miss. Caller must hold
 // the write lock.
 func (l *Lazy) rowLocked(s topology.NodeID) *lazyRow {
-	if rw, ok := l.rows[s]; ok {
+	if rw := l.rows[s]; rw != nil {
 		rw.used.Store(l.clock.Add(1))
 		l.hits.Add(1)
 		return rw
 	}
 	l.misses.Add(1)
-	if len(l.rows) >= l.maxSources {
+	if l.cached >= l.maxSources {
 		l.evictOldest()
 	}
 	rw := l.takeRow()
 	dijkstraInto(l.g, s, rw.next, rw.dist, l.scratch)
 	rw.used.Store(l.clock.Add(1))
 	l.rows[s] = rw
+	l.cached++
 	return rw
 }
 
@@ -171,46 +164,74 @@ func (l *Lazy) takeRow() *lazyRow {
 	return &lazyRow{next: make([]topology.NodeID, n), dist: make([]int, n)}
 }
 
-// evictOldest drops the least recently used row. A linear scan is fine:
-// the cap is at most a few thousand, and an eviction is always paired
-// with a fresh Dijkstra that dwarfs the scan. Caller must hold the
-// write lock.
+// evictOldest drops the least recently used row. A linear scan of the
+// node index is fine: an eviction is always paired with a fresh
+// Dijkstra over the same nodes, which dwarfs the scan. Caller must hold
+// the write lock.
 func (l *Lazy) evictOldest() {
 	var victim topology.NodeID = topology.None
 	var oldest uint64
 	for s, rw := range l.rows {
+		if rw == nil {
+			continue
+		}
 		if u := rw.used.Load(); victim == topology.None || u < oldest {
-			victim, oldest = s, u
+			victim, oldest = topology.NodeID(s), u
 		}
 	}
 	if victim == topology.None {
 		return
 	}
-	l.free = append(l.free, l.rows[victim])
-	delete(l.rows, victim)
+	l.removeLocked(victim)
 	l.evictions.Add(1)
 }
 
-// dropLocked removes s's cached row (if resident), recycling its
-// storage. Caller must hold the write lock.
+// dropLocked invalidates s's cached row. Caller must hold the write
+// lock.
 func (l *Lazy) dropLocked(s topology.NodeID) {
-	rw, ok := l.rows[s]
-	if !ok {
-		return
-	}
-	l.free = append(l.free, rw)
-	delete(l.rows, s)
+	l.removeLocked(s)
 	l.invalidations.Add(1)
 }
 
-// NextHop returns the first hop on the shortest path from -> to.
-func (l *Lazy) NextHop(from, to topology.NodeID) topology.NodeID {
-	return topology.NodeID(l.query(from, func(rw *lazyRow) int { return int(rw.next[to]) }))
+// removeLocked takes s's resident row out of the cache, recycling its
+// storage. Caller must hold the write lock.
+func (l *Lazy) removeLocked(s topology.NodeID) {
+	l.free = append(l.free, l.rows[s])
+	l.rows[s] = nil
+	l.cached--
 }
 
-// Dist returns the cost of the shortest directed path from -> to.
+// NextHop returns the first hop on the shortest path from -> to. A hit
+// touches the cached row under the read lock; the element is read
+// inside the lock, so the row cannot be recycled under it.
+func (l *Lazy) NextHop(from, to topology.NodeID) topology.NodeID {
+	l.mu.RLock()
+	if rw := l.rows[from]; rw != nil {
+		next := rw.next[to]
+		rw.used.Store(l.clock.Add(1))
+		l.mu.RUnlock()
+		l.hits.Add(1)
+		return next
+	}
+	l.mu.RUnlock()
+	next, _ := l.fill(from, to)
+	return next
+}
+
+// Dist returns the cost of the shortest directed path from -> to, by
+// the same two paths as NextHop.
 func (l *Lazy) Dist(from, to topology.NodeID) int {
-	return l.query(from, func(rw *lazyRow) int { return rw.dist[to] })
+	l.mu.RLock()
+	if rw := l.rows[from]; rw != nil {
+		dist := rw.dist[to]
+		rw.used.Store(l.clock.Add(1))
+		l.mu.RUnlock()
+		l.hits.Add(1)
+		return dist
+	}
+	l.mu.RUnlock()
+	_, dist := l.fill(from, to)
+	return dist
 }
 
 // Reachable reports whether to can be reached from from.
@@ -236,8 +257,10 @@ func (l *Lazy) PathLinks(from, to topology.NodeID) [][2]topology.NodeID {
 func (l *Lazy) Recompute() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for s := range l.rows {
-		l.dropLocked(s)
+	for s, rw := range l.rows {
+		if rw != nil {
+			l.dropLocked(topology.NodeID(s))
+		}
 	}
 }
 
@@ -254,9 +277,12 @@ func (l *Lazy) RecomputeLinks(changed ...[2]topology.NodeID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for s, rw := range l.rows {
+		if rw == nil {
+			continue
+		}
 		for _, ch := range changed {
 			if l.linkMayAffect(rw, ch[0], ch[1]) || l.linkMayAffect(rw, ch[1], ch[0]) {
-				l.dropLocked(s)
+				l.dropLocked(topology.NodeID(s))
 				break
 			}
 		}
@@ -270,10 +296,13 @@ func (l *Lazy) RecomputeCostChanges(changes ...CostChange) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for s, rw := range l.rows {
+		if rw == nil {
+			continue
+		}
 		for _, ch := range changes {
 			if l.costChangeMayAffect(rw, ch.A, ch.B, ch.OldAB) ||
 				l.costChangeMayAffect(rw, ch.B, ch.A, ch.OldBA) {
-				l.dropLocked(s)
+				l.dropLocked(topology.NodeID(s))
 				break
 			}
 		}
@@ -321,14 +350,13 @@ func (l *Lazy) MaxSources() int { return l.maxSources }
 func (l *Lazy) Cached(s topology.NodeID) bool {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	_, ok := l.rows[s]
-	return ok
+	return l.rows[s] != nil
 }
 
 // Stats returns a snapshot of the cache counters.
 func (l *Lazy) Stats() LazyStats {
 	l.mu.RLock()
-	cached := len(l.rows)
+	cached := l.cached
 	l.mu.RUnlock()
 	return LazyStats{
 		Hits:          l.hits.Load(),
@@ -344,7 +372,7 @@ func (l *Lazy) Stats() LazyStats {
 func (l *Lazy) MemoryBytes() int64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return int64(len(l.rows)+len(l.free)) * int64(l.g.NumNodes()) * lazyRowBytes
+	return int64(l.cached+len(l.free)) * int64(l.g.NumNodes()) * lazyRowBytes
 }
 
 // EagerMemoryBytes estimates what eager Compute's flat tables would

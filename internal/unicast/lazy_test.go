@@ -201,3 +201,61 @@ func TestEstimateAsymmetrySampledConverges(t *testing.T) {
 		t.Fatalf("sampled %v too far from exact %v", got, exact)
 	}
 }
+
+// TestLazyEvictsLeastRecentlyUsed pins the eviction order, which the
+// answer-only property tests above cannot see: a hit must keep a row
+// from being the next victim whatever its NodeID.
+func TestLazyEvictsLeastRecentlyUsed(t *testing.T) {
+	g := topology.Line(6, false)
+	l := NewLazy(g, LazyOptions{MaxSources: 2})
+	l.Dist(0, 5) // fill A
+	l.Dist(1, 5) // fill B
+	l.Dist(0, 4) // hit A: B is now the older row
+	l.Dist(2, 5) // fill C, evicting one
+	if !l.Cached(0) || l.Cached(1) || !l.Cached(2) {
+		t.Fatalf("cached after hit-then-fill: 0=%v 1=%v 2=%v, want true false true",
+			l.Cached(0), l.Cached(1), l.Cached(2))
+	}
+}
+
+// TestLazyLRUAgainstReference drives a capped router with seeded random
+// queries — runs against one source, fills into recycled rows, hits
+// through both NextHop and Dist — and checks the resident set against a
+// reference recency list after every query.
+func TestLazyLRUAgainstReference(t *testing.T) {
+	const cap = 4
+	rng := rand.New(rand.NewSource(21))
+	g := topology.Line(12, false)
+	n := g.NumNodes()
+	l := NewLazy(g, LazyOptions{MaxSources: cap})
+	var recent []topology.NodeID // least recently used first
+	for step := 0; step < 2000; step++ {
+		s := topology.NodeID(rng.Intn(n))
+		for k := rng.Intn(3); k >= 0; k-- {
+			if rng.Intn(2) == 0 {
+				l.NextHop(s, topology.NodeID(rng.Intn(n)))
+			} else {
+				l.Dist(s, topology.NodeID(rng.Intn(n)))
+			}
+		}
+		for i, r := range recent {
+			if r == s {
+				recent = append(recent[:i], recent[i+1:]...)
+				break
+			}
+		}
+		if recent = append(recent, s); len(recent) > cap {
+			recent = recent[1:]
+		}
+		resident := map[topology.NodeID]bool{}
+		for _, r := range recent {
+			resident[r] = true
+		}
+		for v := 0; v < n; v++ {
+			if id := topology.NodeID(v); l.Cached(id) != resident[id] {
+				t.Fatalf("step %d (query from %d): Cached(%d) = %v, reference list %v",
+					step, s, id, l.Cached(id), recent)
+			}
+		}
+	}
+}
