@@ -566,7 +566,7 @@ func (d *daemon) status() string {
 	st := d.rt.Stats()
 	fmt.Fprintf(&b, "stats transmissions=%d data=%d consumed=%d drops=%d\n",
 		st.Transmissions, st.DataCopies, st.DataConsumed,
-		st.HopLimitDrops+st.NoRouteDrops+st.LinkDownDrops+st.NodeDownDrops+st.CodecDrops)
+		st.HopLimitDrops+st.NoRouteDrops+st.LinkDownDrops+st.NodeDownDrops+st.CodecDrops+st.SendErrors)
 	// The same registries /metrics scrapes, in one-screen form.
 	d.rt.ObsLocked(func() {
 		fmt.Fprintf(&b, "metrics forwards=%.0f drops=%.0f delivery_n=%d delivery_p50=%.6gs delivery_p99=%.6gs\n",

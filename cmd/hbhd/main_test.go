@@ -348,6 +348,48 @@ func pollUntil(t *testing.T, what string, d time.Duration, cond func() (bool, st
 	t.Fatalf("timed out waiting for %s; last: %s", what, last)
 }
 
+// scrapeWhile fetches every url in a loop from its own goroutine — a
+// Prometheus server and an operator pulling flight dumps while traffic
+// flows — until the returned stop is called; stop reports the last body
+// of each url. Every response must be a 200. Under -race this is what
+// races Recorder.Dump and Counters.Export (both under ObsLocked)
+// against the node goroutines recording and counting.
+func scrapeWhile(t *testing.T, urls ...string) (stop func() map[string]string) {
+	t.Helper()
+	quit, done := make(chan struct{}), make(chan struct{})
+	last := make(map[string]string, len(urls))
+	go func() {
+		defer close(done)
+		client := &http.Client{Timeout: 10 * time.Second}
+		for {
+			for _, u := range urls {
+				select {
+				case <-quit:
+					return
+				default:
+				}
+				resp, err := client.Get(u)
+				if err != nil {
+					t.Errorf("GET %s: %v", u, err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != 200 {
+					t.Errorf("GET %s: status %d, read error %v", u, resp.StatusCode, err)
+					return
+				}
+				last[u] = string(body)
+			}
+		}
+	}()
+	return func() map[string]string {
+		close(quit)
+		<-done
+		return last
+	}
+}
+
 var metricRe = regexp.MustCompile(`(?m)^(hbh_[a-z_]+)(\{[^}]*\})? ([0-9.e+-]+)$`)
 
 // metricValue extracts one sample value from a /metrics scrape.
@@ -402,7 +444,19 @@ func TestE2ETelemetryMultiProcess(t *testing.T) {
 		}
 	}
 	eps := map[string]string{"r1": ctlOf["r1"], "r2": ctlOf["r2"]}
-	pump(t, ctlOf["S"], eps, 3)
+	// Scraped while the tree forms and data flows: a receiver's and a
+	// mid-path router's flight dump and metrics.
+	flightR1, flightB := "http://"+telOf["r1"]+"/flight/r1", "http://"+telOf["B"]+"/flight/B"
+	stopScrape := scrapeWhile(t, flightR1, "http://"+telOf["r1"]+"/metrics",
+		flightB, "http://"+telOf["B"]+"/metrics")
+	pump(t, ctlOf["S"], eps, 10)
+	scraped := stopScrape()
+	if !strings.Contains(scraped[flightR1], "r1 CONSUME none data(") {
+		t.Errorf("r1's flight dump, scraped mid-stream, shows no data delivery:\n%s", scraped[flightR1])
+	}
+	if !strings.Contains(scraped[flightB], "B FORWARD->") {
+		t.Errorf("B's flight dump, scraped mid-stream, shows no forwarding:\n%s", scraped[flightB])
+	}
 
 	// (1) The receiving daemon measured end-to-end delivery delays from
 	// the frame origination stamps its packets carried across UDP.
@@ -552,7 +606,12 @@ func TestE2ETelemetryHealthFault(t *testing.T) {
 	if out, code := ctl(t, ctlEp, "join", "r1"); code != 0 {
 		t.Fatalf("join r1: %s", out)
 	}
-	pump(t, ctlEp, map[string]string{"r1": ctlEp}, 1)
+	// One process hosts every node here, so one emission lock carries
+	// all their events: scrape a dump and the registry through it while
+	// the first packets flow.
+	stopScrape := scrapeWhile(t, "http://"+telEp+"/flight/A", "http://"+telEp+"/metrics")
+	pump(t, ctlEp, map[string]string{"r1": ctlEp}, 5)
+	stopScrape()
 
 	health := func() (int, string) { return httpGet(t, "http://"+telEp+"/healthz") }
 	pollUntil(t, "healthz 200 after join settles", 60*time.Second, func() (bool, string) {
@@ -584,6 +643,28 @@ func TestE2ETelemetryHealthFault(t *testing.T) {
 	if !strings.Contains(scrape, `cause="link-down"`) {
 		t.Error("no link-down drop sample in hbh_drops_total after the fault")
 	}
+
+	// The runtime's transport counters: nothing failed to send, and a
+	// datagram that is no frame is rejected and counted, not lost.
+	if v, ok := metricValue(scrape, "hbh_transport_send_errors_total", ""); !ok || v != 0 {
+		t.Errorf("hbh_transport_send_errors_total = %v (present=%v), want 0", v, ok)
+	}
+	if v, ok := metricValue(scrape, "hbh_frame_decode_rejects_total", ""); !ok || v != 0 {
+		t.Errorf("hbh_frame_decode_rejects_total = %v (present=%v), want 0 before the garbage", v, ok)
+	}
+	garbage, err := net.Dial("udp", fmt.Sprintf("127.0.0.1:%d", udp[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer garbage.Close()
+	pollUntil(t, "a rejected frame on /metrics", 10*time.Second, func() (bool, string) {
+		if _, err := garbage.Write([]byte("not a frame")); err != nil {
+			return false, err.Error()
+		}
+		_, s := httpGet(t, "http://"+telEp+"/metrics")
+		v, _ := metricValue(s, "hbh_frame_decode_rejects_total", "")
+		return v >= 1, fmt.Sprintf("rejects=%v", v)
+	})
 	quitClean(t, d)
 }
 

@@ -52,10 +52,12 @@ func (t *telemetry) close() { t.srv.Close() }
 
 // metrics renders the counter registry (scalars and latency
 // histograms) plus the daemon-level hbh_converged gauge, all captured
-// under one emission-lock cut.
+// under one emission-lock cut, and after them the runtime's own
+// transport counters (read just before that cut).
 func (t *telemetry) metrics(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	var gauges []string
+	st := t.d.rt.Stats()
 	t.d.rt.ObsLocked(func() {
 		t.d.counters.Export(&buf) //nolint:errcheck // bytes.Buffer cannot fail
 		gauges = t.d.convergedGaugeLocked()
@@ -67,6 +69,12 @@ func (t *telemetry) metrics(w http.ResponseWriter, r *http.Request) {
 	for _, g := range gauges {
 		fmt.Fprintln(w, g)
 	}
+	fmt.Fprintln(w, "# HELP hbh_transport_send_errors_total frames the transport refused to send (closed socket, address-book miss)")
+	fmt.Fprintln(w, "# TYPE hbh_transport_send_errors_total counter")
+	fmt.Fprintln(w, "hbh_transport_send_errors_total", st.SendErrors)
+	fmt.Fprintln(w, "# HELP hbh_frame_decode_rejects_total received frames rejected by the frame or packet decoder")
+	fmt.Fprintln(w, "# TYPE hbh_frame_decode_rejects_total counter")
+	fmt.Fprintln(w, "hbh_frame_decode_rejects_total", st.CodecDrops)
 }
 
 // convergedGaugeLocked renders one hbh_converged sample per channel —

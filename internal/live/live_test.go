@@ -2,12 +2,14 @@ package live
 
 import (
 	"bytes"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"hbh/internal/addr"
 	"hbh/internal/core"
+	"hbh/internal/eventsim"
 	"hbh/internal/obs"
 	"hbh/internal/packet"
 	"hbh/internal/topology"
@@ -191,4 +193,29 @@ func TestQuiesceSeesConsistentCut(t *testing.T) {
 		})
 	}
 	close(stop)
+}
+
+// refusingTransport refuses every frame, as a closed socket or an
+// address-book miss would.
+type refusingTransport struct{}
+
+func (refusingTransport) Send(from, to topology.NodeID, frame []byte) error {
+	return errors.New("refused")
+}
+func (refusingTransport) Close() error { return nil }
+
+// TestTransmitCountsSendErrors: a frame the transport refuses is lost,
+// but not silently — Stats.SendErrors counts it.
+func TestTransmitCountsSendErrors(t *testing.T) {
+	g := topology.Line(2, false)
+	rt := New(Config{Graph: g, Routing: unicast.Compute(g), Sim: eventsim.New()})
+	rt.SetTransport(refusingTransport{})
+	rt.Start()
+	defer rt.Stop()
+	msg := &packet.Data{Header: packet.Header{Type: packet.TypeData, Dst: g.Node(1).Addr}}
+	rt.Node(0).SendUnicast(msg)
+	rt.Node(0).SendDirect(1, msg)
+	if st := rt.Stats(); st.SendErrors != 2 || st.Transmissions != 2 {
+		t.Fatalf("two refused frames: SendErrors=%d Transmissions=%d, want 2 and 2", st.SendErrors, st.Transmissions)
+	}
 }

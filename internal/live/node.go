@@ -28,6 +28,10 @@ type Node struct {
 	handlers []netsim.Handler
 	deliver  netsim.DeliverFunc
 	cur      obs.Causal
+	// rootNext asks the next packet event this node emits to root a
+	// fresh causal episode first (Runtime.emitMsg): set for the length
+	// of a send that began outside any episode.
+	rootNext bool
 }
 
 // ID implements netsim.ProtoNode.
@@ -122,56 +126,57 @@ func (nd *Node) StampCausal(ev *obs.Event) {
 // route it hop by hop toward msg.Hdr().Dst. Self-addressed packets
 // are re-processed in a fresh dispatch, as in netsim.
 func (nd *Node) SendUnicast(msg packet.Message) {
-	if nd.rt.obsv != nil && nd.cur.Episode == 0 {
-		nd.rt.emitMu.Lock()
-		nd.cur = obs.Causal{Episode: nd.rt.obsv.NewEpisode()}
-		nd.rt.emitMu.Unlock()
-		nd.sendUnicast(msg)
-		nd.cur = obs.Causal{}
-		return
-	}
+	rooted := nd.beginSend()
 	nd.sendUnicast(msg)
+	nd.endSend(rooted)
+}
+
+// beginSend opens one origination. Begun outside any causal episode,
+// the send gets one of its own: rooted by its first event (which every
+// path through a send emits) and closed by endSend.
+func (nd *Node) beginSend() (rooted bool) {
+	nd.rootNext = nd.rt.obsv != nil && nd.cur.Episode == 0
+	return nd.rootNext
+}
+
+func (nd *Node) endSend(rooted bool) {
+	if rooted {
+		nd.rootNext, nd.cur = false, obs.Causal{}
+	}
+}
+
+// originated emits the send event that opens msg's life here and
+// returns the in-flight metadata its frames carry: the causal pair
+// parented at that event (netsim arms its envelopes the same way) and
+// the origination timestamp the delivery-delay histogram measures from.
+func (nd *Node) originated(kind obs.Kind, peer topology.NodeID, msg packet.Message) frameMeta {
+	rt := nd.rt
+	fm := frameMeta{from: nd.id, ttl: rt.hopLimit}
+	if rt.obsv != nil {
+		rt.emitMu.Lock()
+		fm.cause.Step = rt.emitMsg(kind, obs.CauseNone, nd, peer, msg)
+		rt.emitMu.Unlock()
+	}
+	fm.cause.Episode = nd.cur.Episode // after the event: it may have rooted one
+	fm.origAt = rt.stampNow()
+	return fm
 }
 
 func (nd *Node) sendUnicast(msg packet.Message) {
 	rt := nd.rt
 	h := msg.Hdr()
 	if rt.isNodeDown(nd.id) {
-		rt.emitMu.Lock()
-		rt.stats.NodeDownDrops++
-		if rt.obsv != nil {
-			rt.emitMsg(obs.KindDrop, obs.CauseNodeDown, nd, topology.None, msg)
-		}
-		rt.emitMu.Unlock()
+		rt.drop(nil, &rt.stats.NodeDownDrops, obs.CauseNodeDown, nd, topology.None, msg)
 		return
 	}
 	if !h.Dst.IsUnicast() {
-		rt.emitMu.Lock()
-		rt.stats.NoRouteDrops++
-		if rt.obsv != nil {
-			rt.emitMsg(obs.KindDrop, obs.CauseNonUnicast, nd, topology.None, msg)
-		}
-		rt.emitMu.Unlock()
+		rt.drop(nil, &rt.stats.NoRouteDrops, obs.CauseNonUnicast, nd, topology.None, msg)
 		return
 	}
-	var sendStep obs.StepID
-	rt.withEmit(func() { sendStep = rt.emitMsg(obs.KindSend, obs.CauseNone, nd, topology.None, msg) })
-	// The frame's in-flight metadata: causal pair parented at the send
-	// event (netsim arms its envelopes the same way) and the
-	// origination timestamp the delivery-delay histogram measures from.
-	fm := frameMeta{
-		from: nd.id, ttl: rt.hopLimit,
-		cause:  obs.Causal{Episode: nd.cur.Episode, Step: sendStep},
-		origAt: rt.stampNow(),
-	}
+	fm := nd.originated(obs.KindSend, topology.None, msg)
 	dst, ok := rt.g.ByAddr(h.Dst)
 	if !ok {
-		rt.emitMu.Lock()
-		rt.stats.NoRouteDrops++
-		if rt.obsv != nil {
-			rt.emitMsg(obs.KindDrop, obs.CauseNoRoute, nd, topology.None, msg)
-		}
-		rt.emitMu.Unlock()
+		rt.drop(nil, &rt.stats.NoRouteDrops, obs.CauseNoRoute, nd, topology.None, msg)
 		return
 	}
 	if dst == nd.id {
@@ -188,15 +193,9 @@ func (nd *Node) sendUnicast(msg packet.Message) {
 // SendDirect implements netsim.ProtoNode: push msg one hop to the
 // adjacent node to, bypassing unicast routing.
 func (nd *Node) SendDirect(to topology.NodeID, msg packet.Message) {
-	if nd.rt.obsv != nil && nd.cur.Episode == 0 {
-		nd.rt.emitMu.Lock()
-		nd.cur = obs.Causal{Episode: nd.rt.obsv.NewEpisode()}
-		nd.rt.emitMu.Unlock()
-		nd.sendDirect(to, msg)
-		nd.cur = obs.Causal{}
-		return
-	}
+	rooted := nd.beginSend()
 	nd.sendDirect(to, msg)
+	nd.endSend(rooted)
 }
 
 func (nd *Node) sendDirect(to topology.NodeID, msg packet.Message) {
@@ -206,20 +205,8 @@ func (nd *Node) sendDirect(to topology.NodeID, msg packet.Message) {
 			nd.name, rt.g.Node(to).Name))
 	}
 	if rt.isNodeDown(nd.id) {
-		rt.emitMu.Lock()
-		rt.stats.NodeDownDrops++
-		if rt.obsv != nil {
-			rt.emitMsg(obs.KindDrop, obs.CauseNodeDown, nd, topology.None, msg)
-		}
-		rt.emitMu.Unlock()
+		rt.drop(nil, &rt.stats.NodeDownDrops, obs.CauseNodeDown, nd, topology.None, msg)
 		return
 	}
-	var sendStep obs.StepID
-	rt.withEmit(func() { sendStep = rt.emitMsg(obs.KindSendDirect, obs.CauseNone, nd, to, msg) })
-	fm := frameMeta{
-		from: nd.id, ttl: rt.hopLimit,
-		cause:  obs.Causal{Episode: nd.cur.Episode, Step: sendStep},
-		origAt: rt.stampNow(),
-	}
-	rt.transmit(nd, to, fm, msg)
+	rt.transmit(nd, to, nd.originated(obs.KindSendDirect, to, msg), msg)
 }

@@ -68,6 +68,9 @@ type Stats struct {
 	LinkDownDrops int
 	NodeDownDrops int
 	CodecDrops    int
+	// SendErrors counts frames the transport refused (a closed socket,
+	// an address-book miss): the frame is lost, the error is not.
+	SendErrors int
 }
 
 // Runtime hosts live protocol engines over a transport. Construct
@@ -420,32 +423,56 @@ func (rt *Runtime) HandleFrame(to topology.NodeID, frame []byte) {
 	})
 }
 
-// emitMsg emits one packet-level event under the emission lock,
-// stamped with the acting node's ambient causal context, and returns
-// the event's step (0 with no observer) so callers can chain a
-// packet's in-flight causal pair to it — the mirror of netsim's
-// emitMsg.
+// emitMsg emits one packet-level event, stamped with the acting node's
+// ambient causal context, and returns the event's step (0 with no
+// observer) so callers can chain a packet's in-flight causal pair to
+// it — the mirror of netsim's emitMsg. Caller holds emitMu. A send that
+// began outside any episode (nd.rootNext) roots one here, in the lock
+// hold its first event already takes.
 func (rt *Runtime) emitMsg(kind obs.Kind, cause obs.Cause, nd *Node, peer topology.NodeID, msg packet.Message) obs.StepID {
-	if rt.obsv == nil {
+	o := rt.obsv
+	if o == nil {
 		return 0
 	}
-	ev := obs.Event{Kind: kind, Cause: cause, Msg: msg}
-	ev.Node = nd.addr
-	ev.NodeName = nd.name
+	if nd.rootNext {
+		nd.rootNext = false
+		nd.cur = obs.Causal{Episode: o.NewEpisode()}
+	}
+	ev := obs.Event{
+		Kind: kind, Cause: cause, Msg: msg,
+		Node: nd.addr, NodeName: nd.name, Channel: msg.Hdr().Channel,
+		Episode: nd.cur.Episode, ParentStep: nd.cur.Step, Step: o.NewStep(),
+	}
 	if peer != topology.None {
 		p := rt.g.Node(peer)
-		ev.Peer = p.Addr
-		ev.PeerName = p.Name
+		ev.Peer, ev.PeerName = p.Addr, p.Name
 	}
-	ev.Channel = msg.Hdr().Channel
 	if d, ok := msg.(*packet.Data); ok {
 		ev.Seq = d.Seq
 	}
-	ev.Episode = nd.cur.Episode
-	ev.ParentStep = nd.cur.Step
-	ev.Step = rt.obsv.NewStep()
-	rt.obsv.EmitLocked(ev)
+	o.EmitLocked(ev)
 	return ev.Step
+}
+
+// lockStep takes the emission lock for the dispatch step fm's packet is
+// in, and settles the hop-delay sample arrive measured for it: every
+// way a step can end — consume, deliver, drop, forward — touches the
+// shared surface in this one hold. fm is nil for a packet dropped at its
+// origin: it arrived on no frame.
+func (rt *Runtime) lockStep(fm *frameMeta) {
+	rt.emitMu.Lock()
+	if fm != nil && fm.hopDue {
+		fm.hopDue = false
+		rt.obsv.Latency().ObserveHop(fm.hop)
+	}
+}
+
+// drop ends a packet's step in a death: counted in *n and emitted.
+func (rt *Runtime) drop(fm *frameMeta, n *int, cause obs.Cause, nd *Node, peer topology.NodeID, msg packet.Message) {
+	rt.lockStep(fm)
+	*n++
+	rt.emitMsg(obs.KindDrop, cause, nd, peer, msg)
+	rt.emitMu.Unlock()
 }
 
 // arrive processes msg at nd: handlers first, then local delivery or
@@ -458,31 +485,24 @@ func (rt *Runtime) arrive(nd *Node, fm frameMeta, msg packet.Message) {
 	prev := nd.cur
 	nd.cur = fm.cause
 	defer func() { nd.cur = prev }()
-	if fm.wire && fm.hopAt != 0 && rt.obsv != nil {
-		rt.emitMu.Lock()
-		if lt := rt.obsv.Latency(); lt != nil {
-			lt.ObserveHop(rt.stampDelta(fm.hopAt))
-		}
-		rt.emitMu.Unlock()
+	if fm.wire && fm.hopAt != 0 && rt.obsv != nil && rt.obsv.Latency() != nil {
+		// Measured now, recorded by the step's lockStep.
+		fm.hop, fm.hopDue = rt.stampDelta(fm.hopAt), true
 	}
 	if rt.isNodeDown(nd.id) {
-		rt.emitMu.Lock()
-		rt.stats.NodeDownDrops++
-		rt.emitMu.Unlock()
-		rt.withEmit(func() { rt.emitMsg(obs.KindDrop, obs.CauseNodeDown, nd, topology.None, msg) })
+		rt.drop(&fm, &rt.stats.NodeDownDrops, obs.CauseNodeDown, nd, topology.None, msg)
 		return
 	}
+	_, isData := msg.(*packet.Data)
 	for _, h := range nd.handlers {
 		if h.Handle(nd, msg) == netsim.Consumed {
-			rt.emitMu.Lock()
+			rt.lockStep(&fm)
 			rt.stats.Consumed++
-			if _, isData := msg.(*packet.Data); isData {
+			if isData {
 				rt.stats.DataConsumed++
 				rt.observeDeliveryLocked(fm)
 			}
-			if rt.obsv != nil {
-				rt.emitMsg(obs.KindConsume, obs.CauseNone, nd, topology.None, msg)
-			}
+			rt.emitMsg(obs.KindConsume, obs.CauseNone, nd, topology.None, msg)
 			for _, t := range rt.delTaps {
 				t(nd.id, msg, true)
 			}
@@ -492,15 +512,13 @@ func (rt *Runtime) arrive(nd *Node, fm frameMeta, msg packet.Message) {
 	}
 	hdr := msg.Hdr()
 	if hdr.Dst == nd.addr {
-		rt.emitMu.Lock()
+		rt.lockStep(&fm)
 		rt.stats.Delivered++
-		if _, isData := msg.(*packet.Data); isData {
+		if isData {
 			rt.stats.DataDelivered++
 			rt.observeDeliveryLocked(fm)
 		}
-		if rt.obsv != nil {
-			rt.emitMsg(obs.KindDeliver, obs.CauseNone, nd, topology.None, msg)
-		}
+		rt.emitMsg(obs.KindDeliver, obs.CauseNone, nd, topology.None, msg)
 		rt.emitMu.Unlock()
 		if nd.deliver != nil {
 			nd.deliver(nd, msg)
@@ -513,12 +531,7 @@ func (rt *Runtime) arrive(nd *Node, fm frameMeta, msg packet.Message) {
 		return
 	}
 	if !hdr.Dst.IsUnicast() {
-		rt.emitMu.Lock()
-		rt.stats.NoRouteDrops++
-		if rt.obsv != nil {
-			rt.emitMsg(obs.KindDrop, obs.CauseUnclaimedMulticast, nd, topology.None, msg)
-		}
-		rt.emitMu.Unlock()
+		rt.drop(&fm, &rt.stats.NoRouteDrops, obs.CauseUnclaimedMulticast, nd, topology.None, msg)
 		return
 	}
 	rt.forward(nd, fm, msg)
@@ -535,26 +548,11 @@ func (rt *Runtime) observeDeliveryLocked(fm frameMeta) {
 	}
 }
 
-// withEmit runs fn under the emission lock when an observer is attached.
-func (rt *Runtime) withEmit(fn func()) {
-	if rt.obsv == nil {
-		return
-	}
-	rt.emitMu.Lock()
-	fn()
-	rt.emitMu.Unlock()
-}
-
 // forward routes msg one hop toward its unicast destination.
 func (rt *Runtime) forward(nd *Node, fm frameMeta, msg packet.Message) {
 	dst, ok := rt.g.ByAddr(msg.Hdr().Dst)
 	if !ok || !rt.routing.Reachable(nd.id, dst) {
-		rt.emitMu.Lock()
-		rt.stats.NoRouteDrops++
-		if rt.obsv != nil {
-			rt.emitMsg(obs.KindDrop, obs.CauseNoRoute, nd, topology.None, msg)
-		}
-		rt.emitMu.Unlock()
+		rt.drop(&fm, &rt.stats.NoRouteDrops, obs.CauseNoRoute, nd, topology.None, msg)
 		return
 	}
 	next := rt.routing.NextHop(nd.id, dst)
@@ -569,22 +567,12 @@ func (rt *Runtime) forward(nd *Node, fm frameMeta, msg packet.Message) {
 // and a fresh last-hop timestamp.
 func (rt *Runtime) transmit(nd *Node, to topology.NodeID, fm frameMeta, msg packet.Message) {
 	if fm.ttl <= 0 {
-		rt.emitMu.Lock()
-		rt.stats.HopLimitDrops++
-		if rt.obsv != nil {
-			rt.emitMsg(obs.KindDrop, obs.CauseHopLimit, nd, topology.None, msg)
-		}
-		rt.emitMu.Unlock()
+		rt.drop(&fm, &rt.stats.HopLimitDrops, obs.CauseHopLimit, nd, topology.None, msg)
 		return
 	}
 	fm.ttl--
 	if !rt.isLinkUp(nd.id, to) {
-		rt.emitMu.Lock()
-		rt.stats.LinkDownDrops++
-		if rt.obsv != nil {
-			rt.emitMsg(obs.KindDrop, obs.CauseLinkDown, nd, to, msg)
-		}
-		rt.emitMu.Unlock()
+		rt.drop(&fm, &rt.stats.LinkDownDrops, obs.CauseLinkDown, nd, to, msg)
 		return
 	}
 	if rt.g.Cost(nd.id, to) == 0 {
@@ -594,7 +582,7 @@ func (rt *Runtime) transmit(nd *Node, to topology.NodeID, fm frameMeta, msg pack
 	if err != nil {
 		panic(fmt.Sprintf("live: marshal on %d->%d: %v", nd.id, to, err))
 	}
-	rt.emitMu.Lock()
+	rt.lockStep(&fm)
 	rt.stats.Transmissions++
 	if _, isData := msg.(*packet.Data); isData {
 		rt.stats.DataCopies++
@@ -614,7 +602,11 @@ func (rt *Runtime) transmit(nd *Node, to topology.NodeID, fm frameMeta, msg pack
 	rt.emitMu.Unlock()
 	fm.from = nd.id
 	fm.hopAt = rt.stampNow()
-	rt.trans.Send(nd.id, to, encodeFrame(fm, wire))
+	if err := rt.trans.Send(nd.id, to, encodeFrame(fm, wire)); err != nil {
+		rt.emitMu.Lock()
+		rt.stats.SendErrors++
+		rt.emitMu.Unlock()
+	}
 }
 
 // mailbox is an unbounded FIFO work queue with one consumer

@@ -56,6 +56,11 @@ type frameMeta struct {
 	// HandleFrame); self-deliveries re-processed in a fresh dispatch
 	// never had a hop to measure.
 	wire bool
+	// hop is the hop delay arrive measured for this frame and hopDue
+	// says it is still owed to the latency histogram (Runtime.lockStep).
+	// Neither is on the wire.
+	hop    float64
+	hopDue bool
 }
 
 // encodeFrame prepends the transport framing to a marshalled packet.

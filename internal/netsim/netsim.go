@@ -361,22 +361,19 @@ func (n *Network) Tracef(format string, args ...any) { n.obsv.Notef(format, args
 // the disabled path, where it used to dominate whole-run CPU profiles
 // at >50% when done eagerly.
 func (n *Network) emitMsg(kind obs.Kind, cause obs.Cause, nd, peer *Node, msg packet.Message) obs.StepID {
-	ev := obs.Event{Kind: kind, Cause: cause, Msg: msg}
+	ev := obs.Event{
+		Kind: kind, Cause: cause, Msg: msg, Channel: msg.Hdr().Channel,
+		Episode: n.cur.Episode, ParentStep: n.cur.Step, Step: n.obsv.NewStep(),
+	}
 	if nd != nil {
-		ev.Node = nd.addr
-		ev.NodeName = nd.name
+		ev.Node, ev.NodeName = nd.addr, nd.name
 	}
 	if peer != nil {
-		ev.Peer = peer.addr
-		ev.PeerName = peer.name
+		ev.Peer, ev.PeerName = peer.addr, peer.name
 	}
-	ev.Channel = msg.Hdr().Channel
 	if d, ok := msg.(*packet.Data); ok {
 		ev.Seq = d.Seq
 	}
-	ev.Episode = n.cur.Episode
-	ev.ParentStep = n.cur.Step
-	ev.Step = n.obsv.NewStep()
 	n.obsv.Emit(ev)
 	return ev.Step
 }

@@ -325,3 +325,33 @@ func TestDeliveryTap(t *testing.T) {
 		}
 	}
 }
+
+// TestForwardObservedZeroAlloc is the enabled half of the forwarding
+// budget: with counters, latency, convergence and a flight recorder
+// attached (no sink), a data packet's send, forward and delivery are
+// observed without a heap allocation. The disabled half is
+// TestForwardDisabledObsZeroAlloc at the repository root.
+func TestForwardObservedZeroAlloc(t *testing.T) {
+	g := topology.Line(3, false)
+	n, sim := build(g)
+	n.Node(2).SetDeliver(func(ProtoNode, packet.Message) {})
+	o := obs.New(nil)
+	o.EnableCounters()
+	o.EnableLatency()
+	o.EnableConvergence()
+	rec := o.EnableRecorder(8)
+	n.SetObserver(o)
+	msg := dataTo(g.Node(2).Addr, 1)
+	hop := func() {
+		n.Node(0).SendUnicast(msg)
+		if err := sim.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < rec.Depth(); i++ { // fill the rings, warm the envelope freelist
+		hop()
+	}
+	if allocs := testing.AllocsPerRun(200, hop); allocs != 0 {
+		t.Fatalf("observed forwarding path allocates %.1f allocs/op, want 0", allocs)
+	}
+}

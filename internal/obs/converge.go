@@ -98,7 +98,9 @@ func (t *ConvergeTracker) channel(ch addr.Channel) *ChannelConvergence {
 }
 
 // Apply folds one event into the tracker.
-func (t *ConvergeTracker) Apply(ev Event) {
+func (t *ConvergeTracker) Apply(ev Event) { t.apply(&ev) }
+
+func (t *ConvergeTracker) apply(ev *Event) {
 	var zero addr.Channel
 	if ev.Channel == zero {
 		return

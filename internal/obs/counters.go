@@ -9,6 +9,7 @@ import (
 
 	"hbh/internal/addr"
 	"hbh/internal/eventsim"
+	"hbh/internal/packet"
 )
 
 // metricHelp documents the metrics the registry derives from the event
@@ -25,6 +26,7 @@ var metricHelp = []struct{ name, kind, help string }{
 	{"hbh_trees_adopted_total", "counter", "tree targets adopted into an MFT, by node and channel"},
 	{"hbh_fusions_sent_total", "counter", "fusion announcements emitted, by node and channel"},
 	{"hbh_fusions_accepted_total", "counter", "fusion splices accepted upstream, by node and channel"},
+	{"hbh_marks_lifted_total", "counter", "fusion marks retracted (the relay stopped serving the entry), by node and channel"},
 	{"hbh_branch_events_total", "counter", "non-branching to branching transitions, by node and channel"},
 	{"hbh_collapse_events_total", "counter", "branching state collapses, by node and channel"},
 	{"hbh_data_copies_total", "counter", "data copies emitted by replication, by node and channel"},
@@ -52,23 +54,41 @@ type counterKey struct {
 // samples carry their virtual time as the (normally wall-clock)
 // timestamp column.
 //
+// vals is the one store of samples, a cell per series. Apply reaches
+// its cell through applied, keyed by the raw event fields the series'
+// labels are rendered from, so the label block of a series is rendered
+// once, the first time the series is seen, and an event after that
+// costs one map lookup and an add.
+//
 // A Counters instance is single-goroutine: concurrent workers each own
 // one and fold them together with Merge at their barrier. Because every
 // Apply increment is ±1 (exact in float64) and Export sorts globally,
 // the merged export is byte-identical to a single registry that saw
 // the same events.
 type Counters struct {
-	vals   map[counterKey]float64
-	hists  map[counterKey]*Histogram
-	series []*Series
+	vals    map[counterKey]*float64
+	applied map[applyKey]*float64
+	hists   map[counterKey]*Histogram
+	series  []*Series
 }
 
 // NewCounters builds an empty registry.
 func NewCounters() *Counters {
 	return &Counters{
-		vals:  make(map[counterKey]float64),
-		hists: make(map[counterKey]*Histogram),
+		vals:    make(map[counterKey]*float64),
+		applied: make(map[applyKey]*float64),
+		hists:   make(map[counterKey]*Histogram),
 	}
+}
+
+// cell returns the sample k names, creating it at zero.
+func (c *Counters) cell(k counterKey) *float64 {
+	v := c.vals[k]
+	if v == nil {
+		v = new(float64)
+		c.vals[k] = v
+	}
+	return v
 }
 
 // Hist returns the registry-resident histogram for name and labels,
@@ -88,12 +108,15 @@ func (c *Counters) Hist(name string, kv ...string) *Histogram {
 // (alternating key, value; keys must arrive sorted or at least in a
 // fixed order so identical samples collide).
 func (c *Counters) Add(name string, v float64, kv ...string) {
-	c.vals[counterKey{name, renderLabels(kv)}] += v
+	*c.cell(counterKey{name, renderLabels(kv)}) += v
 }
 
 // Get reads back one sample (tests and threshold checks).
 func (c *Counters) Get(name string, kv ...string) float64 {
-	return c.vals[counterKey{name, renderLabels(kv)}]
+	if v := c.vals[counterKey{name, renderLabels(kv)}]; v != nil {
+		return *v
+	}
+	return 0
 }
 
 // Total sums every sample of metric name across all label sets.
@@ -101,7 +124,7 @@ func (c *Counters) Total(name string) float64 {
 	var sum float64
 	for k, v := range c.vals {
 		if k.name == name {
-			sum += v
+			sum += *v
 		}
 	}
 	return sum
@@ -128,54 +151,119 @@ func renderLabels(kv []string) string {
 	return b.String()
 }
 
-// Apply derives metric increments from one event.
-func (c *Counters) Apply(ev Event) {
-	ch := ""
-	if ev.Channel != (addr.Channel{}) {
-		ch = ev.Channel.String()
+// applyRule says what Apply does with one kind of event: the metric
+// that moves, by how much, and which raw event fields label the series.
+type applyRule struct {
+	name  string
+	delta float64
+	by    labelSet
+}
+
+// labelSet names the labels of a series, in the order they render.
+type labelSet uint8
+
+const (
+	byNode    labelSet = 1 << iota // node=ev.NodeName
+	byType                         // type= the packet's type, "control" without one
+	byCause                        // cause=ev.Cause
+	byChannel                      // channel=ev.Channel, "" when zero
+)
+
+// applyRules is indexed by Kind; kinds without a metric have no name.
+var applyRules = [...]applyRule{
+	KindSend:          {"hbh_sends_total", 1, byNode | byType},
+	KindSendDirect:    {"hbh_sends_total", 1, byNode | byType},
+	KindForward:       {"hbh_forwards_total", 1, byNode},
+	KindConsume:       {"hbh_deliveries_total", 1, byNode},
+	KindDeliver:       {"hbh_deliveries_total", 1, byNode},
+	KindDrop:          {"hbh_drops_total", 1, byNode | byCause},
+	KindJoinSend:      {"hbh_joins_sent_total", 1, byNode | byChannel},
+	KindJoinIntercept: {"hbh_joins_intercepted_total", 1, byNode | byChannel},
+	KindJoinAdmit:     {"hbh_joins_admitted_total", 1, byChannel},
+	KindTreeSend:      {"hbh_trees_sent_total", 1, byNode | byChannel},
+	KindTreeAdopt:     {"hbh_trees_adopted_total", 1, byNode | byChannel},
+	KindFusionSend:    {"hbh_fusions_sent_total", 1, byNode | byChannel},
+	KindFusionAccept:  {"hbh_fusions_accepted_total", 1, byNode | byChannel},
+	KindMarkLift:      {"hbh_marks_lifted_total", 1, byNode | byChannel},
+	KindBranch:        {"hbh_branch_events_total", 1, byNode | byChannel},
+	KindCollapse:      {"hbh_collapse_events_total", 1, byNode | byChannel},
+	KindTableAdd:      {"hbh_table_entries", 1, byNode | byChannel},
+	KindTableRemove:   {"hbh_table_entries", -1, byNode | byChannel},
+	KindReplicate:     {"hbh_data_copies_total", 1, byNode | byChannel},
+	KindFault:         {"hbh_faults_total", 1, 0},
+}
+
+// applyKey is the raw fields one Apply series is labelled from; fields
+// the kind's rule does not label by stay zero.
+type applyKey struct {
+	kind Kind
+	node string
+	ch   addr.Channel
+	// aux is the packet type (noPacket without one) under byType, the
+	// cause under byCause.
+	aux int16
+}
+
+const noPacket = -1
+
+// labels renders k's label block the way Add renders its key/value list.
+func (r *applyRule) labels(k applyKey) string {
+	kv := make([]string, 0, 4)
+	if r.by&byNode != 0 {
+		kv = append(kv, "node", k.node)
 	}
-	switch ev.Kind {
-	case KindSend, KindSendDirect:
+	if r.by&byType != 0 {
 		typ := "control"
-		if ev.Msg != nil && ev.Msg.Hdr() != nil {
-			typ = ev.Msg.Hdr().Type.String()
+		if k.aux != noPacket {
+			typ = packet.Type(k.aux).String()
 		}
-		c.Add("hbh_sends_total", 1, "node", ev.NodeName, "type", typ)
-	case KindForward:
-		c.Add("hbh_forwards_total", 1, "node", ev.NodeName)
-	case KindConsume, KindDeliver:
-		c.Add("hbh_deliveries_total", 1, "node", ev.NodeName)
-	case KindDrop:
-		c.Add("hbh_drops_total", 1, "node", ev.NodeName, "cause", ev.Cause.String())
-	case KindJoinSend:
-		c.Add("hbh_joins_sent_total", 1, "node", ev.NodeName, "channel", ch)
-	case KindJoinIntercept:
-		c.Add("hbh_joins_intercepted_total", 1, "node", ev.NodeName, "channel", ch)
-	case KindJoinAdmit:
-		c.Add("hbh_joins_admitted_total", 1, "channel", ch)
-	case KindTreeSend:
-		c.Add("hbh_trees_sent_total", 1, "node", ev.NodeName, "channel", ch)
-	case KindTreeAdopt:
-		c.Add("hbh_trees_adopted_total", 1, "node", ev.NodeName, "channel", ch)
-	case KindFusionSend:
-		c.Add("hbh_fusions_sent_total", 1, "node", ev.NodeName, "channel", ch)
-	case KindFusionAccept:
-		c.Add("hbh_fusions_accepted_total", 1, "node", ev.NodeName, "channel", ch)
-	case KindMarkLift:
-		c.Add("hbh_marks_lifted_total", 1, "node", ev.NodeName, "channel", ch)
-	case KindBranch:
-		c.Add("hbh_branch_events_total", 1, "node", ev.NodeName, "channel", ch)
-	case KindCollapse:
-		c.Add("hbh_collapse_events_total", 1, "node", ev.NodeName, "channel", ch)
-	case KindTableAdd:
-		c.Add("hbh_table_entries", 1, "node", ev.NodeName, "channel", ch)
-	case KindTableRemove:
-		c.Add("hbh_table_entries", -1, "node", ev.NodeName, "channel", ch)
-	case KindReplicate:
-		c.Add("hbh_data_copies_total", 1, "node", ev.NodeName, "channel", ch)
-	case KindFault:
-		c.Add("hbh_faults_total", 1)
+		kv = append(kv, "type", typ)
 	}
+	if r.by&byCause != 0 {
+		kv = append(kv, "cause", Cause(k.aux).String())
+	}
+	if r.by&byChannel != 0 {
+		ch := ""
+		if k.ch != (addr.Channel{}) {
+			ch = k.ch.String()
+		}
+		kv = append(kv, "channel", ch)
+	}
+	return renderLabels(kv)
+}
+
+// Apply derives metric increments from one event.
+func (c *Counters) Apply(ev Event) { c.apply(&ev) }
+
+func (c *Counters) apply(ev *Event) {
+	if int(ev.Kind) >= len(applyRules) {
+		return
+	}
+	r := &applyRules[ev.Kind]
+	if r.name == "" {
+		return
+	}
+	k := applyKey{kind: ev.Kind}
+	if r.by&byNode != 0 {
+		k.node = ev.NodeName
+	}
+	if r.by&byChannel != 0 {
+		k.ch = ev.Channel
+	}
+	if r.by&byType != 0 {
+		k.aux = noPacket
+		if ev.Msg != nil && ev.Msg.Hdr() != nil {
+			k.aux = int16(ev.Msg.Hdr().Type)
+		}
+	} else if r.by&byCause != 0 {
+		k.aux = int16(ev.Cause)
+	}
+	v := c.applied[k]
+	if v == nil {
+		v = c.cell(counterKey{r.name, r.labels(k)})
+		c.applied[k] = v
+	}
+	*v += r.delta
 }
 
 // Merge folds another registry into c: samples add (in a stable key
@@ -197,7 +285,7 @@ func (c *Counters) Merge(other *Counters) {
 		return keys[i].labels < keys[j].labels
 	})
 	for _, k := range keys {
-		c.vals[k] += other.vals[k]
+		*c.cell(k) += *other.vals[k]
 	}
 	hkeys := make([]counterKey, 0, len(other.hists))
 	for k := range other.hists {
@@ -334,7 +422,7 @@ func (c *Counters) Export(w io.Writer) error {
 		keys := byName[name]
 		sort.Slice(keys, func(i, j int) bool { return keys[i].labels < keys[j].labels })
 		for _, k := range keys {
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", k.name, k.labels, formatValue(c.vals[k])); err != nil {
+			if _, err := fmt.Fprintf(w, "%s%s %s\n", k.name, k.labels, formatValue(*c.vals[k])); err != nil {
 				return err
 			}
 		}

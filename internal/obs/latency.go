@@ -117,7 +117,9 @@ func (l *Latency) noteSent(k latSeqKey, at eventsim.Time) {
 }
 
 // Apply folds one event into the tracker.
-func (l *Latency) Apply(ev Event) {
+func (l *Latency) Apply(ev Event) { l.apply(&ev) }
+
+func (l *Latency) apply(ev *Event) {
 	switch ev.Kind {
 	case KindJoinSend:
 		// A receiver's first join opens its join-to-first-packet

@@ -381,7 +381,7 @@ func (o *Observer) Emit(ev Event) {
 		o.lock.Lock()
 		defer o.lock.Unlock()
 	}
-	o.emit(ev)
+	o.emit(&ev)
 }
 
 // EmitLocked is Emit for callers that already hold the installed
@@ -390,28 +390,32 @@ func (o *Observer) EmitLocked(ev Event) {
 	if o == nil {
 		return
 	}
-	o.emit(ev)
+	o.emit(&ev)
 }
 
-func (o *Observer) emit(ev Event) {
+// emit fans one event out. ev stays on the caller's stack: the
+// registries read it through the pointer and keep nothing, sinks get a
+// copy, and only an installed filter with a sink to feed is handed a
+// pointer of its own (a func value's argument escapes).
+func (o *Observer) emit(ev *Event) {
 	if o.now != nil {
 		ev.At = o.now()
 	}
 	if o.recorder != nil {
-		o.recorder.Record(ev)
+		o.recorder.record(ev)
 	}
 	if o.counters != nil {
-		o.counters.Apply(ev)
+		o.counters.apply(ev)
 	}
 	if o.converge != nil {
-		o.converge.Apply(ev)
+		o.converge.apply(ev)
 	}
 	if o.latency != nil {
-		o.latency.Apply(ev)
+		o.latency.apply(ev)
 	}
-	if len(o.sinks) > 0 && (o.filter == nil || o.filter(&ev)) {
+	if len(o.sinks) > 0 && o.passes(ev) {
 		for _, s := range o.sinks {
-			s.Emit(ev)
+			s.Emit(*ev)
 		}
 	}
 	if o.dumpOnFaultDrop && o.recorder != nil &&
@@ -427,6 +431,15 @@ func (o *Observer) emit(ev Event) {
 	}
 }
 
+// passes applies the sink-side filter, if one is installed.
+func (o *Observer) passes(ev *Event) bool {
+	if o.filter == nil {
+		return true
+	}
+	probe := *ev
+	return o.filter(&probe)
+}
+
 // BeginSpan opens a lifecycle span (name in Detail) and returns its
 // id; parent nests it. Safe on a nil observer (returns 0).
 func (o *Observer) BeginSpan(name string, ch addr.Channel, node addr.Addr, nodeName string, parent SpanID) SpanID {
@@ -439,7 +452,7 @@ func (o *Observer) BeginSpan(name string, ch addr.Channel, node addr.Addr, nodeN
 	}
 	o.spanSeq++
 	id := SpanID(o.spanSeq)
-	o.emit(Event{
+	o.emit(&Event{
 		Kind: KindSpanBegin, Node: node, NodeName: nodeName,
 		Channel: ch, Span: id, Parent: parent, Detail: name,
 	})
