@@ -69,14 +69,14 @@ import (
 
 func main() {
 	var (
-		topoF    = flag.String("topo", "fig3", "scenario topology: fig3, isp, line:N")
-		nodeF    = flag.String("node", "all", "comma-separated node names this process hosts, or 'all'")
-		bookF    = flag.String("book", "", "address book file: one 'name host:port' per line (default: loopback at base-port+id)")
-		basePort = flag.Int("base-port", 7800, "first UDP port of the default loopback address book")
-		unitF    = flag.Duration("unit", 10*time.Millisecond, "real duration of one virtual time unit (link cost 1 = one unit)")
-		sourceF  = flag.String("source", "", "node name rooting the channel (default: first host in the topology)")
-		groupF   = flag.Int("group", 0, "multicast group number of the channel")
-		ctlF     = flag.String("ctl", "127.0.0.1:7700", "TCP endpoint of the control listener")
+		topoF     = flag.String("topo", "fig3", "scenario topology: fig3, isp, line:N")
+		nodeF     = flag.String("node", "all", "comma-separated node names this process hosts, or 'all'")
+		bookF     = flag.String("book", "", "address book file: one 'name host:port' per line (default: loopback at base-port+id)")
+		basePort  = flag.Int("base-port", 7800, "first UDP port of the default loopback address book")
+		unitF     = flag.Duration("unit", 10*time.Millisecond, "real duration of one virtual time unit (link cost 1 = one unit)")
+		sourceF   = flag.String("source", "", "node name rooting the channel (default: first host in the topology)")
+		groupF    = flag.Int("group", 0, "multicast group number of the channel")
+		ctlF      = flag.String("ctl", "127.0.0.1:7700", "TCP endpoint of the control listener")
 		monitorF  = flag.Bool("monitor", true, "run the online structural invariant monitor (only possible when hosting the whole topology)")
 		connectF  = flag.String("connect", "", "control-client mode: send the remaining arguments as one command to a daemon at this endpoint")
 		telemF    = flag.String("telemetry", "127.0.0.1:0", "HTTP endpoint for /metrics, /healthz, /readyz, /debug/pprof, /flight, /trace; 'off' disables")

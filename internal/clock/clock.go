@@ -37,9 +37,10 @@ type Handle interface {
 
 // Clock schedules one-shot callbacks. Implementations need not be
 // goroutine-safe by themselves: the simulated clock runs in the
-// single-threaded event loop, and the real clock serialises callback
-// execution through the exec dispatcher it was built with. All engine
-// interaction with a Clock must happen on its owning goroutine.
+// single-threaded event loop, and the real clock runs callbacks only
+// where its driver does (the exec dispatcher it was built with, or the
+// live node goroutine that drains it). All engine interaction with a
+// Clock must happen on its owning goroutine.
 type Clock interface {
 	// Now returns the current time in virtual units.
 	Now() Time

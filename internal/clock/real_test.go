@@ -378,3 +378,92 @@ func TestRealNowMonotone(t *testing.T) {
 		t.Errorf("Now = %v units after 10ms at 1ms/unit", r.Now())
 	}
 }
+
+// TestRealAfterResetZeroAlloc: re-arming a handle moves it in the
+// clock's queue and allocates nothing, whichever way it moves and
+// whether or not it was still queued — what a soft-state refresh and a
+// frame's arrival envelope both rely on.
+func TestRealAfterResetZeroAlloc(t *testing.T) {
+	r := NewRealDriven(time.Now(), time.Millisecond, func() {})
+	for i := 0; i < 8; i++ {
+		r.After(Time(1000+i), func() {}) // company in the queue
+	}
+	h := r.After(2000, func() {})
+	d := Time(0)
+	if got := testing.AllocsPerRun(1000, func() {
+		d++
+		h.Reset(500 + 7*d) // behind some, ahead of others
+		if int(d)%3 == 0 {
+			h.Cancel()
+		}
+		h.Reset(5000 - d)
+	}); got != 0 {
+		t.Errorf("re-arming a Real handle allocates %v times, want 0", got)
+	}
+}
+
+// TestRealSameInstantRunsInArmingOrder: handles due at one instant run
+// in the order they were armed, and an earlier instant runs first
+// however late it was armed — the order frames over one link, and over
+// a cheaper one, reach a live node in.
+func TestRealSameInstantRunsInArmingOrder(t *testing.T) {
+	r := NewRealDriven(time.Now().Add(-time.Second), time.Millisecond, func() {})
+	var order []int
+	arm := func(i int, due time.Duration) {
+		h := r.NewHandle(func() { order = append(order, i) }).(*realHandle)
+		h.armAt(due, 0)
+	}
+	for i := 0; i < 50; i++ {
+		arm(i, 700*time.Millisecond)
+	}
+	arm(50, 300*time.Millisecond)
+	if n := r.RunDue(20); n != 20 {
+		t.Fatalf("RunDue(20) ran %d callbacks of 51 due", n)
+	}
+	for r.RunDue(20) > 0 {
+	}
+	if len(order) != 51 {
+		t.Fatalf("ran %d callbacks, want 51", len(order))
+	}
+	for i, got := range order {
+		if want := (i + 50) % 51; got != want { // 50, 0, 1, ... 49
+			t.Fatalf("ran in order %v, want the earlier instant first and the rest as armed", order)
+		}
+	}
+}
+
+// TestRealDrivenWakesOnlyForEarlier: a driven clock holds no timer of
+// its own and calls wake exactly when something is armed for earlier
+// than the instant NextDue last reported.
+func TestRealDrivenWakesOnlyForEarlier(t *testing.T) {
+	wakes := 0
+	r := NewRealDriven(time.Now(), time.Millisecond, func() { wakes++ })
+	fired := 0
+	h := r.After(50, func() { fired++ })
+	if wakes != 1 {
+		t.Fatalf("first arming woke the driver %d times, want once", wakes)
+	}
+	if due, ok := r.NextDue(); !ok || time.Until(due) <= 0 || time.Until(due) > 50*time.Millisecond {
+		t.Fatalf("NextDue = %v, %v; want an instant up to 50ms from now", due, ok)
+	}
+	r.After(80, func() {}) // later than promised: the driver sleeps on
+	h.Reset(60)
+	if wakes != 1 {
+		t.Fatalf("arming behind the promised instant woke the driver (%d wakes)", wakes)
+	}
+	r.After(1, func() { fired += 10 })
+	if wakes != 2 {
+		t.Fatalf("arming ahead of the promised instant: %d wakes, want 2", wakes)
+	}
+	time.Sleep(3 * time.Millisecond)
+	if fired != 0 {
+		t.Fatal("a driven clock ran a callback by itself")
+	}
+	if n := r.RunDue(10); n != 1 || fired != 10 {
+		t.Fatalf("RunDue ran %d callbacks (fired=%d), want the one due", n, fired)
+	}
+	r.After(0, func() {}) // the driver is awake: it will ask again
+	if wakes != 2 {
+		t.Fatalf("arming while the driver is awake woke it (%d wakes)", wakes)
+	}
+}

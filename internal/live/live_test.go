@@ -37,8 +37,11 @@ func TestFrameRoundTrip(t *testing.T) {
 		cause:  obs.Causal{Episode: 1<<40 + 3, Step: 1<<40 + 9},
 		origAt: 1_700_000_000_123_456_789, hopAt: 1_700_000_000_123_999_999,
 	}
-	f := encodeFrame(meta, wire)
-	fm, got, err := decodeFrame(f)
+	f, err := appendFrame(nil, meta, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm, got, err := decodeFrame(f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +61,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	if !bytes.Equal(gw, wire) {
 		t.Error("packet did not survive the frame round trip")
 	}
-	if _, _, err := decodeFrame(f[:3]); err == nil {
+	if _, _, err := decodeFrame(f[:3], nil); err == nil {
 		t.Error("short frame decoded without error")
 	}
-	if _, _, err := decodeFrame(append(f[:frameOverhead:frameOverhead], 0xff)); err == nil {
+	if _, _, err := decodeFrame(append(f[:frameOverhead:frameOverhead], 0xff), nil); err == nil {
 		t.Error("garbage packet decoded without error")
 	}
 }

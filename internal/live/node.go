@@ -2,9 +2,12 @@ package live
 
 import (
 	"fmt"
+	"sync"
+	"time"
 
 	"hbh/internal/addr"
 	"hbh/internal/clock"
+	"hbh/internal/eventsim"
 	"hbh/internal/netsim"
 	"hbh/internal/obs"
 	"hbh/internal/packet"
@@ -23,7 +26,24 @@ type Node struct {
 	addr addr.Addr
 	name string
 	clk  clock.Clock
-	mbox *mailbox // RealMode only
+
+	// RealMode only. real is clk as what it is to the node's goroutine:
+	// the one due-ordered queue of everything the node waits for — frame
+	// arrivals and the engines' timers alike — which loop drains.
+	real *clock.Real
+	// wake holds one token: a Do was posted, the node was closed, or
+	// something was queued for earlier than loop is sleeping until.
+	wake chan struct{}
+	done chan struct{} // closed when loop has returned
+
+	mu     sync.Mutex
+	inbox  []func()   // Do calls posted and not yet taken by loop
+	free   []*arrival // envelopes between two packets (either mode)
+	closed bool
+
+	// wbuf is the frame being sent: transmit builds every frame of this
+	// node in it, on the node's goroutine.
+	wbuf []byte
 
 	handlers []netsim.Handler
 	deliver  netsim.DeliverFunc
@@ -183,8 +203,9 @@ func (nd *Node) sendUnicast(msg packet.Message) {
 		// Local: re-process in a fresh dispatch for causal order. The
 		// dispatch outlives this call and the sender may reuse msg once
 		// it returns (every other path marshals before returning).
-		msg = packet.Clone(msg)
-		nd.clk.After(0, func() { rt.arrive(nd, fm, msg) })
+		a := nd.newArrival()
+		a.fm, a.msg = fm, packet.Clone(msg)
+		nd.schedule(a, 0)
 		return
 	}
 	rt.forward(nd, fm, msg)
@@ -209,4 +230,153 @@ func (nd *Node) sendDirect(to topology.NodeID, msg packet.Message) {
 		return
 	}
 	rt.transmit(nd, to, nd.originated(obs.KindSendDirect, to, msg), msg)
+}
+
+// arrival is a packet on its way to a hosted node: the live mirror of
+// netsim's envelope. HandleFrame fills one from a frame and queues it on
+// the destination, due when the link's cost has passed; Fire dispatches
+// it and returns it to the node's free list — the packet is valid for
+// that call only, as netsim.Handler states. A data packet lives in the
+// envelope's own storage, so in steady state a hop allocates nothing.
+type arrival struct {
+	nd   *Node
+	fm   frameMeta
+	msg  packet.Message
+	data packet.Data // a data packet's storage: msg points here
+	buf  []byte      // and its payload's
+	// timer is the envelope's place in nd's queue (RealMode). Under the
+	// simulated clock the envelope is the eventsim.Caller of its arrival.
+	timer clock.Handle
+}
+
+// Fire dispatches the arrival on its node and releases the envelope.
+func (a *arrival) Fire() {
+	a.nd.rt.arrive(a.nd, a.fm, a.msg)
+	a.nd.recycle(a)
+}
+
+// newArrival takes an envelope for a packet bound for nd (any goroutine).
+func (nd *Node) newArrival() *arrival {
+	nd.mu.Lock()
+	var a *arrival
+	if k := len(nd.free); k > 0 {
+		a = nd.free[k-1]
+		nd.free = nd.free[:k-1]
+	}
+	nd.mu.Unlock()
+	if a == nil {
+		a = &arrival{nd: nd}
+		if nd.real != nil {
+			a.timer = nd.real.NewHandle(a.Fire)
+		}
+	}
+	return a
+}
+
+// recycle returns an envelope whose packet's life here has ended.
+func (nd *Node) recycle(a *arrival) {
+	a.msg = nil
+	nd.mu.Lock()
+	nd.free = append(nd.free, a)
+	nd.mu.Unlock()
+}
+
+// schedule queues a to fire on nd delay units from now.
+func (nd *Node) schedule(a *arrival, delay eventsim.Time) {
+	if a.timer != nil {
+		a.timer.Reset(delay)
+	} else {
+		nd.rt.sim.AfterCall(delay, a)
+	}
+}
+
+// post hands fn to the node's goroutine; false when the node is closed.
+func (nd *Node) post(fn func()) bool {
+	nd.mu.Lock()
+	if nd.closed {
+		nd.mu.Unlock()
+		return false
+	}
+	nd.inbox = append(nd.inbox, fn)
+	nd.mu.Unlock()
+	nd.poke()
+	return true
+}
+
+// poke leaves the wake token; one is enough for any number of causes.
+func (nd *Node) poke() {
+	select {
+	case nd.wake <- struct{}{}:
+	default:
+	}
+}
+
+func (nd *Node) close() {
+	nd.mu.Lock()
+	nd.closed = true
+	nd.mu.Unlock()
+	nd.poke()
+}
+
+// dueBatch bounds how many due callbacks loop runs before it looks at
+// its inbox again, so a backlog of arrivals cannot starve a Do.
+const dueBatch = 16
+
+// loop is the node's goroutine: a router's serialised execution
+// context. It runs what was posted, then what is due in the queue, and
+// sleeps until the next due instant on the one runtime timer the node
+// holds, or until poked. Neither the queue nor the inbox is bounded —
+// node A's dispatch queues arrivals on node B and vice versa, so a
+// bound could deadlock the pair — and the inbox is double-buffered: it
+// and batch trade places, so a stream of Do calls allocates no queue.
+func (nd *Node) loop() {
+	defer close(nd.done)
+	rt := nd.rt
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	defer timer.Stop()
+	// timerDue is when timer will fire, zero when it is stopped or has
+	// fired and been received: Reset needs the channel empty (go.mod's
+	// go 1.22 keeps the timer channel buffered).
+	var timerDue time.Time
+	var batch []func()
+	for {
+		nd.mu.Lock()
+		batch, nd.inbox = nd.inbox, batch[:0]
+		closed := nd.closed
+		nd.mu.Unlock()
+		for i, fn := range batch {
+			rt.worldMu.RLock()
+			fn()
+			rt.worldMu.RUnlock()
+			batch[i] = nil
+		}
+		if closed {
+			return
+		}
+		rt.worldMu.RLock()
+		n := nd.real.RunDue(dueBatch)
+		rt.worldMu.RUnlock()
+		if n == dueBatch {
+			continue
+		}
+		// A timer set for no later than due stands: at worst it wakes
+		// loop early, for nothing.
+		if due, ok := nd.real.NextDue(); ok && (timerDue.IsZero() || due.Before(timerDue)) {
+			wait := time.Until(due)
+			if wait <= 0 {
+				continue
+			}
+			if !timerDue.IsZero() && !timer.Stop() {
+				<-timer.C
+			}
+			timer.Reset(wait)
+			timerDue = due
+		}
+		select {
+		case <-nd.wake:
+		case <-timer.C:
+			timerDue = time.Time{}
+		}
+	}
 }

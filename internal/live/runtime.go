@@ -25,8 +25,9 @@ const (
 	// the mode the equivalence tests compare against netsim.
 	SimMode Mode = iota
 	// RealMode runs one goroutine per hosted node against the wall
-	// clock: mailbox-serialised engines, concurrent transport
-	// delivery, time.Timer-backed soft state.
+	// clock: each drains its own due-ordered queue of frame arrivals and
+	// soft-state timers, so engines stay serialised per node while
+	// transports deliver concurrently.
 	RealMode
 )
 
@@ -45,12 +46,13 @@ type Config struct {
 	Unit time.Duration
 
 	// Hosted lists the nodes this runtime instantiates engines and
-	// mailboxes for. nil hosts the whole graph (in-process cluster);
+	// goroutines for. nil hosts the whole graph (in-process cluster);
 	// a daemon hosts one router plus its attached hosts.
 	Hosted []topology.NodeID
 
 	// HopLimit is the per-packet hop budget (default
-	// netsim.DefaultHopLimit).
+	// netsim.DefaultHopLimit). It travels in one byte of the frame: at
+	// most 255.
 	HopLimit int
 }
 
@@ -92,8 +94,8 @@ type Runtime struct {
 	trans  Transport
 	hosted []topology.NodeID
 
-	// worldMu is RealMode's stop-the-world barrier: every mailbox
-	// dispatch runs under RLock, Quiesce takes the write lock.
+	// worldMu is RealMode's stop-the-world barrier: everything a node
+	// goroutine dispatches runs under RLock, Quiesce takes the write lock.
 	worldMu sync.RWMutex
 
 	// emitMu serialises the shared observability surface (observer,
@@ -132,6 +134,9 @@ func New(cfg Config) *Runtime {
 	if rt.hopLimit == 0 {
 		rt.hopLimit = netsim.DefaultHopLimit
 	}
+	if rt.hopLimit < 0 || rt.hopLimit > 255 {
+		panic(fmt.Sprintf("live: hop limit %d does not fit the frame's one byte", rt.hopLimit))
+	}
 	if rt.sim != nil {
 		rt.mode = SimMode
 	} else {
@@ -156,8 +161,10 @@ func New(cfg Config) *Runtime {
 		if rt.mode == SimMode {
 			ln.clk = clock.Sim(rt.sim)
 		} else {
-			ln.mbox = newMailbox()
-			ln.clk = clock.NewRealAt(rt.start, rt.unit, ln.mbox.enqueue)
+			ln.wake = make(chan struct{}, 1)
+			ln.done = make(chan struct{})
+			ln.real = clock.NewRealDriven(rt.start, rt.unit, ln.poke)
+			ln.clk = ln.real
 		}
 		rt.nodes[id] = ln
 	}
@@ -336,21 +343,19 @@ func (rt *Runtime) Start() {
 	}
 	rt.started = true
 	if rt.trans == nil {
-		buffer := 0
-		if rt.mode == RealMode {
-			buffer = 1024
-		}
-		rt.trans = NewChanTransport(rt.HandleFrame, buffer)
+		rt.trans = inProcess{rt.HandleFrame}
 	}
 	if rt.mode == RealMode {
 		for _, id := range rt.hosted {
-			rt.nodes[id].mbox.start(rt)
+			go rt.nodes[id].loop()
 		}
 	}
 }
 
-// Stop shuts the runtime down: transport first (no new arrivals),
-// then the node goroutines drain and exit.
+// Stop shuts the runtime down: transport first (no new arrivals), then
+// every node goroutine runs the Do calls it already holds and exits.
+// Arrivals and timers still queued are dropped with it: nothing fires
+// after Stop returns.
 func (rt *Runtime) Stop() {
 	if !rt.started || rt.stopped {
 		return
@@ -361,10 +366,10 @@ func (rt *Runtime) Stop() {
 	}
 	if rt.mode == RealMode {
 		for _, id := range rt.hosted {
-			rt.nodes[id].mbox.close()
+			rt.nodes[id].close()
 		}
 		for _, id := range rt.hosted {
-			rt.nodes[id].mbox.wait()
+			<-rt.nodes[id].done
 		}
 	}
 }
@@ -372,7 +377,8 @@ func (rt *Runtime) Stop() {
 // Do runs fn on node id's goroutine and waits for it. This is the
 // only safe way to touch an engine after Start in RealMode (join a
 // receiver, read a table). In SimMode fn runs inline. Calling Do from
-// a node goroutine deadlocks — engines must not use it.
+// a node goroutine deadlocks — engines must not use it. After Stop the
+// node goroutine is gone and Do returns without running fn.
 func (rt *Runtime) Do(id topology.NodeID, fn func()) {
 	nd := rt.Node(id)
 	if rt.mode == SimMode || !rt.started {
@@ -380,11 +386,12 @@ func (rt *Runtime) Do(id topology.NodeID, fn func()) {
 		return
 	}
 	done := make(chan struct{})
-	nd.mbox.enqueue(func() {
+	if nd.post(func() {
 		fn()
 		close(done)
-	})
-	<-done
+	}) {
+		<-done
+	}
 }
 
 // Quiesce stops the world — every node goroutine parked between
@@ -401,26 +408,39 @@ func (rt *Runtime) Quiesce(fn func()) {
 }
 
 // HandleFrame ingests a frame addressed to hosted node to. Transports
-// call it from their receive path; it charges the link cost as
-// arrival delay on the destination's clock, exactly as netsim charges
-// cost on the wire.
+// call it from their receive path; it copies the frame into an arrival
+// envelope (frame is the caller's again when it returns) and queues the
+// envelope on the destination, due one link cost from now, exactly as
+// netsim charges cost on the wire. A frame that does not decode, or
+// whose sender is not a neighbour of to, is counted in CodecDrops and
+// goes no further: the sender field is the peer's word, and the link it
+// names is what the arrival is charged for.
 func (rt *Runtime) HandleFrame(to topology.NodeID, frame []byte) {
 	nd := rt.nodes[to]
 	if nd == nil {
 		return // not hosted here; a misrouted or stale frame
 	}
-	fm, msg, err := decodeFrame(frame)
-	if err != nil {
+	a := nd.newArrival()
+	fm, msg, err := decodeFrame(frame, &a.data)
+	cost := 0
+	if err == nil && fm.from >= 0 && int(fm.from) < len(rt.nodes) {
+		cost = rt.g.Cost(fm.from, to)
+	}
+	if cost == 0 {
+		nd.recycle(a)
 		rt.emitMu.Lock()
 		rt.stats.CodecDrops++
 		rt.emitMu.Unlock()
 		return
 	}
+	if msg == packet.Message(&a.data) {
+		// The payload aliases the caller's frame: move it to the envelope's.
+		a.buf = append(a.buf[:0], a.data.Payload...)
+		a.data.Payload = a.buf
+	}
 	fm.wire = true
-	cost := rt.g.Cost(fm.from, to)
-	nd.clk.After(eventsim.Time(cost), func() {
-		rt.arrive(nd, fm, msg)
-	})
+	a.fm, a.msg = fm, msg
+	nd.schedule(a, eventsim.Time(cost))
 }
 
 // emitMsg emits one packet-level event, stamped with the acting node's
@@ -560,11 +580,12 @@ func (rt *Runtime) forward(nd *Node, fm frameMeta, msg packet.Message) {
 }
 
 // transmit frames msg and hands it to the transport, charging one
-// unit of hop budget. The packet is marshalled fresh every hop: the
-// live runtime always exercises the real wire codec. The outgoing
-// frame carries the packet's causal pair — parented at this forward
-// event, exactly as netsim's emitEnv advances the envelope's step —
-// and a fresh last-hop timestamp.
+// unit of hop budget. The packet is marshalled at every hop — the live
+// runtime always exercises the real wire codec — into the sending
+// node's one frame buffer, which is free again when Send returns. The
+// outgoing frame carries the packet's causal pair — parented at this
+// forward event, exactly as netsim's emitEnv advances the envelope's
+// step — and a fresh last-hop timestamp.
 func (rt *Runtime) transmit(nd *Node, to topology.NodeID, fm frameMeta, msg packet.Message) {
 	if fm.ttl <= 0 {
 		rt.drop(&fm, &rt.stats.HopLimitDrops, obs.CauseHopLimit, nd, topology.None, msg)
@@ -577,10 +598,6 @@ func (rt *Runtime) transmit(nd *Node, to topology.NodeID, fm frameMeta, msg pack
 	}
 	if rt.g.Cost(nd.id, to) == 0 {
 		panic(fmt.Sprintf("live: transmit over missing link %d->%d", nd.id, to))
-	}
-	wire, err := packet.Marshal(msg)
-	if err != nil {
-		panic(fmt.Sprintf("live: marshal on %d->%d: %v", nd.id, to, err))
 	}
 	rt.lockStep(&fm)
 	rt.stats.Transmissions++
@@ -602,68 +619,14 @@ func (rt *Runtime) transmit(nd *Node, to topology.NodeID, fm frameMeta, msg pack
 	rt.emitMu.Unlock()
 	fm.from = nd.id
 	fm.hopAt = rt.stampNow()
-	if err := rt.trans.Send(nd.id, to, encodeFrame(fm, wire)); err != nil {
+	frame, err := appendFrame(nd.wbuf[:0], fm, msg)
+	if err != nil {
+		panic(fmt.Sprintf("live: marshal on %d->%d: %v", nd.id, to, err))
+	}
+	nd.wbuf = frame
+	if err := rt.trans.Send(nd.id, to, frame); err != nil {
 		rt.emitMu.Lock()
 		rt.stats.SendErrors++
 		rt.emitMu.Unlock()
 	}
 }
-
-// mailbox is an unbounded FIFO work queue with one consumer
-// goroutine: a router's serialised execution context. Unbounded on
-// purpose — node A's dispatch may synchronously enqueue onto node B
-// and vice versa, so any bounded queue could deadlock the pair.
-type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []func()
-	closed bool
-	done   chan struct{}
-}
-
-func newMailbox() *mailbox {
-	m := &mailbox{done: make(chan struct{})}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-func (m *mailbox) enqueue(fn func()) {
-	m.mu.Lock()
-	if !m.closed {
-		m.q = append(m.q, fn)
-	}
-	m.mu.Unlock()
-	m.cond.Signal()
-}
-
-func (m *mailbox) start(rt *Runtime) {
-	go func() {
-		defer close(m.done)
-		for {
-			m.mu.Lock()
-			for len(m.q) == 0 && !m.closed {
-				m.cond.Wait()
-			}
-			if len(m.q) == 0 && m.closed {
-				m.mu.Unlock()
-				return
-			}
-			fn := m.q[0]
-			m.q = m.q[1:]
-			m.mu.Unlock()
-
-			rt.worldMu.RLock()
-			fn()
-			rt.worldMu.RUnlock()
-		}
-	}()
-}
-
-func (m *mailbox) close() {
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
-	m.cond.Broadcast()
-}
-
-func (m *mailbox) wait() { <-m.done }

@@ -63,21 +63,25 @@ type frameMeta struct {
 	hopDue bool
 }
 
-// encodeFrame prepends the transport framing to a marshalled packet.
-func encodeFrame(fm frameMeta, wire []byte) []byte {
-	f := make([]byte, frameOverhead+len(wire))
-	binary.BigEndian.PutUint32(f[0:4], uint32(fm.from))
-	f[4] = uint8(fm.ttl)
-	binary.BigEndian.PutUint64(f[5:13], uint64(fm.cause.Episode))
-	binary.BigEndian.PutUint64(f[13:21], uint64(fm.cause.Step))
-	binary.BigEndian.PutUint64(f[21:29], uint64(fm.origAt))
-	binary.BigEndian.PutUint64(f[29:37], uint64(fm.hopAt))
-	copy(f[frameOverhead:], wire)
-	return f
+// appendFrame appends msg framed by fm to dst: the framing, then the
+// packet in wire format. A sender passes a buffer it reuses, so a
+// transmission allocates nothing.
+func appendFrame(dst []byte, fm frameMeta, msg packet.Message) ([]byte, error) {
+	var h [frameOverhead]byte
+	binary.BigEndian.PutUint32(h[0:4], uint32(fm.from))
+	h[4] = uint8(fm.ttl) // New refuses a hop limit that does not fit
+	binary.BigEndian.PutUint64(h[5:13], uint64(fm.cause.Episode))
+	binary.BigEndian.PutUint64(h[13:21], uint64(fm.cause.Step))
+	binary.BigEndian.PutUint64(h[21:29], uint64(fm.origAt))
+	binary.BigEndian.PutUint64(h[29:37], uint64(fm.hopAt))
+	return packet.AppendMarshal(append(dst, h[:]...), msg)
 }
 
-// decodeFrame splits a frame into its metadata and the packet.
-func decodeFrame(f []byte) (fm frameMeta, msg packet.Message, err error) {
+// decodeFrame splits a frame into its metadata and the packet, which
+// it checksum-verifies and decodes as packet.UnmarshalInto does: a data
+// packet into *d with its payload aliasing f, anything else (and data,
+// when d is nil) into storage of its own.
+func decodeFrame(f []byte, d *packet.Data) (fm frameMeta, msg packet.Message, err error) {
 	if len(f) < frameOverhead {
 		return frameMeta{}, nil, fmt.Errorf("live: short frame (%d bytes)", len(f))
 	}
@@ -87,88 +91,37 @@ func decodeFrame(f []byte) (fm frameMeta, msg packet.Message, err error) {
 	fm.cause.Step = obs.StepID(binary.BigEndian.Uint64(f[13:21]))
 	fm.origAt = int64(binary.BigEndian.Uint64(f[21:29]))
 	fm.hopAt = int64(binary.BigEndian.Uint64(f[29:37]))
-	msg, err = packet.Unmarshal(f[frameOverhead:])
+	msg, err = packet.UnmarshalInto(d, f[frameOverhead:])
 	return fm, msg, err
 }
 
 // DeliverFunc receives a frame addressed to hosted node to. Transports
 // call it from their receive path; the runtime turns it into an
-// arrival on to's goroutine (or event, under the simulated clock).
+// arrival in to's queue (or an event, under the simulated clock). It
+// copies what it keeps before it returns: frame is the caller's again.
 type DeliverFunc func(to topology.NodeID, frame []byte)
 
-// Transport moves frames between adjacent nodes. Send must be safe
-// for concurrent use; it delivers asynchronously except for the
-// synchronous in-process transport the deterministic mode uses.
+// Transport moves frames between adjacent nodes. Send must be safe for
+// concurrent use and must not keep frame once it returns: the sender
+// builds its next frame in the same bytes.
 type Transport interface {
 	Send(from, to topology.NodeID, frame []byte) error
 	Close() error
 }
 
-// ChanTransport is the in-process transport: frames go straight to
-// the runtime's deliver callback, either synchronously (buffer <= 0 —
-// the deterministic simulated-clock mode, where the callback just
-// schedules an arrival event) or through a buffered channel drained
-// by a pump goroutine (the concurrent mode's loopback network).
-type ChanTransport struct {
-	deliver DeliverFunc
+// inProcess is the in-process transport, the default of both modes: a
+// frame goes straight to the runtime's deliver callback on the sender's
+// goroutine. Delivery only copies the frame into an arrival envelope
+// and queues that on the destination (an event under the simulated
+// clock), so it never blocks and never runs the destination's engines.
+type inProcess struct{ deliver DeliverFunc }
 
-	mu     sync.Mutex
-	ch     chan chanFrame
-	closed bool
-	wg     sync.WaitGroup
-}
-
-type chanFrame struct {
-	to    topology.NodeID
-	frame []byte
-}
-
-// NewChanTransport builds an in-process transport over deliver.
-// buffer <= 0 selects synchronous delivery.
-func NewChanTransport(deliver DeliverFunc, buffer int) *ChanTransport {
-	t := &ChanTransport{deliver: deliver}
-	if buffer > 0 {
-		t.ch = make(chan chanFrame, buffer)
-		t.wg.Add(1)
-		go func() {
-			defer t.wg.Done()
-			for f := range t.ch {
-				t.deliver(f.to, f.frame)
-			}
-		}()
-	}
-	return t
-}
-
-// Send implements Transport.
-func (t *ChanTransport) Send(from, to topology.NodeID, frame []byte) error {
-	if t.ch == nil {
-		t.deliver(to, frame)
-		return nil
-	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return fmt.Errorf("live: send on closed transport")
-	}
-	t.ch <- chanFrame{to: to, frame: frame}
-	t.mu.Unlock()
+func (t inProcess) Send(from, to topology.NodeID, frame []byte) error {
+	t.deliver(to, frame)
 	return nil
 }
 
-// Close implements Transport. Buffered frames drain before it returns.
-func (t *ChanTransport) Close() error {
-	if t.ch != nil {
-		t.mu.Lock()
-		if !t.closed {
-			t.closed = true
-			close(t.ch)
-		}
-		t.mu.Unlock()
-		t.wg.Wait()
-	}
-	return nil
-}
+func (inProcess) Close() error { return nil }
 
 // UDPTransport sends frames as UDP datagrams using a node address
 // book (NodeID -> host:port). Every hosted node gets its own bound
@@ -241,6 +194,8 @@ func (t *UDPTransport) LocalAddr(id topology.NodeID) net.Addr {
 	return nil
 }
 
+// readLoop hands every datagram to deliver in the one buffer it reads
+// into: deliver keeps nothing of it (see DeliverFunc).
 func (t *UDPTransport) readLoop(id topology.NodeID, conn *net.UDPConn) {
 	defer t.wg.Done()
 	buf := make([]byte, maxFrame)
@@ -249,9 +204,7 @@ func (t *UDPTransport) readLoop(id topology.NodeID, conn *net.UDPConn) {
 		if err != nil {
 			return // socket closed
 		}
-		frame := make([]byte, n)
-		copy(frame, buf[:n])
-		t.deliver(id, frame)
+		t.deliver(id, buf[:n])
 	}
 }
 

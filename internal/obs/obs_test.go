@@ -164,8 +164,8 @@ func TestParseFilter(t *testing.T) {
 	nodeEv := Event{Kind: KindForward, NodeName: "b7"}
 
 	tests := []struct {
-		spec                  string
-		ch, otherCh, node     bool
+		spec              string
+		ch, otherCh, node bool
 	}{
 		{testCh.String(), true, false, false},
 		{"10.0.0.1,224.0.0.1", true, false, false},

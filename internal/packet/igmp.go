@@ -37,6 +37,7 @@ type Report struct {
 
 func (q *Query) wireSize() int { return 1 }
 func (q *Query) marshalBody(b []byte) {
+	b[0] = 0
 	if q.General {
 		b[0] = 1
 	}
@@ -51,6 +52,7 @@ func (q *Query) unmarshalBody(b []byte) error {
 
 func (r *Report) wireSize() int { return 1 }
 func (r *Report) marshalBody(b []byte) {
+	b[0] = 0
 	if r.Leave {
 		b[0] = 1
 	}

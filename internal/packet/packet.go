@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"hbh/internal/addr"
 )
@@ -153,7 +154,10 @@ type Message interface {
 	Hdr() *Header
 	// wireSize returns the marshalled body size (excluding header).
 	wireSize() int
+	// marshalBody writes every byte of b, which may hold an earlier
+	// packet's: senders marshal into buffers they reuse.
 	marshalBody(b []byte)
+	// unmarshalBody decodes b; what it stores may alias b.
 	unmarshalBody(b []byte) error
 }
 
@@ -196,17 +200,31 @@ var (
 	ErrBadBody = errors.New("packet: bad body")
 )
 
-// Marshal encodes m to wire format.
+// Marshal encodes m to wire format in a buffer of its own.
 func Marshal(m Message) ([]byte, error) {
+	buf, err := AppendMarshal(make([]byte, 0, WireBytes(m)), m)
+	if err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// AppendMarshal appends m's wire format to dst and returns the extended
+// slice: what a sender that frames packets into a buffer it reuses
+// calls, so that a transmission allocates nothing. On error dst is
+// returned as it was.
+func AppendMarshal(dst []byte, m Message) ([]byte, error) {
 	h := m.Hdr()
 	if h.Type == TypeInvalid {
-		return nil, ErrBadType
+		return dst, ErrBadType
 	}
 	n := m.wireSize()
 	if n > maxBody {
-		return nil, fmt.Errorf("%w: body %d exceeds %d", ErrBadBody, n, maxBody)
+		return dst, fmt.Errorf("%w: body %d exceeds %d", ErrBadBody, n, maxBody)
 	}
-	buf := make([]byte, headerSize+n)
+	off := len(dst)
+	dst = slices.Grow(dst, headerSize+n)[:off+headerSize+n]
+	buf := dst[off:]
 	buf[0] = Version
 	buf[1] = byte(h.Proto)
 	buf[2] = byte(h.Type)
@@ -218,11 +236,21 @@ func Marshal(m Message) ([]byte, error) {
 	binary.BigEndian.PutUint16(buf[20:], uint16(n))
 	m.marshalBody(buf[headerSize:])
 	binary.BigEndian.PutUint16(buf[22:], checksum(buf))
-	return buf, nil
+	return dst, nil
 }
 
-// Unmarshal decodes one message from buf.
+// Unmarshal decodes one message from buf. The message owns its storage:
+// nothing in it aliases buf.
 func Unmarshal(buf []byte) (Message, error) {
+	return UnmarshalInto(nil, buf)
+}
+
+// UnmarshalInto decodes one message from buf like Unmarshal, except that
+// a data packet is decoded into *d and its Payload aliases buf: the
+// receive path of a runtime that owns both for exactly as long as the
+// packet lives. Every other type, and a data packet when d is nil, gets
+// storage of its own.
+func UnmarshalInto(d *Data, buf []byte) (Message, error) {
 	if len(buf) < headerSize {
 		return nil, ErrTruncated
 	}
@@ -250,6 +278,7 @@ func Unmarshal(buf []byte) (Message, error) {
 		Dst: addr.Addr(binary.BigEndian.Uint32(buf[16:])),
 	}
 	var m Message
+	own := false // a data packet decoded into storage allocated here
 	switch h.Type {
 	case TypeJoin:
 		m = &Join{Header: h}
@@ -258,7 +287,11 @@ func Unmarshal(buf []byte) (Message, error) {
 	case TypeFusion:
 		m = &Fusion{Header: h}
 	case TypeData:
-		m = &Data{Header: h}
+		if own = d == nil; own {
+			d = new(Data)
+		}
+		d.Header = h
+		m = d
 	default:
 		var ok bool
 		if m, ok = igmpMessage(h); !ok {
@@ -267,6 +300,9 @@ func Unmarshal(buf []byte) (Message, error) {
 	}
 	if err := m.unmarshalBody(buf[headerSize:]); err != nil {
 		return nil, err
+	}
+	if own {
+		d.Payload = append([]byte(nil), d.Payload...)
 	}
 	return m, nil
 }
@@ -365,7 +401,7 @@ func (d *Data) unmarshalBody(b []byte) error {
 	if len(b) != 6+n {
 		return fmt.Errorf("%w: data body %d bytes for %d payload", ErrBadBody, len(b), n)
 	}
-	d.Payload = append([]byte(nil), b[6:]...)
+	d.Payload = b[6:] // aliases b: UnmarshalInto decides who owns it
 	return nil
 }
 

@@ -62,7 +62,7 @@ func FuzzRoundTrip(f *testing.F) {
 // captureCorpus runs a 5-router HBH line with two receivers under a
 // capture writer and returns the wire bytes of every Tree and Fusion
 // message that crossed a link.
-func captureCorpus(f *testing.F) [][]byte {
+func captureCorpus(f testing.TB) [][]byte {
 	g := topology.Line(5, true)
 	sim := eventsim.New()
 	net := netsim.New(sim, g, unicast.Compute(g))
