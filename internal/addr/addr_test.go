@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"hbh/internal/testseed"
 )
 
 func TestAddrClassification(t *testing.T) {
@@ -40,7 +42,7 @@ func TestParseRoundTrip(t *testing.T) {
 		b, err := Parse(a.String())
 		return err == nil && b == a
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000, Rand: testseed.Rand(t)}); err != nil {
 		t.Error(err)
 	}
 }

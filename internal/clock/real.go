@@ -101,12 +101,6 @@ func newReal(start time.Time, unit time.Duration) *Real {
 	return &Real{start: start, unit: unit, promised: never}
 }
 
-// Unit returns the wall duration of one virtual time unit.
-func (r *Real) Unit() time.Duration { return r.unit }
-
-// Start returns the wall time of virtual t=0.
-func (r *Real) Start() time.Time { return r.start }
-
 // Now returns the virtual units elapsed since the epoch.
 func (r *Real) Now() Time {
 	return Time(float64(time.Since(r.start)) / float64(r.unit))

@@ -7,6 +7,7 @@ import (
 
 	"hbh/internal/eventsim"
 	"hbh/internal/mtree"
+	"hbh/internal/testseed"
 	"hbh/internal/topology"
 )
 
@@ -81,7 +82,7 @@ func TestQuickChurnRecovers(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 15, Rand: testseed.Rand(t)}); err != nil {
 		t.Error(err)
 	}
 }

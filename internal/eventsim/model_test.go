@@ -3,25 +3,10 @@ package eventsim
 import (
 	"math"
 	"math/rand"
-	"os"
-	"strconv"
 	"testing"
-)
 
-// modelSeed is the seed of the model test's operation stream: fixed, so
-// a failure reproduces, and overridable to explore other streams.
-func modelSeed(t *testing.T) int64 {
-	seed := int64(20011)
-	if v := os.Getenv("HBH_QUICK_SEED"); v != "" {
-		s, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			t.Fatalf("HBH_QUICK_SEED=%q: %v", v, err)
-		}
-		seed = s
-	}
-	t.Logf("operation stream seed %d (rerun with HBH_QUICK_SEED=%d)", seed, seed)
-	return seed
-}
+	"hbh/internal/testseed"
+)
 
 // refEvent is one pending event of the reference.
 type refEvent struct {
@@ -194,7 +179,7 @@ func (m *model) check() {
 // replacing the queue's layout and re-arming timers in place: the order
 // (at, seq) defines is all a simulation can observe of either.
 func TestQueueAgainstReference(t *testing.T) {
-	seed := modelSeed(t)
+	seed := testseed.Seed(t)
 	for round := int64(0); round < 20; round++ {
 		m := &model{t: t, rng: rand.New(rand.NewSource(seed + round)), sim: New()}
 		for step := 0; step < 400; step++ {

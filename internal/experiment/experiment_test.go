@@ -11,6 +11,7 @@ import (
 	"hbh/internal/eventsim"
 	"hbh/internal/mtree"
 	"hbh/internal/netsim"
+	"hbh/internal/testseed"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -112,7 +113,7 @@ func TestQuickHBHShortestPathTree(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: testseed.Rand(t)}); err != nil {
 		t.Error(err)
 	}
 }
@@ -127,7 +128,7 @@ func TestQuickHBHCostNeverAboveStar(t *testing.T) {
 		star := Run(RunConfig{Topo: TopoISP, Protocol: HBHNoFusion, Receivers: 8, Seed: seed})
 		return withFusion.Cost <= star.Cost
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 15, Rand: testseed.Rand(t)}); err != nil {
 		t.Error(err)
 	}
 }

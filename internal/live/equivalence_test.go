@@ -259,6 +259,23 @@ func TestEquivalenceHBHISP(t *testing.T) {
 	checkEquiv(t, equivHBH, build, script, "live_equivalence_isp_hbh.txt")
 }
 
+// TestEquivalenceHBHFig2 is the paper's Figure-2 asymmetric case: the
+// script netsim's strict-wire mode once ran, kept here where the frame
+// wire is the strict wire.
+func TestEquivalenceHBHFig2(t *testing.T) {
+	build := func() (*topology.Graph, topology.NodeID) {
+		sc := topology.Fig2Scenario()
+		return sc.Graph, sc.Source
+	}
+	sc := topology.Fig2Scenario()
+	script := equivScript{
+		joins:   map[topology.NodeID]eventsim.Time{sc.R1: 10, sc.R2: 130},
+		sends:   []eventsim.Time{450, 460, 470},
+		horizon: 600,
+	}
+	checkEquiv(t, equivHBH, build, script, "live_equivalence_fig2_hbh.txt")
+}
+
 // TestEquivalenceREUNITEFig3 repeats the exercise for the second
 // protocol: the runtime is engine-agnostic, so equivalence must hold
 // for REUNITE's interception semantics too.

@@ -25,7 +25,7 @@ func hbhdObserver() *obs.Observer {
 }
 
 // fig3Sim is the Figure-3 equivalence script run to its horizon on a
-// SimMode runtime: a converged two-receiver HBH tree.
+// runtime under the simulator: a converged two-receiver HBH tree.
 type fig3Sim struct {
 	rt  *Runtime
 	sim *eventsim.Sim
@@ -81,10 +81,10 @@ func (f fig3Sim) stream(t *testing.T, n int) (mallocs uint64, delivered int) {
 }
 
 // TestFlightRecorderGoldenFig3 pins every byte the flight recorder
-// renders for the deterministic SimMode Figure-3 run. The golden was
-// captured from the recorder that rendered each line at record time;
-// the recorder that snapshots the event and renders on dump must
-// reproduce it exactly.
+// renders for the deterministic Figure-3 run under the simulator. The
+// golden was captured from the recorder that rendered each line at
+// record time; the recorder that snapshots the event and renders on
+// dump must reproduce it exactly.
 func TestFlightRecorderGoldenFig3(t *testing.T) {
 	o := hbhdObserver()
 	runFig3Sim(t, o)
@@ -92,8 +92,8 @@ func TestFlightRecorderGoldenFig3(t *testing.T) {
 }
 
 // observerAllocBudget is what hbhd's observer may add, in heap
-// allocations per delivered data packet, to a SimMode run. The runtime
-// and the registries add none; what is left is the engines' own
+// allocations per delivered data packet, to a run under the simulator.
+// The runtime and the registries add none; what is left is the engines' own
 // annotations (a formatted Detail string on the occasional protocol
 // event), which the budget leaves room for and nothing more.
 const observerAllocBudget = 0.5

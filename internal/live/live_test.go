@@ -10,6 +10,7 @@ import (
 	"hbh/internal/addr"
 	"hbh/internal/core"
 	"hbh/internal/eventsim"
+	"hbh/internal/netsim"
 	"hbh/internal/obs"
 	"hbh/internal/packet"
 	"hbh/internal/topology"
@@ -196,6 +197,84 @@ func TestQuiesceSeesConsistentCut(t *testing.T) {
 		})
 	}
 	close(stop)
+}
+
+// TestRuntimeStatsUnderLoad pins where the counters live: on each
+// node's shard of the one ladder, written in the step's hold of the
+// emission lock. A RealMode stream of data and control packets runs
+// while another goroutine polls Stats (under -race this is the proof
+// the poll is safe); once the runtime has stopped, the link counters
+// equal what the link tap saw, and one garbage frame counted once.
+func TestRuntimeStatsUnderLoad(t *testing.T) {
+	const nodes, rounds, batch = 5, 40, 20
+	g := topology.Line(nodes, false)
+	g.Freeze()
+	rt := New(Config{Graph: g, Routing: unicast.Compute(g), Unit: 20 * time.Microsecond})
+	last := topology.NodeID(nodes - 1)
+	var delivered atomic.Int64
+	rt.Node(last).SetDeliver(func(netsim.ProtoNode, packet.Message) { delivered.Add(1) })
+	var tapped, tappedData int // the tap runs under the emission lock
+	rt.AddTap(func(_, _ topology.NodeID, msg packet.Message) {
+		tapped++
+		if _, ok := msg.(*packet.Data); ok {
+			tappedData++
+		}
+	})
+	rt.Start()
+
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		n, prev := 0, 0
+		for {
+			select {
+			case <-stop:
+				polled <- n
+				return
+			default:
+			}
+			st := rt.Stats()
+			if st.Transmissions < prev {
+				t.Errorf("Transmissions went back from %d to %d", prev, st.Transmissions)
+			}
+			prev = st.Transmissions
+			n++
+		}
+	}()
+	data := dataTo(g, last, 0, "load")
+	for i := 0; i < rounds; i++ {
+		want := delivered.Load() + 2*batch
+		rt.Do(0, func() {
+			for j := 0; j < batch; j++ {
+				rt.Node(0).SendUnicast(data)
+				rt.Node(0).SendUnicast(&packet.Join{
+					Header: packet.Header{Proto: packet.ProtoHBH, Type: packet.TypeJoin, Dst: g.Node(last).Addr},
+					R:      g.Node(0).Addr,
+				})
+			}
+		})
+		if i == rounds/2 {
+			rt.HandleFrame(2, []byte("not a frame"))
+		}
+		waitUntil(t, "the round's deliveries", 5*time.Second, func() bool { return delivered.Load() >= want })
+	}
+	close(stop)
+	if n := <-polled; n == 0 {
+		t.Error("the poller never read Stats")
+	}
+	rt.Stop()
+
+	st := rt.Stats()
+	if st.Transmissions != tapped || st.DataCopies != tappedData {
+		t.Errorf("Transmissions=%d DataCopies=%d, the tap saw %d frames, %d of them data",
+			st.Transmissions, st.DataCopies, tapped, tappedData)
+	}
+	if hops := 2 * rounds * batch * (nodes - 1); tapped != hops {
+		t.Errorf("the tap saw %d frames, want %d", tapped, hops)
+	}
+	if st.CodecDrops != 1 {
+		t.Errorf("one garbage frame: CodecDrops=%d", st.CodecDrops)
+	}
 }
 
 // refusingTransport refuses every frame, as a closed socket or an

@@ -9,26 +9,8 @@ import (
 	"hbh/internal/eventsim"
 	"hbh/internal/netsim"
 	"hbh/internal/obs"
-	"hbh/internal/packet"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
-)
-
-// Mode selects how the runtime executes.
-type Mode int
-
-const (
-	// SimMode runs every node inside one shared discrete-event
-	// simulator: single-threaded, virtual time, deterministic. The
-	// transport still frames and unmarshals every hop, so the wire
-	// path is exercised, but execution is bit-reproducible — this is
-	// the mode the equivalence tests compare against netsim.
-	SimMode Mode = iota
-	// RealMode runs one goroutine per hosted node against the wall
-	// clock: each drains its own due-ordered queue of frame arrivals and
-	// soft-state timers, so engines stay serialised per node while
-	// transports deliver concurrently.
-	RealMode
 )
 
 // Config parameterises a runtime.
@@ -36,8 +18,11 @@ type Config struct {
 	Graph   *topology.Graph
 	Routing unicast.Router
 
-	// Sim selects SimMode when non-nil: all nodes share this
-	// simulator as their clock and event loop.
+	// Sim, when non-nil, runs every node inside this one discrete-event
+	// simulator: single-threaded, virtual time, deterministic — netsim's
+	// network with the frame wire as its link step, which is what the
+	// equivalence tests compare against the reference wire. nil runs one
+	// goroutine per hosted node against the wall clock (RealMode).
 	Sim *eventsim.Sim
 
 	// Unit is RealMode's wall duration of one virtual time unit
@@ -56,62 +41,34 @@ type Config struct {
 	HopLimit int
 }
 
-// Stats counts runtime-level packet events, mirroring the netsim
-// counters the experiments read. Snapshot via Runtime.Stats.
-type Stats struct {
-	Transmissions int
-	DataCopies    int
-	Delivered     int
-	DataDelivered int
-	Consumed      int
-	DataConsumed  int
-	HopLimitDrops int
-	NoRouteDrops  int
-	LinkDownDrops int
-	NodeDownDrops int
-	CodecDrops    int
-	// SendErrors counts frames the transport refused (a closed socket,
-	// an address-book miss): the frame is lost, the error is not.
-	SendErrors int
-}
+// Stats counts the runtime's packet events: netsim's counters, whose
+// CodecDrops and SendErrors only a frame wire moves. Snapshot via
+// Runtime.Stats.
+type Stats = netsim.Stats
 
-// Runtime hosts live protocol engines over a transport. Construct
-// with New, attach engines to rt.Node(id) (same Attach* calls as
-// netsim), install a transport (or let Start default to in-process),
-// then Start. In RealMode all post-Start engine access must go
-// through Do or Quiesce.
+// Runtime hosts live protocol engines over a transport: a
+// netsim.Network whose link step is the frame wire, each hosted node on
+// a shard and a clock of its own. Construct with New, attach engines to
+// rt.Node(id) (same Attach* calls as netsim), install a transport (or
+// let Start default to in-process), then Start. In RealMode all
+// post-Start engine access must go through Do or Quiesce.
 type Runtime struct {
-	mode     Mode
-	g        *topology.Graph
-	routing  unicast.Router
-	sim      *eventsim.Sim
-	unit     time.Duration
-	start    time.Time
-	wall     *clock.Real // RealMode ambient clock (Now for stamping)
-	hopLimit int
+	net   *netsim.Network
+	sim   *eventsim.Sim
+	unit  time.Duration
+	start time.Time
 
-	nodes  []*Node // by NodeID; nil when not hosted
-	trans  Transport
+	hosts  []*host // by NodeID; nil when not hosted
 	hosted []topology.NodeID
+	trans  Transport
 
 	// worldMu is RealMode's stop-the-world barrier: everything a node
 	// goroutine dispatches runs under RLock, Quiesce takes the write lock.
 	worldMu sync.RWMutex
-
 	// emitMu serialises the shared observability surface (observer,
-	// taps, stats) across node goroutines.
-	emitMu  sync.Mutex
-	obsv    *obs.Observer
-	taps    []netsim.Tap
-	delTaps []netsim.DeliveryTap
-	stats   Stats
-
-	// faultMu guards the runtime fault overlay. The shared graph is
-	// frozen and never mutated here — faults are a runtime concept so
-	// concurrent toggles stay race-free.
-	faultMu  sync.RWMutex
-	nodeDown map[topology.NodeID]bool
-	linkDown map[[2]topology.NodeID]bool
+	// taps, counters) across node goroutines: every dispatch step holds
+	// it once.
+	emitMu sync.Mutex
 
 	started bool
 	stopped bool
@@ -119,68 +76,52 @@ type Runtime struct {
 
 // New builds a runtime over a frozen graph and its routing tables.
 func New(cfg Config) *Runtime {
-	if cfg.Routing.Graph() != cfg.Graph {
-		panic("live: routing tables computed for a different graph")
+	rt := &Runtime{sim: cfg.Sim, unit: cfg.Unit}
+	rt.net = netsim.NewWired(cfg.Graph, cfg.Routing, frameWire{rt}, &rt.emitMu)
+	hopLimit := cfg.HopLimit
+	if hopLimit == 0 {
+		hopLimit = netsim.DefaultHopLimit
 	}
-	rt := &Runtime{
-		g:        cfg.Graph,
-		routing:  cfg.Routing,
-		sim:      cfg.Sim,
-		unit:     cfg.Unit,
-		hopLimit: cfg.HopLimit,
-		nodeDown: make(map[topology.NodeID]bool),
-		linkDown: make(map[[2]topology.NodeID]bool),
+	if hopLimit < 0 || hopLimit > 255 {
+		panic(fmt.Sprintf("live: hop limit %d does not fit the frame's one byte", hopLimit))
 	}
-	if rt.hopLimit == 0 {
-		rt.hopLimit = netsim.DefaultHopLimit
-	}
-	if rt.hopLimit < 0 || rt.hopLimit > 255 {
-		panic(fmt.Sprintf("live: hop limit %d does not fit the frame's one byte", rt.hopLimit))
-	}
-	if rt.sim != nil {
-		rt.mode = SimMode
-	} else {
-		rt.mode = RealMode
+	rt.net.SetHopLimit(hopLimit)
+	if rt.sim == nil {
 		if rt.unit <= 0 {
 			rt.unit = time.Millisecond
 		}
 		rt.start = time.Now()
-		rt.wall = clock.NewRealAt(rt.start, rt.unit, nil)
 	}
-	hosted := cfg.Hosted
-	if hosted == nil {
+	rt.hosted = cfg.Hosted
+	if rt.hosted == nil {
 		for _, nd := range cfg.Graph.Nodes() {
-			hosted = append(hosted, nd.ID)
+			rt.hosted = append(rt.hosted, nd.ID)
 		}
 	}
-	rt.hosted = hosted
-	rt.nodes = make([]*Node, cfg.Graph.NumNodes())
-	for _, id := range hosted {
-		nd := cfg.Graph.Node(id)
-		ln := &Node{rt: rt, id: id, addr: nd.Addr, name: nd.Name}
-		if rt.mode == SimMode {
-			ln.clk = clock.Sim(rt.sim)
+	rt.hosts = make([]*host, cfg.Graph.NumNodes())
+	for _, id := range rt.hosted {
+		h := &host{}
+		var clk clock.Clock
+		if rt.sim != nil {
+			clk = clock.Sim(rt.sim)
 		} else {
-			ln.wake = make(chan struct{}, 1)
-			ln.done = make(chan struct{})
-			ln.real = clock.NewRealDriven(rt.start, rt.unit, ln.poke)
-			ln.clk = ln.real
+			h.wake = make(chan struct{}, 1)
+			h.done = make(chan struct{})
+			h.real = clock.NewRealDriven(rt.start, rt.unit, h.poke)
+			clk = h.real
 		}
-		rt.nodes[id] = ln
+		rt.net.Host(id, clk)
+		rt.hosts[id] = h
 	}
 	return rt
 }
 
-// Mode reports the execution mode.
-func (rt *Runtime) Mode() Mode { return rt.mode }
-
 // Node returns the hosted node, panicking on a non-hosted ID.
-func (rt *Runtime) Node(id topology.NodeID) *Node {
-	n := rt.nodes[id]
-	if n == nil {
+func (rt *Runtime) Node(id topology.NodeID) *netsim.Node {
+	if rt.hosts[id] == nil {
 		panic(fmt.Sprintf("live: node %d not hosted by this runtime", id))
 	}
-	return n
+	return rt.net.Node(id)
 }
 
 // Hosted returns the hosted node IDs.
@@ -194,14 +135,11 @@ func (rt *Runtime) SetTransport(t Transport) {
 	rt.trans = t
 }
 
-// Transport returns the installed transport.
-func (rt *Runtime) Transport() Transport { return rt.trans }
-
 // SetObserver attaches the observability pipeline, rebinding its
 // clock to the runtime's. Emission from node goroutines is
 // serialised internally.
 func (rt *Runtime) SetObserver(o *obs.Observer) {
-	rt.obsv = o
+	rt.net.SetObserver(o)
 	if o != nil {
 		o.SetNow(rt.Now)
 		// Engine code (receiver spans, protocol annotations) emits into
@@ -219,45 +157,44 @@ func (rt *Runtime) SetObserver(o *obs.Observer) {
 }
 
 // Observer returns the attached observer, or nil.
-func (rt *Runtime) Observer() *obs.Observer { return rt.obsv }
+func (rt *Runtime) Observer() *obs.Observer { return rt.net.Observer() }
 
 // Topology returns the graph (invariant.Network).
-func (rt *Runtime) Topology() *topology.Graph { return rt.g }
+func (rt *Runtime) Topology() *topology.Graph { return rt.net.Topology() }
 
 // Routing returns the unicast substrate (invariant.Network).
-func (rt *Runtime) Routing() unicast.Router { return rt.routing }
+func (rt *Runtime) Routing() unicast.Router { return rt.net.Routing() }
 
 // NodeName resolves a node's label (invariant.Network).
-func (rt *Runtime) NodeName(id topology.NodeID) string { return rt.g.Node(id).Name }
+func (rt *Runtime) NodeName(id topology.NodeID) string { return rt.net.NodeName(id) }
 
 // Now returns the current time in virtual units (invariant.Network).
 func (rt *Runtime) Now() eventsim.Time {
-	if rt.mode == SimMode {
+	if rt.sim != nil {
 		return rt.sim.Now()
 	}
-	return rt.wall.Now()
+	return eventsim.Time(float64(time.Since(rt.start)) / float64(rt.unit))
 }
 
 // stampNow returns the frame-timestamp clock: wall nanoseconds in
 // RealMode (comparable across daemons whose wall clocks are roughly
-// synchronised), virtual microseconds in SimMode (exact within one
-// simulation). Frames carry these stamps so the receiving process can
-// compute delivery and hop delays without a shared virtual clock.
+// synchronised), virtual microseconds under the simulator (exact within
+// one simulation). Frames carry these stamps so the receiving process
+// can compute delivery and hop delays without a shared virtual clock.
 func (rt *Runtime) stampNow() int64 {
-	if rt.mode == SimMode {
+	if rt.sim != nil {
 		return int64(rt.sim.Now() * 1e6)
 	}
 	return time.Now().UnixNano()
 }
 
-// stampDelta converts a stamp difference to histogram units: seconds
-// in RealMode, virtual units in SimMode.
-func (rt *Runtime) stampDelta(from int64) float64 {
-	d := rt.stampNow() - from
-	if rt.mode == SimMode {
-		return float64(d) / 1e6
+// stampDelta converts the stamp difference now - from to histogram
+// units: seconds in RealMode, virtual units under the simulator.
+func (rt *Runtime) stampDelta(from, now int64) float64 {
+	if rt.sim != nil {
+		return float64(now-from) / 1e6
 	}
-	return float64(d) / 1e9
+	return float64(now-from) / 1e9
 }
 
 // ObsLocked runs fn under the emission lock: the consistency boundary
@@ -272,67 +209,26 @@ func (rt *Runtime) ObsLocked(fn func()) {
 
 // AddTap registers a link tap (invariant.Network). Taps run under the
 // runtime's emission lock.
-func (rt *Runtime) AddTap(t netsim.Tap) {
-	rt.emitMu.Lock()
-	rt.taps = append(rt.taps, t)
-	rt.emitMu.Unlock()
-}
+func (rt *Runtime) AddTap(t netsim.Tap) { rt.ObsLocked(func() { rt.net.AddTap(t) }) }
 
 // AddDeliveryTap registers a delivery tap (invariant.Network).
 func (rt *Runtime) AddDeliveryTap(t netsim.DeliveryTap) {
-	rt.emitMu.Lock()
-	rt.delTaps = append(rt.delTaps, t)
-	rt.emitMu.Unlock()
+	rt.ObsLocked(func() { rt.net.AddDeliveryTap(t) })
 }
 
-// Stats snapshots the runtime counters.
-func (rt *Runtime) Stats() Stats {
-	rt.emitMu.Lock()
-	defer rt.emitMu.Unlock()
-	return rt.stats
-}
+// Stats snapshots the runtime counters (safe to call concurrently).
+func (rt *Runtime) Stats() Stats { return rt.net.Stats() }
 
-// SetNodeUp marks a hosted-or-remote node up or down in the runtime
-// fault overlay (safe to call concurrently).
+// SetNodeUp marks a hosted-or-remote node up or down (safe to call
+// concurrently: it stops the world to do it).
 func (rt *Runtime) SetNodeUp(id topology.NodeID, up bool) {
-	rt.faultMu.Lock()
-	if up {
-		delete(rt.nodeDown, id)
-	} else {
-		rt.nodeDown[id] = true
-	}
-	rt.faultMu.Unlock()
+	rt.Quiesce(func() { rt.net.SetNodeUp(id, up) })
 }
 
-// SetLinkUp enables or disables the directed link pair (both
-// directions) in the runtime fault overlay.
+// SetLinkUp mends or cuts the link between a and b, both directions
+// (see netsim.Network.SetLinkUp; safe to call concurrently).
 func (rt *Runtime) SetLinkUp(a, b topology.NodeID, up bool) {
-	rt.faultMu.Lock()
-	if up {
-		delete(rt.linkDown, [2]topology.NodeID{a, b})
-		delete(rt.linkDown, [2]topology.NodeID{b, a})
-	} else {
-		rt.linkDown[[2]topology.NodeID{a, b}] = true
-		rt.linkDown[[2]topology.NodeID{b, a}] = true
-	}
-	rt.faultMu.Unlock()
-}
-
-func (rt *Runtime) isNodeDown(id topology.NodeID) bool {
-	rt.faultMu.RLock()
-	down := rt.nodeDown[id]
-	rt.faultMu.RUnlock()
-	return down
-}
-
-func (rt *Runtime) isLinkUp(a, b topology.NodeID) bool {
-	if !rt.g.LinkEnabled(a, b) {
-		return false
-	}
-	rt.faultMu.RLock()
-	down := rt.linkDown[[2]topology.NodeID{a, b}]
-	rt.faultMu.RUnlock()
-	return !down
+	rt.Quiesce(func() { rt.net.SetLinkUp(a, b, up) })
 }
 
 // Start launches the runtime: defaults the transport to in-process
@@ -345,9 +241,9 @@ func (rt *Runtime) Start() {
 	if rt.trans == nil {
 		rt.trans = inProcess{rt.HandleFrame}
 	}
-	if rt.mode == RealMode {
+	if rt.sim == nil {
 		for _, id := range rt.hosted {
-			go rt.nodes[id].loop()
+			go rt.hosts[id].loop(&rt.worldMu)
 		}
 	}
 }
@@ -364,29 +260,29 @@ func (rt *Runtime) Stop() {
 	if rt.trans != nil {
 		rt.trans.Close()
 	}
-	if rt.mode == RealMode {
+	if rt.sim == nil {
 		for _, id := range rt.hosted {
-			rt.nodes[id].close()
+			rt.hosts[id].close()
 		}
 		for _, id := range rt.hosted {
-			<-rt.nodes[id].done
+			<-rt.hosts[id].done
 		}
 	}
 }
 
 // Do runs fn on node id's goroutine and waits for it. This is the
 // only safe way to touch an engine after Start in RealMode (join a
-// receiver, read a table). In SimMode fn runs inline. Calling Do from
-// a node goroutine deadlocks — engines must not use it. After Stop the
-// node goroutine is gone and Do returns without running fn.
+// receiver, read a table). Under the simulator fn runs inline. Calling
+// Do from a node goroutine deadlocks — engines must not use it. After
+// Stop the node goroutine is gone and Do returns without running fn.
 func (rt *Runtime) Do(id topology.NodeID, fn func()) {
-	nd := rt.Node(id)
-	if rt.mode == SimMode || !rt.started {
+	rt.Node(id) // panics on a node not hosted here
+	if rt.sim != nil || !rt.started {
 		fn()
 		return
 	}
 	done := make(chan struct{})
-	if nd.post(func() {
+	if rt.hosts[id].post(func() {
 		fn()
 		close(done)
 	}) {
@@ -396,9 +292,9 @@ func (rt *Runtime) Do(id topology.NodeID, fn func()) {
 
 // Quiesce stops the world — every node goroutine parked between
 // dispatches — and runs fn. Structural invariant checks use it to see
-// a consistent global cut. In SimMode fn just runs inline.
+// a consistent global cut. Under the simulator fn just runs inline.
 func (rt *Runtime) Quiesce(fn func()) {
-	if rt.mode == SimMode || !rt.started {
+	if rt.sim != nil || !rt.started {
 		fn()
 		return
 	}
@@ -407,226 +303,83 @@ func (rt *Runtime) Quiesce(fn func()) {
 	fn()
 }
 
-// HandleFrame ingests a frame addressed to hosted node to. Transports
-// call it from their receive path; it copies the frame into an arrival
-// envelope (frame is the caller's again when it returns) and queues the
-// envelope on the destination, due one link cost from now, exactly as
-// netsim charges cost on the wire. A frame that does not decode, or
-// whose sender is not a neighbour of to, is counted in CodecDrops and
-// goes no further: the sender field is the peer's word, and the link it
-// names is what the arrival is charged for.
+// HandleFrame ingests a frame addressed to hosted node to: the receive
+// half of the frame wire. Transports call it from their receive path;
+// it decodes the frame into an envelope of to's (frame is the caller's
+// again when it returns) and queues the envelope on to's clock, due one
+// link cost from now, exactly as the simulator charges cost on its
+// wire. A frame that does not decode, or whose sender is not a
+// neighbour of to, is counted in CodecDrops and goes no further: the
+// sender field is the peer's word, and the link it names is what the
+// arrival is charged for.
 func (rt *Runtime) HandleFrame(to topology.NodeID, frame []byte) {
-	nd := rt.nodes[to]
-	if nd == nil {
+	if rt.hosts[to] == nil {
 		return // not hosted here; a misrouted or stale frame
 	}
-	a := nd.newArrival()
-	fm, msg, err := decodeFrame(frame, &a.data)
+	env := rt.net.Node(to).Envelope()
+	fm, msg, err := decodeFrame(frame, env.Data())
 	cost := 0
-	if err == nil && fm.from >= 0 && int(fm.from) < len(rt.nodes) {
-		cost = rt.g.Cost(fm.from, to)
+	if g := rt.net.Topology(); err == nil && fm.from >= 0 && int(fm.from) < g.NumNodes() {
+		cost = g.Cost(fm.from, to)
 	}
 	if cost == 0 {
-		nd.recycle(a)
-		rt.emitMu.Lock()
-		rt.stats.CodecDrops++
-		rt.emitMu.Unlock()
+		env.Reject()
 		return
 	}
-	if msg == packet.Message(&a.data) {
-		// The payload aliases the caller's frame: move it to the envelope's.
-		a.buf = append(a.buf[:0], a.data.Payload...)
-		a.data.Payload = a.buf
-	}
-	fm.wire = true
-	a.fm, a.msg = fm, msg
-	nd.schedule(a, eventsim.Time(cost))
+	env.Load(msg, fm.ttl, fm.cause)
+	env.OrigAt, env.HopAt = fm.origAt, fm.hopAt
+	frameWire{rt}.Queue(to, env, eventsim.Time(cost))
 }
 
-// emitMsg emits one packet-level event, stamped with the acting node's
-// ambient causal context, and returns the event's step (0 with no
-// observer) so callers can chain a packet's in-flight causal pair to
-// it — the mirror of netsim's emitMsg. Caller holds emitMu. A send that
-// began outside any episode (nd.rootNext) roots one here, in the lock
-// hold its first event already takes.
-func (rt *Runtime) emitMsg(kind obs.Kind, cause obs.Cause, nd *Node, peer topology.NodeID, msg packet.Message) obs.StepID {
-	o := rt.obsv
-	if o == nil {
-		return 0
+// frameWire is the runtime's link step: the packet is framed into the
+// sender's buffer and handed to the transport, whose far end hands it
+// to HandleFrame.
+type frameWire struct{ rt *Runtime }
+
+// Carry frames env's packet with its hop budget, causal pair and
+// stamps, and sends it. The frame's causal step is the forward event
+// the ladder just emitted; its origination stamp is this hop's when the
+// packet is starting out. The envelope's life here ends with the frame.
+func (w frameWire) Carry(from, to topology.NodeID, env *netsim.Envelope, _ eventsim.Time) error {
+	rt := w.rt
+	h := rt.hosts[from]
+	now := rt.stampNow()
+	fm := frameMeta{from: from, ttl: env.Hops(), cause: env.Cause(), origAt: env.OrigAt, hopAt: now}
+	if fm.origAt == 0 {
+		fm.origAt = now
 	}
-	if nd.rootNext {
-		nd.rootNext = false
-		nd.cur = obs.Causal{Episode: o.NewEpisode()}
+	frame, err := appendFrame(h.wbuf[:0], fm, env.Msg())
+	if err != nil {
+		panic(fmt.Sprintf("live: marshal on %d->%d: %v", from, to, err))
 	}
-	ev := obs.Event{
-		Kind: kind, Cause: cause, Msg: msg,
-		Node: nd.addr, NodeName: nd.name, Channel: msg.Hdr().Channel,
-		Episode: nd.cur.Episode, ParentStep: nd.cur.Step, Step: o.NewStep(),
-	}
-	if peer != topology.None {
-		p := rt.g.Node(peer)
-		ev.Peer, ev.PeerName = p.Addr, p.Name
-	}
-	if d, ok := msg.(*packet.Data); ok {
-		ev.Seq = d.Seq
-	}
-	o.EmitLocked(ev)
-	return ev.Step
+	h.wbuf = frame
+	env.Release()
+	return rt.trans.Send(from, to, frame)
 }
 
-// lockStep takes the emission lock for the dispatch step fm's packet is
-// in, and settles the hop-delay sample arrive measured for it: every
-// way a step can end — consume, deliver, drop, forward — touches the
-// shared surface in this one hold. fm is nil for a packet dropped at its
-// origin: it arrived on no frame.
-func (rt *Runtime) lockStep(fm *frameMeta) {
-	rt.emitMu.Lock()
-	if fm != nil && fm.hopDue {
-		fm.hopDue = false
-		rt.obsv.Latency().ObserveHop(fm.hop)
-	}
-}
-
-// drop ends a packet's step in a death: counted in *n and emitted.
-func (rt *Runtime) drop(fm *frameMeta, n *int, cause obs.Cause, nd *Node, peer topology.NodeID, msg packet.Message) {
-	rt.lockStep(fm)
-	*n++
-	rt.emitMsg(obs.KindDrop, cause, nd, peer, msg)
-	rt.emitMu.Unlock()
-}
-
-// arrive processes msg at nd: handlers first, then local delivery or
-// onward forwarding — the same decision ladder as netsim.arrive. The
-// frame's causal pair becomes the node's ambient context for the
-// dispatch (netsim's envelope.Fire does the same), so everything the
-// packet causes here chains to the hop that delivered it — even when
-// that hop ran in another process.
-func (rt *Runtime) arrive(nd *Node, fm frameMeta, msg packet.Message) {
-	prev := nd.cur
-	nd.cur = fm.cause
-	defer func() { nd.cur = prev }()
-	if fm.wire && fm.hopAt != 0 && rt.obsv != nil && rt.obsv.Latency() != nil {
-		// Measured now, recorded by the step's lockStep.
-		fm.hop, fm.hopDue = rt.stampDelta(fm.hopAt), true
-	}
-	if rt.isNodeDown(nd.id) {
-		rt.drop(&fm, &rt.stats.NodeDownDrops, obs.CauseNodeDown, nd, topology.None, msg)
-		return
-	}
-	_, isData := msg.(*packet.Data)
-	for _, h := range nd.handlers {
-		if h.Handle(nd, msg) == netsim.Consumed {
-			rt.lockStep(&fm)
-			rt.stats.Consumed++
-			if isData {
-				rt.stats.DataConsumed++
-				rt.observeDeliveryLocked(fm)
-			}
-			rt.emitMsg(obs.KindConsume, obs.CauseNone, nd, topology.None, msg)
-			for _, t := range rt.delTaps {
-				t(nd.id, msg, true)
-			}
-			rt.emitMu.Unlock()
+// Queue arms env's timer on node at's clock: the envelope's place in
+// the node's queue in RealMode, an event under the simulator.
+func (w frameWire) Queue(at topology.NodeID, env *netsim.Envelope, delay eventsim.Time) {
+	if env.Timer == nil {
+		fire := func() { w.rt.dispatch(env) }
+		if w.rt.sim != nil {
+			env.Timer = w.rt.sim.After(delay, fire)
 			return
 		}
+		// Set before it is armed: the arrival may run, and the envelope
+		// be reused, on at's goroutine as soon as it is.
+		env.Timer = w.rt.hosts[at].real.NewHandle(fire)
 	}
-	hdr := msg.Hdr()
-	if hdr.Dst == nd.addr {
-		rt.lockStep(&fm)
-		rt.stats.Delivered++
-		if isData {
-			rt.stats.DataDelivered++
-			rt.observeDeliveryLocked(fm)
-		}
-		rt.emitMsg(obs.KindDeliver, obs.CauseNone, nd, topology.None, msg)
-		rt.emitMu.Unlock()
-		if nd.deliver != nil {
-			nd.deliver(nd, msg)
-		}
-		rt.emitMu.Lock()
-		for _, t := range rt.delTaps {
-			t(nd.id, msg, false)
-		}
-		rt.emitMu.Unlock()
-		return
-	}
-	if !hdr.Dst.IsUnicast() {
-		rt.drop(&fm, &rt.stats.NoRouteDrops, obs.CauseUnclaimedMulticast, nd, topology.None, msg)
-		return
-	}
-	rt.forward(nd, fm, msg)
+	env.Timer.Reset(delay)
 }
 
-// observeDeliveryLocked samples the end-to-end delivery delay of a
-// data packet from its frame origination stamp. Caller holds emitMu.
-func (rt *Runtime) observeDeliveryLocked(fm frameMeta) {
-	if fm.origAt == 0 || rt.obsv == nil {
-		return
+// dispatch fires env at its node, first measuring, for a frame that
+// crossed the transport, its hop delay and age from the frame's stamps
+// when a latency tracker wants them.
+func (rt *Runtime) dispatch(env *netsim.Envelope) {
+	if o := rt.net.Observer(); env.HopAt != 0 && o != nil && o.Latency() != nil {
+		now := rt.stampNow()
+		env.Owe(rt.stampDelta(env.HopAt, now), rt.stampDelta(env.OrigAt, now))
 	}
-	if lt := rt.obsv.Latency(); lt != nil {
-		lt.ObserveDelivery(rt.stampDelta(fm.origAt))
-	}
-}
-
-// forward routes msg one hop toward its unicast destination.
-func (rt *Runtime) forward(nd *Node, fm frameMeta, msg packet.Message) {
-	dst, ok := rt.g.ByAddr(msg.Hdr().Dst)
-	if !ok || !rt.routing.Reachable(nd.id, dst) {
-		rt.drop(&fm, &rt.stats.NoRouteDrops, obs.CauseNoRoute, nd, topology.None, msg)
-		return
-	}
-	next := rt.routing.NextHop(nd.id, dst)
-	rt.transmit(nd, next, fm, msg)
-}
-
-// transmit frames msg and hands it to the transport, charging one
-// unit of hop budget. The packet is marshalled at every hop — the live
-// runtime always exercises the real wire codec — into the sending
-// node's one frame buffer, which is free again when Send returns. The
-// outgoing frame carries the packet's causal pair — parented at this
-// forward event, exactly as netsim's emitEnv advances the envelope's
-// step — and a fresh last-hop timestamp.
-func (rt *Runtime) transmit(nd *Node, to topology.NodeID, fm frameMeta, msg packet.Message) {
-	if fm.ttl <= 0 {
-		rt.drop(&fm, &rt.stats.HopLimitDrops, obs.CauseHopLimit, nd, topology.None, msg)
-		return
-	}
-	fm.ttl--
-	if !rt.isLinkUp(nd.id, to) {
-		rt.drop(&fm, &rt.stats.LinkDownDrops, obs.CauseLinkDown, nd, to, msg)
-		return
-	}
-	if rt.g.Cost(nd.id, to) == 0 {
-		panic(fmt.Sprintf("live: transmit over missing link %d->%d", nd.id, to))
-	}
-	rt.lockStep(&fm)
-	rt.stats.Transmissions++
-	if _, isData := msg.(*packet.Data); isData {
-		rt.stats.DataCopies++
-	}
-	for _, tap := range rt.taps {
-		tap(nd.id, to, msg)
-	}
-	if rt.obsv != nil {
-		// Emit under the frame's causal context (netsim's emitEnv swap)
-		// and advance the frame's step to the forward event, so the next
-		// hop — possibly in another process — chains to it.
-		saved := nd.cur
-		nd.cur = fm.cause
-		fm.cause.Step = rt.emitMsg(obs.KindForward, obs.CauseNone, nd, to, msg)
-		nd.cur = saved
-	}
-	rt.emitMu.Unlock()
-	fm.from = nd.id
-	fm.hopAt = rt.stampNow()
-	frame, err := appendFrame(nd.wbuf[:0], fm, msg)
-	if err != nil {
-		panic(fmt.Sprintf("live: marshal on %d->%d: %v", nd.id, to, err))
-	}
-	nd.wbuf = frame
-	if err := rt.trans.Send(nd.id, to, frame); err != nil {
-		rt.emitMu.Lock()
-		rt.stats.SendErrors++
-		rt.emitMu.Unlock()
-	}
+	env.Fire()
 }

@@ -1,12 +1,14 @@
 // Package live executes the protocol engines concurrently: one
 // goroutine per hosted router/host over a real transport, instead of
-// the single-threaded virtual-time loop in netsim. The engines
-// themselves are untouched — they program against netsim.ProtoNode
-// and clock.Clock, and this package supplies the live implementations
-// of both. Run under the simulated clock and the in-process transport
-// the runtime is deterministic and provably equivalent to the netsim
-// path (see equivalence_test.go); run under the wall clock and UDP it
-// is the hbhd daemon's engine room.
+// the single-threaded virtual-time loop in netsim. The nodes and their
+// packet ladder are netsim's own (netsim.NewWired); what this package
+// adds is the link step — the frame codec, the transports and the
+// receive half that queues each arrival on its destination's clock —
+// and the per-node goroutine, wall clock, Do and Quiesce. Run under the
+// simulated clock it is deterministic, and the equivalence tests prove
+// that its frame wire and netsim's reference wire agree byte for byte
+// (see equivalence_test.go); run under the wall clock and UDP it is the
+// hbhd daemon's engine room.
 package live
 
 import (
@@ -48,19 +50,9 @@ type frameMeta struct {
 	// send or the previous hop's forward).
 	cause obs.Causal
 	// origAt is the stamp-clock time the packet was originated; hopAt
-	// the time the last hop transmitted this frame. Zero when unknown
-	// (a frame from a pre-telemetry sender decodes as zero).
+	// the time the last hop transmitted this frame.
 	origAt int64
 	hopAt  int64
-	// wire marks a frame that actually crossed the transport (set by
-	// HandleFrame); self-deliveries re-processed in a fresh dispatch
-	// never had a hop to measure.
-	wire bool
-	// hop is the hop delay arrive measured for this frame and hopDue
-	// says it is still owed to the latency histogram (Runtime.lockStep).
-	// Neither is on the wire.
-	hop    float64
-	hopDue bool
 }
 
 // appendFrame appends msg framed by fm to dst: the framing, then the
@@ -181,17 +173,6 @@ func NewUDPTransport(hosted []topology.NodeID, book map[topology.NodeID]string, 
 	}
 	t.sender = sender
 	return t, nil
-}
-
-// LocalAddr reports the bound endpoint of a hosted node's socket
-// (useful when the book used port 0).
-func (t *UDPTransport) LocalAddr(id topology.NodeID) net.Addr {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c, ok := t.conns[id]; ok {
-		return c.LocalAddr()
-	}
-	return nil
 }
 
 // readLoop hands every datagram to deliver in the one buffer it reads

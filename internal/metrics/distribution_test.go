@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"hbh/internal/testseed"
 )
 
 func TestDistributionExactQuantiles(t *testing.T) {
@@ -90,7 +92,7 @@ func TestQuickQuantileMatchesSort(t *testing.T) {
 		}
 		return math.Abs(d.Quantile(q)-want) < 1e-9*(1+math.Abs(want))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: testseed.Rand(t)}); err != nil {
 		t.Error(err)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"hbh/internal/testseed"
 )
 
 func TestAccumulatorBasics(t *testing.T) {
@@ -63,7 +65,7 @@ func TestQuickWelfordMatchesNaive(t *testing.T) {
 		return math.Abs(a.Mean()-mean) < 1e-9*(1+math.Abs(mean)) &&
 			math.Abs(a.Variance()-variance) < 1e-6*(1+variance)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: testseed.Rand(t)}); err != nil {
 		t.Error(err)
 	}
 }

@@ -123,7 +123,7 @@ func (s *advState) roll() (drop bool, jitter, dupJitter eventsim.Time, dup bool)
 // the convergence ledger the copy is an origination (KindSendDirect):
 // it adds one in-flight control message that will meet its own
 // terminal event, keeping Outstanding balanced.
-func (n *Network) duplicate(from, to topology.NodeID, env *envelope, delay eventsim.Time) {
+func (n *Network) duplicate(from, to topology.NodeID, env *Envelope, delay eventsim.Time) {
 	buf, err := packet.Marshal(env.msg)
 	if err != nil {
 		panic(fmt.Sprintf("netsim: adversary dup marshal on %d->%d: %v", from, to, err))
@@ -132,12 +132,13 @@ func (n *Network) duplicate(from, to topology.NodeID, env *envelope, delay event
 	if err != nil {
 		panic(fmt.Sprintf("netsim: adversary dup unmarshal on %d->%d: %v", from, to, err))
 	}
-	d := n.newEnvelope(msg, env.dst)
+	s := n.nodes[from].s
+	d := n.newEnvelope(s, msg, env.dst)
 	d.hops = env.hops
 	d.cause = env.cause
 	d.to = to
-	n.stats.Transmissions++
-	n.stats.AdvDups++
+	s.stats.Transmissions++
+	s.stats.AdvDups++
 	for _, tap := range n.taps {
 		tap(from, to, msg)
 	}

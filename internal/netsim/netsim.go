@@ -1,5 +1,5 @@
-// Package netsim is the hop-by-hop network simulator the protocols run
-// on. It moves packets over the topology one link at a time: each link
+// Package netsim is the hop-by-hop network the protocols run on. It
+// moves packets over the topology one link at a time: each link
 // traversal takes the link's directed cost in virtual time units, and
 // every arrival is offered to the resident protocol handlers of the
 // node before default unicast forwarding kicks in.
@@ -12,11 +12,19 @@
 // registering a protocol handler on them — they forward by destination
 // address like any packet, which is exactly the paper's transparency
 // argument.
+//
+// The ladder a packet climbs — send, then at every node handlers, then
+// consume, deliver or forward, then the link — is implemented once,
+// here. The one step that differs between worlds is the link crossing
+// (Wire): the simulator's envelope rides the event queue by reference;
+// the live runtime (internal/live, NewWired) frames the packet onto a
+// transport and queues what arrives on the destination's own clock.
 package netsim
 
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"hbh/internal/addr"
 	"hbh/internal/clock"
@@ -100,6 +108,29 @@ type Stats struct {
 	AdvLossDrops  int // control packets dropped by the adversary (burst or uniform)
 	AdvDups       int // control packet copies injected by the adversary
 	DataDrops     int // data packets dropped for any reason (subset of the drop counters)
+	CodecDrops    int // frames a wire received and refused: undecodable, or from no neighbour
+	SendErrors    int // frames a wire's transport refused (a closed socket, an address-book miss)
+}
+
+// zip applies f to every counter of s and its counterpart in o.
+func (s *Stats) zip(o *Stats, f func(a *int, b int)) {
+	f(&s.Transmissions, o.Transmissions)
+	f(&s.DataCopies, o.DataCopies)
+	f(&s.Delivered, o.Delivered)
+	f(&s.DataDelivered, o.DataDelivered)
+	f(&s.HopLimitDrops, o.HopLimitDrops)
+	f(&s.NoRouteDrops, o.NoRouteDrops)
+	f(&s.Consumed, o.Consumed)
+	f(&s.DataConsumed, o.DataConsumed)
+	f(&s.LossDrops, o.LossDrops)
+	f(&s.DataLossDrops, o.DataLossDrops)
+	f(&s.LinkDownDrops, o.LinkDownDrops)
+	f(&s.NodeDownDrops, o.NodeDownDrops)
+	f(&s.AdvLossDrops, o.AdvLossDrops)
+	f(&s.AdvDups, o.AdvDups)
+	f(&s.DataDrops, o.DataDrops)
+	f(&s.CodecDrops, o.CodecDrops)
+	f(&s.SendErrors, o.SendErrors)
 }
 
 // DeliveryRatio returns the fraction of terminated data-packet copies
@@ -121,30 +152,52 @@ func (s Stats) DeliveryRatio() float64 {
 // Delta returns the counter differences s - prev, for windowed
 // measurements over a running network.
 func (s Stats) Delta(prev Stats) Stats {
-	return Stats{
-		Transmissions: s.Transmissions - prev.Transmissions,
-		DataCopies:    s.DataCopies - prev.DataCopies,
-		Delivered:     s.Delivered - prev.Delivered,
-		DataDelivered: s.DataDelivered - prev.DataDelivered,
-		HopLimitDrops: s.HopLimitDrops - prev.HopLimitDrops,
-		NoRouteDrops:  s.NoRouteDrops - prev.NoRouteDrops,
-		Consumed:      s.Consumed - prev.Consumed,
-		DataConsumed:  s.DataConsumed - prev.DataConsumed,
-		LossDrops:     s.LossDrops - prev.LossDrops,
-		DataLossDrops: s.DataLossDrops - prev.DataLossDrops,
-		LinkDownDrops: s.LinkDownDrops - prev.LinkDownDrops,
-		NodeDownDrops: s.NodeDownDrops - prev.NodeDownDrops,
-		AdvLossDrops:  s.AdvLossDrops - prev.AdvLossDrops,
-		AdvDups:       s.AdvDups - prev.AdvDups,
-		DataDrops:     s.DataDrops - prev.DataDrops,
-	}
+	s.zip(&prev, func(a *int, b int) { *a -= b })
+	return s
 }
 
-// Network binds a topology, its unicast routing tables and a
-// discrete-event clock into a running packet network.
+// Wire is the link step of the ladder, the one step the simulator and
+// the live runtime take differently. The ladder has already charged the
+// traversal (hop budget, counters, taps, the forward event) when it
+// hands the envelope over.
+type Wire interface {
+	// Carry takes env, bound for adjacent node to (its arrival node),
+	// over the link from→to, which the network charges delay units.
+	// env is the wire's from here on: it makes the packet arrive (Queue,
+	// then Envelope.Fire) or ends its life here (Envelope.Release). A
+	// non-nil error is a frame the transport refused, counted in
+	// SendErrors.
+	Carry(from, to topology.NodeID, env *Envelope, delay eventsim.Time) error
+	// Queue makes env arrive at node at after delay units: a
+	// self-addressed send, re-processed in a fresh dispatch.
+	Queue(at topology.NodeID, env *Envelope, delay eventsim.Time)
+}
+
+// simWire is the simulator's link step: the envelope rides the event
+// queue by reference — nothing re-encodes the packet in transit — and
+// the hop takes exactly the delay charged for it.
+type simWire struct{ n *Network }
+
+func (w simWire) Carry(_, _ topology.NodeID, env *Envelope, delay eventsim.Time) error {
+	if o := w.n.obsv; o != nil {
+		if lt := o.Latency(); lt != nil {
+			lt.ObserveHop(float64(delay))
+		}
+	}
+	w.n.sim.AfterCall(delay, env)
+	return nil
+}
+
+func (w simWire) Queue(_ topology.NodeID, env *Envelope, delay eventsim.Time) {
+	w.n.sim.AfterCall(delay, env)
+}
+
+// Network binds a topology, its unicast routing tables and a clock into
+// a running packet network.
 type Network struct {
-	sim     *eventsim.Sim
+	sim     *eventsim.Sim // nil on a wired network
 	clk     clock.Clock
+	wire    Wire
 	topo    *topology.Graph
 	routing unicast.Router
 	nodes   []*Node
@@ -154,10 +207,9 @@ type Network struct {
 	// obsv is the structured observability pipeline. nil means fully
 	// disabled: every emission site nil-checks it before building any
 	// event, which keeps the forwarding hot path allocation-free.
-	obsv      *obs.Observer
-	hopLimit  int
-	wireCheck bool
-	loss      LossModel
+	obsv     *obs.Observer
+	hopLimit int
+	loss     LossModel
 	// adv is the installed control-plane adversary; nil (the default)
 	// keeps the forwarding path byte-for-byte identical to a network
 	// without one.
@@ -165,24 +217,64 @@ type Network struct {
 	// nodeDown marks crashed nodes: they neither handle, forward nor
 	// originate packets until brought back up (see SetNodeUp).
 	nodeDown []bool
-	stats    Stats
-	// cur is the ambient causal context: set from the in-flight
-	// envelope for the duration of each arrival (so everything a
-	// handler does inherits the packet's episode), explicitly installed
-	// by timer-driven emitters that act on behalf of recorded state
-	// (the source's tree refresh), and zero otherwise. The simulator is
-	// single-threaded, so one slot suffices.
-	cur obs.Causal
-	// freeEnv recycles envelopes so steady-state forwarding allocates
-	// nothing: every terminal point of a packet's life (drop, consume,
-	// deliver) returns its envelope here.
-	freeEnv []*envelope
+	// cut holds the links SetLinkUp took down, by normalised endpoints.
+	cut map[[2]topology.NodeID]bool
+	// shared is the shard of every node Host did not give one of its
+	// own: in the simulator, all of them.
+	shared shard
+	hosted []*shard
 }
 
-// Node is the per-vertex runtime state: the resident handlers and the
-// local delivery sink.
+// A shard is the state a dispatch step writes: the ambient causal
+// context, the transport counters and the envelope pool. The
+// simulator's nodes share one, which keeps one goroutine and gives the
+// engines one causal slot across nodes (pim's central build depends on
+// it). Each node of the live runtime owns its own, so nodes dispatching
+// on goroutines of their own share nothing else; the counters are then
+// written under mu, in one hold per step.
+type shard struct {
+	// mu is the emission lock a wired network writes its shared surface
+	// (observer, taps, counters) under; nil in the simulator, which
+	// takes no lock at all.
+	mu  sync.Locker
+	clk clock.Clock
+	// cur is the ambient causal context: set from the in-flight envelope
+	// for the duration of each arrival (so everything a handler does
+	// inherits the packet's episode), explicitly installed by
+	// timer-driven emitters that act on behalf of recorded state (the
+	// source's tree refresh), and zero otherwise.
+	cur obs.Causal
+	// rootNext asks the next packet event to root a fresh causal episode
+	// first: set for the length of a send that began outside any.
+	rootNext bool
+	stats    Stats
+	// free recycles envelopes so steady-state forwarding allocates
+	// nothing: every terminal point of a packet's life (drop, consume,
+	// deliver, a wire carrying it off) returns its envelope here. poolMu
+	// guards it on a wired network, where another goroutine's receive
+	// half takes from it.
+	poolMu sync.Mutex
+	free   []*Envelope
+}
+
+func (s *shard) lock() {
+	if s.mu != nil {
+		s.mu.Lock()
+	}
+}
+
+func (s *shard) unlock() {
+	if s.mu != nil {
+		s.mu.Unlock()
+	}
+}
+
+// Node is the per-vertex runtime state: the resident handlers, the
+// local delivery sink and the shard its dispatch runs on. It is the
+// only implementation of ProtoNode.
 type Node struct {
 	net      *Network
+	s        *shard
 	id       topology.NodeID
 	addr     addr.Addr
 	name     string
@@ -194,19 +286,48 @@ type Node struct {
 // g — eager tables or the lazy per-source router, see unicast.New) and
 // clock sim.
 func New(sim *eventsim.Sim, g *topology.Graph, r unicast.Router) *Network {
+	n := newNetwork(g, r, nil)
+	n.sim, n.clk = sim, clock.Sim(sim)
+	n.shared.clk = n.clk
+	n.wire = simWire{n}
+	return n
+}
+
+// NewWired builds a network that climbs the same ladder over the
+// caller's link step w, on the caller's goroutines: the live runtime.
+// Every dispatch step writes the shared surface — observer, taps,
+// counters — under mu, and each node Host gives a shard of its own
+// keeps its causal context, counters and envelopes there. The loss
+// model and the adversary are the simulator's alone.
+func NewWired(g *topology.Graph, r unicast.Router, w Wire, mu *sync.Mutex) *Network {
+	n := newNetwork(g, r, mu)
+	n.wire = w
+	return n
+}
+
+func newNetwork(g *topology.Graph, r unicast.Router, mu sync.Locker) *Network {
 	if r.Graph() != g {
 		panic("netsim: routing tables computed for a different graph")
 	}
-	n := &Network{sim: sim, clk: clock.Sim(sim), topo: g, routing: r, hopLimit: DefaultHopLimit}
+	n := &Network{topo: g, routing: r, hopLimit: DefaultHopLimit, shared: shard{mu: mu}}
 	n.nodes = make([]*Node, g.NumNodes())
 	n.nodeDown = make([]bool, g.NumNodes())
 	for _, nd := range g.Nodes() {
-		n.nodes[nd.ID] = &Node{net: n, id: nd.ID, addr: nd.Addr, name: nd.Name}
+		n.nodes[nd.ID] = &Node{net: n, s: &n.shared, id: nd.ID, addr: nd.Addr, name: nd.Name}
 	}
 	return n
 }
 
-// Sim returns the event clock.
+// Host gives node id a shard of its own, with clk as the node's clock
+// (see NewWired). Engines read the clock when they attach, so Host
+// comes first.
+func (n *Network) Host(id topology.NodeID, clk clock.Clock) {
+	s := &shard{mu: n.shared.mu, clk: clk}
+	n.hosted = append(n.hosted, s)
+	n.nodes[id].s = s
+}
+
+// Sim returns the event clock (nil on a wired network).
 func (n *Network) Sim() *eventsim.Sim { return n.sim }
 
 // Clock returns the simulator wrapped as an abstract clock.
@@ -246,6 +367,31 @@ func (n *Network) SetNodeUp(id topology.NodeID, up bool) {
 // NodeUp reports whether the node is up.
 func (n *Network) NodeUp(id topology.NodeID) bool { return !n.nodeDown[id] }
 
+// SetLinkUp mends or cuts the link between a and b, both directions,
+// under routing's feet: packets routed onto a cut link die there as at
+// a disabled one, and no routing table hears of it. The graph's own
+// SetLinkEnabled is the fault routing can recompute around; this one
+// leaves the graph alone, so it also serves one that is frozen and
+// shared (the live runtime's).
+func (n *Network) SetLinkUp(a, b topology.NodeID, up bool) {
+	k := linkKey(a, b)
+	if up {
+		delete(n.cut, k)
+		return
+	}
+	if n.cut == nil {
+		n.cut = make(map[[2]topology.NodeID]bool)
+	}
+	n.cut[k] = true
+}
+
+func linkKey(a, b topology.NodeID) [2]topology.NodeID {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]topology.NodeID{a, b}
+}
+
 // Node returns the runtime node for id.
 func (n *Network) Node(id topology.NodeID) *Node { return n.nodes[id] }
 
@@ -254,12 +400,28 @@ func (n *Network) NodeByAddr(a addr.Addr) *Node {
 	return n.nodes[n.topo.MustByAddr(a)]
 }
 
-// Stats returns a snapshot of the transport counters.
-func (n *Network) Stats() Stats { return n.stats }
+// Stats returns a snapshot of the transport counters, summed over the
+// shards.
+func (n *Network) Stats() Stats {
+	n.shared.lock()
+	defer n.shared.unlock()
+	st := n.shared.stats
+	for _, s := range n.hosted {
+		st.zip(&s.stats, func(a *int, b int) { *a += b })
+	}
+	return st
+}
 
 // ResetStats zeroes the transport counters. Experiments reset between
 // the convergence phase and the measurement probe.
-func (n *Network) ResetStats() { n.stats = Stats{} }
+func (n *Network) ResetStats() {
+	n.shared.lock()
+	defer n.shared.unlock()
+	n.shared.stats = Stats{}
+	for _, s := range n.hosted {
+		s.stats = Stats{}
+	}
+}
 
 // AddTap registers a link observer for the life of the network.
 func (n *Network) AddTap(t Tap) { n.taps = append(n.taps, t) }
@@ -294,17 +456,6 @@ func (n *Network) SetObserver(o *obs.Observer) {
 // Observer returns the installed pipeline (nil when observation is
 // off). Protocol code must nil-check before building events.
 func (n *Network) Observer() *obs.Observer { return n.obsv }
-
-// SetWireCheck turns on strict-wire mode: every link transmission
-// marshals the message to its binary wire format and decodes it again
-// on arrival, exactly as a real network would. The simulator normally
-// forwards the decoded message by reference hop to hop (zero-copy) and
-// serializes only at capture boundaries; strict-wire mode proves the
-// wire formats are complete (nothing the protocols rely on is lost in
-// encoding) under live protocol traffic, so tests keep the codec
-// honest without taxing every simulation run. A codec failure panics:
-// it is always a format bug.
-func (n *Network) SetWireCheck(on bool) { n.wireCheck = on }
 
 // LossModel configures probabilistic per-link packet drops. Control
 // and Data are independent per-traversal drop probabilities in [0, 1)
@@ -346,27 +497,25 @@ func (n *Network) SetHopLimit(l int) {
 	n.hopLimit = l
 }
 
-// Tracef emits a free-form annotation into the event stream (a no-op
-// when observation is off). External layers use it so their notes
-// interleave with the packet trace; the fault injector emits structured
-// obs.KindFault events instead.
-func (n *Network) Tracef(format string, args ...any) { n.obsv.Notef(format, args...) }
-
-// emitMsg builds and emits one transport event for msg, stamped with
-// the ambient causal context (the event's parent is the most recent
-// step of the context; the event gets a fresh step, returned so the
-// caller can chain a packet's in-flight causal pair to it). Callers
-// must have checked n.obsv != nil first — this keeps argument
-// construction (interface boxing, channel/seq extraction) entirely off
-// the disabled path, where it used to dominate whole-run CPU profiles
-// at >50% when done eagerly.
+// emitMsg builds and emits one transport event for msg at nd, stamped
+// with nd's ambient causal context (the event's parent is the most
+// recent step of the context; the event gets a fresh step, returned so
+// the caller can chain a packet's in-flight causal pair to it). A send
+// that began outside any episode roots one here. Callers must have
+// checked n.obsv != nil first — this keeps argument construction
+// (interface boxing, channel/seq extraction) entirely off the disabled
+// path, where it used to dominate whole-run CPU profiles at >50% when
+// done eagerly — and hold nd's shard lock.
 func (n *Network) emitMsg(kind obs.Kind, cause obs.Cause, nd, peer *Node, msg packet.Message) obs.StepID {
+	s := nd.s
+	if s.rootNext {
+		s.rootNext = false
+		s.cur = obs.Causal{Episode: n.obsv.NewEpisode()}
+	}
 	ev := obs.Event{
 		Kind: kind, Cause: cause, Msg: msg, Channel: msg.Hdr().Channel,
-		Episode: n.cur.Episode, ParentStep: n.cur.Step, Step: n.obsv.NewStep(),
-	}
-	if nd != nil {
-		ev.Node, ev.NodeName = nd.addr, nd.name
+		Node: nd.addr, NodeName: nd.name,
+		Episode: s.cur.Episode, ParentStep: s.cur.Step, Step: n.obsv.NewStep(),
 	}
 	if peer != nil {
 		ev.Peer, ev.PeerName = peer.addr, peer.name
@@ -374,7 +523,7 @@ func (n *Network) emitMsg(kind obs.Kind, cause obs.Cause, nd, peer *Node, msg pa
 	if d, ok := msg.(*packet.Data); ok {
 		ev.Seq = d.Seq
 	}
-	n.obsv.Emit(ev)
+	n.obsv.EmitLocked(ev)
 	return ev.Step
 }
 
@@ -382,14 +531,15 @@ func (n *Network) emitMsg(kind obs.Kind, cause obs.Cause, nd, peer *Node, msg pa
 // the envelope's own causal step (the send or the previous hop), not
 // the ambient context, and per-hop forwards advance the envelope's
 // step so the next hop chains to this one.
-func (n *Network) emitEnv(kind obs.Kind, cause obs.Cause, nd, peer *Node, env *envelope) {
-	saved := n.cur
-	n.cur = env.cause
+func (n *Network) emitEnv(kind obs.Kind, cause obs.Cause, nd, peer *Node, env *Envelope) {
+	s := nd.s
+	saved := s.cur
+	s.cur = env.cause
 	step := n.emitMsg(kind, cause, nd, peer, env.msg)
 	if kind == obs.KindForward {
 		env.cause.Step = step
 	}
-	n.cur = saved
+	s.cur = saved
 }
 
 // NodeName returns the topology label of a node, for diagnostics.
@@ -398,7 +548,7 @@ func (n *Network) NodeName(id topology.NodeID) string { return n.nodes[id].name 
 // CausalContext returns the ambient causal context: the episode and
 // step everything emitted right now will be attributed to. Zero
 // outside packet arrivals and explicit installations.
-func (n *Network) CausalContext() obs.Causal { return n.cur }
+func (n *Network) CausalContext() obs.Causal { return n.shared.cur }
 
 // SetCausalContext installs c as the ambient causal context. Timer
 // driven emitters that act on behalf of recorded state use it to
@@ -406,27 +556,43 @@ func (n *Network) CausalContext() obs.Causal { return n.cur }
 // (the source's periodic tree refresh attributes each tree to the join
 // that installed or last refreshed its entry); callers must restore
 // the previous context when done.
-func (n *Network) SetCausalContext(c obs.Causal) { n.cur = c }
+func (n *Network) SetCausalContext(c obs.Causal) { n.shared.cur = c }
 
 // RootEpisode allocates a fresh causal episode and installs it as the
 // ambient context when none is active (the spontaneous-action case:
 // receiver join timers, soft-state expiries, fault injection). The
 // previous context is returned for restoration; when an episode is
 // already active, or observation is off, nothing changes.
-func (n *Network) RootEpisode() obs.Causal {
-	prev := n.cur
-	if n.obsv != nil && prev.Episode == 0 {
-		n.cur = obs.Causal{Episode: n.obsv.NewEpisode()}
+func (n *Network) RootEpisode() obs.Causal { return n.shared.rootEpisode(n.obsv) }
+
+func (s *shard) rootEpisode(o *obs.Observer) obs.Causal {
+	prev := s.cur
+	if o != nil && prev.Episode == 0 {
+		s.lock()
+		s.cur = obs.Causal{Episode: o.NewEpisode()}
+		s.unlock()
 	}
 	return prev
 }
 
-// dropData records the loss of a data packet for delivery-ratio
-// accounting; call alongside the specific drop counter.
-func (n *Network) dropData(msg packet.Message) {
-	if _, isData := msg.(*packet.Data); isData {
-		n.stats.DataDrops++
+// StampCausal fills ev's causal fields from the ambient context,
+// allocating a fresh step and advancing the context to it, so whatever
+// the caller emits next becomes this event's causal child. Agents that
+// build events by hand (the receiver's join emission, the fault
+// injector) use it; EmitProto stamps automatically. No-op when
+// observation is off.
+func (n *Network) StampCausal(ev *obs.Event) { n.shared.stampCausal(n.obsv, ev) }
+
+func (s *shard) stampCausal(o *obs.Observer, ev *obs.Event) {
+	if o == nil {
+		return
 	}
+	s.lock()
+	ev.Episode = s.cur.Episode
+	ev.ParentStep = s.cur.Step
+	ev.Step = o.NewStep()
+	s.cur.Step = ev.Step
+	s.unlock()
 }
 
 // ID returns the node's topology ID.
@@ -441,8 +607,9 @@ func (nd *Node) Name() string { return nd.name }
 // Network returns the owning network.
 func (nd *Node) Network() *Network { return nd.net }
 
-// Clock returns the network's abstract clock (ProtoNode).
-func (nd *Node) Clock() clock.Clock { return nd.net.clk }
+// Clock returns the node's clock: the network's, unless Host gave the
+// node one of its own (ProtoNode).
+func (nd *Node) Clock() clock.Clock { return nd.s.clk }
 
 // Topology returns the network's graph (ProtoNode).
 func (nd *Node) Topology() *topology.Graph { return nd.net.topo }
@@ -484,98 +651,180 @@ func (nd *Node) EmitProto(kind obs.Kind, ch addr.Channel, peer addr.Addr, seq ui
 			ev.PeerName = nd.net.nodes[id].name
 		}
 	}
-	ev.Episode = nd.net.cur.Episode
-	ev.ParentStep = nd.net.cur.Step
+	s := nd.s
+	s.lock()
+	ev.Episode = s.cur.Episode
+	ev.ParentStep = s.cur.Step
 	ev.Step = o.NewStep()
-	o.Emit(ev)
+	o.EmitLocked(ev)
+	s.unlock()
 	return obs.Causal{Episode: ev.Episode, Step: ev.Step}
 }
 
-// CausalContext returns the node's network's ambient causal context.
-func (nd *Node) CausalContext() obs.Causal { return nd.net.cur }
+// CausalContext returns the node's ambient causal context.
+func (nd *Node) CausalContext() obs.Causal { return nd.s.cur }
 
-// SetCausalContext installs c as the ambient causal context (see
+// SetCausalContext installs c as the node's ambient causal context (see
 // Network.SetCausalContext).
-func (nd *Node) SetCausalContext(c obs.Causal) { nd.net.cur = c }
+func (nd *Node) SetCausalContext(c obs.Causal) { nd.s.cur = c }
 
 // RootEpisode roots a fresh causal episode when none is active,
 // returning the previous context (see Network.RootEpisode).
-func (nd *Node) RootEpisode() obs.Causal { return nd.net.RootEpisode() }
-
-// StampCausal fills ev's causal fields from the ambient context,
-// allocating a fresh step and advancing the context to it, so whatever
-// the caller emits next becomes this event's causal child. Agents that
-// build events by hand (the receiver's join emission, the fault
-// injector) use it; EmitProto stamps automatically. No-op when
-// observation is off.
-func (n *Network) StampCausal(ev *obs.Event) {
-	o := n.obsv
-	if o == nil {
-		return
-	}
-	ev.Episode = n.cur.Episode
-	ev.ParentStep = n.cur.Step
-	ev.Step = o.NewStep()
-	n.cur.Step = ev.Step
-}
+func (nd *Node) RootEpisode() obs.Causal { return nd.s.rootEpisode(nd.net.obsv) }
 
 // StampCausal stamps ev from the ambient context (see
 // Network.StampCausal).
-func (nd *Node) StampCausal(ev *obs.Event) { nd.net.StampCausal(ev) }
+func (nd *Node) StampCausal(ev *obs.Event) { nd.s.stampCausal(nd.net.obsv, ev) }
 
 // SetDeliver installs the local delivery sink.
 func (nd *Node) SetDeliver(d DeliverFunc) { nd.deliver = d }
 
-// envelope carries a packet in flight together with its hop budget.
+// Envelope carries a packet in flight together with its hop budget.
 // The decoded message travels by reference from hop to hop — nothing
-// re-encodes it in transit (zero-copy forwarding); serialization
-// happens only at capture taps and under the opt-in strict-wire mode
-// (SetWireCheck). The envelope doubles as the eventsim.Caller for its
-// own next arrival, so a hop costs no closure or event allocation, and
-// envelopes themselves recycle through Network.freeEnv, so steady-state
-// forwarding allocates nothing at all.
-type envelope struct {
+// re-encodes it on the simulator's wire (zero-copy forwarding). The
+// envelope doubles as the eventsim.Caller for its own next arrival, so
+// a hop costs no closure or event allocation, and envelopes themselves
+// recycle through their shard's pool, so steady-state forwarding
+// allocates nothing at all.
+type Envelope struct {
 	msg packet.Message
 	// data is the storage of a data packet in flight: a sent
 	// *packet.Data is copied here and msg points at the copy, so the
 	// packet lives and dies with its envelope and a replicating engine
 	// sends every copy from one scratch value instead of allocating
-	// each. Control messages travel in the value the sender built.
+	// each. Control messages travel in the value the sender built. buf
+	// is the payload's own storage when a wire decoded the packet (Load).
 	data packet.Data
+	buf  []byte
 	hops int
 	net  *Network
+	s    *shard          // the pool the envelope returns to
 	to   topology.NodeID // arrival node of the in-flight transmission
 	// dst is the node owning the packet's unicast destination address,
 	// resolved once at send; topology.None when no node owns it.
 	dst topology.NodeID
 	// cause is the packet's causal pair: the episode it belongs to and
 	// the step of its most recent transport event (send or last hop).
-	// In-band simulator metadata only — the wire format is untouched.
 	cause obs.Causal
+
+	// What a wire crossing clocks (the live runtime's frame wire) keeps
+	// with the packet; the simulator's leaves it zero. OrigAt and HopAt
+	// are the origination and last-hop stamps its frames carry, Timer
+	// the envelope's place in its node's queue.
+	OrigAt, HopAt int64
+	Timer         clock.Handle
+	// hop and age are what the wire measured as the packet arrived, owed
+	// to the latency histograms while owed is set (Owe).
+	hop, age float64
+	owed     bool
 }
 
 // Fire delivers the in-flight transmission at its arrival node, with
 // the packet's causal pair as the ambient context for everything the
 // arrival triggers (handler emissions, regenerated messages).
-func (e *envelope) Fire() {
-	n := e.net
-	n.cur = e.cause
+func (e *Envelope) Fire() {
+	n, s := e.net, e.s // an envelope arrives where its pool is
+	s.cur = e.cause
 	n.arrive(e.to, e)
-	n.cur = obs.Causal{}
+	s.cur = obs.Causal{}
 }
 
-// newEnvelope takes an envelope from the freelist (or allocates one),
-// loads msg bound for node dst and arms it with a full hop budget.
-func (n *Network) newEnvelope(msg packet.Message, dst topology.NodeID) *envelope {
-	var env *envelope
-	if k := len(n.freeEnv); k > 0 {
-		env = n.freeEnv[k-1]
-		n.freeEnv = n.freeEnv[:k-1]
-		env.to = 0
-		env.cause = obs.Causal{}
-	} else {
-		env = &envelope{net: n}
+// Msg returns the packet the envelope carries.
+func (e *Envelope) Msg() packet.Message { return e.msg }
+
+// Hops returns the packet's remaining hop budget.
+func (e *Envelope) Hops() int { return e.hops }
+
+// Cause returns the packet's causal pair.
+func (e *Envelope) Cause() obs.Causal { return e.cause }
+
+// Data returns the envelope's data-packet storage, for a wire to decode
+// a received data packet into before Load.
+func (e *Envelope) Data() *packet.Data { return &e.data }
+
+// Envelope takes an envelope from nd's pool for a packet a wire is
+// bringing to nd. The receive half fills it (Data, Load) and queues it
+// on nd's clock, or gives it back (Reject).
+func (nd *Node) Envelope() *Envelope {
+	e := nd.net.take(nd.s)
+	e.to = nd.id
+	return e
+}
+
+// Load arms a received envelope with msg, hops of budget left and its
+// causal pair. A data packet decoded into Data moves its payload into
+// the envelope's own bytes, so the buffer it was decoded from is the
+// wire's again when Load returns.
+func (e *Envelope) Load(msg packet.Message, hops int, cause obs.Causal) {
+	if msg == packet.Message(&e.data) {
+		e.buf = append(e.buf[:0], e.data.Payload...)
+		e.data.Payload = e.buf
 	}
+	e.msg, e.hops, e.cause = msg, hops, cause
+	e.dst = topology.None
+	if id, ok := e.net.topo.ByAddr(msg.Hdr().Dst); ok {
+		e.dst = id
+	}
+}
+
+// Owe records the hop delay and the packet's age a wire measured as the
+// packet arrived. The step the arrival ends in records the hop delay,
+// and the age too when that step delivers a data packet, in the one
+// hold it takes anyway.
+func (e *Envelope) Owe(hop, age float64) { e.hop, e.age, e.owed = hop, age, true }
+
+// Reject gives back an envelope whose frame did not decode, or came
+// from no neighbour, counted in CodecDrops.
+func (e *Envelope) Reject() {
+	e.s.lock()
+	e.s.stats.CodecDrops++
+	e.s.unlock()
+	e.Release()
+}
+
+// Release returns an envelope whose packet's life here ended (dropped,
+// consumed, delivered, carried off by a wire) to its pool. The message
+// and payload references are cleared so the pool never pins packets;
+// each envelope is referenced from exactly one place at a time, so
+// every terminal branch releases exactly once.
+func (e *Envelope) Release() {
+	e.msg = nil
+	e.data.Payload = nil
+	e.cause = obs.Causal{}
+	e.OrigAt, e.HopAt, e.owed = 0, 0, false
+	s := e.s
+	if s.mu == nil {
+		s.free = append(s.free, e)
+		return
+	}
+	s.poolMu.Lock()
+	s.free = append(s.free, e)
+	s.poolMu.Unlock()
+}
+
+// take pops an envelope from s's pool, or allocates one.
+func (n *Network) take(s *shard) *Envelope {
+	if s.mu != nil {
+		s.poolMu.Lock()
+	}
+	var e *Envelope
+	if k := len(s.free); k > 0 {
+		e = s.free[k-1]
+		s.free = s.free[:k-1]
+	}
+	if s.mu != nil {
+		s.poolMu.Unlock()
+	}
+	if e == nil {
+		e = &Envelope{net: n, s: s}
+	}
+	return e
+}
+
+// newEnvelope takes an envelope from s's pool, loads msg bound for node
+// dst and arms it with a full hop budget.
+func (n *Network) newEnvelope(s *shard, msg packet.Message, dst topology.NodeID) *Envelope {
+	env := n.take(s)
 	if d, ok := msg.(*packet.Data); ok {
 		env.data = *d
 		msg = &env.data
@@ -586,188 +835,178 @@ func (n *Network) newEnvelope(msg packet.Message, dst topology.NodeID) *envelope
 	return env
 }
 
-// recycle returns an envelope whose packet's life ended (dropped,
-// consumed, delivered). The message and payload references are cleared
-// so the freelist never pins packets; each envelope is referenced from
-// exactly one place at a time, so every terminal branch recycles
-// exactly once.
-func (n *Network) recycle(env *envelope) {
-	env.msg = nil
-	env.data.Payload = nil
-	n.freeEnv = append(n.freeEnv, env)
+// begin opens a dispatch step's one hold on the shared surface (no lock
+// in the simulator) and records what a wire measured for env's arrival,
+// if anything is owed: the hop delay, and the packet's age when the step
+// delivers it.
+func (n *Network) begin(s *shard, env *Envelope, delivered bool) {
+	if s.mu != nil { // only a wired network's envelopes owe anything
+		n.beginWired(s, env, delivered)
+	}
+}
+
+func (n *Network) beginWired(s *shard, env *Envelope, delivered bool) {
+	s.mu.Lock()
+	if env != nil && env.owed {
+		env.owed = false
+		lt := n.obsv.Latency()
+		lt.ObserveHop(env.hop)
+		if delivered {
+			lt.ObserveDelivery(env.age)
+		}
+	}
 }
 
 // SendUnicast originates msg at this node and forwards it hop by hop
 // toward msg.Hdr().Dst using the unicast tables. The packet is
 // processed by handlers at every intermediate node. Sending to oneself
 // delivers locally after handler processing, with no link traversal.
-func (nd *Node) SendUnicast(msg packet.Message) {
-	if nd.net.obsv != nil && nd.net.cur.Episode == 0 {
-		// Spontaneous origination (a timer fired, nothing arrived):
-		// this send roots a fresh causal episode.
-		nd.net.cur = obs.Causal{Episode: nd.net.obsv.NewEpisode()}
-		nd.sendUnicast(msg)
-		nd.net.cur = obs.Causal{}
-		return
-	}
-	nd.sendUnicast(msg)
-}
-
-func (nd *Node) sendUnicast(msg packet.Message) {
-	h := msg.Hdr()
-	if nd.net.nodeDown[nd.id] {
-		// A crashed node originates nothing; its agents' timers may
-		// still fire, but whatever they emit dies here.
-		nd.net.stats.NodeDownDrops++
-		nd.net.dropData(msg)
-		if nd.net.obsv != nil {
-			nd.net.emitMsg(obs.KindDrop, obs.CauseNodeDown, nd, nil, msg)
-		}
-		return
-	}
-	if !h.Dst.IsUnicast() {
-		if nd.net.obsv != nil {
-			nd.net.emitMsg(obs.KindDrop, obs.CauseNonUnicast, nd, nil, msg)
-		}
-		nd.net.stats.NoRouteDrops++
-		nd.net.dropData(msg)
-		return
-	}
-	var sendStep obs.StepID
-	if nd.net.obsv != nil {
-		sendStep = nd.net.emitMsg(obs.KindSend, obs.CauseNone, nd, nil, msg)
-	}
-	dst, ok := nd.net.topo.ByAddr(h.Dst)
-	if !ok {
-		nd.net.stats.NoRouteDrops++
-		nd.net.dropData(msg)
-		if nd.net.obsv != nil {
-			nd.net.emitMsg(obs.KindDrop, obs.CauseNoRoute, nd, nil, msg)
-		}
-		return
-	}
-	env := nd.net.newEnvelope(msg, dst)
-	if sendStep != 0 {
-		env.cause = obs.Causal{Episode: nd.net.cur.Episode, Step: sendStep}
-	}
-	if dst == nd.id {
-		// Local: process immediately in a fresh event for causal order.
-		env.to = nd.id
-		nd.net.sim.AfterCall(0, env)
-		return
-	}
-	nd.net.forward(nd.id, env)
-}
+func (nd *Node) SendUnicast(msg packet.Message) { nd.send(topology.None, msg) }
 
 // SendDirect transmits msg over the single link to adjacent node to,
 // regardless of msg's destination address. Protocol handlers use this
 // to source-route copies over an explicitly constructed tree (PIM's
 // native multicast forwarding).
-func (nd *Node) SendDirect(to topology.NodeID, msg packet.Message) {
-	if nd.net.obsv != nil && nd.net.cur.Episode == 0 {
-		nd.net.cur = obs.Causal{Episode: nd.net.obsv.NewEpisode()}
-		nd.sendDirect(to, msg)
-		nd.net.cur = obs.Causal{}
-		return
+func (nd *Node) SendDirect(to topology.NodeID, msg packet.Message) { nd.send(to, msg) }
+
+// send opens one origination: over the link to via, or routed when via
+// is topology.None. Begun outside any causal episode (a timer fired,
+// nothing arrived), the send roots one of its own: in its first event,
+// which every path through a send emits, and in the hold that event
+// takes anyway.
+func (nd *Node) send(via topology.NodeID, msg packet.Message) {
+	s := nd.s
+	rooted := nd.net.obsv != nil && s.cur.Episode == 0
+	s.rootNext = rooted
+	nd.net.originate(nd, via, msg)
+	if rooted {
+		s.rootNext, s.cur = false, obs.Causal{}
 	}
-	nd.sendDirect(to, msg)
 }
 
-func (nd *Node) sendDirect(to topology.NodeID, msg packet.Message) {
-	if !nd.net.topo.HasLink(nd.id, to) {
-		panic(fmt.Sprintf("netsim: SendDirect %s -> %s without a link",
-			nd.name, nd.net.nodes[to].name))
-	}
-	if nd.net.nodeDown[nd.id] {
-		nd.net.stats.NodeDownDrops++
-		nd.net.dropData(msg)
-		if nd.net.obsv != nil {
-			nd.net.emitMsg(obs.KindDrop, obs.CauseNodeDown, nd, nil, msg)
+func (n *Network) originate(nd *Node, via topology.NodeID, msg packet.Message) {
+	s := nd.s
+	var peer *Node
+	kind := obs.KindSend
+	if via != topology.None {
+		if !n.topo.HasLink(nd.id, via) {
+			panic(fmt.Sprintf("netsim: SendDirect %s -> %s without a link",
+				nd.name, n.nodes[via].name))
 		}
+		peer, kind = n.nodes[via], obs.KindSendDirect
+	}
+	if n.nodeDown[nd.id] {
+		// A crashed node originates nothing; its agents' timers may
+		// still fire, but whatever they emit dies here.
+		n.drop(nd, nil, nil, msg, &s.stats.NodeDownDrops, obs.CauseNodeDown)
+		return
+	}
+	h := msg.Hdr()
+	if peer == nil && !h.Dst.IsUnicast() {
+		n.drop(nd, nil, nil, msg, &s.stats.NoRouteDrops, obs.CauseNonUnicast)
 		return
 	}
 	var sendStep obs.StepID
-	if nd.net.obsv != nil {
-		sendStep = nd.net.emitMsg(obs.KindSendDirect, obs.CauseNone, nd, nd.net.nodes[to], msg)
+	if n.obsv != nil {
+		s.lock()
+		sendStep = n.emitMsg(kind, obs.CauseNone, nd, peer, msg)
+		s.unlock()
 	}
-	dst, ok := nd.net.topo.ByAddr(msg.Hdr().Dst)
+	dst, ok := n.topo.ByAddr(h.Dst)
 	if !ok {
+		if peer == nil {
+			n.drop(nd, nil, nil, msg, &s.stats.NoRouteDrops, obs.CauseNoRoute)
+			return
+		}
 		dst = topology.None // native multicast, or nobody's address
 	}
-	env := nd.net.newEnvelope(msg, dst)
+	env := n.newEnvelope(s, msg, dst)
 	if sendStep != 0 {
-		env.cause = obs.Causal{Episode: nd.net.cur.Episode, Step: sendStep}
+		env.cause = obs.Causal{Episode: s.cur.Episode, Step: sendStep}
 	}
-	nd.net.transmit(nd.id, to, env)
+	switch {
+	case peer != nil:
+		n.transmit(nd.id, via, env)
+	case dst == nd.id:
+		// Local: process immediately in a fresh event for causal order.
+		env.to = nd.id
+		n.wire.Queue(nd.id, env, 0)
+	default:
+		n.forward(nd.id, env)
+	}
+}
+
+// drop ends a packet's life at nd, counted in *c (and in DataDrops when
+// it is data). In flight (env non-nil) it is charged to its own causal
+// pair and its envelope released; at its origin, to the ambient
+// context. peer is the far end of the link it died on, if any.
+func (n *Network) drop(nd, peer *Node, env *Envelope, msg packet.Message, c *int, cause obs.Cause) {
+	s := nd.s
+	n.begin(s, env, false)
+	*c++
+	if _, isData := msg.(*packet.Data); isData {
+		s.stats.DataDrops++
+	}
+	if n.obsv != nil {
+		if env != nil {
+			n.emitEnv(obs.KindDrop, cause, nd, peer, env)
+		} else {
+			n.emitMsg(obs.KindDrop, cause, nd, peer, msg)
+		}
+	}
+	s.unlock()
+	if env != nil {
+		env.Release()
+	}
 }
 
 // forward routes env one hop closer to its destination: one routing
 // query, whose topology.None answer (from is never the destination
 // here) means unreachable.
-func (n *Network) forward(from topology.NodeID, env *envelope) {
+func (n *Network) forward(from topology.NodeID, env *Envelope) {
 	next := topology.None
 	if env.dst != topology.None {
 		next = n.routing.NextHop(from, env.dst)
 	}
 	if next == topology.None {
-		n.stats.NoRouteDrops++
-		n.dropData(env.msg)
-		if n.obsv != nil {
-			n.emitEnv(obs.KindDrop, obs.CauseNoRoute, n.nodes[from], nil, env)
-		}
-		n.recycle(env)
+		nd := n.nodes[from]
+		n.drop(nd, nil, env, env.msg, &nd.s.stats.NoRouteDrops, obs.CauseNoRoute)
 		return
 	}
 	n.transmit(from, next, env)
 }
 
 // transmit moves env over the link from->to, charging the directed
-// link cost as delay and decrementing the hop budget.
-func (n *Network) transmit(from, to topology.NodeID, env *envelope) {
+// link cost as delay and decrementing the hop budget, and hands it to
+// the wire.
+func (n *Network) transmit(from, to topology.NodeID, env *Envelope) {
+	nd := n.nodes[from]
+	st := &nd.s.stats
 	if env.hops <= 0 {
-		n.stats.HopLimitDrops++
-		n.dropData(env.msg)
-		if n.obsv != nil {
-			n.emitEnv(obs.KindDrop, obs.CauseHopLimit, n.nodes[from], nil, env)
-		}
-		n.recycle(env)
+		n.drop(nd, nil, env, env.msg, &st.HopLimitDrops, obs.CauseHopLimit)
 		return
 	}
 	env.hops--
-	if !n.topo.LinkEnabled(from, to) {
+	if !n.topo.LinkEnabled(from, to) || len(n.cut) > 0 && n.cut[linkKey(from, to)] {
 		// The link is administratively down (fault injection). Packets
 		// already routed onto it die here, exactly like frames on a cut
 		// wire; the stale routing that chose it is the unicast layer's
 		// problem until Recompute converges it.
-		n.stats.LinkDownDrops++
-		n.dropData(env.msg)
-		if n.obsv != nil {
-			n.emitEnv(obs.KindDrop, obs.CauseLinkDown, n.nodes[from], n.nodes[to], env)
-		}
-		n.recycle(env)
+		n.drop(nd, n.nodes[to], env, env.msg, &st.LinkDownDrops, obs.CauseLinkDown)
 		return
 	}
 	cost := n.topo.Cost(from, to)
 	if cost == 0 {
 		panic(fmt.Sprintf("netsim: transmit over missing link %d->%d", from, to))
 	}
+	_, isData := env.msg.(*packet.Data)
 	if n.loss.Control > 0 || n.loss.Data > 0 {
-		_, isData := env.msg.(*packet.Data)
 		switch {
 		case !isData && n.loss.Control > 0 && n.loss.RNG.Float64() < n.loss.Control:
-			n.stats.LossDrops++
-			if n.obsv != nil {
-				n.emitEnv(obs.KindDrop, obs.CauseLoss, n.nodes[from], n.nodes[to], env)
-			}
-			n.recycle(env)
+			n.drop(nd, n.nodes[to], env, env.msg, &st.LossDrops, obs.CauseLoss)
 			return
 		case isData && n.loss.Data > 0 && n.loss.RNG.Float64() < n.loss.Data:
-			n.stats.DataLossDrops++
-			n.stats.DataDrops++
-			if n.obsv != nil {
-				n.emitEnv(obs.KindDrop, obs.CauseLoss, n.nodes[from], n.nodes[to], env)
-			}
-			n.recycle(env)
+			n.drop(nd, n.nodes[to], env, env.msg, &st.DataLossDrops, obs.CauseLoss)
 			return
 		}
 	}
@@ -776,73 +1015,55 @@ func (n *Network) transmit(from, to topology.NodeID, env *envelope) {
 	// duplicate) with seeded draws. Data packets pass untouched.
 	var advJitter, advDupJitter eventsim.Time
 	advDup := false
-	if n.adv != nil {
-		if _, isData := env.msg.(*packet.Data); !isData {
-			drop, jit, dupJit, dup := n.adv.roll()
-			if drop {
-				n.stats.AdvLossDrops++
-				if n.obsv != nil {
-					n.emitEnv(obs.KindDrop, obs.CauseAdvLoss, n.nodes[from], n.nodes[to], env)
-				}
-				n.recycle(env)
-				return
-			}
-			advJitter, advDupJitter, advDup = jit, dupJit, dup
+	if n.adv != nil && !isData {
+		drop, jit, dupJit, dup := n.adv.roll()
+		if drop {
+			n.drop(nd, n.nodes[to], env, env.msg, &st.AdvLossDrops, obs.CauseAdvLoss)
+			return
 		}
+		advJitter, advDupJitter, advDup = jit, dupJit, dup
 	}
-	if n.wireCheck {
-		buf, err := packet.Marshal(env.msg)
-		if err != nil {
-			panic(fmt.Sprintf("netsim: wire-check marshal on %d->%d: %v", from, to, err))
-		}
-		decoded, err := packet.Unmarshal(buf)
-		if err != nil {
-			panic(fmt.Sprintf("netsim: wire-check unmarshal on %d->%d: %v", from, to, err))
-		}
-		env.msg = decoded
-	}
-	n.stats.Transmissions++
-	if _, isData := env.msg.(*packet.Data); isData {
-		n.stats.DataCopies++
+	n.begin(nd.s, env, false)
+	st.Transmissions++
+	if isData {
+		st.DataCopies++
 	}
 	for _, tap := range n.taps {
 		tap(from, to, env.msg)
 	}
 	if n.obsv != nil {
-		n.emitEnv(obs.KindForward, obs.CauseNone, n.nodes[from], n.nodes[to], env)
-		if lt := n.obsv.Latency(); lt != nil {
-			// The per-hop delay this traversal will take: link cost plus
-			// any adversarial jitter (virtual units).
-			lt.ObserveHop(float64(eventsim.Time(cost) + advJitter))
-		}
+		n.emitEnv(obs.KindForward, obs.CauseNone, nd, n.nodes[to], env)
 	}
+	nd.s.unlock()
 	env.to = to
 	if advDup {
 		n.duplicate(from, to, env, eventsim.Time(cost)+advDupJitter)
 	}
-	n.sim.AfterCall(eventsim.Time(cost)+advJitter, env)
+	if err := n.wire.Carry(from, to, env, eventsim.Time(cost)+advJitter); err != nil {
+		nd.s.lock()
+		st.SendErrors++
+		nd.s.unlock()
+	}
 }
 
 // arrive processes env at node v: handlers first, then local delivery
 // or onward forwarding.
-func (n *Network) arrive(v topology.NodeID, env *envelope) {
+func (n *Network) arrive(v topology.NodeID, env *Envelope) {
 	nd := n.nodes[v]
+	s := nd.s
 	if n.nodeDown[v] {
 		// A crashed node handles nothing: no interception, no
 		// forwarding, no delivery.
-		n.stats.NodeDownDrops++
-		n.dropData(env.msg)
-		if n.obsv != nil {
-			n.emitMsg(obs.KindDrop, obs.CauseNodeDown, nd, nil, env.msg)
-		}
-		n.recycle(env)
+		n.drop(nd, nil, env, env.msg, &s.stats.NodeDownDrops, obs.CauseNodeDown)
 		return
 	}
+	_, isData := env.msg.(*packet.Data)
 	for _, h := range nd.handlers {
 		if h.Handle(nd, env.msg) == Consumed {
-			n.stats.Consumed++
-			if _, isData := env.msg.(*packet.Data); isData {
-				n.stats.DataConsumed++
+			n.begin(s, env, isData)
+			s.stats.Consumed++
+			if isData {
+				s.stats.DataConsumed++
 			}
 			if n.obsv != nil {
 				n.emitMsg(obs.KindConsume, obs.CauseNone, nd, nil, env.msg)
@@ -850,37 +1071,38 @@ func (n *Network) arrive(v topology.NodeID, env *envelope) {
 			for _, t := range n.delTaps {
 				t(v, env.msg, true)
 			}
-			n.recycle(env)
+			s.unlock()
+			env.Release()
 			return
 		}
 	}
 	hdr := env.msg.Hdr()
 	if hdr.Dst == nd.addr {
-		n.stats.Delivered++
-		if _, isData := env.msg.(*packet.Data); isData {
-			n.stats.DataDelivered++
+		n.begin(s, env, isData)
+		s.stats.Delivered++
+		if isData {
+			s.stats.DataDelivered++
 		}
 		if n.obsv != nil {
 			n.emitMsg(obs.KindDeliver, obs.CauseNone, nd, nil, env.msg)
 		}
-		if nd.deliver != nil {
-			nd.deliver(nd, env.msg)
-		}
 		for _, t := range n.delTaps {
 			t(v, env.msg, false)
 		}
-		n.recycle(env)
+		s.unlock()
+		// The sink runs outside the hold: it is the application's.
+		if nd.deliver != nil {
+			nd.deliver(nd, env.msg)
+		}
+		env.Release()
 		return
 	}
 	if !hdr.Dst.IsUnicast() {
 		// Undeliverable multicast destination: only handlers can
-		// forward those, and none claimed it.
-		n.stats.NoRouteDrops++
-		n.dropData(env.msg)
-		if n.obsv != nil {
-			n.emitMsg(obs.KindDrop, obs.CauseUnclaimedMulticast, nd, nil, env.msg)
-		}
-		n.recycle(env)
+		// forward those, and none claimed it. The drop is charged to
+		// what the handlers left ambient.
+		env.cause = s.cur
+		n.drop(nd, nil, env, env.msg, &s.stats.NoRouteDrops, obs.CauseUnclaimedMulticast)
 		return
 	}
 	n.forward(v, env)

@@ -8,6 +8,7 @@ import (
 	"hbh/internal/addr"
 	"hbh/internal/eventsim"
 	"hbh/internal/packet"
+	"hbh/internal/testseed"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -66,7 +67,7 @@ func TestQuickUnicastDelivery(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: testseed.Rand(t)}); err != nil {
 		t.Error(err)
 	}
 }

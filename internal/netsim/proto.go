@@ -14,12 +14,13 @@ import (
 // protocol entity may do: inspect its locus, send packets, schedule
 // timers through the abstract clock, and emit observability events.
 //
-// Two implementations exist: *Node (this package — the virtual-time
-// simulator) and the live runtime's node (internal/live — goroutine-
-// per-router over a real or simulated transport). The engines are
+// One implementation exists, *Node, with one packet ladder. The
+// simulator runs it over its reference wire; the live runtime
+// (internal/live) runs the same nodes, each on a goroutine, a clock and
+// a shard of its own, over the frame wire (NewWired). The engines are
 // compiled once against this interface and run unmodified in both
-// worlds; the equivalence tests in internal/live pin that the two
-// executions produce identical protocol tables.
+// worlds; the equivalence tests in internal/live pin that the two wires
+// produce identical protocol tables.
 type ProtoNode interface {
 	// ID returns the node's topology identifier.
 	ID() topology.NodeID

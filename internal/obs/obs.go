@@ -92,7 +92,7 @@ const (
 	KindSpanBegin
 	// KindSpanEnd closes a lifecycle span.
 	KindSpanEnd
-	// KindNote is a free-form annotation (Tracef compatibility).
+	// KindNote is a free-form annotation (Notef).
 	KindNote
 	// KindRecorderDump is a flight-recorder dump pushed into the trace
 	// stream (fault-attributed drop with DumpOnFaultDrop enabled).
@@ -473,8 +473,7 @@ func (o *Observer) EndSpan(id SpanID, name string, ch addr.Channel, node addr.Ad
 }
 
 // Notef emits a free-form annotation, formatted lazily (only when the
-// observer is live). It is the structured successor of the old
-// netsim.Tracef.
+// observer is live).
 func (o *Observer) Notef(format string, args ...any) {
 	if o == nil {
 		return

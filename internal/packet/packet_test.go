@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"hbh/internal/addr"
+	"hbh/internal/testseed"
 )
 
 func hdr(p Protocol, t Type, flags uint8) Header {
@@ -124,7 +125,7 @@ func TestQuickFusion(t *testing.T) {
 		}
 		return reflect.DeepEqual(in, out)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: testseed.Rand(t)}); err != nil {
 		t.Error(err)
 	}
 }
@@ -146,7 +147,7 @@ func TestQuickData(t *testing.T) {
 		}
 		return out.(*Data).Seq == seq && bytes.Equal(out.(*Data).Payload, payload)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: testseed.Rand(t)}); err != nil {
 		t.Error(err)
 	}
 }

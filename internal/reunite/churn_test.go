@@ -9,6 +9,7 @@ import (
 	"hbh/internal/eventsim"
 	"hbh/internal/mtree"
 	"hbh/internal/netsim"
+	"hbh/internal/testseed"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -78,7 +79,7 @@ func TestQuickChurnDelivers(t *testing.T) {
 		}
 		return false
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 12, Rand: testseed.Rand(t)}); err != nil {
 		t.Error(err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"hbh/internal/addr"
+	"hbh/internal/testseed"
 )
 
 func TestISPShape(t *testing.T) {
@@ -79,7 +80,7 @@ func TestQuickRandomConnected(t *testing.T) {
 			rand.New(rand.NewSource(seed)))
 		return g.Connected() && len(g.Routers()) == routers && len(g.Hosts()) == routers
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: testseed.Rand(t)}); err != nil {
 		t.Error(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"hbh/internal/addr"
+	"hbh/internal/testseed"
 	"hbh/internal/topology"
 )
 
@@ -151,7 +152,7 @@ func TestQuickRoutingInvariants(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 25, Rand: testseed.Rand(t)}); err != nil {
 		t.Error(err)
 	}
 }
@@ -193,7 +194,7 @@ func TestQuickShortestIsMinimal(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: testseed.Rand(t)}); err != nil {
 		t.Error(err)
 	}
 }

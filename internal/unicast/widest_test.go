@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"hbh/internal/addr"
+	"hbh/internal/testseed"
 	"hbh/internal/topology"
 )
 
@@ -127,7 +128,7 @@ func TestQuickWidestInvariants(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: testseed.Rand(t)}); err != nil {
 		t.Error(err)
 	}
 }
