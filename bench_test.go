@@ -193,9 +193,7 @@ func BenchmarkForwardOneHopTraced(b *testing.B) {
 	net.SetObserver(o)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prev := net.Node(0).RootEpisode()
 		net.Node(0).SendUnicast(msg)
-		net.Node(0).SetCausalContext(prev)
 		if err := sim.RunAll(); err != nil {
 			b.Fatal(err)
 		}

@@ -540,7 +540,7 @@ func (d *daemon) fault(words []string) string {
 // flight recorder show it inline with the packet flow it perturbs.
 func (d *daemon) noteFault(detail string) {
 	d.rt.ObsLocked(func() {
-		d.obsv.EmitLocked(obs.Event{Kind: obs.KindFault, Detail: detail})
+		d.obsv.EmitLocked(&obs.Event{Kind: obs.KindFault, Detail: detail})
 	})
 }
 

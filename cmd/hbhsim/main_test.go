@@ -14,7 +14,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -261,6 +263,39 @@ func TestTraceJSONLLifecycle(t *testing.T) {
 			t.Errorf("receiver %s on %s: lifecycle kind %q not greppable from the stream (got %v)",
 				first.Node, first.Ch, want, kinds)
 		}
+	}
+}
+
+// TestGoldenTraceDigests pins the HBH and REUNITE event streams event
+// for event: kinds, times, nodes and the causal ep/step/pstep ids every
+// JSONL line carries. The streams run to megabytes, so the golden holds
+// their SHA-256 digests, one line per run, in sha256sum's format.
+func TestGoldenTraceDigests(t *testing.T) {
+	var b strings.Builder
+	for _, proto := range []string{"HBH", "REUNITE"} {
+		args := []string{"-trace", "-proto", proto, "-receivers", "4"}
+		stdout, stderr, code := runMain(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit code %d, want 0 (stderr: %s)", args, code, stderr)
+		}
+		fmt.Fprintf(&b, "%x  hbhsim %s\n", sha256.Sum256([]byte(stdout)), strings.Join(args, " "))
+	}
+	goldenCompare(t, "trace_digests.txt", b.String())
+}
+
+// TestGoldenTracePIM pins the PIM-SM and PIM-SS event streams in full:
+// the central build installs its trees in node order, so every run
+// prints the same stream.
+func TestGoldenTracePIM(t *testing.T) {
+	for _, c := range []struct{ proto, golden string }{
+		{"PIM-SM", "trace_pimsm.jsonl"},
+		{"PIM-SS", "trace_pimss.jsonl"},
+	} {
+		stdout, stderr, code := runMain(t, "-trace", "-proto", c.proto, "-receivers", "4")
+		if code != 0 {
+			t.Fatalf("%s: exit code %d, want 0 (stderr: %s)", c.proto, code, stderr)
+		}
+		goldenCompare(t, c.golden, stdout)
 	}
 }
 

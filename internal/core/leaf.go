@@ -5,6 +5,7 @@ import (
 	"hbh/internal/clock"
 	"hbh/internal/igmp"
 	"hbh/internal/netsim"
+	"hbh/internal/obs"
 	"hbh/internal/packet"
 	"hbh/internal/softstate"
 	"hbh/internal/topology"
@@ -64,16 +65,18 @@ func AttachLeafAgent(n netsim.ProtoNode, q *igmp.Querier, r *Router, cfg Config)
 func (l *LeafAgent) Subscribed(ch addr.Channel) bool { return l.subs[ch] != nil }
 
 // FirstLocalMember implements igmp.MembershipListener: subscribe to
-// the channel on behalf of the new local member.
-func (l *LeafAgent) FirstLocalMember(ch addr.Channel) {
+// the channel on behalf of the new local member, as an effect of its
+// report's cause c. The refresh joins that follow root episodes of
+// their own.
+func (l *LeafAgent) FirstLocalMember(c obs.Causal, ch addr.Channel) {
 	if l.subs[ch] != nil {
 		return
 	}
 	sub := &leafSub{}
 	l.subs[ch] = sub
-	softstate.SendJoin(l.node, packet.ProtoHBH, ch, true)
+	softstate.SendJoin(l.node, c, packet.ProtoHBH, ch, true)
 	sub.ticker = clock.NewTicker(l.clk, l.cfg.JoinInterval, func() {
-		softstate.SendJoin(l.node, packet.ProtoHBH, ch, false)
+		softstate.SendJoin(l.node, obs.Causal{}, packet.ProtoHBH, ch, false)
 	})
 }
 
@@ -89,8 +92,9 @@ func (l *LeafAgent) LastLocalMemberGone(ch addr.Channel) {
 }
 
 // deliverLocal fans a channel data packet out to the local member
-// hosts. It reports whether any local delivery happened.
-func (l *LeafAgent) deliverLocal(d *packet.Data) bool {
+// hosts, as an effect of its cause c. It reports whether any local
+// delivery happened.
+func (l *LeafAgent) deliverLocal(c obs.Causal, d *packet.Data) bool {
 	if l.subs[d.Channel] == nil {
 		return false
 	}
@@ -100,22 +104,22 @@ func (l *LeafAgent) deliverLocal(d *packet.Data) bool {
 	}
 	g := l.node.Topology()
 	for _, host := range members {
-		c := packet.Clone(d).(*packet.Data)
-		c.Src = l.node.Addr()
-		c.Dst = g.Node(host).Addr
-		l.node.SendDirect(host, c)
+		cp := packet.Clone(d).(*packet.Data)
+		cp.Src = l.node.Addr()
+		cp.Dst = g.Node(host).Addr
+		l.node.SendDirect(c, host, cp)
 	}
 	return true
 }
 
 // Handle implements netsim.Handler for leaf agents on routers without
 // an HBH engine: claim channel data addressed to this router.
-func (l *LeafAgent) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
+func (l *LeafAgent) Handle(n netsim.ProtoNode, msg packet.Message, c obs.Causal) netsim.Verdict {
 	d, ok := msg.(*packet.Data)
 	if !ok || d.Dst != l.node.Addr() {
 		return netsim.Continue
 	}
-	if l.deliverLocal(d) {
+	if l.deliverLocal(c, d) {
 		return netsim.Consumed
 	}
 	return netsim.Continue

@@ -132,26 +132,26 @@ func (r *Router) State(ch addr.Channel) (mct *MCT, mft *MFT, held bool) {
 func (r *Router) Dedup() softstate.Dedup { return r.seen }
 
 // Handle implements netsim.Handler: hop-by-hop processing of every
-// packet that crosses this router.
-func (r *Router) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
+// packet that crosses this router, as an effect of its causal pair c.
+func (r *Router) Handle(n netsim.ProtoNode, msg packet.Message, c obs.Causal) netsim.Verdict {
 	switch m := msg.(type) {
 	case *packet.Join:
 		if m.Proto != packet.ProtoHBH {
 			return netsim.Continue
 		}
-		return r.onJoin(m)
+		return r.onJoin(m, c)
 	case *packet.Tree:
 		if m.Proto != packet.ProtoHBH {
 			return netsim.Continue
 		}
-		return r.onTree(m)
+		return r.onTree(m, c)
 	case *packet.Fusion:
 		if m.Proto != packet.ProtoHBH {
 			return netsim.Continue
 		}
-		return r.onFusion(m)
+		return r.onFusion(m, c)
 	case *packet.Data:
-		return r.onData(m)
+		return r.onData(m, c)
 	default:
 		return netsim.Continue
 	}
@@ -160,7 +160,7 @@ func (r *Router) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
 // onJoin applies the join rules of Figure 9(a): forward unless this is
 // a branching node holding an entry for R, in which case intercept,
 // refresh the entry, and sign a join upstream ourselves.
-func (r *Router) onJoin(j *packet.Join) netsim.Verdict {
+func (r *Router) onJoin(j *packet.Join, c obs.Causal) netsim.Verdict {
 	if !r.cfg.EnableFusion {
 		// Fusion ablation: the router never branches, so it never
 		// intercepts joins either; every receiver stays joined at the
@@ -195,9 +195,10 @@ func (r *Router) onJoin(j *packet.Join) netsim.Verdict {
 	// regular child once its joins arrive) and B joins the channel
 	// itself at the next upstream branching router.
 	e.Timer.Refresh()
-	revalidateMark(r.node, r.cfg.T1, j.Channel, e)
-	e.Cause = r.node.EmitProto(obs.KindJoinIntercept, j.Channel, j.R, 0, "rule 3: refresh entry, self-join upstream")
-	r.sendJoinSelf(j.Channel)
+	revalidateMark(r.node, c, r.cfg.T1, j.Channel, e)
+	e.Cause = r.node.Emit(c, obs.Event{Kind: obs.KindJoinIntercept, Channel: j.Channel, Peer: j.R,
+		Detail: "rule 3: refresh entry, self-join upstream"})
+	r.sendJoinSelf(c, j.Channel)
 	return netsim.Consumed
 }
 
@@ -218,15 +219,16 @@ func (r *Router) onJoin(j *packet.Join) netsim.Verdict {
 //
 // The refresh traffic that keeps the marked entry alive is the only
 // reliable trigger for both repairs. Branching routers and the source
-// (n, holding e in its table for ch) run the same check.
-func revalidateMark(n netsim.ProtoNode, t1 eventsim.Time, ch addr.Channel, e *Entry) {
+// (n, holding e in its table for ch) run the same check, as an effect
+// of the refresh's cause c.
+func revalidateMark(n netsim.ProtoNode, c obs.Causal, t1 eventsim.Time, ch addr.Channel, e *Entry) {
 	if !e.Marked {
 		return
 	}
 	if markLapsed(e, n.Clock().Now(), t1) {
 		e.Marked = false
 		e.ServedBy = addr.Unspecified
-		n.EmitProto(obs.KindMarkLift, ch, e.Node, 0, "relay stopped confirming the handover")
+		n.Emit(c, obs.Event{Kind: obs.KindMarkLift, Channel: ch, Peer: e.Node, Detail: "relay stopped confirming the handover"})
 		return
 	}
 	if onForwardPath(n, n.ID(), e.ServedBy, e.Node) {
@@ -234,7 +236,7 @@ func revalidateMark(n netsim.ProtoNode, t1 eventsim.Time, ch addr.Channel, e *En
 	}
 	e.Marked = false
 	e.ServedBy = addr.Unspecified
-	n.EmitProto(obs.KindMarkLift, ch, e.Node, 0, "relay off the forward path")
+	n.Emit(c, obs.Event{Kind: obs.KindMarkLift, Channel: ch, Peer: e.Node, Detail: "relay off the forward path"})
 }
 
 // markLapsed reports whether a mark has outlived its confirmation
@@ -247,15 +249,13 @@ func markLapsed(e *Entry, now, t1 eventsim.Time) bool {
 	return e.Marked && now-e.MarkConfirmed > t1
 }
 
-func (r *Router) sendJoinSelf(ch addr.Channel) {
-	prev := r.node.CausalContext()
-	r.node.SetCausalContext(r.node.EmitProto(obs.KindJoinSend, ch, ch.S, 0, "branching-node self join"))
-	softstate.SendJoin(r.node, packet.ProtoHBH, ch, false)
-	r.node.SetCausalContext(prev)
+func (r *Router) sendJoinSelf(c obs.Causal, ch addr.Channel) {
+	c = r.node.Emit(c, obs.Event{Kind: obs.KindJoinSend, Channel: ch, Peer: ch.S, Detail: "branching-node self join"})
+	softstate.SendJoin(r.node, c, packet.ProtoHBH, ch, false)
 }
 
 // onTree applies the tree rules of Figure 9(c).
-func (r *Router) onTree(t *packet.Tree) netsim.Verdict {
+func (r *Router) onTree(t *packet.Tree, c obs.Causal) netsim.Verdict {
 	ch := t.Channel
 	if t.R == r.node.Addr() {
 		// Addressed to this router. Rule 1: a branching node discards
@@ -277,15 +277,12 @@ func (r *Router) onTree(t *packet.Tree) netsim.Verdict {
 		// Each regenerated tree attributes to the join episode that
 		// installed or last refreshed its entry, not to the triggering
 		// upstream refresh (see Entry.Cause).
-		prev := r.node.CausalContext()
 		for _, e := range st.mft.Entries() {
 			if e.Stale() {
 				continue
 			}
-			r.node.SetCausalContext(e.Cause)
-			softstate.SendTree(r.node, packet.ProtoHBH, ch, e.Node, false, "branching-node regeneration")
+			softstate.SendTree(r.node, e.Cause, packet.ProtoHBH, ch, e.Node, false, "branching-node regeneration")
 		}
-		r.node.SetCausalContext(prev)
 		return netsim.Consumed
 	}
 
@@ -304,36 +301,37 @@ func (r *Router) onTree(t *packet.Tree) netsim.Verdict {
 			// nodes further down must fuse to us, the nearest branching
 			// point, not to the original emitter.
 			e.Timer.Refresh()
-			revalidateMark(r.node, r.cfg.T1, ch, e)
-			e.Cause = r.node.CausalContext()
-			r.sendFusion(ch, t.Src)
+			revalidateMark(r.node, c, r.cfg.T1, ch, e)
+			e.Cause = c
+			r.sendFusion(c, ch, t.Src)
 			t.Src = r.node.Addr()
 			return netsim.Continue
 		}
 		// Rule 2: a new receiver's delivery path crosses this branching
 		// node: adopt it and tell the emitting upstream node.
-		r.node.EmitProto(obs.KindTreeAdopt, ch, t.R, 0, "rule 2: delivery path crosses branching node")
-		r.addMFT(st, ch, t.R)
-		r.sendFusion(ch, t.Src)
+		r.node.Emit(c, obs.Event{Kind: obs.KindTreeAdopt, Channel: ch, Peer: t.R,
+			Detail: "rule 2: delivery path crosses branching node"})
+		r.addMFT(c, st, ch, t.R)
+		r.sendFusion(c, ch, t.Src)
 		t.Src = r.node.Addr()
 		return netsim.Continue
 	}
 
 	if st.mct == nil {
 		// Rule 4: first tree state at this router.
-		r.createMCT(st, ch, t.R)
+		r.createMCT(c, st, ch, t.R)
 		return netsim.Continue
 	}
 	if st.mct.Node == t.R {
 		// Rule 6: refresh.
 		st.mct.Timer.Refresh()
-		st.mct.Cause = r.node.CausalContext()
+		st.mct.Cause = c
 		return netsim.Continue
 	}
 	if st.mct.Stale() {
 		// Rule 7 (stale entry): the old target is going away; replace.
-		r.removeMCT(st, ch)
-		r.createMCT(st, ch, t.R)
+		r.removeMCT(c, st, ch)
+		r.createMCT(c, st, ch, t.R)
 		return netsim.Continue
 	}
 	if !r.cfg.EnableFusion {
@@ -348,17 +346,17 @@ func (r *Router) onTree(t *packet.Tree) netsim.Verdict {
 	// node and announce the pair to the emitting upstream node.
 	old := st.mct.Node
 	oldCause := st.mct.Cause
-	r.removeMCT(st, ch)
+	r.removeMCT(c, st, ch)
 	st.mft = softstate.NewMFT()
 	r.observe(ch, softstate.ChangeBecomeBranching, r.node.Addr())
-	r.node.EmitProto(obs.KindBranch, ch, t.R, 0, "rule 8: second live target")
-	if e := r.addMFT(st, ch, old); oldCause.Episode != 0 {
+	r.node.Emit(c, obs.Event{Kind: obs.KindBranch, Channel: ch, Peer: t.R, Detail: "rule 8: second live target"})
+	if e := r.addMFT(c, st, ch, old); oldCause.Episode != 0 {
 		// The first child keeps the provenance its MCT entry carried, so
 		// its refresh chain stays attributed to its own join episode.
 		e.Cause = oldCause
 	}
-	r.addMFT(st, ch, t.R)
-	r.sendFusion(ch, t.Src)
+	r.addMFT(c, st, ch, t.R)
+	r.sendFusion(c, ch, t.Src)
 	t.Src = r.node.Addr()
 	return netsim.Continue
 }
@@ -374,7 +372,7 @@ func (r *Router) onTree(t *packet.Tree) netsim.Verdict {
 // check, fusions travelling the reverse (receiver->source) paths can
 // be accepted by nodes that are not upstream of Bp at all, splicing
 // relay cycles into the data plane under asymmetric routing.
-func (r *Router) onFusion(f *packet.Fusion) netsim.Verdict {
+func (r *Router) onFusion(f *packet.Fusion, c obs.Causal) netsim.Verdict {
 	if f.Bp == r.node.Addr() {
 		// Our own fusion looped back (possible under pathological
 		// routing); never install ourselves.
@@ -393,8 +391,8 @@ func (r *Router) onFusion(f *packet.Fusion) netsim.Verdict {
 		// stale downstream state; let it time out.
 		return netsim.Consumed
 	}
-	r.matched = acceptFusion(r.node, st.mft, f, r.matched[:0],
-		func(node addr.Addr) *Entry { return r.addMFT(st, f.Channel, node) },
+	r.matched = acceptFusion(r.node, c, st.mft, f, r.matched[:0],
+		func(node addr.Addr) *Entry { return r.addMFT(c, st, f.Channel, node) },
 		func(node addr.Addr) { r.observe(f.Channel, softstate.ChangeMFTMark, node) })
 	return netsim.Consumed
 }
@@ -407,8 +405,8 @@ func (r *Router) onFusion(f *packet.Fusion) netsim.Verdict {
 // nothing new matched (see retractFusion). addEntry installs a fresh
 // entry in t; markObs reports a newly marked one. The matched entries
 // are collected into the caller's scratch slice, returned for the next
-// fusion to reuse.
-func acceptFusion(n netsim.ProtoNode, t *MFT, f *packet.Fusion, matched []*Entry,
+// fusion to reuse. What the fusion changes is an effect of its cause c.
+func acceptFusion(n netsim.ProtoNode, c obs.Causal, t *MFT, f *packet.Fusion, matched []*Entry,
 	addEntry func(node addr.Addr) *Entry, markObs func(node addr.Addr)) []*Entry {
 	for _, target := range f.Rs {
 		e := t.Get(target)
@@ -421,15 +419,15 @@ func acceptFusion(n netsim.ProtoNode, t *MFT, f *packet.Fusion, matched []*Entry
 		matched = append(matched, e)
 	}
 	liftObs := func(node addr.Addr) {
-		n.EmitProto(obs.KindMarkLift, f.Channel, node, 0, "fusion no longer lists member")
+		n.Emit(c, obs.Event{Kind: obs.KindMarkLift, Channel: f.Channel, Peer: node, Detail: "fusion no longer lists member"})
 	}
 	if len(matched) == 0 {
 		retractFusion(t, f.Bp, f.Rs, liftObs)
 		return matched
 	}
-	if n.Observing() && fusionChanges(t, f.Bp, f.Rs, matched) {
-		n.EmitProto(obs.KindFusionAccept, f.Channel, f.Bp, 0,
-			fmt.Sprintf("%d of %d targets handed to relay", len(matched), len(f.Rs)))
+	if n.Observer() != nil && fusionChanges(t, f.Bp, f.Rs, matched) {
+		n.Emit(c, obs.Event{Kind: obs.KindFusionAccept, Channel: f.Channel, Peer: f.Bp,
+			Detail: fmt.Sprintf("%d of %d targets handed to relay", len(matched), len(f.Rs))})
 	}
 	applyFusion(t, f.Bp, f.Rs, matched, n.Clock().Now(), addEntry, markObs, liftObs)
 	return matched
@@ -603,7 +601,7 @@ func unmarkServedBy(t *MFT, relay addr.Addr) {
 // a packet already replicated here is dropped (duplicate suppression),
 // and no copy is sent back to the branching node it just came from
 // (split horizon).
-func (r *Router) onData(d *packet.Data) netsim.Verdict {
+func (r *Router) onData(d *packet.Data, c obs.Causal) netsim.Verdict {
 	if d.Dst != r.node.Addr() {
 		return netsim.Continue
 	}
@@ -621,7 +619,7 @@ func (r *Router) onData(d *packet.Data) netsim.Verdict {
 		return netsim.Consumed
 	}
 	if hasLeaf {
-		r.leaf.deliverLocal(d)
+		r.leaf.deliverLocal(c, d)
 	}
 	if hasMFT {
 		// The replication loop ranges over the table's live backing
@@ -636,9 +634,11 @@ func (r *Router) onData(d *packet.Data) netsim.Verdict {
 			if e.Marked || e.Node == d.Src {
 				continue
 			}
-			r.node.EmitProto(obs.KindReplicate, d.Channel, e.Node, d.Seq, "")
+			if r.node.Observer() != nil { // an Event costs a copy to pass
+				r.node.Emit(c, obs.Event{Kind: obs.KindReplicate, Channel: d.Channel, Peer: e.Node, Seq: d.Seq})
+			}
 			r.replica.Dst = e.Node
-			r.node.SendUnicast(&r.replica)
+			r.node.Send(c, &r.replica)
 		}
 		r.replica.Payload = nil
 		if st.mft.Version() != v {
@@ -662,8 +662,8 @@ func (r *Router) window(st *chanState, ch addr.Channel) *softstate.Window {
 // upstream node that emitted the triggering tree message. Appendix A
 // addresses fusions to a node ("if the message is addressed to B ...")
 // — the emitter of the tree being reacted to is the only upstream node
-// the router actually knows.
-func (r *Router) sendFusion(ch addr.Channel, upstream addr.Addr) {
+// the router actually knows. The fusion is an effect of c.
+func (r *Router) sendFusion(c obs.Causal, ch addr.Channel, upstream addr.Addr) {
 	if !r.cfg.EnableFusion {
 		return
 	}
@@ -680,8 +680,7 @@ func (r *Router) sendFusion(ch addr.Channel, upstream addr.Addr) {
 	}
 	st.hasFusion = true
 	st.lastFusion = now
-	prev := r.node.CausalContext()
-	r.node.SetCausalContext(r.node.EmitProto(obs.KindFusionSend, ch, upstream, 0, "announce branching candidate"))
+	c = r.node.Emit(c, obs.Event{Kind: obs.KindFusionSend, Channel: ch, Peer: upstream, Detail: "announce branching candidate"})
 	f := &packet.Fusion{
 		Header: packet.Header{
 			Proto:   packet.ProtoHBH,
@@ -693,19 +692,18 @@ func (r *Router) sendFusion(ch addr.Channel, upstream addr.Addr) {
 		Bp: r.node.Addr(),
 		Rs: st.mft.Nodes(),
 	}
-	r.node.SendUnicast(f)
-	r.node.SetCausalContext(prev)
+	r.node.Send(c, f)
 }
 
-// addMFT inserts node into the channel's MFT with fresh timers wired
-// to expiry cleanup.
-func (r *Router) addMFT(st *chanState, ch addr.Channel, node addr.Addr) *Entry {
+// addMFT inserts node into the channel's MFT, as an effect of c, with
+// fresh timers wired to expiry cleanup.
+func (r *Router) addMFT(c obs.Causal, st *chanState, ch addr.Channel, node addr.Addr) *Entry {
 	timer := clock.NewSoftTimer(r.clk, r.cfg.T1, r.cfg.T2, nil, func() {
 		r.expireMFT(st, ch, node)
 	})
 	e := st.mft.Add(node, timer)
 	r.observe(ch, softstate.ChangeMFTAdd, node)
-	e.Cause = r.node.EmitProto(obs.KindTableAdd, ch, node, 0, "mft")
+	e.Cause = r.node.Emit(c, obs.Event{Kind: obs.KindTableAdd, Channel: ch, Peer: node, Detail: "mft"})
 	return e
 }
 
@@ -718,11 +716,10 @@ func (r *Router) expireMFT(st *chanState, ch addr.Channel, node addr.Addr) {
 	// Soft-state expiry fires from a timer: it is the spontaneous root
 	// of its own causal episode (the member went silent), covering the
 	// removal and any collapse it triggers.
-	prev := r.node.RootEpisode()
-	defer r.node.SetCausalContext(prev)
+	c := r.node.Root()
 	st.mft.Remove(node)
 	r.observe(ch, softstate.ChangeMFTRemove, node)
-	r.node.EmitProto(obs.KindTableRemove, ch, node, 0, "mft")
+	r.node.Emit(c, obs.Event{Kind: obs.KindTableRemove, Channel: ch, Peer: node, Detail: "mft"})
 	// If the departed entry was a relay, the members it served must get
 	// data directly again.
 	unmarkServedBy(st.mft, node)
@@ -730,7 +727,7 @@ func (r *Router) expireMFT(st *chanState, ch addr.Channel, node addr.Addr) {
 	case st.mft.Len() == 0:
 		st.mft = nil
 		r.observe(ch, softstate.ChangeCollapse, r.node.Addr())
-		r.node.EmitProto(obs.KindCollapse, ch, addr.Unspecified, 0, "mft empty")
+		r.node.Emit(c, obs.Event{Kind: obs.KindCollapse, Channel: ch, Detail: "mft empty"})
 		r.maybeDrop(ch, st)
 	case st.mft.Len() == 1:
 		// A single fresh entry means one live child chain: this node no
@@ -745,35 +742,33 @@ func (r *Router) expireMFT(st *chanState, ch addr.Channel, node addr.Addr) {
 			st.mft.Destroy()
 			st.mft = nil
 			r.observe(ch, softstate.ChangeCollapse, r.node.Addr())
-			r.node.EmitProto(obs.KindCollapse, ch, target, 0, "single child chain")
-			r.createMCT(st, ch, target)
+			r.node.Emit(c, obs.Event{Kind: obs.KindCollapse, Channel: ch, Peer: target, Detail: "single child chain"})
+			r.createMCT(c, st, ch, target)
 		}
 	}
 }
 
-func (r *Router) createMCT(st *chanState, ch addr.Channel, node addr.Addr) {
+func (r *Router) createMCT(c obs.Causal, st *chanState, ch addr.Channel, node addr.Addr) {
 	timer := clock.NewSoftTimer(r.clk, r.cfg.T1, r.cfg.T2, nil, func() {
 		if st.mct != nil && st.mct.Node == node {
 			// Timer-driven expiry roots its own episode (see expireMFT).
-			prev := r.node.RootEpisode()
-			r.removeMCT(st, ch)
+			r.removeMCT(r.node.Root(), st, ch)
 			r.maybeDrop(ch, st)
-			r.node.SetCausalContext(prev)
 		}
 	})
 	st.mct = &MCT{Node: node, Timer: timer}
 	r.observe(ch, softstate.ChangeMCTCreate, node)
-	st.mct.Cause = r.node.EmitProto(obs.KindTableAdd, ch, node, 0, "mct")
+	st.mct.Cause = r.node.Emit(c, obs.Event{Kind: obs.KindTableAdd, Channel: ch, Peer: node, Detail: "mct"})
 }
 
-func (r *Router) removeMCT(st *chanState, ch addr.Channel) {
+func (r *Router) removeMCT(c obs.Causal, st *chanState, ch addr.Channel) {
 	if st.mct == nil {
 		return
 	}
 	st.mct.Timer.Cancel()
 	st.mct = nil
 	r.observe(ch, softstate.ChangeMCTRemove, r.node.Addr())
-	r.node.EmitProto(obs.KindTableRemove, ch, addr.Unspecified, 0, "mct")
+	r.node.Emit(c, obs.Event{Kind: obs.KindTableRemove, Channel: ch, Detail: "mct"})
 }
 
 // maybeDrop garbage-collects empty channel state, including the

@@ -37,19 +37,19 @@ func AttachSource(n netsim.ProtoNode, group addr.Addr, cfg Config) *Source {
 
 // Handle implements netsim.Handler for packets arriving at the source
 // host: joins and fusions addressed to S.
-func (s *Source) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
+func (s *Source) Handle(n netsim.ProtoNode, msg packet.Message, c obs.Causal) netsim.Verdict {
 	switch m := msg.(type) {
 	case *packet.Join:
 		if m.Proto != packet.ProtoHBH || m.Channel != s.Channel() {
 			return netsim.Continue
 		}
-		s.onJoin(m)
+		s.onJoin(m, c)
 		return netsim.Consumed
 	case *packet.Fusion:
 		if m.Proto != packet.ProtoHBH || m.Channel != s.Channel() {
 			return netsim.Continue
 		}
-		s.onFusion(m)
+		s.onFusion(m, c)
 		return netsim.Consumed
 	default:
 		return netsim.Continue
@@ -59,7 +59,7 @@ func (s *Source) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
 // onJoin admits or refreshes a member. Any join that made it all the
 // way to S (first joins always do) installs the receiver here; the
 // fusion mechanism later migrates it to the right branching node.
-func (s *Source) onJoin(j *packet.Join) {
+func (s *Source) onJoin(j *packet.Join, c obs.Causal) {
 	ch := s.Channel()
 	if e := s.MFT().Get(j.R); e != nil {
 		e.Timer.Refresh()
@@ -67,22 +67,23 @@ func (s *Source) onJoin(j *packet.Join) {
 		// relay can stop confirming the handover (it un-branched or
 		// crashed), or a cost change can strand the member behind a
 		// relay off the forward path.
-		revalidateMark(s.node, s.cfg.T1, ch, e)
-		e.Cause = s.node.EmitProto(obs.KindJoinAdmit, ch, j.R, 0, "refresh")
+		revalidateMark(s.node, c, s.cfg.T1, ch, e)
+		e.Cause = s.node.Emit(c, obs.Event{Kind: obs.KindJoinAdmit, Channel: ch, Peer: j.R, Detail: "refresh"})
 		return
 	}
-	s.node.EmitProto(obs.KindJoinAdmit, ch, j.R, 0, "install")
-	s.AddEntry(j.R)
+	s.node.Emit(c, obs.Event{Kind: obs.KindJoinAdmit, Channel: ch, Peer: j.R, Detail: "install"})
+	s.AddEntry(c, j.R)
 }
 
 // onFusion applies a fusion that reached the root, with the same
 // routing-verified acceptance as branching routers: the candidate must
 // actually sit on our forward path to the member it offers to serve.
-func (s *Source) onFusion(f *packet.Fusion) {
+func (s *Source) onFusion(f *packet.Fusion, c obs.Causal) {
 	if f.Bp == s.node.Addr() {
 		return
 	}
-	s.matched = acceptFusion(s.node, s.MFT(), f, s.matched[:0], s.AddEntry,
+	s.matched = acceptFusion(s.node, c, s.MFT(), f, s.matched[:0],
+		func(node addr.Addr) *Entry { return s.AddEntry(c, node) },
 		func(node addr.Addr) { s.Observe(softstate.ChangeMFTMark, node) })
 }
 
@@ -96,8 +97,6 @@ func (s *Source) emitTrees() {
 		}
 		// Attribute the refresh (and the tree message it sends) to the
 		// join episode that installed or last refreshed this entry.
-		s.node.SetCausalContext(e.Cause)
-		softstate.SendTree(s.node, packet.ProtoHBH, ch, e.Node, false, "source refresh")
+		softstate.SendTree(s.node, e.Cause, packet.ProtoHBH, ch, e.Node, false, "source refresh")
 	}
-	s.node.SetCausalContext(obs.Causal{})
 }

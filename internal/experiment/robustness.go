@@ -372,8 +372,7 @@ func buildAdvSession(spec AdvSpec, g *topology.Graph, routing unicast.Router,
 		if spec.Check {
 			a.checker = invariant.New(net, sess.Channel(), profileFor(spec.Protocol), nil)
 			a.checker.SetMembers(memberAddrs(g, memberHosts))
-			wireRecent(a.checker, o)
-			wireEpisode(a.checker, net)
+			a.checker.SetObserver(o)
 		}
 		a.probe = func() *mtree.Result { return mtree.Probe(net, a.send, a.members) }
 		return a

@@ -349,8 +349,7 @@ func runPIM(cfg RunConfig, g *topology.Graph, routing unicast.Router,
 		// the delivery-level invariants are checkable.
 		chk = invariant.New(net, sess.Channel(), profileFor(cfg.Protocol), nil)
 		chk.SetMembers(memberAddrs(g, members))
-		wireRecent(chk, cfg.Obs)
-		wireEpisode(chk, net)
+		chk.SetObserver(cfg.Obs)
 	}
 	ms := make([]mtree.Member, 0, len(members))
 	for _, m := range members {
@@ -541,8 +540,7 @@ func setupDyn(cfg RunConfig, g *topology.Graph, routing unicast.Router,
 			s.audit)
 		s.checker.SetMembers(memberAddrs(g, members))
 		invariant.InstallContinuous(sim, s.checker)
-		wireRecent(s.checker, cfg.Obs)
-		wireEpisode(s.checker, net)
+		s.checker.SetObserver(cfg.Obs)
 	}
 	installFootprintSampler(cfg, s, string(cfg.Protocol))
 	chg := func(addr.Addr, addr.Channel, softstate.ChangeKind, addr.Addr) {
@@ -580,29 +578,6 @@ func skewedInterval(base eventsim.Time, skew float64, i int) eventsim.Time {
 	}
 	factor := float64((i%5)-2) / 2
 	return base * eventsim.Time(1+skew*factor)
-}
-
-// wireRecent attaches the flight recorder's per-node dump to the
-// checker, so invariant violations report the last protocol events the
-// offending node saw. No-op unless o carries a recorder.
-func wireRecent(chk *invariant.Checker, o *obs.Observer) {
-	if chk == nil || o == nil {
-		return
-	}
-	if rec := o.Recorder(); rec != nil {
-		chk.SetRecent(rec.Dump)
-	}
-}
-
-// wireEpisode attaches the network's ambient causal context to the
-// checker, so invariant violations cite the causal episode (join,
-// expiry or fault cascade) they were detected under. No-op unless the
-// network carries an observer.
-func wireEpisode(chk *invariant.Checker, net *netsim.Network) {
-	if chk == nil || net == nil || net.Observer() == nil {
-		return
-	}
-	chk.SetEpisode(func() uint64 { return uint64(net.CausalContext().Episode) })
 }
 
 // installFootprintSampler samples the session's forwarding-state

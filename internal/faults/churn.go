@@ -107,8 +107,7 @@ func (c *Churner) Perturbed() int { return c.perturbed }
 // is a spontaneous root cause: it roots a causal episode so the
 // protocol reactions it triggers attribute to it.
 func (c *Churner) tick() {
-	prev := c.net.RootEpisode()
-	defer c.net.SetCausalContext(prev)
+	cause := c.net.Root()
 	g := c.net.Topology()
 	clamp := func(v int) int {
 		if v < c.cfg.Lo {
@@ -140,10 +139,8 @@ func (c *Churner) tick() {
 	}
 	c.perturbed += len(changes)
 	c.net.Routing().RecomputeCostChanges(changes...)
-	if o := c.net.Observer(); o != nil {
-		ev := obs.Event{Kind: obs.KindFault,
-			Detail: fmt.Sprintf("FAULT COST-CHURN tick %d: %d links walked", c.ticks, len(changes))}
-		c.net.StampCausal(&ev)
-		o.Emit(ev)
+	if c.net.Observer() != nil {
+		c.net.Emit(cause, obs.Event{Kind: obs.KindFault,
+			Detail: fmt.Sprintf("FAULT COST-CHURN tick %d: %d links walked", c.ticks, len(changes))})
 	}
 }

@@ -265,42 +265,37 @@ func (in *Injector) Schedule() {
 	}
 }
 
-// faultf emits one structured fault event; the rendered detail keeps
-// the legacy "FAULT ..." trace line verbatim so existing trace
-// consumers keep working, while counters and the flight recorder see a
-// typed KindFault.
-func (in *Injector) faultf(format string, args ...any) {
-	o := in.net.Observer()
-	if o == nil {
+// faultf emits one structured fault event as an effect of c; the
+// rendered detail keeps the legacy "FAULT ..." trace line verbatim so
+// existing trace consumers keep working, while counters and the flight
+// recorder see a typed KindFault.
+func (in *Injector) faultf(c obs.Causal, format string, args ...any) {
+	if in.net.Observer() == nil {
 		return
 	}
-	fev := obs.Event{Kind: obs.KindFault, Detail: fmt.Sprintf(format, args...)}
-	in.net.StampCausal(&fev)
-	o.Emit(fev)
+	in.net.Emit(c, obs.Event{Kind: obs.KindFault, Detail: fmt.Sprintf(format, args...)})
 }
 
 // apply executes one fault event: substrate first, then routing
 // reconvergence, then hooks and observers.
 //
 // A fault is a spontaneous root cause: apply roots a causal episode
-// before touching anything, so the KindFault event and everything the
-// hooks emit (a crashed router resetting its tables, above all)
-// attribute to it.
+// before touching anything, and its KindFault event is the episode's
+// root.
 func (in *Injector) apply(ev Event) {
-	prev := in.net.RootEpisode()
-	defer in.net.SetCausalContext(prev)
+	c := in.net.Root()
 	g := in.net.Topology()
 	switch ev.Kind {
 	case LinkDown:
-		in.faultf("FAULT %s %s-%s", ev.Kind, in.net.NodeName(ev.A), in.net.NodeName(ev.B))
+		in.faultf(c, "FAULT %s %s-%s", ev.Kind, in.net.NodeName(ev.A), in.net.NodeName(ev.B))
 		g.SetLinkEnabled(ev.A, ev.B, false)
 		in.reconverge([2]topology.NodeID{ev.A, ev.B})
 	case LinkUp:
-		in.faultf("FAULT %s %s-%s", ev.Kind, in.net.NodeName(ev.A), in.net.NodeName(ev.B))
+		in.faultf(c, "FAULT %s %s-%s", ev.Kind, in.net.NodeName(ev.A), in.net.NodeName(ev.B))
 		g.SetLinkEnabled(ev.A, ev.B, true)
 		in.reconverge([2]topology.NodeID{ev.A, ev.B})
 	case NodeDown:
-		in.faultf("FAULT %s %s", ev.Kind, in.net.NodeName(ev.A))
+		in.faultf(c, "FAULT %s %s", ev.Kind, in.net.NodeName(ev.A))
 		var took [][2]topology.NodeID
 		for _, nb := range g.Neighbors(ev.A) {
 			if g.LinkEnabled(ev.A, nb.To) {
@@ -315,7 +310,7 @@ func (in *Injector) apply(ev Event) {
 			f(ev.A)
 		}
 	case NodeUp:
-		in.faultf("FAULT %s %s", ev.Kind, in.net.NodeName(ev.A))
+		in.faultf(c, "FAULT %s %s", ev.Kind, in.net.NodeName(ev.A))
 		took := in.tookDown[ev.A]
 		delete(in.tookDown, ev.A)
 		for _, l := range took {
@@ -327,7 +322,7 @@ func (in *Injector) apply(ev Event) {
 			f(ev.A)
 		}
 	case GroupDown:
-		in.faultf("FAULT %s %s (%d links)", ev.Kind, ev.Group.Name, len(ev.Group.Links))
+		in.faultf(c, "FAULT %s %s (%d links)", ev.Kind, ev.Group.Name, len(ev.Group.Links))
 		var took [][2]topology.NodeID
 		for _, l := range ev.Group.Links {
 			if g.LinkEnabled(l[0], l[1]) {
@@ -338,7 +333,7 @@ func (in *Injector) apply(ev Event) {
 		in.groupTook[ev.Group.Name] = took
 		in.reconverge(took...)
 	case GroupUp:
-		in.faultf("FAULT %s %s (%d links)", ev.Kind, ev.Group.Name, len(ev.Group.Links))
+		in.faultf(c, "FAULT %s %s (%d links)", ev.Kind, ev.Group.Name, len(ev.Group.Links))
 		took := in.groupTook[ev.Group.Name]
 		delete(in.groupTook, ev.Group.Name)
 		for _, l := range took {

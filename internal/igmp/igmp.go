@@ -20,6 +20,7 @@ import (
 	"hbh/internal/clock"
 	"hbh/internal/eventsim"
 	"hbh/internal/netsim"
+	"hbh/internal/obs"
 	"hbh/internal/packet"
 	"hbh/internal/topology"
 )
@@ -59,9 +60,10 @@ func (c Config) Validate() error {
 
 // MembershipListener is notified when a channel's local membership
 // becomes non-empty or empty. core.LeafAgent implements it to join and
-// leave the HBH channel on behalf of local hosts.
+// leave the HBH channel on behalf of local hosts. The first member
+// arrives with its report's causal pair c.
 type MembershipListener interface {
-	FirstLocalMember(ch addr.Channel)
+	FirstLocalMember(c obs.Causal, ch addr.Channel)
 	LastLocalMemberGone(ch addr.Channel)
 }
 
@@ -139,13 +141,13 @@ func (q *Querier) sendQueries() {
 			},
 			General: true,
 		}
-		q.node.SendDirect(h, qm)
+		q.node.SendDirect(obs.Causal{}, h, qm)
 	}
 }
 
 // Handle implements netsim.Handler: process membership reports from
 // directly attached hosts.
-func (q *Querier) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
+func (q *Querier) Handle(n netsim.ProtoNode, msg packet.Message, c obs.Causal) netsim.Verdict {
 	r, ok := msg.(*packet.Report)
 	if !ok || r.Dst != q.node.Addr() {
 		return netsim.Continue
@@ -157,7 +159,7 @@ func (q *Querier) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict 
 	if r.Leave {
 		q.remove(r.Channel, host)
 	} else {
-		q.refresh(r.Channel, host)
+		q.refresh(c, r.Channel, host)
 	}
 	return netsim.Consumed
 }
@@ -171,7 +173,7 @@ func (q *Querier) servesHost(h topology.NodeID) bool {
 	return false
 }
 
-func (q *Querier) refresh(ch addr.Channel, host topology.NodeID) {
+func (q *Querier) refresh(c obs.Causal, ch addr.Channel, host topology.NodeID) {
 	m := q.members[ch]
 	if m == nil {
 		m = make(map[topology.NodeID]*member)
@@ -190,7 +192,7 @@ func (q *Querier) refresh(ch addr.Channel, host topology.NodeID) {
 	m[host] = rec
 	q.order[ch] = append(q.order[ch], host)
 	if first && q.listener != nil {
-		q.listener.FirstLocalMember(ch)
+		q.listener.FirstLocalMember(c, ch)
 	}
 }
 
@@ -262,7 +264,7 @@ func (h *Host) Join(ch addr.Channel) {
 		i := i
 		h.clk.After(eventsim.Time(i)*5, func() {
 			if h.joined[ch] {
-				h.sendReport(ch, false)
+				h.sendReport(obs.Causal{}, ch, false)
 			}
 		})
 	}
@@ -274,13 +276,14 @@ func (h *Host) Leave(ch addr.Channel) {
 		return
 	}
 	delete(h.joined, ch)
-	h.sendReport(ch, true)
+	h.sendReport(obs.Causal{}, ch, true)
 }
 
 // Joined reports whether the host is a member of ch.
 func (h *Host) Joined(ch addr.Channel) bool { return h.joined[ch] }
 
-func (h *Host) sendReport(ch addr.Channel, leave bool) {
+// sendReport reports membership in ch to the router, as an effect of c.
+func (h *Host) sendReport(c obs.Causal, ch addr.Channel, leave bool) {
 	r := &packet.Report{
 		Header: packet.Header{
 			Proto:   packet.ProtoNone,
@@ -291,11 +294,11 @@ func (h *Host) sendReport(ch addr.Channel, leave bool) {
 		},
 		Leave: leave,
 	}
-	h.node.SendDirect(h.router, r)
+	h.node.SendDirect(c, h.router, r)
 }
 
 // Handle implements netsim.Handler: answer queries and record data.
-func (h *Host) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
+func (h *Host) Handle(n netsim.ProtoNode, msg packet.Message, c obs.Causal) netsim.Verdict {
 	switch m := msg.(type) {
 	case *packet.Query:
 		if m.Dst != h.node.Addr() {
@@ -303,10 +306,10 @@ func (h *Host) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
 		}
 		if m.General {
 			for ch := range h.joined {
-				h.sendReport(ch, false)
+				h.sendReport(c, ch, false)
 			}
 		} else if h.joined[m.Channel] {
-			h.sendReport(m.Channel, false)
+			h.sendReport(c, m.Channel, false)
 		}
 		return netsim.Consumed
 	case *packet.Data:

@@ -6,6 +6,7 @@ import (
 	"hbh/internal/addr"
 	"hbh/internal/eventsim"
 	"hbh/internal/netsim"
+	"hbh/internal/obs"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -25,8 +26,8 @@ type edgeLog struct {
 	first, gone int
 }
 
-func (e *edgeLog) FirstLocalMember(addr.Channel)    { e.first++ }
-func (e *edgeLog) LastLocalMemberGone(addr.Channel) { e.gone++ }
+func (e *edgeLog) FirstLocalMember(obs.Causal, addr.Channel) { e.first++ }
+func (e *edgeLog) LastLocalMemberGone(addr.Channel)          { e.gone++ }
 
 func setup(t *testing.T, hosts int) (*eventsim.Sim, *netsim.Network, *Querier, []*Host, addr.Channel) {
 	t.Helper()

@@ -8,6 +8,7 @@ import (
 	"hbh/internal/addr"
 	"hbh/internal/eventsim"
 	"hbh/internal/netsim"
+	"hbh/internal/obs"
 	"hbh/internal/packet"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
@@ -49,15 +50,9 @@ type Checker struct {
 	violations []Violation
 	suppressed int
 
-	// recent, when set, resolves a node address to its flight-recorder
-	// dump; violate attaches it so every violation carries the last
-	// protocol events the offending node saw.
-	recent func(addr.Addr) string
-
-	// episode, when set, reports the causal episode active at detection
-	// time; violate attaches it so violation reports cite the join,
-	// expiry or fault cascade they belong to.
-	episode func() uint64
+	// o, when set, is the observability pipeline violate takes context
+	// from (see SetObserver).
+	o *obs.Observer
 
 	// arrivals counts data-packet terminations per sequence number and
 	// node; linkCopies counts per-link data copies per sequence number.
@@ -147,15 +142,19 @@ func (c *Checker) checkMembers() []addr.Addr {
 	return out
 }
 
-// SetRecent wires a flight-recorder lookup (typically
-// obs.Recorder.Dump): every violation recorded afterwards carries the
-// dump for its node in Violation.Recent. nil clears it.
-func (c *Checker) SetRecent(f func(addr.Addr) string) { c.recent = f }
-
-// SetEpisode wires a causal-episode lookup (typically reading the
-// network's ambient causal context): every violation recorded
-// afterwards cites the episode in Violation.Episode. nil clears it.
-func (c *Checker) SetEpisode(f func() uint64) { c.episode = f }
+// SetObserver wires the observability pipeline into the checker (nil
+// clears it). Every violation recorded afterwards cites, in
+// Violation.Episode, the causal episode of the channel's last
+// structural mutation — the join, expiry or fault cascade that last
+// reshaped the tree — from o's convergence tracker, which SetObserver
+// enables; and, when o keeps a flight recorder, carries the violating
+// node's dump in Violation.Recent.
+func (c *Checker) SetObserver(o *obs.Observer) {
+	if o != nil {
+		o.EnableConvergence()
+	}
+	c.o = o
+}
 
 // MarkDirty flags that protocol state changed; the next OnEvent runs
 // the structural checks. Wire it into the engine's ChangeObserver.
@@ -364,19 +363,17 @@ func (c *Checker) violate(node addr.Addr, invariant, detail, tree string) {
 		c.suppressed++
 		return
 	}
-	recent := ""
-	if c.recent != nil {
-		recent = c.recent(node)
-	}
-	var episode uint64
-	if c.episode != nil {
-		episode = c.episode()
-	}
-	c.violations = append(c.violations, Violation{
+	v := Violation{
 		At: c.net.Now(), Node: node, Channel: c.ch,
-		Invariant: invariant, Detail: detail, Tree: tree, Recent: recent,
-		Episode: episode,
-	})
+		Invariant: invariant, Detail: detail, Tree: tree,
+	}
+	if c.o != nil {
+		v.Episode = uint64(c.o.Convergence().Channel(c.ch).LastEpisode)
+		if rec := c.o.Recorder(); rec != nil {
+			v.Recent = rec.Dump(node)
+		}
+	}
+	c.violations = append(c.violations, v)
 }
 
 func (c *Checker) label(a addr.Addr) string {

@@ -40,12 +40,14 @@ type Violation struct {
 	// violation was detected (empty for node-local checks).
 	Tree string
 	// Recent is the flight-recorder dump for the violating node — the
-	// last protocol events it saw before the breach — captured when a
-	// recorder is wired in via Checker.SetRecent (empty otherwise).
+	// last protocol events it saw before the breach — captured when the
+	// observer wired in via Checker.SetObserver keeps a recorder (empty
+	// otherwise).
 	Recent string
-	// Episode is the causal episode active when the breach was detected
-	// (0 when causal tracing is not wired in via Checker.SetEpisode):
-	// the join, expiry or fault cascade the violation belongs to.
+	// Episode is the causal episode of the channel's last structural
+	// mutation before the breach was detected: the join, expiry or fault
+	// cascade that last reshaped the tree (0 without an observer wired
+	// in via Checker.SetObserver).
 	Episode uint64
 }
 

@@ -7,6 +7,7 @@
 package invariant_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -104,22 +105,20 @@ func TestMutationBrokenFusionCaught(t *testing.T) {
 	}
 }
 
-// TestMutationViolationCarriesFlightRecorder forces the same corruption
-// with the observability layer attached and requires the violation to
-// carry the offending node's flight-recorder dump — the last protocol
-// events that node saw before the breach.
-func TestMutationViolationCarriesFlightRecorder(t *testing.T) {
+// observedViolation forces TestMutationBrokenFusionCaught's corruption
+// with o wired into the network and the checker, and returns the
+// unique-service violation the checker records and the channel it
+// watches.
+func observedViolation(t *testing.T, o *obs.Observer) (*invariant.Violation, addr.Channel) {
+	t.Helper()
 	g := topology.Line(5, true)
 	s := newHBHSim(g)
-
-	o := obs.New(s.sim.Now)
-	o.EnableRecorder(obs.DefaultRecorderDepth)
 	s.net.SetObserver(o)
 
 	src := core.AttachSource(s.net.Node(hostAt(g, 0)), addr.GroupAddr(0), s.cfg)
 	chk := invariant.New(s.net, src.Channel(), invariant.ProfileHBH(),
 		core.NewAudit(src, s.routers))
-	chk.SetRecent(o.Recorder().Dump)
+	chk.SetObserver(o)
 	r2 := core.AttachReceiver(s.net.Node(hostAt(g, 2)), src.Channel(), s.cfg)
 	r4 := core.AttachReceiver(s.net.Node(hostAt(g, 4)), src.Channel(), s.cfg)
 	s.sim.At(10, r2.Join)
@@ -136,16 +135,23 @@ func TestMutationViolationCarriesFlightRecorder(t *testing.T) {
 	if chk.Clean() {
 		t.Fatal("checker missed the injected parallel delivery chain")
 	}
-	var found *invariant.Violation
 	for i, v := range chk.Violations() {
 		if v.Invariant == "unique-service" {
-			found = &chk.Violations()[i]
-			break
+			return &chk.Violations()[i], src.Channel()
 		}
 	}
-	if found == nil {
-		t.Fatalf("no unique-service violation in:\n%s", chk.Report())
-	}
+	t.Fatalf("no unique-service violation in:\n%s", chk.Report())
+	return nil, addr.Channel{}
+}
+
+// TestMutationViolationCarriesFlightRecorder forces the same corruption
+// with the observability layer attached and requires the violation to
+// carry the offending node's flight-recorder dump — the last protocol
+// events that node saw before the breach.
+func TestMutationViolationCarriesFlightRecorder(t *testing.T) {
+	o := obs.New(nil)
+	o.EnableRecorder(obs.DefaultRecorderDepth)
+	found, _ := observedViolation(t, o)
 	if !strings.Contains(found.Recent, "flight recorder:") {
 		t.Fatalf("violation carries no flight-recorder dump:\n%s", found.String())
 	}
@@ -156,5 +162,24 @@ func TestMutationViolationCarriesFlightRecorder(t *testing.T) {
 	}
 	if !strings.Contains(found.String(), "flight recorder:") {
 		t.Errorf("String() omits the recorder dump:\n%s", found.String())
+	}
+}
+
+// TestMutationViolationCitesEpisode: a violation found under an observer
+// cites the causal episode of the channel's last structural mutation,
+// the cascade that last reshaped the tree. The checker runs between
+// events, where no packet is in flight to name one.
+func TestMutationViolationCitesEpisode(t *testing.T) {
+	o := obs.New(nil)
+	found, ch := observedViolation(t, o)
+	want := o.Convergence().Channel(ch).LastEpisode
+	if want == 0 {
+		t.Fatal("no structural mutation recorded on the channel")
+	}
+	if obs.EpisodeID(found.Episode) != want {
+		t.Errorf("violation cites episode %d, want %d (the last mutation's)", found.Episode, want)
+	}
+	if line := fmt.Sprintf("causal episode %d", want); !strings.Contains(found.String(), line) {
+		t.Errorf("String() omits %q:\n%s", line, found.String())
 	}
 }

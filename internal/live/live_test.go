@@ -296,7 +296,7 @@ func TestTransmitCountsSendErrors(t *testing.T) {
 	defer rt.Stop()
 	msg := &packet.Data{Header: packet.Header{Type: packet.TypeData, Dst: g.Node(1).Addr}}
 	rt.Node(0).SendUnicast(msg)
-	rt.Node(0).SendDirect(1, msg)
+	rt.Node(0).SendDirect(obs.Causal{}, 1, msg)
 	if st := rt.Stats(); st.SendErrors != 2 || st.Transmissions != 2 {
 		t.Fatalf("two refused frames: SendErrors=%d Transmissions=%d, want 2 and 2", st.SendErrors, st.Transmissions)
 	}

@@ -143,8 +143,8 @@ func (n *Network) duplicate(from, to topology.NodeID, env *Envelope, delay event
 		tap(from, to, msg)
 	}
 	if n.obsv != nil {
-		n.emitEnv(obs.KindSendDirect, obs.CauseNone, n.nodes[from], n.nodes[to], d)
-		n.emitEnv(obs.KindForward, obs.CauseNone, n.nodes[from], n.nodes[to], d)
+		n.emitMsg(d.cause, obs.KindSendDirect, obs.CauseNone, n.nodes[from], n.nodes[to], msg)
+		d.cause = n.emitMsg(d.cause, obs.KindForward, obs.CauseNone, n.nodes[from], n.nodes[to], msg)
 	}
 	n.sim.AfterCall(delay, d)
 }

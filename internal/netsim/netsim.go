@@ -54,7 +54,10 @@ const (
 
 // Handler is a protocol entity resident on a node. Handle is invoked
 // for every packet arriving at the node, whether addressed to it or
-// transiting through it.
+// transiting through it, with the packet's causal pair c: whatever the
+// handler emits, sends or installs because the packet arrived is an
+// effect of c, and the handler passes c on to it (ProtoNode.Emit,
+// ProtoNode.Send, a table entry's Cause).
 //
 // msg is valid only for the duration of the call: the network reuses
 // its storage once the packet's life ends, so whatever keeps a message
@@ -63,14 +66,16 @@ const (
 // rewrite it in place (a tree's Src changes at every regenerating hop)
 // but not its Dst: the route was resolved when the packet was sent.
 type Handler interface {
-	Handle(n ProtoNode, msg packet.Message) Verdict
+	Handle(n ProtoNode, msg packet.Message, c obs.Causal) Verdict
 }
 
 // HandlerFunc adapts a function to the Handler interface.
-type HandlerFunc func(n ProtoNode, msg packet.Message) Verdict
+type HandlerFunc func(n ProtoNode, msg packet.Message, c obs.Causal) Verdict
 
 // Handle implements Handler.
-func (f HandlerFunc) Handle(n ProtoNode, msg packet.Message) Verdict { return f(n, msg) }
+func (f HandlerFunc) Handle(n ProtoNode, msg packet.Message, c obs.Causal) Verdict {
+	return f(n, msg, c)
+}
 
 // DeliverFunc receives packets locally delivered at a node (packets
 // whose unicast destination is this node and that no handler consumed).
@@ -225,29 +230,20 @@ type Network struct {
 	hosted []*shard
 }
 
-// A shard is the state a dispatch step writes: the ambient causal
-// context, the transport counters and the envelope pool. The
-// simulator's nodes share one, which keeps one goroutine and gives the
-// engines one causal slot across nodes (pim's central build depends on
-// it). Each node of the live runtime owns its own, so nodes dispatching
-// on goroutines of their own share nothing else; the counters are then
-// written under mu, in one hold per step.
+// A shard is the state a dispatch step writes: the transport counters
+// and the envelope pool. Causes are not part of it: they travel as
+// values, with the packet and through the handlers. The simulator's
+// nodes share one shard, on one goroutine. Each node of the live
+// runtime owns its own, so nodes dispatching on goroutines of their own
+// share nothing else; the counters are then written under mu, in one
+// hold per step.
 type shard struct {
 	// mu is the emission lock a wired network writes its shared surface
 	// (observer, taps, counters) under; nil in the simulator, which
 	// takes no lock at all.
-	mu  sync.Locker
-	clk clock.Clock
-	// cur is the ambient causal context: set from the in-flight envelope
-	// for the duration of each arrival (so everything a handler does
-	// inherits the packet's episode), explicitly installed by
-	// timer-driven emitters that act on behalf of recorded state (the
-	// source's tree refresh), and zero otherwise.
-	cur obs.Causal
-	// rootNext asks the next packet event to root a fresh causal episode
-	// first: set for the length of a send that began outside any.
-	rootNext bool
-	stats    Stats
+	mu    sync.Locker
+	clk   clock.Clock
+	stats Stats
 	// free recycles envelopes so steady-state forwarding allocates
 	// nothing: every terminal point of a packet's life (drop, consume,
 	// deliver, a wire carrying it off) returns its envelope here. poolMu
@@ -297,7 +293,7 @@ func New(sim *eventsim.Sim, g *topology.Graph, r unicast.Router) *Network {
 // caller's link step w, on the caller's goroutines: the live runtime.
 // Every dispatch step writes the shared surface — observer, taps,
 // counters — under mu, and each node Host gives a shard of its own
-// keeps its causal context, counters and envelopes there. The loss
+// keeps its counters and envelopes there. The loss
 // model and the adversary are the simulator's alone.
 func NewWired(g *topology.Graph, r unicast.Router, w Wire, mu *sync.Mutex) *Network {
 	n := newNetwork(g, r, mu)
@@ -497,25 +493,26 @@ func (n *Network) SetHopLimit(l int) {
 	n.hopLimit = l
 }
 
-// emitMsg builds and emits one transport event for msg at nd, stamped
-// with nd's ambient causal context (the event's parent is the most
-// recent step of the context; the event gets a fresh step, returned so
-// the caller can chain a packet's in-flight causal pair to it). A send
-// that began outside any episode roots one here. Callers must have
-// checked n.obsv != nil first — this keeps argument construction
-// (interface boxing, channel/seq extraction) entirely off the disabled
-// path, where it used to dominate whole-run CPU profiles at >50% when
-// done eagerly — and hold nd's shard lock.
-func (n *Network) emitMsg(kind obs.Kind, cause obs.Cause, nd, peer *Node, msg packet.Message) obs.StepID {
-	s := nd.s
-	if s.rootNext {
-		s.rootNext = false
-		s.cur = obs.Causal{Episode: n.obsv.NewEpisode()}
-	}
+// emit is the one place causal fields are stamped: ev becomes an effect
+// of c — it joins c's episode with c's step as its parent — and takes a
+// fresh step of its own. The pair returned names ev as the cause of
+// whatever it leads to: the next hop, a send, a table entry. The caller
+// has checked n.obsv and holds the shard lock.
+func (n *Network) emit(c obs.Causal, ev *obs.Event) obs.Causal {
+	ev.Episode, ev.ParentStep, ev.Step = c.Episode, c.Step, n.obsv.NewStep()
+	n.obsv.EmitLocked(ev)
+	return obs.Causal{Episode: c.Episode, Step: ev.Step}
+}
+
+// emitMsg emits one transport event for msg at nd as an effect of c (see
+// emit). Callers must have checked n.obsv != nil first — this keeps
+// argument construction (interface boxing, channel/seq extraction)
+// entirely off the disabled path, where it used to dominate whole-run
+// CPU profiles at >50% when done eagerly — and hold nd's shard lock.
+func (n *Network) emitMsg(c obs.Causal, kind obs.Kind, cause obs.Cause, nd, peer *Node, msg packet.Message) obs.Causal {
 	ev := obs.Event{
 		Kind: kind, Cause: cause, Msg: msg, Channel: msg.Hdr().Channel,
 		Node: nd.addr, NodeName: nd.name,
-		Episode: s.cur.Episode, ParentStep: s.cur.Step, Step: n.obsv.NewStep(),
 	}
 	if peer != nil {
 		ev.Peer, ev.PeerName = peer.addr, peer.name
@@ -523,77 +520,38 @@ func (n *Network) emitMsg(kind obs.Kind, cause obs.Cause, nd, peer *Node, msg pa
 	if d, ok := msg.(*packet.Data); ok {
 		ev.Seq = d.Seq
 	}
-	n.obsv.EmitLocked(ev)
-	return ev.Step
+	return n.emit(c, &ev)
 }
 
-// emitEnv is emitMsg for an in-flight envelope: the event's parent is
-// the envelope's own causal step (the send or the previous hop), not
-// the ambient context, and per-hop forwards advance the envelope's
-// step so the next hop chains to this one.
-func (n *Network) emitEnv(kind obs.Kind, cause obs.Cause, nd, peer *Node, env *Envelope) {
-	s := nd.s
-	saved := s.cur
-	s.cur = env.cause
-	step := n.emitMsg(kind, cause, nd, peer, env.msg)
-	if kind == obs.KindForward {
-		env.cause.Step = step
+// Root opens a fresh causal episode for a spontaneous action that
+// belongs to no node (a fault injection, a central tree build) and
+// returns its root pair (see Node.Root).
+func (n *Network) Root() obs.Causal { return n.shared.root(n.obsv) }
+
+// Emit emits ev, an event at no node (a fault), as an effect of c and
+// returns ev's own pair (see Node.Emit).
+func (n *Network) Emit(c obs.Causal, ev obs.Event) obs.Causal {
+	if n.obsv == nil {
+		return obs.Causal{}
 	}
-	s.cur = saved
+	n.shared.lock()
+	c = n.emit(c, &ev)
+	n.shared.unlock()
+	return c
+}
+
+func (s *shard) root(o *obs.Observer) obs.Causal {
+	if o == nil {
+		return obs.Causal{}
+	}
+	s.lock()
+	ep := o.NewEpisode()
+	s.unlock()
+	return obs.Causal{Episode: ep}
 }
 
 // NodeName returns the topology label of a node, for diagnostics.
 func (n *Network) NodeName(id topology.NodeID) string { return n.nodes[id].name }
-
-// CausalContext returns the ambient causal context: the episode and
-// step everything emitted right now will be attributed to. Zero
-// outside packet arrivals and explicit installations.
-func (n *Network) CausalContext() obs.Causal { return n.shared.cur }
-
-// SetCausalContext installs c as the ambient causal context. Timer
-// driven emitters that act on behalf of recorded state use it to
-// attribute their emissions to the episode that installed the state
-// (the source's periodic tree refresh attributes each tree to the join
-// that installed or last refreshed its entry); callers must restore
-// the previous context when done.
-func (n *Network) SetCausalContext(c obs.Causal) { n.shared.cur = c }
-
-// RootEpisode allocates a fresh causal episode and installs it as the
-// ambient context when none is active (the spontaneous-action case:
-// receiver join timers, soft-state expiries, fault injection). The
-// previous context is returned for restoration; when an episode is
-// already active, or observation is off, nothing changes.
-func (n *Network) RootEpisode() obs.Causal { return n.shared.rootEpisode(n.obsv) }
-
-func (s *shard) rootEpisode(o *obs.Observer) obs.Causal {
-	prev := s.cur
-	if o != nil && prev.Episode == 0 {
-		s.lock()
-		s.cur = obs.Causal{Episode: o.NewEpisode()}
-		s.unlock()
-	}
-	return prev
-}
-
-// StampCausal fills ev's causal fields from the ambient context,
-// allocating a fresh step and advancing the context to it, so whatever
-// the caller emits next becomes this event's causal child. Agents that
-// build events by hand (the receiver's join emission, the fault
-// injector) use it; EmitProto stamps automatically. No-op when
-// observation is off.
-func (n *Network) StampCausal(ev *obs.Event) { n.shared.stampCausal(n.obsv, ev) }
-
-func (s *shard) stampCausal(o *obs.Observer, ev *obs.Event) {
-	if o == nil {
-		return
-	}
-	s.lock()
-	ev.Episode = s.cur.Episode
-	ev.ParentStep = s.cur.Step
-	ev.Step = o.NewStep()
-	s.cur.Step = ev.Step
-	s.unlock()
-}
 
 // ID returns the node's topology ID.
 func (nd *Node) ID() topology.NodeID { return nd.id }
@@ -624,57 +582,35 @@ func (nd *Node) Observer() *obs.Observer { return nd.net.obsv }
 // registration order; the first Consumed verdict wins.
 func (nd *Node) AddHandler(h Handler) { nd.handlers = append(nd.handlers, h) }
 
-// Observing reports whether an observability pipeline is attached.
-// Engines check it before assembling event details that cost anything
-// to build (formatted strings, slices).
-func (nd *Node) Observing() bool { return nd.net.obsv != nil }
+// Root opens a fresh causal episode for a spontaneous action at this
+// node — a timer fired, an application joined or sent — and returns its
+// root pair, the cause of the action's first event (ProtoNode). Every
+// call allocates an episode, whether or not the action then emits
+// anything. The zero pair when observation is off.
+func (nd *Node) Root() obs.Causal { return nd.s.root(nd.net.obsv) }
 
-// EmitProto emits one protocol-level event at this node into the
-// network's observability pipeline (a cheap no-op when observation is
-// off). The engines use it for join interception, tree adoption,
-// fusion, and table mutations; peer is the other endpoint when there
-// is one, seq the data sequence number for replication events. The
-// event is stamped with the ambient causal context and its (episode,
-// step) pair is returned so engines can record table-entry provenance;
-// the zero Causal is returned when observation is off.
-func (nd *Node) EmitProto(kind obs.Kind, ch addr.Channel, peer addr.Addr, seq uint32, detail string) obs.Causal {
-	o := nd.net.obsv
-	if o == nil {
+// Emit emits ev at this node as an effect of c and returns ev's own
+// causal pair, for the engine to pass on to what ev leads to: a send, a
+// table entry's Cause, the next event (ProtoNode). The node names
+// itself as ev's node, and ev's peer by its topology label unless ev
+// names it already. A cheap no-op returning the zero pair when
+// observation is off.
+func (nd *Node) Emit(c obs.Causal, ev obs.Event) obs.Causal {
+	n := nd.net
+	if n.obsv == nil {
 		return obs.Causal{}
 	}
-	ev := obs.Event{
-		Kind: kind, Node: nd.addr, NodeName: nd.name,
-		Channel: ch, Peer: peer, Seq: seq, Detail: detail,
-	}
-	if peer != addr.Unspecified {
-		if id, ok := nd.net.topo.ByAddr(peer); ok {
-			ev.PeerName = nd.net.nodes[id].name
+	ev.Node, ev.NodeName = nd.addr, nd.name
+	if ev.PeerName == "" && ev.Peer != addr.Unspecified {
+		if id, ok := n.topo.ByAddr(ev.Peer); ok {
+			ev.PeerName = n.nodes[id].name
 		}
 	}
-	s := nd.s
-	s.lock()
-	ev.Episode = s.cur.Episode
-	ev.ParentStep = s.cur.Step
-	ev.Step = o.NewStep()
-	o.EmitLocked(ev)
-	s.unlock()
-	return obs.Causal{Episode: ev.Episode, Step: ev.Step}
+	nd.s.lock()
+	c = n.emit(c, &ev)
+	nd.s.unlock()
+	return c
 }
-
-// CausalContext returns the node's ambient causal context.
-func (nd *Node) CausalContext() obs.Causal { return nd.s.cur }
-
-// SetCausalContext installs c as the node's ambient causal context (see
-// Network.SetCausalContext).
-func (nd *Node) SetCausalContext(c obs.Causal) { nd.s.cur = c }
-
-// RootEpisode roots a fresh causal episode when none is active,
-// returning the previous context (see Network.RootEpisode).
-func (nd *Node) RootEpisode() obs.Causal { return nd.s.rootEpisode(nd.net.obsv) }
-
-// StampCausal stamps ev from the ambient context (see
-// Network.StampCausal).
-func (nd *Node) StampCausal(ev *obs.Event) { nd.s.stampCausal(nd.net.obsv, ev) }
 
 // SetDeliver installs the local delivery sink.
 func (nd *Node) SetDeliver(d DeliverFunc) { nd.deliver = d }
@@ -719,15 +655,8 @@ type Envelope struct {
 	owed     bool
 }
 
-// Fire delivers the in-flight transmission at its arrival node, with
-// the packet's causal pair as the ambient context for everything the
-// arrival triggers (handler emissions, regenerated messages).
-func (e *Envelope) Fire() {
-	n, s := e.net, e.s // an envelope arrives where its pool is
-	s.cur = e.cause
-	n.arrive(e.to, e)
-	s.cur = obs.Causal{}
-}
+// Fire delivers the in-flight transmission at its arrival node.
+func (e *Envelope) Fire() { e.net.arrive(e.to, e) }
 
 // Msg returns the packet the envelope carries.
 func (e *Envelope) Msg() packet.Message { return e.msg }
@@ -858,34 +787,34 @@ func (n *Network) beginWired(s *shard, env *Envelope, delivered bool) {
 }
 
 // SendUnicast originates msg at this node and forwards it hop by hop
-// toward msg.Hdr().Dst using the unicast tables. The packet is
-// processed by handlers at every intermediate node. Sending to oneself
-// delivers locally after handler processing, with no link traversal.
-func (nd *Node) SendUnicast(msg packet.Message) { nd.send(topology.None, msg) }
+// toward msg.Hdr().Dst using the unicast tables: a spontaneous send,
+// rooting a causal episode of its own (Send with the zero pair). The
+// packet is processed by handlers at every intermediate node. Sending to
+// oneself delivers locally after handler processing, with no link
+// traversal.
+func (nd *Node) SendUnicast(msg packet.Message) { nd.send(obs.Causal{}, topology.None, msg) }
+
+// Send originates msg at this node as an effect of c, routed as by
+// SendUnicast (ProtoNode).
+func (nd *Node) Send(c obs.Causal, msg packet.Message) { nd.send(c, topology.None, msg) }
 
 // SendDirect transmits msg over the single link to adjacent node to,
-// regardless of msg's destination address. Protocol handlers use this
-// to source-route copies over an explicitly constructed tree (PIM's
-// native multicast forwarding).
-func (nd *Node) SendDirect(to topology.NodeID, msg packet.Message) { nd.send(to, msg) }
-
-// send opens one origination: over the link to via, or routed when via
-// is topology.None. Begun outside any causal episode (a timer fired,
-// nothing arrived), the send roots one of its own: in its first event,
-// which every path through a send emits, and in the hold that event
-// takes anyway.
-func (nd *Node) send(via topology.NodeID, msg packet.Message) {
-	s := nd.s
-	rooted := nd.net.obsv != nil && s.cur.Episode == 0
-	s.rootNext = rooted
-	nd.net.originate(nd, via, msg)
-	if rooted {
-		s.rootNext, s.cur = false, obs.Causal{}
-	}
+// regardless of msg's destination address, as an effect of c. Protocol
+// handlers use this to source-route copies over an explicitly
+// constructed tree (PIM's native multicast forwarding).
+func (nd *Node) SendDirect(c obs.Causal, to topology.NodeID, msg packet.Message) {
+	nd.send(c, to, msg)
 }
 
-func (n *Network) originate(nd *Node, via topology.NodeID, msg packet.Message) {
-	s := nd.s
+// send opens one origination as an effect of c: over the link to via,
+// or routed when via is topology.None. Begun outside any causal episode
+// (a timer fired, nothing arrived), the send roots one of its own, which
+// the packet then carries.
+func (nd *Node) send(c obs.Causal, via topology.NodeID, msg packet.Message) {
+	n, s := nd.net, nd.s
+	if c.Episode == 0 && n.obsv != nil {
+		c = nd.Root()
+	}
 	var peer *Node
 	kind := obs.KindSend
 	if via != topology.None {
@@ -898,32 +827,30 @@ func (n *Network) originate(nd *Node, via topology.NodeID, msg packet.Message) {
 	if n.nodeDown[nd.id] {
 		// A crashed node originates nothing; its agents' timers may
 		// still fire, but whatever they emit dies here.
-		n.drop(nd, nil, nil, msg, &s.stats.NodeDownDrops, obs.CauseNodeDown)
+		n.drop(nd, nil, nil, msg, c, &s.stats.NodeDownDrops, obs.CauseNodeDown)
 		return
 	}
 	h := msg.Hdr()
 	if peer == nil && !h.Dst.IsUnicast() {
-		n.drop(nd, nil, nil, msg, &s.stats.NoRouteDrops, obs.CauseNonUnicast)
+		n.drop(nd, nil, nil, msg, c, &s.stats.NoRouteDrops, obs.CauseNonUnicast)
 		return
 	}
-	var sendStep obs.StepID
+	var sent obs.Causal
 	if n.obsv != nil {
 		s.lock()
-		sendStep = n.emitMsg(kind, obs.CauseNone, nd, peer, msg)
+		sent = n.emitMsg(c, kind, obs.CauseNone, nd, peer, msg)
 		s.unlock()
 	}
 	dst, ok := n.topo.ByAddr(h.Dst)
 	if !ok {
 		if peer == nil {
-			n.drop(nd, nil, nil, msg, &s.stats.NoRouteDrops, obs.CauseNoRoute)
+			n.drop(nd, nil, nil, msg, c, &s.stats.NoRouteDrops, obs.CauseNoRoute)
 			return
 		}
 		dst = topology.None // native multicast, or nobody's address
 	}
 	env := n.newEnvelope(s, msg, dst)
-	if sendStep != 0 {
-		env.cause = obs.Causal{Episode: s.cur.Episode, Step: sendStep}
-	}
+	env.cause = sent
 	switch {
 	case peer != nil:
 		n.transmit(nd.id, via, env)
@@ -936,23 +863,19 @@ func (n *Network) originate(nd *Node, via topology.NodeID, msg packet.Message) {
 	}
 }
 
-// drop ends a packet's life at nd, counted in *c (and in DataDrops when
-// it is data). In flight (env non-nil) it is charged to its own causal
-// pair and its envelope released; at its origin, to the ambient
-// context. peer is the far end of the link it died on, if any.
-func (n *Network) drop(nd, peer *Node, env *Envelope, msg packet.Message, c *int, cause obs.Cause) {
+// drop ends msg's life at nd as an effect of c, counted in *ctr (and in
+// DataDrops when it is data): in flight, c is the packet's own pair and
+// env its envelope, released here; at its origin, env is nil and c the
+// sender's. peer is the far end of the link it died on, if any.
+func (n *Network) drop(nd, peer *Node, env *Envelope, msg packet.Message, c obs.Causal, ctr *int, cause obs.Cause) {
 	s := nd.s
 	n.begin(s, env, false)
-	*c++
+	*ctr++
 	if _, isData := msg.(*packet.Data); isData {
 		s.stats.DataDrops++
 	}
 	if n.obsv != nil {
-		if env != nil {
-			n.emitEnv(obs.KindDrop, cause, nd, peer, env)
-		} else {
-			n.emitMsg(obs.KindDrop, cause, nd, peer, msg)
-		}
+		n.emitMsg(c, obs.KindDrop, cause, nd, peer, msg)
 	}
 	s.unlock()
 	if env != nil {
@@ -970,7 +893,7 @@ func (n *Network) forward(from topology.NodeID, env *Envelope) {
 	}
 	if next == topology.None {
 		nd := n.nodes[from]
-		n.drop(nd, nil, env, env.msg, &nd.s.stats.NoRouteDrops, obs.CauseNoRoute)
+		n.drop(nd, nil, env, env.msg, env.cause, &nd.s.stats.NoRouteDrops, obs.CauseNoRoute)
 		return
 	}
 	n.transmit(from, next, env)
@@ -983,7 +906,7 @@ func (n *Network) transmit(from, to topology.NodeID, env *Envelope) {
 	nd := n.nodes[from]
 	st := &nd.s.stats
 	if env.hops <= 0 {
-		n.drop(nd, nil, env, env.msg, &st.HopLimitDrops, obs.CauseHopLimit)
+		n.drop(nd, nil, env, env.msg, env.cause, &st.HopLimitDrops, obs.CauseHopLimit)
 		return
 	}
 	env.hops--
@@ -992,7 +915,7 @@ func (n *Network) transmit(from, to topology.NodeID, env *Envelope) {
 		// already routed onto it die here, exactly like frames on a cut
 		// wire; the stale routing that chose it is the unicast layer's
 		// problem until Recompute converges it.
-		n.drop(nd, n.nodes[to], env, env.msg, &st.LinkDownDrops, obs.CauseLinkDown)
+		n.drop(nd, n.nodes[to], env, env.msg, env.cause, &st.LinkDownDrops, obs.CauseLinkDown)
 		return
 	}
 	cost := n.topo.Cost(from, to)
@@ -1003,10 +926,10 @@ func (n *Network) transmit(from, to topology.NodeID, env *Envelope) {
 	if n.loss.Control > 0 || n.loss.Data > 0 {
 		switch {
 		case !isData && n.loss.Control > 0 && n.loss.RNG.Float64() < n.loss.Control:
-			n.drop(nd, n.nodes[to], env, env.msg, &st.LossDrops, obs.CauseLoss)
+			n.drop(nd, n.nodes[to], env, env.msg, env.cause, &st.LossDrops, obs.CauseLoss)
 			return
 		case isData && n.loss.Data > 0 && n.loss.RNG.Float64() < n.loss.Data:
-			n.drop(nd, n.nodes[to], env, env.msg, &st.DataLossDrops, obs.CauseLoss)
+			n.drop(nd, n.nodes[to], env, env.msg, env.cause, &st.DataLossDrops, obs.CauseLoss)
 			return
 		}
 	}
@@ -1018,7 +941,7 @@ func (n *Network) transmit(from, to topology.NodeID, env *Envelope) {
 	if n.adv != nil && !isData {
 		drop, jit, dupJit, dup := n.adv.roll()
 		if drop {
-			n.drop(nd, n.nodes[to], env, env.msg, &st.AdvLossDrops, obs.CauseAdvLoss)
+			n.drop(nd, n.nodes[to], env, env.msg, env.cause, &st.AdvLossDrops, obs.CauseAdvLoss)
 			return
 		}
 		advJitter, advDupJitter, advDup = jit, dupJit, dup
@@ -1032,7 +955,7 @@ func (n *Network) transmit(from, to topology.NodeID, env *Envelope) {
 		tap(from, to, env.msg)
 	}
 	if n.obsv != nil {
-		n.emitEnv(obs.KindForward, obs.CauseNone, nd, n.nodes[to], env)
+		env.cause = n.emitMsg(env.cause, obs.KindForward, obs.CauseNone, nd, n.nodes[to], env.msg)
 	}
 	nd.s.unlock()
 	env.to = to
@@ -1054,19 +977,19 @@ func (n *Network) arrive(v topology.NodeID, env *Envelope) {
 	if n.nodeDown[v] {
 		// A crashed node handles nothing: no interception, no
 		// forwarding, no delivery.
-		n.drop(nd, nil, env, env.msg, &s.stats.NodeDownDrops, obs.CauseNodeDown)
+		n.drop(nd, nil, env, env.msg, env.cause, &s.stats.NodeDownDrops, obs.CauseNodeDown)
 		return
 	}
 	_, isData := env.msg.(*packet.Data)
 	for _, h := range nd.handlers {
-		if h.Handle(nd, env.msg) == Consumed {
+		if h.Handle(nd, env.msg, env.cause) == Consumed {
 			n.begin(s, env, isData)
 			s.stats.Consumed++
 			if isData {
 				s.stats.DataConsumed++
 			}
 			if n.obsv != nil {
-				n.emitMsg(obs.KindConsume, obs.CauseNone, nd, nil, env.msg)
+				n.emitMsg(env.cause, obs.KindConsume, obs.CauseNone, nd, nil, env.msg)
 			}
 			for _, t := range n.delTaps {
 				t(v, env.msg, true)
@@ -1084,7 +1007,7 @@ func (n *Network) arrive(v topology.NodeID, env *Envelope) {
 			s.stats.DataDelivered++
 		}
 		if n.obsv != nil {
-			n.emitMsg(obs.KindDeliver, obs.CauseNone, nd, nil, env.msg)
+			n.emitMsg(env.cause, obs.KindDeliver, obs.CauseNone, nd, nil, env.msg)
 		}
 		for _, t := range n.delTaps {
 			t(v, env.msg, false)
@@ -1099,10 +1022,8 @@ func (n *Network) arrive(v topology.NodeID, env *Envelope) {
 	}
 	if !hdr.Dst.IsUnicast() {
 		// Undeliverable multicast destination: only handlers can
-		// forward those, and none claimed it. The drop is charged to
-		// what the handlers left ambient.
-		env.cause = s.cur
-		n.drop(nd, nil, env, env.msg, &s.stats.NoRouteDrops, obs.CauseUnclaimedMulticast)
+		// forward those, and none claimed it.
+		n.drop(nd, nil, env, env.msg, env.cause, &s.stats.NoRouteDrops, obs.CauseUnclaimedMulticast)
 		return
 	}
 	n.forward(v, env)

@@ -68,7 +68,7 @@ func TestHandlerInterception(t *testing.T) {
 	g := topology.Line(3, false)
 	net, sim := build(g)
 	seen := 0
-	net.Node(1).AddHandler(HandlerFunc(func(n ProtoNode, msg packet.Message) Verdict {
+	net.Node(1).AddHandler(HandlerFunc(func(ProtoNode, packet.Message, obs.Causal) Verdict {
 		seen++
 		return Consumed
 	}))
@@ -93,15 +93,15 @@ func TestHandlerOrderFirstConsumedWins(t *testing.T) {
 	g := topology.Line(2, false)
 	net, sim := build(g)
 	var order []string
-	net.Node(1).AddHandler(HandlerFunc(func(n ProtoNode, msg packet.Message) Verdict {
+	net.Node(1).AddHandler(HandlerFunc(func(ProtoNode, packet.Message, obs.Causal) Verdict {
 		order = append(order, "first")
 		return Continue
 	}))
-	net.Node(1).AddHandler(HandlerFunc(func(n ProtoNode, msg packet.Message) Verdict {
+	net.Node(1).AddHandler(HandlerFunc(func(ProtoNode, packet.Message, obs.Causal) Verdict {
 		order = append(order, "second")
 		return Consumed
 	}))
-	net.Node(1).AddHandler(HandlerFunc(func(n ProtoNode, msg packet.Message) Verdict {
+	net.Node(1).AddHandler(HandlerFunc(func(ProtoNode, packet.Message, obs.Causal) Verdict {
 		order = append(order, "third")
 		return Consumed
 	}))
@@ -167,11 +167,11 @@ func TestSendDirect(t *testing.T) {
 	// SendDirect pushes a multicast-destination packet over one
 	// explicit link; the receiving node's handler claims it.
 	got := false
-	net.Node(1).AddHandler(HandlerFunc(func(n ProtoNode, msg packet.Message) Verdict {
+	net.Node(1).AddHandler(HandlerFunc(func(ProtoNode, packet.Message, obs.Causal) Verdict {
 		got = true
 		return Consumed
 	}))
-	net.Node(0).SendDirect(1, dataTo(addr.GroupAddr(0), 1))
+	net.Node(0).SendDirect(obs.Causal{}, 1, dataTo(addr.GroupAddr(0), 1))
 	if err := sim.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestSendDirect(t *testing.T) {
 			t.Error("SendDirect to non-neighbor did not panic")
 		}
 	}()
-	net.Node(0).SendDirect(2, dataTo(addr.GroupAddr(0), 2))
+	net.Node(0).SendDirect(obs.Causal{}, 2, dataTo(addr.GroupAddr(0), 2))
 }
 
 func TestTapSeesEveryTransmission(t *testing.T) {
@@ -281,7 +281,7 @@ func TestDeliveryTap(t *testing.T) {
 	})
 
 	// Consumed mid-path by a handler.
-	net.Node(1).AddHandler(HandlerFunc(func(n ProtoNode, msg packet.Message) Verdict {
+	net.Node(1).AddHandler(HandlerFunc(func(ProtoNode, packet.Message, obs.Causal) Verdict {
 		return Consumed
 	}))
 	net.Node(0).SendUnicast(dataTo(g.Node(1).Addr, 1))

@@ -14,6 +14,14 @@ import (
 // protocol entity may do: inspect its locus, send packets, schedule
 // timers through the abstract clock, and emit observability events.
 //
+// Causes travel as values. Handle receives the arriving packet's causal
+// pair; the engine passes it on as the cause of what the packet makes
+// it emit and send, and records it in the table entries the packet
+// installs or refreshes (softstate.Entry.Cause), so a timer-driven
+// refresh acting on an entry's behalf later is an effect of the episode
+// that put it there. An action with no packet behind it — a timer that
+// fired, an application that joined — takes a fresh episode from Root.
+//
 // One implementation exists, *Node, with one packet ladder. The
 // simulator runs it over its reference wire; the live runtime
 // (internal/live) runs the same nodes, each on a goroutine, a clock and
@@ -42,30 +50,24 @@ type ProtoNode interface {
 	// SetDeliver installs the local delivery sink.
 	SetDeliver(d DeliverFunc)
 
-	// SendUnicast originates a packet from this node toward msg.Dst. A
-	// *packet.Data is copied before the call returns, so a replicating
-	// engine sends every copy from one value it rewrites in between; any
-	// other message belongs to the transport from here on.
-	SendUnicast(msg packet.Message)
-	// SendDirect pushes a packet one hop to an adjacent node,
-	// bypassing unicast routing (the leaf LAN hop). msg is taken as by
-	// SendUnicast.
-	SendDirect(to topology.NodeID, msg packet.Message)
+	// Send originates a packet from this node toward msg.Dst as an
+	// effect of c; the zero c, a send with no cause, roots an episode of
+	// its own. A *packet.Data is copied before the call returns, so a
+	// replicating engine sends every copy from one value it rewrites in
+	// between; any other message belongs to the transport from here on.
+	Send(c obs.Causal, msg packet.Message)
+	// SendDirect pushes a packet one hop to an adjacent node, bypassing
+	// unicast routing (the leaf LAN hop). c and msg are taken as by Send.
+	SendDirect(c obs.Causal, to topology.NodeID, msg packet.Message)
 
-	// Observer returns the observability pipeline sink, or nil.
+	// Observer returns the observability pipeline sink, or nil. Engines
+	// check it before assembling event details that cost anything to
+	// build (formatted strings, slices).
 	Observer() *obs.Observer
-	// Observing reports whether an observer is attached.
-	Observing() bool
-	// EmitProto emits a protocol-level observability event at this
-	// node and returns the causal stamp assigned to it.
-	EmitProto(kind obs.Kind, ch addr.Channel, peer addr.Addr, seq uint32, detail string) obs.Causal
-	// CausalContext returns the ambient causal context.
-	CausalContext() obs.Causal
-	// SetCausalContext replaces the ambient causal context.
-	SetCausalContext(c obs.Causal)
-	// RootEpisode roots a fresh causal episode for a spontaneous
-	// action at this node and installs it as ambient context.
-	RootEpisode() obs.Causal
-	// StampCausal stamps ev with the ambient causal context.
-	StampCausal(ev *obs.Event)
+	// Root opens a fresh causal episode for a spontaneous action at this
+	// node and returns its root pair.
+	Root() obs.Causal
+	// Emit emits ev at this node as an effect of c and returns ev's own
+	// causal pair.
+	Emit(c obs.Causal, ev obs.Event) obs.Causal
 }

@@ -385,12 +385,14 @@ func (o *Observer) Emit(ev Event) {
 }
 
 // EmitLocked is Emit for callers that already hold the installed
-// emission lock (the live runtime's own emission paths).
-func (o *Observer) EmitLocked(ev Event) {
+// emission lock (the live runtime's own emission paths). It takes ev by
+// reference and stamps its time there, so the per-hop emission paths do
+// not copy an event to hand it over.
+func (o *Observer) EmitLocked(ev *Event) {
 	if o == nil {
 		return
 	}
-	o.emit(&ev)
+	o.emit(ev)
 }
 
 // emit fans one event out. ev stays on the caller's stack: the

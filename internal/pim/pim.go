@@ -96,7 +96,7 @@ func (m *Member) DeliveryAt(seq uint32) (eventsim.Time, bool) {
 func (m *Member) DeliveryCount(seq uint32) int { return len(m.deliveries[seq]) }
 
 // Handle implements netsim.Handler: record group data addressed here.
-func (m *Member) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
+func (m *Member) Handle(n netsim.ProtoNode, msg packet.Message, _ obs.Causal) netsim.Verdict {
 	d, ok := msg.(*packet.Data)
 	if !ok || d.Channel != m.ch {
 		return netsim.Continue
@@ -258,30 +258,28 @@ func Build(net *netsim.Network, mode Mode, sourceHost topology.NodeID,
 	}
 
 	// Install forwarding handlers on every interior tree node (and the
-	// RP, which also decapsulates). The central build is one spontaneous
-	// action: every installation attributes to a single causal episode.
-	prev := net.RootEpisode()
-	for node := range s.children {
-		node := node
+	// RP, which also decapsulates), in node order so that every run
+	// traces the same build. The central build is one spontaneous action:
+	// every installation attributes to a single causal episode.
+	c := net.Root()
+	for id := 0; id < g.NumNodes(); id++ {
+		node := topology.NodeID(id)
+		kids, ok := s.children[node]
+		if !ok {
+			continue
+		}
 		nd := net.Node(node)
-		if nd.Observing() {
-			nd.EmitProto(obs.KindTableAdd, ch, addr.Unspecified, 0,
-				fmt.Sprintf("%v tree: %d children", mode, len(s.children[node])))
+		if nd.Observer() != nil {
+			nd.Emit(c, obs.Event{Kind: obs.KindTableAdd, Channel: ch,
+				Detail: fmt.Sprintf("%v tree: %d children", mode, len(kids))})
 		}
-		net.Node(node).AddHandler(netsim.HandlerFunc(func(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
-			return s.forward(n, msg)
-		}))
+		nd.AddHandler(netsim.HandlerFunc(s.forward))
 	}
-	if mode == SM {
-		if _, isInterior := s.children[s.rp]; !isInterior {
-			// RP outside the member tree (no members, or all members
-			// reached directly): it still terminates the unicast leg.
-			net.Node(s.rp).AddHandler(netsim.HandlerFunc(func(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
-				return s.forward(n, msg)
-			}))
-		}
+	if mode == SM && s.children[s.rp] == nil {
+		// RP outside the member tree (no members, or all members
+		// reached directly): it still terminates the unicast leg.
+		net.Node(s.rp).AddHandler(netsim.HandlerFunc(s.forward))
 	}
-	net.SetCausalContext(prev)
 
 	for _, m := range memberHosts {
 		if m == sourceHost {
@@ -302,8 +300,8 @@ func Build(net *netsim.Network, mode Mode, sourceHost topology.NodeID,
 // forward implements the installed tree state: native multicast data
 // (Dst == G) is replicated to this node's children; at the RP, the
 // unicast-encapsulated packet from the source is decapsulated into
-// native multicast first.
-func (s *Session) forward(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
+// native multicast first. The copies are effects of the packet's cause c.
+func (s *Session) forward(n netsim.ProtoNode, msg packet.Message, c obs.Causal) netsim.Verdict {
 	d, ok := msg.(*packet.Data)
 	if !ok || d.Channel != s.ch {
 		return netsim.Continue
@@ -312,24 +310,26 @@ func (s *Session) forward(n netsim.ProtoNode, msg packet.Message) netsim.Verdict
 	case d.Dst == s.ch.G:
 		// Native multicast: replicate down the tree.
 		for _, child := range s.children[n.ID()] {
-			if n.Observing() {
-				n.EmitProto(obs.KindReplicate, s.ch, s.net.Topology().Node(child).Addr, d.Seq, "tree copy")
+			if n.Observer() != nil {
+				n.Emit(c, obs.Event{Kind: obs.KindReplicate, Channel: s.ch,
+					Peer: s.net.Topology().Node(child).Addr, Seq: d.Seq, Detail: "tree copy"})
 			}
-			c := packet.Clone(d).(*packet.Data)
-			c.Src = n.Addr()
-			n.SendDirect(child, c)
+			cp := packet.Clone(d).(*packet.Data)
+			cp.Src = n.Addr()
+			n.SendDirect(c, child, cp)
 		}
 		return netsim.Consumed
 	case s.mode == SM && n.ID() == s.rp && d.Dst == s.rpAddr:
 		// Decapsulate at the RP and start native replication.
 		for _, child := range s.children[n.ID()] {
-			if n.Observing() {
-				n.EmitProto(obs.KindReplicate, s.ch, s.net.Topology().Node(child).Addr, d.Seq, "RP decap copy")
+			if n.Observer() != nil {
+				n.Emit(c, obs.Event{Kind: obs.KindReplicate, Channel: s.ch,
+					Peer: s.net.Topology().Node(child).Addr, Seq: d.Seq, Detail: "RP decap copy"})
 			}
-			c := packet.Clone(d).(*packet.Data)
-			c.Src = n.Addr()
-			c.Dst = s.ch.G
-			n.SendDirect(child, c)
+			cp := packet.Clone(d).(*packet.Data)
+			cp.Src = n.Addr()
+			cp.Dst = s.ch.G
+			n.SendDirect(c, child, cp)
 		}
 		return netsim.Consumed
 	default:
@@ -362,8 +362,7 @@ func (s *Session) SendData(payload []byte) uint32 {
 	s.nextSeq++
 	src := s.net.Node(s.source)
 	// One causal episode per originated packet.
-	prev := src.RootEpisode()
-	defer src.SetCausalContext(prev)
+	c := src.Root()
 	d := &packet.Data{
 		Header: packet.Header{
 			Proto:   packet.ProtoNone,
@@ -378,15 +377,15 @@ func (s *Session) SendData(payload []byte) uint32 {
 	case SS:
 		d.Dst = s.ch.G
 		for _, child := range s.children[s.source] {
-			if src.Observing() {
-				src.EmitProto(obs.KindReplicate, s.ch, s.net.Topology().Node(child).Addr, seq, "source copy")
+			if src.Observer() != nil {
+				src.Emit(c, obs.Event{Kind: obs.KindReplicate, Channel: s.ch,
+					Peer: s.net.Topology().Node(child).Addr, Seq: seq, Detail: "source copy"})
 			}
-			c := packet.Clone(d).(*packet.Data)
-			src.SendDirect(child, c)
+			src.SendDirect(c, child, packet.Clone(d))
 		}
 	case SM:
 		d.Dst = s.rpAddr
-		src.SendUnicast(d)
+		src.Send(c, d)
 	}
 	return seq
 }

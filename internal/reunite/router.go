@@ -102,21 +102,22 @@ func (r *Router) State(ch addr.Channel) (mct *MCT, mft *softstate.MFT, held bool
 // Dedup implements softstate.Router.
 func (r *Router) Dedup() softstate.Dedup { return r.seen }
 
-// Handle implements netsim.Handler.
-func (r *Router) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
+// Handle implements netsim.Handler, as an effect of the packet's causal
+// pair c.
+func (r *Router) Handle(n netsim.ProtoNode, msg packet.Message, c obs.Causal) netsim.Verdict {
 	switch m := msg.(type) {
 	case *packet.Join:
 		if m.Proto != packet.ProtoREUNITE {
 			return netsim.Continue
 		}
-		return r.onJoin(m)
+		return r.onJoin(m, c)
 	case *packet.Tree:
 		if m.Proto != packet.ProtoREUNITE {
 			return netsim.Continue
 		}
-		return r.onTree(m)
+		return r.onTree(m, c)
 	case *packet.Data:
-		return r.onData(m)
+		return r.onData(m, c)
 	default:
 		return netsim.Continue
 	}
@@ -125,7 +126,7 @@ func (r *Router) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
 // onJoin: a join is intercepted by the first node already carrying
 // tree state for the channel — the rule that, under asymmetric
 // routing, pins receivers to non-shortest paths.
-func (r *Router) onJoin(j *packet.Join) netsim.Verdict {
+func (r *Router) onJoin(j *packet.Join, c obs.Causal) netsim.Verdict {
 	if j.R == r.node.Addr() {
 		return netsim.Continue
 	}
@@ -146,16 +147,17 @@ func (r *Router) onJoin(j *packet.Join) netsim.Verdict {
 			// it is what refreshes this subtree's entry at the node
 			// where dst originally joined. Refresh locally en route.
 			dst.Timer.Refresh()
-			dst.Cause = r.node.CausalContext()
+			dst.Cause = c
 			return netsim.Continue
 		}
 		if e := st.mft.Get(j.R); e != nil {
 			e.Timer.Refresh()
-			e.Cause = r.node.EmitProto(obs.KindJoinIntercept, j.Channel, j.R, 0, "refresh member entry")
+			e.Cause = r.node.Emit(c, obs.Event{Kind: obs.KindJoinIntercept, Channel: j.Channel, Peer: j.R,
+				Detail: "refresh member entry"})
 			return netsim.Consumed
 		}
-		r.node.EmitProto(obs.KindJoinIntercept, j.Channel, j.R, 0, "admit new member")
-		r.addMFTEntry(st, j.Channel, j.R)
+		r.node.Emit(c, obs.Event{Kind: obs.KindJoinIntercept, Channel: j.Channel, Peer: j.R, Detail: "admit new member"})
+		r.addMFTEntry(c, st, j.Channel, j.R)
 		return netsim.Consumed
 	}
 
@@ -164,22 +166,24 @@ func (r *Router) onJoin(j *packet.Join) netsim.Verdict {
 		// control state: this node becomes a branching node with the
 		// recorded receiver as dst (Figure 2(a): R3 intercepts
 		// join(S, r2) and takes r1 as dst).
-		r.becomeBranching(st, j.Channel, j.R)
+		r.becomeBranching(c, st, j.Channel, j.R)
 		return netsim.Consumed
 	}
 	return netsim.Continue
 }
 
 // becomeBranching converts the MCT entry into an MFT whose dst is the
-// recorded receiver, then admits the joining receiver.
-func (r *Router) becomeBranching(st *chanState, ch addr.Channel, joiner addr.Addr) {
+// recorded receiver, then admits the joining receiver, as an effect of
+// its join's cause c.
+func (r *Router) becomeBranching(c obs.Causal, st *chanState, ch addr.Channel, joiner addr.Addr) {
 	dst := st.mct.Node
 	dstCause := st.mct.Cause
 	st.mct.Timer.Cancel()
 	st.mct = nil
 	r.observe(ch, softstate.ChangeMCTRemove, dst)
 	r.observe(ch, softstate.ChangeBecomeBranching, r.node.Addr())
-	r.node.EmitProto(obs.KindBranch, ch, joiner, 0, "second receiver's join crossed live control state")
+	r.node.Emit(c, obs.Event{Kind: obs.KindBranch, Channel: ch, Peer: joiner,
+		Detail: "second receiver's join crossed live control state"})
 	st.mft = NewMFT()
 	// dst keeps the provenance its MCT entry carried, so its refresh
 	// chain stays attributed to its own episode.
@@ -197,23 +201,20 @@ func (r *Router) becomeBranching(st *chanState, ch addr.Channel, joiner addr.Add
 		// (Figure 2(c)) for the t2 tail, exactly like a stale MCT.
 		if st.mft != nil && !st.mft.TableStale {
 			// Timer-driven: roots its own causal episode.
-			prev := r.node.RootEpisode()
+			c := r.node.Root()
 			st.mft.TableStale = true
 			r.observe(ch, softstate.ChangeTableStale, r.node.Addr())
-			r.node.EmitProto(obs.KindCollapse, ch, addr.Unspecified, 0, "table stale: off the refresh path")
-			r.node.SetCausalContext(prev)
+			r.node.Emit(c, obs.Event{Kind: obs.KindCollapse, Channel: ch, Detail: "table stale: off the refresh path"})
 		}
 	}, func() {
-		prev := r.node.RootEpisode()
-		r.destroyMFT(ch)
-		r.node.SetCausalContext(prev)
+		r.destroyMFT(r.node.Root(), ch)
 	})
-	r.addMFTEntry(st, ch, joiner)
+	r.addMFTEntry(c, st, ch, joiner)
 }
 
 // onTree installs and refreshes tree state as the refresh travels
 // downstream toward its receiver.
-func (r *Router) onTree(t *packet.Tree) netsim.Verdict {
+func (r *Router) onTree(t *packet.Tree, c obs.Causal) netsim.Verdict {
 	if t.R == r.node.Addr() {
 		// Receivers are hosts; a tree addressed to a router is stale
 		// junk state. Drop it.
@@ -246,12 +247,13 @@ func (r *Router) onTree(t *packet.Tree) netsim.Verdict {
 				if !st.mft.TableStale {
 					st.mft.TableStale = true
 					r.observe(ch, softstate.ChangeTableStale, dst.Node)
-					r.node.EmitProto(obs.KindCollapse, ch, dst.Node, 0, "table stale: marked tree for dst")
+					r.node.Emit(c, obs.Event{Kind: obs.KindCollapse, Channel: ch, Peer: dst.Node,
+						Detail: "table stale: marked tree for dst"})
 				}
 			} else {
 				st.mft.TableStale = false
 				dst.Timer.Refresh()
-				dst.Cause = r.node.CausalContext()
+				dst.Cause = c
 			}
 			// Regenerate one tree per additional receiver; a stale
 			// entry's tree is marked, dissolving its downstream state.
@@ -261,12 +263,9 @@ func (r *Router) onTree(t *packet.Tree) netsim.Verdict {
 			if !st.hasRegen || now-st.lastRegen >= r.cfg.TreeInterval*9/10 {
 				st.hasRegen = true
 				st.lastRegen = now
-				prev := r.node.CausalContext()
 				for _, e := range st.mft.Entries()[1:] {
-					r.node.SetCausalContext(e.Cause)
-					r.sendTree(ch, e.Node, e.Stale())
+					r.sendTree(e.Cause, ch, e.Node, e.Stale())
 				}
-				r.node.SetCausalContext(prev)
 			}
 			return netsim.Continue // original continues toward dst
 		}
@@ -284,20 +283,20 @@ func (r *Router) onTree(t *packet.Tree) netsim.Verdict {
 	if t.Marked() {
 		// Destruction of any R control entry (Figure 2(b)).
 		if st.mct != nil && st.mct.Node == t.R {
-			r.removeMCT(ch, st)
+			r.removeMCT(c, ch, st)
 		}
 		return netsim.Continue
 	}
 	switch {
 	case st.mct == nil:
-		r.createMCT(st, ch, t.R)
+		r.createMCT(c, st, ch, t.R)
 	case st.mct.Node == t.R:
 		st.mct.Timer.Refresh()
-		st.mct.Cause = r.node.CausalContext()
+		st.mct.Cause = c
 	case st.mct.Stale():
 		// The recorded receiver is going away; adopt the new one.
-		r.removeMCT(ch, st)
-		r.createMCT(st, ch, t.R)
+		r.removeMCT(c, ch, st)
+		r.createMCT(c, st, ch, t.R)
 	default:
 		// A second receiver's tree transits, but REUNITE has no way to
 		// record it: the node stays blind to the shared path. This is
@@ -306,20 +305,18 @@ func (r *Router) onTree(t *packet.Tree) netsim.Verdict {
 	return netsim.Continue
 }
 
-func (r *Router) createMCT(st *chanState, ch addr.Channel, node addr.Addr) {
+func (r *Router) createMCT(c obs.Causal, st *chanState, ch addr.Channel, node addr.Addr) {
 	st.mct = &MCT{Node: node, Timer: clock.NewSoftTimer(r.clk, r.cfg.T1, r.cfg.T2, nil, func() {
 		if st.mct != nil && st.mct.Node == node {
 			// Timer-driven expiry roots its own episode.
-			prev := r.node.RootEpisode()
-			r.removeMCT(ch, st)
-			r.node.SetCausalContext(prev)
+			r.removeMCT(r.node.Root(), ch, st)
 		}
 	})}
 	r.observe(ch, softstate.ChangeMCTCreate, node)
-	st.mct.Cause = r.node.EmitProto(obs.KindTableAdd, ch, node, 0, "mct")
+	st.mct.Cause = r.node.Emit(c, obs.Event{Kind: obs.KindTableAdd, Channel: ch, Peer: node, Detail: "mct"})
 }
 
-func (r *Router) removeMCT(ch addr.Channel, st *chanState) {
+func (r *Router) removeMCT(c obs.Causal, ch addr.Channel, st *chanState) {
 	if st.mct == nil {
 		return
 	}
@@ -327,7 +324,7 @@ func (r *Router) removeMCT(ch addr.Channel, st *chanState) {
 	st.mct.Timer.Cancel()
 	st.mct = nil
 	r.observe(ch, softstate.ChangeMCTRemove, node)
-	r.node.EmitProto(obs.KindTableRemove, ch, node, 0, "mct")
+	r.node.Emit(c, obs.Event{Kind: obs.KindTableRemove, Channel: ch, Peer: node, Detail: "mct"})
 	r.maybeDrop(ch, st)
 }
 
@@ -336,7 +333,7 @@ func (r *Router) removeMCT(ch addr.Channel, st *chanState) {
 // Each packet is replicated at most once per node: without that guard,
 // two branching nodes lying on each other's delivery paths (possible
 // under asymmetric routing) would ping-pong fresh copies forever.
-func (r *Router) onData(d *packet.Data) netsim.Verdict {
+func (r *Router) onData(d *packet.Data, c obs.Causal) netsim.Verdict {
 	st := r.chans[d.Channel]
 	if st == nil || st.mft == nil {
 		return netsim.Continue
@@ -355,9 +352,11 @@ func (r *Router) onData(d *packet.Data) netsim.Verdict {
 	r.replica = *d
 	r.replica.Src = r.node.Addr()
 	for _, e := range st.mft.Entries()[1:] {
-		r.node.EmitProto(obs.KindReplicate, d.Channel, e.Node, d.Seq, "")
+		if r.node.Observer() != nil { // an Event costs a copy to pass
+			r.node.Emit(c, obs.Event{Kind: obs.KindReplicate, Channel: d.Channel, Peer: e.Node, Seq: d.Seq})
+		}
 		r.replica.Dst = e.Node
-		r.node.SendUnicast(&r.replica)
+		r.node.Send(c, &r.replica)
 	}
 	r.replica.Payload = nil
 	if st.mft.Version() != v {
@@ -366,12 +365,12 @@ func (r *Router) onData(d *packet.Data) netsim.Verdict {
 	return netsim.Continue
 }
 
-func (r *Router) sendTree(ch addr.Channel, target addr.Addr, marked bool) {
+func (r *Router) sendTree(c obs.Causal, ch addr.Channel, target addr.Addr, marked bool) {
 	detail := "regeneration"
 	if marked {
 		detail = "regeneration [marked]"
 	}
-	softstate.SendTree(r.node, packet.ProtoREUNITE, ch, target, marked, detail)
+	softstate.SendTree(r.node, c, packet.ProtoREUNITE, ch, target, marked, detail)
 }
 
 func (r *Router) newEntryTimer(ch addr.Channel, node addr.Addr) *clock.SoftTimer {
@@ -381,24 +380,23 @@ func (r *Router) newEntryTimer(ch addr.Channel, node addr.Addr) *clock.SoftTimer
 			return
 		}
 		// Timer-driven expiry roots its own causal episode.
-		prev := r.node.RootEpisode()
+		c := r.node.Root()
 		st.mft.Remove(node)
 		r.observe(ch, softstate.ChangeMFTRemove, node)
-		r.node.EmitProto(obs.KindTableRemove, ch, node, 0, "mft")
+		r.node.Emit(c, obs.Event{Kind: obs.KindTableRemove, Channel: ch, Peer: node, Detail: "mft"})
 		if st.mft.Len() == 0 {
-			r.destroyMFT(ch)
+			r.destroyMFT(c, ch)
 		}
-		r.node.SetCausalContext(prev)
 	})
 }
 
-func (r *Router) addMFTEntry(st *chanState, ch addr.Channel, node addr.Addr) {
+func (r *Router) addMFTEntry(c obs.Causal, st *chanState, ch addr.Channel, node addr.Addr) {
 	e := st.mft.Add(node, r.newEntryTimer(ch, node))
 	r.observe(ch, softstate.ChangeMFTAdd, node)
-	e.Cause = r.node.EmitProto(obs.KindTableAdd, ch, node, 0, "mft")
+	e.Cause = r.node.Emit(c, obs.Event{Kind: obs.KindTableAdd, Channel: ch, Peer: node, Detail: "mft"})
 }
 
-func (r *Router) destroyMFT(ch addr.Channel) {
+func (r *Router) destroyMFT(c obs.Causal, ch addr.Channel) {
 	st := r.chans[ch]
 	if st == nil || st.mft == nil {
 		return
@@ -406,7 +404,7 @@ func (r *Router) destroyMFT(ch addr.Channel) {
 	st.mft.Destroy()
 	st.mft = nil
 	r.observe(ch, softstate.ChangeTableDestroy, r.node.Addr())
-	r.node.EmitProto(obs.KindCollapse, ch, addr.Unspecified, 0, "mft destroyed")
+	r.node.Emit(c, obs.Event{Kind: obs.KindCollapse, Channel: ch, Detail: "mft destroyed"})
 	r.maybeDrop(ch, st)
 }
 

@@ -29,18 +29,18 @@ func AttachSource(n netsim.ProtoNode, group addr.Addr, cfg Config) *Source {
 }
 
 // Handle implements netsim.Handler for joins that reached the source.
-func (s *Source) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
+func (s *Source) Handle(n netsim.ProtoNode, msg packet.Message, c obs.Causal) netsim.Verdict {
 	j, ok := msg.(*packet.Join)
 	if !ok || j.Proto != packet.ProtoREUNITE || j.Channel != s.Channel() {
 		return netsim.Continue
 	}
 	if e := s.MFT().Get(j.R); e != nil {
 		e.Timer.Refresh()
-		e.Cause = s.node.EmitProto(obs.KindJoinAdmit, j.Channel, j.R, 0, "refresh")
+		e.Cause = s.node.Emit(c, obs.Event{Kind: obs.KindJoinAdmit, Channel: j.Channel, Peer: j.R, Detail: "refresh"})
 		return netsim.Consumed
 	}
-	s.node.EmitProto(obs.KindJoinAdmit, j.Channel, j.R, 0, "install")
-	s.AddEntry(j.R)
+	s.node.Emit(c, obs.Event{Kind: obs.KindJoinAdmit, Channel: j.Channel, Peer: j.R, Detail: "install"})
+	s.AddEntry(c, j.R)
 	return netsim.Consumed
 }
 
@@ -57,8 +57,6 @@ func (s *Source) emitTrees() {
 		}
 		// Attribute the refresh to the join episode that installed or
 		// last refreshed this entry (see Entry.Cause).
-		s.node.SetCausalContext(e.Cause)
-		softstate.SendTree(s.node, packet.ProtoREUNITE, ch, e.Node, marked, detail)
+		softstate.SendTree(s.node, e.Cause, packet.ProtoREUNITE, ch, e.Node, marked, detail)
 	}
-	s.node.SetCausalContext(obs.Causal{})
 }

@@ -115,27 +115,25 @@ func (r *Receiver) sendJoin(first bool) {
 	// episode, and everything the join triggers downstream (admission,
 	// later tree refreshes of the installed entry, fusion rewrites)
 	// chains back to this event.
-	prev := r.node.RootEpisode()
-	if o := r.node.Observer(); o != nil {
+	c := r.node.Root()
+	if r.node.Observer() != nil {
 		detail := "refresh"
 		if first {
 			detail = "first"
 		}
-		ev := obs.Event{
-			Kind: obs.KindJoinSend, Node: r.node.Addr(), NodeName: r.node.Name(),
-			Channel: r.ch, Peer: r.ch.S, Span: r.joinSpan, Parent: r.lifeSpan,
-			Detail: detail,
-		}
-		r.node.StampCausal(&ev)
-		o.Emit(ev)
+		// A receiver's join names the source by address: naming the
+		// peer keeps Emit from putting its topology label there.
+		c = r.node.Emit(c, obs.Event{
+			Kind: obs.KindJoinSend, Channel: r.ch, Peer: r.ch.S, PeerName: r.ch.S.String(),
+			Span: r.joinSpan, Parent: r.lifeSpan, Detail: detail,
+		})
 	}
-	SendJoin(r.node, r.proto, r.ch, first && r.flagFirst)
-	r.node.SetCausalContext(prev)
+	SendJoin(r.node, c, r.proto, r.ch, first && r.flagFirst)
 }
 
 // Handle implements netsim.Handler: consume channel traffic addressed
 // to this host.
-func (r *Receiver) Handle(n netsim.ProtoNode, msg packet.Message) netsim.Verdict {
+func (r *Receiver) Handle(n netsim.ProtoNode, msg packet.Message, _ obs.Causal) netsim.Verdict {
 	h := msg.Hdr()
 	if h.Dst != r.node.Addr() || h.Channel != r.ch {
 		return netsim.Continue

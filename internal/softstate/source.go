@@ -20,9 +20,8 @@ type SourceRules struct {
 	// Skip, when non-nil, names the entries SendData must not copy to
 	// (HBH: marked entries, whose data a downstream relay carries).
 	Skip func(*Entry) bool
-	// Expired, when non-nil, runs after an entry's t2 removal, still
-	// inside the expiry's causal episode (HBH: lift the marks the
-	// departed relay was serving).
+	// Expired, when non-nil, runs after an entry's t2 removal (HBH: lift
+	// the marks the departed relay was serving).
 	Expired func(node addr.Addr)
 }
 
@@ -89,26 +88,25 @@ func (s *Source) Observe(kind ChangeKind, node addr.Addr) {
 // Stop halts the periodic tree emission (end of the session).
 func (s *Source) Stop() { s.ticker.Stop() }
 
-// AddEntry installs node in the source table with a fresh (t1, t2)
-// timer whose expiry removes it again.
-func (s *Source) AddEntry(node addr.Addr) *Entry {
+// AddEntry installs node in the source table, as an effect of c, with a
+// fresh (t1, t2) timer whose expiry removes it again.
+func (s *Source) AddEntry(c obs.Causal, node addr.Addr) *Entry {
 	timer := clock.NewSoftTimer(s.clk, s.cfg.T1, s.cfg.T2, nil, func() {
 		if s.mft.Get(node) != nil {
 			// Expiry is a spontaneous action (the member went silent):
 			// it roots its own causal episode.
-			prev := s.node.RootEpisode()
+			c := s.node.Root()
 			s.mft.Remove(node)
 			s.Observe(ChangeMFTRemove, node)
-			s.node.EmitProto(obs.KindTableRemove, s.ch, node, 0, "mft")
+			s.node.Emit(c, obs.Event{Kind: obs.KindTableRemove, Channel: s.ch, Peer: node, Detail: "mft"})
 			if s.rules.Expired != nil {
 				s.rules.Expired(node)
 			}
-			s.node.SetCausalContext(prev)
 		}
 	})
 	e := s.mft.Add(node, timer)
 	s.Observe(ChangeMFTAdd, node)
-	e.Cause = s.node.EmitProto(obs.KindTableAdd, s.ch, node, 0, "mft")
+	e.Cause = s.node.Emit(c, obs.Event{Kind: obs.KindTableAdd, Channel: s.ch, Peer: node, Detail: "mft"})
 	return e
 }
 
@@ -120,7 +118,7 @@ func (s *Source) SendData(payload []byte) uint32 {
 	s.nextSeq++
 	// One causal episode per originated packet: every replica cascade
 	// downstream attributes to this origination.
-	prev := s.node.RootEpisode()
+	c := s.node.Root()
 	s.data = packet.Data{
 		Header: packet.Header{
 			Proto:   packet.ProtoNone,
@@ -137,11 +135,12 @@ func (s *Source) SendData(payload []byte) uint32 {
 		if s.rules.Skip != nil && s.rules.Skip(e) {
 			continue
 		}
-		s.node.EmitProto(obs.KindReplicate, s.ch, e.Node, seq, "source copy")
+		if s.node.Observer() != nil { // an Event costs a copy to pass
+			s.node.Emit(c, obs.Event{Kind: obs.KindReplicate, Channel: s.ch, Peer: e.Node, Seq: seq, Detail: "source copy"})
+		}
 		s.data.Dst = e.Node
-		s.node.SendUnicast(&s.data)
+		s.node.Send(c, &s.data)
 	}
 	s.data.Payload = nil
-	s.node.SetCausalContext(prev)
 	return seq
 }

@@ -43,7 +43,7 @@ type Entry struct {
 	// Cause is the causal provenance of this entry: the episode and
 	// step of the join (or fusion) that installed or last refreshed it.
 	// Timer-driven work on the entry — the periodic tree refresh above
-	// all — re-enters this context so downstream events attribute to
+	// all — is an effect of this pair, so downstream events attribute to
 	// the member's episode rather than appearing spontaneous.
 	Cause obs.Causal
 }

@@ -7,15 +7,16 @@ import (
 	"hbh/internal/packet"
 )
 
-// SendJoin unicasts join(S, n) from n toward the channel source: the
-// subscription refresh receivers, branching routers and leaf agents all
-// emit. first sets packet.FlagFirst (HBH's never-intercepted join).
-func SendJoin(n netsim.ProtoNode, proto packet.Protocol, ch addr.Channel, first bool) {
+// SendJoin unicasts join(S, n) from n toward the channel source, as an
+// effect of c: the subscription refresh receivers, branching routers and
+// leaf agents all emit. first sets packet.FlagFirst (HBH's
+// never-intercepted join).
+func SendJoin(n netsim.ProtoNode, c obs.Causal, proto packet.Protocol, ch addr.Channel, first bool) {
 	var flags uint8
 	if first {
 		flags = packet.FlagFirst
 	}
-	n.SendUnicast(&packet.Join{
+	n.Send(c, &packet.Join{
 		Header: packet.Header{
 			Proto:   proto,
 			Type:    packet.TypeJoin,
@@ -29,17 +30,17 @@ func SendJoin(n netsim.ProtoNode, proto packet.Protocol, ch addr.Channel, first 
 }
 
 // SendTree unicasts tree(S, target) from n, the downstream refresh the
-// source emits and branching routers regenerate. Its tree-send event
-// becomes the ambient causal context, so the message and everything it
-// triggers chain to it. marked sets packet.FlagMarked (REUNITE's
-// teardown announcement for a stale entry).
-func SendTree(n netsim.ProtoNode, proto packet.Protocol, ch addr.Channel, target addr.Addr, marked bool, detail string) {
+// source emits and branching routers regenerate. Its tree-send event is
+// an effect of c and the cause of the message, so the message and
+// everything it triggers chain to it. marked sets packet.FlagMarked
+// (REUNITE's teardown announcement for a stale entry).
+func SendTree(n netsim.ProtoNode, c obs.Causal, proto packet.Protocol, ch addr.Channel, target addr.Addr, marked bool, detail string) {
 	var flags uint8
 	if marked {
 		flags = packet.FlagMarked
 	}
-	n.SetCausalContext(n.EmitProto(obs.KindTreeSend, ch, target, 0, detail))
-	n.SendUnicast(&packet.Tree{
+	c = n.Emit(c, obs.Event{Kind: obs.KindTreeSend, Channel: ch, Peer: target, Detail: detail})
+	n.Send(c, &packet.Tree{
 		Header: packet.Header{
 			Proto:   proto,
 			Type:    packet.TypeTree,
