@@ -29,6 +29,7 @@ type LeafAgent struct {
 	querier *igmp.Querier
 	router  *Router // nil when the router is not HBH-capable
 	subs    map[addr.Channel]*leafSub
+	join    packet.Join // every join is built here (softstate.SendJoin)
 }
 
 type leafSub struct {
@@ -74,9 +75,9 @@ func (l *LeafAgent) FirstLocalMember(c obs.Causal, ch addr.Channel) {
 	}
 	sub := &leafSub{}
 	l.subs[ch] = sub
-	softstate.SendJoin(l.node, c, packet.ProtoHBH, ch, true)
+	softstate.SendJoin(l.node, &l.join, c, packet.ProtoHBH, ch, true)
 	sub.ticker = clock.NewTicker(l.clk, l.cfg.JoinInterval, func() {
-		softstate.SendJoin(l.node, obs.Causal{}, packet.ProtoHBH, ch, false)
+		softstate.SendJoin(l.node, &l.join, obs.Causal{}, packet.ProtoHBH, ch, false)
 	})
 }
 

@@ -44,10 +44,11 @@ type Router struct {
 	seen     softstate.Dedup
 	observer softstate.ChangeObserver
 	leaf     *LeafAgent
-	// replica is the one packet every replicated data copy is sent from
-	// (the transport copies a data packet at send), and matched the
-	// scratch acceptFusion collects into.
+	// replica is the one packet every replicated data copy is sent from,
+	// and out the one every control message is (the transport copies
+	// what it sends); matched is the scratch acceptFusion collects into.
 	replica packet.Data
+	out     packet.Control
 	matched []*Entry
 }
 
@@ -251,7 +252,7 @@ func markLapsed(e *Entry, now, t1 eventsim.Time) bool {
 
 func (r *Router) sendJoinSelf(c obs.Causal, ch addr.Channel) {
 	c = r.node.Emit(c, obs.Event{Kind: obs.KindJoinSend, Channel: ch, Peer: ch.S, Detail: "branching-node self join"})
-	softstate.SendJoin(r.node, c, packet.ProtoHBH, ch, false)
+	softstate.SendJoin(r.node, &r.out.Join, c, packet.ProtoHBH, ch, false)
 }
 
 // onTree applies the tree rules of Figure 9(c).
@@ -281,7 +282,7 @@ func (r *Router) onTree(t *packet.Tree, c obs.Causal) netsim.Verdict {
 			if e.Stale() {
 				continue
 			}
-			softstate.SendTree(r.node, e.Cause, packet.ProtoHBH, ch, e.Node, false, "branching-node regeneration")
+			softstate.SendTree(r.node, &r.out.Tree, e.Cause, packet.ProtoHBH, ch, e.Node, false, "branching-node regeneration")
 		}
 		return netsim.Consumed
 	}
@@ -681,7 +682,8 @@ func (r *Router) sendFusion(c obs.Causal, ch addr.Channel, upstream addr.Addr) {
 	st.hasFusion = true
 	st.lastFusion = now
 	c = r.node.Emit(c, obs.Event{Kind: obs.KindFusionSend, Channel: ch, Peer: upstream, Detail: "announce branching candidate"})
-	f := &packet.Fusion{
+	f := &r.out.Fusion
+	*f = packet.Fusion{
 		Header: packet.Header{
 			Proto:   packet.ProtoHBH,
 			Type:    packet.TypeFusion,
@@ -690,7 +692,7 @@ func (r *Router) sendFusion(c obs.Causal, ch addr.Channel, upstream addr.Addr) {
 			Dst:     upstream,
 		},
 		Bp: r.node.Addr(),
-		Rs: st.mft.Nodes(),
+		Rs: st.mft.AppendNodes(f.Rs[:0]),
 	}
 	r.node.Send(c, f)
 }

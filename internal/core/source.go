@@ -90,13 +90,12 @@ func (s *Source) onFusion(f *packet.Fusion, c obs.Causal) {
 // emitTrees is the periodic downstream refresh: one tree(S, X) per
 // non-stale entry X.
 func (s *Source) emitTrees() {
-	ch := s.Channel()
 	for _, e := range s.MFT().Entries() {
 		if e.Stale() {
 			continue
 		}
 		// Attribute the refresh (and the tree message it sends) to the
 		// join episode that installed or last refreshed this entry.
-		softstate.SendTree(s.node, e.Cause, packet.ProtoHBH, ch, e.Node, false, "source refresh")
+		s.SendTree(e.Cause, packet.ProtoHBH, e.Node, false, "source refresh")
 	}
 }

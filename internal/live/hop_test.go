@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -63,25 +64,49 @@ func star(costs ...int) *topology.Graph {
 // transport a data packet's hop — frame built, decoded into its
 // envelope, queued, dispatched, forwarded — allocates nothing once the
 // envelopes and buffers exist.
-func TestLiveHopZeroAlloc(t *testing.T) {
-	const nodes, batch, rounds = 5, 100, 30
+func TestLiveHopZeroAlloc(t *testing.T) { lineHopBudget(t, false) }
+
+// TestLiveUDPHopZeroAlloc is TestLiveHopZeroAlloc over UDPTransport on
+// loopback: the socket's read path, which hands every datagram to the
+// runtime, adds nothing per hop either.
+func TestLiveUDPHopZeroAlloc(t *testing.T) { lineHopBudget(t, true) }
+
+// lineHopBudget streams data down a RealMode line, over loopback UDP or
+// the in-process transport, and holds one hop to 0.1 allocations.
+func lineHopBudget(t *testing.T, udp bool) {
+	const nodes = 5
+	batch, rounds := 100, 30
+	if udp { // a batch in flight fits a socket's default receive buffer many times over: loopback loses nothing
+		batch, rounds = 20, 150
+	}
 	g := topology.Line(nodes, false)
 	g.Freeze()
 	rt := New(Config{Graph: g, Routing: unicast.Compute(g), Unit: 20 * time.Microsecond})
+	if udp {
+		book := make(map[topology.NodeID]string, nodes)
+		for id := topology.NodeID(0); id < nodes; id++ {
+			book[id] = "127.0.0.1:0"
+		}
+		tr, err := NewUDPTransport(rt.Hosted(), book, rt.HandleFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.SetTransport(tr)
+	}
 	var delivered atomic.Int64
 	last := topology.NodeID(nodes - 1)
 	rt.Node(last).SetDeliver(func(netsim.ProtoNode, packet.Message) { delivered.Add(1) })
 	rt.Start()
 	defer rt.Stop()
 	msg := dataTo(g, last, 0, "sixty-four bytes of payload, give or take, as the benchmark sends")
-	send := func() { // one Do for the whole batch: a Do allocates, a hop must not
+	send := func() { // one Do for the whole batch: a Do's closure is the caller's
 		for i := 0; i < batch; i++ {
 			rt.Node(0).SendUnicast(msg)
 		}
 	}
 	stream := func(n int) { // a batch in flight at a time, so no stretch needs more envelopes than another
 		for i := 0; i < n; i++ {
-			want := delivered.Load() + batch
+			want := delivered.Load() + int64(batch)
 			rt.Do(0, send)
 			for delivered.Load() < want {
 				runtime.Gosched()
@@ -98,6 +123,140 @@ func TestLiveHopZeroAlloc(t *testing.T) {
 	t.Logf("%.4f allocations per hop over %.0f hops", perHop, hops)
 	if perHop > 0.1 {
 		t.Errorf("a live hop allocates %.3f times, budget 0.1", perHop)
+	}
+}
+
+// TestLiveControlHopZeroAlloc: a converged HBH tree over the in-process
+// transport, left to refresh itself with no data flowing, allocates
+// nothing per control transmission — joins, trees and fusions are built
+// in the engines' reused values, copied into their envelopes, framed,
+// decoded into the arrival's envelope and handled, and the soft-state
+// timers they refresh are re-armed in place.
+func TestLiveControlHopZeroAlloc(t *testing.T) {
+	sc := topology.Fig3Scenario()
+	g := sc.Graph
+	const unit = 20 * time.Microsecond
+	rt := New(Config{Graph: g, Routing: unicast.Compute(g), Unit: unit})
+	cfg := core.DefaultConfig()
+	for _, r := range g.Routers() {
+		core.AttachRouter(rt.Node(r), cfg)
+	}
+	src := core.AttachSource(rt.Node(sc.Source), addr.GroupAddr(0), cfg)
+	rcv1 := core.AttachReceiver(rt.Node(sc.R1), src.Channel(), cfg)
+	rcv2 := core.AttachReceiver(rt.Node(sc.R2), src.Channel(), cfg)
+	var sent [packet.TypeData + 1]atomic.Int64 // link transmissions by type
+	rt.AddTap(func(_, _ topology.NodeID, msg packet.Message) {
+		if ty := msg.Hdr().Type; ty <= packet.TypeData {
+			sent[ty].Add(1)
+		}
+	})
+	rt.Start()
+	defer rt.Stop()
+	rt.Do(sc.R1, rcv1.Join)
+	rt.Do(sc.R2, rcv2.Join)
+	refresh := func(intervals int) {
+		time.Sleep(time.Duration(intervals) * time.Duration(cfg.JoinInterval) * unit)
+	}
+	refresh(40) // converged, and every envelope and buffer exists
+	var before, after runtime.MemStats
+	st0 := rt.Stats()
+	var sent0 [len(sent)]int64
+	for ty := range sent {
+		sent0[ty] = sent[ty].Load()
+	}
+	runtime.ReadMemStats(&before)
+	refresh(100)
+	runtime.ReadMemStats(&after)
+	st := rt.Stats().Delta(st0)
+	for _, ty := range []packet.Type{packet.TypeJoin, packet.TypeTree, packet.TypeFusion} {
+		if sent[ty].Load() == sent0[ty] {
+			t.Fatalf("the stretch carried no %v: it is not the refresh this test prices", ty)
+		}
+	}
+	if st.DataCopies != 0 || st.Transmissions < 500 {
+		t.Fatalf("the stretch made %d transmissions, %d of data: want pure refresh, and plenty of it", st.Transmissions, st.DataCopies)
+	}
+	perHop := float64(after.Mallocs-before.Mallocs) / float64(st.Transmissions)
+	t.Logf("%.4f allocations per control transmission over %d", perHop, st.Transmissions)
+	if perHop > 0.1 {
+		t.Errorf("a live control hop allocates %.3f times, budget 0.1", perHop)
+	}
+}
+
+// fusionTo is a fusion from node 0 to node id of g listing targets.
+func fusionTo(g *topology.Graph, id topology.NodeID, targets ...addr.Addr) *packet.Fusion {
+	return &packet.Fusion{
+		Header: packet.Header{
+			Proto: packet.ProtoHBH, Type: packet.TypeFusion,
+			Channel: addr.Channel{S: g.Node(0).Addr, G: addr.GroupAddr(0)},
+			Src:     g.Node(0).Addr, Dst: g.Node(id).Addr,
+		},
+		Bp: g.Node(0).Addr, Rs: targets,
+	}
+}
+
+// TestFusionTargetsNeverStale: a fusion is decoded into its arrival
+// envelope's storage, whose Rs keeps the capacity of the longest fusion
+// it has held. A short fusion after a long one on the same node shows
+// the handler, a tap and the flight recorder its own targets and none
+// of the long one's, and the released envelope keeps no message.
+func TestFusionTargetsNeverStale(t *testing.T) {
+	g := topology.Line(3, false)
+	g.Freeze()
+	sim := eventsim.New()
+	rt := New(Config{Graph: g, Routing: unicast.Compute(g), Sim: sim})
+	o := hbhdObserver()
+	rt.SetObserver(o)
+	var handled, tapped []string
+	var kept []*packet.Fusion // against the contract, to see the reuse happen
+	rt.Node(1).AddHandler(netsim.HandlerFunc(func(_ netsim.ProtoNode, msg packet.Message, _ obs.Causal) netsim.Verdict {
+		handled = append(handled, packet.Format(msg))
+		kept = append(kept, msg.(*packet.Fusion))
+		return netsim.Continue
+	}))
+	rt.AddTap(func(_, _ topology.NodeID, msg packet.Message) { tapped = append(tapped, packet.Format(msg)) })
+	rt.Start()
+	defer rt.Stop()
+	var long []addr.Addr
+	for i := 0; i < 12; i++ {
+		long = append(long, addr.ReceiverAddr(i))
+	}
+	sent := []*packet.Fusion{
+		fusionTo(g, 2, long...),
+		fusionTo(g, 2, addr.ReceiverAddr(40)),
+		fusionTo(g, 2),
+	}
+	var want []string
+	for _, f := range sent {
+		want = append(want, packet.Format(f))
+		rt.HandleFrame(1, frameFrom(t, 0, f))
+		if err := sim.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(handled, want) {
+		t.Errorf("the handler saw\n%q\nwant\n%q", handled, want)
+	}
+	if !slices.Equal(tapped, want) { // node 1 forwards each to node 2
+		t.Errorf("the tap saw\n%q\nwant\n%q", tapped, want)
+	}
+	if kept[0] != kept[1] || kept[1] != kept[2] {
+		t.Fatal("the fusions were not decoded into one reused envelope: this test proves nothing")
+	}
+	for _, id := range []topology.NodeID{1, 2} { // node 1 forwards each, node 2 decodes it again and delivers it
+		lines := strings.Split(strings.TrimSpace(o.Recorder().Dump(g.Node(id).Addr)), "\n")[1:]
+		ok := len(lines) == len(want)
+		for i := 0; ok && i < len(lines); i++ {
+			ok = strings.HasSuffix(lines[i], want[i])
+		}
+		if !ok {
+			t.Errorf("node %d's flight recorder:\n%s\nwant the fusions\n%s", id, strings.Join(lines, "\n"), strings.Join(want, "\n"))
+		}
+	}
+	env := rt.Node(1).Envelope() // the pool's most recent: the fusions'
+	defer env.Release()
+	if env.Msg() != nil || env.Data().Payload != nil || len(env.Control().Fusion.Rs) != 0 {
+		t.Errorf("a released envelope keeps msg %v, payload %q, %d fusion targets", env.Msg(), env.Data().Payload, len(env.Control().Fusion.Rs))
 	}
 }
 
@@ -403,6 +562,14 @@ func FuzzHandleFrame(f *testing.F) {
 	for _, fr := range valid {
 		f.Add(fr)
 	}
+	// A long fusion, then short ones, decoded into the same envelope.
+	var long []addr.Addr
+	for i := 0; i < 40; i++ {
+		long = append(long, addr.ReceiverAddr(i))
+	}
+	for _, rs := range [][]addr.Addr{long, long[:1], nil} {
+		f.Add(frameFrom(f, 0, fusionTo(g, 2, rs...)))
+	}
 	data := valid[3]
 	for n := 0; n < len(data); n++ {
 		f.Add(data[:n])
@@ -418,6 +585,11 @@ func FuzzHandleFrame(f *testing.F) {
 
 	sim := eventsim.New()
 	rt := New(Config{Graph: g, Routing: unicast.Compute(g), Sim: sim})
+	var seen []string // what node 1's handler saw of each arrival
+	rt.Node(1).AddHandler(netsim.HandlerFunc(func(_ netsim.ProtoNode, msg packet.Message, _ obs.Causal) netsim.Verdict {
+		seen = append(seen, packet.Format(msg))
+		return netsim.Continue
+	}))
 	rt.Start()
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		drops, pending := rt.Stats().CodecDrops, sim.Pending()
@@ -426,8 +598,18 @@ func FuzzHandleFrame(f *testing.F) {
 		if arrived+dropped != 1 || arrived < 0 || dropped < 0 {
 			t.Fatalf("one frame became %d arrivals and %d codec drops", arrived, dropped)
 		}
+		seen = seen[:0]
 		if err := sim.RunAll(); err != nil {
 			t.Fatal(err)
+		}
+		if arrived == 1 { // the handler sees the packet framed, nothing left over from an earlier one
+			_, msg, err := decodeFrame(frame, nil, nil)
+			if err != nil {
+				t.Fatalf("an accepted frame does not decode on its own: %v", err)
+			}
+			if want := packet.Format(msg); len(seen) == 0 || seen[0] != want {
+				t.Fatalf("node 1's handler saw %q, the frame holds %q", seen, want)
+			}
 		}
 	})
 }

@@ -28,21 +28,41 @@ type host struct {
 	done chan struct{} // closed when loop has returned
 
 	mu     sync.Mutex
-	inbox  []func() // Do calls posted and not yet taken by loop
+	inbox  []call // Do calls posted and not yet taken by loop
 	closed bool
+	// dones are completion signals no Do is waiting on, each buffered
+	// for one token: a Do takes one, loop signals it once fn has run, and
+	// the Do puts it back, so a stream of Do calls allocates none.
+	dones []chan struct{}
 }
 
-// post hands fn to the node's goroutine; false when the node is closed.
-func (h *host) post(fn func()) bool {
+// call is one posted Do: fn, and the signal loop gives once it has run.
+type call struct {
+	fn   func()
+	done chan struct{}
+}
+
+// do runs fn on the node's goroutine and waits for it; it returns
+// without running fn when the node is closed.
+func (h *host) do(fn func()) {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
-		return false
+		return
 	}
-	h.inbox = append(h.inbox, fn)
+	var done chan struct{}
+	if k := len(h.dones); k > 0 {
+		done, h.dones = h.dones[k-1], h.dones[:k-1]
+	} else {
+		done = make(chan struct{}, 1)
+	}
+	h.inbox = append(h.inbox, call{fn, done})
 	h.mu.Unlock()
 	h.poke()
-	return true
+	<-done
+	h.mu.Lock()
+	h.dones = append(h.dones, done)
+	h.mu.Unlock()
 }
 
 // poke leaves the wake token; one is enough for any number of causes.
@@ -81,17 +101,18 @@ func (h *host) loop(world *sync.RWMutex) {
 	// fired and been received: Reset needs the channel empty (go.mod's
 	// go 1.22 keeps the timer channel buffered).
 	var timerDue time.Time
-	var batch []func()
+	var batch []call
 	for {
 		h.mu.Lock()
 		batch, h.inbox = h.inbox, batch[:0]
 		closed := h.closed
 		h.mu.Unlock()
-		for i, fn := range batch {
+		for i, c := range batch {
 			world.RLock()
-			fn()
+			c.fn()
 			world.RUnlock()
-			batch[i] = nil
+			c.done <- struct{}{}
+			batch[i] = call{}
 		}
 		if closed {
 			return

@@ -42,7 +42,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fm, got, err := decodeFrame(f, nil)
+	fm, got, err := decodeFrame(f, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +62,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	if !bytes.Equal(gw, wire) {
 		t.Error("packet did not survive the frame round trip")
 	}
-	if _, _, err := decodeFrame(f[:3], nil); err == nil {
+	if _, _, err := decodeFrame(f[:3], nil, nil); err == nil {
 		t.Error("short frame decoded without error")
 	}
-	if _, _, err := decodeFrame(append(f[:frameOverhead:frameOverhead], 0xff), nil); err == nil {
+	if _, _, err := decodeFrame(append(f[:frameOverhead:frameOverhead], 0xff), nil, nil); err == nil {
 		t.Error("garbage packet decoded without error")
 	}
 }

@@ -281,13 +281,7 @@ func (rt *Runtime) Do(id topology.NodeID, fn func()) {
 		fn()
 		return
 	}
-	done := make(chan struct{})
-	if rt.hosts[id].post(func() {
-		fn()
-		close(done)
-	}) {
-		<-done
-	}
+	rt.hosts[id].do(fn)
 }
 
 // Quiesce stops the world — every node goroutine parked between
@@ -317,7 +311,7 @@ func (rt *Runtime) HandleFrame(to topology.NodeID, frame []byte) {
 		return // not hosted here; a misrouted or stale frame
 	}
 	env := rt.net.Node(to).Envelope()
-	fm, msg, err := decodeFrame(frame, env.Data())
+	fm, msg, err := decodeFrame(frame, env.Data(), env.Control())
 	cost := 0
 	if g := rt.net.Topology(); err == nil && fm.from >= 0 && int(fm.from) < g.NumNodes() {
 		cost = g.Cost(fm.from, to)

@@ -71,9 +71,10 @@ func appendFrame(dst []byte, fm frameMeta, msg packet.Message) ([]byte, error) {
 
 // decodeFrame splits a frame into its metadata and the packet, which
 // it checksum-verifies and decodes as packet.UnmarshalInto does: a data
-// packet into *d with its payload aliasing f, anything else (and data,
-// when d is nil) into storage of its own.
-func decodeFrame(f []byte, d *packet.Data) (fm frameMeta, msg packet.Message, err error) {
+// packet into *d with its payload aliasing f, a join, tree or fusion
+// into c, anything else (and a kind whose storage is nil) into storage
+// of its own.
+func decodeFrame(f []byte, d *packet.Data, c *packet.Control) (fm frameMeta, msg packet.Message, err error) {
 	if len(f) < frameOverhead {
 		return frameMeta{}, nil, fmt.Errorf("live: short frame (%d bytes)", len(f))
 	}
@@ -83,7 +84,7 @@ func decodeFrame(f []byte, d *packet.Data) (fm frameMeta, msg packet.Message, er
 	fm.cause.Step = obs.StepID(binary.BigEndian.Uint64(f[13:21]))
 	fm.origAt = int64(binary.BigEndian.Uint64(f[21:29]))
 	fm.hopAt = int64(binary.BigEndian.Uint64(f[29:37]))
-	msg, err = packet.UnmarshalInto(d, f[frameOverhead:])
+	msg, err = packet.UnmarshalInto(d, c, f[frameOverhead:])
 	return fm, msg, err
 }
 
@@ -176,12 +177,14 @@ func NewUDPTransport(hosted []topology.NodeID, book map[topology.NodeID]string, 
 }
 
 // readLoop hands every datagram to deliver in the one buffer it reads
-// into: deliver keeps nothing of it (see DeliverFunc).
+// into: deliver keeps nothing of it (see DeliverFunc). The sender's
+// address is not asked for — the frame names its sender, and reporting
+// the address costs an allocation per datagram.
 func (t *UDPTransport) readLoop(id topology.NodeID, conn *net.UDPConn) {
 	defer t.wg.Done()
 	buf := make([]byte, maxFrame)
 	for {
-		n, _, err := conn.ReadFromUDP(buf)
+		n, err := conn.Read(buf)
 		if err != nil {
 			return // socket closed
 		}

@@ -238,6 +238,7 @@ type Network struct {
 // share nothing else; the counters are then written under mu, in one
 // hold per step.
 type shard struct {
+	net *Network
 	// mu is the emission lock a wired network writes its shared surface
 	// (observer, taps, counters) under; nil in the simulator, which
 	// takes no lock at all.
@@ -305,7 +306,8 @@ func newNetwork(g *topology.Graph, r unicast.Router, mu sync.Locker) *Network {
 	if r.Graph() != g {
 		panic("netsim: routing tables computed for a different graph")
 	}
-	n := &Network{topo: g, routing: r, hopLimit: DefaultHopLimit, shared: shard{mu: mu}}
+	n := &Network{topo: g, routing: r, hopLimit: DefaultHopLimit}
+	n.shared = shard{net: n, mu: mu}
 	n.nodes = make([]*Node, g.NumNodes())
 	n.nodeDown = make([]bool, g.NumNodes())
 	for _, nd := range g.Nodes() {
@@ -318,7 +320,7 @@ func newNetwork(g *topology.Graph, r unicast.Router, mu sync.Locker) *Network {
 // (see NewWired). Engines read the clock when they attach, so Host
 // comes first.
 func (n *Network) Host(id topology.NodeID, clk clock.Clock) {
-	s := &shard{mu: n.shared.mu, clk: clk}
+	s := &shard{net: n, mu: n.shared.mu, clk: clk}
 	n.hosted = append(n.hosted, s)
 	n.nodes[id].s = s
 }
@@ -624,17 +626,20 @@ func (nd *Node) SetDeliver(d DeliverFunc) { nd.deliver = d }
 // allocates nothing at all.
 type Envelope struct {
 	msg packet.Message
-	// data is the storage of a data packet in flight: a sent
-	// *packet.Data is copied here and msg points at the copy, so the
-	// packet lives and dies with its envelope and a replicating engine
-	// sends every copy from one scratch value instead of allocating
-	// each. Control messages travel in the value the sender built. buf
-	// is the payload's own storage when a wire decoded the packet (Load).
+	// data and ctl are the storage of the packet in flight: a sent data
+	// packet, join, tree or fusion is copied into the one of its type and
+	// msg points at the copy, so the packet lives and dies with its
+	// envelope and an engine sends every message from one scratch value
+	// it rewrites in between. A wire decodes a received packet into the
+	// same storage (Data, Control). ctl is allocated the first time the
+	// envelope carries a control message and kept from then on; buf is a
+	// decoded data packet's payload storage (Load). Any other message
+	// (IGMP's) travels in the value the sender built.
 	data packet.Data
+	ctl  *packet.Control
 	buf  []byte
 	hops int
-	net  *Network
-	s    *shard          // the pool the envelope returns to
+	s    *shard          // the pool the envelope returns to, on its network
 	to   topology.NodeID // arrival node of the in-flight transmission
 	// dst is the node owning the packet's unicast destination address,
 	// resolved once at send; topology.None when no node owns it.
@@ -656,7 +661,7 @@ type Envelope struct {
 }
 
 // Fire delivers the in-flight transmission at its arrival node.
-func (e *Envelope) Fire() { e.net.arrive(e.to, e) }
+func (e *Envelope) Fire() { e.s.net.arrive(e.to, e) }
 
 // Msg returns the packet the envelope carries.
 func (e *Envelope) Msg() packet.Message { return e.msg }
@@ -671,6 +676,41 @@ func (e *Envelope) Cause() obs.Causal { return e.cause }
 // a received data packet into before Load.
 func (e *Envelope) Data() *packet.Data { return &e.data }
 
+// Control returns the envelope's control-message storage, for a wire to
+// decode a received join, tree or fusion into before Load.
+func (e *Envelope) Control() *packet.Control {
+	if e.ctl == nil {
+		e.ctl = new(packet.Control)
+	}
+	return e.ctl
+}
+
+// hold copies msg into the envelope's storage of its type and returns
+// the copy; a message of a type the envelope has no storage for is
+// returned as it is.
+func (e *Envelope) hold(msg packet.Message) packet.Message {
+	switch m := msg.(type) {
+	case *packet.Data:
+		e.data = *m
+		return &e.data
+	case *packet.Join:
+		c := e.Control()
+		c.Join = *m
+		return &c.Join
+	case *packet.Tree:
+		c := e.Control()
+		c.Tree = *m
+		return &c.Tree
+	case *packet.Fusion:
+		c := e.Control()
+		rs := append(c.Fusion.Rs[:0], m.Rs...)
+		c.Fusion = *m
+		c.Fusion.Rs = rs
+		return &c.Fusion
+	}
+	return msg
+}
+
 // Envelope takes an envelope from nd's pool for a packet a wire is
 // bringing to nd. The receive half fills it (Data, Load) and queues it
 // on nd's clock, or gives it back (Reject).
@@ -683,7 +723,8 @@ func (nd *Node) Envelope() *Envelope {
 // Load arms a received envelope with msg, hops of budget left and its
 // causal pair. A data packet decoded into Data moves its payload into
 // the envelope's own bytes, so the buffer it was decoded from is the
-// wire's again when Load returns.
+// wire's again when Load returns; a control message decoded into
+// Control aliases nothing.
 func (e *Envelope) Load(msg packet.Message, hops int, cause obs.Causal) {
 	if msg == packet.Message(&e.data) {
 		e.buf = append(e.buf[:0], e.data.Payload...)
@@ -691,7 +732,7 @@ func (e *Envelope) Load(msg packet.Message, hops int, cause obs.Causal) {
 	}
 	e.msg, e.hops, e.cause = msg, hops, cause
 	e.dst = topology.None
-	if id, ok := e.net.topo.ByAddr(msg.Hdr().Dst); ok {
+	if id, ok := e.s.net.topo.ByAddr(msg.Hdr().Dst); ok {
 		e.dst = id
 	}
 }
@@ -713,12 +754,16 @@ func (e *Envelope) Reject() {
 
 // Release returns an envelope whose packet's life here ended (dropped,
 // consumed, delivered, carried off by a wire) to its pool. The message
-// and payload references are cleared so the pool never pins packets;
-// each envelope is referenced from exactly one place at a time, so
-// every terminal branch releases exactly once.
+// and payload references are cleared so the pool never pins packets —
+// what ctl holds is the envelope's own, and its fusion keeps only the
+// capacity of its targets; each envelope is referenced from exactly one
+// place at a time, so every terminal branch releases exactly once.
 func (e *Envelope) Release() {
 	e.msg = nil
 	e.data.Payload = nil
+	if e.ctl != nil {
+		e.ctl.Fusion.Rs = e.ctl.Fusion.Rs[:0]
+	}
 	e.cause = obs.Causal{}
 	e.OrigAt, e.HopAt, e.owed = 0, 0, false
 	s := e.s
@@ -745,20 +790,16 @@ func (n *Network) take(s *shard) *Envelope {
 		s.poolMu.Unlock()
 	}
 	if e == nil {
-		e = &Envelope{net: n, s: s}
+		e = &Envelope{s: s}
 	}
 	return e
 }
 
-// newEnvelope takes an envelope from s's pool, loads msg bound for node
-// dst and arms it with a full hop budget.
+// newEnvelope takes an envelope from s's pool, loads a copy of msg
+// bound for node dst (hold) and arms it with a full hop budget.
 func (n *Network) newEnvelope(s *shard, msg packet.Message, dst topology.NodeID) *Envelope {
 	env := n.take(s)
-	if d, ok := msg.(*packet.Data); ok {
-		env.data = *d
-		msg = &env.data
-	}
-	env.msg = msg
+	env.msg = env.hold(msg)
 	env.dst = dst
 	env.hops = n.hopLimit
 	return env

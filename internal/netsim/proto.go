@@ -52,9 +52,10 @@ type ProtoNode interface {
 
 	// Send originates a packet from this node toward msg.Dst as an
 	// effect of c; the zero c, a send with no cause, roots an episode of
-	// its own. A *packet.Data is copied before the call returns, so a
-	// replicating engine sends every copy from one value it rewrites in
-	// between; any other message belongs to the transport from here on.
+	// its own. A data packet, join, tree or fusion is copied before the
+	// call returns, so an engine builds every message it sends in one
+	// value it rewrites in between; any other message belongs to the
+	// transport from here on.
 	Send(c obs.Causal, msg packet.Message)
 	// SendDirect pushes a packet one hop to an adjacent node, bypassing
 	// unicast routing (the leaf LAN hop). c and msg are taken as by Send.

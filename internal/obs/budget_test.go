@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -104,6 +105,56 @@ func TestCountersApplyZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Apply allocates once its series exist: %v allocs per %d events", n, len(evs))
+	}
+}
+
+// TestCountersExportZeroAlloc: a second Export of a registry that only
+// counted since the first — its samples, histograms and series all
+// registered already — renders into the buffer the registry kept and
+// allocates nothing, and renders what a first Export of the same state
+// renders.
+func TestCountersExportZeroAlloc(t *testing.T) {
+	c := NewCounters()
+	for _, ev := range everyKindEvents() {
+		c.Apply(ev)
+	}
+	h := c.Hist("hbh_hop_delay", "node", "r3")
+	s := c.NewSeries("hbh_state_mft_routers")
+	for i := 0; i < 40; i++ {
+		h.Observe(float64(i) / 7)
+		s.Sample(eventsim.Time(i), float64(i%5))
+	}
+	var w bytes.Buffer
+	if err := c.Export(&w); err != nil {
+		t.Fatal(err)
+	}
+	first := w.String()
+	w.Reset()
+	if err := c.Export(&w); err != nil {
+		t.Fatal(err)
+	}
+	if w.String() != first {
+		t.Fatal("a second Export of an unchanged registry renders differently")
+	}
+	ev := Event{Kind: KindForward, NodeName: "r3", Msg: testJoin()}
+	if n := testing.AllocsPerRun(20, func() {
+		c.Apply(ev) // counts move, no series appears
+		h.Observe(0.5)
+		w.Reset() // the writer is reused: only Export is priced
+		if err := c.Export(&w); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Export of a registry with no new series allocates %v times", n)
+	}
+	fresh := NewCounters()
+	fresh.Merge(c)
+	var again strings.Builder
+	if err := fresh.Export(&again); err != nil {
+		t.Fatal(err)
+	}
+	if w.String() != again.String() {
+		t.Error("the kept render differs from a fresh registry's render of the same state")
 	}
 }
 

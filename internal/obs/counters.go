@@ -70,6 +70,12 @@ type Counters struct {
 	applied map[applyKey]*float64
 	hists   map[counterKey]*Histogram
 	series  []*Series
+
+	// layout is Export's sorted plan of everything registered, nil once
+	// a new sample, histogram or series makes it stale; out is the
+	// buffer Export renders into, kept for the next call.
+	layout []exportMetric
+	out    []byte
 }
 
 // NewCounters builds an empty registry.
@@ -87,6 +93,7 @@ func (c *Counters) cell(k counterKey) *float64 {
 	if v == nil {
 		v = new(float64)
 		c.vals[k] = v
+		c.layout = nil
 	}
 	return v
 }
@@ -100,6 +107,7 @@ func (c *Counters) Hist(name string, kv ...string) *Histogram {
 	if h == nil {
 		h = &Histogram{name: name, labels: k.labels}
 		c.hists[k] = h
+		c.layout = nil
 	}
 	return h
 }
@@ -306,6 +314,7 @@ func (c *Counters) Merge(other *Counters) {
 		h.Merge(other.hists[k])
 	}
 	c.series = append(c.series, other.series...)
+	c.layout = nil
 }
 
 // maxSeriesSamples bounds every time series so samplers can never grow
@@ -332,6 +341,7 @@ type sample struct {
 func (c *Counters) NewSeries(name string, kv ...string) *Series {
 	s := &Series{name: name, labels: renderLabels(kv)}
 	c.series = append(c.series, s)
+	c.layout = nil
 	return s
 }
 
@@ -348,8 +358,67 @@ func (s *Series) Sample(at eventsim.Time, v float64) {
 func (s *Series) Len() int { return len(s.samples) }
 
 // Export writes the registry in the Prometheus text exposition format,
-// deterministically ordered (metrics by name, samples by label block).
+// deterministically ordered (metrics by name, samples by label block),
+// in one Write. The text is rendered into a buffer the registry keeps,
+// from a sorted plan it keeps until a new sample, histogram or series
+// appears, so exporting a registry that only counted since the last
+// export allocates nothing.
 func (c *Counters) Export(w io.Writer) error {
+	if c.layout == nil {
+		c.layout = c.plan()
+	}
+	b := c.out[:0]
+	for i := range c.layout {
+		m := &c.layout[i]
+		b = append(b, m.head...)
+		for _, h := range m.hists {
+			b = h.appendText(b)
+		}
+		for _, smp := range m.samples {
+			b = append(b, smp.prefix...)
+			b = appendValue(b, *smp.v)
+			b = append(b, '\n')
+		}
+		for _, s := range m.series {
+			for _, smp := range s.samples {
+				// Timestamp column carries the *virtual* time in ms.
+				b = append(b, s.name...)
+				b = append(b, s.labels...)
+				b = append(b, ' ')
+				b = appendValue(b, smp.v)
+				b = append(b, ' ')
+				b = strconv.AppendInt(b, int64(float64(smp.at)*1000), 10)
+				b = append(b, '\n')
+			}
+			if s.dropped > 0 {
+				b = fmt.Appendf(b, "# %s%s truncated: %d samples dropped past cap %d\n", s.name, s.labels, s.dropped, maxSeriesSamples)
+			}
+		}
+	}
+	c.out = b
+	_, err := w.Write(b)
+	return err
+}
+
+// exportMetric is one metric of Export's plan: its HELP/TYPE preamble,
+// then its histograms, scalar samples and series, each sorted by label
+// block.
+type exportMetric struct {
+	head    string
+	hists   []*Histogram
+	samples []exportSample
+	series  []*Series
+}
+
+// exportSample is one scalar sample: "name{labels} " and its cell.
+type exportSample struct {
+	prefix string
+	v      *float64
+}
+
+// plan sorts everything registered into Export's order: the metrics of
+// metricHelp in its order, then any others by name.
+func (c *Counters) plan() []exportMetric {
 	byName := make(map[string][]counterKey)
 	for k := range c.vals {
 		byName[k.name] = append(byName[k.name], k)
@@ -400,51 +469,31 @@ func (c *Counters) Export(w io.Writer) error {
 		help[m.name] = struct{ kind, help string }{m.kind, m.help}
 	}
 
+	plan := make([]exportMetric, 0, len(names))
 	for _, name := range names {
+		var m exportMetric
 		if h, ok := help[name]; ok {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, h.help, name, h.kind); err != nil {
-				return err
-			}
+			m.head = fmt.Sprintf("# HELP %s %s\n# TYPE %s %s\n", name, h.help, name, h.kind)
 		} else if len(histsByName[name]) > 0 {
-			if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-				return err
-			}
-		} else if _, err := fmt.Fprintf(w, "# TYPE %s untyped\n", name); err != nil {
-			return err
+			m.head = fmt.Sprintf("# TYPE %s histogram\n", name)
+		} else {
+			m.head = fmt.Sprintf("# TYPE %s untyped\n", name)
 		}
-		hs := histsByName[name]
-		sort.Slice(hs, func(i, j int) bool { return hs[i].labels < hs[j].labels })
-		for _, h := range hs {
-			if err := h.export(w); err != nil {
-				return err
-			}
-		}
+		m.hists = histsByName[name]
+		sort.Slice(m.hists, func(i, j int) bool { return m.hists[i].labels < m.hists[j].labels })
 		keys := byName[name]
 		sort.Slice(keys, func(i, j int) bool { return keys[i].labels < keys[j].labels })
 		for _, k := range keys {
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", k.name, k.labels, formatValue(*c.vals[k])); err != nil {
-				return err
-			}
+			m.samples = append(m.samples, exportSample{k.name + k.labels + " ", c.vals[k]})
 		}
-		ss := seriesByName[name]
-		sort.Slice(ss, func(i, j int) bool { return ss[i].labels < ss[j].labels })
-		for _, s := range ss {
-			for _, smp := range s.samples {
-				// Timestamp column carries the *virtual* time in ms.
-				if _, err := fmt.Fprintf(w, "%s%s %s %d\n", s.name, s.labels, formatValue(smp.v), int64(float64(smp.at)*1000)); err != nil {
-					return err
-				}
-			}
-			if s.dropped > 0 {
-				if _, err := fmt.Fprintf(w, "# %s%s truncated: %d samples dropped past cap %d\n", s.name, s.labels, s.dropped, maxSeriesSamples); err != nil {
-					return err
-				}
-			}
-		}
+		m.series = seriesByName[name]
+		sort.Slice(m.series, func(i, j int) bool { return m.series[i].labels < m.series[j].labels })
+		plan = append(plan, m)
 	}
-	return nil
+	return plan
 }
 
-func formatValue(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// appendValue appends a sample value in its shortest exact form.
+func appendValue(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

@@ -10,10 +10,8 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
-	"strings"
+	"strconv"
 )
 
 const (
@@ -198,45 +196,52 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.max
 }
 
-// labelsWithLE injects the le label into a pre-rendered label block.
-func labelsWithLE(labels, le string) string {
-	if labels == "" {
-		return `{le="` + le + `"}`
+// appendBucket appends one cumulative _bucket sample: the label block
+// with le injected, then the count.
+func (h *Histogram) appendBucket(b []byte, upper float64, cum uint64) []byte {
+	b = append(b, h.name...)
+	b = append(b, "_bucket"...)
+	if h.labels == "" {
+		b = append(b, '{')
+	} else {
+		b = append(b, h.labels[:len(h.labels)-1]...)
+		b = append(b, ',')
 	}
-	return strings.TrimSuffix(labels, "}") + `,le="` + le + `"}`
+	b = append(b, `le="`...)
+	if math.IsInf(upper, 1) {
+		b = append(b, "+Inf"...)
+	} else {
+		b = appendValue(b, upper)
+	}
+	b = append(b, `"} `...)
+	b = strconv.AppendUint(b, cum, 10)
+	return append(b, '\n')
 }
 
-// formatLE renders a bucket boundary for the le label.
-func formatLE(v float64) string {
-	if math.IsInf(v, 1) {
-		return "+Inf"
-	}
-	return formatValue(v)
-}
-
-// export writes the histogram in the Prometheus text format:
+// appendText appends the histogram in the Prometheus text format:
 // cumulative _bucket samples (only non-empty buckets, plus the
 // mandatory +Inf), then _sum and _count. Deterministic — the layout is
 // fixed and the counts are integers.
-func (h *Histogram) export(w io.Writer) error {
+func (h *Histogram) appendText(b []byte) []byte {
 	var cum uint64
 	for i := 0; i < histBuckets-1; i++ {
 		if h.bkt[i] == 0 {
 			continue
 		}
 		cum += h.bkt[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			h.name, labelsWithLE(h.labels, formatLE(bucketUpper(i))), cum); err != nil {
-			return err
-		}
+		b = h.appendBucket(b, bucketUpper(i), cum)
 	}
-	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-		h.name, labelsWithLE(h.labels, "+Inf"), h.count); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", h.name, h.labels, formatValue(h.sum)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", h.name, h.labels, h.count)
-	return err
+	b = h.appendBucket(b, math.Inf(1), h.count)
+	b = append(b, h.name...)
+	b = append(b, "_sum"...)
+	b = append(b, h.labels...)
+	b = append(b, ' ')
+	b = appendValue(b, h.sum)
+	b = append(b, '\n')
+	b = append(b, h.name...)
+	b = append(b, "_count"...)
+	b = append(b, h.labels...)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, h.count, 10)
+	return append(b, '\n')
 }

@@ -242,15 +242,27 @@ func AppendMarshal(dst []byte, m Message) ([]byte, error) {
 // Unmarshal decodes one message from buf. The message owns its storage:
 // nothing in it aliases buf.
 func Unmarshal(buf []byte) (Message, error) {
-	return UnmarshalInto(nil, buf)
+	return UnmarshalInto(nil, nil, buf)
 }
 
-// UnmarshalInto decodes one message from buf like Unmarshal, except that
-// a data packet is decoded into *d and its Payload aliases buf: the
-// receive path of a runtime that owns both for exactly as long as the
-// packet lives. Every other type, and a data packet when d is nil, gets
-// storage of its own.
-func UnmarshalInto(d *Data, buf []byte) (Message, error) {
+// Control is storage for one control message of each type HBH and
+// REUNITE exchange: what a runtime that owns a packet's storage for as
+// long as the packet lives decodes a join, tree or fusion into, or
+// copies one a sender built into. Fusion.Rs keeps its capacity from one
+// message to the next.
+type Control struct {
+	Join   Join
+	Tree   Tree
+	Fusion Fusion
+}
+
+// UnmarshalInto decodes one message from buf like Unmarshal, except into
+// storage the caller owns for exactly as long as the message lives: a
+// data packet into *d, its Payload aliasing buf, and a join, tree or
+// fusion into c's message of that type, the fusion's targets into the
+// capacity Rs already has. A nil d or c gives that kind storage of its
+// own, as does every other type.
+func UnmarshalInto(d *Data, c *Control, buf []byte) (Message, error) {
 	if len(buf) < headerSize {
 		return nil, ErrTruncated
 	}
@@ -281,11 +293,32 @@ func UnmarshalInto(d *Data, buf []byte) (Message, error) {
 	own := false // a data packet decoded into storage allocated here
 	switch h.Type {
 	case TypeJoin:
-		m = &Join{Header: h}
+		var j *Join
+		if c != nil {
+			j = &c.Join
+		} else {
+			j = new(Join)
+		}
+		j.Header = h
+		m = j
 	case TypeTree:
-		m = &Tree{Header: h}
+		var t *Tree
+		if c != nil {
+			t = &c.Tree
+		} else {
+			t = new(Tree)
+		}
+		t.Header = h
+		m = t
 	case TypeFusion:
-		m = &Fusion{Header: h}
+		var f *Fusion
+		if c != nil {
+			f = &c.Fusion
+		} else {
+			f = new(Fusion)
+		}
+		f.Header = h
+		m = f
 	case TypeData:
 		if own = d == nil; own {
 			d = new(Data)
@@ -375,12 +408,10 @@ func (f *Fusion) unmarshalBody(b []byte) error {
 	if len(b) != 6+4*n {
 		return fmt.Errorf("%w: fusion body %d bytes for %d targets", ErrBadBody, len(b), n)
 	}
-	if n == 0 {
-		f.Rs = nil
-		return nil
-	}
-	f.Rs = make([]addr.Addr, n)
-	for i := 0; i < n; i++ {
+	// Reuse Rs's capacity; nil stays nil, so a fusion with no targets
+	// decodes as it was built.
+	f.Rs = slices.Grow(f.Rs[:0], n)[:n]
+	for i := range f.Rs {
 		f.Rs[i] = addr.Addr(binary.BigEndian.Uint32(b[6+4*i:]))
 	}
 	return nil

@@ -36,9 +36,11 @@ type Router struct {
 	chans    map[addr.Channel]*chanState
 	seen     softstate.Dedup
 	observer softstate.ChangeObserver
-	// replica is the one packet every replicated data copy is sent from
-	// (the transport copies a data packet at send).
+	// replica is the one packet every replicated data copy is sent from,
+	// and tree the one every regenerated refresh is (the transport copies
+	// what it sends).
 	replica packet.Data
+	tree    packet.Tree
 }
 
 // SetObserver installs the state-change observer (nil clears it).
@@ -370,7 +372,7 @@ func (r *Router) sendTree(c obs.Causal, ch addr.Channel, target addr.Addr, marke
 	if marked {
 		detail = "regeneration [marked]"
 	}
-	softstate.SendTree(r.node, c, packet.ProtoREUNITE, ch, target, marked, detail)
+	softstate.SendTree(r.node, &r.tree, c, packet.ProtoREUNITE, ch, target, marked, detail)
 }
 
 func (r *Router) newEntryTimer(ch addr.Channel, node addr.Addr) *clock.SoftTimer {

@@ -48,7 +48,6 @@ func (s *Source) Handle(n netsim.ProtoNode, msg packet.Message, c obs.Causal) ne
 // is stale, announcing the upcoming teardown — plus one tree per
 // additional entry.
 func (s *Source) emitTrees() {
-	ch := s.Channel()
 	for _, e := range s.MFT().Entries() {
 		marked := e.Stale()
 		detail := "source refresh"
@@ -57,6 +56,6 @@ func (s *Source) emitTrees() {
 		}
 		// Attribute the refresh to the join episode that installed or
 		// last refreshed this entry (see Entry.Cause).
-		softstate.SendTree(s.node, e.Cause, packet.ProtoREUNITE, ch, e.Node, marked, detail)
+		s.SendTree(e.Cause, packet.ProtoREUNITE, e.Node, marked, detail)
 	}
 }

@@ -32,6 +32,7 @@ type Receiver struct {
 	flagFirst bool
 	ticker    *clock.Ticker
 	joined    bool
+	join      packet.Join // every join is built here (SendJoin)
 
 	// Deliveries lists data arrivals in order. DupCount counts
 	// duplicate sequence numbers (within the last Window's span), which
@@ -128,7 +129,7 @@ func (r *Receiver) sendJoin(first bool) {
 			Span: r.joinSpan, Parent: r.lifeSpan, Detail: detail,
 		})
 	}
-	SendJoin(r.node, c, r.proto, r.ch, first && r.flagFirst)
+	SendJoin(r.node, &r.join, c, r.proto, r.ch, first && r.flagFirst)
 }
 
 // Handle implements netsim.Handler: consume channel traffic addressed

@@ -9,6 +9,7 @@ import (
 	"hbh/internal/clock"
 	"hbh/internal/eventsim"
 	"hbh/internal/netsim"
+	"hbh/internal/obs"
 	"hbh/internal/packet"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
@@ -59,10 +60,10 @@ func TestReceiverJoinRefreshLeaveRejoin(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			w := newWorld()
 			cfg := DefaultConfig()
-			var joins []*packet.Join
+			var joins []packet.Join // copies: a tap sees a message only for the call
 			w.net.AddTap(func(from, _ topology.NodeID, msg packet.Message) {
 				if j, ok := msg.(*packet.Join); ok && from == w.host {
-					joins = append(joins, j)
+					joins = append(joins, *j)
 				}
 			})
 			r := AttachReceiver(w.net.Node(w.host), w.ch, cfg, p.proto, p.flagFirst)
@@ -96,6 +97,28 @@ func TestReceiverJoinRefreshLeaveRejoin(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSendControlZeroAlloc: a join and a tree built in the sender's
+// reused values (SendJoin, SendTree) and carried across the simulated
+// network to their destination allocate nothing: the transport copies
+// each into the envelope it recycles.
+func TestSendControlZeroAlloc(t *testing.T) {
+	w := newWorld()
+	host, src := w.net.Node(w.host), w.net.Node(w.src)
+	var out packet.Control
+	if n := testing.AllocsPerRun(100, func() {
+		SendJoin(host, &out.Join, obs.Causal{}, packet.ProtoHBH, w.ch, false)
+		SendTree(src, &out.Tree, obs.Causal{}, packet.ProtoHBH, w.ch, host.Addr(), false, "refresh")
+		if err := w.sim.RunAll(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a join and a tree cost %v allocations end to end", n)
+	}
+	if st := w.net.Stats(); st.Delivered != 2*101 {
+		t.Errorf("%d deliveries, want every join and tree delivered", st.Delivered)
 	}
 }
 
@@ -177,10 +200,10 @@ func TestMFTOrderAndIndex(t *testing.T) {
 			t.Fatalf("entry %d = %v, want %v", i, e.Node, addrs[i])
 		}
 	}
-	nodes := mft.Nodes()
+	nodes := mft.AppendNodes(nil)
 	for i, a := range addrs {
 		if nodes[i] != a {
-			t.Fatalf("Nodes()[%d] = %v, want %v", i, nodes[i], a)
+			t.Fatalf("AppendNodes(nil)[%d] = %v, want %v", i, nodes[i], a)
 		}
 	}
 	if mft.Get(20) == nil || mft.Get(99) != nil {

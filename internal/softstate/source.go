@@ -40,9 +40,10 @@ type Source struct {
 	observer ChangeObserver
 	nextSeq  uint32
 	rules    SourceRules
-	// data is the one packet every copy of a SendData is sent from (the
-	// transport copies a data packet at send).
+	// data is the one packet every copy of a SendData is sent from, and
+	// tree the one every refresh is (the transport copies what it sends).
 	data packet.Data
+	tree packet.Tree
 }
 
 // AttachSource creates the channel <n.Addr(), group> rooted at host n,
@@ -108,6 +109,12 @@ func (s *Source) AddEntry(c obs.Causal, node addr.Addr) *Entry {
 	s.Observe(ChangeMFTAdd, node)
 	e.Cause = s.node.Emit(c, obs.Event{Kind: obs.KindTableAdd, Channel: s.ch, Peer: node, Detail: "mft"})
 	return e
+}
+
+// SendTree sends tree(S, target) from the source as an effect of c (see
+// the package function SendTree).
+func (s *Source) SendTree(c obs.Causal, proto packet.Protocol, target addr.Addr, marked bool, detail string) {
+	SendTree(s.node, &s.tree, c, proto, s.ch, target, marked, detail)
 }
 
 // SendData originates one multicast payload over the recursive unicast

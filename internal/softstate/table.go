@@ -118,15 +118,15 @@ func (t *MFT) Entries() []*Entry { return t.entries }
 // and after an iteration prove the entry set did not change under it.
 func (t *MFT) Version() uint64 { return t.version }
 
-// Nodes returns the entry addresses in insertion order. Used to build
-// fusion messages ("the fusion messages produced by B contain all the
-// nodes that B maintains in its MFT").
-func (t *MFT) Nodes() []addr.Addr {
-	out := make([]addr.Addr, len(t.entries))
-	for i, e := range t.entries {
-		out[i] = e.Node
+// AppendNodes appends the entry addresses, in insertion order, to dst
+// and returns the extended slice. Used to build fusion messages ("the
+// fusion messages produced by B contain all the nodes that B maintains
+// in its MFT") in a slice the sender reuses.
+func (t *MFT) AppendNodes(dst []addr.Addr) []addr.Addr {
+	for _, e := range t.entries {
+		dst = append(dst, e.Node)
 	}
-	return out
+	return dst
 }
 
 // Destroy cancels every timer and empties the table.

@@ -10,13 +10,14 @@ import (
 // SendJoin unicasts join(S, n) from n toward the channel source, as an
 // effect of c: the subscription refresh receivers, branching routers and
 // leaf agents all emit. first sets packet.FlagFirst (HBH's
-// never-intercepted join).
-func SendJoin(n netsim.ProtoNode, c obs.Causal, proto packet.Protocol, ch addr.Channel, first bool) {
+// never-intercepted join). The message is built in out, the sender's
+// scratch: Send copies it, so one value serves every join n sends.
+func SendJoin(n netsim.ProtoNode, out *packet.Join, c obs.Causal, proto packet.Protocol, ch addr.Channel, first bool) {
 	var flags uint8
 	if first {
 		flags = packet.FlagFirst
 	}
-	n.Send(c, &packet.Join{
+	*out = packet.Join{
 		Header: packet.Header{
 			Proto:   proto,
 			Type:    packet.TypeJoin,
@@ -26,21 +27,23 @@ func SendJoin(n netsim.ProtoNode, c obs.Causal, proto packet.Protocol, ch addr.C
 			Dst:     ch.S,
 		},
 		R: n.Addr(),
-	})
+	}
+	n.Send(c, out)
 }
 
 // SendTree unicasts tree(S, target) from n, the downstream refresh the
 // source emits and branching routers regenerate. Its tree-send event is
 // an effect of c and the cause of the message, so the message and
 // everything it triggers chain to it. marked sets packet.FlagMarked
-// (REUNITE's teardown announcement for a stale entry).
-func SendTree(n netsim.ProtoNode, c obs.Causal, proto packet.Protocol, ch addr.Channel, target addr.Addr, marked bool, detail string) {
+// (REUNITE's teardown announcement for a stale entry). The message is
+// built in out, as by SendJoin.
+func SendTree(n netsim.ProtoNode, out *packet.Tree, c obs.Causal, proto packet.Protocol, ch addr.Channel, target addr.Addr, marked bool, detail string) {
 	var flags uint8
 	if marked {
 		flags = packet.FlagMarked
 	}
 	c = n.Emit(c, obs.Event{Kind: obs.KindTreeSend, Channel: ch, Peer: target, Detail: detail})
-	n.Send(c, &packet.Tree{
+	*out = packet.Tree{
 		Header: packet.Header{
 			Proto:   proto,
 			Type:    packet.TypeTree,
@@ -50,5 +53,6 @@ func SendTree(n netsim.ProtoNode, c obs.Causal, proto packet.Protocol, ch addr.C
 			Dst:     target,
 		},
 		R: target,
-	})
+	}
+	n.Send(c, out)
 }
