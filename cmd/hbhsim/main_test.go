@@ -95,76 +95,52 @@ func goldenCompare(t *testing.T, golden, got string) {
 	}
 }
 
-// The quick goldens: each table must be bit-identical run to run (the
-// simulation is seed-deterministic) and across observability changes
-// (the obs layer must not perturb results with tracing off).
-func TestGoldenFigure7aQuick(t *testing.T) {
-	stdout, _, code := runMain(t, "-figure", "7a", "-runs", "3")
-	if code != 0 {
-		t.Fatalf("exit code %d, want 0", code)
-	}
-	goldenCompare(t, "figure7a_runs3.txt", stdout)
-}
+// TestGoldenQuick pins every figure's table at a tiny run count. Each
+// table must be bit-identical run to run (the simulation is
+// seed-deterministic), across observability changes (the obs layer must
+// not perturb results with tracing off) and at any -workers value (each
+// grid folds its runs in one fixed order), so every row also runs
+// single-threaded against the same golden.
+func TestGoldenQuick(t *testing.T) {
+	mc := []string{"-mc-channels", "12,36", "-mc-routers", "40"}
+	for _, c := range []struct {
+		figure, golden string
+		args           []string
+	}{
+		{"7a", "figure7a_runs3.txt", nil},
+		{"8a", "figure8a_runs3.txt", nil},
+		{"paper", "paper_runs3.txt", nil},
+		{"stability", "stability_runs3.txt", nil},
+		{"ablation-fusion", "a1_ablation_runs3.txt", nil},
+		{"unicast-clouds", "a2_clouds_runs3.txt", nil},
+		{"asymmetry-sweep", "a3_asym_runs3.txt", nil},
+		{"forwarding-state", "a4_state_runs3.txt", nil},
+		{"control-overhead", "a5_overhead_runs3.txt", nil},
+		{"loss-robustness", "a6_loss_runs3.txt", nil},
+		{"qos", "a7_qos_runs3.txt", nil},
+		{"cross-topo", "a8_crosstopo_runs3.txt", nil},
+		{"delay-tail", "a9_delaytail_runs3.txt", nil},
+		{"failure-recovery", "failure_runs3.txt", nil},
+		{"convergence", "convergence_runs3.txt", nil},
+		{"robustness", "robustness_runs3.txt", nil},
+		{"manychannel", "manychannel_quick.txt", mc},
+	} {
+		t.Run(c.figure, func(t *testing.T) {
+			args := append([]string{"-figure", c.figure, "-runs", "3"}, c.args...)
+			stdout, _, code := runMain(t, args...)
+			if code != 0 {
+				t.Fatalf("exit code %d, want 0", code)
+			}
+			goldenCompare(t, c.golden, stdout)
 
-func TestGoldenFigure8aQuick(t *testing.T) {
-	stdout, _, code := runMain(t, "-figure", "8a", "-runs", "3")
-	if code != 0 {
-		t.Fatalf("exit code %d, want 0", code)
-	}
-	goldenCompare(t, "figure8a_runs3.txt", stdout)
-}
-
-func TestGoldenStabilityQuick(t *testing.T) {
-	stdout, _, code := runMain(t, "-figure", "stability", "-runs", "3")
-	if code != 0 {
-		t.Fatalf("exit code %d, want 0", code)
-	}
-	goldenCompare(t, "stability_runs3.txt", stdout)
-}
-
-func TestGoldenConvergenceQuick(t *testing.T) {
-	stdout, _, code := runMain(t, "-figure", "convergence", "-runs", "3")
-	if code != 0 {
-		t.Fatalf("exit code %d, want 0", code)
-	}
-	goldenCompare(t, "convergence_runs3.txt", stdout)
-}
-
-func TestGoldenFailureRecoveryQuick(t *testing.T) {
-	stdout, _, code := runMain(t, "-figure", "failure-recovery", "-runs", "3")
-	if code != 0 {
-		t.Fatalf("exit code %d, want 0", code)
-	}
-	goldenCompare(t, "failure_runs3.txt", stdout)
-}
-
-func TestGoldenRobustnessQuick(t *testing.T) {
-	stdout, _, code := runMain(t, "-figure", "robustness", "-runs", "3")
-	if code != 0 {
-		t.Fatalf("exit code %d, want 0", code)
-	}
-	goldenCompare(t, "robustness_runs3.txt", stdout)
-}
-
-// TestGoldenManyChannelQuick pins the A14 sweep at toy tiers. The
-// table must be byte-identical at any -workers value (the sharded
-// executor's determinism contract), so the golden also guards the
-// worker-count independence the A14 methodology claims.
-func TestGoldenManyChannelQuick(t *testing.T) {
-	stdout, _, code := runMain(t, "-figure", "manychannel",
-		"-mc-channels", "12,36", "-mc-routers", "40")
-	if code != 0 {
-		t.Fatalf("exit code %d, want 0", code)
-	}
-	goldenCompare(t, "manychannel_quick.txt", stdout)
-
-	serial, _, code := runMain(t, "-figure", "manychannel",
-		"-mc-channels", "12,36", "-mc-routers", "40", "-workers", "1")
-	if code != 0 {
-		t.Fatalf("serial exit code %d, want 0", code)
-	}
-	if serial != stdout {
-		t.Errorf("-workers 1 output differs from default worker count")
+			serial, _, code := runMain(t, append(args, "-workers", "1")...)
+			if code != 0 {
+				t.Fatalf("-workers 1: exit code %d, want 0", code)
+			}
+			if serial != stdout {
+				t.Errorf("-workers 1 output differs from the default worker count")
+			}
+		})
 	}
 }
 
