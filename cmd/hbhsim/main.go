@@ -6,16 +6,20 @@
 // Usage:
 //
 //	hbhsim -figure 7a              # one figure, text table
-//	hbhsim -figure all -runs 500   # the full paper evaluation
+//	hbhsim -figure all -runs 500   # every figure but the two scale sweeps
 //	hbhsim -figure 8b -csv         # CSV series for plotting
 //
-// Figures: 7a 7b 8a 8b (paper), stability (Fig. 4 departure study),
-// ablation-fusion (A1), unicast-clouds (A2), asymmetry-sweep (A3),
-// failure-recovery (A10, fault script selected with -faults),
-// robustness (A12 churn x control-loss envelope), scale (A13 routing
-// substrate ladder), manychannel (A14 heavy-traffic sweep: aggregate
-// state and control cost vs concurrent channel count, sharded across
-// -workers), paper (7a+7b+8a+8b sharing runs), all (everything).
+// Figures: 7a 7b 8a 8b (paper), paper (7a+8a+7b+8b sharing runs),
+// stability (Fig. 4 departure study), ablation-fusion (A1),
+// unicast-clouds (A2), asymmetry-sweep (A3), forwarding-state (A4),
+// control-overhead (A5), loss-robustness (A6), qos (A7), cross-topo
+// (A8), delay-tail (A9), failure-recovery (A10, fault script selected
+// with -faults), convergence (A11), robustness (A12 churn x
+// control-loss envelope), scale (A13 routing substrate ladder),
+// manychannel (A14 heavy-traffic sweep: aggregate state and control
+// cost vs concurrent channel count), all (every figure but scale and
+// manychannel). Every sweep runs on -workers goroutines and prints the
+// same table at any worker count.
 //
 // Adversarial fuzzing mode (replaces the figure sweep):
 //
@@ -48,8 +52,15 @@ import (
 )
 
 func main() {
+	var names, costly []string
+	for _, f := range figures {
+		names = append(names, f.name)
+		if f.costly {
+			costly = append(costly, f.name)
+		}
+	}
 	var (
-		figure  = flag.String("figure", "paper", "which figure to regenerate: 7a, 7b, 8a, 8b, paper, stability, ablation-fusion, unicast-clouds, asymmetry-sweep, forwarding-state, control-overhead, loss-robustness, qos, cross-topo, delay-tail, failure-recovery, convergence, robustness, scale, manychannel, all")
+		figure  = flag.String("figure", "paper", fmt.Sprintf("which figure to regenerate: %s, or all (every figure but %s)", strings.Join(names, ", "), strings.Join(costly, " and ")))
 		runs    = flag.Int("runs", 500, "simulation runs per data point (the paper uses 500)")
 		seed    = flag.Int64("seed", 1, "base RNG seed")
 		csv     = flag.Bool("csv", false, "emit CSV instead of text tables")
@@ -134,89 +145,116 @@ func main() {
 	}
 
 	start := time.Now()
-	var figs []*experiment.Figure
-	var extra []string
-
-	emitPaper := func(topo experiment.Topo) {
-		cost, delay := experiment.PaperFigures(topo, *runs, *seed)
-		figs = append(figs, cost, delay)
+	o := options{
+		runs: *runs, seed: *seed, csv: *csv, faults: experiment.FaultScenario(*faultsF),
+		scaleSizes: *scaleSizes, scaleSources: *scaleSources,
+		mcChannels: *mcChannels, mcRouters: *mcRouters,
 	}
-
-	switch strings.ToLower(*figure) {
-	case "7a":
-		figs = append(figs, experiment.Figure7a(*runs, *seed))
-	case "7b":
-		figs = append(figs, experiment.Figure7b(*runs, *seed))
-	case "8a":
-		figs = append(figs, experiment.Figure8a(*runs, *seed))
-	case "8b":
-		figs = append(figs, experiment.Figure8b(*runs, *seed))
-	case "paper":
-		emitPaper(experiment.TopoISP)
-		emitPaper(experiment.TopoRandom50)
-	case "stability":
-		extra = append(extra, stability(*runs, *seed))
-	case "ablation-fusion":
-		figs = append(figs, experiment.AblationFusion(*runs, *seed))
-	case "unicast-clouds":
-		figs = append(figs, experiment.UnicastClouds(*runs, *seed))
-	case "asymmetry-sweep":
-		figs = append(figs, experiment.AsymmetrySweep(*runs, *seed))
-	case "forwarding-state":
-		figs = append(figs, experiment.ForwardingState(*runs, *seed))
-	case "control-overhead":
-		figs = append(figs, experiment.ControlOverhead(*runs, *seed))
-	case "loss-robustness":
-		figs = append(figs, experiment.LossRobustness(*runs, *seed))
-	case "qos":
-		figs = append(figs, experiment.QoSRouting(*runs, *seed))
-	case "cross-topo":
-		c, d := experiment.CrossTopology(*runs, *seed)
-		figs = append(figs, c, d)
-	case "delay-tail":
-		extra = append(extra, experiment.DelayTail(*runs, *seed).FormatTable())
-	case "failure-recovery":
-		extra = append(extra, failure(*runs, *seed, experiment.FaultScenario(*faultsF)))
-	case "convergence":
-		extra = append(extra, convergence(*runs, *seed))
-	case "robustness":
-		extra = append(extra, robustness(*runs, *seed))
-	case "scale":
-		extra = append(extra, scale(*scaleSizes, *scaleSources, *seed))
-	case "manychannel":
-		extra = append(extra, manychannel(*mcChannels, *mcRouters, *seed))
-	case "all":
-		emitPaper(experiment.TopoISP)
-		emitPaper(experiment.TopoRandom50)
-		figs = append(figs,
-			experiment.AblationFusion(*runs, *seed),
-			experiment.UnicastClouds(*runs, *seed),
-			experiment.AsymmetrySweep(*runs, *seed),
-			experiment.ForwardingState(*runs, *seed),
-			experiment.ControlOverhead(*runs, *seed),
-			experiment.LossRobustness(*runs, *seed),
-			experiment.QoSRouting(*runs, *seed))
-		extra = append(extra, stability(*runs, *seed),
-			failure(*runs, *seed, experiment.FaultScenario(*faultsF)),
-			convergence(*runs, *seed),
-			robustness(*runs, *seed))
-	default:
+	name := strings.ToLower(*figure)
+	found := false
+	for _, f := range figures {
+		if f.name == name || name == "all" && f.partOf == "" && !f.costly {
+			fmt.Print(f.run(o))
+			found = true
+		}
+	}
+	if !found {
 		fmt.Fprintf(os.Stderr, "hbhsim: unknown figure %q\n", *figure)
 		flag.Usage()
 		os.Exit(2)
 	}
+	fmt.Fprintf(os.Stderr, "hbhsim: done in %v\n", time.Since(start).Round(time.Millisecond))
+}
 
+// options are the flags the figures read.
+type options struct {
+	runs         int
+	seed         int64
+	csv          bool
+	faults       experiment.FaultScenario
+	scaleSizes   string
+	scaleSources int
+	mcChannels   string
+	mcRouters    int
+}
+
+// print renders figures as text tables, or as CSV under -csv.
+func (o options) print(figs ...*experiment.Figure) string {
+	var b strings.Builder
 	for _, f := range figs {
-		if *csv {
-			fmt.Printf("# Figure %s — %s\n%s\n", f.ID, f.Title, f.FormatCSV())
+		if o.csv {
+			fmt.Fprintf(&b, "# Figure %s — %s\n%s\n", f.ID, f.Title, f.FormatCSV())
 		} else {
-			fmt.Println(f.FormatTable())
+			b.WriteString(f.FormatTable() + "\n")
 		}
 	}
-	for _, s := range extra {
-		fmt.Println(s)
-	}
-	fmt.Fprintf(os.Stderr, "hbhsim: done in %v\n", time.Since(start).Round(time.Millisecond))
+	return b.String()
+}
+
+// figure is one -figure name and the output it prints.
+type figure struct {
+	name string
+	// partOf names the figure that prints this one among others, which
+	// is where -figure all and results/ print it.
+	partOf string
+	// costly marks a figure -figure all leaves out; its entry says why.
+	costly bool
+	run    func(o options) string
+}
+
+// figures lists every figure in the order -figure all prints them.
+// It is the one list -figure, its help text, -figure all and the
+// results/ regeneration test read, so a new figure cannot be left out
+// of any of them.
+var figures = []figure{
+	{name: "7a", partOf: "paper", run: func(o options) string { return o.print(experiment.Figure7a(o.runs, o.seed)) }},
+	{name: "7b", partOf: "paper", run: func(o options) string { return o.print(experiment.Figure7b(o.runs, o.seed)) }},
+	{name: "8a", partOf: "paper", run: func(o options) string { return o.print(experiment.Figure8a(o.runs, o.seed)) }},
+	{name: "8b", partOf: "paper", run: func(o options) string { return o.print(experiment.Figure8b(o.runs, o.seed)) }},
+	{name: "paper", run: func(o options) string {
+		return o.print(experiment.PaperFigures(experiment.TopoISP, o.runs, o.seed)) +
+			o.print(experiment.PaperFigures(experiment.TopoRandom50, o.runs, o.seed))
+	}},
+	{name: "stability", run: func(o options) string {
+		var b strings.Builder
+		for _, topo := range []experiment.Topo{experiment.TopoISP, experiment.TopoRandom50} {
+			res := experiment.StabilityExperiment(experiment.StabilityConfig{
+				Topo: topo, Receivers: 8, Runs: o.runs, Seed: o.seed,
+			})
+			b.WriteString(res.FormatTable() + "\n")
+		}
+		return b.String() + "\n"
+	}},
+	{name: "ablation-fusion", run: func(o options) string { return o.print(experiment.AblationFusion(o.runs, o.seed)) }},
+	{name: "unicast-clouds", run: func(o options) string { return o.print(experiment.UnicastClouds(o.runs, o.seed)) }},
+	{name: "asymmetry-sweep", run: func(o options) string { return o.print(experiment.AsymmetrySweep(o.runs, o.seed)) }},
+	{name: "forwarding-state", run: func(o options) string { return o.print(experiment.ForwardingState(o.runs, o.seed)) }},
+	{name: "control-overhead", run: func(o options) string { return o.print(experiment.ControlOverhead(o.runs, o.seed)) }},
+	{name: "loss-robustness", run: func(o options) string { return o.print(experiment.LossRobustness(o.runs, o.seed)) }},
+	{name: "qos", run: func(o options) string { return o.print(experiment.QoSRouting(o.runs, o.seed)) }},
+	{name: "cross-topo", run: func(o options) string { return o.print(experiment.CrossTopology(o.runs, o.seed)) }},
+	{name: "delay-tail", run: func(o options) string { return experiment.DelayTail(o.runs, o.seed).FormatTable() + "\n" }},
+	{name: "failure-recovery", run: func(o options) string { return failure(o.runs, o.seed, o.faults) + "\n" }},
+	{name: "convergence", run: func(o options) string {
+		return experiment.ConvergenceExperiment(experiment.ConvergenceConfig{
+			Receivers: 8, Runs: o.runs, Seed: o.seed,
+		}).FormatTable() + "\n"
+	}},
+	{name: "robustness", run: func(o options) string {
+		return experiment.RobustnessExperiment(experiment.RobustnessConfig{
+			Receivers: 8, Runs: o.runs, Seed: o.seed,
+		}).FormatTable() + "\n"
+	}},
+	// Its gen/route/heap columns are wall clock and memory, and its
+	// 50k-router row takes a GiB of heap: not a table to rerun in bulk.
+	{name: "scale", costly: true, run: func(o options) string {
+		return scale(o.scaleSizes, o.scaleSources, o.seed) + "\n"
+	}},
+	// Its default ladder ends at 10000 concurrent channels, and it sizes
+	// itself with -mc-channels, not -runs.
+	{name: "manychannel", costly: true, run: func(o options) string {
+		return manychannel(o.mcChannels, o.mcRouters, o.seed) + "\n"
+	}},
 }
 
 // tracedOptions carries the single-run observability flags.
@@ -336,20 +374,6 @@ func failure(runs int, seed int64, scenario experiment.FaultScenario) string {
 	return res.FormatTable()
 }
 
-func convergence(runs int, seed int64) string {
-	res := experiment.ConvergenceExperiment(experiment.ConvergenceConfig{
-		Receivers: 8, Runs: runs, Seed: seed,
-	})
-	return res.FormatTable()
-}
-
-func robustness(runs int, seed int64) string {
-	res := experiment.RobustnessExperiment(experiment.RobustnessConfig{
-		Receivers: 8, Runs: runs, Seed: seed,
-	})
-	return res.FormatTable()
-}
-
 // manychannel runs the A14 heavy-traffic sweep. tiers is the
 // -mc-channels CSV ("100,1000"); empty keeps the default
 // 100/1000/10000 ladder. The worker count comes from -workers via
@@ -455,16 +479,4 @@ func runFuzzReplay(path string) {
 		fmt.Println("  " + v.String())
 	}
 	os.Exit(1)
-}
-
-func stability(runs int, seed int64) string {
-	var b strings.Builder
-	for _, topo := range []experiment.Topo{experiment.TopoISP, experiment.TopoRandom50} {
-		res := experiment.StabilityExperiment(experiment.StabilityConfig{
-			Topo: topo, Receivers: 8, Runs: runs, Seed: seed,
-		})
-		b.WriteString(res.FormatTable())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -20,8 +20,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestMain(m *testing.M) {
@@ -142,6 +145,68 @@ func TestGoldenQuick(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestResultsRegenerate reruns every command in results/README.md and
+// requires the committed table byte for byte, masking only a13's
+// wall-clock and heap columns, and requires a committed table for every
+// figure. It takes over an hour (a14's 10000-channel tier) and, for the
+// 50k-router scale row, a GiB of heap, so it runs only with
+// HBH_RESULTS_FENCE=1.
+func TestResultsRegenerate(t *testing.T) {
+	if os.Getenv("HBH_RESULTS_FENCE") != "1" {
+		t.Skip("set HBH_RESULTS_FENCE=1 to regenerate every committed table")
+	}
+	readme, err := os.ReadFile(filepath.Join("..", "..", "results", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := map[string]bool{}
+	row := regexp.MustCompile("(?m)^\\| ([a-z0-9_]+\\.txt) \\| `hbhsim ([^`]+)` \\|")
+	for _, m := range row.FindAllStringSubmatch(string(readme), -1) {
+		file, args := m[1], strings.Fields(m[2])
+		if i := slices.Index(args, "-figure"); i >= 0 && i+1 < len(args) {
+			committed[args[i+1]] = true
+		}
+		t.Run(file, func(t *testing.T) {
+			start := time.Now()
+			got, stderr, code := runMain(t, args...)
+			if code != 0 {
+				t.Fatalf("hbhsim %v: exit code %d (stderr: %s)", args, code, stderr)
+			}
+			want, err := os.ReadFile(filepath.Join("..", "..", "results", file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if file == "a13_scale.txt" {
+				got, want = maskScaleClocks(got), []byte(maskScaleClocks(string(want)))
+			}
+			if got != string(want) {
+				t.Errorf("hbhsim %v no longer prints results/%s:\n--- committed ---\n%s\n--- now ---\n%s", args, file, want, got)
+			}
+			t.Logf("hbhsim %v: %v", args, time.Since(start).Round(time.Millisecond))
+		})
+	}
+	for _, f := range figures {
+		if f.partOf == "" && !committed[f.name] {
+			t.Errorf("-figure %s has no committed table in results/README.md", f.name)
+		}
+	}
+}
+
+// maskScaleClocks blanks the gen, route-1k and heap columns of the A13
+// table's rows: wall clock and heap, which no run repeats.
+func maskScaleClocks(table string) string {
+	lines := strings.Split(table, "\n")
+	for i, ln := range lines {
+		f := strings.Fields(ln)
+		if len(f) != 13 || strings.Trim(f[0], "0123456789") != "" {
+			continue
+		}
+		f[3], f[4], f[11] = "-", "-", "-"
+		lines[i] = strings.Join(f, " ")
+	}
+	return strings.Join(lines, "\n")
 }
 
 // TestFuzzCLICampaign runs a tiny real campaign through the CLI: the

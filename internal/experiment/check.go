@@ -6,7 +6,6 @@ import (
 
 	"hbh/internal/addr"
 	"hbh/internal/invariant"
-	"hbh/internal/mtree"
 	"hbh/internal/topology"
 )
 
@@ -40,34 +39,6 @@ func memberAddrs(g *topology.Graph, members []topology.NodeID) []addr.Addr {
 		out = append(out, g.Node(m).Addr)
 	}
 	return out
-}
-
-// checkConverged runs the checkpoint invariants and aborts on any
-// violation. No-op when the session runs unchecked.
-//
-// The measured probe is taken at the paper's fixed settling time so
-// results stay comparable (and bit-identical with checking off), but on
-// some seeds the relay-collapse cascade is still in flight there — a
-// soft-state transient with extra copies, not a violation. The
-// invariants the paper claims are properties of the protocol's fixed
-// point, so the checker first quiesces (runs until a few refresh
-// intervals pass without any forwarding-state change) and validates a
-// separate verification probe. A protocol that never stops mutating
-// state gets checked mid-flight after the attempt cap and fails, as it
-// should.
-func (s *dynSession) checkConverged(cfg RunConfig, res *mtree.Result) {
-	if s.checker == nil {
-		return
-	}
-	last := -1
-	for i := 0; i < 64 && *s.changes != last; i++ {
-		last = *s.changes
-		converge(s.sim, s.interval, 4)
-	}
-	vres := s.Probe()
-	s.checker.CheckConverged(vres.Seq)
-	s.checker.MustClean(fmt.Sprintf("%s on %s (seed=%d receivers=%d)",
-		cfg.Protocol, cfg.Topo, cfg.Seed, cfg.Receivers))
 }
 
 // profileFor returns the invariant profile a protocol's runs are held

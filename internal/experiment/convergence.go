@@ -5,16 +5,11 @@ import (
 	"math/rand"
 	"strings"
 
-	"hbh/internal/addr"
-	"hbh/internal/core"
 	"hbh/internal/eventsim"
 	"hbh/internal/faults"
 	"hbh/internal/metrics"
-	"hbh/internal/netsim"
 	"hbh/internal/obs"
-	"hbh/internal/pim"
 	"hbh/internal/topology"
-	"hbh/internal/unicast"
 )
 
 // ConvergenceConfig parameterises the A11 convergence profile: how long
@@ -78,7 +73,7 @@ func ConvergenceExperiment(cfg ConvergenceConfig) *ConvergenceResult {
 	for _, topo := range []Topo{TopoISP, TopoRandom50} {
 		for _, asym := range []bool{false, true} {
 			for _, proto := range convergenceProtocols() {
-				cell := &convergenceCell{
+				res.Cells = append(res.Cells, &convergenceCell{
 					Topo: topo, Asym: asym, Protocol: proto,
 					JoinTime:   &metrics.Accumulator{},
 					CtrlMsgs:   &metrics.Accumulator{},
@@ -86,97 +81,72 @@ func ConvergenceExperiment(cfg ConvergenceConfig) *ConvergenceResult {
 					CtrlBytes:  &metrics.Accumulator{},
 					ReconvTime: &metrics.Accumulator{},
 					Healed:     &metrics.Accumulator{},
-				}
-				for run := 0; run < cfg.Runs; run++ {
-					convergenceRun(cfg, cell, cfg.Seed+int64(run)*6101)
-				}
-				res.Cells = append(res.Cells, cell)
+				})
 			}
 		}
 	}
+	grid(DefaultWorkers, len(res.Cells), cfg.Runs, func(ci, run, _ int) func() {
+		return convergenceRun(cfg, res.Cells[ci], cfg.Seed+int64(run)*6101)
+	})
 	return res
 }
 
-// convergenceRun executes one profiled run and folds it into the cell.
-// The cost model mirrors Run(): the paper's independent per-direction
-// draw for the asymmetric rows, PerturbCosts with zero spread (equal
-// directions) for the symmetric ones.
-func convergenceRun(cfg ConvergenceConfig, cell *convergenceCell, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	g := BaseGraph(cell.Topo).Clone()
-	if cell.Asym {
-		g.RandomizeCosts(rng, 1, 10)
-	} else {
-		g.PerturbCosts(rng, 1, 10, 0)
+// convergenceRun executes one profiled run and returns the fold that
+// adds it to the cell. The cost model mirrors Run(): the paper's
+// independent per-direction draw for the asymmetric rows, PerturbCosts
+// with zero spread (equal directions) for the symmetric ones.
+func convergenceRun(cfg ConvergenceConfig, cell *convergenceCell, seed int64) func() {
+	costs := paperCosts
+	if !cell.Asym {
+		costs = func(g *topology.Graph, rng *rand.Rand) { g.PerturbCosts(rng, 1, 10, 0) }
 	}
-	routing := unicast.Compute(g)
-	sourceHost := sourceHostOf(g)
-	memberHosts := sampleReceivers(g, rng, sourceHost, cfg.Receivers)
-	ch := addr.Channel{S: g.Node(sourceHost).Addr, G: addr.GroupAddr(0)}
-
+	p := drawPoint(cell.Topo, seed, cfg.Receivers, costs)
 	o := obs.New(nil) // the network binds its own clock
 	tr := o.EnableConvergence()
-
-	if cell.Protocol == PIMSM || cell.Protocol == PIMSS {
-		sim := eventsim.New()
-		net := netsim.New(sim, g, routing)
-		net.SetObserver(o)
-		mode := pim.SS
-		if cell.Protocol == PIMSM {
-			mode = pim.SM
-		}
-		pim.Build(net, mode, sourceHost, addr.GroupAddr(0), memberHosts, topology.None)
-		// The tree is installed centrally before the clock moves: the
-		// detector confirms quiescence after the settle window, and the
-		// join phase reports the install time (zero) at zero control
-		// cost — the baseline the soft-state cascades are compared to.
-		interval := core.DefaultConfig().TreeInterval
-		joinAt, used, _ := convergeMeasured(sim, tr, ch, interval, defaultConvergeIntervals)
-		cc := tr.Channel(ch)
-		cell.JoinTime.Add(float64(joinAt))
-		cell.CtrlMsgs.Add(float64(cc.CtrlSends))
-		cell.CtrlHops.Add(float64(cc.CtrlHops))
-		cell.CtrlBytes.Add(float64(cc.CtrlBytes))
-		if used >= defaultConvergeIntervals {
-			cell.Capped++
-		}
-		return
-	}
-
-	rcfg := RunConfig{
+	s := p.session(RunConfig{
 		Topo: cell.Topo, Protocol: cell.Protocol,
 		Receivers: cfg.Receivers, Seed: seed, Obs: o,
-	}
-	s := setupDyn(rcfg, g, routing, sourceHost, memberHosts, rng)
-	joinAt, used, _ := convergeMeasured(s.sim, tr, ch, s.interval, defaultConvergeIntervals)
-	cc := tr.Channel(ch)
-	cell.JoinTime.Add(float64(joinAt))
-	cell.CtrlMsgs.Add(float64(cc.CtrlSends))
-	cell.CtrlHops.Add(float64(cc.CtrlHops))
-	cell.CtrlBytes.Add(float64(cc.CtrlBytes))
-	if used >= defaultConvergeIntervals {
-		cell.Capped++
-	}
+	})
+	// PIM's tree is installed centrally before the clock moves: the
+	// detector confirms quiescence after the settle window, and the
+	// join phase reports the install time (zero) at zero control cost —
+	// the baseline the soft-state cascades are compared to.
+	joinAt, used, _ := convergeMeasured(s.sim, tr, s.ch, s.interval, defaultConvergeIntervals)
+	join := tr.Channel(s.ch)
 
-	// Fault phase: cut a link the converged tree is actually using
-	// (preferring one whose loss keeps the graph connected, so the
-	// cascade CAN heal around it) and measure to re-quiescence.
-	pre := s.ProbeSettled()
-	cut := pickCutLink(g, pre, sourceHost, memberHosts)
-	tCut := s.sim.Now() + 10
-	plan := faults.NewPlan().LinkDown(tCut, cut[0], cut[1])
-	faults.NewInjector(s.net, plan).Schedule()
-	reconvAt, _, healed := convergeMeasured(s.sim, tr, ch, s.interval, defaultConvergeIntervals)
-	cell.Healed.Add(b2f(healed))
-	if healed {
+	// Fault phase, soft-state cascades only: cut a link the converged
+	// tree is actually using (preferring one whose loss keeps the graph
+	// connected, so the cascade CAN heal around it) and measure to
+	// re-quiescence.
+	cascade := s.tree == nil
+	var reconv float64
+	var healed bool
+	if cascade {
+		pre := s.probeSettled()
+		cut := pickCutLink(p.Graph, pre, p.source, p.members)
+		tCut := s.sim.Now() + 10
+		faults.NewInjector(s.net, faults.NewPlan().LinkDown(tCut, cut[0], cut[1])).Schedule()
+		var reconvAt eventsim.Time
+		reconvAt, _, healed = convergeMeasured(s.sim, tr, s.ch, s.interval, defaultConvergeIntervals)
 		// A cut that missed every live branch (the soft state already
 		// rerouted during the probe retries) mutates nothing; report
 		// zero repair time rather than the stale join timestamp.
-		d := float64(reconvAt) - float64(tCut)
-		if d < 0 {
-			d = 0
+		reconv = max(0, float64(reconvAt)-float64(tCut))
+	}
+	return func() {
+		cell.JoinTime.Add(float64(joinAt))
+		cell.CtrlMsgs.Add(float64(join.CtrlSends))
+		cell.CtrlHops.Add(float64(join.CtrlHops))
+		cell.CtrlBytes.Add(float64(join.CtrlBytes))
+		if used >= defaultConvergeIntervals {
+			cell.Capped++
 		}
-		cell.ReconvTime.Add(d)
+		if cascade {
+			cell.Healed.Add(b2f(healed))
+			if healed {
+				cell.ReconvTime.Add(reconv)
+			}
+		}
 	}
 }
 

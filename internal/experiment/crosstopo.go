@@ -1,7 +1,5 @@
 package experiment
 
-import "hbh/internal/metrics"
-
 // CrossTopology runs the A8 robustness check: the four protocols at a
 // fixed group size (8 receivers) across four different backbones — the
 // paper's two topologies plus the classic NSFNET and Abilene research
@@ -13,31 +11,11 @@ import "hbh/internal/metrics"
 // 3=random50.
 func CrossTopology(runs int, seed int64) (cost, delay *Figure) {
 	topos := []Topo{TopoISP, TopoNSFNET, TopoAbilene, TopoRandom50}
-	xs := []int{0, 1, 2, 3}
 	title := "protocols at 8 receivers across backbones (0=isp 1=nsfnet 2=abilene 3=random50)"
-
-	cost = &Figure{ID: "A8-cost", Title: "Cross-topology tree cost: " + title,
-		XLabel: "Topology", YLabel: string(MetricCost), Runs: runs}
-	delay = &Figure{ID: "A8-delay", Title: "Cross-topology receiver delay: " + title,
-		XLabel: "Topology", YLabel: string(MetricDelay), Runs: runs}
-	for _, p := range AllPaperProtocols() {
-		cost.Series = append(cost.Series, metrics.NewSeries(string(p), xs))
-		delay.Series = append(delay.Series, metrics.NewSeries(string(p), xs))
-	}
-
-	for ti, topo := range topos {
-		for run := 0; run < runs; run++ {
-			s := seed + int64(ti)*1_000_003 + int64(run)*7919
-			for pi, p := range AllPaperProtocols() {
-				res := Run(RunConfig{Topo: topo, Protocol: p, Receivers: 8, Seed: s})
-				if res.Missing > 0 {
-					cost.BadRuns++
-					delay.BadRuns++
-				}
-				cost.Series[pi].At(ti).Add(float64(res.Cost))
-				delay.Series[pi].At(ti).Add(res.MeanDelay)
-			}
-		}
-	}
+	cost, delay = sweep([]int{0, 1, 2, 3}, AllPaperProtocols(), runs, seed, func(xi int, rc *RunConfig) {
+		rc.Topo, rc.Receivers = topos[xi], 8
+	})
+	cost.ID, cost.Title, cost.XLabel = "A8-cost", "Cross-topology tree cost: "+title, "Topology"
+	delay.ID, delay.Title, delay.XLabel = "A8-delay", "Cross-topology receiver delay: "+title, "Topology"
 	return cost, delay
 }

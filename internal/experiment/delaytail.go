@@ -5,14 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
-	"hbh/internal/addr"
-	"hbh/internal/eventsim"
 	"hbh/internal/metrics"
-	"hbh/internal/mtree"
-	"hbh/internal/netsim"
-	"hbh/internal/pim"
-	"hbh/internal/topology"
-	"hbh/internal/unicast"
 )
 
 // DelayTailResult holds per-protocol delay distributions for the A9
@@ -30,50 +23,32 @@ type DelayTailResult struct {
 // on a branch penalises every member behind it. HBH's delays are the
 // unicast shortest paths, so its tail is exactly the substrate's.
 func DelayTail(runs int, seed int64) *DelayTailResult {
-	res := &DelayTailResult{
-		Runs:  runs,
-		Names: []string{"PIM-SM", "PIM-SS", "REUNITE", "HBH"},
-		Dists: make(map[string]*metrics.Distribution),
+	protos := AllPaperProtocols()
+	res := &DelayTailResult{Runs: runs, Dists: make(map[string]*metrics.Distribution)}
+	for _, p := range protos {
+		res.Names = append(res.Names, string(p))
+		res.Dists[string(p)] = metrics.NewDistribution(20000)
 	}
-	for _, n := range res.Names {
-		res.Dists[n] = metrics.NewDistribution(20000)
-	}
-
-	for run := 0; run < runs; run++ {
+	grid(DefaultWorkers, 1, runs, func(_, run, _ int) func() {
 		s := seed + int64(run)*7919
-		rng := rand.New(rand.NewSource(s))
-		g := BaseGraph(TopoISP).Clone()
-		g.RandomizeCosts(rng, 1, 10)
-		routing := unicast.Compute(g)
-		sourceHost := sourceHostOf(g)
-		members := sampleReceivers(g, rng, sourceHost, 8)
-
-		// Dynamic protocols.
-		for _, p := range []Protocol{REUNITE, HBH} {
-			prng := rand.New(rand.NewSource(s))
-			sess := setupDyn(RunConfig{Topo: TopoISP, Protocol: p, Receivers: 8, Seed: s},
-				g, routing, sourceHost, members, prng)
-			converge(sess.sim, sess.interval, defaultConvergeIntervals)
-			pr := sess.ProbeSettled()
-			for _, d := range pr.Delays {
-				res.Dists[string(p)].Add(float64(d))
+		p := drawPoint(TopoISP, s, 8, paperCosts)
+		delays := make([][]float64, len(protos))
+		for i, proto := range protos {
+			p.rng = rand.New(rand.NewSource(s))
+			sess := p.session(RunConfig{Topo: TopoISP, Protocol: proto, Receivers: 8, Seed: s})
+			sess.settle(defaultConvergeIntervals)
+			for _, d := range sess.probeSettled().Delays {
+				delays[i] = append(delays[i], float64(d))
 			}
 		}
-		// PIM baselines.
-		for _, mode := range []pim.Mode{pim.SM, pim.SS} {
-			sim := eventsim.New()
-			net := netsim.New(sim, g, routing)
-			sess := pim.Build(net, mode, sourceHost, addr.GroupAddr(0), members, topology.None)
-			ms := make([]mtree.Member, 0, len(members))
-			for _, m := range members {
-				ms = append(ms, sess.Member(m))
-			}
-			pr := mtree.Probe(net, func() uint32 { return sess.SendData(nil) }, ms)
-			for _, d := range pr.Delays {
-				res.Dists[mode.String()].Add(float64(d))
+		return func() {
+			for i, ds := range delays {
+				for _, d := range ds {
+					res.Dists[res.Names[i]].Add(d)
+				}
 			}
 		}
-	}
+	})
 	return res
 }
 

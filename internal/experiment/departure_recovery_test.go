@@ -1,11 +1,9 @@
 package experiment
 
 import (
-	"math/rand"
 	"testing"
 
 	"hbh/internal/mtree"
-	"hbh/internal/unicast"
 )
 
 // TestDepartureRecovery: the stability experiment's `disrupted` column
@@ -14,31 +12,23 @@ import (
 // is TRANSIENT: with retry probes every few intervals, every remaining
 // member is served again shortly after, for both protocols.
 func TestDepartureRecovery(t *testing.T) {
-	for _, p := range []Protocol{HBH, REUNITE} {
+	for _, proto := range []Protocol{HBH, REUNITE} {
 		recovered, total := 0, 0
 		for run := 0; run < 15; run++ {
 			seed := int64(100 + run*7919)
-			rng := rand.New(rand.NewSource(seed))
-			g := BaseGraph(TopoISP).Clone()
-			g.RandomizeCosts(rng, 1, 10)
-			routing := unicast.Compute(g)
-			sourceHost := sourceHostOf(g)
-			members := sampleReceivers(g, rng, sourceHost, 8)
-
-			rc := RunConfig{Topo: TopoISP, Protocol: p, Receivers: 8, Seed: seed}
-			s := setupDyn(rc, g, routing, sourceHost, members, rng)
-			converge(s.sim, s.interval, defaultConvergeIntervals)
-			leaver := rng.Intn(len(s.members))
-			s.leave(leaver)
-			if err := s.sim.Run(s.sim.Now() + s.settleOut); err != nil {
+			p := drawPoint(TopoISP, seed, 8, paperCosts)
+			s := p.session(RunConfig{Topo: TopoISP, Protocol: proto, Receivers: 8, Seed: seed})
+			s.settle(defaultConvergeIntervals)
+			leaver := p.rng.Intn(len(s.members))
+			s.rcvs[leaver].Leave()
+			if err := s.sim.Run(s.sim.Now() + s.departureWindow()); err != nil {
 				t.Fatal(err)
 			}
 			// Retry-probe the remaining members until served.
 			remaining := s.MembersWithout(leaver)
 			total++
 			for attempt := 0; attempt < 5; attempt++ {
-				res := probeMembers(s, remaining)
-				if len(res.Missing) == 0 {
+				if res := mtree.Probe(s.net, s.send, remaining); len(res.Missing) == 0 {
 					recovered++
 					break
 				}
@@ -48,11 +38,7 @@ func TestDepartureRecovery(t *testing.T) {
 			}
 		}
 		if recovered != total {
-			t.Errorf("%s: only %d/%d departures recovered full delivery", p, recovered, total)
+			t.Errorf("%s: only %d/%d departures recovered full delivery", proto, recovered, total)
 		}
 	}
-}
-
-func probeMembers(s *dynSession, members []mtree.Member) *mtree.Result {
-	return mtree.Probe(s.net, s.send, members)
 }

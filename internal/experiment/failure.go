@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"hbh/internal/clock"
@@ -29,11 +28,6 @@ type FailureConfig struct {
 	// Scenario selects which faults the script injects (hbhsim's
 	// -faults flag); empty means ScenarioCombined.
 	Scenario FaultScenario
-	// Obs, when non-nil, attaches the observability pipeline to every
-	// run's network. When nil, each run still attaches a private
-	// observer carrying only the convergence detector, which drives the
-	// settling phase (see convergeMeasured).
-	Obs *obs.Observer
 }
 
 // FaultScenario names a fault script of the A10 experiment.
@@ -107,54 +101,32 @@ func FailureExperiment(cfg FailureConfig) *FailureResult {
 		FinalClean:         &metrics.Accumulator{},
 		FinalShortest:      &metrics.Accumulator{},
 	}
-	for run := 0; run < cfg.Runs; run++ {
-		failureRun(cfg, cfg.Seed+int64(run)*7919, res)
-	}
+	grid(DefaultWorkers, 1, cfg.Runs, func(_, run, _ int) func() {
+		return failureRun(cfg, cfg.Seed+int64(run)*7919, res)
+	})
 	return res
 }
 
-func failureRun(cfg FailureConfig, seed int64, res *FailureResult) {
-	rng := rand.New(rand.NewSource(seed))
-	g := BaseGraph(cfg.Topo).Clone()
-	g.RandomizeCosts(rng, 1, 10)
-	routing := unicast.Compute(g)
-	sourceHost := sourceHostOf(g)
-	memberHosts := sampleReceivers(g, rng, sourceHost, cfg.Receivers)
-
-	// The convergence detector decides when the tree has settled; a run
-	// without a caller-supplied observer gets a private one carrying
-	// only the tracker. Observation consumes no randomness and schedules
-	// no events, so runs stay deterministic.
-	o := cfg.Obs
-	if o == nil {
-		o = obs.New(nil)
-	}
+// failureRun measures one scripted run and returns the fold that adds
+// it to res.
+func failureRun(cfg FailureConfig, seed int64, res *FailureResult) func() {
+	// The convergence detector decides when the tree has settled.
+	// Observation consumes no randomness and schedules no events, so
+	// runs stay deterministic.
+	o := obs.New(nil)
 	tr := o.EnableConvergence()
-	tr.Reset()
-	s := setupDyn(RunConfig{Topo: cfg.Topo, Protocol: HBH, Receivers: cfg.Receivers, Seed: seed, Obs: o},
-		g, routing, sourceHost, memberHosts, rng)
-	sim, net, src, members, chk := s.sim, s.net, s.src, s.members, s.checker
-	pcfg := s.cfg
+	p := drawPoint(cfg.Topo, seed, cfg.Receivers, paperCosts)
+	s := p.session(RunConfig{Topo: cfg.Topo, Protocol: HBH, Receivers: cfg.Receivers, Seed: seed, Obs: o})
 	// Detector-driven settling: the fixed 40-interval budget could
 	// under-wait the 50-node random topology (long fusion and expiry
 	// cascades) and always over-waited the ISP one. convergeMeasured
 	// steps until the channel is quiescent, keeping the old interval
-	// count as the hard cap; a run that exhausts even the cap without
-	// settling — the case the fixed budget silently mismeasured — is
-	// logged through the observer.
-	convAt, _, settled := convergeMeasured(sim, tr, src.Channel(), pcfg.TreeInterval, defaultConvergeIntervals)
-	if !settled {
-		o.Notef("convergence exceeded the fixed %d-interval settling budget (last table mutation at %.1f, control traffic still in flight)",
-			defaultConvergeIntervals, float64(convAt))
-	}
+	// count as the hard cap.
+	convergeMeasured(s.sim, tr, s.ch, s.interval, defaultConvergeIntervals)
 
 	// The fault targets come from the actual converged tree, not the
 	// topology: the cut must hit a branch that is carrying traffic.
-	pre := mtree.Probe(net, func() uint32 { return src.SendData(nil) }, members)
-	for attempt := 0; attempt < 3 && !pre.Complete(); attempt++ {
-		converge(sim, pcfg.TreeInterval, 8)
-		pre = mtree.Probe(net, func() uint32 { return src.SendData(nil) }, members)
-	}
+	pre := s.probeUntil(s.members, (*mtree.Result).Complete)
 	sc := cfg.Scenario
 	if sc == "" {
 		sc = ScenarioCombined
@@ -165,24 +137,25 @@ func failureRun(cfg FailureConfig, seed int64, res *FailureResult) {
 	// Timeline, in soft-state generations after the converged start.
 	// Skipped phases keep their slots so every scenario measures over
 	// the same windows.
-	gen := pcfg.T1 + pcfg.T2
-	t0 := sim.Now()
+	gen := s.cfg.T1 + s.cfg.T2
+	t0 := s.sim.Now()
 	tCut := t0 + 2*gen
 	tFix := tCut + 8*gen
 	tCrash := tFix + 4*gen
 	tUp := tCrash + 2*gen
 	tEnd := tUp + 8*gen
 
+	g := p.Graph
 	plan := faults.NewPlan()
 	if doLink {
-		cut := pickCutLink(g, pre, sourceHost, memberHosts)
+		cut := pickCutLink(g, pre, p.source, p.members)
 		plan.LinkDown(tCut, cut[0], cut[1]).LinkUp(tFix, cut[0], cut[1])
 	}
 	if doCrash {
-		crash := pickCrashRouter(g, pre, sourceHost, memberHosts)
+		crash := pickCrashRouter(g, pre, p.source, p.members)
 		plan.NodeDown(tCrash, crash).NodeUp(tUp, crash)
 	}
-	in := faults.NewInjector(net, plan)
+	in := faults.NewInjector(s.net, plan)
 	in.OnNodeDown(func(v topology.NodeID) {
 		for _, r := range s.routers {
 			if r.Addr() == g.Node(v).Addr {
@@ -195,93 +168,81 @@ func failureRun(cfg FailureConfig, seed int64, res *FailureResult) {
 	// Periodic data probes feed the delivery matrix; receivers log
 	// every arrival, and the sequence numbers map arrivals back to
 	// probe indices afterwards.
-	dm := metrics.NewDeliveryMatrix(len(members))
+	dm := metrics.NewDeliveryMatrix(len(s.members))
 	seqToProbe := make(map[uint32]int)
-	probeEvery := pcfg.TreeInterval / 2
-	ticker := clock.NewTicker(clock.Sim(sim), probeEvery, func() {
-		seqToProbe[src.SendData(nil)] = dm.Sent(float64(sim.Now()))
+	ticker := clock.NewTicker(clock.Sim(s.sim), s.interval/2, func() {
+		seqToProbe[s.send()] = dm.Sent(float64(s.sim.Now()))
 	})
-	sim.At(tEnd, ticker.Stop)
+	s.sim.At(tEnd, ticker.Stop)
 
-	statsBefore := net.Stats()
-	if err := sim.Run(tEnd); err != nil {
+	statsBefore := s.net.Stats()
+	if err := s.sim.Run(tEnd); err != nil {
 		panic(fmt.Sprintf("experiment: failure run: %v", err))
 	}
 	for i, rcv := range s.rcvs {
 		for _, d := range rcv.Deliveries {
-			if p, ok := seqToProbe[d.Seq]; ok {
-				dm.Delivered(i, p)
+			if probe, ok := seqToProbe[d.Seq]; ok {
+				dm.Delivered(i, probe)
 			}
 		}
 	}
-
-	if doLink {
-		if lat, ok := dm.RepairLatency(float64(tCut), float64(tFix)); ok {
-			res.LinkRepair.Add(lat / res.Gen)
-			res.LinkRepaired.Add(1)
-		} else {
-			res.LinkRepaired.Add(0)
-		}
-		res.LinkBlackoutRatio.Add(dm.DeliveryRatio(float64(tCut), float64(tCut+2*gen)))
-	}
-	if doCrash {
-		if lat, ok := dm.RepairLatency(float64(tCrash), float64(tEnd)); ok {
-			res.CrashRepair.Add(lat / res.Gen)
-			res.CrashRepaired.Add(1)
-		} else {
-			res.CrashRepaired.Add(0)
-		}
-		res.CrashBlackoutRatio.Add(dm.DeliveryRatio(float64(tCrash), float64(tUp)))
-	}
+	linkLat, linkRepaired := dm.RepairLatency(float64(tCut), float64(tFix))
+	linkRatio := dm.DeliveryRatio(float64(tCut), float64(tCut+2*gen))
+	crashLat, crashRepaired := dm.RepairLatency(float64(tCrash), float64(tEnd))
+	crashRatio := dm.DeliveryRatio(float64(tCrash), float64(tUp))
 	worst := 0.0
-	for i := range members {
-		if b := dm.MaxBlackout(i); b > worst {
-			worst = b
-		}
+	for i := range s.members {
+		worst = max(worst, dm.MaxBlackout(i))
 	}
-	res.MaxBlackout.Add(worst / res.Gen)
-	res.TransportRatio.Add(net.Stats().Delta(statsBefore).DeliveryRatio())
+	transport := s.net.Stats().Delta(statsBefore).DeliveryRatio()
 
 	// Post-recovery verification: full service, no duplication,
 	// shortest-path delays under the restored routing tables.
-	post := mtree.Probe(net, func() uint32 { return src.SendData(nil) }, members)
-	for attempt := 0; attempt < 3 && !post.Complete(); attempt++ {
-		converge(sim, pcfg.TreeInterval, 8)
-		post = mtree.Probe(net, func() uint32 { return src.SendData(nil) }, members)
-	}
-	res.FinalComplete.Add(b2f(post.Complete()))
-	res.FinalClean.Add(b2f(post.MaxLinkCopies() <= 1))
-	if chk != nil {
+	post := s.probeUntil(s.members, (*mtree.Result).Complete)
+	if s.checker != nil {
 		// The measured probe above ran inside the experiment's recovery
 		// window; the converged invariants are claims about the healed
-		// tree's fixed point, so quiesce first (run until a few refresh
-		// intervals pass with no forwarding-state change — relay collapse
-		// takes one soft-state generation per step) and validate a
-		// separate verification probe. A run whose tree never heals even
-		// then is already measured by FinalComplete; only the node-local
+		// tree's fixed point. A run whose tree never heals even then is
+		// already measured by FinalComplete; only the node-local
 		// structural invariants must hold regardless.
-		last := -1
-		for i := 0; i < 64 && *s.changes != last; i++ {
-			last = *s.changes
-			converge(sim, pcfg.TreeInterval, 4)
-		}
-		vpost := mtree.Probe(net, func() uint32 { return src.SendData(nil) }, members)
-		if vpost.Complete() {
-			chk.CheckConverged(vpost.Seq)
+		if v := s.fixedPoint(post); v.Complete() {
+			s.checker.CheckConverged(v.Seq)
 		} else {
-			chk.CheckStructural()
+			s.checker.CheckStructural()
 		}
-		chk.MustClean(fmt.Sprintf("failure recovery %s on %s (seed=%d receivers=%d)",
+		s.checker.MustClean(fmt.Sprintf("failure recovery %s on %s (seed=%d receivers=%d)",
 			sc, cfg.Topo, seed, cfg.Receivers))
 	}
+	complete, clean := post.Complete(), post.MaxLinkCopies() <= 1
 	shortest := true
-	for _, m := range memberHosts {
-		want := eventsim.Time(routing.Dist(sourceHost, m))
+	for _, m := range p.members {
+		want := eventsim.Time(p.Routing.Dist(p.source, m))
 		if post.Delays[g.Node(m).Addr] != want {
 			shortest = false
 		}
 	}
-	res.FinalShortest.Add(b2f(shortest))
+
+	return func() {
+		if doLink {
+			if linkRepaired {
+				res.LinkRepair.Add(linkLat / res.Gen)
+			}
+			res.LinkRepaired.Add(b2f(linkRepaired))
+			res.LinkBlackoutRatio.Add(linkRatio)
+		}
+		if doCrash {
+			if crashRepaired {
+				res.CrashRepair.Add(crashLat / res.Gen)
+			}
+			res.CrashRepaired.Add(b2f(crashRepaired))
+			res.CrashBlackoutRatio.Add(crashRatio)
+		}
+		res.MaxBlackout.Add(worst / res.Gen)
+		res.TransportRatio.Add(transport)
+		res.FinalComplete.Add(b2f(complete))
+		res.FinalClean.Add(b2f(clean))
+		res.FinalShortest.Add(b2f(shortest))
+	}
 }
 
 func b2f(b bool) float64 {

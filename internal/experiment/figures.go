@@ -1,27 +1,50 @@
 package experiment
 
 import (
-	"fmt"
 	"sync"
 
 	"hbh/internal/metrics"
 )
 
-// DefaultWorkers is the worker count used by sweeps whose SweepConfig
-// leaves Workers at zero. cmd/hbhsim sets it from its -workers flag;
-// the zero default keeps everything serial (and the package fully
-// deterministic either way — see SweepBoth).
+// DefaultWorkers is the number of goroutines every grid experiment runs
+// its jobs on. cmd/hbhsim sets it from its -workers flag; the default
+// keeps everything serial. Each grid folds its runs in one fixed order,
+// so every table is identical at any worker count.
 var DefaultWorkers = 1
 
-// Metric selects which measurement a figure plots.
-type Metric string
+// grid runs job at every (x index, run) point of an nx × runs table on
+// up to workers goroutines, then calls the folds the jobs return in
+// (x, run) order, so a table aggregates its runs in the same sequence
+// whatever the scheduling. worker is the index of the goroutine running
+// the job, below poolSize(workers, nx*runs), for state a job shares
+// only with the jobs on its own goroutine. A job must not write shared
+// state; its fold may.
+func grid(workers, nx, runs int, job func(xi, run, worker int) (fold func())) {
+	folds := make([]func(), nx*runs)
+	jobs := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < poolSize(workers, len(folds)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				folds[j] = job(j/runs, j%runs, w)
+			}
+		}()
+	}
+	for j := range folds {
+		jobs <- j
+	}
+	close(jobs)
+	wg.Wait()
+	for _, fold := range folds {
+		fold()
+	}
+}
 
-const (
-	// MetricCost is the tree cost (packet copies), Figure 7.
-	MetricCost Metric = "tree cost (packet copies)"
-	// MetricDelay is the mean receiver delay, Figure 8.
-	MetricDelay Metric = "receiver average delay (time units)"
-)
+// poolSize is how many goroutines a grid of n jobs runs on: workers, at
+// least one and no more than one per job.
+func poolSize(workers, n int) int { return max(1, min(workers, n)) }
 
 // Figure is a fully aggregated sweep: one series per protocol over the
 // group sizes of one paper figure.
@@ -41,158 +64,43 @@ type Figure struct {
 	BadRuns int
 }
 
-// SweepConfig parameterises a figure sweep.
-type SweepConfig struct {
-	Topo      Topo
-	Sizes     []int
-	Protocols []Protocol
-	// Runs per (protocol, size) point; the paper uses 500.
-	Runs int
-	// Seed is the base seed; run i of size s uses a deterministic
-	// function of (Seed, s, i) shared across protocols so every
-	// protocol sees the same 500 cost draws and receiver sets, exactly
-	// like simulating them on the same scenarios.
-	Seed int64
-	// Metric selects cost or delay.
-	Metric Metric
-	// Extra tweaks applied to each RunConfig (may be nil).
-	Tweak func(*RunConfig)
-	// Workers parallelises the independent simulation scenarios across
-	// goroutines (<=1 means serial). Results are folded in a fixed
-	// order, so the aggregated output is bit-identical to a serial
-	// sweep regardless of scheduling.
-	Workers int
-	// noScenarioCache disables the per-scenario routing cache, forcing
-	// every protocol run to rebuild its own graph and tables. Only the
-	// determinism tests use it (it is the reference path the cache must
-	// match bit-for-bit); it is deliberately unexported.
-	noScenarioCache bool
-}
-
-// SweepBoth runs the full grid once and aggregates BOTH metrics (each
-// probe yields cost and delay together, so the paper's cost and delay
-// figures over the same topology share one set of simulations, exactly
-// as they would in NS).
-func SweepBoth(cfg SweepConfig) (cost, delay *Figure) {
-	cost = &Figure{XLabel: "Number of receivers", YLabel: string(MetricCost), Runs: cfg.Runs}
-	delay = &Figure{XLabel: "Number of receivers", YLabel: string(MetricDelay), Runs: cfg.Runs}
-	for _, p := range cfg.Protocols {
-		cost.Series = append(cost.Series, metrics.NewSeries(string(p), cfg.Sizes))
-		delay.Series = append(delay.Series, metrics.NewSeries(string(p), cfg.Sizes))
+// sweep runs protos at every (x index, run) point over xs, each point's
+// RunConfig set by at from its seed, and folds both of the paper's
+// metrics into two figures: each probe yields cost and delay together,
+// so a cost figure and a delay figure share one set of simulations, as
+// they would in NS. Every protocol at a point shares the seed and so
+// the scenario, exactly like simulating them on the same draws: the
+// graph clone and the all-pairs Dijkstra are done once per point, not
+// once per protocol.
+func sweep(xs []int, protos []Protocol, runs int, seed int64,
+	at func(xi int, rc *RunConfig)) (cost, delay *Figure) {
+	cost = &Figure{XLabel: "Number of receivers", YLabel: "tree cost (packet copies)", Runs: runs}
+	delay = &Figure{XLabel: "Number of receivers", YLabel: "receiver average delay (time units)", Runs: runs}
+	for _, p := range protos {
+		cost.Series = append(cost.Series, metrics.NewSeries(string(p), xs))
+		delay.Series = append(delay.Series, metrics.NewSeries(string(p), xs))
 	}
-
-	makeRC := func(si, run, pi int) RunConfig {
-		rc := RunConfig{
-			Topo:      cfg.Topo,
-			Protocol:  cfg.Protocols[pi],
-			Receivers: cfg.Sizes[si],
-			Seed:      cfg.Seed + int64(si)*1_000_003 + int64(run)*7919,
+	grid(DefaultWorkers, len(xs), runs, func(xi, run, _ int) func() {
+		rc := RunConfig{Seed: seed + int64(xi)*1_000_003 + int64(run)*7919}
+		at(xi, &rc)
+		rc.Scenario = PrepareScenario(rc)
+		res := make([]RunResult, len(protos))
+		for pi, p := range protos {
+			rc.Protocol = p
+			res[pi] = Run(rc)
 		}
-		if cfg.Tweak != nil {
-			cfg.Tweak(&rc)
-		}
-		return rc
-	}
-	nP := len(cfg.Protocols)
-	// runScenario simulates every protocol at one (size, run) grid
-	// point. All protocols share the same seed-derived costs, so the
-	// graph clone and the all-pairs Dijkstra are done once per scenario
-	// and threaded through RunConfig — an nP-fold cut in routing work.
-	// A Tweak that alters the cost model per protocol (none does today)
-	// degrades gracefully: the incompatible protocol rebuilds its own.
-	runScenario := func(si, run int, out []RunResult) {
-		base := makeRC(si, run, 0)
-		var sc *Scenario
-		if !cfg.noScenarioCache {
-			sc = PrepareScenario(base)
-		}
-		for pi := 0; pi < nP; pi++ {
-			rc := makeRC(si, run, pi)
-			if sc != nil && SameScenario(rc, base) {
-				rc.Scenario = sc
-			}
-			out[pi] = Run(rc)
-		}
-	}
-	fold := func(si int, pi int, res RunResult) {
-		if res.Missing > 0 {
-			cost.BadRuns++
-			delay.BadRuns++
-		}
-		size := cfg.Sizes[si]
-		cost.Series[pi].At(size).Add(float64(res.Cost))
-		delay.Series[pi].At(size).Add(res.MeanDelay)
-	}
-
-	if cfg.Workers == 0 {
-		cfg.Workers = DefaultWorkers
-	}
-	if cfg.Workers <= 1 {
-		row := make([]RunResult, nP)
-		for si := range cfg.Sizes {
-			for run := 0; run < cfg.Runs; run++ {
-				runScenario(si, run, row)
-				for pi := range cfg.Protocols {
-					fold(si, pi, row[pi])
+		return func() {
+			for pi, r := range res {
+				if r.Missing > 0 {
+					cost.BadRuns++
+					delay.BadRuns++
 				}
+				cost.Series[pi].At(xs[xi]).Add(float64(r.Cost))
+				delay.Series[pi].At(xs[xi]).Add(r.MeanDelay)
 			}
 		}
-		return cost, delay
-	}
-
-	// Parallel mode: every (size, run) scenario is an independent job
-	// (its protocols run serially inside the job, sharing the prebuilt
-	// routing). Results land in a preallocated grid and are folded
-	// afterwards in the same deterministic order as the serial loop, so
-	// Welford aggregation sees an identical sequence.
-	type job struct{ si, run int }
-	grid := make([]RunResult, len(cfg.Sizes)*cfg.Runs*nP)
-	rowOf := func(j job) []RunResult {
-		base := (j.si*cfg.Runs + j.run) * nP
-		return grid[base : base+nP : base+nP]
-	}
-
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				runScenario(j.si, j.run, rowOf(j))
-			}
-		}()
-	}
-	for si := range cfg.Sizes {
-		for run := 0; run < cfg.Runs; run++ {
-			jobs <- job{si, run}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	for si := range cfg.Sizes {
-		for run := 0; run < cfg.Runs; run++ {
-			row := rowOf(job{si, run})
-			for pi := range cfg.Protocols {
-				fold(si, pi, row[pi])
-			}
-		}
-	}
+	})
 	return cost, delay
-}
-
-// Sweep runs the full grid and aggregates one metric.
-func Sweep(cfg SweepConfig) *Figure {
-	cost, delay := SweepBoth(cfg)
-	switch cfg.Metric {
-	case MetricCost:
-		return cost
-	case MetricDelay:
-		return delay
-	default:
-		panic(fmt.Sprintf("experiment: unknown metric %q", cfg.Metric))
-	}
 }
 
 // PaperFigures runs the shared sweep for one topology and returns the
@@ -207,10 +115,7 @@ func PaperFigures(topo Topo, runs int, seed int64) (cost, delay *Figure) {
 		costTitle = "Tree cost, 50-node random topology"
 		delayTitle = "Receiver average delay, 50-node random topology"
 	}
-	cost, delay = SweepBoth(SweepConfig{
-		Topo: topo, Sizes: sizes, Protocols: AllPaperProtocols(),
-		Runs: runs, Seed: seed,
-	})
+	cost, delay = sweep(sizes, AllPaperProtocols(), runs, seed, receiversOn(topo, sizes))
 	cost.ID, cost.Title = costID, costTitle
 	delay.ID, delay.Title = delayID, delayTitle
 	return cost, delay
@@ -225,58 +130,43 @@ func RandomSizes() []int { return []int{5, 10, 15, 20, 25, 30, 35, 40, 45} }
 // Figure7a reproduces Figure 7(a): average tree cost on the ISP
 // topology.
 func Figure7a(runs int, seed int64) *Figure {
-	f := Sweep(SweepConfig{
-		Topo: TopoISP, Sizes: ISPSizes(), Protocols: AllPaperProtocols(),
-		Runs: runs, Seed: seed, Metric: MetricCost,
-	})
-	f.ID, f.Title = "7a", "Tree cost, ISP topology"
-	return f
+	cost, _ := PaperFigures(TopoISP, runs, seed)
+	return cost
 }
 
 // Figure7b reproduces Figure 7(b): average tree cost on the 50-node
 // random topology.
 func Figure7b(runs int, seed int64) *Figure {
-	f := Sweep(SweepConfig{
-		Topo: TopoRandom50, Sizes: RandomSizes(), Protocols: AllPaperProtocols(),
-		Runs: runs, Seed: seed, Metric: MetricCost,
-	})
-	f.ID, f.Title = "7b", "Tree cost, 50-node random topology"
-	return f
+	cost, _ := PaperFigures(TopoRandom50, runs, seed)
+	return cost
 }
 
 // Figure8a reproduces Figure 8(a): receiver average delay on the ISP
 // topology.
 func Figure8a(runs int, seed int64) *Figure {
-	f := Sweep(SweepConfig{
-		Topo: TopoISP, Sizes: ISPSizes(), Protocols: AllPaperProtocols(),
-		Runs: runs, Seed: seed, Metric: MetricDelay,
-	})
-	f.ID, f.Title = "8a", "Receiver average delay, ISP topology"
-	return f
+	_, delay := PaperFigures(TopoISP, runs, seed)
+	return delay
 }
 
 // Figure8b reproduces Figure 8(b): receiver average delay on the
 // 50-node random topology.
 func Figure8b(runs int, seed int64) *Figure {
-	f := Sweep(SweepConfig{
-		Topo: TopoRandom50, Sizes: RandomSizes(), Protocols: AllPaperProtocols(),
-		Runs: runs, Seed: seed, Metric: MetricDelay,
-	})
-	f.ID, f.Title = "8b", "Receiver average delay, 50-node random topology"
-	return f
+	_, delay := PaperFigures(TopoRandom50, runs, seed)
+	return delay
 }
 
 // AblationFusion reproduces experiment A1: HBH with and without the
 // fusion mechanism, isolating the duplicate-copy repair (tree cost,
 // ISP topology).
 func AblationFusion(runs int, seed int64) *Figure {
-	f := Sweep(SweepConfig{
-		Topo: TopoISP, Sizes: ISPSizes(),
-		Protocols: []Protocol{HBH, HBHNoFusion},
-		Runs:      runs, Seed: seed, Metric: MetricCost,
-	})
+	f, _ := sweep(ISPSizes(), []Protocol{HBH, HBHNoFusion}, runs, seed, receiversOn(TopoISP, ISPSizes()))
 	f.ID, f.Title = "A1", "Ablation: fusion repair (tree cost, ISP topology)"
 	return f
+}
+
+// receiversOn sets a sweep point to topo with sizes[xi] receivers.
+func receiversOn(topo Topo, sizes []int) func(xi int, rc *RunConfig) {
+	return func(xi int, rc *RunConfig) { rc.Topo, rc.Receivers = topo, sizes[xi] }
 }
 
 // UnicastClouds reproduces experiment A2: tree cost of HBH and REUNITE
@@ -284,40 +174,18 @@ func AblationFusion(runs int, seed int64) *Figure {
 // 8 receivers). The x axis is the capability percentage.
 func UnicastClouds(runs int, seed int64) *Figure {
 	fractions := []int{0, 25, 50, 75, 100}
-	fig := &Figure{
-		ID:     "A2",
-		Title:  "Unicast clouds: tree cost vs multicast deployment (ISP, 8 receivers)",
-		XLabel: "Multicast-capable routers (%)",
-		YLabel: string(MetricCost),
-		Runs:   runs,
-	}
-	protos := []Protocol{HBH, REUNITE}
-	for _, p := range protos {
-		fig.Series = append(fig.Series, metrics.NewSeries(string(p), fractions))
-	}
-	for fi, frac := range fractions {
-		for run := 0; run < runs; run++ {
-			s := seed + int64(fi)*1_000_003 + int64(run)*7919
-			sc := PrepareScenario(RunConfig{Topo: TopoISP, Seed: s})
-			for pi, p := range protos {
-				rc := RunConfig{
-					Topo: TopoISP, Protocol: p, Receivers: 8, Seed: s,
-					MulticastFraction: float64(frac) / 100,
-					Scenario:          sc,
-				}
-				if frac == 0 {
-					// fraction 0 must mean "none capable", but the zero
-					// value means "all": use an epsilon below one router.
-					rc.MulticastFraction = 0.001
-				}
-				res := Run(rc)
-				if res.Missing > 0 {
-					fig.BadRuns++
-				}
-				fig.Series[pi].At(frac).Add(float64(res.Cost))
-			}
+	fig, _ := sweep(fractions, []Protocol{HBH, REUNITE}, runs, seed, func(xi int, rc *RunConfig) {
+		rc.Topo, rc.Receivers = TopoISP, 8
+		rc.MulticastFraction = float64(fractions[xi]) / 100
+		if fractions[xi] == 0 {
+			// fraction 0 must mean "none capable", but the zero
+			// value means "all": use an epsilon below one router.
+			rc.MulticastFraction = 0.001
 		}
-	}
+	})
+	fig.ID = "A2"
+	fig.Title = "Unicast clouds: tree cost vs multicast deployment (ISP, 8 receivers)"
+	fig.XLabel = "Multicast-capable routers (%)"
 	return fig
 }
 
@@ -326,35 +194,12 @@ func UnicastClouds(runs int, seed int64) *Figure {
 // and skewed per direction by up to the x-axis spread.
 func AsymmetrySweep(runs int, seed int64) *Figure {
 	spreads := []int{0, 2, 4, 6, 8}
-	fig := &Figure{
-		ID:     "A3",
-		Title:  "Asymmetry sweep: receiver delay vs cost skew (ISP, 8 receivers)",
-		XLabel: "Per-direction cost skew",
-		YLabel: string(MetricDelay),
-		Runs:   runs,
-	}
-	protos := []Protocol{PIMSS, REUNITE, HBH}
-	for _, p := range protos {
-		fig.Series = append(fig.Series, metrics.NewSeries(string(p), spreads))
-	}
-	for si, spread := range spreads {
-		for run := 0; run < runs; run++ {
-			s := seed + int64(si)*1_000_003 + int64(run)*7919
-			sc := PrepareScenario(RunConfig{
-				Topo: TopoISP, Seed: s, UseAsymSpread: true, AsymSpread: spread,
-			})
-			for pi, p := range protos {
-				res := Run(RunConfig{
-					Topo: TopoISP, Protocol: p, Receivers: 8, Seed: s,
-					UseAsymSpread: true, AsymSpread: spread,
-					Scenario: sc,
-				})
-				if res.Missing > 0 {
-					fig.BadRuns++
-				}
-				fig.Series[pi].At(spread).Add(res.MeanDelay)
-			}
-		}
-	}
+	_, fig := sweep(spreads, []Protocol{PIMSS, REUNITE, HBH}, runs, seed, func(xi int, rc *RunConfig) {
+		rc.Topo, rc.Receivers = TopoISP, 8
+		rc.UseAsymSpread, rc.AsymSpread = true, spreads[xi]
+	})
+	fig.ID = "A3"
+	fig.Title = "Asymmetry sweep: receiver delay vs cost skew (ISP, 8 receivers)"
+	fig.XLabel = "Per-direction cost skew"
 	return fig
 }

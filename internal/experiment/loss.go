@@ -5,7 +5,6 @@ import (
 
 	"hbh/internal/metrics"
 	"hbh/internal/netsim"
-	"hbh/internal/unicast"
 )
 
 // LossRobustness runs the A6 extension experiment: HBH under
@@ -31,27 +30,22 @@ func LossRobustness(runs int, seed int64) *Figure {
 	dupS := metrics.NewSeries("HBH-maxcopies", rates)
 	fig.Series = []*metrics.Series{costS, missS, dupS}
 
-	for ri, rate := range rates {
-		for run := 0; run < runs; run++ {
-			s := seed + int64(ri)*1_000_003 + int64(run)*7919
-			rng := rand.New(rand.NewSource(s))
-			g := BaseGraph(TopoISP).Clone()
-			g.RandomizeCosts(rng, 1, 10)
-			routing := unicast.Compute(g)
-			sourceHost := sourceHostOf(g)
-			members := sampleReceivers(g, rng, sourceHost, 8)
-
-			prng := rand.New(rand.NewSource(s))
-			sess := setupDyn(RunConfig{Topo: TopoISP, Protocol: HBH,
-				Receivers: 8, Seed: s}, g, routing, sourceHost, members, prng)
-			sess.net.SetLossModel(netsim.LossModel{Control: float64(rate) / 100, RNG: rand.New(rand.NewSource(s + 1))})
-			converge(sess.sim, sess.interval, defaultConvergeIntervals)
-			res := sess.Probe()
-
-			costS.At(rate).Add(float64(res.Cost))
-			missS.At(rate).Add(100 * float64(len(res.Missing)) / float64(len(members)))
-			dupS.At(rate).Add(float64(res.MaxLinkCopies()))
+	grid(DefaultWorkers, len(rates), runs, func(ri, run, _ int) func() {
+		rate := rates[ri]
+		s := seed + int64(ri)*1_000_003 + int64(run)*7919
+		p := drawPoint(TopoISP, s, 8, paperCosts)
+		p.rng = rand.New(rand.NewSource(s))
+		sess := p.session(RunConfig{Topo: TopoISP, Protocol: HBH, Receivers: 8, Seed: s})
+		sess.net.SetLossModel(netsim.LossModel{Control: float64(rate) / 100, RNG: rand.New(rand.NewSource(s + 1))})
+		sess.settle(defaultConvergeIntervals)
+		res := sess.probe()
+		cost, copies := float64(res.Cost), float64(res.MaxLinkCopies())
+		missing := 100 * float64(len(res.Missing)) / float64(len(p.members))
+		return func() {
+			costS.At(rate).Add(cost)
+			missS.At(rate).Add(missing)
+			dupS.At(rate).Add(copies)
 		}
-	}
+	})
 	return fig
 }

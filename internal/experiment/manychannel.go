@@ -5,19 +5,14 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"sync"
 
 	"hbh/internal/addr"
-	"hbh/internal/clock"
 	"hbh/internal/core"
 	"hbh/internal/eventsim"
 	"hbh/internal/igmp"
 	"hbh/internal/metrics"
 	"hbh/internal/mtree"
-	"hbh/internal/netsim"
 	"hbh/internal/obs"
-	"hbh/internal/pim"
-	"hbh/internal/softstate"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 	"hbh/internal/workload"
@@ -26,11 +21,11 @@ import (
 // The A14 many-channel runtime: thousands of concurrent <S,G> channels
 // with Zipf popularity and Poisson membership churn (internal/workload)
 // run over ONE shared substrate — one frozen topology and one race-safe
-// lazy unicast router — sharded across workers the way SweepBoth shards
-// scenario runs. Each channel is an independent event simulation (its
-// own virtual clock and packet network), so channels never interact
-// except through the shared read-only substrate; per-worker obs
-// counters and metrics accumulators are merged at the shard barrier.
+// lazy unicast router — sharded across workers on the grid every figure
+// runs on. Each channel is an independent event simulation (its own
+// virtual clock and packet network), so channels never interact except
+// through the shared read-only substrate; per-worker obs counters are
+// merged at the shard barrier.
 //
 // Determinism: every per-channel quantity depends only on (Seed,
 // channel index) — the workload stream, the member-to-host mapping and
@@ -86,11 +81,6 @@ type ManyChannelConfig struct {
 	// far below the node count, so concurrent channels constantly evict
 	// and recompute each other's rows).
 	MaxSources int
-	// StateSeries samples each HBH channel's MFT/MCT footprint into
-	// per-channel obs series (hbh_state_* with a channel label) once per
-	// refresh interval. Off by default: at 10k channels the series bulk
-	// dwarfs the counters.
-	StateSeries bool
 	// Seed drives everything.
 	Seed int64
 }
@@ -128,9 +118,6 @@ func (c ManyChannelConfig) withDefaults() ManyChannelConfig {
 	}
 	if c.Workers <= 0 {
 		c.Workers = DefaultWorkers
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
 	}
 	if c.MaxSources == 0 {
 		c.MaxSources = 128
@@ -194,16 +181,16 @@ func (x *mcSubstrate) channelHosts(cfg ManyChannelConfig, ch workload.Channel) (
 // mcSession is one live channel over the shared substrate: its own
 // virtual clock and packet network, the shared graph and router.
 type mcSession struct {
-	sim      *eventsim.Sim
-	net      *netsim.Network
-	interval eventsim.Time
-	send     func() uint32
+	*session
 	// apply performs one membership event now (nil for static PIM).
 	apply func(ev workload.Event)
-	// members returns the currently joined members' probe views.
-	members func() []mtree.Member
-	// footprint snapshots the channel's forwarding state.
-	footprint func() stateFootprint
+	// joined returns the currently joined members' probe views.
+	joined func() []mtree.Member
+}
+
+// channelRNG is channel ch's join-jitter stream.
+func channelRNG(cfg ManyChannelConfig, ch workload.Channel) *rand.Rand {
+	return rand.New(rand.NewSource(cfg.Seed ^ int64(ch.Index+1)*mcSeedMix + 1))
 }
 
 // startHBH brings up one HBH channel with IGMP leaf aggregation:
@@ -214,115 +201,78 @@ type mcSession struct {
 // are scheduled (jittered); the caller converges the sim.
 func (x *mcSubstrate) startHBH(cfg ManyChannelConfig, ch workload.Channel,
 	srcHost topology.NodeID, memberHosts []topology.NodeID, o *obs.Observer) *mcSession {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(ch.Index+1)*mcSeedMix + 1))
-	sim := eventsim.New()
-	net := netsim.New(sim, x.g, x.router)
-	if o != nil {
-		net.SetObserver(o)
+	rng := channelRNG(cfg, ch)
+	s := startSession(RunConfig{Protocol: HBH, Obs: o}, x.g, x.router, srcHost,
+		addr.GroupAddr(ch.Index), nil, rng)
+	routerOf := make(map[topology.NodeID]*core.Router, len(s.routers))
+	for i, r := range x.g.Routers() {
+		routerOf[r] = s.routers[i].(*core.Router)
 	}
-	pcfg := core.DefaultConfig()
-	routers := make([]softstate.Router, 0, cfg.Routers)
-	routerOf := make(map[topology.NodeID]*core.Router, cfg.Routers)
-	for _, r := range x.g.Routers() {
-		cr := core.AttachRouter(net.Node(r), pcfg)
-		routers = append(routers, cr)
-		routerOf[r] = cr
-	}
-	src := core.AttachSource(net.Node(srcHost), addr.GroupAddr(ch.Index), pcfg)
-	chn := src.Channel()
 
+	pcfg := core.DefaultConfig()
 	icfg := igmp.DefaultConfig()
 	queried := make(map[topology.NodeID]bool)
 	agents := make([]*igmp.Host, len(memberHosts))
 	for m, h := range memberHosts {
 		r := x.g.AttachedRouter(h)
 		if !queried[r] {
-			q := igmp.AttachQuerier(net.Node(r), icfg)
-			core.AttachLeafAgent(net.Node(r), q, routerOf[r], pcfg)
+			q := igmp.AttachQuerier(s.net.Node(r), icfg)
+			core.AttachLeafAgent(s.net.Node(r), q, routerOf[r], pcfg)
 			queried[r] = true
 		}
-		agents[m] = igmp.AttachHost(net.Node(h), icfg)
+		agents[m] = igmp.AttachHost(s.net.Node(h), icfg)
 	}
-	for m := 0; m < ch.Receivers; m++ {
-		a := agents[m]
-		sim.At(eventsim.Time(rng.Float64())*pcfg.JoinInterval, func() { a.Join(chn) })
+	for _, a := range agents[:ch.Receivers] {
+		s.sim.At(eventsim.Time(rng.Float64())*pcfg.JoinInterval, func() { a.Join(s.ch) })
 	}
-
-	s := &mcSession{
-		sim: sim, net: net, interval: pcfg.TreeInterval,
-		send: func() uint32 { return src.SendData(nil) },
+	return &mcSession{
+		session: s,
 		apply: func(ev workload.Event) {
 			if ev.Join {
-				agents[ev.Member].Join(chn)
+				agents[ev.Member].Join(s.ch)
 			} else {
-				agents[ev.Member].Leave(chn)
+				agents[ev.Member].Leave(s.ch)
 			}
 		},
-		members: func() []mtree.Member {
+		joined: func() []mtree.Member {
 			var out []mtree.Member
 			for _, a := range agents {
-				if a.Joined(chn) {
+				if a.Joined(s.ch) {
 					out = append(out, a)
 				}
 			}
 			return out
 		},
-		footprint: func() stateFootprint { return footprint(src.Source, routers) },
 	}
-	x.installChannelSampler(cfg, s, "hbh", ch.Index, o)
-	return s
 }
 
 // startREUNITE brings up one REUNITE channel; receivers attach
 // directly (REUNITE has no IGMP aggregation layer here).
 func (x *mcSubstrate) startREUNITE(cfg ManyChannelConfig, ch workload.Channel,
 	srcHost topology.NodeID, memberHosts []topology.NodeID, o *obs.Observer) *mcSession {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(ch.Index+1)*mcSeedMix + 1))
-	sim := eventsim.New()
-	net := netsim.New(sim, x.g, x.router)
-	if o != nil {
-		net.SetObserver(o)
-	}
-	on := make([]netsim.ProtoNode, 0, cfg.Routers)
-	for _, r := range x.g.Routers() {
-		on = append(on, net.Node(r))
-	}
-	e := attachDyn(REUNITE, on, net.Node(srcHost), addr.GroupAddr(ch.Index))
-
-	rcvs := make([]*softstate.Receiver, len(memberHosts))
-	joined := make([]bool, len(memberHosts))
-	for m, h := range memberHosts {
-		rcvs[m] = e.receiver(net.Node(h), e.cfg)
-	}
-	for m := 0; m < ch.Receivers; m++ {
-		m := m
-		sim.At(eventsim.Time(rng.Float64())*e.cfg.JoinInterval, func() { rcvs[m].Join() })
-		joined[m] = true
-	}
-
-	s := &mcSession{
-		sim: sim, net: net, interval: e.cfg.TreeInterval,
-		send: func() uint32 { return e.src.SendData(nil) },
+	rng := channelRNG(cfg, ch)
+	s := startSession(RunConfig{Protocol: REUNITE, Obs: o}, x.g, x.router, srcHost,
+		addr.GroupAddr(ch.Index), memberHosts, rng)
+	s.join(rng, ch.Receivers)
+	return &mcSession{
+		session: s,
 		apply: func(ev workload.Event) {
 			if ev.Join {
-				rcvs[ev.Member].Join()
+				s.rcvs[ev.Member].Join()
 			} else {
-				rcvs[ev.Member].Leave()
+				s.rcvs[ev.Member].Leave()
 			}
-			joined[ev.Member] = ev.Join
 		},
-		members: func() []mtree.Member {
+		joined: func() []mtree.Member {
 			var out []mtree.Member
-			for m, r := range rcvs {
-				if joined[m] {
+			for _, r := range s.rcvs {
+				if r.Joined() {
 					out = append(out, r)
 				}
 			}
 			return out
 		},
-		footprint: func() stateFootprint { return footprint(e.src, e.routers) },
 	}
-	return s
 }
 
 // startPIM builds one PIM-SM channel for the channel's POST-churn
@@ -331,35 +281,16 @@ func (x *mcSubstrate) startREUNITE(cfg ManyChannelConfig, ch workload.Channel,
 // comparison point is a statically provisioned tree for the population
 // the dynamic protocols end up serving. Its control cost is reported
 // as zero for the same reason.
-func (x *mcSubstrate) startPIM(cfg ManyChannelConfig, ch workload.Channel,
-	srcHost topology.NodeID, memberHosts []topology.NodeID, o *obs.Observer) *mcSession {
-	sim := eventsim.New()
-	net := netsim.New(sim, x.g, x.router)
-	if o != nil {
-		net.SetObserver(o)
-	}
+func (x *mcSubstrate) startPIM(ch workload.Channel, srcHost topology.NodeID,
+	memberHosts []topology.NodeID, o *obs.Observer) *mcSession {
 	final := finalMembers(ch)
 	hosts := make([]topology.NodeID, 0, len(final))
 	for _, m := range final {
 		hosts = append(hosts, memberHosts[m])
 	}
-	sess := pim.Build(net, pim.SM, srcHost, addr.GroupAddr(ch.Index), hosts, topology.None)
-	return &mcSession{
-		sim: sim, net: net, interval: core.DefaultConfig().TreeInterval,
-		send: func() uint32 { return sess.SendData(nil) },
-		members: func() []mtree.Member {
-			out := make([]mtree.Member, 0, len(hosts))
-			for _, h := range hosts {
-				out = append(out, sess.Member(h))
-			}
-			return out
-		},
-		footprint: func() stateFootprint {
-			// Every on-tree router holds one classical (S,G) entry.
-			n := sess.StateRouters()
-			return stateFootprint{MFTRouters: n, MFTEntries: n}
-		},
-	}
+	s := startSession(RunConfig{Protocol: PIMSM, Obs: o}, x.g, x.router, srcHost,
+		addr.GroupAddr(ch.Index), hosts, nil)
+	return &mcSession{session: s, joined: func() []mtree.Member { return s.members }}
 }
 
 // finalMembers returns the member indices joined after the channel's
@@ -381,29 +312,6 @@ func finalMembers(ch workload.Channel) []int {
 	return out
 }
 
-// installChannelSampler samples the channel's MFT/MCT footprint into
-// per-channel obs series (unique channel label, so exports stay
-// deterministically sorted) once per refresh interval. No-op unless
-// StateSeries is on and the observer carries counters.
-func (x *mcSubstrate) installChannelSampler(cfg ManyChannelConfig, s *mcSession,
-	protocol string, channel int, o *obs.Observer) {
-	if !cfg.StateSeries || o == nil || o.Counters() == nil {
-		return
-	}
-	c := o.Counters()
-	label := strconv.Itoa(channel)
-	mftR := c.NewSeries("hbh_state_mft_routers", "protocol", protocol, "channel", label)
-	mftE := c.NewSeries("hbh_state_mft_entries", "protocol", protocol, "channel", label)
-	mctR := c.NewSeries("hbh_state_mct_routers", "protocol", protocol, "channel", label)
-	clock.NewTicker(clock.Sim(s.sim), s.interval, func() {
-		fp := s.footprint()
-		now := s.sim.Now()
-		mftR.Sample(now, float64(fp.MFTRouters))
-		mftE.Sample(now, float64(fp.MFTEntries))
-		mctR.Sample(now, float64(fp.MCTRouters))
-	})
-}
-
 // start dispatches to the protocol-specific channel bring-up.
 func (x *mcSubstrate) start(cfg ManyChannelConfig, p Protocol, ch workload.Channel,
 	o *obs.Observer) *mcSession {
@@ -414,7 +322,7 @@ func (x *mcSubstrate) start(cfg ManyChannelConfig, p Protocol, ch workload.Chann
 	case REUNITE:
 		return x.startREUNITE(cfg, ch, srcHost, memberHosts, o)
 	case PIMSM:
-		return x.startPIM(cfg, ch, srcHost, memberHosts, o)
+		return x.startPIM(ch, srcHost, memberHosts, o)
 	default:
 		panic(fmt.Sprintf("experiment: manychannel does not support protocol %q", p))
 	}
@@ -437,32 +345,24 @@ type mcOutcome struct {
 func (x *mcSubstrate) runChannel(cfg ManyChannelConfig, p Protocol, ch workload.Channel,
 	o *obs.Observer) mcOutcome {
 	s := x.start(cfg, p, ch, o)
-	converge(s.sim, s.interval, mcConvergeIntervals)
+	s.settle(mcConvergeIntervals)
 
 	pre := s.net.Stats()
 	if s.apply != nil && len(ch.Events) > 0 {
 		base := s.sim.Now()
 		for _, ev := range ch.Events {
-			ev := ev
 			s.sim.At(base+ev.At, func() { s.apply(ev) })
 		}
 		if err := s.sim.Run(base + eventsim.Time(cfg.ChurnIntervals)*s.interval); err != nil {
 			panic(fmt.Sprintf("experiment: manychannel churn window: %v", err))
 		}
-		converge(s.sim, s.interval, mcSettleIntervals)
+		s.settle(mcSettleIntervals)
 	}
 	ctrl := s.net.Stats().Delta(pre).Transmissions
 
-	members := s.members()
-	res := mtree.Probe(s.net, s.send, members)
-	// A miss usually means the probe landed in a transient soft-state
-	// window (see dynSession.ProbeSettled); give the protocol a few
-	// more intervals and retry. Sustained starvation still reports.
-	for attempt := 0; attempt < 3 && len(res.Missing) > 0; attempt++ {
-		converge(s.sim, s.interval, 8)
-		res = mtree.Probe(s.net, s.send, members)
-	}
-	fp := s.footprint()
+	members := s.joined()
+	res := s.probeUntil(members, served)
+	fp := s.state()
 	return mcOutcome{
 		Receivers:  len(members),
 		MFTRouters: fp.MFTRouters,
@@ -486,9 +386,7 @@ type ManyChannelRow struct {
 	Events     int // total membership events executed
 	Missing    int // total probe misses
 	// CtrlPerChannel is the per-channel control-cost distribution,
-	// merged from per-worker accumulators (metrics.Accumulator.Merge).
-	// Not part of the bit-reproducible table: its variance depends on
-	// worker merge order in the last float bits.
+	// folded in channel order.
 	CtrlPerChannel metrics.Accumulator
 	// Counters is the merged per-worker obs registry for the cell; its
 	// Export is byte-identical at any worker count.
@@ -506,63 +404,31 @@ type ManyChannelResult struct {
 	LazyStats unicast.LazyStats // final shared-router cache stats (scheduling-dependent; not in the table)
 }
 
-// runCell shards one (protocol, tier) cell's channels across workers:
-// a jobs channel feeds channel indices, each worker owns an obs
-// registry and a metrics accumulator, results land in a preallocated
-// grid and everything is folded serially in channel order at the
-// barrier (the SweepBoth pattern).
+// runCell shards one (protocol, tier) cell's channels across workers
+// on the grid: each worker owns an obs registry, merged into the row
+// at the barrier, and the channels fold in channel order.
 func (x *mcSubstrate) runCell(cfg ManyChannelConfig, p Protocol, wl []workload.Channel) ManyChannelRow {
-	outs := make([]mcOutcome, len(wl))
-	workers := cfg.Workers
-	if workers > len(wl) {
-		workers = len(wl)
-	}
-	obsW := make([]*obs.Observer, workers)
-	ctrlW := make([]metrics.Accumulator, workers)
+	obsW := make([]*obs.Observer, poolSize(cfg.Workers, len(wl)))
 	for w := range obsW {
 		obsW[w] = obs.New(nil)
 		obsW[w].EnableCounters()
 	}
-
-	if workers == 1 {
-		for i, ch := range wl {
-			outs[i] = x.runChannel(cfg, p, ch, obsW[0])
-			ctrlW[0].Add(float64(outs[i].Ctrl))
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					outs[i] = x.runChannel(cfg, p, wl[i], obsW[w])
-					ctrlW[w].Add(float64(outs[i].Ctrl))
-				}
-			}()
-		}
-		for i := range wl {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
-
 	row := ManyChannelRow{Protocol: p, Channels: len(wl), Counters: obs.NewCounters()}
-	for i := range outs {
-		row.Receivers += outs[i].Receivers
-		row.MFTRouters += outs[i].MFTRouters
-		row.MFTEntries += outs[i].MFTEntries
-		row.MCTRouters += outs[i].MCTRouters
-		row.Ctrl += outs[i].Ctrl
-		row.Events += outs[i].Events
-		row.Missing += outs[i].Missing
-	}
-	for w := 0; w < workers; w++ {
-		row.Counters.Merge(obsW[w].Counters())
-		row.CtrlPerChannel.Merge(&ctrlW[w])
+	grid(len(obsW), 1, len(wl), func(_, i, w int) func() {
+		out := x.runChannel(cfg, p, wl[i], obsW[w])
+		return func() {
+			row.Receivers += out.Receivers
+			row.MFTRouters += out.MFTRouters
+			row.MFTEntries += out.MFTEntries
+			row.MCTRouters += out.MCTRouters
+			row.Ctrl += out.Ctrl
+			row.Events += out.Events
+			row.Missing += out.Missing
+			row.CtrlPerChannel.Add(float64(out.Ctrl))
+		}
+	})
+	for _, o := range obsW {
+		row.Counters.Merge(o.Counters())
 	}
 	return row
 }

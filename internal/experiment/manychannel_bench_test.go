@@ -46,7 +46,7 @@ func benchSessions(b *testing.B) []*mcSession {
 	sessions := make([]*mcSession, len(wl))
 	for i, ch := range wl {
 		s := x.start(cfg, HBH, ch, nil)
-		converge(s.sim, s.interval, mcConvergeIntervals)
+		s.settle(mcConvergeIntervals)
 		sessions[i] = s
 	}
 	return sessions

@@ -84,11 +84,11 @@ func TestManyChannelLeafAggregation(t *testing.T) {
 	footprintWith := func(members int) stateFootprint {
 		ch := workload.Channel{Index: 0, Weight: 1, Receivers: members, Peak: members}
 		s := x.startHBH(cfg, ch, srcHost, leafHosts[:members], nil)
-		converge(s.sim, s.interval, mcConvergeIntervals)
-		if got := len(s.members()); got != members {
+		s.settle(mcConvergeIntervals)
+		if got := len(s.joined()); got != members {
 			t.Fatalf("%d members joined, want %d", got, members)
 		}
-		return s.footprint()
+		return s.state()
 	}
 
 	one, many := footprintWith(1), footprintWith(3)
@@ -174,40 +174,5 @@ func TestManyChannelTableShape(t *testing.T) {
 	}
 	if res.LazyStats.Misses == 0 {
 		t.Error("shared lazy router never computed a row?")
-	}
-}
-
-// TestManyChannelStateSeries checks the per-channel footprint sampler:
-// with StateSeries on, each HBH channel exports hbh_state_* series
-// keyed by a channel label.
-func TestManyChannelStateSeries(t *testing.T) {
-	cfg := ManyChannelConfig{
-		Tiers: []int{3}, Routers: 24, HostsPerRouter: 3,
-		Workers: 1, Seed: 3, StateSeries: true,
-	}
-	res := ManyChannelExperiment(cfg)
-	var hbhRow *ManyChannelRow
-	for i := range res.Rows {
-		if res.Rows[i].Protocol == HBH {
-			hbhRow = &res.Rows[i]
-		}
-	}
-	if hbhRow == nil {
-		t.Fatal("no HBH row")
-	}
-	var buf bytes.Buffer
-	if err := hbhRow.Counters.Export(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"hbh_state_mft_entries{",
-		"hbh_state_mft_routers{",
-		"hbh_state_mct_routers{",
-		`channel="0"`, `channel="1"`, `channel="2"`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("state-series export missing %q", want)
-		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"hbh/internal/eventsim"
 	"hbh/internal/metrics"
-	"hbh/internal/unicast"
 )
 
 // ControlOverhead runs the A5 extension experiment: steady-state
@@ -35,33 +34,29 @@ func ControlOverhead(runs int, seed int64) *Figure {
 	}
 
 	const measureIntervals = 10
-	for si, size := range sizes {
-		for run := 0; run < runs; run++ {
-			s := seed + int64(si)*1_000_003 + int64(run)*7919
-			rng := rand.New(rand.NewSource(s))
-			g := BaseGraph(TopoRandom50).Clone()
-			g.RandomizeCosts(rng, 1, 10)
-			routing := unicast.Compute(g)
-			sourceHost := sourceHostOf(g)
-			members := sampleReceivers(g, rng, sourceHost, size)
-
-			for pi, p := range protos {
-				prng := rand.New(rand.NewSource(s))
-				sess := setupDyn(RunConfig{Topo: TopoRandom50, Protocol: p,
-					Receivers: size, Seed: s}, g, routing, sourceHost, members, prng)
-				converge(sess.sim, sess.interval, defaultConvergeIntervals)
-				sess.net.ResetStats()
-				if err := sess.sim.Run(sess.sim.Now() +
-					eventsim.Time(measureIntervals)*sess.interval); err != nil {
-					panic(fmt.Sprintf("experiment: overhead run: %v", err))
-				}
-				st := sess.net.Stats()
-				// No data is sent during the window: every transmission
-				// is control traffic.
-				perInterval := float64(st.Transmissions) / measureIntervals
-				fig.Series[pi].At(size).Add(perInterval)
+	grid(DefaultWorkers, len(sizes), runs, func(si, run, _ int) func() {
+		size := sizes[si]
+		s := seed + int64(si)*1_000_003 + int64(run)*7919
+		p := drawPoint(TopoRandom50, s, size, paperCosts)
+		perInterval := make([]float64, len(protos))
+		for pi, proto := range protos {
+			p.rng = rand.New(rand.NewSource(s))
+			sess := p.session(RunConfig{Topo: TopoRandom50, Protocol: proto, Receivers: size, Seed: s})
+			sess.settle(defaultConvergeIntervals)
+			sess.net.ResetStats()
+			if err := sess.sim.Run(sess.sim.Now() +
+				eventsim.Time(measureIntervals)*sess.interval); err != nil {
+				panic(fmt.Sprintf("experiment: overhead run: %v", err))
+			}
+			// No data is sent during the window: every transmission
+			// is control traffic.
+			perInterval[pi] = float64(sess.net.Stats().Transmissions) / measureIntervals
+		}
+		return func() {
+			for pi, v := range perInterval {
+				fig.Series[pi].At(size).Add(v)
 			}
 		}
-	}
+	})
 	return fig
 }

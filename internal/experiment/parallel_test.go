@@ -1,81 +1,59 @@
 package experiment
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
-// TestParallelSweepIdentical: parallel and serial sweeps must yield
-// bit-identical aggregates (the deterministic-fold guarantee).
+// TestParallelSweepIdentical: every grid experiment folds its runs in
+// one fixed order, so its table and CSV are byte-identical at 1 and 4
+// workers.
 func TestParallelSweepIdentical(t *testing.T) {
-	cfg := SweepConfig{
-		Topo: TopoISP, Sizes: []int{2, 6}, Protocols: []Protocol{HBH, PIMSS},
-		Runs: 4, Seed: 11,
-	}
-	sc, sd := SweepBoth(cfg)
-	cfg.Workers = 3
-	pc, pd := SweepBoth(cfg)
-	if sc.FormatCSV() != pc.FormatCSV() {
-		t.Errorf("cost differs:\nserial:\n%s\nparallel:\n%s", sc.FormatCSV(), pc.FormatCSV())
-	}
-	if sd.FormatCSV() != pd.FormatCSV() {
-		t.Errorf("delay differs:\nserial:\n%s\nparallel:\n%s", sd.FormatCSV(), pd.FormatCSV())
-	}
-	if sc.BadRuns != pc.BadRuns {
-		t.Errorf("bad runs differ: %d vs %d", sc.BadRuns, pc.BadRuns)
-	}
-}
-
-// TestScenarioCacheIdentical: the scenario-level routing cache (graph +
-// all-pairs Dijkstra built once per (size, run) point and shared by all
-// protocols) must produce Figure output bit-identical to the uncached
-// reference path where every protocol run rebuilds its own substrate —
-// serial and parallel alike. This is the guarantee that lets the cache
-// exist at all: it is purely a work-avoidance optimisation.
-func TestScenarioCacheIdentical(t *testing.T) {
-	base := SweepConfig{
-		Topo: TopoISP, Sizes: []int{2, 8}, Protocols: AllPaperProtocols(),
-		Runs: 3, Seed: 42,
-	}
-
-	ref := base
-	ref.noScenarioCache = true
-	refCost, refDelay := SweepBoth(ref)
-
-	for _, workers := range []int{1, 4} {
-		cfg := base
-		cfg.Workers = workers
-		gotCost, gotDelay := SweepBoth(cfg)
-		if refCost.FormatCSV() != gotCost.FormatCSV() {
-			t.Errorf("workers=%d: cached cost differs from uncached reference:\nref:\n%s\ncached:\n%s",
-				workers, refCost.FormatCSV(), gotCost.FormatCSV())
+	figures := func(fs ...*Figure) string {
+		var b strings.Builder
+		for _, f := range fs {
+			b.WriteString(f.FormatTable() + f.FormatCSV())
 		}
-		if refDelay.FormatCSV() != gotDelay.FormatCSV() {
-			t.Errorf("workers=%d: cached delay differs from uncached reference:\nref:\n%s\ncached:\n%s",
-				workers, refDelay.FormatCSV(), gotDelay.FormatCSV())
-		}
-		if refCost.BadRuns != gotCost.BadRuns {
-			t.Errorf("workers=%d: bad runs differ: %d vs %d", workers, refCost.BadRuns, gotCost.BadRuns)
-		}
+		return b.String()
 	}
-}
-
-// TestPreparedRunIdentical: a single Run handed a prebuilt Scenario
-// must reproduce the self-built run exactly, for every protocol and
-// for the perturbed-cost (asymmetry sweep) model too.
-func TestPreparedRunIdentical(t *testing.T) {
-	for _, p := range []Protocol{HBH, HBHNoFusion, REUNITE, PIMSM, PIMSS} {
-		rc := RunConfig{Topo: TopoISP, Protocol: p, Receivers: 6, Seed: 77}
-		want := Run(rc)
-		rc.Scenario = PrepareScenario(rc)
-		if got := Run(rc); got != want {
-			t.Errorf("%s: prepared run %+v != self-built run %+v", p, got, want)
-		}
-	}
-	rc := RunConfig{
-		Topo: TopoISP, Protocol: HBH, Receivers: 6, Seed: 78,
-		UseAsymSpread: true, AsymSpread: 4,
-	}
-	want := Run(rc)
-	rc.Scenario = PrepareScenario(rc)
-	if got := Run(rc); got != want {
-		t.Errorf("perturbed: prepared run %+v != self-built run %+v", got, want)
+	for _, c := range []struct {
+		name string
+		run  func() string
+	}{
+		{"paper", func() string { return figures(PaperFigures(TopoISP, 2, 11)) }},
+		{"stability", func() string {
+			return StabilityExperiment(StabilityConfig{Topo: TopoISP, Receivers: 4, Runs: 3, Seed: 11}).FormatTable()
+		}},
+		{"ablation-fusion", func() string { return figures(AblationFusion(2, 11)) }},
+		{"unicast-clouds", func() string { return figures(UnicastClouds(2, 11)) }},
+		{"asymmetry-sweep", func() string { return figures(AsymmetrySweep(2, 11)) }},
+		{"forwarding-state", func() string { return figures(ForwardingState(1, 11)) }},
+		{"control-overhead", func() string { return figures(ControlOverhead(1, 11)) }},
+		{"loss-robustness", func() string { return figures(LossRobustness(2, 11)) }},
+		{"qos", func() string { return figures(QoSRouting(2, 11)) }},
+		{"cross-topo", func() string { return figures(CrossTopology(2, 11)) }},
+		{"delay-tail", func() string { return DelayTail(3, 11).FormatTable() }},
+		{"failure-recovery", func() string {
+			return FailureExperiment(FailureConfig{Topo: TopoISP, Receivers: 4, Runs: 3, Seed: 11}).FormatTable()
+		}},
+		{"convergence", func() string {
+			return ConvergenceExperiment(ConvergenceConfig{Receivers: 3, Runs: 1, Seed: 11}).FormatTable()
+		}},
+		{"robustness", func() string {
+			return RobustnessExperiment(RobustnessConfig{Receivers: 3, Runs: 1, Seed: 11}).FormatTable()
+		}},
+		{"manychannel", func() string {
+			return ManyChannelExperiment(ManyChannelConfig{Tiers: []int{6}, Routers: 24, HostsPerRouter: 3, Seed: 11}).FormatTable()
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func(old int) { DefaultWorkers = old }(DefaultWorkers)
+			DefaultWorkers = 1
+			serial := c.run()
+			DefaultWorkers = 4
+			if parallel := c.run(); parallel != serial {
+				t.Errorf("4 workers differ from 1:\n--- 1 ---\n%s\n--- 4 ---\n%s", serial, parallel)
+			}
+		})
 	}
 }

@@ -3,12 +3,8 @@ package experiment
 import (
 	"math/rand"
 
-	"hbh/internal/addr"
-	"hbh/internal/eventsim"
 	"hbh/internal/metrics"
 	"hbh/internal/mtree"
-	"hbh/internal/netsim"
-	"hbh/internal/pim"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -47,63 +43,43 @@ func QoSRouting(runs int, seed int64) *Figure {
 		return fig.SeriesByName(name).At(size)
 	}
 
-	for si, size := range sizes {
-		for run := 0; run < runs; run++ {
-			s := seed + int64(si)*1_000_003 + int64(run)*7919
-			rng := rand.New(rand.NewSource(s))
-			g := BaseGraph(TopoISP).Clone()
+	grid(DefaultWorkers, len(sizes), runs, func(si, run, _ int) func() {
+		size := sizes[si]
+		s := seed + int64(si)*1_000_003 + int64(run)*7919
+		p := drawPoint(TopoISP, s, size, func(g *topology.Graph, rng *rand.Rand) {
 			g.RandomizeCosts(rng, 1, 10)
 			g.RandomizeBandwidths(rng, 10, 100)
-			sourceHost := sourceHostOf(g)
-			members := sampleReceivers(g, rng, sourceHost, size)
+		})
+		widest := unicast.ComputeWidest(p.Graph)
 
-			widest := unicast.ComputeWidest(g)
-			delay := unicast.Compute(g)
-
-			// The attainable optimum: the widest-path bottleneck from
-			// the source to each member.
-			sumOpt := 0.0
-			for _, m := range members {
-				sumOpt += float64(widest.Bottleneck(sourceHost, m))
-			}
-			at("optimal", size).Add(sumOpt / float64(len(members)))
-
-			at("HBH-widest", size).Add(
-				hbhBottleneck(g, widest.Routing, sourceHost, members, s))
-			at("HBH-delay", size).Add(
-				hbhBottleneck(g, delay, sourceHost, members, s))
-			at("PIM-SS-widest", size).Add(
-				pimSSBottleneck(g, widest.Routing, sourceHost, members))
+		// The attainable optimum: the widest-path bottleneck from
+		// the source to each member.
+		sumOpt := 0.0
+		for _, m := range p.members {
+			sumOpt += float64(widest.Bottleneck(p.source, m))
 		}
-	}
+		optimal := sumOpt / float64(len(p.members))
+		hbhWidest := bottleneck(p, widest.Routing, HBH, s)
+		hbhDelay := bottleneck(p, p.Routing, HBH, s)
+		pimWidest := bottleneck(p, widest.Routing, PIMSS, s)
+		return func() {
+			at("optimal", size).Add(optimal)
+			at("HBH-widest", size).Add(hbhWidest)
+			at("HBH-delay", size).Add(hbhDelay)
+			at("PIM-SS-widest", size).Add(pimWidest)
+		}
+	})
 	return fig
 }
 
-// hbhBottleneck converges HBH over the given substrate and returns the
-// mean bottleneck bandwidth of the delivered paths.
-func hbhBottleneck(g *topology.Graph, routing unicast.Router,
-	sourceHost topology.NodeID, members []topology.NodeID, seed int64) float64 {
-	prng := rand.New(rand.NewSource(seed))
-	sess := setupDyn(RunConfig{Protocol: HBH, Receivers: len(members), Seed: seed},
-		g, routing, sourceHost, members, prng)
-	converge(sess.sim, sess.interval, defaultConvergeIntervals)
-	res := sess.ProbeSettled()
-	return meanBottleneck(g, res, sourceHost, members)
-}
-
-// pimSSBottleneck installs a PIM-SS tree over the substrate and
-// measures the same quantity.
-func pimSSBottleneck(g *topology.Graph, routing unicast.Router,
-	sourceHost topology.NodeID, members []topology.NodeID) float64 {
-	sim := eventsim.New()
-	net := netsim.New(sim, g, routing)
-	sess := pim.Build(net, pim.SS, sourceHost, addr.GroupAddr(0), members, topology.None)
-	ms := make([]mtree.Member, 0, len(members))
-	for _, m := range members {
-		ms = append(ms, sess.Member(m))
-	}
-	res := mtree.Probe(net, func() uint32 { return sess.SendData(nil) }, ms)
-	return meanBottleneck(g, res, sourceHost, members)
+// bottleneck settles proto over the given substrate and returns the
+// mean bottleneck bandwidth of the paths its probe took.
+func bottleneck(p point, routing unicast.Router, proto Protocol, seed int64) float64 {
+	p.Scenario = &Scenario{Graph: p.Graph, Routing: routing}
+	p.rng = rand.New(rand.NewSource(seed))
+	sess := p.session(RunConfig{Protocol: proto, Receivers: len(p.members), Seed: seed})
+	sess.settle(defaultConvergeIntervals)
+	return meanBottleneck(p.Graph, sess.probeSettled(), p.source, p.members)
 }
 
 // meanBottleneck reconstructs each member's delivery path from the

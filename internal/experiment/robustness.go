@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 
 	"hbh/internal/addr"
 	"hbh/internal/clock"
@@ -13,10 +12,8 @@ import (
 	"hbh/internal/faults"
 	"hbh/internal/invariant"
 	"hbh/internal/metrics"
-	"hbh/internal/mtree"
 	"hbh/internal/netsim"
 	"hbh/internal/obs"
-	"hbh/internal/pim"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -139,20 +136,6 @@ type AdvResult struct {
 	Violations []invariant.Violation
 }
 
-// advSession abstracts the protocol-specific part of an adversarial
-// run: the dynamic sessions wrap dynSession, PIM builds centrally.
-type advSession struct {
-	sim      *eventsim.Sim
-	net      *netsim.Network
-	members  []mtree.Member
-	send     func() uint32
-	interval eventsim.Time
-	leave    func(i int)
-	rejoin   func(i int)
-	checker  *invariant.Checker
-	probe    func() *mtree.Result
-}
-
 // AdversarialRun executes one adversarial scenario.
 func AdversarialRun(spec AdvSpec) AdvResult {
 	if spec.Receivers < 1 {
@@ -171,17 +154,10 @@ func AdversarialRun(spec AdvSpec) AdvResult {
 		spec.BurstLen = 3
 	}
 
-	rng := rand.New(rand.NewSource(spec.Seed))
-	g := BaseGraph(spec.Topo).Clone()
-	g.RandomizeCosts(rng, 1, 10)
-	var routing unicast.Router = unicast.Compute(g)
+	p := drawPoint(spec.Topo, spec.Seed, spec.Receivers, paperCosts)
 	if spec.LazyRouting {
-		routing = unicast.NewLazy(g, unicast.LazyOptions{MaxSources: 8})
+		p.Routing = unicast.NewLazy(p.Graph, unicast.LazyOptions{MaxSources: 8})
 	}
-	sourceHost := sourceHostOf(g)
-	memberHosts := sampleReceivers(g, rng, sourceHost, spec.Receivers)
-	ch := addr.Channel{S: g.Node(sourceHost).Addr, G: addr.GroupAddr(0)}
-
 	o := spec.Obs
 	if o == nil {
 		o = obs.New(nil)
@@ -189,13 +165,18 @@ func AdversarialRun(spec AdvSpec) AdvResult {
 	tr := o.EnableConvergence()
 	tr.Reset()
 
-	s := buildAdvSession(spec, g, routing, sourceHost, memberHosts, rng, o)
-	attachBackgroundChannels(spec, s, g)
+	s := p.session(RunConfig{
+		Topo: spec.Topo, Protocol: spec.Protocol,
+		Receivers: spec.Receivers, Seed: spec.Seed,
+		Check: spec.Check, Obs: o,
+		TimerSkew: spec.TimerSkew,
+	})
+	attachBackgroundChannels(spec, s, p.Graph)
 	var res AdvResult
 
 	// Phase 1: clean join, measured.
 	res.CleanTime, _, res.CleanConverged =
-		convergeMeasured(s.sim, tr, ch, s.interval, defaultConvergeIntervals)
+		convergeMeasured(s.sim, tr, s.ch, s.interval, defaultConvergeIntervals)
 
 	// Phase 2: adversity window. All adversity randomness comes from
 	// dedicated streams derived from the spec seed, so adding a knob
@@ -234,28 +215,26 @@ func AdversarialRun(spec AdvSpec) AdvResult {
 		}
 		if n > 0 {
 			srlgRNG := rand.New(rand.NewSource(spec.Seed ^ 0x73726c67)) // "srlg"
-			plan, _ := faults.RandomSRLGPlan(srlgRNG, g, n, spec.GroupSize,
+			plan, _ := faults.RandomSRLGPlan(srlgRNG, p.Graph, n, spec.GroupSize,
 				wStart+s.interval, spacing, downFor)
 			faults.NewInjector(s.net, plan).Schedule()
 		}
 	}
-	if spec.Leaves > 0 && s.leave != nil {
+	if spec.Leaves > 0 && s.tree == nil {
 		n := spec.Leaves
-		if n >= len(memberHosts) {
-			n = len(memberHosts) - 1 // never empty the group entirely
+		if n >= len(s.rcvs) {
+			n = len(s.rcvs) - 1 // never empty the group entirely
 		}
-		for i := 0; i < n; i++ {
-			i := i
-			s.sim.At(wStart+2*s.interval, func() { s.leave(i) })
-			s.sim.At(wStart+eventsim.Time(spec.WindowIntervals/2)*s.interval,
-				func() { s.rejoin(i) })
+		for _, rcv := range s.rcvs[:n] {
+			s.sim.At(wStart+2*s.interval, rcv.Leave)
+			s.sim.At(wStart+eventsim.Time(spec.WindowIntervals/2)*s.interval, rcv.Join)
 		}
 	}
 
 	// Periodic data probes feed the delivery matrix; every member logs
 	// arrivals, and sequence numbers map back to probe indices after
 	// the window.
-	dm := metrics.NewDeliveryMatrix(len(memberHosts))
+	dm := metrics.NewDeliveryMatrix(len(s.members))
 	seqToProbe := make(map[uint32]int)
 	ticker := clock.NewTicker(clock.Sim(s.sim), s.interval/2, func() {
 		seqToProbe[s.send()] = dm.Sent(float64(s.sim.Now()))
@@ -277,7 +256,7 @@ func AdversarialRun(spec AdvSpec) AdvResult {
 	if advOn {
 		s.net.SetAdversary(netsim.Adversary{})
 	}
-	recovAt, _, recovered := convergeMeasured(s.sim, tr, ch, s.interval, defaultConvergeIntervals)
+	recovAt, _, recovered := convergeMeasured(s.sim, tr, s.ch, s.interval, defaultConvergeIntervals)
 	res.Recovered = recovered
 	if recovAt > wEnd {
 		res.RecoveryTime = recovAt - wEnd
@@ -288,9 +267,9 @@ func AdversarialRun(spec AdvSpec) AdvResult {
 	// still lands, and a delivery is a delivery whenever it arrives.
 	// Disruption counts by send time regardless.
 	for i, m := range s.members {
-		for seq, p := range seqToProbe {
+		for seq, probe := range seqToProbe {
 			if _, ok := m.DeliveryAt(seq); ok {
-				dm.Delivered(i, p)
+				dm.Delivered(i, probe)
 			}
 		}
 	}
@@ -302,7 +281,7 @@ func AdversarialRun(spec AdvSpec) AdvResult {
 	// were already collected continuously).
 	if recovered {
 		sentAt := s.sim.Now()
-		final := s.probe()
+		final := s.probeSettled()
 		// The probe itself spans refresh intervals, and a slow
 		// oscillation can sit out the quiescence gate's settle window
 		// yet still flip the tree while the probe is in flight — the
@@ -312,17 +291,17 @@ func AdversarialRun(spec AdvSpec) AdvResult {
 		// intervals, and the flip straddles the probe.) Re-settle and
 		// re-probe; a tree that refuses to hold still across a probe has
 		// no fixed point, so the run is non-converging, not violating.
-		for attempt := 0; recovered && tr.Channel(ch).LastMutation > sentAt; attempt++ {
+		for attempt := 0; recovered && tr.Channel(s.ch).LastMutation > sentAt; attempt++ {
 			if attempt == 3 {
 				recovered, res.Recovered = false, false
 				break
 			}
-			if _, _, ok := convergeMeasured(s.sim, tr, ch, s.interval, defaultConvergeIntervals); !ok {
+			if _, _, ok := convergeMeasured(s.sim, tr, s.ch, s.interval, defaultConvergeIntervals); !ok {
 				recovered, res.Recovered = false, false
 				break
 			}
 			sentAt = s.sim.Now()
-			final = s.probe()
+			final = s.probeSettled()
 		}
 		if recovered {
 			res.Missing = len(final.Missing)
@@ -338,68 +317,18 @@ func AdversarialRun(spec AdvSpec) AdvResult {
 	return res
 }
 
-// buildAdvSession assembles the protocol session for an adversarial
-// run, reusing the figure pipeline's setup helpers.
-func buildAdvSession(spec AdvSpec, g *topology.Graph, routing unicast.Router,
-	sourceHost topology.NodeID, memberHosts []topology.NodeID,
-	rng *rand.Rand, o *obs.Observer) *advSession {
-	rcfg := RunConfig{
-		Topo: spec.Topo, Protocol: spec.Protocol,
-		Receivers: spec.Receivers, Seed: spec.Seed,
-		Check: spec.Check, Obs: o,
-		TimerSkew: spec.TimerSkew,
-	}
-	switch spec.Protocol {
-	case PIMSM, PIMSS:
-		sim := eventsim.New()
-		net := netsim.New(sim, g, routing)
-		net.SetObserver(o)
-		mode := pim.SS
-		if spec.Protocol == PIMSM {
-			mode = pim.SM
-		}
-		sess := pim.Build(net, mode, sourceHost, addr.GroupAddr(0), memberHosts, topology.None)
-		a := &advSession{
-			sim: sim, net: net,
-			send: func() uint32 { return sess.SendData(nil) },
-			// PIM has no refresh cycle; the dynamic protocols'
-			// TreeInterval keeps the adversity windows comparable.
-			interval: core.DefaultConfig().TreeInterval,
-		}
-		for _, m := range memberHosts {
-			a.members = append(a.members, sess.Member(m))
-		}
-		if spec.Check {
-			a.checker = invariant.New(net, sess.Channel(), profileFor(spec.Protocol), nil)
-			a.checker.SetMembers(memberAddrs(g, memberHosts))
-			a.checker.SetObserver(o)
-		}
-		a.probe = func() *mtree.Result { return mtree.Probe(net, a.send, a.members) }
-		return a
-	default:
-		s := setupDyn(rcfg, g, routing, sourceHost, memberHosts, rng)
-		return &advSession{
-			sim: s.sim, net: s.net, members: s.members,
-			send: s.send, interval: s.interval,
-			leave: s.leave, rejoin: s.rejoin,
-			checker: s.checker,
-			probe:   func() *mtree.Result { return s.ProbeSettled() },
-		}
-	}
-}
-
 // attachBackgroundChannels starts spec.ExtraChannels additional
 // channels of the same protocol on the session's network: per channel
 // one source (own host, own group address), 2-4 members joining at
 // randomized offsets like the measured channel's, and a once-per-
-// interval data origination. The routers buildAdvSession attached
+// interval data origination. The routers the session attached
 // dispatch per channel, so the background cascades run through the
 // same tables, the same adversary and the same routing substrate as
 // the measured one. All randomness comes from a dedicated stream
 // derived from the spec seed, so turning the knob on never perturbs
 // the draws of the measured channel or of any other knob.
-func attachBackgroundChannels(spec AdvSpec, s *advSession, g *topology.Graph) {
-	if spec.ExtraChannels <= 0 || spec.Protocol == PIMSM || spec.Protocol == PIMSS {
+func attachBackgroundChannels(spec AdvSpec, s *session, g *topology.Graph) {
+	if spec.ExtraChannels <= 0 || s.tree != nil {
 		return
 	}
 	bg := rand.New(rand.NewSource(spec.Seed ^ 0x626763686e)) // "bgchn"
@@ -485,9 +414,6 @@ type RobustnessResult struct {
 func robustnessProtocols() []Protocol { return []Protocol{HBH, REUNITE, PIMSM} }
 
 // RobustnessExperiment sweeps the A12 envelope on the ISP topology.
-// Cells are independent, so they parallelize over DefaultWorkers; the
-// aggregation per cell is serial in run order, keeping the result
-// bit-identical at any worker count.
 func RobustnessExperiment(cfg RobustnessConfig) *RobustnessResult {
 	if cfg.Receivers < 1 {
 		panic("experiment: robustness envelope needs at least one receiver")
@@ -504,34 +430,16 @@ func RobustnessExperiment(cfg RobustnessConfig) *RobustnessResult {
 			}
 		}
 	}
-	workers := DefaultWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(res.Cells) {
-		workers = len(res.Cells)
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for _, cell := range res.Cells {
-		cell := cell
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			for run := 0; run < cfg.Runs; run++ {
-				robustnessRun(cfg, cell, cfg.Seed+int64(run)*7919)
-			}
-		}()
-	}
-	wg.Wait()
+	grid(DefaultWorkers, len(res.Cells), cfg.Runs, func(ci, run, _ int) func() {
+		cell := res.Cells[ci]
+		r := AdversarialRun(robustnessSpec(cfg, cell, cfg.Seed+int64(run)*7919))
+		return func() { cell.add(r) }
+	})
 	return res
 }
 
-// robustnessRun executes and classifies one cell run.
-func robustnessRun(cfg RobustnessConfig, cell *robustnessCell, seed int64) {
-	interval := core.DefaultConfig().TreeInterval
+// robustnessSpec is the adversarial run of one cell.
+func robustnessSpec(cfg RobustnessConfig, cell *robustnessCell, seed int64) AdvSpec {
 	spec := AdvSpec{
 		Topo: TopoISP, Protocol: cell.Protocol,
 		Receivers: cfg.Receivers, Seed: seed,
@@ -539,30 +447,30 @@ func robustnessRun(cfg RobustnessConfig, cell *robustnessCell, seed int64) {
 		WindowIntervals: 20,
 	}
 	if cell.Churn > 0 {
-		spec.ChurnPeriod = eventsim.Time(float64(interval) / cell.Churn)
+		spec.ChurnPeriod = eventsim.Time(float64(core.DefaultConfig().TreeInterval) / cell.Churn)
 		spec.ChurnAmplitude = 2
 	}
-	r := AdversarialRun(spec)
-	cell.Disruption.Add(r.Disruption)
-	switch {
-	case !r.Recovered:
-		cell.NonConverging++
-	default:
-		// The degraded threshold compares against the run's own clean
-		// convergence time, floored at one refresh interval so the
-		// centrally installed baseline (clean time 0) is not degraded
-		// by an instant recovery.
-		limit := robustnessClassFactor * r.CleanTime
-		if limit < interval {
-			limit = interval
-		}
-		if r.RecoveryTime > limit {
-			cell.Degraded++
-		} else {
-			cell.Converged++
-		}
-		cell.Recovery.Add(float64(r.RecoveryTime))
+	return spec
+}
+
+// add classifies one run of the cell.
+func (c *robustnessCell) add(r AdvResult) {
+	c.Disruption.Add(r.Disruption)
+	if !r.Recovered {
+		c.NonConverging++
+		return
 	}
+	// The degraded threshold compares against the run's own clean
+	// convergence time, floored at one refresh interval so the
+	// centrally installed baseline (clean time 0) is not degraded by an
+	// instant recovery.
+	limit := max(robustnessClassFactor*r.CleanTime, core.DefaultConfig().TreeInterval)
+	if r.RecoveryTime > limit {
+		c.Degraded++
+	} else {
+		c.Converged++
+	}
+	c.Recovery.Add(float64(r.RecoveryTime))
 }
 
 // FormatTable renders the robustness envelope.

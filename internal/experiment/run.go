@@ -16,17 +16,7 @@ import (
 	"math/rand"
 	"sync"
 
-	"hbh/internal/addr"
-	"hbh/internal/clock"
-	"hbh/internal/core"
-	"hbh/internal/eventsim"
-	"hbh/internal/invariant"
-	"hbh/internal/mtree"
-	"hbh/internal/netsim"
 	"hbh/internal/obs"
-	"hbh/internal/pim"
-	"hbh/internal/reunite"
-	"hbh/internal/softstate"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -161,7 +151,7 @@ type RunConfig struct {
 	Check bool
 	// TimerSkew, when > 0, scales each receiver's JoinInterval by a
 	// deterministic per-receiver factor in [1-TimerSkew, 1+TimerSkew]
-	// (see skewFactor), modelling the unsynchronized refresh clocks of
+	// (see skewedInterval), modelling the unsynchronized refresh clocks of
 	// a live deployment. No RNG draws are consumed whether on or off,
 	// so enabling the knob never perturbs the other seeded draws. The
 	// scaled interval must stay below T1 for the config to validate;
@@ -180,11 +170,31 @@ type RunConfig struct {
 	// protocols simulated at one (size, run) grid point share the same
 	// seed-derived costs, so the sweeps build the graph and run the
 	// all-pairs Dijkstra once per scenario instead of once per
-	// protocol. The run still consumes the rng draws cost assignment
-	// would have, so its results are bit-identical to the uncached
-	// path. The scenario must have been prepared from a RunConfig with
-	// identical Topo, Seed and cost fields.
+	// protocol. nil makes Run prepare its own. The scenario must have
+	// been prepared from a RunConfig with identical Topo, Seed and cost
+	// fields.
 	Scenario *Scenario
+}
+
+// costs draws cfg's cost model on g from rng: every directed link cost
+// uniform in [CostLo, CostHi] (the paper's [1,10] by default), or with
+// UseAsymSpread symmetric base costs skewed per direction by up to
+// AsymSpread. With skip it consumes the same draws and writes nothing.
+func (cfg RunConfig) costs(g *topology.Graph, rng *rand.Rand, skip bool) {
+	lo, hi := cfg.CostLo, cfg.CostHi
+	if lo == 0 && hi == 0 {
+		lo, hi = 1, 10
+	}
+	switch {
+	case cfg.UseAsymSpread && skip:
+		g.SkipPerturbCosts(rng, lo, hi, cfg.AsymSpread)
+	case cfg.UseAsymSpread:
+		g.PerturbCosts(rng, lo, hi, cfg.AsymSpread)
+	case skip:
+		g.SkipRandomizeCosts(rng, lo, hi)
+	default:
+		g.RandomizeCosts(rng, lo, hi)
+	}
 }
 
 // Scenario is the seed-derived simulation substrate shared by every
@@ -200,28 +210,58 @@ type Scenario struct {
 // base topology, randomize costs from the seed, compute routing. The
 // protocol-specific fields of cfg are ignored.
 func PrepareScenario(cfg RunConfig) *Scenario {
-	lo, hi := cfg.CostLo, cfg.CostHi
-	if lo == 0 && hi == 0 {
-		lo, hi = 1, 10
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := BaseGraph(cfg.Topo).Clone()
-	if cfg.UseAsymSpread {
-		g.PerturbCosts(rng, lo, hi, cfg.AsymSpread)
-	} else {
-		g.RandomizeCosts(rng, lo, hi)
-	}
+	return newScenario(cfg.Topo, rand.New(rand.NewSource(cfg.Seed)),
+		func(g *topology.Graph, rng *rand.Rand) { cfg.costs(g, rng, false) })
+}
+
+// costModel draws a scenario's link costs, and any other link attribute
+// an experiment varies, from the scenario's rng.
+type costModel func(g *topology.Graph, rng *rand.Rand)
+
+// paperCosts is the §4 cost model: every directed link cost uniform in
+// [1,10].
+func paperCosts(g *topology.Graph, rng *rand.Rand) { g.RandomizeCosts(rng, 1, 10) }
+
+// newScenario clones topo's base graph, draws its costs from rng and
+// routes it.
+func newScenario(topo Topo, rng *rand.Rand, costs costModel) *Scenario {
+	g := BaseGraph(topo).Clone()
+	costs(g, rng)
 	return &Scenario{Graph: g, Routing: unicast.New(g)}
 }
 
-// SameScenario reports whether two run configs describe the same
-// scenario (identical topology, seed and cost model), i.e. whether a
-// Scenario prepared for one can be reused for the other.
-func SameScenario(a, b RunConfig) bool {
-	return a.Topo == b.Topo && a.Seed == b.Seed &&
-		a.CostLo == b.CostLo && a.CostHi == b.CostHi &&
-		a.UseAsymSpread == b.UseAsymSpread &&
-		(!a.UseAsymSpread || a.AsymSpread == b.AsymSpread)
+// point is one run of the §4 method: a scenario, the source on router
+// 0's host, the receivers sampled for it, and the rng that drew them,
+// which the run keeps drawing from (capable routers, join jitter).
+type point struct {
+	*Scenario
+	source  topology.NodeID
+	members []topology.NodeID
+	rng     *rand.Rand
+}
+
+// drawPoint draws a point from seed: topo's base graph with its costs
+// drawn by costs, routed, and n receivers sampled from the same stream.
+func drawPoint(topo Topo, seed int64, n int, costs costModel) point {
+	rng := rand.New(rand.NewSource(seed))
+	return newScenario(topo, rng, costs).point(rng, n)
+}
+
+// point fixes the source, the host attached to router 0 (node 18 in the
+// ISP figure), and samples n receivers among the other hosts from rng.
+func (sc *Scenario) point(rng *rand.Rand, n int) point {
+	src := sourceHostOf(sc.Graph)
+	return point{Scenario: sc, source: src, members: sampleReceivers(sc.Graph, rng, src, n), rng: rng}
+}
+
+// sourceHostOf returns the host attached to router 0.
+func sourceHostOf(g *topology.Graph) topology.NodeID {
+	for _, h := range g.Hosts() {
+		if g.AttachedRouter(h) == 0 {
+			return h
+		}
+	}
+	panic("experiment: topology has no host on router 0")
 }
 
 // RunResult is one run's measurement.
@@ -245,56 +285,30 @@ func Run(cfg RunConfig) RunResult {
 	if cfg.Receivers < 1 {
 		panic("experiment: need at least one receiver")
 	}
-	lo, hi := cfg.CostLo, cfg.CostHi
-	if lo == 0 && hi == 0 {
-		lo, hi = 1, 10
+	sc := cfg.Scenario
+	if sc == nil {
+		sc = PrepareScenario(cfg)
 	}
+	// The scenario already carries the costs this seed draws; consume
+	// the same draws so receiver sampling and join jitter see the
+	// stream a fresh draw would have left.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	var g *topology.Graph
-	var routing unicast.Router
-	if cfg.Scenario != nil {
-		g, routing = cfg.Scenario.Graph, cfg.Scenario.Routing
-		// The scenario already carries the costs this seed draws;
-		// consume the identical rng draws so receiver sampling and
-		// join jitter below see the same stream as the uncached path.
-		if cfg.UseAsymSpread {
-			g.SkipPerturbCosts(rng, lo, hi, cfg.AsymSpread)
-		} else {
-			g.SkipRandomizeCosts(rng, lo, hi)
-		}
-	} else {
-		g = BaseGraph(cfg.Topo).Clone()
-		if cfg.UseAsymSpread {
-			g.PerturbCosts(rng, lo, hi, cfg.AsymSpread)
-		} else {
-			g.RandomizeCosts(rng, lo, hi)
-		}
-		routing = unicast.New(g)
+	cfg.costs(sc.Graph, rng, true)
+	s := sc.point(rng, cfg.Receivers).session(cfg)
+	s.settle(cfg.ConvergeIntervals)
+	res := s.probeSettled()
+	if s.checker != nil {
+		s.checker.CheckConverged(s.fixedPoint(res).Seq)
+		s.checker.MustClean(fmt.Sprintf("%s on %s (seed=%d receivers=%d)",
+			cfg.Protocol, cfg.Topo, cfg.Seed, cfg.Receivers))
 	}
-
-	sourceHost := sourceHostOf(g)
-	members := sampleReceivers(g, rng, sourceHost, cfg.Receivers)
-
-	switch cfg.Protocol {
-	case PIMSM, PIMSS:
-		return runPIM(cfg, g, routing, sourceHost, members)
-	case HBH, HBHNoFusion, REUNITE:
-		return runDyn(cfg, g, routing, sourceHost, members, rng)
-	default:
-		panic(fmt.Sprintf("experiment: unknown protocol %q", cfg.Protocol))
+	return RunResult{
+		Cost:          res.Cost,
+		MeanDelay:     res.MeanDelay(),
+		MaxLinkCopies: res.MaxLinkCopies(),
+		Missing:       len(res.Missing),
+		Duplicates:    res.Duplicates,
 	}
-}
-
-// sourceHostOf fixes the source: the host attached to router 0 (node
-// 18 in the ISP figure).
-func sourceHostOf(g *topology.Graph) topology.NodeID {
-	for _, h := range g.Hosts() {
-		if g.AttachedRouter(h) == 0 {
-			return h
-		}
-	}
-	panic("experiment: topology has no host on router 0")
 }
 
 // sampleReceivers draws n distinct receiver hosts uniformly, excluding
@@ -329,346 +343,4 @@ func capableSet(g *topology.Graph, rng *rand.Rand, fraction float64) map[topolog
 		capable[routers[i]] = true
 	}
 	return capable
-}
-
-func runPIM(cfg RunConfig, g *topology.Graph, routing unicast.Router,
-	sourceHost topology.NodeID, members []topology.NodeID) RunResult {
-	sim := eventsim.New()
-	net := netsim.New(sim, g, routing)
-	if cfg.Obs != nil {
-		net.SetObserver(cfg.Obs)
-	}
-	mode := pim.SS
-	if cfg.Protocol == PIMSM {
-		mode = pim.SM
-	}
-	sess := pim.Build(net, mode, sourceHost, addr.GroupAddr(0), members, topology.None)
-	var chk *invariant.Checker
-	if checkingEnabled(cfg) {
-		// No StateProvider: PIM trees are installed centrally, so only
-		// the delivery-level invariants are checkable.
-		chk = invariant.New(net, sess.Channel(), profileFor(cfg.Protocol), nil)
-		chk.SetMembers(memberAddrs(g, members))
-		chk.SetObserver(cfg.Obs)
-	}
-	ms := make([]mtree.Member, 0, len(members))
-	for _, m := range members {
-		ms = append(ms, sess.Member(m))
-	}
-	res := mtree.Probe(net, func() uint32 { return sess.SendData(nil) }, ms)
-	if chk != nil {
-		chk.CheckConverged(res.Seq)
-		chk.MustClean(fmt.Sprintf("%s on %s (seed=%d receivers=%d)",
-			cfg.Protocol, cfg.Topo, cfg.Seed, cfg.Receivers))
-	}
-	return toRunResult(res)
-}
-
-// dynSession is a live protocol session over a dynamic (join/leave)
-// recursive-unicast protocol, used by both the figure sweeps and the
-// departure-stability experiment.
-type dynSession struct {
-	dynEngines
-	sim       *eventsim.Sim
-	net       *netsim.Network
-	members   []mtree.Member
-	hosts     []topology.NodeID
-	rcvs      []*softstate.Receiver // the member agents, parallel to hosts
-	send      func() uint32
-	interval  eventsim.Time
-	settleOut eventsim.Time // time for soft state to dissolve after a leave
-	// changes counts forwarding-state mutations (entries added/removed/
-	// marked, branching transitions) across all routers and the source
-	// — the Figure 4 stability metric.
-	changes *int
-	// checker, when non-nil, validates the protocol's invariant profile
-	// continuously and at converged checkpoints (see check.go).
-	checker *invariant.Checker
-}
-
-// stateFootprint is a snapshot of a protocol's table usage.
-type stateFootprint struct {
-	// MFTRouters counts routers holding a data-plane table (branching
-	// nodes). The recursive-unicast pitch is that this is much smaller
-	// than the tree's router count.
-	MFTRouters int
-	// MFTEntries is the total number of data-plane rows across all
-	// routers and the source.
-	MFTEntries int
-	// MCTRouters counts routers holding only control-plane state.
-	MCTRouters int
-}
-
-// Probe injects one data packet and measures the converged tree.
-func (s *dynSession) Probe() *mtree.Result {
-	return mtree.Probe(s.net, s.send, s.members)
-}
-
-// ProbeSettled probes, and if any member misses the packet (the probe
-// landed in a transient soft-state window — REUNITE in particular
-// keeps reconfiguring under asymmetric routing), lets the protocol run
-// a few more refresh intervals and retries, up to three times. The
-// final probe is reported either way, so sustained starvation still
-// shows up as Missing.
-func (s *dynSession) ProbeSettled() *mtree.Result {
-	res := s.Probe()
-	for attempt := 0; attempt < 3 && len(res.Missing) > 0; attempt++ {
-		converge(s.sim, s.interval, 8)
-		res = s.Probe()
-	}
-	return res
-}
-
-// MembersWithout returns the member views excluding index i.
-func (s *dynSession) MembersWithout(i int) []mtree.Member {
-	out := make([]mtree.Member, 0, len(s.members)-1)
-	for j, m := range s.members {
-		if j != i {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// dynEngines are one dynamic protocol's agents on a network, seen
-// through the types the two protocols share: what a session needs once
-// the engines are attached, whichever protocol's rules they run.
-type dynEngines struct {
-	cfg softstate.Config
-	src *softstate.Source
-	// routers follow the order they were attached in (setupDyn: the
-	// capable ones of g.Routers()).
-	routers []softstate.Router
-	// audit exposes the protocol's table snapshots so callers can build
-	// their own checkpoint checkers (the A13 scale run checks converged
-	// state only — continuous checking at 50k routers would re-snapshot
-	// every table per dirty event).
-	audit invariant.StateProvider
-	// receiver attaches a (not yet joined) member agent for the
-	// source's channel, timed by rcfg.
-	receiver func(n netsim.ProtoNode, rcfg softstate.Config) *softstate.Receiver
-}
-
-// attachDyn attaches protocol p's router engines to routers and its
-// source to sourceNode. This is the one place the harness names a
-// protocol package; everything downstream works on the shared types.
-func attachDyn(p Protocol, routers []netsim.ProtoNode, sourceNode netsim.ProtoNode, group addr.Addr) dynEngines {
-	switch p {
-	case HBH, HBHNoFusion:
-		pcfg := core.DefaultConfig()
-		pcfg.EnableFusion = p == HBH
-		rs := make([]*core.Router, len(routers))
-		for i, n := range routers {
-			rs[i] = core.AttachRouter(n, pcfg)
-		}
-		src := core.AttachSource(sourceNode, group, pcfg)
-		return dynEngines{
-			cfg: pcfg.Config, src: src.Source, routers: softstate.Routers(rs),
-			audit: core.NewAudit(src, rs),
-			receiver: func(n netsim.ProtoNode, rcfg softstate.Config) *softstate.Receiver {
-				return core.AttachReceiver(n, src.Channel(), core.Config{Config: rcfg})
-			},
-		}
-	case REUNITE:
-		pcfg := reunite.DefaultConfig()
-		rs := make([]*reunite.Router, len(routers))
-		for i, n := range routers {
-			rs[i] = reunite.AttachRouter(n, pcfg)
-		}
-		src := reunite.AttachSource(sourceNode, group, pcfg)
-		return dynEngines{
-			cfg: pcfg, src: src.Source, routers: softstate.Routers(rs),
-			audit: reunite.NewAudit(src, rs),
-			receiver: func(n netsim.ProtoNode, rcfg softstate.Config) *softstate.Receiver {
-				return reunite.AttachReceiver(n, src.Channel(), rcfg)
-			},
-		}
-	default:
-		panic(fmt.Sprintf("experiment: %q is not a dynamic protocol", p))
-	}
-}
-
-// state reports the current forwarding-state footprint across the
-// source and all routers, for the A4 state-size experiment.
-func (s *dynSession) state() stateFootprint { return footprint(s.src, s.routers) }
-
-// footprint snapshots a channel's table usage across its source and
-// routers.
-func footprint(src *softstate.Source, routers []softstate.Router) stateFootprint {
-	fp := stateFootprint{MFTEntries: src.MFT().Len()}
-	for _, r := range routers {
-		mct, mft, _ := r.State(src.Channel())
-		if mft != nil {
-			fp.MFTRouters++
-			fp.MFTEntries += mft.Len()
-		}
-		if mct != nil {
-			fp.MCTRouters++
-		}
-	}
-	return fp
-}
-
-// setupDyn builds the session for a dynamic protocol.
-func setupDyn(cfg RunConfig, g *topology.Graph, routing unicast.Router,
-	sourceHost topology.NodeID, members []topology.NodeID, rng *rand.Rand) *dynSession {
-	sim := eventsim.New()
-	net := netsim.New(sim, g, routing)
-	if cfg.Obs != nil {
-		net.SetObserver(cfg.Obs)
-	}
-	capable := capableSet(g, rng, cfg.MulticastFraction)
-	var on []netsim.ProtoNode
-	for _, r := range g.Routers() {
-		if capable[r] {
-			on = append(on, net.Node(r))
-		}
-	}
-	e := attachDyn(cfg.Protocol, on, net.Node(sourceHost), addr.GroupAddr(0))
-	s := &dynSession{
-		dynEngines: e,
-		sim:        sim,
-		net:        net,
-		hosts:      members,
-		interval:   e.cfg.TreeInterval,
-		settleOut:  3 * (e.cfg.T1 + e.cfg.T2),
-		send:       func() uint32 { return e.src.SendData(nil) },
-		changes:    new(int),
-	}
-	if checkingEnabled(cfg) {
-		s.checker = invariant.New(net, e.src.Channel(), profileFor(cfg.Protocol),
-			s.audit)
-		s.checker.SetMembers(memberAddrs(g, members))
-		invariant.InstallContinuous(sim, s.checker)
-		s.checker.SetObserver(cfg.Obs)
-	}
-	installFootprintSampler(cfg, s, string(cfg.Protocol))
-	chg := func(addr.Addr, addr.Channel, softstate.ChangeKind, addr.Addr) {
-		*s.changes++
-		if s.checker != nil {
-			s.checker.MarkDirty()
-		}
-	}
-	for _, r := range e.routers {
-		r.SetObserver(chg)
-	}
-	e.src.SetObserver(chg)
-	for i, m := range members {
-		rcfg := e.cfg
-		rcfg.JoinInterval = skewedInterval(e.cfg.JoinInterval, cfg.TimerSkew, i)
-		rcv := e.receiver(net.Node(m), rcfg)
-		at := eventsim.Time(rng.Float64()) * e.cfg.JoinInterval
-		sim.At(at, rcv.Join)
-		s.members = append(s.members, rcv)
-		s.rcvs = append(s.rcvs, rcv)
-	}
-	return s
-}
-
-func (s *dynSession) leave(i int)  { s.rcvs[i].Leave() }
-func (s *dynSession) rejoin(i int) { s.rcvs[i].Join() }
-
-// skewedInterval scales a refresh interval by receiver index i's
-// deterministic skew factor: the factors cycle through -1, -1/2, 0,
-// +1/2, +1, so any group of five receivers spans the whole
-// [1-skew, 1+skew] band and no random draws are consumed.
-func skewedInterval(base eventsim.Time, skew float64, i int) eventsim.Time {
-	if skew <= 0 {
-		return base
-	}
-	factor := float64((i%5)-2) / 2
-	return base * eventsim.Time(1+skew*factor)
-}
-
-// installFootprintSampler samples the session's forwarding-state
-// footprint into the observer's counter registry once per refresh
-// interval, producing the virtual-time convergence curves the metrics
-// export exposes (hbh_state_* series). No-op unless cfg.Obs carries a
-// counter registry.
-func installFootprintSampler(cfg RunConfig, s *dynSession, protocol string) {
-	if cfg.Obs == nil {
-		return
-	}
-	c := cfg.Obs.Counters()
-	if c == nil {
-		return
-	}
-	mftRouters := c.NewSeries("hbh_state_mft_routers", "protocol", protocol)
-	mftEntries := c.NewSeries("hbh_state_mft_entries", "protocol", protocol)
-	mctRouters := c.NewSeries("hbh_state_mct_routers", "protocol", protocol)
-	clock.NewTicker(clock.Sim(s.sim), s.interval, func() {
-		fp := s.state()
-		now := s.sim.Now()
-		mftRouters.Sample(now, float64(fp.MFTRouters))
-		mftEntries.Sample(now, float64(fp.MFTEntries))
-		mctRouters.Sample(now, float64(fp.MCTRouters))
-	})
-}
-
-// runDyn converges a dynamic protocol's session and probes its tree.
-func runDyn(cfg RunConfig, g *topology.Graph, routing unicast.Router,
-	sourceHost topology.NodeID, members []topology.NodeID, rng *rand.Rand) RunResult {
-	s := setupDyn(cfg, g, routing, sourceHost, members, rng)
-	converge(s.sim, s.interval, cfg.ConvergeIntervals)
-	res := s.ProbeSettled()
-	s.checkConverged(cfg, res)
-	return toRunResult(res)
-}
-
-func converge(sim *eventsim.Sim, interval eventsim.Time, intervals int) {
-	if intervals <= 0 {
-		intervals = defaultConvergeIntervals
-	}
-	if err := sim.Run(sim.Now() + eventsim.Time(intervals)*interval); err != nil {
-		panic(fmt.Sprintf("experiment: converge: %v", err))
-	}
-}
-
-// convergeSettleIntervals is the quiescence window convergeMeasured
-// requires: no table mutation for this many refresh intervals, with no
-// control message outstanding, before the channel counts as converged.
-const convergeSettleIntervals = 3
-
-// convergeMeasured is the detector-driven variant of converge: it steps
-// the simulation interval by interval until tr reports the channel
-// quiescent (or the maxIntervals hard cap — the old fixed budget — is
-// exhausted), and returns the measured convergence time (the last table
-// mutation before quiescence) plus how many intervals were consumed.
-// Unlike the fixed-interval converge, it cannot under-wait a run whose
-// cascade outlives the fixed budget, and it does not over-wait one that
-// settles early.
-//
-// converged is the explicit non-converged marker: false means the hard
-// cap ran out with the channel still churning, and the returned time is
-// merely the last mutation seen, not a convergence time. Callers must
-// branch on it rather than re-deriving the condition from used — a
-// capped run whose final interval happened to look quiescent is still
-// reported converged, exactly as the old call sites computed by hand.
-func convergeMeasured(sim *eventsim.Sim, tr *obs.ConvergeTracker, ch addr.Channel,
-	interval eventsim.Time, maxIntervals int) (at eventsim.Time, used int, converged bool) {
-	if maxIntervals <= 0 {
-		maxIntervals = defaultConvergeIntervals
-	}
-	settle := eventsim.Time(convergeSettleIntervals) * interval
-	for used < maxIntervals {
-		if err := sim.Run(sim.Now() + interval); err != nil {
-			panic(fmt.Sprintf("experiment: convergeMeasured: %v", err))
-		}
-		used++
-		if used >= convergeSettleIntervals && tr.Quiescent(ch, sim.Now(), settle) {
-			converged = true
-			break
-		}
-	}
-	return tr.Channel(ch).LastMutation, used, converged
-}
-
-func toRunResult(res *mtree.Result) RunResult {
-	return RunResult{
-		Cost:          res.Cost,
-		MeanDelay:     res.MeanDelay(),
-		MaxLinkCopies: res.MaxLinkCopies(),
-		Missing:       len(res.Missing),
-		Duplicates:    res.Duplicates,
-	}
 }

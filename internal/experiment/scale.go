@@ -159,12 +159,9 @@ func scaleRun(cfg ScaleConfig, n int) ScaleRow {
 	// Protocol phase: one live HBH channel over the same substrate.
 	o := obs.New(nil)
 	tr := o.EnableConvergence()
-	sourceHost := sourceHostOf(g)
-	members := sampleReceivers(g, rng, sourceHost, cfg.Receivers)
-	rcfg := RunConfig{Protocol: HBH, Receivers: cfg.Receivers, Seed: cfg.Seed, Obs: o}
-	s := setupDyn(rcfg, g, rt, sourceHost, members, rng)
-	ch := addr.Channel{S: g.Node(sourceHost).Addr, G: addr.GroupAddr(0)}
-	joinAt, converged := convergeScale(s, tr, ch, cfg.MaxIntervals)
+	p := (&Scenario{Graph: g, Routing: rt}).point(rng, cfg.Receivers)
+	s := p.session(RunConfig{Protocol: HBH, Receivers: cfg.Receivers, Seed: cfg.Seed, Obs: o})
+	joinAt, converged := convergeScale(s, tr, cfg.MaxIntervals)
 	row.JoinTime, row.Converged = float64(joinAt), converged
 
 	fp := s.state()
@@ -173,16 +170,15 @@ func scaleRun(cfg ScaleConfig, n int) ScaleRow {
 	// Converged invariant checkpoint: exhaustive at small n, sampled
 	// member subsets above the unicast fast-path threshold (the
 	// exhaustive walk would fault a per-source row per tree path).
-	chk := invariant.New(s.net, ch, profileFor(HBH), s.audit)
-	chk.SetMembers(memberAddrs(g, members))
+	chk := invariant.New(s.net, s.ch, profileFor(HBH), s.audit)
+	chk.SetMembers(memberAddrs(g, p.members))
 	if g.NumNodes() >= unicast.FastPathThreshold {
 		chk.SetSample(cfg.Seed, cfg.CheckSample)
 		row.Checked = fmt.Sprintf("sampled(%d)", cfg.CheckSample)
 	} else {
 		row.Checked = "full"
 	}
-	probe := s.ProbeSettled()
-	chk.CheckConverged(probe.Seq)
+	chk.CheckConverged(s.probeSettled().Seq)
 	chk.MustClean(fmt.Sprintf("A13 scale n=%d", n))
 
 	var ms runtime.MemStats
@@ -197,22 +193,21 @@ func scaleRun(cfg ScaleConfig, n int) ScaleRow {
 // a full control-plane drain: with hundreds of independently staggered
 // refresh timers, an instant with zero control messages in flight
 // stops existing well below the sizes A13 sweeps, while mutation
-// quiescence (the condition checkConverged already keys on) stays
+// quiescence (the condition fixedPoint already keys on) stays
 // well-defined at any n.
-func convergeScale(s *dynSession, tr *obs.ConvergeTracker, ch addr.Channel,
-	maxIntervals int) (at eventsim.Time, converged bool) {
+func convergeScale(s *session, tr *obs.ConvergeTracker, maxIntervals int) (at eventsim.Time, converged bool) {
 	settle := eventsim.Time(convergeSettleIntervals) * s.interval
 	for used := 0; used < maxIntervals; used++ {
 		if err := s.sim.Run(s.sim.Now() + s.interval); err != nil {
 			panic(fmt.Sprintf("experiment: scale converge: %v", err))
 		}
-		cc := tr.Channel(ch)
+		cc := tr.Channel(s.ch)
 		if used >= convergeSettleIntervals &&
 			(!cc.MutationAny || s.sim.Now()-cc.LastMutation >= settle) {
 			return cc.LastMutation, true
 		}
 	}
-	return tr.Channel(ch).LastMutation, false
+	return tr.Channel(s.ch).LastMutation, false
 }
 
 // attachScaleHosts attaches the source host (router 0, the experiment

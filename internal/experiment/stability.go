@@ -2,12 +2,11 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
+	"hbh/internal/eventsim"
 	"hbh/internal/metrics"
 	"hbh/internal/mtree"
-	"hbh/internal/unicast"
 )
 
 // StabilityConfig parameterises the §3/Figure 4 departure experiment:
@@ -54,45 +53,38 @@ func StabilityExperiment(cfg StabilityConfig) *StabilityResult {
 	}
 	res := &StabilityResult{Cfg: cfg}
 	for _, p := range []Protocol{REUNITE, HBH} {
-		row := &StabilityRow{
+		res.Rows = append(res.Rows, &StabilityRow{
 			Protocol:     p,
 			RouteChanged: &metrics.Accumulator{},
 			StateChanges: &metrics.Accumulator{},
 			DelayBefore:  &metrics.Accumulator{},
 			DelayAfter:   &metrics.Accumulator{},
 			Disrupted:    &metrics.Accumulator{},
-		}
-		for run := 0; run < cfg.Runs; run++ {
-			seed := cfg.Seed + int64(run)*7919
-			stabilityRun(cfg, p, seed, row)
-		}
-		res.Rows = append(res.Rows, row)
+		})
 	}
+	grid(DefaultWorkers, len(res.Rows), cfg.Runs, func(pi, run, _ int) func() {
+		return stabilityRun(cfg, res.Rows[pi], cfg.Seed+int64(run)*7919)
+	})
 	return res
 }
 
-func stabilityRun(cfg StabilityConfig, p Protocol, seed int64, row *StabilityRow) {
-	rng := rand.New(rand.NewSource(seed))
-	g := BaseGraph(cfg.Topo).Clone()
-	g.RandomizeCosts(rng, 1, 10)
-	routing := unicast.Compute(g)
-	sourceHost := sourceHostOf(g)
-	members := sampleReceivers(g, rng, sourceHost, cfg.Receivers)
+// stabilityRun measures one departure and returns the fold that adds it
+// to row.
+func stabilityRun(cfg StabilityConfig, row *StabilityRow, seed int64) func() {
+	p := drawPoint(cfg.Topo, seed, cfg.Receivers, paperCosts)
+	s := p.session(RunConfig{Topo: cfg.Topo, Protocol: row.Protocol, Receivers: cfg.Receivers, Seed: seed})
+	s.settle(defaultConvergeIntervals)
 
-	rc := RunConfig{Topo: cfg.Topo, Protocol: p, Receivers: cfg.Receivers, Seed: seed}
-	s := setupDyn(rc, g, routing, sourceHost, members, rng)
-	converge(s.sim, s.interval, defaultConvergeIntervals)
-
-	before := s.Probe()
-	leaver := rng.Intn(len(s.members))
+	before := s.probe()
+	leaver := p.rng.Intn(len(s.members))
 	remaining := s.MembersWithout(leaver)
 
-	changesBefore := *s.changes
-	s.leave(leaver)
-	if err := s.sim.Run(s.sim.Now() + s.settleOut); err != nil {
+	changesBefore := s.changes
+	s.rcvs[leaver].Leave()
+	if err := s.sim.Run(s.sim.Now() + s.departureWindow()); err != nil {
 		panic(fmt.Sprintf("experiment: stability settle: %v", err))
 	}
-	row.StateChanges.Add(float64(*s.changes - changesBefore))
+	stateChanges := s.changes - changesBefore
 	after := mtree.Probe(s.net, s.send, remaining)
 
 	changed, disrupted := 0, 0
@@ -117,13 +109,20 @@ func stabilityRun(cfg StabilityConfig, p Protocol, seed int64, row *StabilityRow
 		sumAfter += float64(da)
 		counted++
 	}
-	if counted > 0 {
-		row.DelayBefore.Add(sumBefore / float64(counted))
-		row.DelayAfter.Add(sumAfter / float64(counted))
+	return func() {
+		row.StateChanges.Add(float64(stateChanges))
+		if counted > 0 {
+			row.DelayBefore.Add(sumBefore / float64(counted))
+			row.DelayAfter.Add(sumAfter / float64(counted))
+		}
+		row.RouteChanged.Add(float64(changed))
+		row.Disrupted.Add(float64(disrupted))
 	}
-	row.RouteChanged.Add(float64(changed))
-	row.Disrupted.Add(float64(disrupted))
 }
+
+// departureWindow is how long a departure takes to dissolve: three
+// soft-state generations.
+func (s *session) departureWindow() eventsim.Time { return 3 * (s.cfg.T1 + s.cfg.T2) }
 
 // FormatTable renders the stability comparison.
 func (r *StabilityResult) FormatTable() string {

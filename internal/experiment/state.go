@@ -5,7 +5,6 @@ import (
 
 	"hbh/internal/metrics"
 	"hbh/internal/topology"
-	"hbh/internal/unicast"
 )
 
 // ForwardingState runs the A4 extension experiment: the forwarding
@@ -44,45 +43,39 @@ func ForwardingState(runs int, seed int64) *Figure {
 		return fig.SeriesByName(name).At(size)
 	}
 
-	for si, size := range sizes {
-		for run := 0; run < runs; run++ {
-			s := seed + int64(si)*1_000_003 + int64(run)*7919
-			rng := rand.New(rand.NewSource(s))
-			g := BaseGraph(TopoRandom50).Clone()
-			g.RandomizeCosts(rng, 1, 10)
-			routing := unicast.Compute(g)
-			sourceHost := sourceHostOf(g)
-			members := sampleReceivers(g, rng, sourceHost, size)
+	grid(DefaultWorkers, len(sizes), runs, func(si, run, _ int) func() {
+		size := sizes[si]
+		s := seed + int64(si)*1_000_003 + int64(run)*7919
+		p := drawPoint(TopoRandom50, s, size, paperCosts)
 
-			// Each dynamic protocol runs on its own network instance
-			// over identical costs and members.
-			for _, p := range []Protocol{HBH, REUNITE} {
-				prng := rand.New(rand.NewSource(s))
-				sess := setupDyn(RunConfig{Topo: TopoRandom50, Protocol: p,
-					Receivers: size, Seed: s}, g, routing, sourceHost, members, prng)
-				converge(sess.sim, sess.interval, defaultConvergeIntervals)
-				fp := sess.state()
-				key := "HBH"
-				if p == REUNITE {
-					key = "REU"
-				}
-				at(key+"-branch-rtrs", size).Add(float64(fp.MFTRouters))
-				at(key+"-entries", size).Add(float64(fp.MFTEntries))
-			}
-
-			// Classical IP multicast reference: every router on the
-			// source tree holds group forwarding state.
-			seen := map[topology.NodeID]bool{}
-			for _, m := range members {
-				p := routing.Path(m, sourceHost) // reverse SPT branch
-				for _, v := range p {
-					if g.Node(v).Kind == topology.Router {
-						seen[v] = true
-					}
-				}
-			}
-			at("IP-mcast-rtrs", size).Add(float64(len(seen)))
+		// Each dynamic protocol runs on its own network over identical
+		// costs and members, its join jitter drawn from a fresh stream.
+		var fps [2]stateFootprint
+		for i, proto := range []Protocol{HBH, REUNITE} {
+			p.rng = rand.New(rand.NewSource(s))
+			sess := p.session(RunConfig{Topo: TopoRandom50, Protocol: proto, Receivers: size, Seed: s})
+			sess.settle(defaultConvergeIntervals)
+			fps[i] = sess.state()
 		}
-	}
+
+		// Classical IP multicast reference: every router on the
+		// source tree holds group forwarding state.
+		seen := map[topology.NodeID]bool{}
+		for _, m := range p.members {
+			for _, v := range p.Routing.Path(m, p.source) { // reverse SPT branch
+				if p.Graph.Node(v).Kind == topology.Router {
+					seen[v] = true
+				}
+			}
+		}
+		ipRouters := float64(len(seen))
+		return func() {
+			at("HBH-branch-rtrs", size).Add(float64(fps[0].MFTRouters))
+			at("HBH-entries", size).Add(float64(fps[0].MFTEntries))
+			at("REU-branch-rtrs", size).Add(float64(fps[1].MFTRouters))
+			at("REU-entries", size).Add(float64(fps[1].MFTEntries))
+			at("IP-mcast-rtrs", size).Add(ipRouters)
+		}
+	})
 	return fig
 }
