@@ -218,9 +218,6 @@ func (f *Fuzzer) Coverage() []string {
 	return out
 }
 
-// Corpus returns the current corpus.
-func (f *Fuzzer) Corpus() []Genome { return append([]Genome(nil), f.corpus...) }
-
 // Run executes the mutation loop for iters iterations: pick a corpus
 // parent (or a fresh random genome when the corpus is empty), mutate,
 // execute, keep if the coverage grew. Violations are minimized and

@@ -136,11 +136,11 @@ func TestCausalEpisodeIsolation(t *testing.T) {
 	}
 }
 
-// TestCausalIsolationUnderLoss: the same invariants hold when the loss
-// model kills control packets mid-flight — a join cascade that dies on
-// the wire stays inside its own episode (the drop is its terminal
-// event), and the next refresh roots a fresh episode rather than
-// reviving the dead one's ids.
+// TestCausalIsolationUnderLoss: the same invariants hold when the
+// adversary's uniform loss kills control packets mid-flight — a join
+// cascade that dies on the wire stays inside its own episode (the drop
+// is its terminal event), and the next refresh roots a fresh episode
+// rather than reviving the dead one's ids.
 func TestCausalIsolationUnderLoss(t *testing.T) {
 	g := topology.Line(6, true)
 	h := newQuietHarness(g)
@@ -148,7 +148,7 @@ func TestCausalIsolationUnderLoss(t *testing.T) {
 	o := obs.New(nil)
 	o.AddSink(log)
 	h.net.SetObserver(o)
-	h.net.SetLossModel(netsim.LossModel{Control: 0.3, RNG: rand.New(rand.NewSource(7))})
+	h.net.SetAdversary(netsim.Adversary{Loss: 0.3, RNG: rand.New(rand.NewSource(7))})
 
 	src := AttachSource(h.net.Node(hostOf(g, 0)), srcGroup, h.cfg)
 	r2 := h.receiver(hostOf(g, 2), src.Channel())
@@ -163,11 +163,11 @@ func TestCausalIsolationUnderLoss(t *testing.T) {
 
 	lossDrops := 0
 	for _, ev := range log.events {
-		if ev.Kind == obs.KindDrop && ev.Cause == obs.CauseLoss && ev.Episode != 0 {
+		if ev.Kind == obs.KindDrop && ev.Cause == obs.CauseAdvLoss && ev.Episode != 0 {
 			lossDrops++
 		}
 	}
 	if lossDrops == 0 {
-		t.Fatal("loss model dropped no attributed control packet; the mid-flight-death case was not exercised")
+		t.Fatal("adversary dropped no attributed control packet; the mid-flight-death case was not exercised")
 	}
 }

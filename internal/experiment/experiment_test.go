@@ -172,9 +172,8 @@ func TestSweepShapes(t *testing.T) {
 	}
 	// Cost grows with group size for every protocol.
 	for _, s := range cost.Series {
-		m := s.Means()
-		if m[len(m)-1] <= m[0] {
-			t.Errorf("series %s cost did not grow: %v", s.Name, m)
+		if first, last := s.Y[0].Mean(), s.Y[len(s.Y)-1].Mean(); last <= first {
+			t.Errorf("series %s cost did not grow: %v -> %v", s.Name, first, last)
 		}
 	}
 	// Tables render.

@@ -23,9 +23,8 @@ func TestForwardingStateShape(t *testing.T) {
 	}
 	// State grows with group size for everyone.
 	for _, s := range f.Series {
-		m := s.Means()
-		if m[len(m)-1] <= m[0] {
-			t.Errorf("series %s did not grow with group size: %v", s.Name, m)
+		if first, last := s.Y[0].Mean(), s.Y[len(s.Y)-1].Mean(); last <= first {
+			t.Errorf("series %s did not grow with group size: %v -> %v", s.Name, first, last)
 		}
 	}
 }
@@ -44,12 +43,11 @@ func TestControlOverheadShape(t *testing.T) {
 			hbh.AvgMean(), reu.AvgMean())
 	}
 	for _, s := range f.Series {
-		m := s.Means()
-		if m[len(m)-1] <= m[0] {
-			t.Errorf("series %s overhead did not grow: %v", s.Name, m)
+		if first, last := s.Y[0].Mean(), s.Y[len(s.Y)-1].Mean(); last <= first {
+			t.Errorf("series %s overhead did not grow: %v -> %v", s.Name, first, last)
 		}
-		for _, v := range m {
-			if v <= 0 {
+		for _, y := range s.Y {
+			if y.Mean() <= 0 {
 				t.Errorf("series %s has non-positive overhead", s.Name)
 			}
 		}

@@ -36,7 +36,7 @@ func LossRobustness(runs int, seed int64) *Figure {
 		p := drawPoint(TopoISP, s, 8, paperCosts)
 		p.rng = rand.New(rand.NewSource(s))
 		sess := p.session(RunConfig{Topo: TopoISP, Protocol: HBH, Receivers: 8, Seed: s})
-		sess.net.SetLossModel(netsim.LossModel{Control: float64(rate) / 100, RNG: rand.New(rand.NewSource(s + 1))})
+		sess.net.SetAdversary(netsim.Adversary{Loss: float64(rate) / 100, RNG: rand.New(rand.NewSource(s + 1))})
 		sess.settle(defaultConvergeIntervals)
 		res := sess.probe()
 		cost, copies := float64(res.Cost), float64(res.MaxLinkCopies())

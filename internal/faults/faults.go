@@ -1,7 +1,7 @@
 // Package faults is the fault-injection layer: deterministic,
 // eventsim-scheduled plans of link failures (LinkDown/LinkUp), router
-// crashes (NodeDown/NodeUp) and route flaps, applied to a running
-// netsim.Network.
+// crashes (NodeDown/NodeUp) and shared-risk group outages
+// (GroupDown/GroupUp), applied to a running netsim.Network.
 //
 // The layer exists to test the protocols' headline robustness claim:
 // HBH's soft-state join/tree/fusion machinery is supposed to heal
@@ -22,7 +22,6 @@ package faults
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"hbh/internal/eventsim"
@@ -95,8 +94,8 @@ func (e Event) String() string {
 	return fmt.Sprintf("%v %s link %d-%d", e.At, e.Kind, e.A, e.B)
 }
 
-// Plan is an ordered fault schedule. Build one with the fluent
-// methods, or draw a random one with RandomPlan.
+// Plan is an ordered fault schedule, built with the fluent methods or
+// drawn by RandomSRLGPlan.
 type Plan struct {
 	events []Event
 }
@@ -143,21 +142,6 @@ func (p *Plan) GroupUp(at eventsim.Time, g Group) *Plan {
 	return p
 }
 
-// LinkFlap schedules count down/up cycles of the link starting at
-// start: down at start + i*period, up again downFor later. downFor
-// must be shorter than period.
-func (p *Plan) LinkFlap(start, downFor, period eventsim.Time, count int, a, b topology.NodeID) *Plan {
-	if downFor <= 0 || downFor >= period {
-		panic(fmt.Sprintf("faults: flap downFor %v must be in (0, period %v)", downFor, period))
-	}
-	for i := 0; i < count; i++ {
-		at := start + eventsim.Time(i)*period
-		p.LinkDown(at, a, b)
-		p.LinkUp(at+downFor, a, b)
-	}
-	return p
-}
-
 // Events returns the plan's events sorted by (time, insertion order).
 func (p *Plan) Events() []Event {
 	out := append([]Event(nil), p.events...)
@@ -168,32 +152,6 @@ func (p *Plan) Events() []Event {
 // Len returns the number of scheduled events.
 func (p *Plan) Len() int { return len(p.events) }
 
-// RandomPlan draws n independent router–router link failure/repair
-// pairs from rng: failure i hits a uniformly chosen core link at
-// start + i*spacing and heals downFor later. Host access links are
-// never cut (the paper's receivers are singly homed; cutting their
-// only link tests nothing but the obvious). The plan is a pure
-// function of (rng state, g, parameters), so seeded runs reproduce.
-func RandomPlan(rng *rand.Rand, g *topology.Graph, n int, start, spacing, downFor eventsim.Time) *Plan {
-	var core [][2]topology.NodeID
-	for _, e := range g.Edges() {
-		if g.Node(e.A).Kind == topology.Router && g.Node(e.B).Kind == topology.Router {
-			core = append(core, [2]topology.NodeID{e.A, e.B})
-		}
-	}
-	if len(core) == 0 {
-		panic("faults: graph has no router-router links")
-	}
-	p := NewPlan()
-	for i := 0; i < n; i++ {
-		l := core[rng.Intn(len(core))]
-		at := start + eventsim.Time(i)*spacing
-		p.LinkDown(at, l[0], l[1])
-		p.LinkUp(at+downFor, l[0], l[1])
-	}
-	return p
-}
-
 // Observer receives every applied fault event, after the substrate
 // change and routing reconvergence took effect.
 type Observer func(ev Event)
@@ -202,16 +160,10 @@ type Observer func(ev Event)
 // NewInjector, optionally register hooks, then Schedule before (or
 // while) the simulation runs.
 type Injector struct {
-	net  *netsim.Network
-	plan *Plan
-	// routingDelay defers routing reconvergence after each event,
-	// modelling the IGP's detection + convergence lag: packets in
-	// flight during the window still follow the stale tables and die
-	// at the failure point.
-	routingDelay eventsim.Time
-	observers    []Observer
-	onNodeDown   []func(topology.NodeID)
-	onNodeUp     []func(topology.NodeID)
+	net        *netsim.Network
+	plan       *Plan
+	observers  []Observer
+	onNodeDown []func(topology.NodeID)
 	// tookDown remembers, per crashed node, the incident links this
 	// injector disabled for it, so NodeUp restores exactly those and
 	// leaves independently failed links down.
@@ -231,15 +183,6 @@ func NewInjector(net *netsim.Network, plan *Plan) *Injector {
 	}
 }
 
-// SetRoutingDelay makes unicast reconvergence lag each fault by d time
-// units (default 0: the IGP converges instantly within the event).
-func (in *Injector) SetRoutingDelay(d eventsim.Time) {
-	if d < 0 {
-		panic("faults: negative routing delay")
-	}
-	in.routingDelay = d
-}
-
 // OnEvent registers an observer called for every applied event.
 func (in *Injector) OnEvent(o Observer) { in.observers = append(in.observers, o) }
 
@@ -247,9 +190,6 @@ func (in *Injector) OnEvent(o Observer) { in.observers = append(in.observers, o)
 // substrate change. Protocol layers use it to model state loss
 // (e.g. core.Router.Reset).
 func (in *Injector) OnNodeDown(f func(topology.NodeID)) { in.onNodeDown = append(in.onNodeDown, f) }
-
-// OnNodeUp registers a hook called when a node restarts.
-func (in *Injector) OnNodeUp(f func(topology.NodeID)) { in.onNodeUp = append(in.onNodeUp, f) }
 
 // Applied returns how many events have fired so far.
 func (in *Injector) Applied() int { return in.applied }
@@ -318,9 +258,6 @@ func (in *Injector) apply(ev Event) {
 		}
 		in.net.SetNodeUp(ev.A, true)
 		in.reconverge(took...)
-		for _, f := range in.onNodeUp {
-			f(ev.A)
-		}
 	case GroupDown:
 		in.faultf(c, "FAULT %s %s (%d links)", ev.Kind, ev.Group.Name, len(ev.Group.Links))
 		var took [][2]topology.NodeID
@@ -349,22 +286,11 @@ func (in *Injector) apply(ev Event) {
 	}
 }
 
-// reconverge updates the unicast tables for the changed links, either
-// immediately or after the configured routing delay.
+// reconverge updates the unicast tables for the changed links within
+// the event: the IGP converges instantly.
 func (in *Injector) reconverge(changed ...[2]topology.NodeID) {
 	if len(changed) == 0 {
 		return
 	}
-	if in.routingDelay == 0 {
-		in.net.Routing().RecomputeLinks(changed...)
-		return
-	}
-	// With a convergence lag, further faults may land inside the
-	// window; the incremental dirty test would then judge against
-	// tables stale by more than one change. A full recompute against
-	// whatever the graph looks like when the IGP catches up is always
-	// correct.
-	in.net.Sim().After(in.routingDelay, func() {
-		in.net.Routing().Recompute()
-	})
+	in.net.Routing().RecomputeLinks(changed...)
 }

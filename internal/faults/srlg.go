@@ -11,8 +11,8 @@ import (
 // Group is a shared-risk link group: a named set of undirected links
 // that fail (and heal) together, modelling a shared conduit, an
 // amplifier site, or a regional power outage. Only router–router links
-// belong in a group for the same reason RandomPlan never cuts host
-// access links.
+// belong in a group: the paper's receivers are singly homed, and
+// cutting a host's only link tests nothing but the obvious.
 type Group struct {
 	Name  string
 	Links [][2]topology.NodeID
@@ -31,9 +31,9 @@ func coreLinks(g *topology.Graph) [][2]topology.NodeID {
 
 // RandomSRLGPlan draws n shared-risk groups of size core links each
 // (without replacement within a group) and schedules group i's outage
-// at start + i*spacing, healing downFor later. Like RandomPlan the
-// result is a pure function of (rng state, g, parameters). The drawn
-// groups are returned alongside the plan for tests and reporting.
+// at start + i*spacing, healing downFor later. The result is a pure
+// function of (rng state, g, parameters). The drawn groups are
+// returned alongside the plan for tests and reporting.
 func RandomSRLGPlan(rng *rand.Rand, g *topology.Graph, n, size int,
 	start, spacing, downFor eventsim.Time) (*Plan, []Group) {
 	core := coreLinks(g)
@@ -63,44 +63,4 @@ func RandomSRLGPlan(rng *rand.Rand, g *topology.Graph, n, size int,
 		groups = append(groups, grp)
 	}
 	return p, groups
-}
-
-// RegionalOutage builds the group of every router–router link both of
-// whose endpoints lie within radius hops of center on the
-// router-to-router adjacency (unit hop metric, disabled links
-// included: a region's conduits share fate regardless of current
-// administrative state). radius 1 cuts center's links to its
-// neighbors plus the links among those neighbors; radius 0 yields an
-// empty group (no link has both endpoints at center).
-func RegionalOutage(g *topology.Graph, center topology.NodeID, radius int) Group {
-	if g.Node(center).Kind != topology.Router {
-		panic(fmt.Sprintf("faults: regional outage centered on non-router %d", center))
-	}
-	dist := map[topology.NodeID]int{center: 0}
-	queue := []topology.NodeID{center}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if dist[v] >= radius {
-			continue
-		}
-		for _, nb := range g.Neighbors(v) {
-			if g.Node(nb.To).Kind != topology.Router {
-				continue
-			}
-			if _, seen := dist[nb.To]; !seen {
-				dist[nb.To] = dist[v] + 1
-				queue = append(queue, nb.To)
-			}
-		}
-	}
-	grp := Group{Name: fmt.Sprintf("region-%s-r%d", g.Node(center).Name, radius)}
-	for _, l := range coreLinks(g) {
-		_, inA := dist[l[0]]
-		_, inB := dist[l[1]]
-		if inA && inB {
-			grp.Links = append(grp.Links, l)
-		}
-	}
-	return grp
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"hbh/internal/addr"
 	"hbh/internal/eventsim"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
@@ -132,59 +131,6 @@ func TestRandomSRLGPlanDeterministicAndShape(t *testing.T) {
 			t.Errorf("group %d up = %v, want GROUP-UP at %v", i, up, wantAt+20)
 		}
 	}
-}
-
-// TestRegionalOutage pins the BFS region semantics on a hand-built
-// graph: a triangle 0-1-2 with a tail 2-3-4.
-func TestRegionalOutage(t *testing.T) {
-	g := topology.New()
-	for i := 0; i < 5; i++ {
-		g.AddNode(topology.Router, addr.RouterAddr(i), "")
-	}
-	for _, l := range [][2]topology.NodeID{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}} {
-		g.AddLink(l[0], l[1], 1, 1)
-	}
-
-	if grp := RegionalOutage(g, 0, 0); len(grp.Links) != 0 {
-		t.Errorf("radius 0 yielded %v, want empty", grp.Links)
-	}
-	grp := RegionalOutage(g, 0, 1)
-	want := map[[2]topology.NodeID]bool{{0, 1}: true, {0, 2}: true, {1, 2}: true}
-	if len(grp.Links) != len(want) {
-		t.Fatalf("radius 1 around 0 = %v, want the triangle", grp.Links)
-	}
-	for _, l := range grp.Links {
-		if !want[l] {
-			t.Errorf("radius 1 included %v, outside the triangle", l)
-		}
-	}
-	// Radius 2 reaches node 3, adding 2-3 but not 3-4 (node 4 is at
-	// distance 3).
-	grp2 := RegionalOutage(g, 0, 2)
-	if len(grp2.Links) != 4 {
-		t.Errorf("radius 2 around 0 = %v, want triangle + 2-3", grp2.Links)
-	}
-	for _, l := range grp2.Links {
-		if l == ([2]topology.NodeID{3, 4}) {
-			t.Errorf("radius 2 included 3-4; node 4 is 3 hops out")
-		}
-	}
-}
-
-// TestRegionalOutagePanicsOnHostCenter asserts the host guard.
-func TestRegionalOutagePanicsOnHostCenter(t *testing.T) {
-	g := topology.Line(3, true)
-	var host topology.NodeID
-	for _, h := range g.Hosts() {
-		host = h
-		break
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("regional outage centered on a host did not panic")
-		}
-	}()
-	RegionalOutage(g, host, 1)
 }
 
 // TestIncrementalRoutingSurvivesSRLGStorm runs a dense schedule of

@@ -213,9 +213,6 @@ func (t *Tree) AddLoop(cycle []addr.Addr) {
 	t.Loops = append(t.Loops, append([]addr.Addr(nil), cycle...))
 }
 
-// Served returns the number of distinct chains delivering to target.
-func (t *Tree) Served(target addr.Addr) int { return len(t.Chains[target]) }
-
 // Format renders the tree for violation reports. label resolves
 // addresses to human names (nil falls back to dotted quads).
 func (t *Tree) Format(label func(addr.Addr) string) string {

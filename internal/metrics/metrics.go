@@ -159,15 +159,6 @@ func (s *Series) At(x int) *Accumulator {
 	panic(fmt.Sprintf("metrics: series %q has no x=%d", s.Name, x))
 }
 
-// Means returns the per-x means in plot order.
-func (s *Series) Means() []float64 {
-	out := make([]float64, len(s.Y))
-	for i, a := range s.Y {
-		out[i] = a.Mean()
-	}
-	return out
-}
-
 // AvgMean returns the average of the per-x means, the "in average over
 // all group sizes" figure the paper quotes for protocol gaps.
 func (s *Series) AvgMean() float64 {
@@ -179,30 +170,4 @@ func (s *Series) AvgMean() float64 {
 		sum += a.Mean()
 	}
 	return sum / float64(len(s.Y))
-}
-
-// RelativeGap returns the mean relative advantage of s over other,
-// averaged across x: mean((other - s) / other). Positive means s is
-// lower/better. Both series must share the same x values.
-func (s *Series) RelativeGap(other *Series) float64 {
-	if len(s.X) != len(other.X) {
-		panic("metrics: RelativeGap over mismatched series")
-	}
-	var sum float64
-	var n int
-	for i := range s.X {
-		if s.X[i] != other.X[i] {
-			panic("metrics: RelativeGap over mismatched x values")
-		}
-		o := other.Y[i].Mean()
-		if o == 0 {
-			continue
-		}
-		sum += (o - s.Y[i].Mean()) / o
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

@@ -90,9 +90,8 @@ func TestSeries(t *testing.T) {
 	s.At(2).Add(20)
 	s.At(4).Add(30)
 	s.At(6).Add(50)
-	means := s.Means()
-	if means[0] != 15 || means[1] != 30 || means[2] != 50 {
-		t.Errorf("Means = %v", means)
+	if s.At(2).Mean() != 15 || s.At(4).Mean() != 30 || s.At(6).Mean() != 50 {
+		t.Errorf("means = %v, %v, %v", s.At(2).Mean(), s.At(4).Mean(), s.At(6).Mean())
 	}
 	if got := s.AvgMean(); math.Abs(got-(15+30+50)/3.0) > 1e-12 {
 		t.Errorf("AvgMean = %v", got)
@@ -103,27 +102,6 @@ func TestSeries(t *testing.T) {
 		}
 	}()
 	s.At(99)
-}
-
-func TestRelativeGap(t *testing.T) {
-	a := NewSeries("HBH", []int{1, 2})
-	b := NewSeries("REUNITE", []int{1, 2})
-	a.At(1).Add(90)
-	b.At(1).Add(100)
-	a.At(2).Add(50)
-	b.At(2).Add(100)
-	// Gaps: 10% and 50% -> mean 30%.
-	if got := a.RelativeGap(b); math.Abs(got-0.3) > 1e-12 {
-		t.Errorf("RelativeGap = %v, want 0.3", got)
-	}
-	// Mismatched series panic.
-	c := NewSeries("X", []int{1})
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched RelativeGap did not panic")
-		}
-	}()
-	a.RelativeGap(c)
 }
 
 // TestCI95StudentT pins the small-sample critical values: with n

@@ -255,6 +255,7 @@ func TestAdversaryValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for name, a := range map[string]Adversary{
 		"loss 1.0":           {Loss: 1.0, RNG: rng},
+		"loss 2":             {Loss: 2, RNG: rng},
 		"negative loss":      {Loss: -0.1, RNG: rng},
 		"dup 1.0":            {Duplicate: 1.0, RNG: rng},
 		"negative jitter":    {MaxJitter: -1, RNG: rng},

@@ -23,7 +23,6 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"hbh/internal/addr"
@@ -106,8 +105,6 @@ type Stats struct {
 	NoRouteDrops  int // packets dropped for an unroutable destination
 	Consumed      int // packets consumed by handlers
 	DataConsumed  int // data packets consumed by handlers (receivers and branching nodes)
-	LossDrops     int // control packets dropped by the loss model
-	DataLossDrops int // data packets dropped by the loss model
 	LinkDownDrops int // packets dropped at a disabled (failed) link
 	NodeDownDrops int // packets dropped at or by a down node
 	AdvLossDrops  int // control packets dropped by the adversary (burst or uniform)
@@ -127,8 +124,6 @@ func (s *Stats) zip(o *Stats, f func(a *int, b int)) {
 	f(&s.NoRouteDrops, o.NoRouteDrops)
 	f(&s.Consumed, o.Consumed)
 	f(&s.DataConsumed, o.DataConsumed)
-	f(&s.LossDrops, o.LossDrops)
-	f(&s.DataLossDrops, o.DataLossDrops)
 	f(&s.LinkDownDrops, o.LinkDownDrops)
 	f(&s.NodeDownDrops, o.NodeDownDrops)
 	f(&s.AdvLossDrops, o.AdvLossDrops)
@@ -214,7 +209,6 @@ type Network struct {
 	// event, which keeps the forwarding hot path allocation-free.
 	obsv     *obs.Observer
 	hopLimit int
-	loss     LossModel
 	// adv is the installed control-plane adversary; nil (the default)
 	// keeps the forwarding path byte-for-byte identical to a network
 	// without one.
@@ -294,8 +288,8 @@ func New(sim *eventsim.Sim, g *topology.Graph, r unicast.Router) *Network {
 // caller's link step w, on the caller's goroutines: the live runtime.
 // Every dispatch step writes the shared surface — observer, taps,
 // counters — under mu, and each node Host gives a shard of its own
-// keeps its counters and envelopes there. The loss
-// model and the adversary are the simulator's alone.
+// keeps its counters and envelopes there. The adversary is the
+// simulator's alone.
 func NewWired(g *topology.Graph, r unicast.Router, w Wire, mu *sync.Mutex) *Network {
 	n := newNetwork(g, r, mu)
 	n.wire = w
@@ -339,18 +333,6 @@ func (n *Network) Topology() *topology.Graph { return n.topo }
 
 // Routing returns the unicast routing substrate.
 func (n *Network) Routing() unicast.Router { return n.routing }
-
-// SetRouting swaps in freshly computed routing tables mid-run, e.g.
-// after a topology change recomputed them from scratch. The tables
-// must belong to this network's graph. (Tables mutated in place via
-// Routing().Recompute* need no swap — the network always consults the
-// live object.)
-func (n *Network) SetRouting(r unicast.Router) {
-	if r.Graph() != n.topo {
-		panic("netsim: SetRouting with tables computed for a different graph")
-	}
-	n.routing = r
-}
 
 // SetNodeUp marks a node as up (the default) or down. A down node is
 // the fault model of a crashed router or host: packets arriving at it,
@@ -454,38 +436,6 @@ func (n *Network) SetObserver(o *obs.Observer) {
 // Observer returns the installed pipeline (nil when observation is
 // off). Protocol code must nil-check before building events.
 func (n *Network) Observer() *obs.Observer { return n.obsv }
-
-// LossModel configures probabilistic per-link packet drops. Control
-// and Data are independent per-traversal drop probabilities in [0, 1)
-// for non-data and data packets respectively; RNG drives the draws and
-// must be non-nil when either rate is positive. A control-only model
-// (Data zero, the A6 experiment) keeps tree measurements meaningful:
-// what degrades under loss is the protocol state that routes the data.
-type LossModel struct {
-	Control float64
-	Data    float64
-	RNG     *rand.Rand
-}
-
-func (m LossModel) validate() {
-	for _, p := range []float64{m.Control, m.Data} {
-		if p < 0 || p >= 1 {
-			panic(fmt.Sprintf("netsim: loss rate %v out of [0,1)", p))
-		}
-	}
-	if (m.Control > 0 || m.Data > 0) && m.RNG == nil {
-		panic("netsim: loss model needs an RNG")
-	}
-}
-
-// SetLossModel installs (or, with the zero model, removes) the
-// per-link loss model. Dropped control packets count as LossDrops,
-// dropped data packets as DataLossDrops; the latter feed the
-// delivery-ratio measurements of the failure experiments.
-func (n *Network) SetLossModel(m LossModel) {
-	m.validate()
-	n.loss = m
-}
 
 // SetHopLimit overrides the per-packet hop budget.
 func (n *Network) SetHopLimit(l int) {
@@ -964,19 +914,9 @@ func (n *Network) transmit(from, to topology.NodeID, env *Envelope) {
 		panic(fmt.Sprintf("netsim: transmit over missing link %d->%d", from, to))
 	}
 	_, isData := env.msg.(*packet.Data)
-	if n.loss.Control > 0 || n.loss.Data > 0 {
-		switch {
-		case !isData && n.loss.Control > 0 && n.loss.RNG.Float64() < n.loss.Control:
-			n.drop(nd, n.nodes[to], env, env.msg, env.cause, &st.LossDrops, obs.CauseLoss)
-			return
-		case isData && n.loss.Data > 0 && n.loss.RNG.Float64() < n.loss.Data:
-			n.drop(nd, n.nodes[to], env, env.msg, env.cause, &st.DataLossDrops, obs.CauseLoss)
-			return
-		}
-	}
-	// The control-plane adversary sits after the loss model and before
-	// the wire: it decides each control traversal's fate (drop, jitter,
-	// duplicate) with seeded draws. Data packets pass untouched.
+	// The control-plane adversary sits before the wire: it decides each
+	// control traversal's fate (drop, jitter, duplicate) with seeded
+	// draws. Data packets pass untouched.
 	var advJitter, advDupJitter eventsim.Time
 	advDup := false
 	if n.adv != nil && !isData {

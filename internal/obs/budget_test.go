@@ -54,7 +54,7 @@ func everyKindEvents() []Event {
 		nil, testJoin(), testTree(0), testTree(packet.FlagMarked),
 		testFusion(testR, testS, testG), testData(7),
 	}
-	causes := []Cause{CauseNone, CauseNoRoute, CauseLinkDown, CauseLoss}
+	causes := []Cause{CauseNone, CauseNoRoute, CauseLinkDown, CauseAdvLoss}
 	var evs []Event
 	for _, k := range allKinds() {
 		for i, m := range msgs {
@@ -272,7 +272,7 @@ func TestRecorderDumpMatchesRenderAtRecord(t *testing.T) {
 	report := &packet.Report{Header: join.Header}
 	msgs := []packet.Message{nil, join, tree, fusion, data, query, report}
 	kinds := allKinds()
-	causes := []Cause{CauseNone, CauseLoss, CauseNoRoute, CauseHopLimit, CauseLinkDown,
+	causes := []Cause{CauseNone, CauseNoRoute, CauseHopLimit, CauseLinkDown,
 		CauseNodeDown, CauseNonUnicast, CauseUnclaimedMulticast, CauseAdvLoss}
 
 	for i := 0; i < n; i++ {
@@ -386,7 +386,7 @@ func TestCountersApplyMatchesAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	kinds := allKinds()
 	msgs := []packet.Message{nil, testJoin(), testTree(0), testFusion(testR), testData(3), &packet.Data{}}
-	causes := []Cause{CauseNone, CauseLoss, CauseNoRoute, CauseLinkDown, CauseAdvLoss}
+	causes := []Cause{CauseNone, CauseNoRoute, CauseLinkDown, CauseAdvLoss}
 	var events []Event
 	for i := 0; i < 6000; i++ {
 		ev := Event{

@@ -48,11 +48,13 @@ type counterKey struct {
 }
 
 // Counters is the metric registry fed by Observer.Emit. It derives
-// per-node / per-channel counters from the event stream and holds
-// opt-in virtual-time series (Series) for convergence curves. Export
-// renders everything in the Prometheus text exposition format; series
-// samples carry their virtual time as the (normally wall-clock)
-// timestamp column.
+// per-node / per-channel counters from the event stream, keeps
+// registered latency histograms (Hist), and holds opt-in virtual-time
+// series (Series), such as a simulated run's forwarding-state
+// footprint sampled once per refresh interval. Export renders
+// everything in the Prometheus text exposition format; series samples
+// carry their virtual time as the (normally wall-clock) timestamp
+// column.
 //
 // vals is the one store of samples, a cell per series. Apply reaches
 // its cell through applied, keyed by the raw event fields the series'
@@ -353,9 +355,6 @@ func (s *Series) Sample(at eventsim.Time, v float64) {
 	}
 	s.samples = append(s.samples, sample{at, v})
 }
-
-// Len returns the number of retained samples.
-func (s *Series) Len() int { return len(s.samples) }
 
 // Export writes the registry in the Prometheus text exposition format,
 // deterministically ordered (metrics by name, samples by label block),

@@ -19,7 +19,7 @@ func syntheticEvents(n int, seed int64) []Event {
 		KindTreeSend, KindFusionSend, KindTableAdd, KindTableRemove,
 		KindReplicate, KindBranch, KindCollapse, KindFault,
 	}
-	causes := []Cause{CauseLoss, CauseNoRoute, CauseHopLimit}
+	causes := []Cause{CauseAdvLoss, CauseNoRoute, CauseHopLimit}
 	out := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
 		ev := Event{

@@ -92,7 +92,8 @@ const (
 	KindSpanBegin
 	// KindSpanEnd closes a lifecycle span.
 	KindSpanEnd
-	// KindNote is a free-form annotation (Notef).
+	// KindNote is a free-form annotation in Detail; a replay reads a
+	// kind name it does not know as one.
 	KindNote
 	// KindRecorderDump is a flight-recorder dump pushed into the trace
 	// stream (fault-attributed drop with DumpOnFaultDrop enabled).
@@ -101,6 +102,9 @@ const (
 	// served the entry no longer lists it (or no longer sits on the
 	// forward path), so data flows to the member directly again.
 	KindMarkLift
+
+	// numKinds bounds the kinds above; a new kind goes before it.
+	numKinds
 )
 
 // String returns the stable kebab-case name used by the JSONL sink and
@@ -175,8 +179,6 @@ const (
 	CauseLinkDown
 	// CauseNodeDown is a packet dropped at or by a crashed node.
 	CauseNodeDown
-	// CauseLoss is a probabilistic loss-model drop.
-	CauseLoss
 	// CauseNonUnicast is an origination with a non-unicast destination.
 	CauseNonUnicast
 	// CauseUnclaimedMulticast is a multicast-addressed packet no
@@ -185,6 +187,9 @@ const (
 	// CauseAdvLoss is a control packet dropped by the control-plane
 	// adversary (burst or uniform loss).
 	CauseAdvLoss
+
+	// numCauses bounds the causes above; a new cause goes before it.
+	numCauses
 )
 
 // String returns the stable name used in counter labels.
@@ -200,8 +205,6 @@ func (c Cause) String() string {
 		return "link-down"
 	case CauseNodeDown:
 		return "node-down"
-	case CauseLoss:
-		return "loss"
 	case CauseNonUnicast:
 		return "non-unicast"
 	case CauseUnclaimedMulticast:
@@ -285,9 +288,9 @@ type Observer struct {
 	recorder *Recorder
 	converge *ConvergeTracker
 	latency  *Latency
-	// lock, when set, serialises the emission surface (Emit, spans,
-	// Notef) across goroutines. The single-threaded simulator never sets
-	// it; the live runtime shares its own emission mutex here so engine
+	// lock, when set, serialises the emission surface (Emit and spans)
+	// across goroutines. The single-threaded simulator never sets it;
+	// the live runtime shares its own emission mutex here so engine
 	// code that emits directly (receiver spans, protocol annotations)
 	// is serialised with the runtime's transport events and with
 	// telemetry scrapes. Paths that already hold that mutex use
@@ -472,13 +475,4 @@ func (o *Observer) EndSpan(id SpanID, name string, ch addr.Channel, node addr.Ad
 		Kind: KindSpanEnd, Node: node, NodeName: nodeName,
 		Channel: ch, Span: id, Detail: name,
 	})
-}
-
-// Notef emits a free-form annotation, formatted lazily (only when the
-// observer is live).
-func (o *Observer) Notef(format string, args ...any) {
-	if o == nil {
-		return
-	}
-	o.Emit(Event{Kind: KindNote, Detail: fmt.Sprintf(format, args...)})
 }

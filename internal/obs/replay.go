@@ -59,7 +59,7 @@ type jsonlLine struct {
 // kindFromString inverts Kind.String (unknown strings map to KindNote
 // so a replay never rejects a file a newer writer produced).
 func kindFromString(s string) Kind {
-	for k := KindSend; k <= KindMarkLift; k++ {
+	for k := Kind(0); k < numKinds; k++ {
 		if k.String() == s {
 			return k
 		}
@@ -69,7 +69,7 @@ func kindFromString(s string) Kind {
 
 // causeFromString inverts Cause.String.
 func causeFromString(s string) Cause {
-	for c := CauseNone; c <= CauseAdvLoss; c++ {
+	for c := Cause(0); c < numCauses; c++ {
 		if c.String() == s {
 			return c
 		}

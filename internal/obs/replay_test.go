@@ -54,6 +54,36 @@ func TestParseJSONLRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseJSONLEveryKindAndCause sends every Kind and every Cause
+// through JSONLSink and ParseJSONL: each must come back as itself, not
+// as the KindNote / CauseNone a name the parser does not know becomes.
+func TestParseJSONLEveryKindAndCause(t *testing.T) {
+	var buf bytes.Buffer
+	sink := NewJSONLSink(&buf)
+	var sent []Event
+	for k := Kind(0); k < numKinds; k++ {
+		sent = append(sent, Event{Kind: k, NodeName: "a"})
+	}
+	for c := Cause(0); c < numCauses; c++ {
+		sent = append(sent, Event{Kind: KindDrop, Cause: c, NodeName: "a"})
+	}
+	for _, ev := range sent {
+		sink.Emit(ev)
+	}
+	got, err := ParseJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(sent) {
+		t.Fatalf("parsed %d events, want %d", len(got), len(sent))
+	}
+	for i, re := range got {
+		if re.Kind != sent[i].Kind || re.Cause != sent[i].Cause {
+			t.Errorf("%v/%q came back as %v/%q", sent[i].Kind, sent[i].Cause, re.Kind, re.Cause)
+		}
+	}
+}
+
 func TestParseJSONLRejectsDamage(t *testing.T) {
 	if _, err := ParseJSONL(strings.NewReader("{\"t\":1}\nnot json\n")); err == nil {
 		t.Fatal("damaged line accepted")

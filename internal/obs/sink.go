@@ -74,8 +74,6 @@ func lineMsg(ev Event, msg string, hasMsg bool) string {
 		return fmt.Sprintf("%s DELIVER %s", ev.NodeName, msg)
 	case KindDrop:
 		switch ev.Cause {
-		case CauseLoss:
-			return fmt.Sprintf("%s LOSS %s", ev.NodeName, msg)
 		case CauseNoRoute:
 			return fmt.Sprintf("%s DROP no route: %s", ev.NodeName, msg)
 		case CauseHopLimit:

@@ -17,9 +17,10 @@
 //   - PIM-SM: a shared tree centred on a rendezvous point (RP). Data
 //     travels encapsulated in unicast from the source to the RP (this
 //     leg IS delay-minimal) and then down the reverse shortest-path
-//     tree from the RP to the members. The RP is chosen as the router
-//     minimising the total forward distance to all potential receivers
-//     (a centroid), a deterministic stand-in for a well-configured RP.
+//     tree from the RP to the members. The RP is the router minimising
+//     the mean shared-tree delay to all potential receivers
+//     (DelayOptimalRP), a deterministic stand-in for a well-configured
+//     RP.
 package pim
 
 import (
@@ -108,34 +109,6 @@ func (m *Member) Handle(n netsim.ProtoNode, msg packet.Message, _ obs.Causal) ne
 	return netsim.Consumed
 }
 
-// CentroidRP returns the router minimising the total forward distance
-// to all router nodes — a source-agnostic deterministic RP choice.
-func CentroidRP(r unicast.Router) topology.NodeID {
-	g := r.Graph()
-	best, bestSum := topology.None, -1
-	for _, cand := range g.Routers() {
-		sum := 0
-		for _, other := range g.Routers() {
-			d := r.Dist(cand, other)
-			if d == unicast.Infinity {
-				sum = -1
-				break
-			}
-			sum += d
-		}
-		if sum < 0 {
-			continue
-		}
-		if best == topology.None || sum < bestSum {
-			best, bestSum = cand, sum
-		}
-	}
-	if best == topology.None {
-		panic("pim: no reachable RP candidate")
-	}
-	return best
-}
-
 // revDelay returns the data-plane delay a receiver at r would see from
 // x over the reverse shortest-path branch: the forward cost of the
 // links of the unicast path r -> x, traversed backwards.
@@ -192,7 +165,7 @@ func DelayOptimalRP(rt unicast.Router, sourceHost topology.NodeID) topology.Node
 }
 
 // Build computes and installs the tree for the given member hosts.
-// For SM mode, rp must be a router (use CentroidRP for the default
+// For SM mode, rp must be a router (DelayOptimalRP gives the default
 // choice); SS ignores rp. Build registers one forwarding handler per
 // tree node and one Member agent per member host, and returns the
 // session ready for SendData.

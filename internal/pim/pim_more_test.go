@@ -19,14 +19,6 @@ func TestModeString(t *testing.T) {
 	}
 }
 
-func TestCentroidRPChain(t *testing.T) {
-	g := topology.Line(5, true)
-	r := unicast.Compute(g)
-	if rp := CentroidRP(r); rp != 2 {
-		t.Errorf("centroid of a 5-chain = %d, want 2", rp)
-	}
-}
-
 func TestDelayOptimalRPDeterministic(t *testing.T) {
 	g := topology.ISP()
 	g.RandomizeCosts(rand.New(rand.NewSource(5)), 1, 10)

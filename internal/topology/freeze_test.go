@@ -38,7 +38,6 @@ func TestFrozenMutatorsPanic(t *testing.T) {
 	mustPanic(t, "SetLinkEnabled", func() { g.SetLinkEnabled(a, b, false) })
 	mustPanic(t, "RandomizeCosts", func() { g.RandomizeCosts(rng, 1, 10) })
 	mustPanic(t, "PerturbCosts", func() { g.PerturbCosts(rng, 1, 10, 4) })
-	mustPanic(t, "SymmetrizeCosts", func() { g.SymmetrizeCosts() })
 	mustPanic(t, "SetBandwidth", func() { g.SetBandwidth(a, b, 10) })
 	mustPanic(t, "RandomizeBandwidths", func() { g.RandomizeBandwidths(rng, 10, 100) })
 }

@@ -477,18 +477,6 @@ func (g *Graph) randomizeCosts(rng *rand.Rand, lo, hi int, apply bool) {
 	}
 }
 
-// SymmetrizeCosts makes every link symmetric (c(a,b) == c(b,a)) by
-// copying the A->B cost. Used by tests and the asymmetry-sweep
-// experiment's zero-asymmetry end point.
-func (g *Graph) SymmetrizeCosts() {
-	g.mutable("SymmetrizeCosts")
-	for i := range g.edges {
-		e := &g.edges[i]
-		e.CostBA = e.CostAB
-		g.setCost(e.B, e.A, e.CostBA)
-	}
-}
-
 // PerturbCosts draws symmetric base costs in [lo,hi] and then skews
 // each direction by a uniform offset in [0, spread], clamping at lo.
 // spread 0 yields symmetric routing; larger spreads increase asymmetry.

@@ -127,17 +127,6 @@ func TestRandomizeCostsRange(t *testing.T) {
 	}
 }
 
-func TestSymmetrizeCosts(t *testing.T) {
-	g := ISP()
-	g.RandomizeCosts(rand.New(rand.NewSource(2)), 1, 10)
-	g.SymmetrizeCosts()
-	for _, e := range g.Edges() {
-		if e.CostAB != e.CostBA {
-			t.Fatalf("asymmetric link %d-%d after SymmetrizeCosts", e.A, e.B)
-		}
-	}
-}
-
 func TestPerturbCosts(t *testing.T) {
 	g := ISP()
 	// spread 0 must give symmetric costs.

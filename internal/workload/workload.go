@@ -188,21 +188,3 @@ func less(a, b Event) bool {
 	}
 	return !a.Join && b.Join
 }
-
-// TotalEvents sums the churn schedule lengths (reporting).
-func TotalEvents(chs []Channel) int {
-	n := 0
-	for i := range chs {
-		n += len(chs[i].Events)
-	}
-	return n
-}
-
-// TotalReceivers sums the initial populations (reporting).
-func TotalReceivers(chs []Channel) int {
-	n := 0
-	for i := range chs {
-		n += chs[i].Receivers
-	}
-	return n
-}

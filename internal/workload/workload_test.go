@@ -182,15 +182,3 @@ func TestNoChurnNoEvents(t *testing.T) {
 		}
 	}
 }
-
-func TestTotals(t *testing.T) {
-	chs := Generate(testCfg())
-	wantEv, wantRecv := 0, 0
-	for _, ch := range chs {
-		wantEv += len(ch.Events)
-		wantRecv += ch.Receivers
-	}
-	if TotalEvents(chs) != wantEv || TotalReceivers(chs) != wantRecv {
-		t.Fatal("totals disagree with direct sums")
-	}
-}
