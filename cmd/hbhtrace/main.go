@@ -71,9 +71,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	fmt.Println("Topology:")
-	fmt.Print(sc.Graph.String())
-	fmt.Println()
+	fmt.Printf("Topology:\n%s\n", sc.Graph.String())
 
 	// The failure scenario exercises HBH's self-healing; the worked
 	// examples compare both protocols.
@@ -90,11 +88,10 @@ func main() {
 
 // session abstracts the two dynamic protocols for the tracer.
 type session struct {
-	sim     *eventsim.Sim
-	net     *netsim.Network
-	routing *unicast.Routing
-	send    func() uint32
-	r1, r2  *softstate.Receiver
+	sim    *eventsim.Sim
+	net    *netsim.Network
+	send   func() uint32
+	r1, r2 *softstate.Receiver
 	// routers gives the failure scenario access to protocol state loss
 	// on crash (HBH only).
 	routers map[topology.NodeID]*core.Router
@@ -104,9 +101,8 @@ type session struct {
 
 func buildSession(proto string, sc topology.Scenario, verbose, causal bool) *session {
 	sim := eventsim.New()
-	routing := unicast.Compute(sc.Graph)
-	net := netsim.New(sim, sc.Graph, routing)
-	s := &session{sim: sim, net: net, routing: routing}
+	net := netsim.New(sim, sc.Graph, unicast.Compute(sc.Graph))
+	s := &session{sim: sim, net: net}
 	if verbose || causal {
 		// One observer carries both sinks, so -verbose and -causal
 		// compose instead of the second install replacing the first.
@@ -172,16 +168,22 @@ func runScenario(proto, scenario string, sc topology.Scenario, verbose, causal b
 	probe := func(members ...mtree.Member) *mtree.Result {
 		return mtree.Probe(s.net, s.send, members)
 	}
+	delays := func(res *mtree.Result) {
+		for _, m := range []mtree.Member{s.r1, s.r2} {
+			if d, ok := res.Delays[m.Addr()]; ok {
+				sp := s.net.Routing().Dist(sc.Source, g.MustByAddr(m.Addr()))
+				fmt.Printf("  %v delay %v (shortest possible %d)\n", m.Addr(), d, sp)
+			} else {
+				fmt.Printf("  %v NOT SERVED\n", m.Addr())
+			}
+		}
+	}
 
 	run(4000) // converge
 	res := probe(s.r1, s.r2)
 	fmt.Printf("converged tree (one data packet):\n%s", res.FormatTree(g))
 	fmt.Printf("tree cost: %d packet copies\n", res.Cost)
-	for _, m := range []mtree.Member{s.r1, s.r2} {
-		d := res.Delays[m.Addr()]
-		sp := s.routing.Dist(g.MustByAddr(sc.Graph.Node(sc.Source).Addr), g.MustByAddr(m.Addr()))
-		fmt.Printf("  %v delay %v (shortest possible %d)\n", m.Addr(), d, sp)
-	}
+	delays(res)
 
 	if scenario == "failure" {
 		// Fault script on the Fig. 2 ring: cut the A-D shortcut r2's
@@ -217,14 +219,7 @@ func runScenario(proto, scenario string, sc topology.Scenario, verbose, causal b
 		report := func(label string) {
 			res := probe(s.r1, s.r2)
 			fmt.Printf("tree %s:\n%s", label, res.FormatTree(g))
-			for _, m := range []mtree.Member{s.r1, s.r2} {
-				if _, ok := res.Delays[m.Addr()]; !ok {
-					fmt.Printf("  %v NOT SERVED\n", m.Addr())
-					continue
-				}
-				sp := s.routing.Dist(sc.Source, g.MustByAddr(m.Addr()))
-				fmt.Printf("  %v delay %v (shortest possible %d)\n", m.Addr(), res.Delays[m.Addr()], sp)
-			}
+			delays(res)
 		}
 		run(100 + 8*gen) // the cut fires, then the tree re-heals
 		report("with link A-D down")

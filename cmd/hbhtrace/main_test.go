@@ -34,15 +34,40 @@ func runMain(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errb.String(), code
 }
 
+// TestScenarios replays each worked example and pins, per protocol,
+// the outcome the paper draws from it: the REUNITE section is the
+// output ahead of the "=== HBH ===" banner, the HBH section the rest.
 func TestScenarios(t *testing.T) {
 	for _, tc := range []struct {
-		scenario string
-		want     []string
+		scenario     string
+		want         []string
+		reunite, hbh []string
 	}{
-		{"asymmetric-join", []string{"=== REUNITE ===", "=== HBH ===", "tree cost:", "delay"}},
-		{"duplication", []string{"=== REUNITE ===", "=== HBH ===", "tree cost:"}},
-		{"departure", []string{"r1 leaves the channel", "tree after departure:"}},
-		{"failure", []string{"=== HBH ===", "with link A-D down", "after router B crash and restart"}},
+		{
+			scenario: "asymmetric-join",
+			want:     []string{"=== REUNITE ===", "=== HBH ===", "tree cost:"},
+			// Figs. 2 and 5: REUNITE pins r2 to the join path.
+			reunite: []string{"10.1.0.3 delay 5 (shortest possible 3)"},
+			hbh:     []string{"10.1.0.3 delay 3 (shortest possible 3)"},
+		},
+		{
+			scenario: "duplication",
+			want:     []string{"=== REUNITE ===", "=== HBH ==="},
+			// Fig. 3: REUNITE carries two copies over the A-B trunk.
+			reunite: []string{"A -> B  x2", "tree cost: 7 packet copies"},
+			hbh:     []string{"tree cost: 6 packet copies"},
+		},
+		{
+			scenario: "departure",
+			want:     []string{"r1 leaves the channel", "tree after departure:"},
+			// Fig. 4: r1 leaving moves r2 under REUNITE only.
+			reunite: []string{"r2 ROUTE CHANGED: delay 5 -> 3"},
+			hbh:     []string{"r2 route unchanged (delay 3)"},
+		},
+		{
+			scenario: "failure",
+			want:     []string{"=== HBH ===", "with link A-D down", "after router B crash and restart"},
+		},
 	} {
 		t.Run(tc.scenario, func(t *testing.T) {
 			stdout, stderr, code := runMain(t, "-scenario", tc.scenario)
@@ -55,6 +80,17 @@ func TestScenarios(t *testing.T) {
 			for _, w := range tc.want {
 				if !strings.Contains(stdout, w) {
 					t.Errorf("output missing %q", w)
+				}
+			}
+			reunite, hbh, _ := strings.Cut(stdout, "=== HBH ===")
+			for _, w := range tc.reunite {
+				if !strings.Contains(reunite, w) {
+					t.Errorf("REUNITE section missing %q", w)
+				}
+			}
+			for _, w := range tc.hbh {
+				if !strings.Contains(hbh, w) {
+					t.Errorf("HBH section missing %q", w)
 				}
 			}
 		})

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -41,6 +42,27 @@ func main() {
 	)
 	flag.Parse()
 
+	// Each check below is a precondition the generator would panic on.
+	bad := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "topogen: "+format+"\n", args...)
+		flag.Usage()
+		os.Exit(2)
+	}
+	m := cmp.Or(*baM, 2) // BarabasiAlbert's default for -m 0
+	least := map[string]int{"random": 2, "line": 1, "waxman": 2, "ba": m + 1}[*topo]
+	switch {
+	case *lo < 1 || *hi < *lo:
+		bad("-lo %d -hi %d: link costs need 1 <= lo <= hi", *lo, *hi)
+	case *draws < 1:
+		bad("-draws %d: need at least one cost draw", *draws)
+	case *topo == "ba" && m < 1:
+		bad("-m %d: need at least 1 link per arriving router", m)
+	case *routers < least:
+		bad("-routers %d: %s needs at least %d", *routers, *topo, least)
+	case *topo == "random" && int(float64(*routers)**degree/2+0.5) > *routers*(*routers-1)/2:
+		bad("-degree %g impossible with %d routers", *degree, *routers)
+	}
+
 	rng := rand.New(rand.NewSource(*seed))
 	var g *topology.Graph
 	switch *topo {
@@ -64,7 +86,7 @@ func main() {
 		// No hosts at scale: every node enlarges all per-source routing
 		// rows, and the asymmetry statistic only looks at routers.
 		g = topology.BarabasiAlbert(topology.BAConfig{
-			Routers: *routers, M: *baM, Hosts: *routers <= 4096,
+			Routers: *routers, M: m, Hosts: *routers <= 4096,
 		}, rng)
 	case "transitstub":
 		g = topology.TransitStub(topology.TransitStubConfig{
@@ -72,9 +94,7 @@ func main() {
 			StubDegree: 2.5, ExtraStubLinks: 3, Hosts: true,
 		}, rng)
 	default:
-		fmt.Fprintf(os.Stderr, "topogen: unknown topology %q\n", *topo)
-		flag.Usage()
-		os.Exit(2)
+		bad("unknown topology %q", *topo)
 	}
 
 	g.RandomizeCosts(rng, *lo, *hi)
@@ -94,12 +114,11 @@ func main() {
 	// Exact below the fast-path threshold, seeded-sampled above it —
 	// the exhaustive walk is O(n²·pathlen) and unusable at 10k routers.
 	var sum float64
-	for i := 0; i < *draws; i++ {
+	for i := range *draws {
 		if i > 0 {
 			g.RandomizeCosts(rng, *lo, *hi)
 		}
-		r := unicast.New(g)
-		sum += unicast.EstimateAsymmetryFraction(r, *seed+int64(i), *samples)
+		sum += unicast.EstimateAsymmetryFraction(unicast.New(g), *seed+int64(i), *samples)
 	}
 	fmt.Printf("asymmetric router pairs: %.1f%% (mean over %d cost draws in [%d,%d])\n",
 		100*sum/float64(*draws), *draws, *lo, *hi)

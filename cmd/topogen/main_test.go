@@ -68,3 +68,39 @@ func TestUnknownTopoExits2(t *testing.T) {
 		t.Fatalf("exit code %d, want 2", code)
 	}
 }
+
+// TestBadFlagsExit2: a value the generator or the cost draw cannot
+// take is a diagnosis, the usage and exit 2 — not a panic, which also
+// exits 2, and not a NaN statistic.
+func TestBadFlagsExit2(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-lo", "0"}, "-lo 0 -hi 10"},
+		{[]string{"-lo", "5", "-hi", "2"}, "-lo 5 -hi 2"},
+		{[]string{"-draws", "0"}, "-draws 0"},
+		{[]string{"-topo", "random", "-routers", "0"}, "-routers 0"},
+		{[]string{"-topo", "random", "-routers", "5", "-degree", "9"}, "-degree 9 impossible with 5 routers"},
+		{[]string{"-topo", "line", "-routers", "0"}, "-routers 0"},
+		{[]string{"-topo", "waxman", "-routers", "1"}, "-routers 1"},
+		{[]string{"-topo", "ba", "-m", "-1"}, "-m -1"},
+		{[]string{"-topo", "ba", "-routers", "2"}, "-routers 2"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			stdout, stderr, code := runMain(t, tc.args...)
+			if code != 2 {
+				t.Fatalf("exit code %d, want 2", code)
+			}
+			if strings.Contains(stderr, "panic:") {
+				t.Fatalf("panicked instead of diagnosing:\n%.300s", stderr)
+			}
+			if !strings.Contains(stderr, "topogen: "+tc.want) || !strings.Contains(stderr, "Usage") {
+				t.Errorf("stderr missing %q and the usage:\n%s", tc.want, stderr)
+			}
+			if stdout != "" {
+				t.Errorf("printed output before rejecting the flags:\n%.200s", stdout)
+			}
+		})
+	}
+}

@@ -36,7 +36,7 @@ func TestInPlaceCodecMatchesWrappers(t *testing.T) {
 		&packet.Report{Header: with(packet.TypeReport, packet.ProtoNone, 0), Leave: true},
 		&packet.Report{Header: with(packet.TypeReport, packet.ProtoNone, 0)},
 	}
-	for _, raw := range captureCorpus(t) {
+	for _, raw := range linkCorpus(t) {
 		m, err := packet.Unmarshal(raw)
 		if err != nil {
 			t.Fatalf("corpus entry does not decode: %v", err)

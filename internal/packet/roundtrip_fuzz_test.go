@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hbh/internal/addr"
-	"hbh/internal/capture"
 	"hbh/internal/core"
 	"hbh/internal/eventsim"
 	"hbh/internal/netsim"
@@ -17,17 +16,17 @@ import (
 // FuzzRoundTrip pins marshal→unmarshal→marshal byte identity for the
 // two variable-length control messages (Tree's target, Fusion's
 // R1..Rn list): any wire encoding the decoder accepts must survive a
-// decode/re-encode cycle bit-for-bit, so a capture file replayed
-// through the tooling is indistinguishable from the original traffic.
+// decode/re-encode cycle bit-for-bit, because the live frame wire
+// decodes and re-encodes a packet at every hop it crosses.
 //
 // The corpus is seeded from real wire bytes: a small HBH sim runs
-// under a capture writer and every Tree/Fusion that crossed a link is
-// added verbatim, so the fuzzer starts from encodings the protocol
+// with a link tap and every Tree/Fusion that crossed a link is added
+// as encoded, so the fuzzer starts from encodings the protocol
 // actually produces rather than hand-built ones.
 //
 // Run with: go test -fuzz=FuzzRoundTrip -fuzztime=30s ./internal/packet/
 func FuzzRoundTrip(f *testing.F) {
-	for _, raw := range captureCorpus(f) {
+	for _, raw := range linkCorpus(f) {
 		f.Add(raw)
 	}
 
@@ -59,10 +58,10 @@ func FuzzRoundTrip(f *testing.F) {
 	})
 }
 
-// captureCorpus runs a 5-router HBH line with two receivers under a
-// capture writer and returns the wire bytes of every Tree and Fusion
-// message that crossed a link.
-func captureCorpus(f testing.TB) [][]byte {
+// linkCorpus runs a 5-router HBH line with two receivers under a link
+// tap and returns the wire bytes of every Tree and Fusion message that
+// crossed a link.
+func linkCorpus(f testing.TB) [][]byte {
 	g := topology.Line(5, true)
 	sim := eventsim.New()
 	net := netsim.New(sim, g, unicast.Compute(g))
@@ -73,12 +72,19 @@ func captureCorpus(f testing.TB) [][]byte {
 	hosts := g.Hosts()
 	src := core.AttachSource(net.Node(hosts[0]), addr.GroupAddr(0), cfg)
 
-	var buf bytes.Buffer
-	cw, err := capture.NewWriter(&buf)
-	if err != nil {
-		f.Fatal(err)
-	}
-	capture.Attach(net, cw)
+	var out [][]byte
+	net.AddTap(func(_, _ topology.NodeID, msg packet.Message) {
+		switch msg.(type) {
+		case *packet.Tree, *packet.Fusion:
+			// Marshal encodes into a fresh slice, so nothing the tap
+			// keeps aliases msg past the call.
+			raw, err := packet.Marshal(msg)
+			if err != nil {
+				f.Fatal(err)
+			}
+			out = append(out, raw)
+		}
+	})
 
 	for i, h := range []topology.NodeID{hosts[2], hosts[4]} {
 		rcv := core.AttachReceiver(net.Node(h), src.Channel(), cfg)
@@ -95,31 +101,8 @@ func captureCorpus(f testing.TB) [][]byte {
 	if err := sim.Run(sim.Now() + 2*cfg.TreeInterval); err != nil {
 		f.Fatal(err)
 	}
-	if err := cw.Flush(); err != nil {
-		f.Fatal(err)
-	}
-
-	cr, err := capture.NewReader(&buf)
-	if err != nil {
-		f.Fatal(err)
-	}
-	recs, err := cr.ReadAll()
-	if err != nil {
-		f.Fatal(err)
-	}
-	var out [][]byte
-	for _, rec := range recs {
-		switch rec.Msg.(type) {
-		case *packet.Tree, *packet.Fusion:
-			raw, err := packet.Marshal(rec.Msg)
-			if err != nil {
-				f.Fatal(err)
-			}
-			out = append(out, raw)
-		}
-	}
 	if len(out) == 0 {
-		f.Fatal("capture produced no Tree/Fusion messages to seed from")
+		f.Fatal("the run produced no Tree/Fusion messages to seed from")
 	}
 	return out
 }

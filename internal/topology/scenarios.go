@@ -4,7 +4,7 @@ import "hbh/internal/addr"
 
 // This file holds the small hand-built topologies that reproduce the
 // paper's worked examples (§2.3, Figures 2, 3 and 5). They are used by
-// the protocol test suites, the hbhtrace command and the examples.
+// the protocol test suites and the hbhtrace and hbhd commands.
 
 // Scenario bundles a hand-built graph with its named cast.
 type Scenario struct {
