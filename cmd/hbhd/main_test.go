@@ -407,10 +407,11 @@ func metricValue(scrape, name, labels string) (float64, bool) {
 // hbhd processes, one per Figure-3 node, each with its own telemetry
 // endpoint and JSONL trace file. It requires (1) a valid Prometheus
 // scrape with nonzero wall-clock delivery-delay histogram counts at a
-// receiving daemon, (2) the hbh_converged gauge reaching 1, (3) a
-// filtered live /trace stream of parseable JSONL, and (4) — after the
-// daemons exit — a merged cross-process causal timeline in which r1's
-// first-join episode spans events from at least two processes.
+// receiving daemon, (2) the hbh_converged gauge reaching 1 and /readyz
+// turning 200 on all eight daemons, (3) a filtered live /trace stream
+// of parseable JSONL, and (4) — after the daemons exit — a merged
+// cross-process causal timeline in which r1's first-join episode spans
+// events from at least two processes.
 func TestE2ETelemetryMultiProcess(t *testing.T) {
 	nodes := []string{"A", "B", "C", "D", "E", "S", "r1", "r2"}
 	udp := freePorts(t, len(nodes), "udp")
@@ -476,9 +477,11 @@ func TestE2ETelemetryMultiProcess(t *testing.T) {
 		t.Errorf("router B hbh_hop_delay_count = %v (present=%v), want > 0", v, ok)
 	}
 
-	// (2) Convergence: the probe marks the channel quiescent and the
-	// gauge flips to 1 on every daemon that saw control traffic.
-	for _, n := range []string{"S", "r1"} {
+	// (2) Convergence: one soft-state generation after its last
+	// mutation, the probe marks the channel quiescent and the gauge
+	// flips to 1 on every daemon, routers included; each is then
+	// healthy and ready.
+	for _, n := range nodes {
 		n := n
 		pollUntil(t, "hbh_converged=1 at "+n, 60*time.Second, func() (bool, string) {
 			_, s := httpGet(t, "http://"+telOf[n]+"/metrics")

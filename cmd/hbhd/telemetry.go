@@ -147,8 +147,7 @@ func (d *daemon) healthReasons(ready bool) []string {
 			c := d.conv.Channel(ch)
 			if c.MutationAny && !c.Converged {
 				reasons = append(reasons,
-					fmt.Sprintf("channel %s not converged (mutations=%d outstanding=%d)",
-						ch, c.Mutations, c.Outstanding))
+					fmt.Sprintf("channel %s not converged (mutations=%d)", ch, c.Mutations))
 			}
 		}
 		if ready && !d.probed {
@@ -248,11 +247,11 @@ func (s *traceSink) Write(b []byte) (int, error) {
 
 // probeLoop is the daemon's convergence prober: every 100ms of wall
 // time it asks the tracker whether each channel has quiesced (no
-// structural mutation for a settle window, control plane drained) and,
-// on the first probe after a mutation burst, feeds the burst duration
-// to the hbh_converge_time histogram in seconds.
+// structural mutation for one soft-state generation, T1+T2) and, on
+// the first probe after a mutation burst, feeds the burst duration to
+// the hbh_converge_time histogram in seconds.
 func (d *daemon) probeLoop() {
-	settle := d.pcfg.T1
+	settle := d.pcfg.Generation()
 	tick := time.NewTicker(100 * time.Millisecond)
 	defer tick.Stop()
 	for {

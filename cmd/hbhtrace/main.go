@@ -190,8 +190,7 @@ func runScenario(proto, scenario string, sc topology.Scenario, verbose, causal b
 		// branch rides on, heal it, then crash router B on r1's branch.
 		// Every event is announced as it fires, interleaved with the
 		// probes; HBH must reroute each time with no repair messages.
-		pcfg := core.DefaultConfig()
-		gen := pcfg.T1 + pcfg.T2
+		gen := core.DefaultConfig().Generation()
 		a, b, d := topology.NodeID(0), topology.NodeID(1), topology.NodeID(3)
 		t0 := s.sim.Now()
 		plan := faults.NewPlan().

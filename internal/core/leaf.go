@@ -8,7 +8,6 @@ import (
 	"hbh/internal/obs"
 	"hbh/internal/packet"
 	"hbh/internal/softstate"
-	"hbh/internal/topology"
 )
 
 // LeafAgent turns IGMP-style local membership into HBH channel
@@ -124,9 +123,4 @@ func (l *LeafAgent) Handle(n netsim.ProtoNode, msg packet.Message, c obs.Causal)
 		return netsim.Consumed
 	}
 	return netsim.Continue
-}
-
-// hostsOf lists the member hosts (for tests).
-func (l *LeafAgent) localMembers(ch addr.Channel) []topology.NodeID {
-	return l.querier.Members(ch)
 }

@@ -111,8 +111,10 @@ func TestLeafSubscriptionLifecycle(t *testing.T) {
 	if src.MFT().Get(g.Node(2).Addr) == nil {
 		t.Error("router's subscription did not reach the source")
 	}
-	if got := len(leaf.localMembers(src.Channel())); got != 2 {
-		t.Errorf("local members = %d, want 2", got)
+	// Both local members are served: one probe reaches each host once.
+	res := mtree.Probe(h.net, func() uint32 { return src.SendData(nil) }, []mtree.Member{hosts[0], hosts[1]})
+	if !res.Complete() {
+		t.Errorf("local members not each served once: %v", res)
 	}
 
 	// Both leave: subscription lapses and upstream state expires.

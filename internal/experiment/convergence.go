@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"hbh/internal/core"
 	"hbh/internal/eventsim"
 	"hbh/internal/faults"
 	"hbh/internal/metrics"
@@ -16,9 +17,9 @@ import (
 // each protocol takes to reach a quiescent tree after the receivers
 // join (and, for the soft-state protocols, after a tree-branch link
 // cut), and what the cascade costs in control messages, link crossings
-// and wire bytes. Convergence is measured, not assumed: the detector
-// declares a channel quiescent once no control message is in flight and
-// no table has mutated for convergeSettleIntervals refresh intervals.
+// and wire bytes. Convergence is measured, not assumed: a channel has
+// converged once no table has mutated for one soft-state generation
+// (session.convergeMeasured).
 type ConvergenceConfig struct {
 	Receivers int
 	Runs      int
@@ -36,7 +37,8 @@ type convergenceCell struct {
 	// JoinTime is the measured join-phase convergence time: the virtual
 	// time of the last structural table mutation before the channel
 	// first went quiescent. CtrlMsgs/CtrlHops/CtrlBytes are the
-	// control-plane cost accumulated by then.
+	// control-plane cost accumulated by then. All four cover the runs
+	// that converged; a capped run has no convergence time.
 	JoinTime  *metrics.Accumulator
 	CtrlMsgs  *metrics.Accumulator
 	CtrlHops  *metrics.Accumulator
@@ -49,8 +51,10 @@ type convergenceCell struct {
 	ReconvTime *metrics.Accumulator
 	Healed     *metrics.Accumulator
 	// Capped counts runs whose join phase exhausted the hard cap
-	// (defaultConvergeIntervals) without quiescing.
-	Capped int
+	// (convergeCap) without quiescing; Relapsed counts runs whose join
+	// phase was declared converged and then mutated within
+	// relapseIntervals, a convergence declared too early.
+	Capped, Relapsed int
 }
 
 // ConvergenceResult is the full A11 profile.
@@ -91,6 +95,11 @@ func ConvergenceExperiment(cfg ConvergenceConfig) *ConvergenceResult {
 	return res
 }
 
+// relapseIntervals is how long, in refresh intervals, an A11 run
+// watches a channel its join phase declared converged: a structural
+// mutation inside this watch is a relapse.
+const relapseIntervals = 10
+
 // convergenceRun executes one profiled run and returns the fold that
 // adds it to the cell. The cost model mirrors Run(): the paper's
 // independent per-direction draw for the asymmetric rows, PerturbCosts
@@ -108,11 +117,15 @@ func convergenceRun(cfg ConvergenceConfig, cell *convergenceCell, seed int64) fu
 		Receivers: cfg.Receivers, Seed: seed, Obs: o,
 	})
 	// PIM's tree is installed centrally before the clock moves: the
-	// detector confirms quiescence after the settle window, and the
 	// join phase reports the install time (zero) at zero control cost —
 	// the baseline the soft-state cascades are compared to.
-	joinAt, used, _ := convergeMeasured(s.sim, tr, s.ch, s.interval, defaultConvergeIntervals)
+	joinAt, converged := s.convergeMeasured()
 	join := tr.Channel(s.ch)
+	relapsed := false
+	if converged {
+		s.run(relapseIntervals * s.interval)
+		relapsed = tr.Channel(s.ch).LastMutation > joinAt
+	}
 
 	// Fault phase, soft-state cascades only: cut a link the converged
 	// tree is actually using (preferring one whose loss keeps the graph
@@ -127,19 +140,23 @@ func convergenceRun(cfg ConvergenceConfig, cell *convergenceCell, seed int64) fu
 		tCut := s.sim.Now() + 10
 		faults.NewInjector(s.net, faults.NewPlan().LinkDown(tCut, cut[0], cut[1])).Schedule()
 		var reconvAt eventsim.Time
-		reconvAt, _, healed = convergeMeasured(s.sim, tr, s.ch, s.interval, defaultConvergeIntervals)
+		reconvAt, healed = s.convergeMeasured()
 		// A cut that missed every live branch (the soft state already
 		// rerouted during the probe retries) mutates nothing; report
 		// zero repair time rather than the stale join timestamp.
 		reconv = max(0, float64(reconvAt)-float64(tCut))
 	}
 	return func() {
-		cell.JoinTime.Add(float64(joinAt))
-		cell.CtrlMsgs.Add(float64(join.CtrlSends))
-		cell.CtrlHops.Add(float64(join.CtrlHops))
-		cell.CtrlBytes.Add(float64(join.CtrlBytes))
-		if used >= defaultConvergeIntervals {
+		if converged {
+			cell.JoinTime.Add(float64(joinAt))
+			cell.CtrlMsgs.Add(float64(join.CtrlSends))
+			cell.CtrlHops.Add(float64(join.CtrlHops))
+			cell.CtrlBytes.Add(float64(join.CtrlBytes))
+		} else {
 			cell.Capped++
+		}
+		if relapsed {
+			cell.Relapsed++
 		}
 		if cascade {
 			cell.Healed.Add(b2f(healed))
@@ -156,14 +173,17 @@ func (r *ConvergenceResult) FormatTable() string {
 	fmt.Fprintf(&b, "A11 convergence profile: %d receivers, %d runs per row, seed %d\n",
 		r.Cfg.Receivers, r.Cfg.Runs, r.Cfg.Seed)
 	b.WriteString("join: measured time to a quiescent tree after the receivers join, and the\n")
-	b.WriteString("control cost (originations, link crossings, wire bytes) accumulated by then.\n")
+	b.WriteString("control cost (originations, link crossings, wire bytes) accumulated by then,\n")
+	b.WriteString("averaged over the runs that reached one (capped runs are counted, not averaged).\n")
 	b.WriteString("reconv: time from a tree-branch link cut to re-quiescence (soft-state healing;\n")
 	b.WriteString("the centrally built PIM baseline has no repair cascade, shown as -). All times\n")
-	fmt.Fprintf(&b, "in simulation units; quiescent = no control in flight, no table mutation for %d intervals.\n\n",
-		convergeSettleIntervals)
-	fmt.Fprintf(&b, "%-9s %-5s %-9s %10s %10s %10s %11s %10s %7s %7s\n",
+	fmt.Fprintf(&b, "in simulation units; quiescent = no structural table mutation for one soft-state\n"+
+		"generation (T1+T2 = %.0f). capped: join runs still mutating after %d intervals;\n"+
+		"relapsed: join runs declared quiescent that mutate within the next %d intervals.\n\n",
+		float64(core.DefaultConfig().Generation()), convergeCap, relapseIntervals)
+	fmt.Fprintf(&b, "%-9s %-5s %-9s %10s %10s %10s %11s %10s %7s %7s %8s\n",
 		"topo", "costs", "protocol", "join-time", "ctrl-msgs", "ctrl-hops", "ctrl-bytes",
-		"reconv", "healed", "capped")
+		"reconv", "healed", "capped", "relapsed")
 	mean := func(a *metrics.Accumulator) string {
 		if a.N() == 0 {
 			return "-"
@@ -175,10 +195,10 @@ func (r *ConvergenceResult) FormatTable() string {
 		if c.Asym {
 			costs = "asym"
 		}
-		fmt.Fprintf(&b, "%-9s %-5s %-9s %10s %10s %10s %11s %10s %7s %7d\n",
+		fmt.Fprintf(&b, "%-9s %-5s %-9s %10s %10s %10s %11s %10s %7s %7d %8d\n",
 			c.Topo, costs, c.Protocol,
 			mean(c.JoinTime), mean(c.CtrlMsgs), mean(c.CtrlHops), mean(c.CtrlBytes),
-			mean(c.ReconvTime), mean(c.Healed), c.Capped)
+			mean(c.ReconvTime), mean(c.Healed), c.Capped, c.Relapsed)
 	}
 	return b.String()
 }

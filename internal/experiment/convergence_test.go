@@ -6,17 +6,18 @@ import (
 )
 
 // TestConvergenceExperimentShape: the A11 profile produces one cell
-// per (topo, costs, protocol), measures a real (positive, capped)
-// join-phase convergence for the soft-state protocols, and reports the
-// centrally built PIM baseline at exactly zero time and cost.
+// per (topo, costs, protocol), counts every run as converged (one join
+// sample) or capped, measures a real (positive) join-phase convergence
+// for the soft-state protocols, and reports the centrally built PIM
+// baseline at exactly zero time and cost.
 func TestConvergenceExperimentShape(t *testing.T) {
 	res := ConvergenceExperiment(ConvergenceConfig{Receivers: 4, Runs: 2, Seed: 1})
 	if len(res.Cells) != 12 {
 		t.Fatalf("got %d cells, want 12 (2 topologies x 2 cost models x 3 protocols)", len(res.Cells))
 	}
 	for _, c := range res.Cells {
-		if c.JoinTime.N() != 2 {
-			t.Fatalf("%v/%v: %d join samples, want 2", c.Topo, c.Protocol, c.JoinTime.N())
+		if c.JoinTime.N()+c.Capped != 2 {
+			t.Fatalf("%v/%v: %d join samples and %d capped, want 2 runs", c.Topo, c.Protocol, c.JoinTime.N(), c.Capped)
 		}
 		switch c.Protocol {
 		case PIMSM:
@@ -43,7 +44,7 @@ func TestConvergenceExperimentShape(t *testing.T) {
 
 	table := res.FormatTable()
 	for _, want := range []string{
-		"A11 convergence profile", "join-time", "reconv", "capped",
+		"A11 convergence profile", "join-time", "reconv", "capped", "relapsed",
 		"HBH", "REUNITE", "PIM-SM", "random50", "asym",
 	} {
 		if !strings.Contains(table, want) {
@@ -59,5 +60,21 @@ func TestConvergenceExperimentDeterministic(t *testing.T) {
 	b := ConvergenceExperiment(ConvergenceConfig{Receivers: 3, Runs: 1, Seed: 7}).FormatTable()
 	if a != b {
 		t.Fatalf("profile not reproducible at a fixed seed:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+	}
+}
+
+// TestConvergenceRelapseFence fences the convergence rule: over A11 at
+// 40 runs per cell (8 receivers, seed 1), no run the rule declares
+// converged may mutate again within the relapse watch. A window shorter
+// than one soft-state generation fails here: entries a converged
+// cascade no longer refreshes are still expiring.
+func TestConvergenceRelapseFence(t *testing.T) {
+	res := ConvergenceExperiment(ConvergenceConfig{Receivers: 8, Runs: 40, Seed: 1})
+	for _, c := range res.Cells {
+		t.Logf("%v asym=%v %v: %d/40 converged, %d relapsed", c.Topo, c.Asym, c.Protocol, c.JoinTime.N(), c.Relapsed)
+		if c.Relapsed != 0 {
+			t.Errorf("%v asym=%v %v: %d of %d converged runs mutated within %d intervals",
+				c.Topo, c.Asym, c.Protocol, c.Relapsed, c.JoinTime.N(), relapseIntervals)
+		}
 	}
 }

@@ -85,10 +85,9 @@ func FailureExperiment(cfg FailureConfig) *FailureResult {
 	default:
 		panic(fmt.Sprintf("experiment: unknown fault scenario %q", cfg.Scenario))
 	}
-	pcfg := core.DefaultConfig()
 	res := &FailureResult{
 		Cfg:                cfg,
-		Gen:                float64(pcfg.T1 + pcfg.T2),
+		Gen:                float64(core.DefaultConfig().Generation()),
 		LinkRepair:         &metrics.Accumulator{},
 		CrashRepair:        &metrics.Accumulator{},
 		LinkRepaired:       &metrics.Accumulator{},
@@ -114,15 +113,13 @@ func failureRun(cfg FailureConfig, seed int64, res *FailureResult) func() {
 	// Observation consumes no randomness and schedules no events, so
 	// runs stay deterministic.
 	o := obs.New(nil)
-	tr := o.EnableConvergence()
+	o.EnableConvergence()
 	p := drawPoint(cfg.Topo, seed, cfg.Receivers, paperCosts)
 	s := p.session(RunConfig{Topo: cfg.Topo, Protocol: HBH, Receivers: cfg.Receivers, Seed: seed, Obs: o})
 	// Detector-driven settling: the fixed 40-interval budget could
 	// under-wait the 50-node random topology (long fusion and expiry
-	// cascades) and always over-waited the ISP one. convergeMeasured
-	// steps until the channel is quiescent, keeping the old interval
-	// count as the hard cap.
-	convergeMeasured(s.sim, tr, s.ch, s.interval, defaultConvergeIntervals)
+	// cascades) and always over-waited the ISP one.
+	s.convergeMeasured()
 
 	// The fault targets come from the actual converged tree, not the
 	// topology: the cut must hit a branch that is carrying traffic.
@@ -137,7 +134,7 @@ func failureRun(cfg FailureConfig, seed int64, res *FailureResult) func() {
 	// Timeline, in soft-state generations after the converged start.
 	// Skipped phases keep their slots so every scenario measures over
 	// the same windows.
-	gen := s.cfg.T1 + s.cfg.T2
+	gen := s.cfg.Generation()
 	t0 := s.sim.Now()
 	tCut := t0 + 2*gen
 	tFix := tCut + 8*gen

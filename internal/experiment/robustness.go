@@ -111,7 +111,7 @@ type AdvResult struct {
 	// CleanTime is the measured clean join convergence time (last
 	// mutation before first quiescence); CleanConverged is false when
 	// even the clean phase exhausted the hard cap (A11 shows this
-	// happens on some seeds with no adversity at all).
+	// happens to REUNITE on some seeds with no adversity at all).
 	CleanTime      eventsim.Time
 	CleanConverged bool
 	// Disruption is the forwarding disruption during the adversity
@@ -175,8 +175,7 @@ func AdversarialRun(spec AdvSpec) AdvResult {
 	var res AdvResult
 
 	// Phase 1: clean join, measured.
-	res.CleanTime, _, res.CleanConverged =
-		convergeMeasured(s.sim, tr, s.ch, s.interval, defaultConvergeIntervals)
+	res.CleanTime, res.CleanConverged = s.convergeMeasured()
 
 	// Phase 2: adversity window. All adversity randomness comes from
 	// dedicated streams derived from the spec seed, so adding a knob
@@ -256,7 +255,7 @@ func AdversarialRun(spec AdvSpec) AdvResult {
 	if advOn {
 		s.net.SetAdversary(netsim.Adversary{})
 	}
-	recovAt, _, recovered := convergeMeasured(s.sim, tr, s.ch, s.interval, defaultConvergeIntervals)
+	recovAt, recovered := s.convergeMeasured()
 	res.Recovered = recovered
 	if recovAt > wEnd {
 		res.RecoveryTime = recovAt - wEnd
@@ -296,7 +295,7 @@ func AdversarialRun(spec AdvSpec) AdvResult {
 				recovered, res.Recovered = false, false
 				break
 			}
-			if _, _, ok := convergeMeasured(s.sim, tr, s.ch, s.interval, defaultConvergeIntervals); !ok {
+			if _, ok := s.convergeMeasured(); !ok {
 				recovered, res.Recovered = false, false
 				break
 			}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"hbh/internal/addr"
-	"hbh/internal/eventsim"
 	"hbh/internal/invariant"
 	"hbh/internal/obs"
 	"hbh/internal/topology"
@@ -31,10 +30,6 @@ type ScaleConfig struct {
 	// CheckSample bounds the sampled invariant checking above the
 	// fast-path threshold (default 16 members/paths per checkpoint).
 	CheckSample int
-	// MaxIntervals caps the join-convergence detector (default 200 —
-	// 5x the A11 cap, since deeper trees cascade longer; a row that
-	// still churns at the cap is marked with *).
-	MaxIntervals int
 }
 
 // DefaultScaleSizes spans 50 to 50k routers — three orders of
@@ -97,9 +92,6 @@ func ScaleExperiment(cfg ScaleConfig) *ScaleResult {
 	if cfg.CheckSample == 0 {
 		cfg.CheckSample = 16
 	}
-	if cfg.MaxIntervals == 0 {
-		cfg.MaxIntervals = 200
-	}
 	res := &ScaleResult{Cfg: cfg}
 	for _, n := range cfg.Sizes {
 		res.Rows = append(res.Rows, scaleRun(cfg, n))
@@ -158,10 +150,10 @@ func scaleRun(cfg ScaleConfig, n int) ScaleRow {
 
 	// Protocol phase: one live HBH channel over the same substrate.
 	o := obs.New(nil)
-	tr := o.EnableConvergence()
+	o.EnableConvergence()
 	p := (&Scenario{Graph: g, Routing: rt}).point(rng, cfg.Receivers)
 	s := p.session(RunConfig{Protocol: HBH, Receivers: cfg.Receivers, Seed: cfg.Seed, Obs: o})
-	joinAt, converged := convergeScale(s, tr, cfg.MaxIntervals)
+	joinAt, converged := s.convergeMeasured()
 	row.JoinTime, row.Converged = float64(joinAt), converged
 
 	fp := s.state()
@@ -185,29 +177,6 @@ func scaleRun(cfg ScaleConfig, n int) ScaleRow {
 	runtime.ReadMemStats(&ms)
 	row.HeapBytes = ms.HeapAlloc
 	return row
-}
-
-// convergeScale steps the simulation until the channel's forwarding
-// state stops mutating for convergeSettleIntervals refresh intervals,
-// or maxIntervals run out. Unlike convergeMeasured it does not demand
-// a full control-plane drain: with hundreds of independently staggered
-// refresh timers, an instant with zero control messages in flight
-// stops existing well below the sizes A13 sweeps, while mutation
-// quiescence (the condition fixedPoint already keys on) stays
-// well-defined at any n.
-func convergeScale(s *session, tr *obs.ConvergeTracker, maxIntervals int) (at eventsim.Time, converged bool) {
-	settle := eventsim.Time(convergeSettleIntervals) * s.interval
-	for used := 0; used < maxIntervals; used++ {
-		if err := s.sim.Run(s.sim.Now() + s.interval); err != nil {
-			panic(fmt.Sprintf("experiment: scale converge: %v", err))
-		}
-		cc := tr.Channel(s.ch)
-		if used >= convergeSettleIntervals &&
-			(!cc.MutationAny || s.sim.Now()-cc.LastMutation >= settle) {
-			return cc.LastMutation, true
-		}
-	}
-	return tr.Channel(s.ch).LastMutation, false
 }
 
 // attachScaleHosts attaches the source host (router 0, the experiment

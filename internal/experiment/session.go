@@ -28,8 +28,9 @@ type session struct {
 	net *netsim.Network
 	ch  addr.Channel
 	// interval is the refresh interval, the unit runs settle and probe
-	// in; PIM has no refresh cycle and borrows the dynamic protocols',
-	// which keeps every experiment's windows comparable.
+	// in; PIM has no refresh cycle and borrows the dynamic protocols'
+	// interval and timers (cfg), which keeps every experiment's windows
+	// comparable.
 	interval eventsim.Time
 	members  []mtree.Member // probe views, one per member host
 	// checker, when non-nil, validates the protocol's invariant profile
@@ -68,7 +69,8 @@ func startSession(cfg RunConfig, g *topology.Graph, routing unicast.Router,
 			mode = pim.SM
 		}
 		s.tree = pim.Build(net, mode, source, group, hosts, topology.None)
-		s.ch, s.interval = s.tree.Channel(), core.DefaultConfig().TreeInterval
+		s.cfg = core.DefaultConfig().Config
+		s.ch, s.interval = s.tree.Channel(), s.cfg.TreeInterval
 		for _, h := range hosts {
 			s.members = append(s.members, s.tree.Member(h))
 		}
@@ -108,6 +110,11 @@ func startSession(cfg RunConfig, g *topology.Graph, routing unicast.Router,
 // cfg asks for, the footprint sampler its observer asks for, and every
 // receiver joining at a time drawn from the point's rng.
 func (p point) session(cfg RunConfig) *session {
+	if checkingEnabled(cfg) && cfg.Obs == nil {
+		// The checker enables the observer's convergence tracker, which
+		// fixedPoint reads.
+		cfg.Obs = obs.New(nil)
+	}
 	s := startSession(cfg, p.Graph, p.Routing, p.source, addr.GroupAddr(0), p.members, p.rng)
 	if checkingEnabled(cfg) {
 		s.checker = invariant.New(s.net, s.ch, profileFor(cfg.Protocol), s.audit)
@@ -141,9 +148,49 @@ func (s *session) send() uint32 {
 // intervals (defaultConvergeIntervals when zero). PIM installs its tree
 // before the clock starts and never changes it: nothing to wait for.
 func (s *session) settle(intervals int) {
-	if s.tree == nil {
-		converge(s.sim, s.interval, intervals)
+	if s.tree != nil {
+		return
 	}
+	if intervals <= 0 {
+		intervals = defaultConvergeIntervals
+	}
+	s.run(eventsim.Time(intervals) * s.interval)
+}
+
+// run advances the session's clock by d.
+func (s *session) run(d eventsim.Time) {
+	if err := s.sim.Run(s.sim.Now() + d); err != nil {
+		panic(fmt.Sprintf("experiment: %v", err))
+	}
+}
+
+// convergeCap is the hard cap, in refresh intervals, on
+// convergeMeasured. The longest converged join on the 200-run A11 grid
+// takes 77, its quiet window included; a run still mutating at 200
+// does not converge.
+const convergeCap = 200
+
+// convergeMeasured steps the session one refresh interval at a time
+// until its channel has gone one soft-state generation (T1+T2) with no
+// structural mutation, or convergeCap intervals run out. A generation
+// is the window because an entry that stopped being refreshed is stale
+// after T1 and destroyed only T2 later: any shorter quiet spell can end
+// in an expiry. The window counts from the later of the call and the
+// last mutation, so a cascade the caller has just set off (a fault a
+// few units ahead) is always waited for. It reads the convergence
+// tracker of the session's observer and returns the last mutation
+// time; converged is false when the cap ran out with the tree still
+// changing, and at is then merely the last mutation seen.
+func (s *session) convergeMeasured() (at eventsim.Time, converged bool) {
+	tr := s.net.Observer().Convergence()
+	window := s.cfg.Generation()
+	start := s.sim.Now()
+	for used := 0; used < convergeCap && !converged; used++ {
+		s.run(s.interval)
+		now := s.sim.Now()
+		converged = now-start >= window && tr.Quiescent(s.ch, now, window)
+	}
+	return tr.Channel(s.ch).LastMutation, converged
 }
 
 // probe injects one data packet and measures the tree that carries it
@@ -174,19 +221,14 @@ func served(r *mtree.Result) bool { return len(r.Missing) == 0 }
 // paper's fixed settling time so results stay comparable, but on some
 // seeds the relay-collapse cascade is still in flight there — a
 // soft-state transient, not a violation. So a dynamic protocol first
-// runs until four refresh intervals pass with no forwarding-state
-// change (at most 64 times: one that never stops mutating is checked
-// mid-flight and fails, as it should) and is probed again. PIM's
-// installed tree is its fixed point from the start.
+// runs to convergence (convergeMeasured; one that never stops mutating
+// is checked mid-flight at the cap and fails, as it should) and is
+// probed again. PIM's installed tree is its fixed point from the start.
 func (s *session) fixedPoint(measured *mtree.Result) *mtree.Result {
 	if s.tree != nil {
 		return measured
 	}
-	last := -1
-	for i := 0; i < 64 && s.changes != last; i++ {
-		last = s.changes
-		s.settle(4)
-	}
+	s.convergeMeasured()
 	return s.probe()
 }
 
@@ -327,52 +369,4 @@ func installFootprintSampler(cfg RunConfig, s *session) {
 		mftEntries.Sample(now, float64(fp.MFTEntries))
 		mctRouters.Sample(now, float64(fp.MCTRouters))
 	})
-}
-
-func converge(sim *eventsim.Sim, interval eventsim.Time, intervals int) {
-	if intervals <= 0 {
-		intervals = defaultConvergeIntervals
-	}
-	if err := sim.Run(sim.Now() + eventsim.Time(intervals)*interval); err != nil {
-		panic(fmt.Sprintf("experiment: converge: %v", err))
-	}
-}
-
-// convergeSettleIntervals is the quiescence window convergeMeasured
-// requires: no table mutation for this many refresh intervals, with no
-// control message outstanding, before the channel counts as converged.
-const convergeSettleIntervals = 3
-
-// convergeMeasured is the detector-driven variant of converge: it steps
-// the simulation interval by interval until tr reports the channel
-// quiescent (or the maxIntervals hard cap — the old fixed budget — is
-// exhausted), and returns the measured convergence time (the last table
-// mutation before quiescence) plus how many intervals were consumed.
-// Unlike the fixed-interval converge, it cannot under-wait a run whose
-// cascade outlives the fixed budget, and it does not over-wait one that
-// settles early.
-//
-// converged is the explicit non-converged marker: false means the hard
-// cap ran out with the channel still churning, and the returned time is
-// merely the last mutation seen, not a convergence time. Callers must
-// branch on it rather than re-deriving the condition from used — a
-// capped run whose final interval happened to look quiescent is still
-// reported converged, exactly as the old call sites computed by hand.
-func convergeMeasured(sim *eventsim.Sim, tr *obs.ConvergeTracker, ch addr.Channel,
-	interval eventsim.Time, maxIntervals int) (at eventsim.Time, used int, converged bool) {
-	if maxIntervals <= 0 {
-		maxIntervals = defaultConvergeIntervals
-	}
-	settle := eventsim.Time(convergeSettleIntervals) * interval
-	for used < maxIntervals {
-		if err := sim.Run(sim.Now() + interval); err != nil {
-			panic(fmt.Sprintf("experiment: convergeMeasured: %v", err))
-		}
-		used++
-		if used >= convergeSettleIntervals && tr.Quiescent(ch, sim.Now(), settle) {
-			converged = true
-			break
-		}
-	}
-	return tr.Channel(ch).LastMutation, used, converged
 }

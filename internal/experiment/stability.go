@@ -122,7 +122,7 @@ func stabilityRun(cfg StabilityConfig, row *StabilityRow, seed int64) func() {
 
 // departureWindow is how long a departure takes to dissolve: three
 // soft-state generations.
-func (s *session) departureWindow() eventsim.Time { return 3 * (s.cfg.T1 + s.cfg.T2) }
+func (s *session) departureWindow() eventsim.Time { return 3 * s.cfg.Generation() }
 
 // FormatTable renders the stability comparison.
 func (r *StabilityResult) FormatTable() string {

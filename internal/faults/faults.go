@@ -149,9 +149,6 @@ func (p *Plan) Events() []Event {
 	return out
 }
 
-// Len returns the number of scheduled events.
-func (p *Plan) Len() int { return len(p.events) }
-
 // Observer receives every applied fault event, after the substrate
 // change and routing reconvergence took effect.
 type Observer func(ev Event)

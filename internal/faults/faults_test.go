@@ -24,7 +24,7 @@ func TestPlanOrdering(t *testing.T) {
 		LinkDown(10, 0, 1). // same time: insertion order must hold
 		NodeUp(20, 2)
 	evs := p.Events()
-	if p.Len() != 4 || len(evs) != 4 {
+	if len(evs) != 4 {
 		t.Fatalf("plan has %d events", len(evs))
 	}
 	want := []Kind{NodeDown, LinkDown, NodeUp, LinkUp}

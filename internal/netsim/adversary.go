@@ -120,9 +120,8 @@ func (s *advState) roll() (drop bool, jitter, dupJitter eventsim.Time, dup bool)
 // in place, so sharing the reference would entangle the twins) and
 // inherits the original's *remaining* hop budget, so duplication can
 // not amplify a looping packet beyond the original's own budget. For
-// the convergence ledger the copy is an origination (KindSendDirect):
-// it adds one in-flight control message that will meet its own
-// terminal event, keeping Outstanding balanced.
+// the convergence tracker's cost ledger the copy is an origination
+// (KindSendDirect): one more control message sent.
 func (n *Network) duplicate(from, to topology.NodeID, env *Envelope, delay eventsim.Time) {
 	buf, err := packet.Marshal(env.msg)
 	if err != nil {

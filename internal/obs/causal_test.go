@@ -163,35 +163,34 @@ func TestConvergeTrackerQuiescence(t *testing.T) {
 	if !tr.Quiescent(testCh, 100, 10) {
 		t.Fatal("unknown channel not quiescent")
 	}
+	// Control in flight with no mutation ever: quiescent. Nothing is
+	// drained here; in-flight messages never withhold quiescence.
 	j := testJoin()
 	tr.Apply(Event{At: 1, Kind: KindSend, Channel: testCh, Msg: j})
 	tr.Apply(Event{At: 2, Kind: KindForward, Channel: testCh, Msg: j})
-	if tr.Quiescent(testCh, 100, 10) {
-		t.Fatal("quiescent with a control message in flight and no drain")
+	if !tr.Quiescent(testCh, 2, 10) {
+		t.Fatal("control in flight withheld quiescence on an unmutated channel")
 	}
+	// The window starts at the mutation and ends exactly settle later.
 	tr.Apply(Event{At: 3, Kind: KindTableAdd, Channel: testCh, Episode: 5})
-	tr.Apply(Event{At: 4, Kind: KindConsume, Channel: testCh, Msg: j})
-	// Drained at t=4 > mutation at t=3; settle window decides.
-	if tr.Quiescent(testCh, 5, 10) {
+	if tr.Quiescent(testCh, 12.5, 10) {
 		t.Fatal("quiescent inside the settle window")
 	}
-	if !tr.Quiescent(testCh, 20, 10) {
-		t.Fatal("not quiescent after settle despite drain")
+	if !tr.Quiescent(testCh, 13, 10) {
+		t.Fatal("not quiescent exactly one window after the mutation")
 	}
-	// New chatter in flight AFTER the drain is tolerated (steady-state
-	// refresh): drain-since-last-mutation is what counts.
-	tr.Apply(Event{At: 15, Kind: KindSend, Channel: testCh, Msg: j})
-	if !tr.Quiescent(testCh, 20, 10) {
-		t.Fatal("in-flight refresh chatter after a drain broke quiescence")
+	// More chatter in flight after the window: still quiescent.
+	tr.Apply(Event{At: 14, Kind: KindSend, Channel: testCh, Msg: j})
+	if !tr.Quiescent(testCh, 14, 10) {
+		t.Fatal("in-flight refresh chatter broke quiescence")
 	}
-	// ...but a fresh mutation withdraws it until the next full drain.
+	// A fresh mutation restarts the window from its own time.
 	tr.Apply(Event{At: 16, Kind: KindTableAdd, Channel: testCh, Episode: 6})
-	if tr.Quiescent(testCh, 100, 10) {
-		t.Fatal("quiescent with no drain since the last mutation")
+	if tr.Quiescent(testCh, 25.9, 10) {
+		t.Fatal("a mutation did not restart the window")
 	}
-	tr.Apply(Event{At: 17, Kind: KindDrop, Channel: testCh, Msg: j})
-	if !tr.Quiescent(testCh, 100, 10) {
-		t.Fatal("not quiescent after the post-mutation drain settled")
+	if !tr.Quiescent(testCh, 26, 10) {
+		t.Fatal("not quiescent one window after the restarting mutation")
 	}
 
 	c := tr.Channel(testCh)
@@ -208,16 +207,12 @@ func TestConvergeTrackerIgnoresDataAndChannelless(t *testing.T) {
 	d := &packet.Data{Header: packet.Header{Type: packet.TypeData, Channel: testCh,
 		Src: testS, Dst: testR}, Seq: 1}
 	tr.Apply(Event{At: 1, Kind: KindSend, Channel: testCh, Msg: d})
+	tr.Apply(Event{At: 1, Kind: KindForward, Channel: testCh, Msg: d})
 	tr.Apply(Event{At: 1, Kind: KindSend, Msg: testJoin()}) // no channel
 	tr.Apply(Event{At: 1, Kind: KindJoinSend, Channel: testCh})
-	if c := tr.Channel(testCh); c.CtrlSends != 0 || c.Outstanding != 0 {
-		t.Fatalf("data or channel-less traffic leaked into control accounting: %+v", c)
-	}
-	// Terminal with nothing outstanding clamps at zero (origination-time
-	// drops emit no matching send).
 	tr.Apply(Event{At: 2, Kind: KindDrop, Channel: testCh, Msg: testJoin()})
-	if c := tr.Channel(testCh); c.Outstanding != 0 {
-		t.Fatalf("outstanding went negative: %+v", c)
+	if c := tr.Channel(testCh); c.CtrlSends != 0 || c.CtrlHops != 0 || c.CtrlBytes != 0 || c.MutationAny {
+		t.Fatalf("data, channel-less or terminal traffic leaked into the ledger: %+v", c)
 	}
 }
 

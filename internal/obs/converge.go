@@ -7,16 +7,15 @@ import (
 )
 
 // ConvergeTracker measures convergence per <S,G> channel from the
-// event stream: the time of the last structural table mutation, the
-// number of control messages still in flight, and the cumulative
-// control-plane cost (originations, link crossings, wire bytes). Like
-// the counter registry it sees every event unfiltered, consumes no
-// randomness and schedules nothing, so attaching it cannot perturb a
-// seeded simulation.
+// event stream: the time of the last structural table mutation and the
+// cumulative control-plane cost (originations, link crossings, wire
+// bytes). Like the counter registry it sees every event unfiltered,
+// consumes no randomness and schedules nothing, so attaching it cannot
+// perturb a seeded simulation.
 //
-// Quiescence — "the tree stopped changing and nothing that could
-// change it is in flight" — is the measured replacement for the fixed
-// settling budgets the experiments used to sleep through.
+// Quiescence — "no structural mutation for a whole settle window" — is
+// the one convergence rule; callers pass the window, one soft-state
+// generation (softstate.Config.Generation).
 type ConvergeTracker struct {
 	chans map[addr.Channel]*ChannelConvergence
 	order []addr.Channel
@@ -43,17 +42,6 @@ type ChannelConvergence struct {
 	Converged  bool
 	// Mutations counts structural mutations.
 	Mutations int
-	// Outstanding counts control messages originated but not yet
-	// terminated (consumed, delivered or dropped). Origination-time
-	// drops emit no matching send, so the decrement clamps at zero.
-	Outstanding int
-	// LastDrain is the last virtual time Outstanding dropped to zero
-	// (valid once DrainAny). Quiescence asks for a full drain since the
-	// last mutation, not a drain at the exact probe instant: the probe
-	// typically lands on a refresh-tick boundary with the periodic
-	// (non-mutating) chatter it just launched still in flight.
-	LastDrain eventsim.Time
-	DrainAny  bool
 	// CtrlSends counts control-message originations, CtrlHops their
 	// link crossings, CtrlBytes the wire bytes those crossings carried.
 	CtrlSends int
@@ -80,8 +68,8 @@ func (o *Observer) Convergence() *ConvergeTracker { return o.converge }
 
 // Reset clears all per-channel state. Experiment drivers that reuse
 // one observer across independent runs call it between runs so a
-// previous run's clock (which restarts at zero) cannot masquerade as
-// in-flight traffic or a recent mutation.
+// previous run's clock (which restarts at zero) cannot masquerade as a
+// recent mutation.
 func (t *ConvergeTracker) Reset() {
 	t.chans = make(map[addr.Channel]*ChannelConvergence)
 	t.order = t.order[:0]
@@ -117,7 +105,7 @@ func (t *ConvergeTracker) apply(ev *Event) {
 		c.Mutations++
 		return
 	}
-	// Control-message life cycle: only transport events carry Msg.
+	// Control-message cost: only transport events carry Msg.
 	if ev.Msg == nil {
 		return
 	}
@@ -126,22 +114,11 @@ func (t *ConvergeTracker) apply(ev *Event) {
 	}
 	switch ev.Kind {
 	case KindSend, KindSendDirect:
-		c := t.channel(ev.Channel)
-		c.Outstanding++
-		c.CtrlSends++
+		t.channel(ev.Channel).CtrlSends++
 	case KindForward:
 		c := t.channel(ev.Channel)
 		c.CtrlHops++
 		c.CtrlBytes += packet.WireBytes(ev.Msg)
-	case KindConsume, KindDeliver, KindDrop:
-		c := t.channel(ev.Channel)
-		if c.Outstanding > 0 {
-			c.Outstanding--
-		}
-		if c.Outstanding == 0 {
-			c.LastDrain = ev.At
-			c.DrainAny = true
-		}
 	}
 }
 
@@ -162,24 +139,13 @@ func (t *ConvergeTracker) Channels() []addr.Channel {
 }
 
 // Quiescent reports whether the channel has converged as of now: no
-// structural mutation for at least settle, and the control plane fully
-// drained at least once since the last mutation (so no cascade that
-// could still mutate is left over from it). Messages currently in
-// flight are tolerated if a drain happened after the last mutation —
-// they are the steady-state refresh chatter of the converged tree, and
-// should they mutate anything after all, LastMutation moves and
+// structural mutation for at least settle. Control messages in flight
+// do not count: a converged tree's refresh chatter never stops, and
+// should a message mutate anything after all, LastMutation moves and
 // quiescence is withdrawn at the next probe.
 func (t *ConvergeTracker) Quiescent(ch addr.Channel, now, settle eventsim.Time) bool {
 	c := t.chans[ch]
-	if c == nil {
-		return true
-	}
-	drained := c.Outstanding == 0 ||
-		(c.DrainAny && (!c.MutationAny || c.LastDrain >= c.LastMutation))
-	if !drained {
-		return false
-	}
-	return !c.MutationAny || now-c.LastMutation >= settle
+	return c == nil || !c.MutationAny || now-c.LastMutation >= settle
 }
 
 // MarkConverged records that a quiescence probe found the channel

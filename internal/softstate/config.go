@@ -46,6 +46,12 @@ func DefaultConfig() Config {
 	return Config{JoinInterval: 100, TreeInterval: 100, T1: 350, T2: 350}
 }
 
+// Generation is T1 + T2, the lifetime of an entry that stops being
+// refreshed: stale after T1, destroyed T2 later. It is also the
+// convergence window: until a whole generation passes with no
+// structural change, some entry may still be on its way out.
+func (c Config) Generation() eventsim.Time { return c.T1 + c.T2 }
+
 // Validate reports a descriptive error for nonsensical configurations.
 func (c Config) Validate() error {
 	if c.JoinInterval <= 0 || c.TreeInterval <= 0 {

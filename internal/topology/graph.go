@@ -277,25 +277,6 @@ func (g *Graph) LinkUp(a, b NodeID) bool {
 	return len(g.down) == 0 || !g.down[mkLinkKey(a, b)]
 }
 
-// DownLinks returns the currently disabled links as normalized
-// (lo, hi) pairs in deterministic order.
-func (g *Graph) DownLinks() [][2]NodeID {
-	if len(g.down) == 0 {
-		return nil
-	}
-	out := make([][2]NodeID, 0, len(g.down))
-	for k := range g.down {
-		out = append(out, [2]NodeID{k.lo, k.hi})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
 // Cost returns the directed cost from -> to, or 0 if no link exists.
 func (g *Graph) Cost(from, to NodeID) int {
 	for _, n := range g.adj[from] {
@@ -330,9 +311,6 @@ func (g *Graph) Edges() []Edge { return g.edges }
 // Neighbors returns the directed out-adjacency of v. The returned slice
 // is shared.
 func (g *Graph) Neighbors(v NodeID) []Neighbor { return g.adj[v] }
-
-// Degree returns the number of links incident to v.
-func (g *Graph) Degree(v NodeID) int { return len(g.adj[v]) }
 
 // ByAddr resolves a node by unicast address.
 func (g *Graph) ByAddr(a addr.Addr) (NodeID, bool) {

@@ -59,7 +59,7 @@ func TestBarabasiAlbertShape(t *testing.T) {
 	// stays near the average; the power-law tail is the point).
 	maxDeg := 0
 	for _, r := range g.Routers() {
-		if d := g.Degree(r); d > maxDeg {
+		if d := len(g.Neighbors(r)); d > maxDeg {
 			maxDeg = d
 		}
 	}

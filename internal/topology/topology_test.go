@@ -219,8 +219,8 @@ func TestLine(t *testing.T) {
 	if !g.Connected() {
 		t.Error("line disconnected")
 	}
-	if g.Degree(0) != 2 { // R1 + host
-		t.Errorf("degree(R0) = %d, want 2", g.Degree(0))
+	if d := len(g.Neighbors(0)); d != 2 { // R1 + host
+		t.Errorf("degree(R0) = %d, want 2", d)
 	}
 }
 
