@@ -12,9 +12,8 @@
 // Figures: 7a 7b 8a 8b (paper), paper (7a+8a+7b+8b sharing runs),
 // stability (Fig. 4 departure study), ablation-fusion (A1),
 // unicast-clouds (A2), asymmetry-sweep (A3), forwarding-state (A4),
-// control-overhead (A5), loss-robustness (A6), qos (A7), cross-topo
-// (A8), delay-tail (A9), failure-recovery (A10, fault script selected
-// with -faults), convergence (A11), robustness (A12 churn x
+// control-overhead (A5), qos (A7), cross-topo (A8), delay-tail (A9),
+// convergence (A11: join and link-cut repair), robustness (A12 churn x
 // control-loss envelope), scale (A13 routing substrate ladder),
 // manychannel (A14 heavy-traffic sweep: aggregate state and control
 // cost vs concurrent channel count), all (every figure but scale and
@@ -65,7 +64,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "base RNG seed")
 		csv     = flag.Bool("csv", false, "emit CSV instead of text tables")
 		workers = flag.Int("workers", runtime.NumCPU(), "parallel simulation workers for the figure sweeps (results are deterministic regardless; defaults to the CPU count)")
-		faultsF = flag.String("faults", "combined", "fault scenario for -figure failure-recovery: link-cut, crash, combined")
 		check   = flag.Bool("check", false, "run every simulation under the runtime invariant checker; any violation aborts with a node/channel-attributed report (equivalent to HBH_INVARIANT_CHECK=1)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -146,7 +144,7 @@ func main() {
 
 	start := time.Now()
 	o := options{
-		runs: *runs, seed: *seed, csv: *csv, faults: experiment.FaultScenario(*faultsF),
+		runs: *runs, seed: *seed, csv: *csv,
 		scaleSizes: *scaleSizes, scaleSources: *scaleSources,
 		mcChannels: *mcChannels, mcRouters: *mcRouters,
 	}
@@ -171,7 +169,6 @@ type options struct {
 	runs         int
 	seed         int64
 	csv          bool
-	faults       experiment.FaultScenario
 	scaleSizes   string
 	scaleSources int
 	mcChannels   string
@@ -230,11 +227,9 @@ var figures = []figure{
 	{name: "asymmetry-sweep", run: func(o options) string { return o.print(experiment.AsymmetrySweep(o.runs, o.seed)) }},
 	{name: "forwarding-state", run: func(o options) string { return o.print(experiment.ForwardingState(o.runs, o.seed)) }},
 	{name: "control-overhead", run: func(o options) string { return o.print(experiment.ControlOverhead(o.runs, o.seed)) }},
-	{name: "loss-robustness", run: func(o options) string { return o.print(experiment.LossRobustness(o.runs, o.seed)) }},
 	{name: "qos", run: func(o options) string { return o.print(experiment.QoSRouting(o.runs, o.seed)) }},
 	{name: "cross-topo", run: func(o options) string { return o.print(experiment.CrossTopology(o.runs, o.seed)) }},
 	{name: "delay-tail", run: func(o options) string { return experiment.DelayTail(o.runs, o.seed).FormatTable() + "\n" }},
-	{name: "failure-recovery", run: func(o options) string { return failure(o.runs, o.seed, o.faults) + "\n" }},
 	{name: "convergence", run: func(o options) string {
 		return experiment.ConvergenceExperiment(experiment.ConvergenceConfig{
 			Receivers: 8, Runs: o.runs, Seed: o.seed,
@@ -357,21 +352,6 @@ func runTraced(opt tracedOptions) {
 		"hbhsim: %s on %s seed=%d receivers=%d: cost=%d meanDelay=%.2f missing=%d duplicates=%d\n",
 		proto, topo, opt.seed, opt.receivers,
 		res.Cost, res.MeanDelay, res.Missing, res.Duplicates)
-}
-
-func failure(runs int, seed int64, scenario experiment.FaultScenario) string {
-	switch scenario {
-	case experiment.ScenarioCombined, experiment.ScenarioLinkCut, experiment.ScenarioCrash:
-	default:
-		fmt.Fprintf(os.Stderr, "hbhsim: unknown fault scenario %q\n", scenario)
-		flag.Usage()
-		os.Exit(2)
-	}
-	res := experiment.FailureExperiment(experiment.FailureConfig{
-		Topo: experiment.TopoISP, Receivers: 8, Runs: runs, Seed: seed,
-		Scenario: scenario,
-	})
-	return res.FormatTable()
 }
 
 // manychannel runs the A14 heavy-traffic sweep. tiers is the

@@ -119,11 +119,9 @@ func TestGoldenQuick(t *testing.T) {
 		{"asymmetry-sweep", "a3_asym_runs3.txt", nil},
 		{"forwarding-state", "a4_state_runs3.txt", nil},
 		{"control-overhead", "a5_overhead_runs3.txt", nil},
-		{"loss-robustness", "a6_loss_runs3.txt", nil},
 		{"qos", "a7_qos_runs3.txt", nil},
 		{"cross-topo", "a8_crosstopo_runs3.txt", nil},
 		{"delay-tail", "a9_delaytail_runs3.txt", nil},
-		{"failure-recovery", "failure_runs3.txt", nil},
 		{"convergence", "convergence_runs3.txt", nil},
 		{"robustness", "robustness_runs3.txt", nil},
 		{"manychannel", "manychannel_quick.txt", mc},
@@ -312,6 +310,9 @@ func TestTraceJSONLLifecycle(t *testing.T) {
 // JSONL line carries. The streams run to megabytes, so the golden holds
 // their SHA-256 digests, one line per run, in sha256sum's format.
 func TestGoldenTraceDigests(t *testing.T) {
+	// The golden pins the unchecked stream: a checked run settles to its
+	// fixed point before the converged check, so its stream is longer.
+	t.Setenv("HBH_INVARIANT_CHECK", "")
 	var b strings.Builder
 	for _, proto := range []string{"HBH", "REUNITE"} {
 		args := []string{"-trace", "-proto", proto, "-receivers", "4"}

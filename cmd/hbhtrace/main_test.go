@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -42,6 +43,9 @@ func TestScenarios(t *testing.T) {
 		scenario     string
 		want         []string
 		reunite, hbh []string
+		// phases, when set, are HBH tree headers after each of which
+		// every member must be served at its shortest possible delay.
+		phases []string
 	}{
 		{
 			scenario: "asymmetric-join",
@@ -66,7 +70,11 @@ func TestScenarios(t *testing.T) {
 		},
 		{
 			scenario: "failure",
-			want:     []string{"=== HBH ===", "with link A-D down", "after router B crash and restart"},
+			want:     []string{"=== HBH ==="},
+			// §2.2: soft state reroutes around the cut link, back onto it
+			// once repaired, and rebuilds the crashed router's state.
+			phases: []string{"converged tree", "tree with link A-D down:",
+				"tree after link repair:", "tree after router B crash and restart:"},
 		},
 	} {
 		t.Run(tc.scenario, func(t *testing.T) {
@@ -93,9 +101,32 @@ func TestScenarios(t *testing.T) {
 					t.Errorf("HBH section missing %q", w)
 				}
 			}
+			for i, ph := range tc.phases {
+				_, tree, ok := strings.Cut(hbh, ph)
+				if !ok {
+					t.Errorf("HBH section missing %q", ph)
+					continue
+				}
+				if i+1 < len(tc.phases) {
+					tree, _, _ = strings.Cut(tree, tc.phases[i+1])
+				}
+				delays := delayLine.FindAllStringSubmatch(tree, -1)
+				if len(delays) == 0 || strings.Contains(tree, "NOT SERVED") {
+					t.Errorf("%s not every member served:\n%s", ph, tree)
+				}
+				for _, d := range delays {
+					if d[1] != d[2] {
+						t.Errorf("%s %s", ph, d[0])
+					}
+				}
+			}
 		})
 	}
 }
+
+// delayLine matches a member's delay line: the delay the probe took and
+// the shortest the member could see.
+var delayLine = regexp.MustCompile(`delay (\d+) \(shortest possible (\d+)\)`)
 
 // TestVerboseTraceRidesObsPipeline: -verbose is a TextSink on the
 // observability pipeline — the packet trace must still interleave with

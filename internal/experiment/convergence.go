@@ -9,6 +9,7 @@ import (
 	"hbh/internal/eventsim"
 	"hbh/internal/faults"
 	"hbh/internal/metrics"
+	"hbh/internal/mtree"
 	"hbh/internal/obs"
 	"hbh/internal/topology"
 )
@@ -45,9 +46,10 @@ type convergenceCell struct {
 	CtrlBytes *metrics.Accumulator
 	// ReconvTime is the fault phase: time from a tree-branch link cut
 	// (chosen so the graph stays connected) to re-quiescence. Healed is
-	// the fraction of runs that re-quiesced inside the hard cap. The
-	// centrally built PIM baseline has no repair cascade to measure, so
-	// both stay empty.
+	// the fraction of runs that re-quiesced inside the hard cap; with
+	// the invariant checker on, each healed tree is also held to the
+	// protocol's converged profile. The centrally built PIM baseline has
+	// no repair cascade to measure, so both stay empty.
 	ReconvTime *metrics.Accumulator
 	Healed     *metrics.Accumulator
 	// Capped counts runs whose join phase exhausted the hard cap
@@ -145,6 +147,16 @@ func convergenceRun(cfg ConvergenceConfig, cell *convergenceCell, seed int64) fu
 		// rerouted during the probe retries) mutates nothing; report
 		// zero repair time rather than the stale join timestamp.
 		reconv = max(0, float64(reconvAt)-float64(tCut))
+		if healed && s.checker != nil {
+			// A healed tree has gone a generation without mutating: it is
+			// the fixed point the protocol's converged profile describes
+			// (for HBH: every member served exactly once, no link
+			// carrying two copies, shortest paths under the routing the
+			// cut left).
+			s.checker.CheckConverged(s.probe().Seq)
+			s.checker.MustClean(fmt.Sprintf("%s link-cut repair on %s (seed=%d receivers=%d)",
+				cell.Protocol, cell.Topo, seed, cfg.Receivers))
+		}
 	}
 	return func() {
 		if converged {
@@ -159,12 +171,52 @@ func convergenceRun(cfg ConvergenceConfig, cell *convergenceCell, seed int64) fu
 			cell.Relapsed++
 		}
 		if cascade {
-			cell.Healed.Add(b2f(healed))
+			h := 0.0
 			if healed {
+				h = 1
 				cell.ReconvTime.Add(reconv)
+			}
+			cell.Healed.Add(h)
+		}
+	}
+}
+
+// pickCutLink chooses the router-router link to cut: the first link on
+// a member's delivery path whose removal keeps the graph connected (so
+// the tree CAN reroute around it while the link is down). Falls back to
+// the first tree link if every candidate partitions the graph.
+func pickCutLink(g *topology.Graph, pre *mtree.Result, sourceHost topology.NodeID,
+	memberHosts []topology.NodeID) [2]topology.NodeID {
+	var fallback *[2]topology.NodeID
+	seen := make(map[[2]topology.NodeID]bool)
+	for _, m := range memberHosts {
+		for _, l := range pre.PathTo(g, sourceHost, m) {
+			if g.Node(l.From).Kind != topology.Router || g.Node(l.To).Kind != topology.Router {
+				continue
+			}
+			lk := [2]topology.NodeID{l.From, l.To}
+			if lk[0] > lk[1] {
+				lk[0], lk[1] = lk[1], lk[0]
+			}
+			if seen[lk] {
+				continue
+			}
+			seen[lk] = true
+			if fallback == nil {
+				f := lk
+				fallback = &f
+			}
+			c := g.Clone()
+			c.SetLinkEnabled(lk[0], lk[1], false)
+			if c.Connected() {
+				return lk
 			}
 		}
 	}
+	if fallback == nil {
+		panic("experiment: converged tree has no router-router link to cut")
+	}
+	return *fallback
 }
 
 // FormatTable renders the convergence profile.

@@ -78,3 +78,26 @@ func TestConvergenceRelapseFence(t *testing.T) {
 		}
 	}
 }
+
+// TestConvergenceCheckedRepair runs A11 under the invariant checker:
+// every HBH link-cut repair must heal, and each healed tree's fixed
+// point must pass the converged profile (every member served once, no
+// duplicate copies, shortest paths under the routing the cut left) or
+// the run panics. The check runs after the fault phase is measured and
+// only reads tables, so the table must equal the unchecked one.
+func TestConvergenceCheckedRepair(t *testing.T) {
+	cfg := ConvergenceConfig{Receivers: 8, Runs: 10, Seed: 1}
+	defer func(old bool) { CheckInvariants = old }(CheckInvariants)
+	CheckInvariants = false
+	unchecked := ConvergenceExperiment(cfg).FormatTable()
+	CheckInvariants = true
+	res := ConvergenceExperiment(cfg)
+	for _, c := range res.Cells {
+		if c.Protocol == HBH && c.Healed.Mean() != 1 {
+			t.Errorf("%v asym=%v HBH: healed %.2f of link cuts, want all", c.Topo, c.Asym, c.Healed.Mean())
+		}
+	}
+	if checked := res.FormatTable(); checked != unchecked {
+		t.Errorf("checker changed the table:\n--- unchecked ---\n%s\n--- checked ---\n%s", unchecked, checked)
+	}
+}

@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestForwardingStateShape: the A4 experiment must show the
 // recursive-unicast advantage — fewer routers holding data-plane
@@ -51,28 +48,5 @@ func TestControlOverheadShape(t *testing.T) {
 				t.Errorf("series %s has non-positive overhead", s.Name)
 			}
 		}
-	}
-}
-
-// TestLossRobustnessShape: a loss-free baseline is perfectly clean,
-// and moderate loss (<= 10%) keeps delivery intact.
-func TestLossRobustnessShape(t *testing.T) {
-	f := LossRobustness(5, 2)
-	missing := f.SeriesByName("HBH-missing%")
-	copies := f.SeriesByName("HBH-maxcopies")
-	if missing == nil || copies == nil {
-		t.Fatal("missing series")
-	}
-	if m := missing.At(0).Mean(); m != 0 {
-		t.Errorf("missing at 0%% loss = %.2f%%, want 0", m)
-	}
-	if c := copies.At(0).Mean(); c != 1 {
-		t.Errorf("max copies at 0%% loss = %.2f, want 1", c)
-	}
-	if m := missing.At(10).Mean(); m > 10 {
-		t.Errorf("missing at 10%% loss = %.2f%%, soft state should ride this out", m)
-	}
-	if !strings.Contains(f.FormatTable(), "A6") {
-		t.Error("table missing figure ID")
 	}
 }

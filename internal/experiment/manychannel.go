@@ -361,7 +361,7 @@ func (x *mcSubstrate) runChannel(cfg ManyChannelConfig, p Protocol, ch workload.
 	ctrl := s.net.Stats().Delta(pre).Transmissions
 
 	members := s.joined()
-	res := s.probeUntil(members, served)
+	res := s.probeUntil(members)
 	fp := s.state()
 	return mcOutcome{
 		Receivers:  len(members),

@@ -29,13 +29,9 @@ func TestParallelSweepIdentical(t *testing.T) {
 		{"asymmetry-sweep", func() string { return figures(AsymmetrySweep(2, 11)) }},
 		{"forwarding-state", func() string { return figures(ForwardingState(1, 11)) }},
 		{"control-overhead", func() string { return figures(ControlOverhead(1, 11)) }},
-		{"loss-robustness", func() string { return figures(LossRobustness(2, 11)) }},
 		{"qos", func() string { return figures(QoSRouting(2, 11)) }},
 		{"cross-topo", func() string { return figures(CrossTopology(2, 11)) }},
 		{"delay-tail", func() string { return DelayTail(3, 11).FormatTable() }},
-		{"failure-recovery", func() string {
-			return FailureExperiment(FailureConfig{Topo: TopoISP, Receivers: 4, Runs: 3, Seed: 11}).FormatTable()
-		}},
 		{"convergence", func() string {
 			return ConvergenceExperiment(ConvergenceConfig{Receivers: 3, Runs: 1, Seed: 11}).FormatTable()
 		}},

@@ -162,8 +162,7 @@ func AdversarialRun(spec AdvSpec) AdvResult {
 	if o == nil {
 		o = obs.New(nil)
 	}
-	tr := o.EnableConvergence()
-	tr.Reset()
+	o.EnableConvergence().Reset()
 
 	s := p.session(RunConfig{
 		Topo: spec.Topo, Protocol: spec.Protocol,
@@ -279,35 +278,11 @@ func AdversarialRun(spec AdvSpec) AdvResult {
 	// converged invariants against; its structural violations, if any,
 	// were already collected continuously).
 	if recovered {
-		sentAt := s.sim.Now()
 		final := s.probeSettled()
-		// The probe itself spans refresh intervals, and a slow
-		// oscillation can sit out the quiescence gate's settle window
-		// yet still flip the tree while the probe is in flight — the
-		// converged oracle would then judge the probe against tables it
-		// never traversed. (Found by scenario fuzzing: churned cost
-		// landscapes park HBH in a pending-fusion state for several
-		// intervals, and the flip straddles the probe.) Re-settle and
-		// re-probe; a tree that refuses to hold still across a probe has
-		// no fixed point, so the run is non-converging, not violating.
-		for attempt := 0; recovered && tr.Channel(s.ch).LastMutation > sentAt; attempt++ {
-			if attempt == 3 {
-				recovered, res.Recovered = false, false
-				break
-			}
-			if _, ok := s.convergeMeasured(); !ok {
-				recovered, res.Recovered = false, false
-				break
-			}
-			sentAt = s.sim.Now()
-			final = s.probeSettled()
-		}
-		if recovered {
-			res.Missing = len(final.Missing)
-			res.Duplicates = final.Duplicates
-			if s.checker != nil {
-				s.checker.CheckConverged(final.Seq)
-			}
+		res.Missing = len(final.Missing)
+		res.Duplicates = final.Duplicates
+		if s.checker != nil {
+			s.checker.CheckConverged(final.Seq)
 		}
 	}
 	if s.checker != nil {

@@ -165,7 +165,8 @@ func TestRobustnessExperimentDeterministic(t *testing.T) {
 // the quiescence gate in a pending-fusion state and flip its tree
 // while the final probe is in flight. The converged oracle must not
 // judge that probe against the post-flip tables (it used to report a
-// phantom link-dup); the engine re-settles and re-probes instead.
+// phantom link-dup). The final probe follows a soft-state generation
+// (T1+T2) with no mutation, which the oscillation does not sit out.
 func TestAdversarialRunOracleSurvivesSlowOscillation(t *testing.T) {
 	r := AdversarialRun(AdvSpec{
 		Topo: TopoISP, Protocol: HBH, Receivers: 2, Seed: 0,
@@ -176,7 +177,7 @@ func TestAdversarialRunOracleSurvivesSlowOscillation(t *testing.T) {
 		t.Errorf("oracle violation on the oscillation repro: %s", v)
 	}
 	if !r.Recovered {
-		t.Error("the repro scenario re-settles and recovers; got non-converged")
+		t.Error("the repro scenario recovers; got non-converged")
 	}
 }
 

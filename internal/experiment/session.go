@@ -197,14 +197,14 @@ func (s *session) convergeMeasured() (at eventsim.Time, converged bool) {
 // to every member.
 func (s *session) probe() *mtree.Result { return mtree.Probe(s.net, s.send, s.members) }
 
-// probeUntil probes members and, while the probe falls short of ok (it
+// probeUntil probes members and, while one is missing (the probe
 // landed in a transient soft-state window — REUNITE in particular keeps
 // reconfiguring under asymmetric routing), lets the protocol settle
 // eight more refresh intervals and retries, up to three times. The last
 // probe is reported either way, so sustained starvation still shows.
-func (s *session) probeUntil(members []mtree.Member, ok func(*mtree.Result) bool) *mtree.Result {
+func (s *session) probeUntil(members []mtree.Member) *mtree.Result {
 	res := mtree.Probe(s.net, s.send, members)
-	for attempt := 0; attempt < 3 && !ok(res); attempt++ {
+	for attempt := 0; attempt < 3 && len(res.Missing) > 0; attempt++ {
 		s.settle(8)
 		res = mtree.Probe(s.net, s.send, members)
 	}
@@ -212,9 +212,7 @@ func (s *session) probeUntil(members []mtree.Member, ok func(*mtree.Result) bool
 }
 
 // probeSettled probes every member until each is served (probeUntil).
-func (s *session) probeSettled() *mtree.Result { return s.probeUntil(s.members, served) }
-
-func served(r *mtree.Result) bool { return len(r.Missing) == 0 }
+func (s *session) probeSettled() *mtree.Result { return s.probeUntil(s.members) }
 
 // fixedPoint returns a probe of the tree the protocol settles on, which
 // the converged invariants are claims about. measured was taken at the

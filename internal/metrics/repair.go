@@ -1,27 +1,10 @@
 package metrics
 
-// This file holds the failure-recovery bookkeeping of the A10
-// experiment: a DeliveryMatrix records which of a stream of periodic
-// data probes each receiver actually got, and derives per-receiver
-// blackout windows, windowed delivery ratios and the time-to-repair
-// after a fault. Times are plain float64s (the simulator's time units)
-// so the package stays dependency-free.
-
-// Blackout is one contiguous run of probes a receiver missed.
-type Blackout struct {
-	// Start is the send time of the first missed probe, End the send
-	// time of the first probe received again. For a blackout still open
-	// at the end of the recording, End is the last probe's send time
-	// and Healed is false.
-	Start, End float64
-	// Missed counts the probes lost in the run.
-	Missed int
-	// Healed reports whether delivery resumed before recording ended.
-	Healed bool
-}
-
-// Duration returns End - Start.
-func (b Blackout) Duration() float64 { return b.End - b.Start }
+// This file holds the disruption bookkeeping of the A12 robustness
+// envelope: a DeliveryMatrix records which of a stream of periodic
+// data probes each receiver actually got, and reports the delivery
+// ratio over a window of send times. Times are plain float64s (the
+// simulator's time units) so the package stays dependency-free.
 
 // DeliveryMatrix records periodic probe receptions per receiver.
 // Create with NewDeliveryMatrix, mark each emission with Sent and each
@@ -55,43 +38,24 @@ func (m *DeliveryMatrix) Sent(t float64) int {
 }
 
 // Delivered marks probe p as received by receiver r. Duplicate marks
-// are fine (redundant deliveries don't un-blackout anything twice).
+// are fine (a probe is either received or not).
 func (m *DeliveryMatrix) Delivered(r, p int) { m.got[r][p] = true }
 
-// Receivers returns the receiver count.
-func (m *DeliveryMatrix) Receivers() int { return len(m.got) }
-
-// Probes returns the number of probes sent so far.
-func (m *DeliveryMatrix) Probes() int { return len(m.sendTimes) }
-
-// SendTime returns the send time of probe p.
-func (m *DeliveryMatrix) SendTime(p int) float64 { return m.sendTimes[p] }
-
-// Received reports whether receiver r got probe p.
-func (m *DeliveryMatrix) Received(r, p int) bool { return m.got[r][p] }
-
-// window returns the probe index range [lo, hi) with send times in
-// [from, to).
-func (m *DeliveryMatrix) window(from, to float64) (lo, hi int) {
-	lo = len(m.sendTimes)
+// DeliveryRatio returns received / expected over all receivers for
+// probes sent in [from, to). Returns 1 when no probe falls in the
+// window.
+func (m *DeliveryMatrix) DeliveryRatio(from, to float64) float64 {
+	lo := len(m.sendTimes)
 	for i, t := range m.sendTimes {
 		if t >= from {
 			lo = i
 			break
 		}
 	}
-	hi = lo
+	hi := lo
 	for hi < len(m.sendTimes) && m.sendTimes[hi] < to {
 		hi++
 	}
-	return lo, hi
-}
-
-// DeliveryRatio returns received / expected over all receivers for
-// probes sent in [from, to) — the blackout delivery-ratio metric.
-// Returns 1 when no probe falls in the window.
-func (m *DeliveryMatrix) DeliveryRatio(from, to float64) float64 {
-	lo, hi := m.window(from, to)
 	if hi == lo {
 		return 1
 	}
@@ -105,85 +69,4 @@ func (m *DeliveryMatrix) DeliveryRatio(from, to float64) float64 {
 		}
 	}
 	return float64(received) / float64(expected)
-}
-
-// Blackouts returns receiver r's missed-probe runs in time order.
-func (m *DeliveryMatrix) Blackouts(r int) []Blackout {
-	var out []Blackout
-	row := m.got[r]
-	for p := 0; p < len(row); {
-		if row[p] {
-			p++
-			continue
-		}
-		b := Blackout{Start: m.sendTimes[p]}
-		for p < len(row) && !row[p] {
-			b.Missed++
-			p++
-		}
-		if p < len(row) {
-			b.End = m.sendTimes[p]
-			b.Healed = true
-		} else {
-			b.End = m.sendTimes[len(row)-1]
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
-// MaxBlackout returns receiver r's longest blackout duration (0 with
-// none).
-func (m *DeliveryMatrix) MaxBlackout(r int) float64 {
-	max := 0.0
-	for _, b := range m.Blackouts(r) {
-		if d := b.Duration(); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// RepairedAt returns the send time of the earliest probe at or after
-// fault such that every receiver received every probe from there up to
-// (but excluding) until — i.e. the moment the tree is verifiably
-// serving everyone again and keeps doing so for the rest of the
-// window. The second result is false when no such probe exists (the
-// tree never fully repaired inside the window).
-func (m *DeliveryMatrix) RepairedAt(fault, until float64) (float64, bool) {
-	lo, hi := m.window(fault, until)
-	if hi == lo {
-		return 0, false
-	}
-	// Scan backwards for the first probe index from which every
-	// receiver's suffix is all-received.
-	good := hi
-	for p := hi - 1; p >= lo; p-- {
-		all := true
-		for _, row := range m.got {
-			if !row[p] {
-				all = false
-				break
-			}
-		}
-		if !all {
-			break
-		}
-		good = p
-	}
-	if good == hi {
-		return 0, false
-	}
-	return m.sendTimes[good], true
-}
-
-// RepairLatency returns RepairedAt(fault, until) - fault: the
-// time-to-repair after a fault injected at that time. The second
-// result is false when the tree did not repair inside the window.
-func (m *DeliveryMatrix) RepairLatency(fault, until float64) (float64, bool) {
-	at, ok := m.RepairedAt(fault, until)
-	if !ok {
-		return 0, false
-	}
-	return at - fault, true
 }

@@ -143,12 +143,6 @@ func TestStatsDeltaAndRatioWindow(t *testing.T) {
 	if d.LinkDownDrops != 1 || d.DataDrops != 1 || d.DataDelivered != 0 {
 		t.Errorf("windowed delta = %+v", d)
 	}
-	if r := d.DeliveryRatio(); r != 0 {
-		t.Errorf("windowed DeliveryRatio = %v, want 0", r)
-	}
-	if r := (Stats{}).DeliveryRatio(); r != 1 {
-		t.Errorf("empty DeliveryRatio = %v, want 1", r)
-	}
 }
 
 // TestStatsDeltaCoversEveryCounter gives every Stats counter a distinct

@@ -133,22 +133,6 @@ func (s *Stats) zip(o *Stats, f func(a *int, b int)) {
 	f(&s.SendErrors, o.SendErrors)
 }
 
-// DeliveryRatio returns the fraction of terminated data-packet copies
-// that reached a protocol entity (handler consumption at a receiver or
-// branching node, or local delivery) rather than being dropped. It is
-// the transport-level delivery ratio the failure experiments report
-// over a measurement window (snapshot Stats before and after, Delta,
-// then DeliveryRatio); per-receiver application-level ratios come from
-// metrics.DeliveryMatrix instead. With no data traffic it returns 1.
-func (s Stats) DeliveryRatio() float64 {
-	ok := s.DataDelivered + s.DataConsumed
-	total := ok + s.DataDrops
-	if total == 0 {
-		return 1
-	}
-	return float64(ok) / float64(total)
-}
-
 // Delta returns the counter differences s - prev, for windowed
 // measurements over a running network.
 func (s Stats) Delta(prev Stats) Stats {

@@ -14,7 +14,7 @@ import (
 
 // TestProbeLeavesNoTap: a probe's link tap lives as long as the probe.
 // It used to stay registered, so a session probed again and again (the
-// robustness, delay-tail and failure experiments) paid one more closure
+// robustness, delay-tail and convergence experiments) paid one more closure
 // and one more ever-growing map on every later transmission.
 func TestProbeLeavesNoTap(t *testing.T) {
 	g := topology.Line(4, true)
