@@ -32,12 +32,13 @@ var ErrStopped = errors.New("eventsim: stopped")
 // Event is a scheduled callback. The zero Event is inert.
 type Event struct {
 	sim *Sim
-	// Exactly one of fn (At, After) and call (AfterCall) is set. An
-	// AfterCall event is recycled after firing: it never escapes through
-	// a Handle, so recycling cannot confuse a canceller.
+	// Exactly one of fn (At, After) and call is set. call is an
+	// AfterCall whose delay takes it to the heap rather than a lane (see
+	// Sim.lanes); such an event is recycled after firing: it never
+	// escapes through a Handle, so recycling cannot confuse a canceller.
 	fn    func()
 	call  Caller
-	index int // position in the queue, -1 when not queued
+	index int // position in the heap, -1 when not queued
 }
 
 // Caller is a pre-bound event callback: scheduling one costs no closure
@@ -81,14 +82,19 @@ func (h Handle) Reset(delay Time) {
 	}
 }
 
-// slot is one queue element: the event's firing key stored beside its
-// pointer, so ordering two elements never dereferences an Event. The
-// timestamp is held as its IEEE bit pattern, which for the non-negative
-// times a simulation runs through orders exactly as the floats do.
-type slot struct {
+// key is an event's place in the firing order. The timestamp is held as
+// its IEEE bit pattern, which for the non-negative times a simulation
+// runs through orders exactly as the floats do.
+type key struct {
 	at  uint64 // timeBits of the firing time
 	seq uint64
-	ev  *Event
+}
+
+// slot is one heap element: the event's firing key stored beside its
+// pointer, so ordering two elements never dereferences an Event.
+type slot struct {
+	key
+	ev *Event
 }
 
 // timeBits maps a timestamp to an integer of the same order. Adding
@@ -96,16 +102,16 @@ type slot struct {
 // positive one it equals.
 func timeBits(t Time) uint64 { return math.Float64bits(float64(t) + 0) }
 
-// time returns the slot's firing time.
-func (a *slot) time() Time { return Time(math.Float64frombits(a.at)) }
+// time returns the key's firing time.
+func (a *key) time() Time { return Time(math.Float64frombits(a.at)) }
 
 // before reports strict firing order.
-func (a *slot) before(b *slot) bool { return a.borrow(b) != 0 }
+func (a *key) before(b *key) bool { return a.borrow(b) != 0 }
 
 // borrow is before as 1 or 0: whether (at, seq) of a is the lesser as
 // one 128-bit number, read off the borrow of a - b. Two subtractions
 // and no branch on the data.
-func (a *slot) borrow(b *slot) uint64 {
+func (a *key) borrow(b *key) uint64 {
 	_, borrow := bits.Sub64(a.seq, b.seq, 0)
 	_, borrow = bits.Sub64(a.at, b.at, borrow)
 	return borrow
@@ -129,7 +135,7 @@ const arity = 4
 func (h eventQueue) up(i int, k slot) {
 	for i > 0 {
 		p := (i - 1) / arity
-		if !k.before(&h[p]) {
+		if !k.before(&h[p].key) {
 			break
 		}
 		h[i] = h[p]
@@ -156,9 +162,9 @@ func (h eventQueue) down(i int, k slot) {
 		for j := c + 1; j < end; j++ {
 			// least = j if h[j] is before h[least], by mask: which child
 			// is the least is a coin toss a branch predictor loses.
-			least += (j - least) & -int(h[j].borrow(&h[least]))
+			least += (j - least) & -int(h[j].borrow(&h[least].key))
 		}
-		if !h[least].before(&k) {
+		if !h[least].before(&k.key) {
 			break
 		}
 		h[i] = h[least]
@@ -171,7 +177,7 @@ func (h eventQueue) down(i int, k slot) {
 
 // fix places k at hole i, sifting whichever way restores heap order.
 func (h eventQueue) fix(i int, k slot) {
-	if i > 0 && k.before(&h[(i-1)/arity]) {
+	if i > 0 && k.before(&h[(i-1)/arity].key) {
 		h.up(i, k)
 	} else {
 		h.down(i, k)
@@ -197,19 +203,58 @@ func (q *eventQueue) remove(i int) {
 	}
 }
 
+// laneCount is the number of lanes: an AfterCall delay that is a whole
+// number below it rides the lane of that number, every other delay the
+// heap. It covers every link cost the topologies draw (1 to 10) and the
+// zero delay of a self-addressed send; one bit per lane fits busy.
+const laneCount = 64
+
+// lane is the FIFO of pending AfterCall events of one whole-number
+// delay. Events enter it in scheduling order, and now and seq only
+// grow, so each enters behind every event already in it in (at, seq)
+// order: the head is the lane's least. The head's key is kept here, so
+// that picking the least head reads the lane array and no node.
+type lane struct {
+	key
+	head, tail *laneNode
+}
+
+// laneNode is one event in a lane. A fired node goes on the Sim's spare
+// list and carries the next AfterCall: the packet path reuses a
+// bounded population of nodes and allocates nothing per hop.
+type laneNode struct {
+	key
+	call Caller
+	next *laneNode
+}
+
 // Sim is a discrete-event simulator. The zero value is ready to use.
 // Sim is not safe for concurrent use; the simulation model is strictly
 // single-threaded (and so is NS-2's), which is what makes runs
 // reproducible.
+//
+// Pending events are held in two places. The heap holds every event
+// with a Handle (At, After, Reset) and every AfterCall whose delay is
+// not a lane's. The lanes hold the rest of the AfterCall events — the
+// packets in flight, nearly all of what a simulation fires. Run fires
+// the lesser of the heap's root and the least lane head by the same
+// (at, seq) order, so where an event waits never changes when it fires.
 type Sim struct {
 	now     Time
 	seq     uint64
 	queue   eventQueue
 	stopped bool
 	fired   uint64
-	// free recycles fired AfterCall events so steady-state packet
-	// forwarding allocates nothing per hop.
+	// free recycles fired AfterCall events of the heap, so an AfterCall
+	// with a fractional delay allocates nothing in steady state either.
 	free []*Event
+	// lanes grows to cover the longest lane delay scheduled so far: a
+	// simulation allocates one short array, not laneCount lanes. busy
+	// has bit i set while lane i holds an event; spare lists the
+	// recycled nodes.
+	lanes []lane
+	busy  uint64
+	spare *laneNode
 	// afterEvent, when non-nil, runs after every fired event returns.
 	// It observes the simulation at event granularity — between events
 	// all protocol state is settled, so it is the natural hook for
@@ -227,16 +272,25 @@ func (s *Sim) Now() Time { return s.now }
 // convergence diagnostics and test assertions.
 func (s *Sim) Fired() uint64 { return s.fired }
 
-// Pending returns the number of events queued to fire. Cancelled
-// events are not among them: Cancel takes an event out of the queue.
-func (s *Sim) Pending() int { return len(s.queue) }
-
-// At schedules fn to run at absolute time at. Scheduling in the past
-// panics: that is always a protocol bug, never a recoverable condition.
-func (s *Sim) At(at Time, fn func()) Handle {
-	if !(at >= s.now) { // so written to refuse a NaN too: it has no place in the order
-		panic(fmt.Sprintf("eventsim: scheduling at %v before now %v", at, s.now))
+// Pending returns the number of events queued to fire, in the heap and
+// in the lanes. Cancelled events are not among them: Cancel takes an
+// event out of the heap. It walks the lanes, so it is for tests and
+// diagnostics, not for a loop.
+func (s *Sim) Pending() int {
+	n := len(s.queue)
+	for m := s.busy; m != 0; m &= m - 1 {
+		for e := s.lanes[bits.TrailingZeros64(m)].head; e != nil; e = e.next {
+			n++
+		}
 	}
+	return n
+}
+
+// At schedules fn to run at absolute time at. Scheduling in the past,
+// at a NaN or at +Inf panics: that is always a protocol bug, never a
+// recoverable condition.
+func (s *Sim) At(at Time, fn func()) Handle {
+	s.due(at)
 	if fn == nil {
 		panic("eventsim: nil event func")
 	}
@@ -245,22 +299,40 @@ func (s *Sim) At(at Time, fn func()) Handle {
 	return Handle{ev: ev}
 }
 
-// after returns the time delay units from now; a negative delay (or a
-// NaN) panics.
+// due panics unless an event may fire at at: not before now and not
+// past Forever. An event at +Inf would never fire, yet RunAll would
+// advance the clock to Forever to wait for it.
+func (s *Sim) due(at Time) {
+	if !(at >= s.now) { // so written to refuse a NaN too: it has no place in the order
+		panic(fmt.Sprintf("eventsim: scheduling at %v before now %v", at, s.now))
+	}
+	if at > Forever {
+		panic(fmt.Sprintf("eventsim: scheduling at %v", at))
+	}
+}
+
+// after returns the time delay units from now; a negative delay, a NaN
+// or one that reaches +Inf panics.
 func (s *Sim) after(delay Time) Time {
 	if !(delay >= 0) {
 		panic(fmt.Sprintf("eventsim: negative delay %v", delay))
 	}
-	return s.now + delay
+	at := s.now + delay
+	s.due(at)
+	return at
 }
 
-// key draws the next sequence number for ev firing at at. This is the
-// only place one is drawn: once per At, After, AfterCall and Reset.
-func (s *Sim) key(at Time, ev *Event) slot {
-	k := slot{at: timeBits(at), seq: s.seq, ev: ev}
+// draw returns the key of an event firing at at, drawing the next
+// sequence number. This is the only place one is drawn: once per At,
+// After, AfterCall and Reset.
+func (s *Sim) draw(at Time) key {
+	k := key{at: timeBits(at), seq: s.seq}
 	s.seq++
 	return k
 }
+
+// key returns the heap slot of ev firing at at.
+func (s *Sim) key(at Time, ev *Event) slot { return slot{s.draw(at), ev} }
 
 // After schedules fn to run delay time units from now.
 func (s *Sim) After(delay Time, fn func()) Handle {
@@ -268,14 +340,24 @@ func (s *Sim) After(delay Time, fn func()) Handle {
 }
 
 // AfterCall schedules c.Fire to run delay time units from now. Unlike
-// After it returns no Handle (the event cannot be cancelled) and the
-// event record is recycled after firing, so repeated AfterCall
+// After it returns no Handle (the event cannot be cancelled), and the
+// record of the event is recycled after firing, so repeated AfterCall
 // scheduling — the packet-per-hop pattern — is allocation-free in
-// steady state.
+// steady state. A whole-number delay below laneCount, such as a link
+// cost, appends the event to that delay's lane at O(1); any other
+// delay pushes it on the heap.
 func (s *Sim) AfterCall(delay Time, c Caller) {
 	at := s.after(delay)
 	if c == nil {
 		panic("eventsim: nil Caller")
+	}
+	// Range-checked before the conversion: at or past laneCount, +Inf
+	// included, the delay is no lane's. A negative zero is lane 0.
+	if d := float64(delay); d < laneCount {
+		if i := int(d); float64(i) == d {
+			s.enlane(i, s.draw(at), c)
+			return
+		}
 	}
 	var ev *Event
 	if n := len(s.free); n > 0 {
@@ -287,6 +369,75 @@ func (s *Sim) AfterCall(delay Time, c Caller) {
 	}
 	ev.call = c
 	s.queue.push(s.key(at, ev))
+}
+
+// enlane appends c, firing at k, to lane i.
+func (s *Sim) enlane(i int, k key, c Caller) {
+	n := s.spare
+	if n != nil {
+		s.spare, n.next = n.next, nil
+	} else {
+		n = new(laneNode)
+	}
+	n.key, n.call = k, c
+	if i >= len(s.lanes) {
+		// Sixteen lanes hold every link cost in one allocation.
+		size := 16
+		for size <= i {
+			size *= 2
+		}
+		s.lanes = append(s.lanes, make([]lane, size-len(s.lanes))...)
+	}
+	l := &s.lanes[i]
+	if s.busy&(1<<i) == 0 {
+		l.key, l.head = k, n
+		s.busy |= 1 << i
+	} else {
+		l.tail.next = n
+	}
+	l.tail = n
+}
+
+// leastLane returns the busy lane whose head fires first; busy must
+// not be empty. Like the heap's least child, the pick is by mask.
+func (s *Sim) leastLane() int {
+	lanes, m := s.lanes, s.busy
+	best := bits.TrailingZeros64(m)
+	for m &= m - 1; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		best += (i - best) & -int(lanes[i].borrow(&lanes[best].key))
+	}
+	return best
+}
+
+// fireLane takes the head of lane i out, recycles its node and fires it.
+func (s *Sim) fireLane(i int) {
+	l := &s.lanes[i]
+	n := l.head
+	if l.head = n.next; l.head != nil {
+		l.key = l.head.key
+	} else {
+		s.busy &^= 1 << i
+	}
+	c := n.call
+	n.call, n.next = nil, s.spare
+	s.spare = n
+	c.Fire()
+}
+
+// fireHeap takes the heap's root out and fires it, recycling it if it
+// is an AfterCall.
+func (s *Sim) fireHeap() {
+	ev := s.queue[0].ev
+	s.queue.remove(0)
+	if ev.fn != nil {
+		ev.fn()
+		return
+	}
+	c := ev.call
+	ev.call = nil
+	s.free = append(s.free, ev)
+	c.Fire()
 }
 
 // Stop halts Run after the currently executing event returns.
@@ -306,24 +457,30 @@ func (s *Sim) SetAfterEvent(fn func()) { s.afterEvent = fn }
 // It returns ErrStopped if halted by Stop, nil otherwise.
 func (s *Sim) Run(horizon Time) error {
 	s.stopped = false
-	for len(s.queue) > 0 {
-		if s.stopped {
-			return ErrStopped
+	for !s.stopped {
+		var next *key
+		i := -1 // the lane next fires from, -1 for the heap
+		if s.busy != 0 {
+			i = s.leastLane()
+			next = &s.lanes[i].key
 		}
-		next := s.queue[0]
-		if next.time() > horizon {
+		if len(s.queue) > 0 && (next == nil || s.queue[0].before(next)) {
+			next, i = &s.queue[0].key, -1
+		}
+		if next == nil {
+			break
+		}
+		at := next.time()
+		if at > horizon {
 			s.now = horizon
 			return nil
 		}
-		s.queue.remove(0)
-		s.now = next.time()
+		s.now = at
 		s.fired++
-		if ev := next.ev; ev.fn != nil {
-			ev.fn()
+		if i >= 0 {
+			s.fireLane(i)
 		} else {
-			ev.call.Fire()
-			ev.call = nil
-			s.free = append(s.free, ev)
+			s.fireHeap()
 		}
 		if s.afterEvent != nil {
 			s.afterEvent()

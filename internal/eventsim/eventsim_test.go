@@ -1,6 +1,7 @@
 package eventsim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -179,5 +180,88 @@ func TestDeterministicUnderLoad(t *testing.T) {
 	}
 	if !sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] }) {
 		t.Error("events fired out of timestamp order")
+	}
+}
+
+// callFunc adapts a func to Caller.
+type callFunc func()
+
+func (f callFunc) Fire() { f() }
+
+// TestSchedulingAtInfinityPanics: an event at +Inf would never fire, yet
+// RunAll would wait for it by setting the clock to Forever, where every
+// later event would then fire. Each way of scheduling refuses it, and
+// the refusal leaves the simulator as it was.
+func TestSchedulingAtInfinityPanics(t *testing.T) {
+	inf := Time(math.Inf(1))
+	s := New()
+	h := s.After(1, func() {})
+	late := New()
+	late.At(Forever, func() {})
+	if err := late.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	for name, schedule := range map[string]func(){
+		"At":        func() { s.At(inf, func() {}) },
+		"After":     func() { s.After(inf, func() {}) },
+		"AfterCall": func() { s.AfterCall(inf, callFunc(func() {})) },
+		"Reset":     func() { h.Reset(inf) },
+		// Forever + Forever overflows to +Inf.
+		"After past Forever": func() { late.After(Forever, func() {}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(+Inf) did not panic", name)
+				}
+			}()
+			schedule()
+		}()
+	}
+	if err := s.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Now() != 1 || s.Pending() != 0 || late.Pending() != 0 {
+		t.Errorf("after the refusals: Now() = %v, Pending() = %d and %d; want 1, 0, 0", s.Now(), s.Pending(), late.Pending())
+	}
+}
+
+// hop is a packet in flight: each fire carries it one more hop of the
+// same delay, until it has none left.
+type hop struct {
+	s    *Sim
+	d    Time
+	left int
+}
+
+func (h *hop) Fire() {
+	if h.left--; h.left > 0 {
+		h.s.AfterCall(h.d, h)
+	}
+}
+
+// TestAfterCallZeroAlloc: once the simulator has grown to the number of
+// packets in flight, forwarding them allocates nothing per hop — in a
+// lane (whole-number delays below laneCount, such as link costs) and on
+// the heap (any other delay).
+func TestAfterCallZeroAlloc(t *testing.T) {
+	for _, d := range []Time{0, 1, 10, laneCount - 1, 0.5, 2.5, laneCount} {
+		s := New()
+		hops := make([]hop, 8)
+		var err error
+		flight := func() {
+			for i := range hops {
+				hops[i] = hop{s: s, d: d, left: 16}
+				s.AfterCall(d, &hops[i])
+			}
+			err = s.RunAll()
+		}
+		flight() // grows the lanes, the spare nodes and the heap
+		if allocs := testing.AllocsPerRun(100, flight); allocs != 0 {
+			t.Errorf("delay %v: %.1f allocs per flight of %d hops, want 0", d, allocs, 8*16)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -30,18 +30,25 @@ type model struct {
 
 	handles []Handle // by event id; the zero Handle for AfterCall events
 	fired   int
+	hooked  int // runs of the SetAfterEvent callback
 }
 
 // delay draws from a small set on purpose: ties in time are what the
-// sequence number exists for.
+// sequence number exists for. Every operation draws from it, so an
+// AfterCall in a lane and an After or Reset on the heap meet at equal
+// times, where only the sequence number decides.
 func (m *model) delay() Time {
-	switch m.rng.Intn(4) {
+	switch m.rng.Intn(6) {
 	case 0:
 		return 0
 	case 1:
 		return Time(m.rng.Intn(4))
 	case 2:
 		return Time(m.rng.Intn(40)) / 4
+	case 3: // whole numbers on both sides of the lane cut-off
+		return Time(laneCount - 2 + m.rng.Intn(4))
+	case 4:
+		return Time(math.Copysign(0, -1))
 	default:
 		return Time(m.rng.Float64() * 30)
 	}
@@ -81,6 +88,9 @@ func (m *model) least() int {
 // next, at the reference's time, and it may schedule, cancel and re-arm
 // in its turn (itself included, as a ticker does).
 func (m *model) fire(id int) {
+	if m.hooked != m.fired {
+		m.t.Fatalf("event %d fired after %d events and %d runs of the after-event callback", id, m.fired, m.hooked)
+	}
 	if m.fired++; m.fired > 1e6 {
 		m.t.Fatal("a million events and no end: the operation mix must stay subcritical")
 	}
@@ -175,13 +185,16 @@ func (m *model) check() {
 // TestQueueAgainstReference runs seeded random interleavings of After,
 // AfterCall, Cancel, Reset and Run — from outside the loop and from
 // inside firing events — against the reference: the fired order, the
-// clock and Pending() must agree at every step. It is what licenses
-// replacing the queue's layout and re-arming timers in place: the order
-// (at, seq) defines is all a simulation can observe of either.
+// clock and Pending() must agree at every step, and the after-event
+// callback must run exactly once per fired event, whether it came from
+// the heap or a lane. It is what licenses replacing the queue's layout,
+// re-arming timers in place and keeping packets in lanes: the order
+// (at, seq) defines is all a simulation can observe of any of them.
 func TestQueueAgainstReference(t *testing.T) {
 	seed := testseed.Seed(t)
 	for round := int64(0); round < 20; round++ {
 		m := &model{t: t, rng: rand.New(rand.NewSource(seed + round)), sim: New()}
+		m.sim.SetAfterEvent(func() { m.hooked++ })
 		for step := 0; step < 400; step++ {
 			if m.rng.Intn(4) > 0 {
 				m.op(-1)
@@ -209,6 +222,9 @@ func TestQueueAgainstReference(t *testing.T) {
 		}
 		if m.fired == 0 {
 			t.Fatal("round fired nothing")
+		}
+		if m.hooked != m.fired {
+			t.Fatalf("%d events fired, the after-event callback ran %d times", m.fired, m.hooked)
 		}
 	}
 }
