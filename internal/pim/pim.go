@@ -109,42 +109,46 @@ func (m *Member) Handle(n netsim.ProtoNode, msg packet.Message, _ obs.Causal) ne
 	return netsim.Consumed
 }
 
-// revDelay returns the data-plane delay a receiver at r would see from
-// x over the reverse shortest-path branch: the forward cost of the
-// links of the unicast path r -> x, traversed backwards.
-func revDelay(rt unicast.Router, x, r topology.NodeID) int {
-	g := rt.Graph()
-	p := rt.Path(r, x)
-	if p == nil {
-		return unicast.Infinity
-	}
-	d := 0
-	for i := len(p) - 1; i > 0; i-- {
-		d += g.Cost(p[i], p[i-1])
-	}
-	return d
-}
-
 // DelayOptimalRP returns the router minimising the mean shared-tree
 // delay for the channel rooted at sourceHost over the population of
 // potential receiver hosts: d(source -> RP) plus the reverse-path
 // delay RP -> host. This models a rendezvous point configured well for
 // the session, which is what the paper's PIM-SM-beats-PIM-SS delay
-// observation on the ISP topology presumes.
+// observation on the ISP topology presumes. Ties go to the first
+// router in ID order.
+//
+// A host's reverse-path delay from a candidate x is the forward cost
+// of the links of its unicast path host -> x, traversed backwards. The
+// paths to x form x's in-tree v -> NextHop(v, x), so the delays are
+// memoised per candidate over that tree, rev[v] = rev[NextHop(v, x)] +
+// Cost(NextHop(v, x), v), and each candidate costs O(nodes) rather than
+// a path walk per host. The scratch is allocated once per call.
 func DelayOptimalRP(rt unicast.Router, sourceHost topology.NodeID) topology.NodeID {
 	g := rt.Graph()
+	nodes := g.Nodes()
+	rev := make([]int, len(nodes))
+	chain := make([]topology.NodeID, 0, len(nodes))
 	best, bestSum := topology.None, -1
-	for _, cand := range g.Routers() {
+	for _, cn := range nodes {
+		if cn.Kind != topology.Router {
+			continue
+		}
+		cand := cn.ID
 		leg := rt.Dist(sourceHost, cand)
 		if leg == unicast.Infinity {
 			continue
 		}
+		for i := range rev {
+			rev[i] = -1
+		}
+		rev[cand] = 0
 		sum := 0
-		for _, h := range g.Hosts() {
-			if h == sourceHost {
+		for _, hn := range nodes {
+			h := hn.ID
+			if hn.Kind != topology.Host || h == sourceHost {
 				continue
 			}
-			rd := revDelay(rt, cand, h)
+			rd := revDelay(rt, cand, h, rev, chain)
 			if rd == unicast.Infinity {
 				sum = -1
 				break
@@ -162,6 +166,31 @@ func DelayOptimalRP(rt unicast.Router, sourceHost topology.NodeID) topology.Node
 		panic("pim: no reachable RP candidate")
 	}
 	return best
+}
+
+// revDelay returns h's reverse-path delay from x, filling rev (-1 where
+// not yet known) for every node of h's path up to the first known one.
+// chain is the walk's stack; its capacity of one slot per node means
+// the walk never grows it.
+func revDelay(rt unicast.Router, x, h topology.NodeID, rev []int, chain []topology.NodeID) int {
+	if !rt.Reachable(h, x) {
+		return unicast.Infinity
+	}
+	chain = chain[:0]
+	v := h
+	for rev[v] < 0 {
+		chain = append(chain, v)
+		v = rt.NextHop(v, x)
+		if v == topology.None {
+			panic(fmt.Sprintf("pim: broken table %d->%d", h, x))
+		}
+	}
+	g := rt.Graph()
+	for i := len(chain) - 1; i >= 0; i-- {
+		rev[chain[i]] = rev[v] + g.Cost(v, chain[i])
+		v = chain[i]
+	}
+	return rev[h]
 }
 
 // Build computes and installs the tree for the given member hosts.

@@ -6,6 +6,7 @@ import (
 
 	"hbh/internal/addr"
 	"hbh/internal/mtree"
+	"hbh/internal/testseed"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -108,5 +109,99 @@ func TestMemberDeliveryCounters(t *testing.T) {
 	}
 	if m.DeliveryCount(res.Seq) != 1 {
 		t.Errorf("count = %d", m.DeliveryCount(res.Seq))
+	}
+}
+
+// pathRevDelay is the reverse-path delay by definition, the oracle for
+// DelayOptimalRP's memoised walk: the forward cost of the links of the
+// unicast path r -> x, traversed backwards.
+func pathRevDelay(rt unicast.Router, x, r topology.NodeID) int {
+	g := rt.Graph()
+	p := rt.Path(r, x)
+	if p == nil {
+		return unicast.Infinity
+	}
+	d := 0
+	for i := len(p) - 1; i > 0; i-- {
+		d += g.Cost(p[i], p[i-1])
+	}
+	return d
+}
+
+// pathOptimalRP is DelayOptimalRP computed one path per (candidate,
+// host) pair, with the same sums and tie-break.
+func pathOptimalRP(rt unicast.Router, sourceHost topology.NodeID) topology.NodeID {
+	g := rt.Graph()
+	best, bestSum := topology.None, -1
+	for _, cand := range g.Routers() {
+		leg := rt.Dist(sourceHost, cand)
+		if leg == unicast.Infinity {
+			continue
+		}
+		sum := 0
+		for _, h := range g.Hosts() {
+			if h == sourceHost {
+				continue
+			}
+			rd := pathRevDelay(rt, cand, h)
+			if rd == unicast.Infinity {
+				sum = -1
+				break
+			}
+			sum += leg + rd
+		}
+		if sum < 0 {
+			continue
+		}
+		if best == topology.None || sum < bestSum {
+			best, bestSum = cand, sum
+		}
+	}
+	return best
+}
+
+// TestDelayOptimalRPMatchesPathOracle: on asymmetric cost draws over
+// the paper topologies and BA graphs, the memoised in-tree walk picks
+// the same RP as summing one path per host, for every host as source.
+func TestDelayOptimalRPMatchesPathOracle(t *testing.T) {
+	rng := testseed.Rand(t)
+	graphs := []struct {
+		name string
+		make func() *topology.Graph
+	}{
+		{"isp", topology.ISP},
+		{"random50", func() *topology.Graph { return topology.Random(topology.Paper50(), rng) }},
+		{"ba", func() *topology.Graph {
+			return topology.BarabasiAlbert(topology.BAConfig{Routers: 3 + rng.Intn(40), M: 1 + rng.Intn(3), Hosts: true}, rng)
+		}},
+	}
+	for _, gc := range graphs {
+		for trial := range 4 {
+			g := gc.make()
+			g.RandomizeCosts(rng, 1, 10)
+			r := unicast.Compute(g)
+			for _, src := range g.Hosts() {
+				if got, want := DelayOptimalRP(r, src), pathOptimalRP(r, src); got != want {
+					t.Fatalf("%s trial %d source %d: RP %d, path oracle %d", gc.name, trial, src, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDelayOptimalRPAllocs: the RP choice allocates its scratch once
+// per call, so its allocation count does not grow with routers × hosts
+// (ISP: 18 × 18, random50: 50 × 50).
+func TestDelayOptimalRPAllocs(t *testing.T) {
+	allocs := func(g *topology.Graph) float64 {
+		g.RandomizeCosts(rand.New(rand.NewSource(3)), 1, 10)
+		r := unicast.Compute(g)
+		src := g.Hosts()[0]
+		return testing.AllocsPerRun(20, func() { DelayOptimalRP(r, src) })
+	}
+	isp := allocs(topology.ISP())
+	r50 := allocs(topology.Random(topology.Paper50(), rand.New(rand.NewSource(1))))
+	if isp != r50 || isp > 2 {
+		t.Errorf("allocs per call: ISP %.0f, random50 %.0f; want equal and at most 2", isp, r50)
 	}
 }

@@ -7,10 +7,12 @@ import (
 	"hbh/internal/topology"
 )
 
-// This file implements the on-demand per-source routing substrate used
-// above FastPathThreshold nodes. Instead of materialising all n sources
-// eagerly (O(n²) memory — ~20 GB of distFlat alone at 50k routers), a
-// Lazy router computes a source's row with the same 0-alloc indexed-heap
+// This file implements the on-demand per-source routing substrate. New
+// picks it at FastPathThreshold nodes and above; at any size the
+// many-channel runtime (A14 and its benchmark workload) and A12's
+// LazyRouting cells build it directly. Instead of materialising all n
+// sources eagerly (O(n²) memory — ~20 GB of distFlat alone at 50k
+// routers), a Lazy router computes a source's row with the same 0-alloc
 // Dijkstra on first query and keeps the most recently used rows in a
 // bounded LRU. Invalidation after cost churn and link up/down events is
 // per-source: each *cached* row is tested with the identical

@@ -10,9 +10,12 @@ import "hbh/internal/topology"
 // reconverging.
 
 // Recompute rebuilds every routing table over the graph's current
-// costs and link state by re-running Dijkstra from every node. The
-// tables and the Dijkstra heap are reused in place, so reconvergence
-// allocates nothing.
+// costs and link state. Dijkstra runs from every node except the
+// derived leaves, whose rows are then filled from their neighbours'
+// (see deriveLeafRow); on the paper topologies half the nodes are
+// hosts, so this halves the searches. Two passes over the nodes, rather
+// than a list of leaves, keep reconvergence allocation-free: the tables
+// and the Dijkstra heap are reused in place.
 func (r *Routing) Recompute() {
 	if r.scratch == nil {
 		// Routings assembled row-by-row (ComputeWidest's embedded
@@ -20,8 +23,44 @@ func (r *Routing) Recompute() {
 		r.scratch = newSPTScratch(len(r.next))
 	}
 	for s := range r.next {
-		dijkstraInto(r.g, topology.NodeID(s), r.next[s], r.dist[s], r.scratch)
+		if !r.derivedLeaf(topology.NodeID(s)) {
+			dijkstraInto(r.g, topology.NodeID(s), r.next[s], r.dist[s], r.scratch)
+		}
 	}
+	for s := range r.next {
+		if r.derivedLeaf(topology.NodeID(s)) {
+			r.deriveLeafRow(topology.NodeID(s))
+		}
+	}
+}
+
+// derivedLeaf reports whether v's row is derived from its neighbour's
+// rather than searched: v is a leaf and its neighbour is not (two
+// leaves joined to each other would each wait on the other's row).
+func (r *Routing) derivedLeaf(v topology.NodeID) bool {
+	nbs := r.g.Neighbors(v)
+	return len(nbs) == 1 && !isLeaf(r.g, nbs[0].To)
+}
+
+// deriveLeafRow fills leaf's row from its neighbour's finished row.
+// Every path out of a leaf starts on its one link, and no shortest path
+// from the neighbour passes back through the leaf, so the search from
+// the leaf would find: first hop = the neighbour for every reachable
+// destination, distance = the neighbour's distance plus the cost of
+// leaf -> neighbour, and nothing reachable at all when that link is
+// down.
+func (r *Routing) deriveLeafRow(leaf topology.NodeID) {
+	nb := r.g.Neighbors(leaf)[0]
+	first, dist := r.next[leaf], r.dist[leaf]
+	up := r.g.LinkUp(leaf, nb.To)
+	for x, d := range r.dist[nb.To] {
+		if !up || d == Infinity {
+			first[x], dist[x] = topology.None, Infinity
+			continue
+		}
+		first[x], dist[x] = nb.To, AddDist(d, nb.Cost)
+	}
+	first[leaf], dist[leaf] = topology.None, 0
 }
 
 // RecomputeLinks reconverges the tables after the given undirected

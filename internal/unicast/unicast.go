@@ -59,8 +59,9 @@ type Routing struct {
 	scratch  *sptScratch
 }
 
-// Compute builds routing tables for g by running Dijkstra from every
-// node over the directed costs. Ties are broken deterministically
+// Compute builds routing tables for g by running Dijkstra over the
+// directed costs (from every node but the leaves whose rows Recompute
+// derives from a neighbour's). Ties are broken deterministically
 // (lowest finalisation order by (distance, node ID)), so two runs over
 // identical costs produce identical tables — required for reproducible
 // experiments.
@@ -210,6 +211,12 @@ func (sc *sptScratch) pop() topology.NodeID {
 // at most once and is final when popped; the pop order over the unique
 // key (distance, node ID) is identical to the previous lazy-deletion
 // implementation, so the resulting tables are bit-identical.
+//
+// A leaf (a degree-1 node, such as every host) other than s gets its
+// label but is never queued. Its one link leads back to the neighbour
+// that labelled it, and costs are >= 1, so popping it could not lower
+// any label; skipping it changes no label and no pop. (s itself is
+// never relaxed: its label is 0 and every relaxation is >= 1.)
 func dijkstraInto(g *topology.Graph, s topology.NodeID, first []topology.NodeID, dist []int, sc *sptScratch) {
 	for i := range dist {
 		dist[i] = Infinity
@@ -251,10 +258,19 @@ func dijkstraInto(g *topology.Graph, s topology.NodeID, first []topology.NodeID,
 				} else {
 					first[nb.To] = first[v]
 				}
-				sc.fix(nb.To, nd)
+				if !isLeaf(g, nb.To) {
+					sc.fix(nb.To, nd)
+				}
 			}
 		}
 	}
+}
+
+// isLeaf reports whether v has exactly one link. A leaf's down link
+// still counts: it is a leaf of the structural graph, and with its link
+// down nothing reaches it at all.
+func isLeaf(g *topology.Graph, v topology.NodeID) bool {
+	return len(g.Neighbors(v)) == 1
 }
 
 // dialMaxCost is the largest per-link cost for which dijkstraInto uses
@@ -313,8 +329,10 @@ func (sc *sptScratch) dial(g *topology.Graph, s topology.NodeID, first []topolog
 					} else {
 						first[nb.To] = first[v]
 					}
-					buckets[nd%size] = append(buckets[nd%size], nb.To)
-					remaining++
+					if !isLeaf(g, nb.To) {
+						buckets[nd%size] = append(buckets[nd%size], nb.To)
+						remaining++
+					}
 				}
 			}
 		}

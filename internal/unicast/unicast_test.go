@@ -1,6 +1,7 @@
 package unicast
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -246,5 +247,148 @@ func TestHostsNeverTransit(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// oracleRow is a textbook O(n²) Dijkstra from s, written independently
+// of dijkstraInto: it scans for the unfinished node of least (distance,
+// node ID), finishes it and relaxes its up links, and a node's first
+// hop comes from the first relaxation that reaches its final distance.
+// It queues nothing and derives nothing, so it checks the leaf rules
+// rather than sharing them.
+func oracleRow(g *topology.Graph, s topology.NodeID) ([]topology.NodeID, []int) {
+	n := g.NumNodes()
+	first := make([]topology.NodeID, n)
+	dist := make([]int, n)
+	done := make([]bool, n)
+	for i := range dist {
+		first[i], dist[i] = topology.None, Infinity
+	}
+	dist[s] = 0
+	for {
+		u := topology.None
+		for v := range dist {
+			if !done[v] && dist[v] != Infinity && (u == topology.None || dist[v] < dist[u]) {
+				u = topology.NodeID(v)
+			}
+		}
+		if u == topology.None {
+			return first, dist
+		}
+		done[u] = true
+		for _, nb := range g.Neighbors(u) {
+			if !g.LinkEnabled(u, nb.To) || dist[u]+nb.Cost >= dist[nb.To] {
+				continue
+			}
+			dist[nb.To] = dist[u] + nb.Cost
+			if u == s {
+				first[nb.To] = nb.To
+			} else {
+				first[nb.To] = first[u]
+			}
+		}
+	}
+}
+
+// checkAgainstOracle compares every row of r with oracleRow.
+func checkAgainstOracle(t *testing.T, r Router, ctx string) {
+	t.Helper()
+	g := r.Graph()
+	for s := range g.NumNodes() {
+		src := topology.NodeID(s)
+		first, dist := oracleRow(g, src)
+		for x := range first {
+			to := topology.NodeID(x)
+			if got := r.Dist(src, to); got != dist[x] {
+				t.Fatalf("%s: dist[%d][%d] = %d, oracle %d", ctx, s, x, got, dist[x])
+			}
+			if got := r.NextHop(src, to); got != first[x] {
+				t.Fatalf("%s: next[%d][%d] = %d, oracle %d", ctx, s, x, got, first[x])
+			}
+		}
+	}
+}
+
+// TestQuickTablesMatchOracle checks Compute, Lazy and both incremental
+// reconvergence paths against oracleRow, on graphs chosen to exercise
+// the leaf rules: the paper topologies (half their nodes hosts) with
+// fresh asymmetric cost draws, BA trees (leaf routers, some with
+// hosts), a two-router line (a leaf whose neighbour is a leaf), costs
+// above dialMaxCost (the heap path) and down links, a host's own link
+// among them.
+func TestQuickTablesMatchOracle(t *testing.T) {
+	rng := testseed.Rand(t)
+	graphs := []struct {
+		name string
+		make func() *topology.Graph
+	}{
+		{"isp", topology.ISP},
+		{"random50", func() *topology.Graph { return topology.Random(topology.Paper50(), rng) }},
+		{"ba-tree", func() *topology.Graph {
+			return topology.BarabasiAlbert(topology.BAConfig{Routers: 2 + rng.Intn(30), M: 1, Hosts: rng.Intn(2) == 0}, rng)
+		}},
+		{"line2", func() *topology.Graph { return topology.Line(2, false) }},
+	}
+	trials := 6
+	if testing.Short() {
+		trials = 2
+	}
+	for _, gc := range graphs {
+		for trial := range trials {
+			g := gc.make()
+			hi := 10
+			if trial%2 == 1 {
+				hi = 3 * dialMaxCost
+			}
+			g.RandomizeCosts(rng, 1, hi)
+			edges := g.Edges()
+			// Start with some links down: a host's own link when the
+			// graph has hosts, and one link at random.
+			for _, e := range edges {
+				if g.Node(e.A).Kind == topology.Host || g.Node(e.B).Kind == topology.Host {
+					g.SetLinkEnabled(e.A, e.B, false)
+					break
+				}
+			}
+			e := edges[rng.Intn(len(edges))]
+			g.SetLinkEnabled(e.A, e.B, false)
+
+			ctx := fmt.Sprintf("%s trial %d", gc.name, trial)
+			eager := Compute(g)
+			lazy := NewLazy(g, LazyOptions{MaxSources: 4})
+			checkAgainstOracle(t, eager, ctx+" compute")
+			checkAgainstOracle(t, lazy, ctx+" lazy")
+
+			for step := range 8 {
+				e := edges[rng.Intn(len(edges))]
+				if step%2 == 0 {
+					g.SetLinkEnabled(e.A, e.B, !g.LinkEnabled(e.A, e.B))
+					eager.RecomputeLinks([2]topology.NodeID{e.A, e.B})
+					lazy.RecomputeLinks([2]topology.NodeID{e.A, e.B})
+				} else {
+					old := CostChange{A: e.A, B: e.B, OldAB: g.Cost(e.A, e.B), OldBA: g.Cost(e.B, e.A)}
+					g.SetLinkCost(e.A, e.B, 1+rng.Intn(hi), 1+rng.Intn(hi))
+					eager.RecomputeCostChanges(old)
+					lazy.RecomputeCostChanges(old)
+				}
+				sctx := fmt.Sprintf("%s step %d", ctx, step)
+				checkAgainstOracle(t, eager, sctx+" incremental")
+				checkAgainstOracle(t, lazy, sctx+" lazy")
+			}
+			eager.Recompute()
+			checkAgainstOracle(t, eager, ctx+" recompute after churn")
+		}
+	}
+}
+
+// TestRecomputeZeroAlloc: the fault-repair path reuses the tables and
+// the search scratch, with leaf rows derived in place, so a full
+// reconvergence allocates nothing.
+func TestRecomputeZeroAlloc(t *testing.T) {
+	g := topology.Random(topology.Paper50(), rand.New(rand.NewSource(1)))
+	g.RandomizeCosts(rand.New(rand.NewSource(2)), 1, 10)
+	r := Compute(g)
+	if allocs := testing.AllocsPerRun(20, r.Recompute); allocs != 0 {
+		t.Errorf("Recompute: %.1f allocs per run, want 0", allocs)
 	}
 }
