@@ -198,10 +198,10 @@ func maskScaleClocks(table string) string {
 	lines := strings.Split(table, "\n")
 	for i, ln := range lines {
 		f := strings.Fields(ln)
-		if len(f) != 13 || strings.Trim(f[0], "0123456789") != "" {
+		if len(f) != 12 || strings.Trim(f[0], "0123456789") != "" {
 			continue
 		}
-		f[3], f[4], f[11] = "-", "-", "-"
+		f[2], f[3], f[10] = "-", "-", "-"
 		lines[i] = strings.Join(f, " ")
 	}
 	return strings.Join(lines, "\n")

@@ -111,14 +111,16 @@ func main() {
 	// Routing-asymmetry statistic over cost draws: the fraction of
 	// router pairs whose forward and reverse shortest paths differ
 	// (Paxson measured 30-50% in the Internet; the paper's motivation).
-	// Exact below the fast-path threshold, seeded-sampled above it —
-	// the exhaustive walk is O(n²·pathlen) and unusable at 10k routers.
+	// Exact when the pair count fits -asym-samples, seeded-sampled
+	// above it — the exhaustive walk is O(n²·pathlen) and unusable at
+	// 10k routers. Rows fill on demand, so a sample searches only from
+	// the routers it touches.
 	var sum float64
 	for i := range *draws {
 		if i > 0 {
 			g.RandomizeCosts(rng, *lo, *hi)
 		}
-		sum += unicast.EstimateAsymmetryFraction(unicast.New(g), *seed+int64(i), *samples)
+		sum += unicast.EstimateAsymmetryFraction(unicast.NewLazy(g, unicast.LazyOptions{}), *seed+int64(i), *samples)
 	}
 	fmt.Printf("asymmetric router pairs: %.1f%% (mean over %d cost draws in [%d,%d])\n",
 		100*sum/float64(*draws), *draws, *lo, *hi)

@@ -36,10 +36,10 @@ func main() {
 
 	for _, sub := range []struct {
 		name    string
-		routing *unicast.Routing
+		routing unicast.Router
 	}{
 		{"delay-shortest", delayTables},
-		{"widest-path", widestTables.Routing},
+		{"widest-path", widestTables},
 	} {
 		nw := newNetworkWith(g, sub.routing)
 		cfg := hbh.DefaultConfig()
@@ -79,6 +79,6 @@ func main() {
 // newNetworkWith builds a simulated network over pre-computed routing
 // tables (the facade's NewNetwork computes delay tables; this variant
 // injects alternatives).
-func newNetworkWith(g *hbh.Graph, routing *unicast.Routing) *hbh.Network {
+func newNetworkWith(g *hbh.Graph, routing unicast.Router) *hbh.Network {
 	return hbh.NewNetworkWithRouting(g, routing)
 }

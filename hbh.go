@@ -86,9 +86,10 @@ type Network struct {
 }
 
 // NewNetwork builds the delay-shortest routing substrate for g and the
-// simulator over it. Small graphs get the eager all-pairs fast path,
-// large ones the lazy per-source router (see unicast.New). The graph's
-// costs must be final: mutate costs before this call.
+// simulator over it: every row filled up front on graphs up to 4096
+// nodes, rows filled on demand into a bounded cache above (see
+// unicast.New). The graph's costs must be final: mutate costs before
+// this call.
 func NewNetwork(g *Graph) *Network {
 	return NewNetworkWithRouting(g, unicast.New(g))
 }

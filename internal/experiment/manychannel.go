@@ -20,9 +20,9 @@ import (
 
 // The A14 many-channel runtime: thousands of concurrent <S,G> channels
 // with Zipf popularity and Poisson membership churn (internal/workload)
-// run over ONE shared substrate — one frozen topology and one race-safe
-// lazy unicast router — sharded across workers on the grid every figure
-// runs on. Each channel is an independent event simulation (its own
+// run over ONE shared substrate — one frozen topology and one bounded
+// unicast router (unicast.NewLazy) — sharded across workers on the grid
+// every figure runs on. Each channel is an independent event simulation (its own
 // virtual clock and packet network), so channels never interact except
 // through the shared read-only substrate; per-worker obs counters are
 // merged at the shard barrier.
@@ -30,9 +30,9 @@ import (
 // Determinism: every per-channel quantity depends only on (Seed,
 // channel index) — the workload stream, the member-to-host mapping and
 // the protocol run are all derived from per-channel rngs, and the
-// shared lazy router returns bit-identical answers however its cache is
-// scheduled (see unicast.Lazy). Results are folded in channel order, so
-// the A14 table is byte-identical at any worker count. The table
+// shared router returns bit-identical answers however its rows are
+// scheduled (see unicast.Routing). Results are folded in channel order,
+// so the A14 table is byte-identical at any worker count. The table
 // reports only exactly-summed integer quantities; wall-clock throughput
 // lives in the benchmark (BenchmarkManyChannelForward), not the table.
 
@@ -126,11 +126,11 @@ func (c ManyChannelConfig) withDefaults() ManyChannelConfig {
 }
 
 // mcSubstrate is the shared, immutable many-channel substrate: the
-// frozen graph and the one concurrent lazy router every channel (on
+// frozen graph and the one concurrent bounded router every channel (on
 // every worker) routes through.
 type mcSubstrate struct {
 	g      *topology.Graph
-	router *unicast.Lazy
+	router *unicast.Routing
 	hosts  []topology.NodeID
 }
 

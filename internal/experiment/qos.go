@@ -59,9 +59,9 @@ func QoSRouting(runs int, seed int64) *Figure {
 			sumOpt += float64(widest.Bottleneck(p.source, m))
 		}
 		optimal := sumOpt / float64(len(p.members))
-		hbhWidest := bottleneck(p, widest.Routing, HBH, s)
+		hbhWidest := bottleneck(p, widest, HBH, s)
 		hbhDelay := bottleneck(p, p.Routing, HBH, s)
-		pimWidest := bottleneck(p, widest.Routing, PIMSS, s)
+		pimWidest := bottleneck(p, widest, PIMSS, s)
 		return func() {
 			at("optimal", size).Add(optimal)
 			at("HBH-widest", size).Add(hbhWidest)

@@ -27,24 +27,22 @@ type ScaleConfig struct {
 	Receivers int
 	// Seed drives graph structure, cost draws, sampling and join jitter.
 	Seed int64
-	// CheckSample bounds the sampled invariant checking above the
-	// fast-path threshold (default 16 members/paths per checkpoint).
+	// CheckSample bounds the sampled invariant checking on a router that
+	// cannot hold every row (default 16 members/paths per checkpoint).
 	CheckSample int
 }
 
 // DefaultScaleSizes spans 50 to 50k routers — three orders of
-// magnitude, crossing the unicast fast-path threshold between 500 and
-// 5000.
+// magnitude, crossing unicast.New's switch from every row filled up
+// front to a bounded row cache (4096 nodes) between 500 and 5000.
 func DefaultScaleSizes() []int { return []int{50, 500, 5000, 50000} }
 
 // ScaleRow is one size's measurements.
 type ScaleRow struct {
 	Routers, Edges int
-	// Mode is the routing substrate New selected: "eager" or "lazy".
-	Mode string
 	// Gen and RouteTime are wall-clock: graph generation, and routing
 	// Sources sampled sources (Dist+NextHop queries; each source's row
-	// is one on-demand Dijkstra in lazy mode).
+	// is one on-demand Dijkstra on a bounded router).
 	Gen, RouteTime time.Duration
 	Sources        int
 	// TableBytes is the substrate's resident row storage after the
@@ -62,8 +60,8 @@ type ScaleRow struct {
 	MFTRouters, MFTEntries, MCTRouters int
 	// HeapBytes is runtime HeapAlloc after the phases (RSS proxy).
 	HeapBytes uint64
-	// Checked reports the invariant profile ran (sampled above the
-	// fast-path threshold) and stayed clean.
+	// Checked reports the invariant profile ran (sampled when the
+	// router cannot hold every row) and stayed clean.
 	Checked string
 }
 
@@ -74,11 +72,11 @@ type ScaleResult struct {
 }
 
 // ScaleExperiment runs the A13 sweep: for each size, generate a BA
-// graph, route sampled sources through the automatically selected
-// substrate (timing it), verify sampled rows against independent
-// Dijkstras, then run a live HBH channel over it — join-convergence
-// time, MFT/MCT footprint and a converged invariant checkpoint,
-// sampled above the fast-path threshold.
+// graph, route sampled sources through unicast.New (timing it), verify
+// sampled rows against independent Dijkstras, then run a live HBH
+// channel over it — join-convergence time, MFT/MCT footprint and a
+// converged invariant checkpoint, sampled when the router cannot hold
+// every row.
 func ScaleExperiment(cfg ScaleConfig) *ScaleResult {
 	if cfg.Sizes == nil {
 		cfg.Sizes = DefaultScaleSizes()
@@ -113,10 +111,6 @@ func scaleRun(cfg ScaleConfig, n int) ScaleRow {
 	row.Edges = g.NumEdges()
 
 	rt := unicast.New(g)
-	row.Mode = "eager"
-	if _, ok := rt.(*unicast.Lazy); ok {
-		row.Mode = "lazy"
-	}
 	routers := g.Routers()
 	t0 = time.Now()
 	for i := 0; i < cfg.Sources; i++ {
@@ -128,11 +122,7 @@ func scaleRun(cfg ScaleConfig, n int) ScaleRow {
 	row.RouteTime = time.Since(t0)
 	row.Sources = cfg.Sources
 	row.EagerBytes = unicast.EagerMemoryBytes(g.NumNodes())
-	if l, ok := rt.(*unicast.Lazy); ok {
-		row.TableBytes = l.MemoryBytes()
-	} else {
-		row.TableBytes = row.EagerBytes
-	}
+	row.TableBytes = rt.MemoryBytes()
 
 	// Verification: re-derive a few sampled rows with an independent
 	// single-source substrate and require bit-identical tables.
@@ -159,12 +149,12 @@ func scaleRun(cfg ScaleConfig, n int) ScaleRow {
 	fp := s.state()
 	row.MFTRouters, row.MFTEntries, row.MCTRouters = fp.MFTRouters, fp.MFTEntries, fp.MCTRouters
 
-	// Converged invariant checkpoint: exhaustive at small n, sampled
-	// member subsets above the unicast fast-path threshold (the
-	// exhaustive walk would fault a per-source row per tree path).
+	// Converged invariant checkpoint: exhaustive when every row is
+	// resident, sampled member subsets otherwise (the exhaustive walk
+	// would fill a per-source row per tree path).
 	chk := invariant.New(s.net, s.ch, profileFor(HBH), s.audit)
 	chk.SetMembers(memberAddrs(g, p.members))
-	if g.NumNodes() >= unicast.FastPathThreshold {
+	if rt.MaxSources() < g.NumNodes() {
 		chk.SetSample(cfg.Seed, cfg.CheckSample)
 		row.Checked = fmt.Sprintf("sampled(%d)", cfg.CheckSample)
 	} else {
@@ -203,22 +193,20 @@ func attachScaleHosts(g *topology.Graph, rng *rand.Rand, n, receivers int) {
 func (r *ScaleResult) FormatTable() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "A13 scale sweep: Barabási–Albert (M=2) topologies, %d sampled sources,\n", r.Cfg.Sources)
-	fmt.Fprintf(&b, "%d receivers per channel, seed %d. mode: routing substrate selected by\n",
-		r.Cfg.Receivers, r.Cfg.Seed)
-	fmt.Fprintf(&b, "unicast.New (eager all-pairs below %d nodes, lazy per-source LRU above).\n", unicast.FastPathThreshold)
+	fmt.Fprintf(&b, "%d receivers per channel, seed %d.\n", r.Cfg.Receivers, r.Cfg.Seed)
 	b.WriteString("table-mem: resident routing rows after the routing phase; eager-mem: what\n")
 	b.WriteString("all-pairs Compute would allocate. join-time: measured HBH join convergence\n")
 	b.WriteString("(virtual time). check: converged invariant checkpoint mode, always clean.\n\n")
-	fmt.Fprintf(&b, "%8s %8s %6s %10s %10s %11s %11s %10s %5s %5s %5s %10s %12s\n",
-		"routers", "edges", "mode", "gen", "route-1k", "table-mem", "eager-mem",
+	fmt.Fprintf(&b, "%8s %8s %10s %10s %11s %11s %10s %5s %5s %5s %10s %12s\n",
+		"routers", "edges", "gen", "route-1k", "table-mem", "eager-mem",
 		"join-time", "mftR", "mftE", "mctR", "heap", "check")
 	for _, row := range r.Rows {
 		join := fmt.Sprintf("%.1f", row.JoinTime)
 		if !row.Converged {
 			join += "*"
 		}
-		fmt.Fprintf(&b, "%8d %8d %6s %10s %10s %11s %11s %10s %5d %5d %5d %10s %12s\n",
-			row.Routers, row.Edges, row.Mode,
+		fmt.Fprintf(&b, "%8d %8d %10s %10s %11s %11s %10s %5d %5d %5d %10s %12s\n",
+			row.Routers, row.Edges,
 			row.Gen.Round(time.Millisecond), row.RouteTime.Round(time.Millisecond),
 			fmtBytes(row.TableBytes), fmtBytes(row.EagerBytes),
 			join, row.MFTRouters, row.MFTEntries, row.MCTRouters,

@@ -3,8 +3,6 @@ package experiment
 import (
 	"strings"
 	"testing"
-
-	"hbh/internal/unicast"
 )
 
 func TestScaleExperimentSmall(t *testing.T) {
@@ -15,8 +13,8 @@ func TestScaleExperimentSmall(t *testing.T) {
 		t.Fatalf("rows = %d, want 2", len(res.Rows))
 	}
 	for _, row := range res.Rows {
-		if row.Mode != "eager" {
-			t.Fatalf("n=%d below threshold selected %q substrate", row.Routers, row.Mode)
+		if row.TableBytes != row.EagerBytes {
+			t.Fatalf("n=%d holds %d bytes of rows, want every row (%d)", row.Routers, row.TableBytes, row.EagerBytes)
 		}
 		if row.Verified != 5 {
 			t.Fatalf("n=%d verified %d rows, want 5", row.Routers, row.Verified)
@@ -28,36 +26,29 @@ func TestScaleExperimentSmall(t *testing.T) {
 			t.Fatalf("n=%d empty forwarding footprint %+v", row.Routers, row)
 		}
 		if row.Checked != "full" {
-			t.Fatalf("n=%d check mode %q, want full below threshold", row.Routers, row.Checked)
+			t.Fatalf("n=%d check mode %q, want full with every row resident", row.Routers, row.Checked)
 		}
 	}
 	out := res.FormatTable()
-	if !strings.Contains(out, "A13 scale sweep") || !strings.Contains(out, "eager") {
+	if !strings.Contains(out, "A13 scale sweep") || !strings.Contains(out, "full") {
 		t.Fatalf("table missing expected content:\n%s", out)
 	}
 }
 
-// TestScaleExperimentLazySampled crosses the fast-path threshold with a
-// lowered threshold so the lazy substrate and the sampled checker run
-// in-tier-1 without a five-figure graph.
+// TestScaleExperimentLazySampled crosses unicast.New's 4096-node cut,
+// so the bounded router and the sampled checker run in tier 1.
 func TestScaleExperimentLazySampled(t *testing.T) {
-	defer func(old int) { unicast.FastPathThreshold = old }(unicast.FastPathThreshold)
-	unicast.FastPathThreshold = 60
-
 	res := ScaleExperiment(ScaleConfig{
-		Sizes: []int{100}, Sources: 300, Receivers: 10, Seed: 11, CheckSample: 4,
+		Sizes: []int{4100}, Sources: 100, Receivers: 10, Seed: 11, CheckSample: 4,
 	})
 	row := res.Rows[0]
-	if row.Mode != "lazy" {
-		t.Fatalf("above threshold selected %q substrate", row.Mode)
-	}
 	if row.TableBytes >= row.EagerBytes {
-		t.Fatalf("lazy resident %d bytes not below eager %d", row.TableBytes, row.EagerBytes)
+		t.Fatalf("bounded router holds %d bytes, not below every row's %d", row.TableBytes, row.EagerBytes)
 	}
 	if row.Checked != "sampled(4)" {
 		t.Fatalf("check mode %q, want sampled(4)", row.Checked)
 	}
 	if !row.Converged {
-		t.Fatal("join did not converge on lazy substrate")
+		t.Fatal("join did not converge on the bounded router")
 	}
 }

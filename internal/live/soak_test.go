@@ -201,6 +201,6 @@ func TestSoakConcurrentChurnAndFaults(t *testing.T) {
 	if ls.Misses == 0 {
 		t.Error("shared lazy routing was never exercised")
 	}
-	t.Logf("soak: %d joined at end, stats %+v, routing hits=%d misses=%d",
-		joined, st, ls.Hits, ls.Misses)
+	t.Logf("soak: %d joined at end, stats %+v, routing misses=%d invalidations=%d",
+		joined, st, ls.Misses, ls.Invalidations)
 }

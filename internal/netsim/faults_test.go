@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"hbh/internal/addr"
+	"hbh/internal/eventsim"
 	"hbh/internal/packet"
 	"hbh/internal/topology"
+	"hbh/internal/unicast"
 )
 
 func TestLinkDownDrops(t *testing.T) {
@@ -44,6 +46,33 @@ func TestLinkDownDrops(t *testing.T) {
 	if got := net.Stats().NoRouteDrops; got != 1 {
 		t.Errorf("NoRouteDrops = %d, want 1", got)
 	}
+}
+
+// skipRouter is a broken substrate: from node 0 it names node 2, which
+// is not a neighbour on a line, as the next hop to everything.
+type skipRouter struct{ *unicast.Routing }
+
+func (skipRouter) NextHop(from, to topology.NodeID) topology.NodeID {
+	if from == 0 {
+		return 2
+	}
+	return topology.None
+}
+
+// TestTransmitOverMissingLinkPanics: a routing table that names a
+// non-neighbour is a substrate bug, and transmit says so instead of
+// counting a link-down drop.
+func TestTransmitOverMissingLinkPanics(t *testing.T) {
+	g := topology.Line(3, false)
+	sim := eventsim.New()
+	net := New(sim, g, skipRouter{unicast.Compute(g)})
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("transmit 0->2 on a line did not panic (stats %+v)", net.Stats())
+		}
+	}()
+	net.Node(0).SendUnicast(dataTo(g.Node(2).Addr, 1))
+	_ = sim.RunAll()
 }
 
 func TestPartitionNoRouteAfterRecompute(t *testing.T) {

@@ -258,8 +258,7 @@ type Node struct {
 }
 
 // New builds a network over g with routing substrate r (computed from
-// g — eager tables or the lazy per-source router, see unicast.New) and
-// clock sim.
+// g, see unicast.New) and clock sim.
 func New(sim *eventsim.Sim, g *topology.Graph, r unicast.Router) *Network {
 	n := newNetwork(g, r, nil)
 	n.sim, n.clk = sim, clock.Sim(sim)
@@ -885,17 +884,19 @@ func (n *Network) transmit(from, to topology.NodeID, env *Envelope) {
 		return
 	}
 	env.hops--
-	if !n.topo.LinkEnabled(from, to) || len(n.cut) > 0 && n.cut[linkKey(from, to)] {
+	// One adjacency scan resolves the link; a routing table that names
+	// a non-neighbour is a substrate bug, not a fault.
+	cost := n.topo.Cost(from, to)
+	if cost == 0 {
+		panic(fmt.Sprintf("netsim: transmit over missing link %d->%d", from, to))
+	}
+	if !n.topo.LinkUp(from, to) || len(n.cut) > 0 && n.cut[linkKey(from, to)] {
 		// The link is administratively down (fault injection). Packets
 		// already routed onto it die here, exactly like frames on a cut
 		// wire; the stale routing that chose it is the unicast layer's
 		// problem until Recompute converges it.
 		n.drop(nd, n.nodes[to], env, env.msg, env.cause, &st.LinkDownDrops, obs.CauseLinkDown)
 		return
-	}
-	cost := n.topo.Cost(from, to)
-	if cost == 0 {
-		panic(fmt.Sprintf("netsim: transmit over missing link %d->%d", from, to))
 	}
 	_, isData := env.msg.(*packet.Data)
 	// The control-plane adversary sits before the wire: it decides each

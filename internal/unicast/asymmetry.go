@@ -13,14 +13,12 @@ import (
 const AsymmetrySampleDefault = 2000
 
 // EstimateAsymmetryFraction returns the fraction of unordered router
-// pairs whose forward and reverse shortest paths differ. Below the
-// fast-path threshold (or whenever the pair count fits the budget) it
-// enumerates every pair and the result is exact — identical to
-// Routing.AsymmetryFraction. Above it, it measures maxPairs
-// seeded-random pairs, because the exhaustive walk is O(n²·pathlen):
-// at 50k routers that is ~10⁹ path reconstructions, each of which
-// would also fault per-source rows into a lazy router. maxPairs <= 0
-// selects AsymmetrySampleDefault.
+// pairs whose forward and reverse shortest paths differ. Whenever the
+// pair count fits the budget it enumerates every pair and the result
+// is exact. Above it, it measures maxPairs seeded-random pairs, because
+// the exhaustive walk is O(n²·pathlen): at 50k routers that is ~10⁹
+// path reconstructions, each of which would also fill per-source rows
+// into a bounded router. maxPairs <= 0 selects AsymmetrySampleDefault.
 func EstimateAsymmetryFraction(r Router, seed int64, maxPairs int) float64 {
 	if maxPairs <= 0 {
 		maxPairs = AsymmetrySampleDefault
@@ -31,7 +29,7 @@ func EstimateAsymmetryFraction(r Router, seed int64, maxPairs int) float64 {
 		return 0
 	}
 	pairs := n * (n - 1) / 2
-	if n < FastPathThreshold && pairs <= maxPairs {
+	if pairs <= maxPairs {
 		asym := 0
 		for i, a := range routers {
 			for _, b := range routers[i+1:] {

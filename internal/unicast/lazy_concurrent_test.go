@@ -9,11 +9,11 @@ import (
 	"hbh/internal/topology"
 )
 
-// TestLazyConcurrentReadersBitIdentical hammers a shared Lazy router
+// TestLazyConcurrentReadersBitIdentical hammers a shared bounded router
 // from many goroutines — with a cap small enough that every burst
 // churns the LRU (evictions, free-list recycling, clock stamps) — and
 // asserts every answer is bit-identical to a serially-queried reference
-// router that saw the same cost-churn history. Before Lazy grew its
+// router that saw the same cost-churn history. Before the router grew its
 // read/write lock this failed under -race (concurrent map writes and
 // torn row recycling); it now doubles as the determinism proof that
 // cache scheduling never leaks into routing answers, because
@@ -112,12 +112,16 @@ func TestLazyConcurrentReadersBitIdentical(t *testing.T) {
 // bursts: invalidation takes the write lock, so dropping rows while
 // queries are in flight must neither race nor return a stale mix. The
 // graph itself is never mutated here — only the cache — so every
-// answer must equal the eager reference throughout.
+// answer must equal the oracle throughout.
 func TestLazyConcurrentInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := topology.BarabasiAlbert(topology.BAConfig{Routers: 32, M: 2}, rng)
 	g.RandomizeCosts(rng, 1, 10)
-	ref := Compute(g)
+	n := g.NumNodes()
+	firsts, dists := make([][]topology.NodeID, n), make([][]int, n)
+	for s := range n {
+		firsts[s], dists[s] = oracleRow(g, topology.NodeID(s))
+	}
 	l := NewLazy(g, LazyOptions{MaxSources: 4})
 
 	var wg sync.WaitGroup
@@ -142,7 +146,6 @@ func TestLazyConcurrentInvalidation(t *testing.T) {
 		}
 	}()
 
-	n := g.NumNodes()
 	for r := 0; r < 6; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -151,12 +154,12 @@ func TestLazyConcurrentInvalidation(t *testing.T) {
 			for q := 0; q < 500; q++ {
 				from := topology.NodeID(qr.Intn(n))
 				to := topology.NodeID(qr.Intn(n))
-				if got, want := l.Dist(from, to), ref.Dist(from, to); got != want {
-					t.Errorf("Dist(%d,%d) = %d during invalidation, eager %d", from, to, got, want)
+				if got, want := l.Dist(from, to), dists[from][to]; got != want {
+					t.Errorf("Dist(%d,%d) = %d during invalidation, oracle %d", from, to, got, want)
 					return
 				}
-				if got, want := l.NextHop(from, to), ref.NextHop(from, to); got != want {
-					t.Errorf("NextHop(%d,%d) = %d during invalidation, eager %d", from, to, got, want)
+				if got, want := l.NextHop(from, to), firsts[from][to]; got != want {
+					t.Errorf("NextHop(%d,%d) = %d during invalidation, oracle %d", from, to, got, want)
 					return
 				}
 			}
@@ -167,4 +170,61 @@ func TestLazyConcurrentInvalidation(t *testing.T) {
 	go func() { wg.Wait(); close(done) }()
 	defer func() { <-done }()
 	defer close(stop)
+}
+
+// TestResidentConcurrentFillAndHit runs the resident regime under
+// -race: 8 goroutines query a router whose capacity covers every node,
+// so rows fill on first touch under the lock while other goroutines hit
+// filled rows with no lock at all. The hooks run only between bursts
+// (the resident contract), after a cost change and a link cut, and
+// every answer matches the oracle of the graph at that burst.
+func TestResidentConcurrentFillAndHit(t *testing.T) {
+	const readers, queries = 8, 300
+	rng := rand.New(rand.NewSource(31))
+	g := topology.BarabasiAlbert(topology.BAConfig{Routers: 40, M: 2, Hosts: true}, rng)
+	g.RandomizeCosts(rng, 1, 10)
+	n := g.NumNodes()
+	l := NewLazy(g, LazyOptions{})
+	if l.MaxSources() < n {
+		t.Fatalf("capacity %d below %d nodes: not the resident regime", l.MaxSources(), n)
+	}
+	edges := g.Edges()
+	for burst := 0; burst < 6; burst++ {
+		switch e := edges[rng.Intn(len(edges))]; burst % 3 {
+		case 1:
+			old := CostChange{A: e.A, B: e.B, OldAB: e.CostAB, OldBA: e.CostBA}
+			g.SetLinkCost(e.A, e.B, 1+rng.Intn(10), 1+rng.Intn(10))
+			l.RecomputeCostChanges(old)
+		case 2:
+			g.SetLinkEnabled(e.A, e.B, !g.LinkEnabled(e.A, e.B))
+			l.RecomputeLinks([2]topology.NodeID{e.A, e.B})
+		}
+		firsts, dists := make([][]topology.NodeID, n), make([][]int, n)
+		for s := range n {
+			firsts[s], dists[s] = oracleRow(g, topology.NodeID(s))
+		}
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				qr := rand.New(rand.NewSource(int64(100*burst + r)))
+				for q := 0; q < queries; q++ {
+					from, to := topology.NodeID(qr.Intn(n)), topology.NodeID(qr.Intn(n))
+					if got, want := l.NextHop(from, to), firsts[from][to]; got != want {
+						t.Errorf("burst %d: NextHop(%d,%d) = %d, oracle %d", burst, from, to, got, want)
+						return
+					}
+					if got, want := l.Dist(from, to), dists[from][to]; got != want {
+						t.Errorf("burst %d: Dist(%d,%d) = %d, oracle %d", burst, from, to, got, want)
+						return
+					}
+				}
+			}(r)
+		}
+		wg.Wait()
+	}
+	if st := l.Stats(); st.Hits != 0 || st.Misses == 0 || st.Invalidations == 0 {
+		t.Fatalf("stats %+v: want misses and invalidations, and no counted hits", st)
+	}
 }

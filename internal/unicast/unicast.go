@@ -12,7 +12,6 @@
 package unicast
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -33,60 +32,10 @@ func AddDist(a, b int) int {
 	return a + b
 }
 
-// Routing holds the full set of unicast routing tables for one graph:
-// for every ordered pair (from, to), the next hop on and the total cost
-// of the shortest directed path from -> to. Tables are computed eagerly
-// by Compute; after mutating costs or link state call Recompute (all
-// sources) or RecomputeLinks (only the sources a changed link can have
-// affected) to converge them again.
-//
-// The per-source rows are views into two flat contiguous backing
-// arrays, and the Dijkstra working state (indexed heap, positions) is
-// retained on the Routing and reused, so Recompute/RecomputeLinks run
-// allocation-free — the experiment sweeps recompute tables hundreds of
-// thousands of times.
-type Routing struct {
-	g *topology.Graph
-	// next[from][to] is the first hop on the shortest path from->to,
-	// topology.None when unreachable or from == to. Rows alias nextFlat.
-	next [][]topology.NodeID
-	// dist[from][to] is the cost of that path, Infinity if unreachable.
-	// Rows alias distFlat.
-	dist [][]int
-
-	nextFlat []topology.NodeID
-	distFlat []int
-	scratch  *sptScratch
-}
-
-// Compute builds routing tables for g by running Dijkstra over the
-// directed costs (from every node but the leaves whose rows Recompute
-// derives from a neighbour's). Ties are broken deterministically
-// (lowest finalisation order by (distance, node ID)), so two runs over
-// identical costs produce identical tables — required for reproducible
-// experiments.
-func Compute(g *topology.Graph) *Routing {
-	n := g.NumNodes()
-	r := &Routing{
-		g:        g,
-		next:     make([][]topology.NodeID, n),
-		dist:     make([][]int, n),
-		nextFlat: make([]topology.NodeID, n*n),
-		distFlat: make([]int, n*n),
-		scratch:  newSPTScratch(n),
-	}
-	for s := 0; s < n; s++ {
-		r.next[s] = r.nextFlat[s*n : (s+1)*n : (s+1)*n]
-		r.dist[s] = r.distFlat[s*n : (s+1)*n : (s+1)*n]
-	}
-	r.Recompute()
-	return r
-}
-
 // sptScratch is the reusable Dijkstra working state: an indexed 4-ary
 // min-heap of frontier nodes with decrease-key support. One instance
-// serves every source of a Routing in turn (a Routing is never
-// recomputed concurrently), so per-source runs allocate nothing.
+// serves every source of a Routing in turn (fills run under its write
+// lock), so per-source runs allocate nothing.
 //
 // The shape is chosen for the memory system, not for elegance — at
 // five-figure node counts the frontier is tens of thousands of entries
@@ -339,99 +288,3 @@ func (sc *sptScratch) dial(g *topology.Graph, s topology.NodeID, first []topolog
 		sc.live = live[:0]
 	}
 }
-
-// NextHop returns the first hop on the shortest path from -> to.
-// Returns topology.None when from == to or to is unreachable.
-func (r *Routing) NextHop(from, to topology.NodeID) topology.NodeID {
-	return r.next[from][to]
-}
-
-// Dist returns the cost of the shortest directed path from -> to
-// (0 when from == to, Infinity when unreachable).
-func (r *Routing) Dist(from, to topology.NodeID) int {
-	return r.dist[from][to]
-}
-
-// Reachable reports whether to can be reached from from.
-func (r *Routing) Reachable(from, to topology.NodeID) bool {
-	return r.dist[from][to] != Infinity
-}
-
-// Path returns the node sequence of the shortest directed path
-// from -> to, inclusive of both endpoints. Returns nil when to is
-// unreachable; returns [from] when from == to.
-func (r *Routing) Path(from, to topology.NodeID) []topology.NodeID {
-	if from == to {
-		return []topology.NodeID{from}
-	}
-	if !r.Reachable(from, to) {
-		return nil
-	}
-	path := []topology.NodeID{from}
-	cur := from
-	for cur != to {
-		nxt := r.next[cur][to]
-		if nxt == topology.None {
-			panic(fmt.Sprintf("unicast: broken table %d->%d at %d", from, to, cur))
-		}
-		path = append(path, nxt)
-		cur = nxt
-	}
-	return path
-}
-
-// PathLinks returns the directed links of the shortest path from -> to
-// as (a, b) hops. Nil when unreachable or from == to.
-func (r *Routing) PathLinks(from, to topology.NodeID) [][2]topology.NodeID {
-	p := r.Path(from, to)
-	if len(p) < 2 {
-		return nil
-	}
-	links := make([][2]topology.NodeID, 0, len(p)-1)
-	for i := 0; i+1 < len(p); i++ {
-		links = append(links, [2]topology.NodeID{p[i], p[i+1]})
-	}
-	return links
-}
-
-// Asymmetric reports whether the shortest path a -> b differs from the
-// reverse of the shortest path b -> a, node-by-node. This is the
-// paper's notion of a routing asymmetry between two sites.
-func (r *Routing) Asymmetric(a, b topology.NodeID) bool {
-	fwd := r.Path(a, b)
-	rev := r.Path(b, a)
-	if len(fwd) != len(rev) {
-		return true
-	}
-	for i := range fwd {
-		if fwd[i] != rev[len(rev)-1-i] {
-			return true
-		}
-	}
-	return false
-}
-
-// AsymmetryFraction returns the fraction of ordered router pairs whose
-// forward and reverse shortest paths differ. Diagnostic used by the
-// asymmetry-sweep experiment and by tests that validate the substrate
-// actually produces asymmetric routes (Paxson's measurements motivate
-// the paper; ~30-50% of pairs asymmetric is realistic).
-func (r *Routing) AsymmetryFraction() float64 {
-	routers := r.g.Routers()
-	pairs, asym := 0, 0
-	for i, a := range routers {
-		for _, b := range routers[i+1:] {
-			pairs++
-			if r.Asymmetric(a, b) {
-				asym++
-			}
-		}
-	}
-	if pairs == 0 {
-		return 0
-	}
-	return float64(asym) / float64(pairs)
-}
-
-// Graph returns the graph these tables were computed over.
-func (r *Routing) Graph() *topology.Graph { return r.g }

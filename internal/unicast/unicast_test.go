@@ -59,7 +59,7 @@ func TestShortestPathBasics(t *testing.T) {
 			t.Fatalf("path D->A = %v, want %v", gotRev, wantRev)
 		}
 	}
-	if !r.Asymmetric(0, 3) {
+	if !Asymmetric(r, 0, 3) {
 		t.Error("A<->D not reported asymmetric")
 	}
 }
@@ -67,11 +67,11 @@ func TestShortestPathBasics(t *testing.T) {
 func TestSymmetricCostsSymmetricPaths(t *testing.T) {
 	g := diamond(2, 2, 2, 2, 1, 1, 1, 1)
 	r := Compute(g)
-	if r.Asymmetric(0, 3) {
+	if Asymmetric(r, 0, 3) {
 		t.Error("symmetric diamond reported asymmetric")
 	}
-	if r.AsymmetryFraction() != 0 {
-		t.Errorf("asymmetry fraction = %v, want 0", r.AsymmetryFraction())
+	if f := exactAsymmetry(r); f != 0 {
+		t.Errorf("asymmetry fraction = %v, want 0", f)
 	}
 }
 
@@ -224,7 +224,7 @@ func TestAsymmetryFractionRealistic(t *testing.T) {
 	g := topology.ISP()
 	g.RandomizeCosts(rand.New(rand.NewSource(123)), 1, 10)
 	r := Compute(g)
-	f := r.AsymmetryFraction()
+	f := exactAsymmetry(r)
 	if f < 0.2 || f > 0.9 {
 		t.Errorf("asymmetry fraction = %.2f, expected a substantial share", f)
 	}
@@ -309,9 +309,9 @@ func checkAgainstOracle(t *testing.T, r Router, ctx string) {
 	}
 }
 
-// TestQuickTablesMatchOracle checks Compute, Lazy and both incremental
-// reconvergence paths against oracleRow, on graphs chosen to exercise
-// the leaf rules: the paper topologies (half their nodes hosts) with
+// TestQuickTablesMatchOracle checks Compute, a bounded NewLazy and both
+// incremental reconvergence paths against oracleRow, on graphs chosen
+// to exercise the leaf rules: the paper topologies (half their nodes hosts) with
 // fresh asymmetric cost draws, BA trees (leaf routers, some with
 // hosts), a two-router line (a leaf whose neighbour is a leaf), costs
 // above dialMaxCost (the heap path) and down links, a host's own link
@@ -381,14 +381,24 @@ func TestQuickTablesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestRecomputeZeroAlloc: the fault-repair path reuses the tables and
-// the search scratch, with leaf rows derived in place, so a full
-// reconvergence allocates nothing.
+// TestRecomputeZeroAlloc: the fault-repair path drops rows and refills
+// them into their own storage with the search scratch, leaf rows
+// derived in place, so a full reconvergence allocates nothing.
 func TestRecomputeZeroAlloc(t *testing.T) {
 	g := topology.Random(topology.Paper50(), rand.New(rand.NewSource(1)))
 	g.RandomizeCosts(rand.New(rand.NewSource(2)), 1, 10)
 	r := Compute(g)
-	if allocs := testing.AllocsPerRun(20, r.Recompute); allocs != 0 {
-		t.Errorf("Recompute: %.1f allocs per run, want 0", allocs)
+	n := g.NumNodes()
+	reconverge := func() {
+		r.Recompute()
+		for s := range n {
+			r.NextHop(topology.NodeID(s), 0)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, reconverge); allocs != 0 {
+		t.Errorf("Recompute and refill: %.1f allocs per run, want 0", allocs)
+	}
+	if st := r.Stats(); st.Cached != n {
+		t.Fatalf("%d of %d rows filled after the refill", st.Cached, n)
 	}
 }

@@ -1,8 +1,6 @@
 package unicast
 
-import (
-	"hbh/internal/topology"
-)
+import "hbh/internal/topology"
 
 // Widest-path (maximum-bottleneck) routing supports the QoS extension:
 // the paper argues HBH "is suitable for an eventual implementation of
@@ -12,50 +10,90 @@ import (
 // inherit maximum-bottleneck paths from the source; reverse-path
 // protocols inherit the bottleneck of the wrong direction.
 
-// WidestRouting bundles routing tables selected for maximum bottleneck
-// bandwidth with the resulting per-pair bottlenecks.
+// WidestRouting is the maximum-bottleneck Router: tables selected for
+// bottleneck bandwidth, with the resulting per-pair bottlenecks. Rows
+// are indexed from*n + to in flat arrays. No query may be in flight
+// while a recompute hook runs.
 type WidestRouting struct {
-	*Routing
-	// bottleneck[from][to] is the bandwidth of the selected path's
-	// narrowest link (0 when unreachable or from == to). Rows alias one
-	// flat backing array.
-	bottleneck [][]int
+	g *topology.Graph
+	// next is the first hop of the selected path (topology.None when
+	// unreachable or from == to), dist its additive cost (Infinity when
+	// unreachable), bottleneck its narrowest link's bandwidth (0 when
+	// unreachable or from == to).
+	next             []topology.NodeID
+	dist, bottleneck []int
+	sc               *wpScratch
+}
+
+// ComputeWidest builds, for every ordered pair, a path maximising the
+// bottleneck bandwidth, with ties broken by lower additive cost and
+// then by node order (deterministic). NextHop and Dist report the next
+// hops and additive cost of the SELECTED paths, so the tables plug into
+// the simulator exactly like delay-based ones. One scratch heap serves
+// every source.
+func ComputeWidest(g *topology.Graph) *WidestRouting {
+	n := g.NumNodes()
+	w := &WidestRouting{
+		g:          g,
+		next:       make([]topology.NodeID, n*n),
+		dist:       make([]int, n*n),
+		bottleneck: make([]int, n*n),
+		sc:         &wpScratch{heap: make([]wpItem, 0, n), done: make([]bool, n)},
+	}
+	w.Recompute()
+	return w
+}
+
+// Recompute recomputes every widest-path row over the graph's current
+// bandwidths, costs and link state.
+func (w *WidestRouting) Recompute() {
+	n := w.g.NumNodes()
+	for s := 0; s < n; s++ {
+		row := s * n
+		widestInto(w.g, topology.NodeID(s), w.next[row:row+n], w.dist[row:row+n], w.bottleneck[row:row+n], w.sc)
+	}
+}
+
+// RecomputeLinks reconverges after link up/down changes: a full
+// Recompute, since no experiment drives faults over widest tables.
+func (w *WidestRouting) RecomputeLinks(...[2]topology.NodeID) { w.Recompute() }
+
+// RecomputeCostChanges reconverges after cost changes: a full
+// Recompute.
+func (w *WidestRouting) RecomputeCostChanges(...CostChange) { w.Recompute() }
+
+// Graph returns the graph the tables are computed over.
+func (w *WidestRouting) Graph() *topology.Graph { return w.g }
+
+// NextHop returns the first hop of the selected path from -> to.
+func (w *WidestRouting) NextHop(from, to topology.NodeID) topology.NodeID {
+	return w.next[int(from)*w.g.NumNodes()+int(to)]
+}
+
+// Dist returns the additive cost of the selected path from -> to.
+func (w *WidestRouting) Dist(from, to topology.NodeID) int {
+	return w.dist[int(from)*w.g.NumNodes()+int(to)]
+}
+
+// Reachable reports whether to can be reached from from.
+func (w *WidestRouting) Reachable(from, to topology.NodeID) bool {
+	return w.Dist(from, to) != Infinity
 }
 
 // Bottleneck returns the selected path's narrowest directed bandwidth
 // from -> to.
 func (w *WidestRouting) Bottleneck(from, to topology.NodeID) int {
-	return w.bottleneck[from][to]
+	return w.bottleneck[int(from)*w.g.NumNodes()+int(to)]
 }
 
-// ComputeWidest builds, for every ordered pair, a path maximising the
-// bottleneck bandwidth, with ties broken by lower additive cost and
-// then by node order (deterministic). The embedded Routing reports the
-// additive cost and next hops of the SELECTED paths, so it plugs into
-// the simulator exactly like delay-based tables. Like Compute, the
-// per-source rows are views into flat contiguous arrays and one
-// scratch heap serves every source.
-func ComputeWidest(g *topology.Graph) *WidestRouting {
-	n := g.NumNodes()
-	w := &WidestRouting{
-		Routing: &Routing{
-			g:        g,
-			next:     make([][]topology.NodeID, n),
-			dist:     make([][]int, n),
-			nextFlat: make([]topology.NodeID, n*n),
-			distFlat: make([]int, n*n),
-		},
-		bottleneck: make([][]int, n),
-	}
-	bottleFlat := make([]int, n*n)
-	sc := &wpScratch{heap: make([]wpItem, 0, n), done: make([]bool, n)}
-	for s := 0; s < n; s++ {
-		w.Routing.next[s] = w.Routing.nextFlat[s*n : (s+1)*n : (s+1)*n]
-		w.Routing.dist[s] = w.Routing.distFlat[s*n : (s+1)*n : (s+1)*n]
-		w.bottleneck[s] = bottleFlat[s*n : (s+1)*n : (s+1)*n]
-		widestInto(g, topology.NodeID(s), w.Routing.next[s], w.Routing.dist[s], w.bottleneck[s], sc)
-	}
-	return w
+// Path returns the node sequence of the selected path from -> to.
+func (w *WidestRouting) Path(from, to topology.NodeID) []topology.NodeID {
+	return walkPath(w, from, to)
+}
+
+// PathLinks returns the selected path's directed links as (a, b) hops.
+func (w *WidestRouting) PathLinks(from, to topology.NodeID) [][2]topology.NodeID {
+	return walkPathLinks(w, from, to)
 }
 
 // wpItem orders the widest-path heap: wider bottleneck first, then
@@ -137,6 +175,7 @@ func widestInto(g *topology.Graph, s topology.NodeID, first []topology.NodeID, c
 
 	sc.heap = sc.heap[:0]
 	sc.push(wpItem{node: s, bottle: maxInt, cost: 0})
+	faulty := g.HasDownLinks()
 	for len(sc.heap) > 0 {
 		it := sc.pop()
 		v := it.node
@@ -145,6 +184,9 @@ func widestInto(g *topology.Graph, s topology.NodeID, first []topology.NodeID, c
 		}
 		sc.done[v] = true
 		for _, nb := range g.Neighbors(v) {
+			if faulty && !g.LinkUp(v, nb.To) {
+				continue
+			}
 			bw := g.Bandwidth(v, nb.To)
 			cand := min(bottle[v], bw)
 			nc := AddDist(cost[v], nb.Cost)
@@ -164,11 +206,4 @@ func widestInto(g *topology.Graph, s topology.NodeID, first []topology.NodeID, c
 		}
 	}
 	bottle[s] = 0
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

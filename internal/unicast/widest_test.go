@@ -1,6 +1,7 @@
 package unicast
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -156,4 +157,47 @@ func TestBandwidthAccessors(t *testing.T) {
 		}
 	}()
 	g.SetBandwidth(0, 2, 10)
+}
+
+// TestWidestHooksKeepWidestTables: the recompute hooks recompute the
+// maximum-bottleneck rows, so after a cost change and after a link cut
+// the tables equal a fresh ComputeWidest of the changed graph.
+func TestWidestHooksKeepWidestTables(t *testing.T) {
+	same := func(got, want *WidestRouting, ctx string) {
+		t.Helper()
+		n := want.Graph().NumNodes()
+		for s := range n {
+			for d := range n {
+				from, to := topology.NodeID(s), topology.NodeID(d)
+				if got.NextHop(from, to) != want.NextHop(from, to) ||
+					got.Dist(from, to) != want.Dist(from, to) ||
+					got.Bottleneck(from, to) != want.Bottleneck(from, to) {
+					t.Fatalf("%s: %d->%d = (%d, %d, %d), fresh (%d, %d, %d)", ctx, from, to,
+						got.NextHop(from, to), got.Dist(from, to), got.Bottleneck(from, to),
+						want.NextHop(from, to), want.Dist(from, to), want.Bottleneck(from, to))
+				}
+			}
+		}
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := topology.BarabasiAlbert(topology.BAConfig{Routers: 30, M: 2}, rng)
+		g.RandomizeCosts(rng, 1, 10)
+		g.RandomizeBandwidths(rng, 10, 100)
+		w := ComputeWidest(g)
+		w.Recompute()
+		same(w, ComputeWidest(g), fmt.Sprintf("seed %d unchanged", seed))
+
+		edges := g.Edges()
+		e := edges[rng.Intn(len(edges))]
+		old := CostChange{A: e.A, B: e.B, OldAB: e.CostAB, OldBA: e.CostBA}
+		g.SetLinkCost(e.A, e.B, 1+rng.Intn(10), 1+rng.Intn(10))
+		w.RecomputeCostChanges(old)
+		same(w, ComputeWidest(g), fmt.Sprintf("seed %d cost change", seed))
+
+		e = edges[rng.Intn(len(edges))]
+		g.SetLinkEnabled(e.A, e.B, false)
+		w.RecomputeLinks([2]topology.NodeID{e.A, e.B})
+		same(w, ComputeWidest(g), fmt.Sprintf("seed %d link cut", seed))
+	}
 }
