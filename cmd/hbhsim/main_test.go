@@ -276,18 +276,19 @@ func TestTraceJSONLLifecycle(t *testing.T) {
 		t.Fatalf("suspiciously short trace: %d lines", len(lines))
 	}
 	type ev struct {
-		Kind string `json:"kind"`
-		Node string `json:"node"`
-		Ch   string `json:"ch"`
+		Kind   string `json:"kind"`
+		Node   string `json:"node"`
+		Ch     string `json:"ch"`
+		Detail string `json:"detail"`
 	}
-	var first ev // the first receiver-lifecycle span names our receiver
+	var first ev // the first receiver's first join names our receiver
 	kinds := map[string]bool{}
 	for i, ln := range lines {
 		var e ev
 		if err := json.Unmarshal([]byte(ln), &e); err != nil {
 			t.Fatalf("line %d is not valid JSON: %v\n%s", i+1, err, ln)
 		}
-		if first.Node == "" && e.Kind == "span-begin" {
+		if first.Node == "" && e.Kind == "join-send" && e.Detail == "first" {
 			first = e
 		}
 		if e.Node == first.Node && e.Ch == first.Ch {
@@ -295,9 +296,9 @@ func TestTraceJSONLLifecycle(t *testing.T) {
 		}
 	}
 	if first.Node == "" {
-		t.Fatal("no receiver-lifecycle span in the trace")
+		t.Fatal("no receiver's first join in the trace")
 	}
-	for _, want := range []string{"span-begin", "join-send", "consume", "span-end"} {
+	for _, want := range []string{"join-send", "consume"} {
 		if !kinds[want] {
 			t.Errorf("receiver %s on %s: lifecycle kind %q not greppable from the stream (got %v)",
 				first.Node, first.Ch, want, kinds)

@@ -175,7 +175,7 @@ func TestFusionRelistUnmarksDropped(t *testing.T) {
 			e := mft.Add(node, clock.NewSoftTimer(clock.Sim(sim), 100, 100, nil, nil))
 			e.Timer.ForceStale()
 			return e
-		}, nil, nil)
+		}, nil)
 
 	if eA.Marked {
 		t.Error("dropped receiver still marked")

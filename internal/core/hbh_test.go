@@ -8,7 +8,7 @@ import (
 	"hbh/internal/invariant"
 	"hbh/internal/mtree"
 	"hbh/internal/netsim"
-	"hbh/internal/softstate"
+	"hbh/internal/obs"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -68,25 +68,19 @@ func (h *harness) source(host topology.NodeID) *Source {
 	return s
 }
 
-// watch puts s's channel under the invariant checker: every state
-// change at the source or any router re-validates the structural
-// invariants after the event that caused it.
+// watch puts s's channel under the invariant checker: every table
+// change on the channel's event stream re-validates the structural
+// invariants after the event that caused it. The checker reads the
+// network's observer, attached here unless the test brought its own.
 func (h *harness) watch(s *Source) *invariant.Checker {
-	routers := h.routerList()
-	chk := invariant.New(h.net, s.Channel(), invariant.ProfileHBH(), NewAudit(s, routers))
+	o := h.net.Observer()
+	if o == nil {
+		o = obs.New(nil)
+		h.net.SetObserver(o)
+	}
+	chk := invariant.New(h.net, s.Channel(), invariant.ProfileHBH(), NewAudit(s, h.routerList()))
+	chk.SetObserver(o)
 	h.checkers = append(h.checkers, chk)
-	// Any channel's change marks every checker dirty: re-checking a
-	// clean channel is cheap, and one observer slot per agent keeps the
-	// wiring trivial for multichannel tests.
-	obs := func(addr.Addr, addr.Channel, softstate.ChangeKind, addr.Addr) {
-		for _, c := range h.checkers {
-			c.MarkDirty()
-		}
-	}
-	s.SetObserver(obs)
-	for _, r := range routers {
-		r.SetObserver(obs)
-	}
 	invariant.InstallContinuous(h.sim, h.checkers...)
 	return chk
 }

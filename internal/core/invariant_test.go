@@ -184,7 +184,7 @@ func TestApplyFusionSkipsExpiredEntry(t *testing.T) {
 			e := table.Add(node, clock.NewSoftTimer(clock.Sim(h.sim), cfg.T1, cfg.T2, nil, nil))
 			e.Timer.ForceStale()
 			return e
-		}, nil, nil)
+		}, nil)
 
 	if ea.Marked || ea.ServedBy != addr.Unspecified {
 		t.Errorf("expired entry was mutated: marked=%v servedBy=%v", ea.Marked, ea.ServedBy)

@@ -37,13 +37,12 @@ type chanState struct {
 // router. Install it on a netsim node with Attach. One Router serves
 // every channel crossing the node.
 type Router struct {
-	cfg      Config
-	node     netsim.ProtoNode
-	clk      clock.Clock
-	chans    map[addr.Channel]*chanState
-	seen     softstate.Dedup
-	observer softstate.ChangeObserver
-	leaf     *LeafAgent
+	cfg   Config
+	node  netsim.ProtoNode
+	clk   clock.Clock
+	chans map[addr.Channel]*chanState
+	seen  softstate.Dedup
+	leaf  *LeafAgent
 	// replica is the one packet every replicated data copy is sent from,
 	// and out the one every control message is (the transport copies
 	// what it sends); matched is the scratch acceptFusion collects into.
@@ -71,15 +70,6 @@ func AttachRouter(n netsim.ProtoNode, cfg Config) *Router {
 	}
 	n.AddHandler(r)
 	return r
-}
-
-// SetObserver installs the state-change observer (nil clears it).
-func (r *Router) SetObserver(o softstate.ChangeObserver) { r.observer = o }
-
-func (r *Router) observe(ch addr.Channel, kind softstate.ChangeKind, node addr.Addr) {
-	if r.observer != nil {
-		r.observer(r.node.Addr(), ch, kind, node)
-	}
 }
 
 // Addr returns the router's unicast address.
@@ -349,7 +339,6 @@ func (r *Router) onTree(t *packet.Tree, c obs.Causal) netsim.Verdict {
 	oldCause := st.mct.Cause
 	r.removeMCT(c, st, ch)
 	st.mft = softstate.NewMFT()
-	r.observe(ch, softstate.ChangeBecomeBranching, r.node.Addr())
 	r.node.Emit(c, obs.Event{Kind: obs.KindBranch, Channel: ch, Peer: t.R, Detail: "rule 8: second live target"})
 	if e := r.addMFT(c, st, ch, old); oldCause.Episode != 0 {
 		// The first child keeps the provenance its MCT entry carried, so
@@ -393,8 +382,7 @@ func (r *Router) onFusion(f *packet.Fusion, c obs.Causal) netsim.Verdict {
 		return netsim.Consumed
 	}
 	r.matched = acceptFusion(r.node, c, st.mft, f, r.matched[:0],
-		func(node addr.Addr) *Entry { return r.addMFT(c, st, f.Channel, node) },
-		func(node addr.Addr) { r.observe(f.Channel, softstate.ChangeMFTMark, node) })
+		func(node addr.Addr) *Entry { return r.addMFT(c, st, f.Channel, node) })
 	return netsim.Consumed
 }
 
@@ -404,11 +392,11 @@ func (r *Router) onFusion(f *packet.Fusion, c obs.Causal) netsim.Verdict {
 // (applyFusion); with none, the fusion can still retract: marks
 // pointing at Bp for members Bp no longer lists must lift even though
 // nothing new matched (see retractFusion). addEntry installs a fresh
-// entry in t; markObs reports a newly marked one. The matched entries
-// are collected into the caller's scratch slice, returned for the next
-// fusion to reuse. What the fusion changes is an effect of its cause c.
+// entry in t. The matched entries are collected into the caller's
+// scratch slice, returned for the next fusion to reuse. What the fusion
+// changes is an effect of its cause c.
 func acceptFusion(n netsim.ProtoNode, c obs.Causal, t *MFT, f *packet.Fusion, matched []*Entry,
-	addEntry func(node addr.Addr) *Entry, markObs func(node addr.Addr)) []*Entry {
+	addEntry func(node addr.Addr) *Entry) []*Entry {
 	for _, target := range f.Rs {
 		e := t.Get(target)
 		if e == nil || e.Node == f.Bp {
@@ -430,7 +418,7 @@ func acceptFusion(n netsim.ProtoNode, c obs.Causal, t *MFT, f *packet.Fusion, ma
 		n.Emit(c, obs.Event{Kind: obs.KindFusionAccept, Channel: f.Channel, Peer: f.Bp,
 			Detail: fmt.Sprintf("%d of %d targets handed to relay", len(matched), len(f.Rs))})
 	}
-	applyFusion(t, f.Bp, f.Rs, matched, n.Clock().Now(), addEntry, markObs, liftObs)
+	applyFusion(t, f.Bp, f.Rs, matched, n.Clock().Now(), addEntry, liftObs)
 	return matched
 }
 
@@ -481,7 +469,6 @@ func onForwardPath(n netsim.ProtoNode, from topology.NodeID, via, dst addr.Addr)
 func applyFusion(t *MFT, bp addr.Addr, listed []addr.Addr, matched []*Entry,
 	now eventsim.Time,
 	addEntry func(node addr.Addr) *Entry,
-	markObs func(node addr.Addr),
 	liftObs func(node addr.Addr)) {
 	retractFusion(t, bp, listed, liftObs)
 	for _, e := range matched {
@@ -491,12 +478,7 @@ func applyFusion(t *MFT, bp addr.Addr, listed []addr.Addr, matched []*Entry,
 			// resurrected by marking a dead row.
 			continue
 		}
-		if !e.Marked {
-			e.Marked = true
-			if markObs != nil {
-				markObs(e.Node)
-			}
-		}
+		e.Marked = true
 		e.ServedBy = bp
 		e.MarkConfirmed = now
 	}
@@ -704,7 +686,6 @@ func (r *Router) addMFT(c obs.Causal, st *chanState, ch addr.Channel, node addr.
 		r.expireMFT(st, ch, node)
 	})
 	e := st.mft.Add(node, timer)
-	r.observe(ch, softstate.ChangeMFTAdd, node)
 	e.Cause = r.node.Emit(c, obs.Event{Kind: obs.KindTableAdd, Channel: ch, Peer: node, Detail: "mft"})
 	return e
 }
@@ -720,7 +701,6 @@ func (r *Router) expireMFT(st *chanState, ch addr.Channel, node addr.Addr) {
 	// removal and any collapse it triggers.
 	c := r.node.Root()
 	st.mft.Remove(node)
-	r.observe(ch, softstate.ChangeMFTRemove, node)
 	r.node.Emit(c, obs.Event{Kind: obs.KindTableRemove, Channel: ch, Peer: node, Detail: "mft"})
 	// If the departed entry was a relay, the members it served must get
 	// data directly again.
@@ -728,7 +708,6 @@ func (r *Router) expireMFT(st *chanState, ch addr.Channel, node addr.Addr) {
 	switch {
 	case st.mft.Len() == 0:
 		st.mft = nil
-		r.observe(ch, softstate.ChangeCollapse, r.node.Addr())
 		r.node.Emit(c, obs.Event{Kind: obs.KindCollapse, Channel: ch, Detail: "mft empty"})
 		r.maybeDrop(ch, st)
 	case st.mft.Len() == 1:
@@ -743,7 +722,6 @@ func (r *Router) expireMFT(st *chanState, ch addr.Channel, node addr.Addr) {
 			target := last.Node
 			st.mft.Destroy()
 			st.mft = nil
-			r.observe(ch, softstate.ChangeCollapse, r.node.Addr())
 			r.node.Emit(c, obs.Event{Kind: obs.KindCollapse, Channel: ch, Peer: target, Detail: "single child chain"})
 			r.createMCT(c, st, ch, target)
 		}
@@ -759,7 +737,6 @@ func (r *Router) createMCT(c obs.Causal, st *chanState, ch addr.Channel, node ad
 		}
 	})
 	st.mct = &MCT{Node: node, Timer: timer}
-	r.observe(ch, softstate.ChangeMCTCreate, node)
 	st.mct.Cause = r.node.Emit(c, obs.Event{Kind: obs.KindTableAdd, Channel: ch, Peer: node, Detail: "mct"})
 }
 
@@ -769,7 +746,6 @@ func (r *Router) removeMCT(c obs.Causal, st *chanState, ch addr.Channel) {
 	}
 	st.mct.Timer.Cancel()
 	st.mct = nil
-	r.observe(ch, softstate.ChangeMCTRemove, r.node.Addr())
 	r.node.Emit(c, obs.Event{Kind: obs.KindTableRemove, Channel: ch, Detail: "mct"})
 }
 

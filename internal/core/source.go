@@ -83,8 +83,7 @@ func (s *Source) onFusion(f *packet.Fusion, c obs.Causal) {
 		return
 	}
 	s.matched = acceptFusion(s.node, c, s.MFT(), f, s.matched[:0],
-		func(node addr.Addr) *Entry { return s.AddEntry(c, node) },
-		func(node addr.Addr) { s.Observe(softstate.ChangeMFTMark, node) })
+		func(node addr.Addr) *Entry { return s.AddEntry(c, node) })
 }
 
 // emitTrees is the periodic downstream refresh: one tree(S, X) per

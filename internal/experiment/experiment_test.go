@@ -11,6 +11,7 @@ import (
 	"hbh/internal/eventsim"
 	"hbh/internal/mtree"
 	"hbh/internal/netsim"
+	"hbh/internal/obs"
 	"hbh/internal/testseed"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
@@ -300,4 +301,31 @@ func TestRunConfigValidation(t *testing.T) {
 	expectPanic("too many receivers", func() {
 		Run(RunConfig{Topo: TopoISP, Protocol: HBH, Receivers: 1000, Seed: 1})
 	})
+}
+
+// TestDeliveryDelayHistogramTimesFromTheSource: the simulator's
+// hbh_delivery_delay pairs each consume with its sequence's first send,
+// the source's. A branching router's replica is a send too; timing a
+// sample from it would shorten every delay below that router.
+func TestDeliveryDelayHistogramTimesFromTheSource(t *testing.T) {
+	const seed = 1
+	p := drawPoint(TopoISP, seed, 8, paperCosts)
+	s := p.session(RunConfig{Topo: TopoISP, Protocol: HBH, Receivers: 8, Seed: seed})
+	s.settle(defaultConvergeIntervals)
+	o := obs.New(nil)
+	lat := o.EnableLatency()
+	s.net.SetObserver(o)
+	res := s.probe()
+	if len(res.Missing) > 0 {
+		t.Fatalf("probe missed %d members", len(res.Missing))
+	}
+	var max eventsim.Time
+	for _, d := range res.Delays {
+		if d > max {
+			max = d
+		}
+	}
+	if got := lat.Delivery.Max(); got != float64(max) {
+		t.Errorf("delivery histogram max %v, want the probe's largest member delay %v", got, max)
+	}
 }

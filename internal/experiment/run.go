@@ -127,9 +127,6 @@ type RunConfig struct {
 	Receivers int
 	// Seed drives cost assignment, receiver choice and join timing.
 	Seed int64
-	// CostLo/CostHi bound the uniform per-direction link costs;
-	// zero values default to the paper's [1, 10].
-	CostLo, CostHi int
 	// AsymSpread, when >= 0, switches cost assignment to symmetric
 	// base costs skewed per direction by up to AsymSpread (the A3
 	// asymmetry sweep). -1 (default via zero value handling below)
@@ -143,9 +140,6 @@ type RunConfig struct {
 	// extension); 0 means all routers are capable, as in the paper's
 	// experiments. Only meaningful for HBH and REUNITE.
 	MulticastFraction float64
-	// ConvergeIntervals overrides the soft-state settling time in
-	// units of the refresh interval (default 40).
-	ConvergeIntervals int
 	// Check enables the runtime invariant checker for this run (see
 	// CheckInvariants for the sweep-wide switch).
 	Check bool
@@ -177,14 +171,11 @@ type RunConfig struct {
 }
 
 // costs draws cfg's cost model on g from rng: every directed link cost
-// uniform in [CostLo, CostHi] (the paper's [1,10] by default), or with
-// UseAsymSpread symmetric base costs skewed per direction by up to
-// AsymSpread. With skip it consumes the same draws and writes nothing.
+// uniform in the paper's [1,10], or with UseAsymSpread symmetric base
+// costs skewed per direction by up to AsymSpread. With skip it consumes
+// the same draws and writes nothing.
 func (cfg RunConfig) costs(g *topology.Graph, rng *rand.Rand, skip bool) {
-	lo, hi := cfg.CostLo, cfg.CostHi
-	if lo == 0 && hi == 0 {
-		lo, hi = 1, 10
-	}
+	const lo, hi = 1, 10
 	switch {
 	case cfg.UseAsymSpread && skip:
 		g.SkipPerturbCosts(rng, lo, hi, cfg.AsymSpread)
@@ -295,7 +286,7 @@ func Run(cfg RunConfig) RunResult {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	cfg.costs(sc.Graph, rng, true)
 	s := sc.point(rng, cfg.Receivers).session(cfg)
-	s.settle(cfg.ConvergeIntervals)
+	s.settle(defaultConvergeIntervals)
 	res := s.probeSettled()
 	if s.checker != nil {
 		s.checker.CheckConverged(s.fixedPoint(res).Seq)

@@ -39,13 +39,10 @@ type session struct {
 
 	// tree is PIM's installed tree; nil for a dynamic protocol.
 	tree *pim.Session
-	// A dynamic protocol's engines, its member agents (parallel to
-	// members) and changes, the forwarding-state mutations (entries
-	// added/removed/marked, branching transitions) across its routers
-	// and source — the Figure 4 stability metric.
+	// A dynamic protocol's engines and its member agents (parallel to
+	// members).
 	dynEngines
-	rcvs    []*softstate.Receiver
-	changes int
+	rcvs []*softstate.Receiver
 }
 
 // startSession brings up cfg.Protocol's channel <source, group> for
@@ -85,16 +82,6 @@ func startSession(cfg RunConfig, g *topology.Graph, routing unicast.Router,
 	}
 	s.dynEngines = attachDyn(cfg.Protocol, on, net.Node(source), group)
 	s.ch, s.interval = s.src.Channel(), s.cfg.TreeInterval
-	chg := func(addr.Addr, addr.Channel, softstate.ChangeKind, addr.Addr) {
-		s.changes++
-		if s.checker != nil {
-			s.checker.MarkDirty()
-		}
-	}
-	for _, r := range s.routers {
-		r.SetObserver(chg)
-	}
-	s.src.SetObserver(chg)
 	s.rcvs = make([]*softstate.Receiver, 0, len(hosts))
 	for i, h := range hosts {
 		rcfg := s.cfg
@@ -111,16 +98,16 @@ func startSession(cfg RunConfig, g *topology.Graph, routing unicast.Router,
 // receiver joining at a time drawn from the point's rng.
 func (p point) session(cfg RunConfig) *session {
 	if checkingEnabled(cfg) && cfg.Obs == nil {
-		// The checker enables the observer's convergence tracker, which
-		// fixedPoint reads.
+		// The checker reads the observer's convergence tracker, as does
+		// fixedPoint.
 		cfg.Obs = obs.New(nil)
 	}
 	s := startSession(cfg, p.Graph, p.Routing, p.source, addr.GroupAddr(0), p.members, p.rng)
 	if checkingEnabled(cfg) {
 		s.checker = invariant.New(s.net, s.ch, profileFor(cfg.Protocol), s.audit)
 		s.checker.SetMembers(memberAddrs(p.Graph, p.members))
-		invariant.InstallContinuous(s.sim, s.checker)
 		s.checker.SetObserver(cfg.Obs)
+		invariant.InstallContinuous(s.sim, s.checker)
 	}
 	installFootprintSampler(cfg, s)
 	s.join(p.rng, len(s.rcvs))
@@ -145,14 +132,11 @@ func (s *session) send() uint32 {
 }
 
 // settle lets the soft state run for the given number of refresh
-// intervals (defaultConvergeIntervals when zero). PIM installs its tree
-// before the clock starts and never changes it: nothing to wait for.
+// intervals. PIM installs its tree before the clock starts and never
+// changes it: nothing to wait for.
 func (s *session) settle(intervals int) {
 	if s.tree != nil {
 		return
-	}
-	if intervals <= 0 {
-		intervals = defaultConvergeIntervals
 	}
 	s.run(eventsim.Time(intervals) * s.interval)
 }

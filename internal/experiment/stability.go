@@ -7,6 +7,7 @@ import (
 	"hbh/internal/eventsim"
 	"hbh/internal/metrics"
 	"hbh/internal/mtree"
+	"hbh/internal/obs"
 )
 
 // StabilityConfig parameterises the §3/Figure 4 departure experiment:
@@ -27,9 +28,11 @@ type StabilityRow struct {
 	// keeps remaining members' routes intact ("This is avoided in
 	// HBH"); REUNITE's reconfiguration can re-route them (Figure 2).
 	RouteChanged *metrics.Accumulator
-	// StateChanges counts forwarding-state mutations (table entries
-	// added/removed/marked, branching transitions) triggered by the
-	// departure — the quantity Figure 4 depicts.
+	// StateChanges counts the structural table mutations (entry adds
+	// and removals, branch, collapse, fusion accept, mark lift) the
+	// departure triggers across the routers and the source — the
+	// quantity Figure 4 depicts, counted by the convergence rule's
+	// definition of a mutation.
 	StateChanges *metrics.Accumulator
 	// DelayBefore and DelayAfter are the mean receiver delays around
 	// the departure.
@@ -79,12 +82,21 @@ func stabilityRun(cfg StabilityConfig, row *StabilityRow, seed int64) func() {
 	leaver := p.rng.Intn(len(s.members))
 	remaining := s.MembersWithout(leaver)
 
-	changesBefore := s.changes
+	// The departure's table changes are the structural mutations the
+	// convergence tracker counts; an observer attached only now keeps
+	// the settling phase unobserved.
+	o := s.net.Observer()
+	if o == nil {
+		o = obs.New(nil)
+		s.net.SetObserver(o)
+	}
+	tr := o.EnableConvergence()
+	changesBefore := tr.Channel(s.ch).Mutations
 	s.rcvs[leaver].Leave()
 	if err := s.sim.Run(s.sim.Now() + s.departureWindow()); err != nil {
 		panic(fmt.Sprintf("experiment: stability settle: %v", err))
 	}
-	stateChanges := s.changes - changesBefore
+	stateChanges := tr.Channel(s.ch).Mutations - changesBefore
 	after := mtree.Probe(s.net, s.send, remaining)
 
 	changed, disrupted := 0, 0

@@ -25,9 +25,9 @@ const seqWindow = 1024
 
 // Checker enforces a Config's invariants over one channel of one
 // running network. Construct with New (taps are installed exactly
-// once), then drive it: MarkDirty from the engine's state-change
-// observer, OnEvent from the event queue's after-event hook,
-// CheckConverged after a settled probe, CheckQuiescent after teardown.
+// once), then drive it: OnEvent from the event queue's after-event hook
+// (InstallContinuous), CheckConverged after a settled probe,
+// CheckQuiescent after teardown.
 type Checker struct {
 	net  Network
 	ch   addr.Channel
@@ -46,13 +46,15 @@ type Checker struct {
 	sampleSeed int64
 	sampleRNG  *rand.Rand
 
-	dirty      bool
 	violations []Violation
 	suppressed int
 
-	// o, when set, is the observability pipeline violate takes context
-	// from (see SetObserver).
-	o *obs.Observer
+	// o, when set, is the observability pipeline the checker reads the
+	// channel's mutations from and violate takes context from (see
+	// SetObserver); checked is the channel's mutation count at the last
+	// structural check.
+	o       *obs.Observer
+	checked int
 
 	// arrivals counts data-packet terminations per sequence number and
 	// node; linkCopies counts per-link data copies per sequence number.
@@ -142,40 +144,44 @@ func (c *Checker) checkMembers() []addr.Addr {
 	return out
 }
 
-// SetObserver wires the observability pipeline into the checker (nil
-// clears it). Every violation recorded afterwards cites, in
-// Violation.Episode, the causal episode of the channel's last
-// structural mutation — the join, expiry or fault cascade that last
-// reshaped the tree — from o's convergence tracker, which SetObserver
-// enables; and, when o keeps a flight recorder, carries the violating
-// node's dump in Violation.Recent.
+// SetObserver wires the observability pipeline into the checker. o
+// must be the observer of the network the checker watches: its
+// convergence tracker, which SetObserver enables, counts the channel's
+// structural mutations, and OnEvent checks whenever that count moves.
+// Every violation recorded afterwards cites, in Violation.Episode, the
+// causal episode of the channel's last structural mutation — the join,
+// expiry or fault cascade that last reshaped the tree — and, when o
+// keeps a flight recorder, carries the violating node's dump in
+// Violation.Recent.
 func (c *Checker) SetObserver(o *obs.Observer) {
-	if o != nil {
-		o.EnableConvergence()
-	}
 	c.o = o
+	c.checked = o.EnableConvergence().Channel(c.ch).Mutations
 }
 
-// MarkDirty flags that protocol state changed; the next OnEvent runs
-// the structural checks. Wire it into the engine's ChangeObserver.
-func (c *Checker) MarkDirty() { c.dirty = true }
-
 // OnEvent is the per-event hook: it validates the node-local
-// structural invariants whenever the preceding event mutated protocol
-// state. Checking after the event (not inside the mutation) is what
-// makes mid-event transients — MCT removed, MFT not yet built —
-// invisible, as they should be.
+// structural invariants whenever the preceding event mutated the
+// channel's tables (a table add or remove, branch, collapse, fusion
+// accept or mark lift on the observer's stream). Checking after the
+// event (not inside the mutation) is what makes mid-event transients —
+// MCT removed, MFT not yet built — invisible, as they should be.
 func (c *Checker) OnEvent() {
-	if c.dirty {
-		c.dirty = false
+	if n := c.o.Convergence().Channel(c.ch).Mutations; n != c.checked {
+		c.checked = n
 		c.CheckStructural()
 	}
 }
 
 // InstallContinuous wires the checkers' OnEvent hooks into sim's
 // after-event callback. Call once with every checker sharing the
-// clock; a later call replaces the earlier set.
+// clock; a later call replaces the earlier set. Every checker must
+// have its observer (SetObserver) first: without one it would see no
+// mutation and check nothing, so InstallContinuous panics.
 func InstallContinuous(sim *eventsim.Sim, checkers ...*Checker) {
+	for _, c := range checkers {
+		if c.o == nil {
+			panic(fmt.Sprintf("invariant: continuous checker on %v has no observer", c.ch))
+		}
+	}
 	cs := append([]*Checker(nil), checkers...)
 	sim.SetAfterEvent(func() {
 		for _, c := range cs {

@@ -7,6 +7,7 @@ import (
 	"hbh/internal/addr"
 	"hbh/internal/eventsim"
 	"hbh/internal/netsim"
+	"hbh/internal/obs"
 	"hbh/internal/packet"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
@@ -295,4 +296,51 @@ func TestViolationCap(t *testing.T) {
 	if !strings.Contains(c.Report(), "suppressed") {
 		t.Errorf("report does not mention suppression:\n%s", c.Report())
 	}
+}
+
+// TestInstallContinuousNeedsObserver: a continuous checker learns of
+// table changes from its observer's stream; without one it would check
+// nothing, so installing it panics.
+func TestInstallContinuousNeedsObserver(t *testing.T) {
+	g := topology.Line(3, true)
+	net, sim := buildNet(t, g)
+	c := New(net, testChannel(t, g), Config{Structural: true}, &fakeProvider{})
+	defer func() {
+		if recover() == nil {
+			t.Error("InstallContinuous accepted a checker with no observer")
+		}
+	}()
+	InstallContinuous(sim, c)
+}
+
+// TestContinuousCheckFollowsMutations: the after-event hook runs the
+// structural checks when, and only when, a structural mutation of the
+// checker's own channel crossed the observer since the last check.
+func TestContinuousCheckFollowsMutations(t *testing.T) {
+	g := topology.Line(3, true)
+	net, sim := buildNet(t, g)
+	ch := testChannel(t, g)
+	r0 := g.Node(0).Addr
+	// A standing breach: the check reports it whenever it runs.
+	prov := &fakeProvider{root: ch.S, states: []NodeState{{Node: r0, HasMFT: true}}}
+	c := New(net, ch, Config{Structural: true}, prov)
+	o := obs.New(nil)
+	net.SetObserver(o)
+	c.SetObserver(o)
+	InstallContinuous(sim, c)
+
+	run := func(at eventsim.Time, ev obs.Event) {
+		t.Helper()
+		sim.At(at, func() { o.Emit(ev) })
+		if err := sim.Run(at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(1, obs.Event{Kind: obs.KindTableAdd, Channel: addr.Channel{S: r0, G: ch.G}})
+	run(2, obs.Event{Kind: obs.KindTreeSend, Channel: ch})
+	wantOnly(t, c)
+	run(3, obs.Event{Kind: obs.KindTableAdd, Channel: ch})
+	wantOnly(t, c, "empty-mft")
+	run(4, obs.Event{Kind: obs.KindTreeSend, Channel: ch})
+	wantOnly(t, c, "empty-mft")
 }

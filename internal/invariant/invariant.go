@@ -41,7 +41,7 @@ type Violation struct {
 	Tree string
 	// Recent is the flight-recorder dump for the violating node — the
 	// last protocol events it saw before the breach — captured when the
-	// observer wired in via Checker.SetObserver keeps a recorder (empty
+	// checker's observer (Checker.SetObserver) keeps a recorder (empty
 	// otherwise).
 	Recent string
 	// Episode is the causal episode of the channel's last structural

@@ -2,6 +2,7 @@ package live
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"hbh/internal/addr"
@@ -87,8 +88,14 @@ func (f fig3Sim) stream(t *testing.T, n int) (mallocs uint64, delivered int) {
 // dump must reproduce it exactly.
 func TestFlightRecorderGoldenFig3(t *testing.T) {
 	o := hbhdObserver()
-	runFig3Sim(t, o)
-	goldenCompare(t, "live_flight_fig3_hbh.txt", o.Recorder().DumpAll())
+	f := runFig3Sim(t, o)
+	// Every node records; node ids follow address order.
+	g := f.rt.Topology()
+	var b strings.Builder
+	for id := 0; id < g.NumNodes(); id++ {
+		b.WriteString(o.Recorder().Dump(g.Node(topology.NodeID(id)).Addr))
+	}
+	goldenCompare(t, "live_flight_fig3_hbh.txt", b.String())
 }
 
 // observerAllocBudget is what hbhd's observer may add, in heap

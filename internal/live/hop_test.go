@@ -403,20 +403,6 @@ func TestHostileSenderRejected(t *testing.T) {
 	}
 }
 
-// TestHopLimitMustFitTheFrame: the hop budget travels in one byte, so a
-// larger limit would wrap silently on the first hop.
-func TestHopLimitMustFitTheFrame(t *testing.T) {
-	g := topology.Line(2, false)
-	g.Freeze()
-	New(Config{Graph: g, Routing: unicast.Compute(g), Sim: eventsim.New(), HopLimit: 255})
-	defer func() {
-		if recover() == nil {
-			t.Error("New accepted a hop limit of 256")
-		}
-	}()
-	New(Config{Graph: g, Routing: unicast.Compute(g), Sim: eventsim.New(), HopLimit: 256})
-}
-
 // TestStopReleasesTimersAndGoroutines: Stop with arrivals in flight and
 // soft-state timers armed leaves no goroutine and no runtime timer
 // behind — the goroutine count is back where it was before Start, and

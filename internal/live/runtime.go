@@ -34,12 +34,11 @@ type Config struct {
 	// goroutines for. nil hosts the whole graph (in-process cluster);
 	// a daemon hosts one router plus its attached hosts.
 	Hosted []topology.NodeID
-
-	// HopLimit is the per-packet hop budget (default
-	// netsim.DefaultHopLimit). It travels in one byte of the frame: at
-	// most 255.
-	HopLimit int
 }
+
+// The per-packet hop budget, netsim.DefaultHopLimit, travels in one
+// byte of the frame.
+const _ uint8 = netsim.DefaultHopLimit
 
 // Stats counts the runtime's packet events: netsim's counters, whose
 // CodecDrops and SendErrors only a frame wire moves. Snapshot via
@@ -78,14 +77,6 @@ type Runtime struct {
 func New(cfg Config) *Runtime {
 	rt := &Runtime{sim: cfg.Sim, unit: cfg.Unit}
 	rt.net = netsim.NewWired(cfg.Graph, cfg.Routing, frameWire{rt}, &rt.emitMu)
-	hopLimit := cfg.HopLimit
-	if hopLimit == 0 {
-		hopLimit = netsim.DefaultHopLimit
-	}
-	if hopLimit < 0 || hopLimit > 255 {
-		panic(fmt.Sprintf("live: hop limit %d does not fit the frame's one byte", hopLimit))
-	}
-	rt.net.SetHopLimit(hopLimit)
 	if rt.sim == nil {
 		if rt.unit <= 0 {
 			rt.unit = time.Millisecond
@@ -142,10 +133,10 @@ func (rt *Runtime) SetObserver(o *obs.Observer) {
 	rt.net.SetObserver(o)
 	if o != nil {
 		o.SetNow(rt.Now)
-		// Engine code (receiver spans, protocol annotations) emits into
-		// the observer directly from node goroutines; sharing the
-		// runtime's emission mutex serialises those paths with the
-		// transport events and with telemetry scrapes.
+		// Engine code (protocol annotations) emits into the observer
+		// directly from node goroutines; sharing the runtime's emission
+		// mutex serialises those paths with the transport events and
+		// with telemetry scrapes.
 		o.SetEmitLock(&rt.emitMu)
 		if lt := o.Latency(); lt != nil {
 			// The live runtime feeds delivery delays from frame

@@ -42,12 +42,18 @@ func TestLiveTelemetryOverUDP(t *testing.T) {
 	o := obs.New(nil)
 	lat := o.EnableLatency()
 	o.EnableConvergence()
+	rt.SetObserver(o)
+	// Attached to the runtime, the tracker takes delivery delays from
+	// frame timestamps only: a send and a consume of one sequence on the
+	// event stream pair into no sample.
+	probe := &packet.Data{Header: packet.Header{Type: packet.TypeData}, Seq: 1}
+	o.Emit(obs.Event{Kind: obs.KindSend, Seq: 1, Msg: probe})
+	o.Emit(obs.Event{Kind: obs.KindConsume, Seq: 1, Msg: probe, At: 5})
+	if n := lat.Delivery.Count(); n != 0 {
+		t.Fatalf("SetObserver left event pairing on: %d delivery samples from the event stream", n)
+	}
 	sink := &collectSink{}
 	o.AddSink(sink)
-	rt.SetObserver(o)
-	if !lat.Direct() {
-		t.Fatal("SetObserver did not switch the latency tracker to direct mode")
-	}
 
 	cfg := core.DefaultConfig()
 	for _, r := range g.Routers() {

@@ -191,8 +191,7 @@ type Network struct {
 	// obsv is the structured observability pipeline. nil means fully
 	// disabled: every emission site nil-checks it before building any
 	// event, which keeps the forwarding hot path allocation-free.
-	obsv     *obs.Observer
-	hopLimit int
+	obsv *obs.Observer
 	// adv is the installed control-plane adversary; nil (the default)
 	// keeps the forwarding path byte-for-byte identical to a network
 	// without one.
@@ -283,7 +282,7 @@ func newNetwork(g *topology.Graph, r unicast.Router, mu sync.Locker) *Network {
 	if r.Graph() != g {
 		panic("netsim: routing tables computed for a different graph")
 	}
-	n := &Network{topo: g, routing: r, hopLimit: DefaultHopLimit}
+	n := &Network{topo: g, routing: r}
 	n.shared = shard{net: n, mu: mu}
 	n.nodes = make([]*Node, g.NumNodes())
 	n.nodeDown = make([]bool, g.NumNodes())
@@ -419,14 +418,6 @@ func (n *Network) SetObserver(o *obs.Observer) {
 // Observer returns the installed pipeline (nil when observation is
 // off). Protocol code must nil-check before building events.
 func (n *Network) Observer() *obs.Observer { return n.obsv }
-
-// SetHopLimit overrides the per-packet hop budget.
-func (n *Network) SetHopLimit(l int) {
-	if l < 1 {
-		panic("netsim: hop limit must be positive")
-	}
-	n.hopLimit = l
-}
 
 // emit is the one place causal fields are stamped: ev becomes an effect
 // of c — it joins c's episode with c's step as its parent — and takes a
@@ -734,7 +725,7 @@ func (n *Network) newEnvelope(s *shard, msg packet.Message, dst topology.NodeID)
 	env := n.take(s)
 	env.msg = env.hold(msg)
 	env.dst = dst
-	env.hops = n.hopLimit
+	env.hops = DefaultHopLimit
 	return env
 }
 

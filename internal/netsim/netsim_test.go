@@ -132,12 +132,12 @@ func TestSendToSelf(t *testing.T) {
 }
 
 func TestHopLimit(t *testing.T) {
-	g := topology.Line(5, false)
+	g := topology.Line(DefaultHopLimit+2, false)
 	net, sim := build(g)
-	net.SetHopLimit(2)
+	last := topology.NodeID(g.NumNodes() - 1)
 	delivered := false
-	net.Node(4).SetDeliver(func(ProtoNode, packet.Message) { delivered = true })
-	net.Node(0).SendUnicast(dataTo(g.Node(4).Addr, 1))
+	net.Node(last).SetDeliver(func(ProtoNode, packet.Message) { delivered = true })
+	net.Node(0).SendUnicast(dataTo(g.Node(last).Addr, 1))
 	if err := sim.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,8 @@ func TestForwardObservedZeroAlloc(t *testing.T) {
 	o.EnableCounters()
 	o.EnableLatency()
 	o.EnableConvergence()
-	rec := o.EnableRecorder(8)
+	const depth = 8
+	o.EnableRecorder(depth)
 	n.SetObserver(o)
 	msg := dataTo(g.Node(2).Addr, 1)
 	hop := func() {
@@ -348,7 +349,7 @@ func TestForwardObservedZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < rec.Depth(); i++ { // fill the rings, warm the envelope freelist
+	for i := 0; i < depth; i++ { // fill the rings, warm the envelope freelist
 		hop()
 	}
 	if allocs := testing.AllocsPerRun(200, hop); allocs != 0 {

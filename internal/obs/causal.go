@@ -70,7 +70,9 @@ func (o *Observer) SeedCausal(base uint64) {
 // episodeMutation reports whether the kind is a structural table
 // mutation — the events that mean "the tree changed shape". The
 // convergence detector and the episode renderer's quiet-episode filter
-// share this definition.
+// share this definition, and through the detector's per-channel
+// Mutations count so do the stability experiment's state changes and
+// the continuous invariant checker.
 func episodeMutation(k Kind) bool {
 	switch k {
 	case KindTableAdd, KindTableRemove, KindBranch, KindCollapse, KindFusionAccept,
@@ -134,8 +136,6 @@ func (e *Episode) RootCause() string {
 		return fmt.Sprintf("tree refresh from %s", e.rootNode)
 	case KindSend, KindSendDirect:
 		return fmt.Sprintf("%s from %s", e.rootKind, e.rootNode)
-	case KindSpanBegin:
-		return fmt.Sprintf("%s at %s", e.rootDetail, e.rootNode)
 	default:
 		return fmt.Sprintf("%s at %s", e.rootKind, e.rootNode)
 	}
@@ -221,10 +221,10 @@ func (b *EpisodeBuilder) Emit(ev Event) {
 // and the replay path (EmitReplay) share it.
 func (b *EpisodeBuilder) add(ev Event, line string, ctrlHop bool, ctrlBytes int) {
 	if ev.Episode == 0 {
-		// Notes, recorder dumps and lifecycle span markers are not causal
-		// events; only protocol/transport events count as unattributed.
+		// Notes and recorder dumps are not causal events; only
+		// protocol/transport events count as unattributed.
 		switch ev.Kind {
-		case KindNote, KindRecorderDump, KindSpanBegin, KindSpanEnd:
+		case KindNote, KindRecorderDump:
 		default:
 			b.unattributed++
 		}

@@ -50,9 +50,9 @@ func TestEpisodeBuilderReconstructsCascade(t *testing.T) {
 	// A quiet episode: data chatter, no mutation.
 	b.Emit(Event{At: 9, Kind: KindDeliver, NodeName: "r1", Channel: testCh,
 		Episode: 2, Step: 20})
-	// Unattributed protocol noise counts; lifecycle markers do not.
+	// Unattributed protocol noise counts; notes and dumps do not.
 	b.Emit(Event{Kind: KindForward})
-	b.Emit(Event{Kind: KindSpanBegin})
+	b.Emit(Event{Kind: KindRecorderDump})
 	b.Emit(Event{Kind: KindNote})
 
 	eps := b.Episodes()
@@ -129,7 +129,6 @@ func TestEpisodeRootCauseVocabulary(t *testing.T) {
 		{Event{Kind: KindFault, NodeName: "x"}, "fault injection"},
 		{Event{Kind: KindTreeSend, NodeName: "S"}, "tree refresh from S"},
 		{Event{Kind: KindSendDirect, NodeName: "S"}, "send-direct from S"},
-		{Event{Kind: KindSpanBegin, NodeName: "b", Detail: "pim-build"}, "pim-build at b"},
 		{Event{Kind: KindReplicate, NodeName: "S"}, "replicate at S"},
 	} {
 		b := NewEpisodeBuilder(0)

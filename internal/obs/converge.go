@@ -26,9 +26,9 @@ type ChannelConvergence struct {
 	// Channel is the <S,G> pair tracked.
 	Channel addr.Channel
 	// LastMutation is the virtual time of the last structural table
-	// mutation (table add/remove, branch, collapse, fusion accept);
-	// LastEpisode the causal episode it belonged to. MutationAny is
-	// false until the first mutation.
+	// mutation (table add/remove, branch, collapse, fusion accept, mark
+	// lift); LastEpisode the causal episode it belonged to. MutationAny
+	// is false until the first mutation.
 	LastMutation eventsim.Time
 	LastEpisode  EpisodeID
 	MutationAny  bool

@@ -89,9 +89,6 @@ func (o *Observer) Latency() *Latency { return o.latency }
 // (single-process) event pairing would double-count.
 func (l *Latency) SetDirect(on bool) { l.direct = on }
 
-// Direct reports whether direct-feed mode is on.
-func (l *Latency) Direct() bool { return l.direct }
-
 // ObserveDelivery records one end-to-end delivery delay directly.
 func (l *Latency) ObserveDelivery(d float64) { l.Delivery.Observe(d) }
 
@@ -102,16 +99,19 @@ func (l *Latency) ObserveHop(d float64) { l.Hop.Observe(d) }
 func (l *Latency) ObserveConverge(d float64) { l.Converge.Observe(d) }
 
 // noteSent records a data origination time, evicting the oldest
-// pending entry past the cap.
+// pending entry past the cap. Only the first send of a (channel, seq)
+// counts: every later KindSend of it is a branching node's replica, and
+// a delivery's delay runs from the source.
 func (l *Latency) noteSent(k latSeqKey, at eventsim.Time) {
-	if _, ok := l.sent[k]; !ok {
-		if len(l.ring) < latSentCap {
-			l.ring = append(l.ring, k)
-		} else {
-			delete(l.sent, l.ring[l.next])
-			l.ring[l.next] = k
-			l.next = (l.next + 1) % latSentCap
-		}
+	if _, ok := l.sent[k]; ok {
+		return
+	}
+	if len(l.ring) < latSentCap {
+		l.ring = append(l.ring, k)
+	} else {
+		delete(l.sent, l.ring[l.next])
+		l.ring[l.next] = k
+		l.next = (l.next + 1) % latSentCap
 	}
 	l.sent[k] = at
 }

@@ -88,10 +88,6 @@ const (
 	KindReplicate
 	// KindFault is a fault-injection event (link or node transition).
 	KindFault
-	// KindSpanBegin opens a lifecycle span; Detail is the span name.
-	KindSpanBegin
-	// KindSpanEnd closes a lifecycle span.
-	KindSpanEnd
 	// KindNote is a free-form annotation in Detail; a replay reads a
 	// kind name it does not know as one.
 	KindNote
@@ -149,10 +145,6 @@ func (k Kind) String() string {
 		return "replicate"
 	case KindFault:
 		return "fault"
-	case KindSpanBegin:
-		return "span-begin"
-	case KindSpanEnd:
-		return "span-end"
 	case KindNote:
 		return "note"
 	case KindRecorderDump:
@@ -222,9 +214,6 @@ func (c Cause) FaultAttributed() bool {
 	return c == CauseLinkDown || c == CauseNodeDown
 }
 
-// SpanID identifies a lifecycle span. Zero means "no span".
-type SpanID uint64
-
 // Event is one observed fact. Fields are raw protocol values; sinks
 // render them. The zero value of any field means "not applicable".
 type Event struct {
@@ -250,9 +239,6 @@ type Event struct {
 	// retain it past the Emit call (the simulator forwards messages
 	// zero-copy and may rewrite them in place later).
 	Msg packet.Message
-	// Span and Parent correlate the event to a lifecycle span.
-	Span   SpanID
-	Parent SpanID
 	// Episode, Step and ParentStep place the event in the causal DAG of
 	// its episode (see causal.go): Episode names the cascade the event
 	// belongs to, Step is the event's own node in the DAG, ParentStep
@@ -261,8 +247,8 @@ type Event struct {
 	Episode    EpisodeID
 	Step       StepID
 	ParentStep StepID
-	// Detail is a free-form annotation: span names, protocol rules,
-	// preformatted fault text.
+	// Detail is a free-form annotation: protocol rules, preformatted
+	// fault text.
 	Detail string
 }
 
@@ -276,10 +262,9 @@ type Sink interface {
 // events into it; it stamps the virtual time and distributes to the
 // attached sinks, the counter registry and the flight recorder.
 //
-// A nil *Observer is the disabled layer: Emit and the span methods are
-// no-ops, and every emission site is expected to guard argument
-// construction behind a nil check so the hot path stays allocation
-// free.
+// A nil *Observer is the disabled layer: Emit is a no-op, and every
+// emission site is expected to guard argument construction behind a
+// nil check so the hot path stays allocation free.
 type Observer struct {
 	now      func() eventsim.Time
 	sinks    []Sink
@@ -288,15 +273,13 @@ type Observer struct {
 	recorder *Recorder
 	converge *ConvergeTracker
 	latency  *Latency
-	// lock, when set, serialises the emission surface (Emit and spans)
-	// across goroutines. The single-threaded simulator never sets it;
-	// the live runtime shares its own emission mutex here so engine
-	// code that emits directly (receiver spans, protocol annotations)
-	// is serialised with the runtime's transport events and with
-	// telemetry scrapes. Paths that already hold that mutex use
-	// EmitLocked.
-	lock    sync.Locker
-	spanSeq uint64
+	// lock, when set, serialises Emit across goroutines. The
+	// single-threaded simulator never sets it; the live runtime shares
+	// its own emission mutex here so engine code that emits directly
+	// (protocol annotations) is serialised with the runtime's transport
+	// events and with telemetry scrapes. Paths that already hold that
+	// mutex use EmitLocked.
+	lock sync.Locker
 	// episodeSeq and stepSeq allocate causal episode and step ids;
 	// plain counters, so causal stamping costs no allocation.
 	episodeSeq uint64
@@ -316,10 +299,6 @@ func New(now func() eventsim.Time) *Observer {
 
 // SetNow rebinds the virtual clock used to stamp events.
 func (o *Observer) SetNow(now func() eventsim.Time) { o.now = now }
-
-// Enabled reports whether the observer exists. Emission sites use it
-// to skip argument construction entirely.
-func (o *Observer) Enabled() bool { return o != nil }
 
 // AddSink attaches a sink.
 func (o *Observer) AddSink(s Sink) { o.sinks = append(o.sinks, s) }
@@ -443,36 +422,4 @@ func (o *Observer) passes(ev *Event) bool {
 	}
 	probe := *ev
 	return o.filter(&probe)
-}
-
-// BeginSpan opens a lifecycle span (name in Detail) and returns its
-// id; parent nests it. Safe on a nil observer (returns 0).
-func (o *Observer) BeginSpan(name string, ch addr.Channel, node addr.Addr, nodeName string, parent SpanID) SpanID {
-	if o == nil {
-		return 0
-	}
-	if o.lock != nil {
-		o.lock.Lock()
-		defer o.lock.Unlock()
-	}
-	o.spanSeq++
-	id := SpanID(o.spanSeq)
-	o.emit(&Event{
-		Kind: KindSpanBegin, Node: node, NodeName: nodeName,
-		Channel: ch, Span: id, Parent: parent, Detail: name,
-	})
-	return id
-}
-
-// EndSpan closes a span opened by BeginSpan. Ending span 0 is a no-op,
-// so callers need not track whether observation was on when the span
-// would have been opened.
-func (o *Observer) EndSpan(id SpanID, name string, ch addr.Channel, node addr.Addr, nodeName string) {
-	if o == nil || id == 0 {
-		return
-	}
-	o.Emit(Event{
-		Kind: KindSpanEnd, Node: node, NodeName: nodeName,
-		Channel: ch, Span: id, Detail: name,
-	})
 }

@@ -33,14 +33,8 @@ func (s *lineSink) take(line string) { s.lines = append(s.lines, line) }
 
 func TestNilObserverIsSafe(t *testing.T) {
 	var o *Observer
-	if o.Enabled() {
-		t.Fatal("nil observer reports enabled")
-	}
 	o.Emit(Event{Kind: KindSend}) // must not panic
-	if id := o.BeginSpan("x", testCh, testS, "s", 0); id != 0 {
-		t.Fatalf("nil BeginSpan returned %d", id)
-	}
-	o.EndSpan(1, "x", testCh, testS, "s")
+	o.EmitLocked(&Event{Kind: KindSend})
 }
 
 func TestEmitStampsAndFansOut(t *testing.T) {
@@ -118,12 +112,12 @@ func TestJSONLSink(t *testing.T) {
 	o.AddSink(NewJSONLSink(&b))
 	o.Emit(Event{
 		Kind: KindJoinSend, Node: testR, NodeName: "r3",
-		Channel: testCh, Msg: testJoin(), Span: 2, Parent: 1,
+		Channel: testCh, Msg: testJoin(), Episode: 2, Step: 3, ParentStep: 1,
 	})
 	got := strings.TrimSpace(b.String())
 	for _, want := range []string{
 		`"t":7`, `"kind":"join-send"`, `"node":"r3"`,
-		`"ch":"` + testCh.String() + `"`, `"span":2`, `"parent":1`, `"msg":"hbh join(`,
+		`"ch":"` + testCh.String() + `"`, `"ep":2`, `"step":3`, `"pstep":1`, `"msg":"hbh join(`,
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("JSONL %q missing %q", got, want)
@@ -134,26 +128,6 @@ func TestJSONLSink(t *testing.T) {
 	}
 	if !strings.HasPrefix(got, "{") || !strings.HasSuffix(got, "}") {
 		t.Errorf("JSONL %q is not one object per line", got)
-	}
-}
-
-func TestSpans(t *testing.T) {
-	o := New(func() eventsim.Time { return 0 })
-	var b strings.Builder
-	o.AddSink(NewJSONLSink(&b))
-	root := o.BeginSpan("receiver-lifecycle", testCh, testR, "r3", 0)
-	child := o.BeginSpan("joining", testCh, testR, "r3", root)
-	if root == 0 || child == 0 || root == child {
-		t.Fatalf("span ids root=%d child=%d", root, child)
-	}
-	o.EndSpan(child, "joining", testCh, testR, "r3")
-	o.EndSpan(0, "never-opened", testCh, testR, "r3") // no-op
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d span events, want 3: %q", len(lines), lines)
-	}
-	if !strings.Contains(lines[1], `"parent":1`) {
-		t.Errorf("child span %q lacks parent", lines[1])
 	}
 }
 

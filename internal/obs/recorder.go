@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"hbh/internal/addr"
@@ -123,9 +122,6 @@ func NewRecorder(perNode int) *Recorder {
 	return &Recorder{depth: perNode, rings: make(map[addr.Addr]*ring)}
 }
 
-// Depth returns the per-node ring capacity.
-func (r *Recorder) Depth() int { return r.depth }
-
 // Record appends ev to its node's ring. Events without a node (pure
 // notes) are kept under the zero address so nothing is lost.
 func (r *Recorder) Record(ev Event) { r.record(&ev) }
@@ -178,20 +174,6 @@ func (r *Recorder) Dump(node addr.Addr) string {
 		b.WriteString(stamp(ev))
 		b.WriteString(Line(ev))
 		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// DumpAll renders every node's ring, nodes in address order.
-func (r *Recorder) DumpAll() string {
-	nodes := make([]addr.Addr, 0, len(r.rings))
-	for a := range r.rings {
-		nodes = append(nodes, a)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	var b strings.Builder
-	for _, a := range nodes {
-		b.WriteString(r.Dump(a))
 	}
 	return b.String()
 }

@@ -47,8 +47,6 @@ type jsonlLine struct {
 	Ch     string  `json:"ch"`
 	Seq    uint32  `json:"seq"`
 	Cause  string  `json:"cause"`
-	Span   uint64  `json:"span"`
-	Parent uint64  `json:"parent"`
 	Ep     uint64  `json:"ep"`
 	Step   uint64  `json:"step"`
 	PStep  uint64  `json:"pstep"`
@@ -112,8 +110,6 @@ func ParseJSONL(r io.Reader) ([]ReplayEvent, error) {
 		}
 		re.Seq = l.Seq
 		re.Cause = causeFromString(l.Cause)
-		re.Span = SpanID(l.Span)
-		re.Parent = SpanID(l.Parent)
 		re.Episode = EpisodeID(l.Ep)
 		re.Step = StepID(l.Step)
 		re.ParentStep = StepID(l.PStep)

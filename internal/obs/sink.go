@@ -91,10 +91,6 @@ func lineMsg(ev Event, msg string, hasMsg bool) string {
 		}
 	case KindNote, KindFault:
 		return ev.Detail
-	case KindSpanBegin:
-		return fmt.Sprintf("%s SPAN-BEGIN %s %v [span %d]", ev.NodeName, ev.Detail, ev.Channel, ev.Span)
-	case KindSpanEnd:
-		return fmt.Sprintf("%s SPAN-END %s %v [span %d]", ev.NodeName, ev.Detail, ev.Channel, ev.Span)
 	default:
 		// Protocol kinds: NODE VERB channel [peer] [msg/detail].
 		var b strings.Builder
@@ -184,14 +180,6 @@ func (j *JSONLSink) Emit(ev Event) {
 	if ev.Cause != CauseNone {
 		b = append(b, `,"cause":`...)
 		b = strconv.AppendQuote(b, ev.Cause.String())
-	}
-	if ev.Span != 0 {
-		b = append(b, `,"span":`...)
-		b = strconv.AppendUint(b, uint64(ev.Span), 10)
-	}
-	if ev.Parent != 0 {
-		b = append(b, `,"parent":`...)
-		b = strconv.AppendUint(b, uint64(ev.Parent), 10)
 	}
 	if ev.Episode != 0 {
 		b = append(b, `,"ep":`...)

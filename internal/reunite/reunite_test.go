@@ -9,7 +9,7 @@ import (
 	"hbh/internal/invariant"
 	"hbh/internal/mtree"
 	"hbh/internal/netsim"
-	"hbh/internal/softstate"
+	"hbh/internal/obs"
 	"hbh/internal/topology"
 	"hbh/internal/unicast"
 )
@@ -47,24 +47,22 @@ func newHarness(t *testing.T, g *topology.Graph) *harness {
 
 // watch puts src's channel under the invariant checker (the REUNITE
 // profile: structural, loop-freedom and leak invariants — tree-shape
-// guarantees are what the protocol lacks by design). Violations fail
-// the test at cleanup.
+// guarantees are what the protocol lacks by design), driven by the
+// network's observer, attached here unless the test brought its own.
+// Violations fail the test at cleanup.
 func (h *harness) watch(src *Source) *invariant.Checker {
 	routers := make([]*Router, 0, len(h.routers))
 	for _, id := range h.g.Routers() {
 		routers = append(routers, h.routers[id])
 	}
+	o := h.net.Observer()
+	if o == nil {
+		o = obs.New(nil)
+		h.net.SetObserver(o)
+	}
 	chk := invariant.New(h.net, src.Channel(), invariant.ProfileREUNITE(), NewAudit(src, routers))
+	chk.SetObserver(o)
 	h.checkers = append(h.checkers, chk)
-	obs := func(addr.Addr, addr.Channel, softstate.ChangeKind, addr.Addr) {
-		for _, c := range h.checkers {
-			c.MarkDirty()
-		}
-	}
-	src.SetObserver(obs)
-	for _, r := range routers {
-		r.SetObserver(obs)
-	}
 	invariant.InstallContinuous(h.sim, h.checkers...)
 	return chk
 }

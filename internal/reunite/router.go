@@ -30,26 +30,16 @@ type chanState struct {
 // Router is the REUNITE protocol engine resident on a multicast-capable
 // router.
 type Router struct {
-	cfg      Config
-	node     netsim.ProtoNode
-	clk      clock.Clock
-	chans    map[addr.Channel]*chanState
-	seen     softstate.Dedup
-	observer softstate.ChangeObserver
+	cfg   Config
+	node  netsim.ProtoNode
+	clk   clock.Clock
+	chans map[addr.Channel]*chanState
+	seen  softstate.Dedup
 	// replica is the one packet every replicated data copy is sent from,
 	// and tree the one every regenerated refresh is (the transport copies
 	// what it sends).
 	replica packet.Data
 	tree    packet.Tree
-}
-
-// SetObserver installs the state-change observer (nil clears it).
-func (r *Router) SetObserver(o softstate.ChangeObserver) { r.observer = o }
-
-func (r *Router) observe(ch addr.Channel, kind softstate.ChangeKind, node addr.Addr) {
-	if r.observer != nil {
-		r.observer(r.node.Addr(), ch, kind, node)
-	}
 }
 
 // AttachRouter creates a REUNITE Router on n and registers it as a
@@ -182,15 +172,12 @@ func (r *Router) becomeBranching(c obs.Causal, st *chanState, ch addr.Channel, j
 	dstCause := st.mct.Cause
 	st.mct.Timer.Cancel()
 	st.mct = nil
-	r.observe(ch, softstate.ChangeMCTRemove, dst)
-	r.observe(ch, softstate.ChangeBecomeBranching, r.node.Addr())
 	r.node.Emit(c, obs.Event{Kind: obs.KindBranch, Channel: ch, Peer: joiner,
 		Detail: "second receiver's join crossed live control state"})
 	st.mft = NewMFT()
 	// dst keeps the provenance its MCT entry carried, so its refresh
 	// chain stays attributed to its own episode.
 	st.mft.Add(dst, r.newEntryTimer(ch, dst)).Cause = dstCause
-	r.observe(ch, softstate.ChangeMFTAdd, dst)
 	st.mft.Liveness = clock.NewSoftTimer(r.clk, r.cfg.T1, r.cfg.T2, func() {
 		// No tree for dst within t1: this node has fallen off the
 		// channel's refresh path. A table in that state must stop
@@ -205,7 +192,6 @@ func (r *Router) becomeBranching(c obs.Causal, st *chanState, ch addr.Channel, j
 			// Timer-driven: roots its own causal episode.
 			c := r.node.Root()
 			st.mft.TableStale = true
-			r.observe(ch, softstate.ChangeTableStale, r.node.Addr())
 			r.node.Emit(c, obs.Event{Kind: obs.KindCollapse, Channel: ch, Detail: "table stale: off the refresh path"})
 		}
 	}, func() {
@@ -248,7 +234,6 @@ func (r *Router) onTree(t *packet.Tree, c obs.Causal) netsim.Verdict {
 				// stale so joins escalate past us (Figure 2(b)).
 				if !st.mft.TableStale {
 					st.mft.TableStale = true
-					r.observe(ch, softstate.ChangeTableStale, dst.Node)
 					r.node.Emit(c, obs.Event{Kind: obs.KindCollapse, Channel: ch, Peer: dst.Node,
 						Detail: "table stale: marked tree for dst"})
 				}
@@ -314,7 +299,6 @@ func (r *Router) createMCT(c obs.Causal, st *chanState, ch addr.Channel, node ad
 			r.removeMCT(r.node.Root(), ch, st)
 		}
 	})}
-	r.observe(ch, softstate.ChangeMCTCreate, node)
 	st.mct.Cause = r.node.Emit(c, obs.Event{Kind: obs.KindTableAdd, Channel: ch, Peer: node, Detail: "mct"})
 }
 
@@ -325,7 +309,6 @@ func (r *Router) removeMCT(c obs.Causal, ch addr.Channel, st *chanState) {
 	node := st.mct.Node
 	st.mct.Timer.Cancel()
 	st.mct = nil
-	r.observe(ch, softstate.ChangeMCTRemove, node)
 	r.node.Emit(c, obs.Event{Kind: obs.KindTableRemove, Channel: ch, Peer: node, Detail: "mct"})
 	r.maybeDrop(ch, st)
 }
@@ -384,7 +367,6 @@ func (r *Router) newEntryTimer(ch addr.Channel, node addr.Addr) *clock.SoftTimer
 		// Timer-driven expiry roots its own causal episode.
 		c := r.node.Root()
 		st.mft.Remove(node)
-		r.observe(ch, softstate.ChangeMFTRemove, node)
 		r.node.Emit(c, obs.Event{Kind: obs.KindTableRemove, Channel: ch, Peer: node, Detail: "mft"})
 		if st.mft.Len() == 0 {
 			r.destroyMFT(c, ch)
@@ -394,7 +376,6 @@ func (r *Router) newEntryTimer(ch addr.Channel, node addr.Addr) *clock.SoftTimer
 
 func (r *Router) addMFTEntry(c obs.Causal, st *chanState, ch addr.Channel, node addr.Addr) {
 	e := st.mft.Add(node, r.newEntryTimer(ch, node))
-	r.observe(ch, softstate.ChangeMFTAdd, node)
 	e.Cause = r.node.Emit(c, obs.Event{Kind: obs.KindTableAdd, Channel: ch, Peer: node, Detail: "mft"})
 }
 
@@ -405,7 +386,6 @@ func (r *Router) destroyMFT(c obs.Causal, ch addr.Channel) {
 	}
 	st.mft.Destroy()
 	st.mft = nil
-	r.observe(ch, softstate.ChangeTableDestroy, r.node.Addr())
 	r.node.Emit(c, obs.Event{Kind: obs.KindCollapse, Channel: ch, Detail: "mft destroyed"})
 	r.maybeDrop(ch, st)
 }

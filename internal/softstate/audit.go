@@ -13,8 +13,6 @@ import (
 type Router interface {
 	// Addr returns the router's unicast address.
 	Addr() addr.Addr
-	// SetObserver installs the state-change observer (nil clears it).
-	SetObserver(o ChangeObserver)
 	// State returns the router's record for ch — its control entry or
 	// its forwarding table, at most one of them non-nil — and whether
 	// it holds a record for the channel at all.

@@ -40,16 +40,9 @@ type Receiver struct {
 	Deliveries []Delivery
 	DupCount   int
 	seen       Window
-	// TreeMsgs counts tree refreshes addressed to this receiver.
-	TreeMsgs int
 
 	// OnData, when non-nil, is invoked on every data arrival.
 	OnData func(d Delivery)
-
-	// lifeSpan covers the whole subscription (Join..Leave); joinSpan is
-	// its child covering the joining phase, closed by the first data
-	// delivery — the per-receiver convergence moment the trace exposes.
-	lifeSpan, joinSpan obs.SpanID
 }
 
 // AttachReceiver creates a (not yet joined) receiver agent on host n
@@ -86,10 +79,6 @@ func (r *Receiver) Join() {
 		return
 	}
 	r.joined = true
-	if o := r.node.Observer(); o != nil {
-		r.lifeSpan = o.BeginSpan("receiver-lifecycle", r.ch, r.node.Addr(), r.node.Name(), 0)
-		r.joinSpan = o.BeginSpan("joining", r.ch, r.node.Addr(), r.node.Name(), r.lifeSpan)
-	}
 	r.sendJoin(true)
 	r.ticker = clock.NewTicker(r.clk, r.cfg.JoinInterval, func() { r.sendJoin(false) })
 }
@@ -104,11 +93,6 @@ func (r *Receiver) Leave() {
 	r.joined = false
 	r.ticker.Stop()
 	r.ticker = nil
-	if o := r.node.Observer(); o != nil {
-		o.EndSpan(r.joinSpan, "joining", r.ch, r.node.Addr(), r.node.Name())
-		o.EndSpan(r.lifeSpan, "receiver-lifecycle", r.ch, r.node.Addr(), r.node.Name())
-	}
-	r.joinSpan, r.lifeSpan = 0, 0
 }
 
 func (r *Receiver) sendJoin(first bool) {
@@ -125,8 +109,7 @@ func (r *Receiver) sendJoin(first bool) {
 		// A receiver's join names the source by address: naming the
 		// peer keeps Emit from putting its topology label there.
 		c = r.node.Emit(c, obs.Event{
-			Kind: obs.KindJoinSend, Channel: r.ch, Peer: r.ch.S, PeerName: r.ch.S.String(),
-			Span: r.joinSpan, Parent: r.lifeSpan, Detail: detail,
+			Kind: obs.KindJoinSend, Channel: r.ch, Peer: r.ch.S, PeerName: r.ch.S.String(), Detail: detail,
 		})
 	}
 	SendJoin(r.node, &r.join, c, r.proto, r.ch, first && r.flagFirst)
@@ -144,7 +127,6 @@ func (r *Receiver) Handle(n netsim.ProtoNode, msg packet.Message, _ obs.Causal) 
 		if m.Proto != r.proto {
 			return netsim.Continue
 		}
-		r.TreeMsgs++
 		return netsim.Consumed
 	case *packet.Data:
 		d := Delivery{Seq: m.Seq, At: r.clk.Now()}
@@ -152,14 +134,6 @@ func (r *Receiver) Handle(n netsim.ProtoNode, msg packet.Message, _ obs.Causal) 
 			r.DupCount++
 		}
 		r.Deliveries = append(r.Deliveries, d)
-		if r.joinSpan != 0 {
-			// First data delivery: the joining phase of the lifecycle
-			// span ends here — this receiver's tree is carrying data.
-			if o := r.node.Observer(); o != nil {
-				o.EndSpan(r.joinSpan, "joining", r.ch, r.node.Addr(), r.node.Name())
-			}
-			r.joinSpan = 0
-		}
 		if r.OnData != nil {
 			r.OnData(d)
 		}

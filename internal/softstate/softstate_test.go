@@ -165,10 +165,12 @@ func TestReceiverDeliveries(t *testing.T) {
 			if _, ok := r.DeliveryAt(9); ok {
 				t.Error("DeliveryAt reports an undelivered packet")
 			}
+			before := w.net.Stats()
 			send(tree(p.proto))
 			send(tree(p.other))
-			if r.TreeMsgs != 1 {
-				t.Errorf("TreeMsgs = %d, want 1 (own protocol's tree only)", r.TreeMsgs)
+			if d := w.net.Stats().Delta(before); d.Consumed != 1 || d.Delivered != 1 {
+				t.Errorf("trees consumed=%d delivered=%d, want 1/1 (own protocol's tree only consumed)",
+					d.Consumed, d.Delivered)
 			}
 			r.ResetDeliveries()
 			send(data(1))

@@ -31,15 +31,14 @@ type SourceRules struct {
 // served entry. Which joins install what, and what a refresh says, are
 // the protocol's SourceRules.
 type Source struct {
-	cfg      Config
-	node     netsim.ProtoNode
-	clk      clock.Clock
-	ch       addr.Channel
-	mft      *MFT
-	ticker   *clock.Ticker
-	observer ChangeObserver
-	nextSeq  uint32
-	rules    SourceRules
+	cfg     Config
+	node    netsim.ProtoNode
+	clk     clock.Clock
+	ch      addr.Channel
+	mft     *MFT
+	ticker  *clock.Ticker
+	nextSeq uint32
+	rules   SourceRules
 	// data is the one packet every copy of a SendData is sent from, and
 	// tree the one every refresh is (the transport copies what it sends).
 	data packet.Data
@@ -76,16 +75,6 @@ func (s *Source) Channel() addr.Channel { return s.ch }
 // audits.
 func (s *Source) MFT() *MFT { return s.mft }
 
-// SetObserver installs the state-change observer (nil clears it).
-func (s *Source) SetObserver(o ChangeObserver) { s.observer = o }
-
-// Observe reports a state change at the source to the observer.
-func (s *Source) Observe(kind ChangeKind, node addr.Addr) {
-	if s.observer != nil {
-		s.observer(s.node.Addr(), s.ch, kind, node)
-	}
-}
-
 // Stop halts the periodic tree emission (end of the session).
 func (s *Source) Stop() { s.ticker.Stop() }
 
@@ -98,7 +87,6 @@ func (s *Source) AddEntry(c obs.Causal, node addr.Addr) *Entry {
 			// it roots its own causal episode.
 			c := s.node.Root()
 			s.mft.Remove(node)
-			s.Observe(ChangeMFTRemove, node)
 			s.node.Emit(c, obs.Event{Kind: obs.KindTableRemove, Channel: s.ch, Peer: node, Detail: "mft"})
 			if s.rules.Expired != nil {
 				s.rules.Expired(node)
@@ -106,7 +94,6 @@ func (s *Source) AddEntry(c obs.Causal, node addr.Addr) *Entry {
 		}
 	})
 	e := s.mft.Add(node, timer)
-	s.Observe(ChangeMFTAdd, node)
 	e.Cause = s.node.Emit(c, obs.Event{Kind: obs.KindTableAdd, Channel: s.ch, Peer: node, Detail: "mft"})
 	return e
 }

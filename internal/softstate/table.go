@@ -175,62 +175,6 @@ type MCT struct {
 // Stale reports whether the t1 phase has expired.
 func (m *MCT) Stale() bool { return m.Timer.Stale() }
 
-// ChangeKind classifies forwarding-state changes for the stability
-// experiment (Fig. 4): the paper argues member departures perturb HBH
-// trees less than REUNITE trees, so both protocols count every
-// mutation in one vocabulary.
-type ChangeKind uint8
-
-const (
-	// ChangeMCTCreate is the installation of control state at a
-	// non-branching router.
-	ChangeMCTCreate ChangeKind = iota
-	// ChangeMCTRemove is the destruction of control state.
-	ChangeMCTRemove
-	// ChangeMFTAdd is a new forwarding entry.
-	ChangeMFTAdd
-	// ChangeMFTRemove is the expiry of a forwarding entry.
-	ChangeMFTRemove
-	// ChangeMFTMark is the marking of an entry by an HBH fusion.
-	ChangeMFTMark
-	// ChangeBecomeBranching is a non-branching -> branching transition.
-	ChangeBecomeBranching
-	// ChangeCollapse is HBH's branching -> non-branching transition.
-	ChangeCollapse
-	// ChangeTableStale is a REUNITE table going stale on a marked tree.
-	ChangeTableStale
-	// ChangeTableDestroy is the destruction of a whole REUNITE MFT.
-	ChangeTableDestroy
-)
-
-func (k ChangeKind) String() string {
-	switch k {
-	case ChangeMCTCreate:
-		return "mct-create"
-	case ChangeMCTRemove:
-		return "mct-remove"
-	case ChangeMFTAdd:
-		return "mft-add"
-	case ChangeMFTRemove:
-		return "mft-remove"
-	case ChangeMFTMark:
-		return "mft-mark"
-	case ChangeBecomeBranching:
-		return "become-branching"
-	case ChangeCollapse:
-		return "collapse"
-	case ChangeTableStale:
-		return "table-stale"
-	case ChangeTableDestroy:
-		return "table-destroy"
-	default:
-		return "change(?)"
-	}
-}
-
-// ChangeObserver receives forwarding-state change notifications.
-type ChangeObserver func(where addr.Addr, ch addr.Channel, kind ChangeKind, node addr.Addr)
-
 // seenDataCap is the span of a duplicate-suppression window in
 // sequence numbers.
 const seenDataCap = 4096
