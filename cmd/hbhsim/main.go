@@ -20,11 +20,6 @@
 // manychannel). Every sweep runs on -workers goroutines and prints the
 // same table at any worker count.
 //
-// Adversarial fuzzing mode (replaces the figure sweep):
-//
-//	hbhsim -fuzz -fuzz-iters 200 -fuzz-out findings/   # coverage-guided campaign
-//	hbhsim -fuzz-replay findings/ab12cd34.genome       # replay one repro file
-//
 // Single-run observability mode (replaces the figure sweep when
 // -trace or -obs-metrics is given):
 //
@@ -45,7 +40,6 @@ import (
 	"strings"
 	"time"
 
-	"hbh/internal/advfuzz"
 	"hbh/internal/experiment"
 	"hbh/internal/obs"
 )
@@ -76,12 +70,6 @@ func main() {
 		protoF      = flag.String("proto", "HBH", "single-run protocol: HBH, HBH-nofusion, REUNITE, PIM-SM, PIM-SS")
 		topoF       = flag.String("topo", "isp", "single-run topology: isp, random50, nsfnet, abilene")
 		receivers   = flag.Int("receivers", 8, "single-run receiver count")
-
-		fuzz       = flag.Bool("fuzz", false, "coverage-guided adversarial scenario fuzzing mode: mutate scenario genomes under the invariant oracle instead of sweeping a figure")
-		fuzzIters  = flag.Int("fuzz-iters", 50, "mutation iterations for -fuzz (the seed corpus always runs first)")
-		fuzzSeeds  = flag.String("fuzz-seeds", "", "directory of *.genome seed files for -fuzz (default: the built-in corpus)")
-		fuzzOut    = flag.String("fuzz-out", "", "directory where -fuzz writes minimized violation repros (<id>.genome)")
-		fuzzReplay = flag.String("fuzz-replay", "", "replay one scenario genome file under the invariant oracle and exit (non-zero on violation)")
 
 		scaleSizes   = flag.String("scale-sizes", "", "comma-separated router counts for -figure scale (default 50,500,5000,50000)")
 		scaleSources = flag.Int("scale-sources", 1000, "sampled sources routed per size for -figure scale")
@@ -122,15 +110,6 @@ func main() {
 				os.Exit(1)
 			}
 		}()
-	}
-
-	if *fuzzReplay != "" {
-		runFuzzReplay(*fuzzReplay)
-		return
-	}
-	if *fuzz {
-		runFuzz(*fuzzIters, *seed, *fuzzSeeds, *fuzzOut)
-		return
 	}
 
 	if *trace || *obsMetrics != "" {
@@ -386,77 +365,4 @@ func scale(sizes string, sources int, seed int64) string {
 		}
 	}
 	return experiment.ScaleExperiment(cfg).FormatTable()
-}
-
-// runFuzz drives the coverage-guided scenario fuzzer: the seed corpus
-// runs first, then -fuzz-iters mutations, keeping whatever grows
-// behavioral coverage. Every invariant violation is minimized, written
-// as a replayable repro file (with -fuzz-out), and fails the run.
-func runFuzz(iters int, seed int64, seedDir, outDir string) {
-	start := time.Now()
-	f := advfuzz.NewFuzzer(seed)
-	f.Log = os.Stderr
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			fail("fuzz-out: %v", err)
-		}
-		f.OutDir = outDir
-	}
-	seeds := advfuzz.DefaultSeeds()
-	if seedDir != "" {
-		var err error
-		seeds, err = advfuzz.LoadSeeds(seedDir)
-		if err != nil {
-			fail("fuzz-seeds: %v", err)
-		}
-		if len(seeds) == 0 {
-			fail("fuzz-seeds: no *.genome files in %s", seedDir)
-		}
-	}
-	for _, g := range seeds {
-		f.AddSeed(g)
-	}
-	st := f.Run(iters)
-	fmt.Printf("fuzz campaign: %d seeds + %d iterations, %d interesting, corpus %d, coverage %d atoms, %d findings\n",
-		len(seeds), st.Iterations, st.Interesting, st.CorpusSize, st.Atoms, st.Findings)
-	for _, atom := range f.Coverage() {
-		fmt.Println("  " + atom)
-	}
-	fmt.Fprintf(os.Stderr, "hbhsim: fuzz done in %v\n", time.Since(start).Round(time.Millisecond))
-	if st.Findings > 0 {
-		os.Exit(1)
-	}
-}
-
-// runFuzzReplay runs one saved scenario genome through the adversarial
-// engine with the invariant oracle attached and reports the outcome; a
-// violation exits non-zero, so committed repro files double as
-// regression checks.
-func runFuzzReplay(path string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fail("fuzz-replay: %v", err)
-	}
-	g, err := advfuzz.ParseGenome(string(data))
-	if err != nil {
-		fail("fuzz-replay: %v", err)
-	}
-	out := advfuzz.Execute(g)
-	r := out.Result
-	fmt.Printf("replay %s: %s\n", g.ID(), g)
-	fmt.Printf("clean: time=%.1f converged=%v\n", float64(r.CleanTime), r.CleanConverged)
-	fmt.Printf("window: disruption=%.3f advdrops=%d advdups=%d\n",
-		r.Disruption, r.WindowStats.AdvLossDrops, r.WindowStats.AdvDups)
-	fmt.Printf("recovery: time=%.1f recovered=%v missing=%d duplicates=%d\n",
-		float64(r.RecoveryTime), r.Recovered, r.Missing, r.Duplicates)
-	fmt.Printf("coverage: %d atoms\n", len(out.Signature))
-	if len(r.Violations) == 0 {
-		fmt.Println("invariants: clean")
-		return
-	}
-	fmt.Printf("invariants: %d violation(s)\n", len(r.Violations))
-	for _, v := range r.Violations {
-		fmt.Println("  " + v.String())
-	}
-	os.Exit(1)
 }

@@ -207,54 +207,31 @@ func maskScaleClocks(table string) string {
 	return strings.Join(lines, "\n")
 }
 
-// TestFuzzCLICampaign runs a tiny real campaign through the CLI: the
-// built-in seed corpus plus a couple of mutations, expecting a clean
-// exit (no invariant findings) and the campaign summary plus the
-// coverage atoms on stdout.
-func TestFuzzCLICampaign(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real fuzz campaign is slow; skipped in -short")
-	}
-	stdout, stderr, code := runMain(t, "-fuzz", "-fuzz-iters", "2")
-	if code != 0 {
-		t.Fatalf("exit code %d, want 0 (stderr: %s)", code, stderr)
-	}
-	if !strings.Contains(stdout, "fuzz campaign:") || !strings.Contains(stdout, "findings") {
-		t.Errorf("campaign summary missing:\n%.300s", stdout)
-	}
-	if !strings.Contains(stdout, "HBH|kind:join-send") {
-		t.Errorf("coverage atoms missing from stdout:\n%.300s", stdout)
-	}
-	if !strings.Contains(stderr, "seed ") {
-		t.Errorf("per-seed log missing from stderr:\n%.300s", stderr)
-	}
-}
-
-// TestFuzzCLIReplay replays a committed seed genome (exit 0, phase
-// report on stdout) and checks the error paths exit 2.
-func TestFuzzCLIReplay(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replay runs the full adversarial engine; skipped in -short")
-	}
-	seed := filepath.Join("..", "..", "internal", "advfuzz", "testdata", "01-hbh-churn.genome")
-	stdout, stderr, code := runMain(t, "-fuzz-replay", seed)
-	if code != 0 {
-		t.Fatalf("exit code %d, want 0 (stderr: %s)", code, stderr)
-	}
-	for _, want := range []string{"replay ", "clean:", "window:", "recovery:", "invariants: clean"} {
-		if !strings.Contains(stdout, want) {
-			t.Errorf("replay report missing %q:\n%s", want, stdout)
+// TestRetiredModesExit2 asserts the deleted fuzz flags and figure
+// names are refused like any unknown flag or figure: exit 2 with a
+// diagnosis, never a run. Scenario fuzzing is
+// go test -fuzz=FuzzScenario ./internal/advfuzz/.
+func TestRetiredModesExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-fuzz"},
+		{"-fuzz", "-fuzz-iters", "2"},
+		{"-fuzz-replay", "x.genome"},
+		{"-fuzz-seeds", "testdata"},
+		{"-fuzz-out", "findings"},
+		{"-faults"},
+		{"-figure", "failure-recovery"},
+		{"-figure", "loss-robustness"},
+	} {
+		stdout, stderr, code := runMain(t, args...)
+		if code != 2 {
+			t.Errorf("hbhsim %v: exit code %d, want 2", args, code)
 		}
-	}
-	if _, _, code := runMain(t, "-fuzz-replay", filepath.Join(t.TempDir(), "missing.genome")); code != 2 {
-		t.Errorf("missing repro file exit code %d, want 2", code)
-	}
-	bad := filepath.Join(t.TempDir(), "bad.genome")
-	if err := os.WriteFile(bad, []byte("not-a-knob = 7\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, code := runMain(t, "-fuzz-replay", bad); code != 2 {
-		t.Errorf("unparseable repro file exit code %d, want 2", code)
+		if stdout != "" {
+			t.Errorf("hbhsim %v printed to stdout:\n%.200s", args, stdout)
+		}
+		if !strings.Contains(stderr, "not defined") && !strings.Contains(stderr, "unknown figure") {
+			t.Errorf("hbhsim %v: stderr missing diagnosis: %.200s", args, stderr)
+		}
 	}
 }
 

@@ -1,23 +1,16 @@
-// Package advfuzz is the coverage-guided adversarial scenario fuzzer:
-// it mutates a compact scenario genome (topology, protocol, churn,
-// control-plane adversary, correlated failures, membership churn),
-// executes each candidate through the experiment package's adversarial
-// engine with the runtime invariant checker attached as the oracle,
-// and keeps the candidates that exercise protocol behavior not seen
-// before. Coverage is behavioral, not line-based: the signature of a
-// run is the set of observed event kinds, drop causes and causal
-// episode shapes, per protocol — a genome earns its place in the
-// corpus by making the protocol do something new, not by flipping
-// branches.
-//
-// Violating genomes are minimized by per-field reduction toward the
-// benign genome and written out as replayable text repro files.
+// Package advfuzz is the adversarial scenario fuzzer: a compact
+// scenario genome (topology, protocol, churn, control-plane adversary,
+// correlated failures, membership churn) that any byte string decodes
+// to, and the native fuzz target FuzzScenario, which runs each input
+// through the experiment package's adversarial engine with the runtime
+// invariant checker attached as the oracle. Go's fuzzing engine does
+// the mutation, coverage and minimisation; a failing input lands in
+// testdata/fuzz/FuzzScenario and replays on every go test.
 package advfuzz
 
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"hbh/internal/eventsim"
@@ -93,8 +86,7 @@ type Genome struct {
 	// clocks run apart by up to this fraction, the live-runtime
 	// dimension (unsynchronized wall clocks) folded back into the
 	// deterministic scenario space. Encoded after the seed (byte
-	// offset 23) so every pre-skew genome ID and corpus file decodes
-	// unchanged.
+	// offset 23) so every pre-skew corpus input decodes unchanged.
 	Skew uint8
 	// Seed drives every random draw of the run.
 	Seed int64
@@ -169,157 +161,21 @@ func (g Genome) Spec() experiment.AdvSpec {
 	return spec
 }
 
-// Benign is the genome with every adversity knob off — the reduction
-// target of the minimizer.
-func Benign(g Genome) Genome {
-	return Genome{
-		Topo: g.Topo, Protocol: g.Protocol, Receivers: g.Receivers,
-		ChurnAmp: 1, BurstLen: 1, GroupSize: 1, Window: 20, Seed: g.Seed,
-	}.Normalize()
-}
-
-// Encode renders the genome as the replayable text form the repro
-// files use: one key=value per line, names where the field indexes a
-// table.
-func (g Genome) Encode() string {
-	g = g.Normalize()
-	var b strings.Builder
-	fmt.Fprintf(&b, "topo=%s\n", fuzzTopos[g.Topo])
-	fmt.Fprintf(&b, "protocol=%s\n", fuzzProtocols[g.Protocol])
-	fmt.Fprintf(&b, "receivers=%d\n", g.Receivers)
-	fmt.Fprintf(&b, "churn-rate=%d\n", g.ChurnRate)
-	fmt.Fprintf(&b, "churn-amp=%d\n", g.ChurnAmp)
-	fmt.Fprintf(&b, "loss-pct=%d\n", g.LossPct)
-	fmt.Fprintf(&b, "burst-pct=%d\n", g.BurstPct)
-	fmt.Fprintf(&b, "burst-len=%d\n", g.BurstLen)
-	fmt.Fprintf(&b, "jitter=%d\n", g.Jitter)
-	fmt.Fprintf(&b, "dup-pct=%d\n", g.DupPct)
-	fmt.Fprintf(&b, "groups=%d\n", g.Groups)
-	fmt.Fprintf(&b, "group-size=%d\n", g.GroupSize)
-	fmt.Fprintf(&b, "leaves=%d\n", g.Leaves)
-	fmt.Fprintf(&b, "window=%d\n", g.Window)
-	fmt.Fprintf(&b, "channels=%d\n", g.Channels)
-	if g.Skew > 0 {
-		// Conditional so every pre-skew repro file round-trips to its
-		// original text (and keeps its name).
-		fmt.Fprintf(&b, "skew=%d\n", g.Skew)
+// knobs returns the thirteen single-byte fields in their byte-codec
+// order (offsets 2..14). The order is frozen: it is what every corpus
+// input on disk decodes through.
+func (g *Genome) knobs() [13]*uint8 {
+	return [...]*uint8{
+		&g.Receivers, &g.ChurnRate, &g.ChurnAmp, &g.LossPct, &g.BurstPct,
+		&g.BurstLen, &g.Jitter, &g.DupPct, &g.Groups, &g.GroupSize, &g.Leaves,
+		&g.Window, &g.Channels,
 	}
-	fmt.Fprintf(&b, "seed=%d\n", g.Seed)
-	return b.String()
 }
-
-// ParseGenome parses the Encode text form. Unknown keys and malformed
-// values are errors (a repro file that silently half-parses would
-// replay a different scenario than it names).
-func ParseGenome(text string) (Genome, error) {
-	var g Genome
-	for ln, line := range strings.Split(text, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		key, val, ok := strings.Cut(line, "=")
-		if !ok {
-			return g, fmt.Errorf("advfuzz: line %d: %q is not key=value", ln+1, line)
-		}
-		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
-		switch key {
-		case "topo":
-			idx := -1
-			for i, t := range fuzzTopos {
-				if string(t) == val {
-					idx = i
-				}
-			}
-			if idx < 0 {
-				return g, fmt.Errorf("advfuzz: line %d: unknown topo %q", ln+1, val)
-			}
-			g.Topo = uint8(idx)
-		case "protocol":
-			idx := -1
-			for i, p := range fuzzProtocols {
-				if string(p) == val {
-					idx = i
-				}
-			}
-			if idx < 0 {
-				return g, fmt.Errorf("advfuzz: line %d: unknown protocol %q", ln+1, val)
-			}
-			g.Protocol = uint8(idx)
-		case "seed":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return g, fmt.Errorf("advfuzz: line %d: bad seed: %v", ln+1, err)
-			}
-			g.Seed = n
-		default:
-			n, err := strconv.ParseUint(val, 10, 8)
-			if err != nil {
-				return g, fmt.Errorf("advfuzz: line %d: bad value for %s: %v", ln+1, key, err)
-			}
-			fieldp, ok := byteField(&g, key)
-			if !ok {
-				return g, fmt.Errorf("advfuzz: line %d: unknown key %q", ln+1, key)
-			}
-			*fieldp = uint8(n)
-		}
-	}
-	return g.Normalize(), nil
-}
-
-// byteFieldNames lists the mutable byte fields in a fixed order shared
-// by the text codec, the byte codec and the mutator.
-var byteFieldNames = []string{
-	"receivers", "churn-rate", "churn-amp", "loss-pct", "burst-pct",
-	"burst-len", "jitter", "dup-pct", "groups", "group-size", "leaves", "window",
-	"channels",
-}
-
-// byteField resolves a codec key to the genome field it names.
-func byteField(g *Genome, key string) (*uint8, bool) {
-	switch key {
-	case "receivers":
-		return &g.Receivers, true
-	case "churn-rate":
-		return &g.ChurnRate, true
-	case "churn-amp":
-		return &g.ChurnAmp, true
-	case "loss-pct":
-		return &g.LossPct, true
-	case "burst-pct":
-		return &g.BurstPct, true
-	case "burst-len":
-		return &g.BurstLen, true
-	case "jitter":
-		return &g.Jitter, true
-	case "dup-pct":
-		return &g.DupPct, true
-	case "groups":
-		return &g.Groups, true
-	case "group-size":
-		return &g.GroupSize, true
-	case "leaves":
-		return &g.Leaves, true
-	case "window":
-		return &g.Window, true
-	case "channels":
-		return &g.Channels, true
-	case "skew":
-		return &g.Skew, true
-	}
-	return nil, false
-}
-
-// mutableFieldNames is every byte knob the mutator and minimizer may
-// touch: byteFieldNames plus the fields encoded after the seed. Only
-// the pre-seed byteFieldNames order is frozen by the byte layout;
-// post-seed additions extend this list freely.
-var mutableFieldNames = append(append([]string{}, byteFieldNames...), "skew")
 
 // DecodeBytes maps an arbitrary byte string onto a genome — the total
 // decoding the go-fuzz harness needs (every input the engine mutates
 // must be a runnable scenario). Layout: topo, protocol, the thirteen
-// byte fields in byteFieldNames order, eight seed bytes little-endian,
+// knobs in knobs order, eight seed bytes little-endian,
 // then the timer-skew byte; missing bytes read as zero, so every
 // pre-skew 23-byte input decodes to the same scenario it always named.
 func DecodeBytes(data []byte) Genome {
@@ -331,8 +187,7 @@ func DecodeBytes(data []byte) Genome {
 	}
 	var g Genome
 	g.Topo, g.Protocol = at(0), at(1)
-	for i, name := range byteFieldNames {
-		p, _ := byteField(&g, name)
+	for i, p := range g.knobs() {
 		*p = at(2 + i)
 	}
 	for i := 0; i < 8; i++ {
@@ -345,8 +200,7 @@ func DecodeBytes(data []byte) Genome {
 // EncodeBytes is the inverse of DecodeBytes for normalized genomes,
 // used to hand the seed corpus to the go-fuzz engine. The skew byte is
 // emitted only when set: a skew-free genome keeps the historical
-// 23-byte form, so every existing corpus entry and genome ID is
-// bit-stable.
+// 23-byte form, so every existing corpus entry is bit-stable.
 func (g Genome) EncodeBytes() []byte {
 	g = g.Normalize()
 	n := 23
@@ -355,8 +209,7 @@ func (g Genome) EncodeBytes() []byte {
 	}
 	out := make([]byte, n)
 	out[0], out[1] = g.Topo, g.Protocol
-	for i, name := range byteFieldNames {
-		p, _ := byteField(&g, name)
+	for i, p := range g.knobs() {
 		out[2+i] = *p
 	}
 	for i := 0; i < 8; i++ {
@@ -366,18 +219,6 @@ func (g Genome) EncodeBytes() []byte {
 		out[23] = g.Skew
 	}
 	return out
-}
-
-// ID is a short stable identifier for the genome, used in repro file
-// names and fuzzer logs.
-func (g Genome) ID() string {
-	g = g.Normalize()
-	h := uint64(14695981039346656037) // FNV-1a
-	for _, b := range g.EncodeBytes() {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return fmt.Sprintf("%016x", h)
 }
 
 // String renders the genome on one line for logs.

@@ -1,16 +1,17 @@
 package advfuzz
 
 import (
-	"math/rand"
 	"testing"
+
+	"hbh/internal/experiment"
+	"hbh/internal/testseed"
 )
 
 // TestNormalizeIdempotent asserts the fold is stable: normalizing a
-// normalized genome must be the identity, or the text codec (which
-// normalizes on both encode and parse) would silently rewrite repro
-// files on every round-trip.
+// normalized genome must be the identity, or re-encoding a decoded
+// input would name a different scenario than the input did.
 func TestNormalizeIdempotent(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	rng := testseed.Rand(t)
 	for i := 0; i < 1000; i++ {
 		raw := make([]byte, 23)
 		rng.Read(raw)
@@ -21,28 +22,18 @@ func TestNormalizeIdempotent(t *testing.T) {
 	}
 }
 
-// TestEncodeParseRoundTrip asserts the text codec is lossless over
-// normalized genomes.
-func TestEncodeParseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 200; i++ {
-		raw := make([]byte, 23)
-		rng.Read(raw)
-		g := DecodeBytes(raw)
-		back, err := ParseGenome(g.Encode())
-		if err != nil {
-			t.Fatalf("round-trip parse failed: %v\n%s", err, g.Encode())
-		}
-		if back != g {
-			t.Fatalf("round-trip changed the genome:\n  %+v\n  %+v", g, back)
-		}
-	}
-}
-
 // TestEncodeBytesRoundTrip asserts the byte codec is lossless over
-// normalized genomes (the go-fuzz corpus path).
+// normalized genomes: the seed corpus handed to f.Add, and random
+// decoded inputs.
 func TestEncodeBytesRoundTrip(t *testing.T) {
-	for _, g := range DefaultSeeds() {
+	gs := DefaultSeeds()
+	rng := testseed.Rand(t)
+	for i := 0; i < 500; i++ {
+		raw := make([]byte, 24)
+		rng.Read(raw)
+		gs = append(gs, DecodeBytes(raw))
+	}
+	for _, g := range gs {
 		g = g.Normalize()
 		if back := DecodeBytes(g.EncodeBytes()); back != g {
 			t.Fatalf("byte round-trip changed the genome:\n  %+v\n  %+v", g, back)
@@ -50,52 +41,19 @@ func TestEncodeBytesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseGenomeRejectsGarbage asserts half-valid repro files fail
-// loudly instead of replaying a different scenario.
-func TestParseGenomeRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{
-		"topo=mars\n",
-		"protocol=OSPF\n",
-		"nonsense=1\n",
-		"loss-pct=banana\n",
-		"just some text\n",
-		"seed=not-a-number\n",
-	} {
-		if _, err := ParseGenome(bad); err == nil {
-			t.Errorf("ParseGenome(%q) accepted garbage", bad)
+// TestSpecRoundTripThroughEngine asserts every seed genome maps to a
+// spec the engine accepts and runs at its full window, beyond the cap
+// FuzzScenario applies (guards the genome -> AdvSpec translation
+// against parameter-validation panics).
+func TestSpecRoundTripThroughEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every seed through the engine; skipped in -short")
+	}
+	for i, g := range DefaultSeeds() {
+		spec := g.Spec()
+		if spec.Receivers < 1 || spec.WindowIntervals < 8 {
+			t.Fatalf("seed %d maps to invalid spec: %+v", i, spec)
 		}
-	}
-	// Comments and blank lines are fine.
-	if _, err := ParseGenome("# comment\n\nloss-pct=5\n"); err != nil {
-		t.Errorf("comments/blank lines rejected: %v", err)
-	}
-}
-
-// TestSeedCorpusMatchesDefaults asserts the checked-in testdata files
-// stay in lockstep with the built-in fallback corpus.
-func TestSeedCorpusMatchesDefaults(t *testing.T) {
-	fromDisk, err := LoadSeeds("testdata")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := DefaultSeeds()
-	if len(fromDisk) != len(want) {
-		t.Fatalf("testdata has %d genomes, DefaultSeeds %d (run HBH_UPDATE_SEEDS=1 go test -run TestRegenSeedCorpus)",
-			len(fromDisk), len(want))
-	}
-	for i := range want {
-		if fromDisk[i] != want[i].Normalize() {
-			t.Errorf("seed %d diverged from testdata:\n  disk: %+v\n  code: %+v", i, fromDisk[i], want[i].Normalize())
-		}
-	}
-}
-
-// TestBenignSpecIsQuiet asserts the minimizer's reduction target maps
-// to an all-knobs-zero spec.
-func TestBenignSpecIsQuiet(t *testing.T) {
-	spec := Benign(Genome{Receivers: 5, LossPct: 30, Groups: 3, Seed: 9}).Spec()
-	if spec.ChurnPeriod != 0 || spec.Loss != 0 || spec.BurstStart != 0 ||
-		spec.Jitter != 0 || spec.Duplicate != 0 || spec.Groups != 0 || spec.Leaves != 0 {
-		t.Fatalf("benign genome maps to a non-quiet spec: %+v", spec)
+		experiment.AdversarialRun(spec)
 	}
 }

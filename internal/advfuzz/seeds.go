@@ -1,40 +1,9 @@
 package advfuzz
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-)
-
-// LoadSeeds reads every *.genome file in dir (sorted by name, so the
-// corpus order is stable) and parses each into a genome. Used by both
-// the go-fuzz harness and the hbhsim -fuzz CLI.
-func LoadSeeds(dir string) ([]Genome, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.genome"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(paths)
-	var out []Genome
-	for _, p := range paths {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return nil, err
-		}
-		g, err := ParseGenome(string(data))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-		out = append(out, g)
-	}
-	return out, nil
-}
-
-// DefaultSeeds is the built-in corpus the CLI falls back to when no
-// seed directory is available: one genome per adversity dimension per
-// protocol, plus kitchen-sink combinations — the same scenarios
-// checked into testdata/.
+// DefaultSeeds is FuzzScenario's seed corpus: one genome per adversity
+// dimension per protocol, plus kitchen-sink combinations, alternate
+// substrates and many-channel contention. Every go test replays them
+// (FuzzScenario/seed#0 .. seed#15, in this order).
 func DefaultSeeds() []Genome {
 	return []Genome{
 		// Single-dimension probes, HBH.
@@ -72,15 +41,4 @@ func DefaultSeeds() []Genome {
 		{Topo: 4, Protocol: 1, Receivers: 5, Channels: 3, Groups: 1, GroupSize: 2, ChurnRate: 2,
 			Window: 20, Seed: 16},
 	}
-}
-
-// seedNames label the checked-in corpus files, index-aligned with
-// DefaultSeeds.
-var seedNames = []string{
-	"hbh-churn", "hbh-loss", "hbh-burst-dup", "hbh-srlg",
-	"reunite-churn", "reunite-loss-jitter", "reunite-srlg-leaves",
-	"hbh-kitchen-sink", "reunite-kitchen-sink",
-	"nsfnet-hbh", "abilene-reunite",
-	"waxman40-lazy-churn", "ba48-lazy-srlg", "transitstub44-lazy-mixed",
-	"hbh-multichannel-churn", "ba48-reunite-multichannel",
 }

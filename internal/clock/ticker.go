@@ -47,9 +47,6 @@ func (t *Ticker) Stop() {
 	t.handle.Cancel()
 }
 
-// Stopped reports whether Stop has been called.
-func (t *Ticker) Stopped() bool { return t.stopped }
-
 // SoftTimer models the two-phase soft-state timer pair (t1, t2) that
 // HBH and REUNITE attach to every table entry: when t1 expires the
 // entry becomes stale, and when t2 expires the entry is destroyed.
@@ -145,10 +142,6 @@ func (t *SoftTimer) RefreshDestroyOnly() bool {
 
 // Stale reports whether the t1 phase has expired without a refresh.
 func (t *SoftTimer) Stale() bool { return t.stale }
-
-// Dead reports whether the t2 phase has expired (entry destroyed) or
-// the timer was cancelled.
-func (t *SoftTimer) Dead() bool { return t.dead }
 
 // Cancel kills the timer without firing onExpire.
 func (t *SoftTimer) Cancel() {

@@ -23,9 +23,6 @@ func TestTicker(t *testing.T) {
 		t.Errorf("ticks = %d, want 5", n)
 	}
 	tk.Stop()
-	if !tk.Stopped() {
-		t.Error("Stopped false after Stop")
-	}
 	tk.Stop() // idempotent
 	if err := s.Run(200); err != nil {
 		t.Fatal(err)
@@ -68,8 +65,11 @@ func TestSoftTimerPhases(t *testing.T) {
 	if deadAt != 15 {
 		t.Errorf("dead at %v, want 15", deadAt)
 	}
-	if !tm.Stale() || !tm.Dead() {
-		t.Error("final state not stale+dead")
+	if !tm.Stale() {
+		t.Error("final state not stale")
+	}
+	if tm.Refresh() {
+		t.Error("expired timer accepted a refresh")
 	}
 }
 
@@ -164,8 +164,8 @@ func TestSoftTimerCancel(t *testing.T) {
 	if err := s.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if !tm.Dead() {
-		t.Error("cancelled timer not dead")
+	if tm.Refresh() {
+		t.Error("cancelled timer accepted a refresh")
 	}
 }
 
@@ -181,8 +181,8 @@ func TestSoftTimerCancelFromStale(t *testing.T) {
 	if err := s.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if !tm.Dead() {
-		t.Error("timer not dead after cancel from onStale")
+	if tm.Refresh() {
+		t.Error("timer cancelled from onStale accepted a refresh")
 	}
 	if s.Now() != 10 {
 		t.Errorf("final event at %v, want 10 (no destroy phase)", s.Now())

@@ -147,7 +147,7 @@ func TestRejoinReplay(t *testing.T) {
 		Seq:     0,
 		Payload: []byte("replay"),
 	}
-	h.net.NodeByAddr(ch.S).SendUnicast(replay)
+	h.net.Node(h.net.Topology().MustByAddr(ch.S)).SendUnicast(replay)
 	if err := h.sim.Run(h.sim.Now() + 50); err != nil {
 		t.Fatal(err)
 	}

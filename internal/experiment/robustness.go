@@ -19,8 +19,8 @@ import (
 )
 
 // This file is the adversarial scenario engine shared by the A12
-// robustness envelope (-figure robustness) and the coverage-guided
-// scenario fuzzer (internal/advfuzz): one run = clean join phase,
+// robustness envelope (-figure robustness) and the scenario fuzz target
+// (internal/advfuzz's FuzzScenario): one run = clean join phase,
 // measured; adversity window (cost churn, correlated SRLG outages,
 // control-plane adversary, membership churn) with periodic data
 // probes feeding a delivery matrix; adversity off, recovery to
@@ -37,11 +37,10 @@ type AdvSpec struct {
 
 	// ChurnPeriod > 0 runs continuous link-cost churn on that period
 	// during the adversity window, with per-direction random-walk
-	// steps in [-ChurnAmplitude, +ChurnAmplitude] (default 2) over a
-	// fraction ChurnFraction of the core links per tick (default 1).
+	// steps in [-ChurnAmplitude, +ChurnAmplitude] (default 2) on every
+	// core link per tick.
 	ChurnPeriod    eventsim.Time
 	ChurnAmplitude int
-	ChurnFraction  float64
 
 	// Control-plane adversary knobs, applied during the window (see
 	// netsim.Adversary): uniform loss, burst loss, per-hop jitter and
@@ -100,10 +99,6 @@ type AdvSpec struct {
 	// probe when the run recovered. Violations are collected in the
 	// result, never panicked — the fuzzer wants to read them.
 	Check bool
-	// Obs, when non-nil, is attached to the network (the fuzzer hangs
-	// its coverage sinks off it). The engine requires a convergence
-	// tracker and enables one on it.
-	Obs *obs.Observer
 }
 
 // AdvResult is one adversarial run's measurement.
@@ -158,11 +153,8 @@ func AdversarialRun(spec AdvSpec) AdvResult {
 	if spec.LazyRouting {
 		p.Routing = unicast.NewLazy(p.Graph, unicast.LazyOptions{MaxSources: 8})
 	}
-	o := spec.Obs
-	if o == nil {
-		o = obs.New(nil)
-	}
-	o.EnableConvergence().Reset()
+	o := obs.New(nil)
+	o.EnableConvergence()
 
 	s := p.session(RunConfig{
 		Topo: spec.Topo, Protocol: spec.Protocol,
@@ -187,7 +179,6 @@ func AdversarialRun(spec AdvSpec) AdvResult {
 		churner = faults.NewChurner(s.net, faults.ChurnConfig{
 			Period:    spec.ChurnPeriod,
 			Amplitude: spec.ChurnAmplitude,
-			Fraction:  spec.ChurnFraction,
 			RNG:       rand.New(rand.NewSource(spec.Seed ^ 0x636875726e)), // "churn"
 		})
 		churner.Start()

@@ -167,7 +167,6 @@ type Injector struct {
 	tookDown map[topology.NodeID][][2]topology.NodeID
 	// groupTook is the same bookkeeping per shared-risk group name.
 	groupTook map[string][][2]topology.NodeID
-	applied   int
 }
 
 // NewInjector binds a plan to a network.
@@ -187,9 +186,6 @@ func (in *Injector) OnEvent(o Observer) { in.observers = append(in.observers, o)
 // substrate change. Protocol layers use it to model state loss
 // (e.g. core.Router.Reset).
 func (in *Injector) OnNodeDown(f func(topology.NodeID)) { in.onNodeDown = append(in.onNodeDown, f) }
-
-// Applied returns how many events have fired so far.
-func (in *Injector) Applied() int { return in.applied }
 
 // Schedule queues every plan event on the network's simulation clock.
 // Events in the past panic (eventsim semantics): fault plans are built
@@ -277,7 +273,6 @@ func (in *Injector) apply(ev Event) {
 	default:
 		panic(fmt.Sprintf("faults: unknown event kind %d", ev.Kind))
 	}
-	in.applied++
 	for _, o := range in.observers {
 		o(ev)
 	}

@@ -72,8 +72,8 @@ func TestInjectorLinkDownUp(t *testing.T) {
 	if d := net.Routing().Dist(0, 1); d != 1 {
 		t.Errorf("post-repair dist 0->1 = %d, want 1", d)
 	}
-	if in.Applied() != 2 || len(seen) != 2 {
-		t.Errorf("applied = %d, observed = %d, want 2/2", in.Applied(), len(seen))
+	if len(seen) != 2 {
+		t.Errorf("observed %d applied events, want 2", len(seen))
 	}
 	joined := strings.Join(lines, "\n")
 	for _, want := range []string{"FAULT LINK-DOWN A-B", "FAULT LINK-UP A-B"} {

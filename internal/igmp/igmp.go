@@ -127,9 +127,6 @@ func (q *Querier) Members(ch addr.Channel) []topology.NodeID {
 	return q.order[ch]
 }
 
-// HasMembers reports whether any local host is a member of ch.
-func (q *Querier) HasMembers(ch addr.Channel) bool { return len(q.order[ch]) > 0 }
-
 func (q *Querier) sendQueries() {
 	for _, h := range q.hosts {
 		qm := &packet.Query{

@@ -188,7 +188,7 @@ func TestDeliveryChecks(t *testing.T) {
 	c.SetMembers([]addr.Addr{member})
 
 	send := func(seq uint32) {
-		net.NodeByAddr(ch.S).SendUnicast(&packet.Data{
+		net.Node(g.MustByAddr(ch.S)).SendUnicast(&packet.Data{
 			Header: packet.Header{
 				Type: packet.TypeData, Channel: ch, Src: ch.S, Dst: member,
 			},

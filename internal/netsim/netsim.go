@@ -357,11 +357,6 @@ func linkKey(a, b topology.NodeID) [2]topology.NodeID {
 // Node returns the runtime node for id.
 func (n *Network) Node(id topology.NodeID) *Node { return n.nodes[id] }
 
-// NodeByAddr returns the runtime node owning unicast address a.
-func (n *Network) NodeByAddr(a addr.Addr) *Node {
-	return n.nodes[n.topo.MustByAddr(a)]
-}
-
 // Stats returns a snapshot of the transport counters, summed over the
 // shards.
 func (n *Network) Stats() Stats {

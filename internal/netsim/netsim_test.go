@@ -252,9 +252,6 @@ func TestNodeAccessors(t *testing.T) {
 	if n.ID() != 0 || n.Name() != "R0" || n.Network() != net {
 		t.Error("node accessors broken")
 	}
-	if net.NodeByAddr(g.Node(1).Addr).ID() != 1 {
-		t.Error("NodeByAddr broken")
-	}
 	if net.Topology() != g {
 		t.Error("Topology accessor broken")
 	}

@@ -154,30 +154,6 @@ func (e *Episode) Structural() bool {
 	return e.Mutations > 0 || e.rootKind == KindFault
 }
 
-// Shape returns a compact structural fingerprint of the episode: its
-// root kind, log-bucketed mutation and origination counts, and whether
-// the cascade completed. Two episodes share a shape when the same kind
-// of trigger caused a cascade of the same order of magnitude — the
-// granularity the scenario fuzzer's coverage signature wants: fine
-// enough to tell a no-op refresh from a fault-triggered rebuild, and
-// coarse enough not to explode on counter noise.
-func (e *Episode) Shape() string {
-	return fmt.Sprintf("%s|m%s|s%s|c%v", e.rootKind, logBucket(e.Mutations), logBucket(e.sends), e.Complete())
-}
-
-// logBucket collapses a count to 0, 1, 2-3, 4-7, 8+ ... power-of-two
-// buckets, rendered as the bucket floor.
-func logBucket(n int) string {
-	if n <= 1 {
-		return fmt.Sprintf("%d", n)
-	}
-	b := 2
-	for b*2 <= n {
-		b *= 2
-	}
-	return fmt.Sprintf("%d+", b)
-}
-
 // EpisodeBuilder is a Sink that groups causally stamped events into
 // episodes and renders them as indented virtual-time timelines. Events
 // without an episode id (causal tracing off, or pre-root chatter) are

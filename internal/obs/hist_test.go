@@ -142,8 +142,11 @@ func TestHistogramQuantileEmptyAndSingle(t *testing.T) {
 			t.Fatalf("single-sample quantile(%v) = %v, want 3.5", q, got)
 		}
 	}
-	if h.Min() != 3.5 || h.Max() != 3.5 || h.Sum() != 3.5 || h.Count() != 1 {
-		t.Fatalf("summary stats wrong: min %v max %v sum %v count %d", h.Min(), h.Max(), h.Sum(), h.Count())
+	if h.Min() != 3.5 || h.Max() != 3.5 || h.Count() != 1 {
+		t.Fatalf("summary stats wrong: min %v max %v count %d", h.Min(), h.Max(), h.Count())
+	}
+	if text := string(h.appendText(nil)); !strings.Contains(text, "q_sum 3.5\n") {
+		t.Fatalf("export lacks the one-sample sum:\n%s", text)
 	}
 }
 

@@ -20,14 +20,16 @@ func TestLatencyDeliveryPairing(t *testing.T) {
 	d := testData(1)
 	lt.Apply(Event{At: 10, Kind: KindSend, Channel: testCh, Seq: 1, Msg: d})
 	lt.Apply(Event{At: 13, Kind: KindConsume, Node: testR, Channel: testCh, Seq: 1, Msg: d})
-	if lt.Delivery.Count() != 1 || lt.Delivery.Sum() != 3 {
-		t.Fatalf("delivery delay: count %d sum %v, want 1 / 3", lt.Delivery.Count(), lt.Delivery.Sum())
+	if lt.Delivery.Count() != 1 || lt.Delivery.Min() != 3 || lt.Delivery.Max() != 3 {
+		t.Fatalf("delivery delay: count %d min %v max %v, want 1 / 3 / 3",
+			lt.Delivery.Count(), lt.Delivery.Min(), lt.Delivery.Max())
 	}
 	// A second member consuming the same sequence is a second sample —
 	// the send entry is retained.
 	lt.Apply(Event{At: 15, Kind: KindDeliver, Node: testS, Channel: testCh, Seq: 1, Msg: d})
-	if lt.Delivery.Count() != 2 || lt.Delivery.Sum() != 8 {
-		t.Fatalf("second member not sampled: count %d sum %v", lt.Delivery.Count(), lt.Delivery.Sum())
+	if lt.Delivery.Count() != 2 || lt.Delivery.Min() != 3 || lt.Delivery.Max() != 5 {
+		t.Fatalf("second member not sampled: count %d min %v max %v, want 2 / 3 / 5",
+			lt.Delivery.Count(), lt.Delivery.Min(), lt.Delivery.Max())
 	}
 	// Control packets and unmatched sequences do not sample.
 	lt.Apply(Event{At: 20, Kind: KindSend, Channel: testCh, Msg: testJoin()})
@@ -68,14 +70,16 @@ func TestLatencyJoinFirstWindow(t *testing.T) {
 	lt.Apply(Event{At: 10, Kind: KindJoinSend, Node: testR, Channel: testCh, Detail: "first"})
 	lt.Apply(Event{At: 11, Kind: KindConsume, Node: testR, Channel: testCh, Seq: 2, Msg: testData(2)})
 	lt.Apply(Event{At: 12, Kind: KindConsume, Node: testR, Channel: testCh, Seq: 3, Msg: testData(3)})
-	if lt.JoinFirst.Count() != 1 || lt.JoinFirst.Sum() != 1 {
-		t.Fatalf("join-first: count %d sum %v, want 1 / 1", lt.JoinFirst.Count(), lt.JoinFirst.Sum())
+	if lt.JoinFirst.Count() != 1 || lt.JoinFirst.Min() != 1 || lt.JoinFirst.Max() != 1 {
+		t.Fatalf("join-first: count %d min %v max %v, want 1 / 1 / 1",
+			lt.JoinFirst.Count(), lt.JoinFirst.Min(), lt.JoinFirst.Max())
 	}
 	// Another node's window is independent.
 	lt.Apply(Event{At: 20, Kind: KindJoinSend, Node: testS, Channel: testCh, Detail: "first"})
 	lt.Apply(Event{At: 24, Kind: KindDeliver, Node: testS, Channel: testCh, Seq: 4, Msg: testData(4)})
-	if lt.JoinFirst.Count() != 2 || lt.JoinFirst.Sum() != 5 {
-		t.Fatalf("second node window: count %d sum %v, want 2 / 5", lt.JoinFirst.Count(), lt.JoinFirst.Sum())
+	if lt.JoinFirst.Count() != 2 || lt.JoinFirst.Min() != 1 || lt.JoinFirst.Max() != 4 {
+		t.Fatalf("second node window: count %d min %v max %v, want 2 / 1 / 4",
+			lt.JoinFirst.Count(), lt.JoinFirst.Min(), lt.JoinFirst.Max())
 	}
 }
 

@@ -406,13 +406,3 @@ func (s *Session) StateRouters() int {
 	}
 	return n
 }
-
-// TreeLinks returns the number of links in the installed tree
-// (excluding the SM unicast leg), for audits and tests.
-func (s *Session) TreeLinks() int {
-	n := 0
-	for _, cs := range s.children {
-		n += len(cs)
-	}
-	return n
-}

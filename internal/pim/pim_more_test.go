@@ -37,7 +37,7 @@ func TestDelayOptimalRPDeterministic(t *testing.T) {
 
 func TestTreeLinksAndAccessors(t *testing.T) {
 	g := topology.Line(4, true)
-	net, _, _ := buildNet(g)
+	net, _, sim := buildNet(g)
 	members := []topology.NodeID{hostOf(g, 2), hostOf(g, 3)}
 	s := Build(net, SS, hostOf(g, 0), addr.GroupAddr(0), members, topology.None)
 	if s.Channel().S != g.Node(hostOf(g, 0)).Addr {
@@ -46,10 +46,14 @@ func TestTreeLinksAndAccessors(t *testing.T) {
 	if s.RP() != topology.None {
 		t.Error("SS session has an RP")
 	}
-	// Tree links: host->R0->R1->R2->host2 and R2->R3->host3 dedup the
-	// shared prefix: 4 + 2 = 6.
-	if got := s.TreeLinks(); got != 6 {
-		t.Errorf("TreeLinks = %d, want 6", got)
+	// One packet crosses each tree link once: host->R0->R1->R2->host2
+	// and R2->R3->host3 dedup the shared prefix, 4 + 2 = 6.
+	s.SendData(nil)
+	if err := sim.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := net.Stats().DataCopies; got != 6 {
+		t.Errorf("one packet made %d data copies, want 6 tree links", got)
 	}
 	if len(s.Members()) != 2 {
 		t.Errorf("Members = %d", len(s.Members()))
@@ -89,8 +93,10 @@ func TestSMNoMembers(t *testing.T) {
 	if err := sim.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if s.TreeLinks() != 0 {
-		t.Errorf("empty session has %d tree links", s.TreeLinks())
+	// The unicast leg host->R0->R1 is the only traffic: no tree links.
+	if st := net.Stats(); st.DataCopies != 2 || st.DataDelivered != 0 {
+		t.Errorf("empty session: %d data copies, %d delivered; want the 2-link leg to the RP, 0",
+			st.DataCopies, st.DataDelivered)
 	}
 }
 

@@ -100,9 +100,6 @@ type Graph struct {
 // one-way; Clone returns an unfrozen copy.
 func (g *Graph) Freeze() { g.frozen = true }
 
-// Frozen reports whether the graph has been sealed with Freeze.
-func (g *Graph) Frozen() bool { return g.frozen }
-
 // mutable panics if the graph is frozen; every mutator calls it first.
 func (g *Graph) mutable(op string) {
 	if g.frozen {
